@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -21,11 +23,18 @@ class Caps:
     element_scan: int = 2**16        # exhaustive element scans in quotient modules
     local_tuples: int = 10**4        # rows enumerated in a Brauer-Manin tuple table
 
-    def with_overrides(self, overrides: dict[str, int]) -> "Caps":
-        unknown = set(overrides) - set(self.__dataclass_fields__)
-        if unknown:
-            raise KeyError(f"unknown cap name(s): {sorted(unknown)}")
-        return replace(self, **overrides)
+    def with_overrides(self, overrides: dict) -> "Caps":
+        """A copy with the named caps set; values are integers or digit strings."""
+        values = {}
+        for name, value in overrides.items():
+            if name not in self.__dataclass_fields__:
+                raise ValidationError("unknown cap name", witness=name)
+            if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+                value = int(value)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"cap {name} needs an integer value", witness=value)
+            values[name] = value
+        return replace(self, **values)
 
 
 DEFAULT_CAPS = Caps()

@@ -63,9 +63,10 @@ def parse_job(text: str) -> Job:
     task = raw.get("task")
     if task not in TASKS:
         raise ValidationError(f"task must be one of {TASKS}", witness=task)
-    caps = DEFAULT_CAPS.with_overrides({k: int(v)
-                                        for k, v in raw.get("caps", {}).items()})
-    return Job(task, raw, caps)
+    caps = raw.get("caps", {})
+    if not isinstance(caps, dict):
+        raise ValidationError("caps must be a JSON object", witness=caps)
+    return Job(task, raw, DEFAULT_CAPS.with_overrides(caps))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +288,6 @@ def main(argv: list[str] | None = None) -> int:
         description="unramified Brauer groups of SL_n/G and their local evaluation")
     parser.add_argument("command", choices=["run", "selftest"])
     parser.add_argument("jobfile", nargs="?", help="JSON job file for 'run'")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for subgroup scans (results are "
-                             "deterministic regardless)")
     parser.add_argument("--cap", action="append", default=[],
                         metavar="NAME=VALUE", help="override a cap")
     args = parser.parse_args(argv)
@@ -304,10 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.jobfile, "r", encoding="utf-8") as fh:
             text = fh.read()
         job = parse_job(text)
-        overrides = {}
-        for item in args.cap:
-            name, _, value = item.partition("=")
-            overrides[name] = int(value)
+        overrides = {name: value for name, _, value in
+                     (item.partition("=") for item in args.cap)}
         if overrides:
             job = Job(job.task, job.raw, job.caps.with_overrides(overrides))
         report, code = run_job(job)

@@ -11,12 +11,18 @@ that first eliminates most unknowns: a normalized 2-cocycle is determined
 by its values f(y, s) with s in a fixed generating set, and the cocycle
 identity with the third argument restricted to generators implies the
 general one.  That route handles base groups far beyond the dense one.
+The class module of extensions.py reuses its cocycle rows
+(``ReducedCocycleSpace.c1_batches``) and its scalar coboundary matrix
+(``_coboundary_rows``), which every scalar coboundary test also builds on.
+
+Death of classes on subgroups (Sha filters, B_0, the bicyclic condition
+of the engine) runs through one per-subgroup kernel, ``_death_kernel``,
+either literally or after pushing scalar classes into Q/Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,13 +40,9 @@ from .zmod import (
     RowEchelon,
     SubquotientModule,
     as_mod,
-    echelon_compress,
     intersect_submodules,
     kernel,
-    smith_normal_form_raw,
     solve,
-    solve_many,
-    submodule_invariants,
     subquotient,
 )
 
@@ -132,10 +134,6 @@ def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray) -> Optional
 # ---------------------------------------------------------------------------
 # flattening helpers for the dense bar-resolution route
 # ---------------------------------------------------------------------------
-
-
-def _flat1(n: int, r: int, g: int, i: int) -> int:
-    return (g - 1) * r + i
 
 
 def _vec_of_table1(table: np.ndarray) -> np.ndarray:
@@ -238,12 +236,47 @@ def _d2_matrix_rows(G: FiniteGroup, M: AbelianModule):
         yield rows * np.tile(scales, n - 1)[:, None] % m
 
 
+def _coboundary_rows(B: FiniteGroup, m: int, units: np.ndarray | None = None,
+                     second=None) -> np.ndarray:
+    """Matrix of d1 on scalar 1-cochains: b -> u(g) b(h) - b(gh) + b(g) mod m.
+
+    Rows are the pairs (g, h) with g != 1 outer and h inner, h running over
+    the elements != 1 or over ``second``; columns are b(1), ..., b(|B|-1).
+    ``units`` twists the action (u = 1 without it).
+    """
+    n = B.order
+    hs = np.arange(1, n) if second is None else np.asarray(second, dtype=np.int64)
+    u = np.ones(n, dtype=np.int64) if units is None else np.asarray(units, dtype=np.int64)
+    g = np.arange(1, n)[:, None]
+    h = np.arange(len(hs))[None, :]
+    out = np.zeros((n - 1, len(hs), n), dtype=np.int64)   # column 0 is b(1) = 0
+    out[g - 1, h, hs[None, :]] += u[g]
+    out[g - 1, h, g] += 1
+    out[g - 1, h, B.mul[g, hs[None, :]]] -= 1
+    return out[:, :, 1:].reshape((n - 1) * len(hs), n - 1) % m
+
+
+def _twist_rows(act: np.ndarray, chi: np.ndarray, m: int) -> np.ndarray:
+    """Matrix of b -> chi(d) b(g) - b(d.g) mod m on scalar 1-cochains.
+
+    Row block d uses the images ``act[d]`` and the unit ``chi[d]``; rows are
+    the elements g != 1 and columns are b(1), ..., b(n-1).
+    """
+    nd, n = act.shape
+    d = np.arange(nd)[:, None]
+    g = np.arange(1, n)[None, :]
+    out = np.zeros((nd, n - 1, n), dtype=np.int64)        # column 0 is b(1) = 0
+    out[d, g - 1, g] += np.asarray(chi, dtype=np.int64)[:, None] % m
+    out[d, g - 1, act[:, 1:]] -= 1
+    return out[:, :, 1:].reshape(nd * (n - 1), n - 1) % m
+
+
 def _kernel_from_batches(batches, dim: int, m: int) -> np.ndarray:
     ech = RowEchelon(dim, m)
     for batch in batches:
         ech.add(batch)
     E = ech.matrix()
-    return kernel(E, m, compress=False) if E.size else np.eye(dim, dtype=np.int64)
+    return kernel(E, m) if E.size else np.eye(dim, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +399,19 @@ def coboundary0(G: FiniteGroup, M: AbelianModule, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ReducedCocycleSpace:
-    """Normalized Z^2(G, Z/m) (trivial action) in generator coordinates.
+    """Generator coordinates for normalized Z^2(G, Z/m) (trivial action).
 
     Atoms are the values f(y, s) for y != 1 and s in a fixed generating
-    set; ``expr`` writes every f(g, x) as an integer combination of atoms.
+    set; ``expr`` writes every f(g, x) of a cocycle as an integer combination
+    of atoms.  The atom vectors of cocycles are the kernel of ``c1_batches``.
     """
 
     group: FiniteGroup
     modulus: int
     gens: list[int]
     expr: np.ndarray            # (n, n, n_atoms)
-    kernel_gens: np.ndarray     # atom-space generators of Z^2
 
-    def atom_index(self, y: int, s_pos: int) -> int:
+    def atom_index(self, y, s_pos: int):
         return (y - 1) * len(self.gens) + s_pos
 
     def expand(self, atom_vec: np.ndarray) -> np.ndarray:
@@ -393,8 +426,41 @@ class ReducedCocycleSpace:
                 out[self.atom_index(y, i)] = table[y, s]
         return out % self.modulus
 
+    def c1_batches(self, width: int | None = None):
+        """Row batches of the cocycle identity with third argument a generator.
+
+        The rows act on atom vectors, zero-padded on the right to ``width``
+        columns: f(g,h) + f(gh,s) - f(g,hs) - f(h,s) = 0 for g, h != 1.
+        """
+        G, m, expr = self.group, self.modulus, self.expr
+        n, n_atoms = G.order, expr.shape[2]
+        width = n_atoms if width is None else width
+        h = np.arange(1, n)
+        batch = []
+        for i, s in enumerate(self.gens):
+            hs = G.mul[1:, s]
+            for g in range(1, n):
+                gh = G.mul[g, 1:]
+                rows = np.zeros((n - 1, width), dtype=np.int64)
+                rows[:, :n_atoms] = expr[g, hs, :].astype(np.int64) - expr[g, 1:, :]
+                rows[h - 1, self.atom_index(h, i)] += 1
+                ok = np.nonzero(gh)[0]
+                rows[ok, self.atom_index(gh[ok], i)] -= 1
+                batch.append(rows % m)
+                if len(batch) == 16:
+                    yield np.vstack(batch)
+                    batch = []
+        if batch:
+            yield np.vstack(batch)
+
 
 def reduced_cocycle_space(G: FiniteGroup, m: int) -> ReducedCocycleSpace:
+    """Express every cocycle value f(g, x) through the atoms f(y, s).
+
+    The cocycle identity itself is not eliminated here: callers feed
+    ``c1_batches`` into their own system (h2_trivial_scalar alone, the
+    class module together with its Galois rows).
+    """
     n = G.order
     gens = G.minimal_generators()
     n_atoms = (n - 1) * len(gens)
@@ -406,7 +472,6 @@ def reduced_cocycle_space(G: FiniteGroup, m: int) -> ReducedCocycleSpace:
     expr = np.zeros((n, n, n_atoms), dtype=np.int32)
     seen = {0}
     queue = [0]
-    order_out = []
     while queue:
         parent = queue.pop(0)
         for i, s in enumerate(gens):
@@ -415,7 +480,6 @@ def reduced_cocycle_space(G: FiniteGroup, m: int) -> ReducedCocycleSpace:
                 continue
             seen.add(x)
             queue.append(x)
-            order_out.append(x)
             expr[:, x, :] = expr[:, parent, :]
             gp = G.mul[:, parent]  # g * parent for all g
             rows = np.nonzero(gp != 0)[0]
@@ -424,28 +488,7 @@ def reduced_cocycle_space(G: FiniteGroup, m: int) -> ReducedCocycleSpace:
                 expr[:, x, aidx(parent, i)] -= 1
     if len(seen) != n:
         raise ValidationError("generators do not generate the group")
-
-    # constraints: cocycle identity with third argument a generator
-    ech = RowEchelon(n_atoms, m)
-    batch_rows = []
-    for i, s in enumerate(gens):
-        hs = G.mul[:, s]             # h * s
-        for g in range(1, n):
-            gh = G.mul[g]            # g * h
-            rows = expr[g, hs[1:], :].astype(np.int64) - expr[g, 1:, :]
-            hcol = (np.arange(1, n) - 1) * len(gens) + i
-            np.add.at(rows, (np.arange(n - 1), hcol), 1)
-            ok = gh[1:] != 0
-            np.add.at(rows, (np.nonzero(ok)[0], (gh[1:][ok] - 1) * len(gens) + i), -1)
-            batch_rows.append(rows % m)
-            if len(batch_rows) >= 16:
-                ech.add(np.vstack(batch_rows))
-                batch_rows = []
-    if batch_rows:
-        ech.add(np.vstack(batch_rows))
-    E = ech.matrix()
-    K = kernel(E, m, compress=False) if E.size else np.eye(n_atoms, dtype=np.int64)
-    return ReducedCocycleSpace(G, m, gens, expr, K)
+    return ReducedCocycleSpace(G, m, gens, expr)
 
 
 def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
@@ -454,17 +497,9 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
         raise OrderBound("h2_group", caps.h2_group, n)
     space = reduced_cocycle_space(G, m)
     n_atoms = space.expr.shape[2]
-    # coboundary columns in atom coordinates: db(y, s) = b(y) + b(s) - b(ys)
-    cols = np.zeros((n_atoms, n - 1), dtype=np.int64)
-    for y in range(1, n):
-        for i, s in enumerate(space.gens):
-            ai = space.atom_index(y, i)
-            for b in range(1, n):
-                val = (1 if y == b else 0) + (1 if s == b else 0) \
-                    - (1 if int(G.mul[y, s]) == b else 0)
-                if val:
-                    cols[ai, b - 1] += val
-    sub = subquotient(space.kernel_gens, cols % m, m)
+    cocycles = _kernel_from_batches(space.c1_batches(), n_atoms, m)
+    # coboundaries in atom coordinates: db(y, s) for s a generator
+    sub = subquotient(cocycles, _coboundary_rows(G, m, second=space.gens), m)
     M = scalar_module(m)
     reps = [space.expand(sub.generator_lifts[:, i])[:, :, None]
             for i in range(len(sub.invariant_factors))]
@@ -539,30 +574,11 @@ def dies_in_qz(f_table: np.ndarray, B: FiniteGroup, N: int) -> bool:
     Equivalent test: e*f becomes a coboundary mod N*e, where e = exp(B).
     """
     e = B.exponent
-    m = N * e
     n = B.order
     f = as_mod(f_table, N).reshape(n, n)
     if n == 1 or not f.any():
         return True
-    rows, rhs = _coboundary_system(B, (e * f) % m, m)
-    return solve(rows, rhs, m) is not None
-
-
-def _coboundary_system(B: FiniteGroup, target: np.ndarray, m: int):
-    """Linear system d1(b) = target for scalar trivial coefficients mod m."""
-    n = B.order
-    eqs = []
-    rhs = []
-    for g in range(1, n):
-        row_block = np.zeros((n - 1, n - 1), dtype=np.int64)
-        gh = B.mul[g, 1:]
-        np.add.at(row_block, (np.arange(n - 1), np.arange(n - 1)), 1)      # b(h)
-        row_block[np.arange(n - 1), g - 1] += 1                            # b(g)
-        ok = gh != 0
-        np.add.at(row_block, (np.nonzero(ok)[0], gh[ok] - 1), -1)          # -b(gh)
-        eqs.append(row_block % m)
-        rhs.append(target[g, 1:] % m)
-    return np.vstack(eqs), np.concatenate(rhs)
+    return is_scalar_coboundary(B, e * f, N * e) is not None
 
 
 def is_scalar_coboundary(B: FiniteGroup, table: np.ndarray, m: int,
@@ -575,18 +591,7 @@ def is_scalar_coboundary(B: FiniteGroup, table: np.ndarray, m: int,
     table = as_mod(table, m).reshape(n, n)
     if n == 1:
         return np.zeros(1, dtype=np.int64)
-    eqs, rhs = [], []
-    for g in range(1, n):
-        row_block = np.zeros((n - 1, n - 1), dtype=np.int64)
-        u = 1 if units is None else int(units[g])
-        gh = B.mul[g, 1:]
-        np.add.at(row_block, (np.arange(n - 1), np.arange(n - 1)), u)
-        row_block[np.arange(n - 1), g - 1] += 1
-        ok = gh != 0
-        np.add.at(row_block, (np.nonzero(ok)[0], gh[ok] - 1), -1)
-        eqs.append(row_block % m)
-        rhs.append(table[g, 1:] % m)
-    res = solve(np.vstack(eqs), np.concatenate(rhs), m)
+    res = solve(_coboundary_rows(B, m, units), _vec_of_table2(table), m)
     if res is None:
         return None
     b = np.zeros(n, dtype=np.int64)
@@ -669,13 +674,7 @@ _FAMILIES = {
 
 @dataclass
 class ShaResult:
-    """Subgroup of H^d(G, M) of classes dying on every subgroup of a family.
-
-    With ``qz_intent`` (degree 2, scalar coefficients read as mod-N shadows
-    of Q/Z), death means death of the Q/Z-pushforward, and the result is
-    additionally reported modulo the global Kummer classes, i.e. it is the
-    image of the filter inside H^2(G, Q/Z).
-    """
+    """Subgroup of H^d(G, M) of classes dying on every subgroup of a family."""
 
     ambient: CohomologyGroup
     invariant_factors: tuple[int, ...]
@@ -683,7 +682,6 @@ class ShaResult:
     coordinates_in_ambient: list[np.ndarray]
     family: str
     degree: int
-    qz_intent: bool
     _sub: SubquotientModule | None = None
 
     @property
@@ -694,144 +692,102 @@ class ShaResult:
         return out
 
 
-def _scaled_lattice(orders: tuple[int, ...], m: int) -> np.ndarray:
-    """Generators of the image of prod Z/o_j inside (Z/m)^t, o_j | m."""
-    t = len(orders)
-    out = np.zeros((t, t), dtype=np.int64)
+def _scaled_columns(coord_cols: np.ndarray, orders: tuple[int, ...], N: int) -> np.ndarray:
+    """Class coordinates (rows j mod orders[j]) scaled into (Z/N)^t by N/orders[j]."""
+    out = np.array(coord_cols, dtype=np.int64)
     for j, o in enumerate(orders):
-        out[j, j] = m // o
+        out[j] = out[j] % o * (N // o) % N
     return out
 
 
-def _restriction_death_kernel(
-    ambient: CohomologyGroup,
-    elements: np.ndarray,
-    B: FiniteGroup,
-    degree: int,
-    qz_intent: bool,
-) -> np.ndarray:
-    """Classes whose restriction to B dies, as scaled vectors in (Z/N)^t.
-
-    "Dies" means: the restricted cocycle is a coboundary over B (degree 1,
-    or degree 2 without qz_intent), or its Q/Z-pushforward is (degree 2
-    with qz_intent: exp(B)-scaled coboundary test at modulus N*exp(B)).
-    The kernel is computed jointly in the class coefficients x and the
-    witness cochain b, then projected onto x.
-    """
-    M = ambient.module
-    N = M.exponent
-    orders = ambient.invariant_factors
-    t = len(orders)
-    nB = B.order
-    if degree == 1:
-        m = N
-        r = M.rank
-        MB = subgroup_module(M, B, elements)
-        V = np.array(
-            [_vec_of_table1(restrict_cochain(rep, elements, 1))
-             for rep in ambient.representatives], dtype=np.int64).T
-        scales = np.tile(_row_scales(M), nB - 1)
-        sysmat = np.hstack([V, (-_d0_columns(B, MB)) % m]) * scales[:, None] % m
-    else:
-        if qz_intent:
-            e = B.exponent
-            m = N * e
-            scale = e
-        else:
-            m = N
-            scale = 1
-        V = np.array(
-            [scale * _vec_of_table2(restrict_cochain(rep[:, :, 0], elements, 2)) % m
-             for rep in ambient.representatives], dtype=np.int64).T
-        d1cols = np.zeros(((nB - 1) ** 2, nB - 1), dtype=np.int64)
-        for b in range(1, nB):
-            a = np.zeros((nB, 1), dtype=np.int64)
-            a[b, 0] = 1
-            img = coboundary1(B, scalar_module(m), a)
-            d1cols[:, b - 1] = img[1:, 1:, 0].reshape(-1)
-        sysmat = np.hstack([V, (-d1cols) % m]) % m
-    K = kernel(sysmat, m)
-    xpart = K[:t] if K.size else np.zeros((t, 0), dtype=np.int64)
-    scaled = np.zeros((t, xpart.shape[1]), dtype=np.int64)
+def _unscale_column(col: np.ndarray, orders: tuple[int, ...], N: int) -> np.ndarray:
+    """Inverse of ``_scaled_columns`` on one column of the scaled lattice."""
+    x = np.zeros(len(orders), dtype=np.int64)
     for j, o in enumerate(orders):
-        scaled[j] = (xpart[j] % o) * (N // o) % N
-    return scaled
+        q, r = divmod(int(col[j]) % N, N // o)
+        if r:
+            raise AssertionError("column leaves the scaled class lattice")
+        x[j] = q % o
+    return x
+
+
+def _death_kernel(tables: list[np.ndarray], orders: tuple[int, ...], N: int,
+                  B: FiniteGroup, elements: np.ndarray,
+                  module: AbelianModule | None = None, scale: int = 1) -> np.ndarray:
+    """Scaled class vectors x whose combination of ``tables`` dies on B.
+
+    With ``module``, tables are 1-cocycles valued in it, and dying means
+    that the restriction is d0 v over B.  Without it, tables are scalar 2-cocycles
+    mod N (trivial action), and dying means that ``scale`` times the
+    restriction is d1 b mod N*scale: scale 1 is literal death, scale
+    exp(B) is death of the Q/Z-pushforward.  The kernel is computed jointly
+    in x and the witness, then projected onto x.
+    """
+    if module is not None:
+        m = N
+        V = [_vec_of_table1(restrict_cochain(tab, elements, 1)) for tab in tables]
+        D = _d0_columns(B, subgroup_module(module, B, elements))
+        row_scales = np.tile(_row_scales(module), B.order - 1)[:, None]
+    else:
+        m = N * scale
+        V = [scale * _vec_of_table2(restrict_cochain(tab, elements, 2)) for tab in tables]
+        D = _coboundary_rows(B, m)
+        row_scales = 1
+    sysmat = np.hstack([np.array(V, dtype=np.int64).T, -D]) * row_scales % m
+    return _scaled_columns(kernel(sysmat, m)[:len(tables)], orders, N)
+
+
+def death_lattice(G: FiniteGroup, subgroups, tables: list[np.ndarray],
+                  orders: tuple[int, ...], N: int,
+                  module: AbelianModule | None = None, qz: bool = False) -> np.ndarray:
+    """Scaled vectors (columns in (Z/N)^t) of the classes dying on every subgroup.
+
+    A class is sum x_j [tables[j]] with x_j mod orders[j]; ``module`` and the
+    two kinds of death are as in ``_death_kernel``, with ``qz`` choosing
+    death in Q/Z (scale exp(B) per subgroup).
+    """
+    current = _scaled_columns(np.eye(len(orders), dtype=np.int64), orders, N)
+    for elems in subgroups:
+        if len(elems) == 1:
+            continue
+        B, idx = G.subgroup_table(elems)
+        gens = _death_kernel(tables, orders, N, B, idx, module,
+                             B.exponent if qz else 1)
+        current = intersect_submodules(current, gens, N)
+        if current.shape[1] == 0:
+            break
+    return current
 
 
 def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
-        qz_intent: bool = False, caps: Caps = DEFAULT_CAPS,
-        ambient: CohomologyGroup | None = None) -> ShaResult:
-    """Classes of H^degree(G, M) dying on every subgroup of the family."""
+        caps: Caps = DEFAULT_CAPS, ambient: CohomologyGroup | None = None) -> ShaResult:
+    """Classes of H^degree(G, M) dying on every subgroup of the family.
+
+    Dying is literal: the restriction is a coboundary with coefficients in
+    M.  Degree 2 needs scalar coefficients with trivial action; for death
+    in Q/Z see ``engine.b0``.
+    """
     if family not in _FAMILIES:
         raise ValidationError(f"unknown subgroup family {family!r}")
     if degree not in (1, 2):
         raise ValidationError("degree must be 1 or 2")
-    if qz_intent and (degree != 2 or M.rank != 1 or M.action is not None):
-        raise ValidationError("qz_intent needs degree 2 and trivial scalar coefficients")
+    if degree == 2 and (M.rank != 1 or M.action is not None):
+        raise ValidationError("degree 2 needs trivial scalar coefficients")
     if ambient is None:
         ambient = h1(G, M, caps) if degree == 1 else h2(G, M, caps)
-    t = len(ambient.invariant_factors)
-    N = M.exponent
-    if t == 0:
-        return ShaResult(ambient, (), [], [], family, degree, qz_intent)
-    current = _scaled_lattice(ambient.invariant_factors, N)
-    for elems in _FAMILIES[family](G):
-        if len(elems) == 1:
-            continue
-        B, idx = G.subgroup_table(elems)
-        gens = _restriction_death_kernel(ambient, idx, B, degree, qz_intent)
-        current = intersect_submodules(current, gens, N)
-        if current.shape[1] == 0:
-            break
-    if qz_intent:
-        return _qz_image(ambient, current, G, N, family)
-    return _sha_from_scaled(ambient, current, N, family, degree, qz_intent)
-
-
-def _unscale(ambient: CohomologyGroup, scaled_cols: np.ndarray, N: int) -> list[np.ndarray]:
     orders = ambient.invariant_factors
-    out = []
-    for c in range(scaled_cols.shape[1]):
-        x = np.zeros(len(orders), dtype=np.int64)
-        for j, o in enumerate(orders):
-            v = int(scaled_cols[j, c])
-            q, rem = divmod(v, N // o)
-            if rem:
-                raise AssertionError("vector outside the scaled class lattice")
-            x[j] = q % o
-        out.append(x)
-    return out
-
-
-def _sha_from_scaled(ambient, current, N, family, degree, qz_intent) -> ShaResult:
-    sub = subquotient(current, np.zeros((current.shape[0], 0), dtype=np.int64), N)
-    lifts = sub.generator_lifts
-    coords = _unscale(ambient, lifts, N)
+    N = M.exponent
+    if not orders:
+        return ShaResult(ambient, (), [], [], family, degree)
+    if degree == 1:
+        tables, module = ambient.representatives, M
+    else:
+        tables, module = [rep[:, :, 0] for rep in ambient.representatives], None
+    current = death_lattice(G, _FAMILIES[family](G), tables, orders, N, module)
+    sub = subquotient(current, np.zeros((len(orders), 0), dtype=np.int64), N)
+    coords = [_unscale_column(col, orders, N) for col in sub.generator_lifts.T]
     reps = [ambient.element_table(x) for x in coords]
-    return ShaResult(ambient, sub.invariant_factors, reps, coords, family, degree,
-                     qz_intent, sub)
-
-
-def _qz_image(ambient, current, G: FiniteGroup, N: int, family: str) -> ShaResult:
-    """Quotient the death-filter subgroup by the global Kummer classes."""
-    e = G.exponent
-    kummer_cols = []
-    phis = character_group_generators(G, N)
-    for phi in phis:
-        f, _ = bockstein(G, phi, N)
-        x = ambient.coordinates(f[:, :, None])
-        if x is None:
-            raise AssertionError("bockstein output must be a cocycle")
-        col = np.zeros(len(ambient.invariant_factors), dtype=np.int64)
-        for j, o in enumerate(ambient.invariant_factors):
-            col[j] = (int(x[j]) % o) * (N // o) % N
-        kummer_cols.append(col)
-    R = np.array(kummer_cols, dtype=np.int64).T if kummer_cols else \
-        np.zeros((current.shape[0], 0), dtype=np.int64)
-    sub = subquotient(current, R, N)
-    coords = _unscale(ambient, sub.generator_lifts, N)
-    reps = [ambient.element_table(x) for x in coords]
-    return ShaResult(ambient, sub.invariant_factors, reps, coords, family, 2, True, sub)
+    return ShaResult(ambient, sub.invariant_factors, reps, coords, family, degree, sub)
 
 
 def character_group_generators(G: FiniteGroup, N: int,
@@ -844,37 +800,12 @@ def character_group_generators(G: FiniteGroup, N: int,
     n = G.order
     if n == 1:
         return []
-    rows = []
-    hom_rows = np.zeros((n * n, n - 1), dtype=np.int64) if n > 1 else \
-        np.zeros((0, 0), dtype=np.int64)
-    if n > 1:
-        idx = 0
-        for g in range(n):
-            for hcol in range(n):
-                row = np.zeros(n - 1, dtype=np.int64)
-                if g:
-                    row[g - 1] += 1
-                if hcol:
-                    row[hcol - 1] += 1
-                gh = int(G.mul[g, hcol])
-                if gh:
-                    row[gh - 1] -= 1
-                hom_rows[idx] = row
-                idx += 1
-        rows.append(hom_rows % N)
+    # phi(gs) = phi(g) + phi(s) for s in a generating set implies additivity
+    rows = [_coboundary_rows(G, N, second=G.minimal_generators())]
     if equivariance is not None:
         chi, act = equivariance
-        chi_n = as_mod(chi, N)
-        for d in range(len(chi_n)):
-            block = np.zeros((n - 1, n - 1), dtype=np.int64)
-            for g in range(1, n):
-                dg = int(act[d, g])
-                block[g - 1, g - 1] += chi_n[d]
-                if dg:
-                    block[g - 1, dg - 1] -= 1
-            rows.append(block % N)
-    A = np.vstack(rows) if rows else np.zeros((0, max(n - 1, 0)), dtype=np.int64)
-    K = kernel(A, N) if n > 1 else np.zeros((0, 0), dtype=np.int64)
+        rows.append(_twist_rows(act, as_mod(chi, N), N))
+    K = kernel(np.vstack(rows), N)
     out = []
     for j in range(K.shape[1]):
         phi = np.zeros(n, dtype=np.int64)

@@ -24,33 +24,30 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
-    CohomologyGroup,
     ShaResult,
+    _coboundary_rows,
+    _scaled_columns,
+    _twist_rows,
+    _unscale_column,
+    bockstein,
     character_group_generators,
-    coboundary1,
+    death_lattice,
     dies_in_qz,
     h2,
     scalar_module,
     sha,
 )
-from .errors import CapExceeded, OrderBound, PreconditionViolated, ValidationError
+from .errors import CapExceeded, PreconditionViolated
 from .extensions import (
     ClassModule,
     EquivariantExtension,
     GaloisDatum,
+    _crossed_rows,
     class_module,
-    extension_group,
     kummer_kernel,
-    zero_extension,
 )
 from .groups import FiniteGroup, subgroups_bicyclic
-from .zmod import (
-    as_mod,
-    intersect_submodules,
-    kernel,
-    submodule_invariants,
-    subquotient,
-)
+from .zmod import kernel, subquotient
 
 
 # ---------------------------------------------------------------------------
@@ -261,40 +258,41 @@ class BrauerReport:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-def _scaled_columns(coord_cols: np.ndarray, orders: tuple[int, ...], N: int) -> np.ndarray:
-    out = np.zeros_like(np.asarray(coord_cols, dtype=np.int64))
-    for j, o in enumerate(orders):
-        out[j] = (coord_cols[j] % o) * (N // o) % N
-    return out
-
-
-def _unscale_column(col: np.ndarray, orders: tuple[int, ...], N: int) -> np.ndarray:
-    x = np.zeros(len(orders), dtype=np.int64)
-    for j, o in enumerate(orders):
-        q, r = divmod(int(col[j]) % N, N // o)
-        if r:
-            raise AssertionError("column leaves the scaled class lattice")
-        x[j] = q % o
-    return x
-
-
 def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
-    """The subgroup of H^2(G, Q/Z) dying on every bicyclic subgroup."""
+    """The subgroup of H^2(G, Q/Z) dying on every bicyclic subgroup.
+
+    Classes of H^2(G, Z/N), N = |G|, whose Q/Z-pushforward dies on every
+    bicyclic subgroup, modulo the Kummer classes (Bocksteins of characters
+    G -> Z/N), which are exactly the classes the pushforward kills.
+    """
     N = G.order
-    if N == 1:
+    ambient = h2(G, scalar_module(N), caps) if N > 1 else None
+    if ambient is None or not ambient.invariant_factors:
         return BrauerReport((), [], None, label="B_0")
-    res = sha(G, scalar_module(N), 2, "bic", qz_intent=True, caps=caps)
+    orders = ambient.invariant_factors
+    current = death_lattice(G, subgroups_bicyclic(G),
+                            [rep[:, :, 0] for rep in ambient.representatives],
+                            orders, N, qz=True)
+    kummer = []
+    for phi in character_group_generators(G, N):
+        x = ambient.coordinates(bockstein(G, phi, N)[0][:, :, None])
+        if x is None:
+            raise AssertionError("bockstein output must be a cocycle")
+        kummer.append(x)
+    R = _scaled_columns(np.array(kummer, dtype=np.int64).reshape(-1, len(orders)).T,
+                        orders, N)
+    sub = subquotient(current, R, N)
     gal = GaloisDatum.trivial(G, N, base_algebraically_closed=True)
-    reps = [
-        EquivariantExtension(gal, rep[:, :, 0], np.zeros((1, G.order), dtype=np.int64))
-        for rep in res.representatives
-    ]
-    return BrauerReport(res.invariant_factors, reps, None, label="B_0")
+    reps = [EquivariantExtension(
+                gal, ambient.element_table(_unscale_column(col, orders, N))[:, :, 0],
+                np.zeros((1, N), dtype=np.int64))
+            for col in sub.generator_lifts.T]
+    return BrauerReport(sub.invariant_factors, reps, None, label="B_0")
 
 
 def sha2_ab(G: FiniteGroup, modulus: int, caps: Caps = DEFAULT_CAPS) -> ShaResult:
     """Classes of H^2(G, Z/m) dying on every abelian subgroup (literal mod m)."""
-    return sha(G, scalar_module(modulus), 2, "ab", qz_intent=False, caps=caps)
+    return sha(G, scalar_module(modulus), 2, "ab", caps=caps)
 
 
 def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
@@ -305,9 +303,7 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     t = len(orders)
     if t == 0:
         return BrauerReport((), [], cm, label="Br0_nr")
-    full = np.zeros((t, t), dtype=np.int64)
-    for j, o in enumerate(orders):
-        full[j, j] = N // o
+    full = _scaled_columns(np.eye(t, dtype=np.int64), orders, N)
     kum = _scaled_columns(kummer_kernel(cm), orders, N)
     quot = subquotient(full, kum, N)
     q_orders = quot.invariant_factors
@@ -320,58 +316,29 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
 
     gen_exts = [ext_of_scaled(quot.generator_lifts[:, i]) for i in range(s)]
 
-    # linear Bogomolov filter on the quotient: kernel of the per-subgroup
-    # Q/Z-death conditions, intersected over all bicyclic subgroups
+    # Bogomolov filter on the quotient: classes whose Q/Z-pushforward dies
+    # on every bicyclic subgroup
     bicyclics = subgroups_bicyclic(gal.G)
-    lattice = np.zeros((s, s), dtype=np.int64)
-    for j, o in enumerate(q_orders):
-        lattice[j, j] = N // o
-    current = lattice
-    for elems in bicyclics:
-        if len(elems) == 1:
-            continue
-        B, idx = gal.G.subgroup_table(elems)
-        e = B.exponent
-        m = N * e
-        nb = B.order
-        cols = []
-        for ge in gen_exts:
-            cols.append(e * ge.f[np.ix_(idx, idx)][1:, 1:].reshape(-1) % m)
-        d1cols = np.zeros(((nb - 1) ** 2, nb - 1), dtype=np.int64)
-        for bb in range(1, nb):
-            a = np.zeros((nb, 1), dtype=np.int64)
-            a[bb, 0] = 1
-            img = coboundary1(B, scalar_module(m), a)
-            d1cols[:, bb - 1] = img[1:, 1:, 0].reshape(-1)
-        sysmat = np.hstack([np.array(cols, dtype=np.int64).T, (-d1cols) % m]) % m
-        K = kernel(sysmat, m)
-        xpart = K[:s] if K.size else np.zeros((s, 0), dtype=np.int64)
-        scaled = np.zeros((s, xpart.shape[1]), dtype=np.int64)
-        for j, o in enumerate(q_orders):
-            scaled[j] = (xpart[j] % o) * (N // o) % N
-        current = intersect_submodules(current, scaled, N)
-        if current.shape[1] == 0:
-            break
+    current = death_lattice(gal.G, bicyclics, [ge.f for ge in gen_exts], q_orders, N,
+                            qz=True)
 
     # exhaustive Galois-condition scan over the surviving subgroup
     surv = subquotient(current, np.zeros((s, 0), dtype=np.int64), N)
     if surv.order > caps.element_scan:
         raise CapExceeded("element_scan", caps.element_scan, surv.order)
-    mods = np.array(q_orders, dtype=np.int64)
+
+    def combine(qcoords: np.ndarray) -> EquivariantExtension:
+        """Representative: integer combination of the quotient generators."""
+        f = sum(int(x) * ge.f for x, ge in zip(qcoords, gen_exts))
+        c = sum(int(x) * ge.c for x, ge in zip(qcoords, gen_exts))
+        return EquivariantExtension(gal, f % N, c % N)
+
     passing: list[np.ndarray] = []
     tested = []
-    bic_list = bicyclics
     for coords in surv.all_coordinates():
         scaled_vec = surv.element_from_coordinates(coords)
         qcoords = _unscale_column(scaled_vec, q_orders, N)
-        # representative: integer combination of the quotient generators
-        f = np.zeros_like(gen_exts[0].f)
-        c = np.zeros_like(gen_exts[0].c)
-        for j in range(s):
-            f = f + int(qcoords[j]) * gen_exts[j].f
-            c = c + int(qcoords[j]) * gen_exts[j].c
-        ext = EquivariantExtension(gal, f % N, c % N)
-        ok, wit = is_unramified(ext, bic_list)
+        ok, wit = is_unramified(combine(qcoords), bicyclics)
         tested.append((tuple(int(x) for x in qcoords), ok, wit))
         if ok:
             passing.append(scaled_vec)
@@ -385,15 +352,7 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
                 raise AssertionError("unramified classes failed to form a subgroup")
     mat = np.array(passing, dtype=np.int64).T
     final = subquotient(mat, np.zeros((s, 0), dtype=np.int64), N)
-    reps = []
-    for i in range(len(final.invariant_factors)):
-        qcoords = _unscale_column(final.generator_lifts[:, i], q_orders, N)
-        f = np.zeros_like(gen_exts[0].f)
-        c = np.zeros_like(gen_exts[0].c)
-        for j in range(s):
-            f = f + int(qcoords[j]) * gen_exts[j].f
-            c = c + int(qcoords[j]) * gen_exts[j].c
-        reps.append(EquivariantExtension(gal, f % N, c % N))
+    reps = [combine(_unscale_column(col, q_orders, N)) for col in final.generator_lifts.T]
     return BrauerReport(final.invariant_factors, reps, cm, tested, label="Br0_nr")
 
 
@@ -417,39 +376,11 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
     def cpos(d, g):
         return (d - 1) * (n - 1) + (g - 1)
 
-    rows = []
-    for d in range(1, nd):
-        for g in range(1, n):
-            for h in range(1, n):
-                row = np.zeros(dim, dtype=np.int64)
-                gh = int(G.mul[g, h])
-                if gh:
-                    row[cpos(d, gh)] += 1
-                row[cpos(d, g)] -= 1
-                row[cpos(d, h)] -= 1
-                rows.append(row)
-    for d in range(1, nd):
-        for e in range(1, nd):
-            de = int(gal.delta.mul[d, e])
-            for g in range(1, n):
-                row = np.zeros(dim, dtype=np.int64)
-                if de:
-                    row[cpos(de, g)] += 1
-                row[cpos(e, g)] -= int(chi_n[d])
-                eg = int(act[e, g])
-                if eg:
-                    row[cpos(d, eg)] -= 1
-                rows.append(row)
-    W = kernel(np.array(rows, dtype=np.int64) % N, N)
-    chars = character_group_generators(G, N)
-    cols = []
-    for phi in chars:
-        col = np.zeros(dim, dtype=np.int64)
-        for d in range(1, nd):
-            for g in range(1, n):
-                col[cpos(d, g)] = (chi_n[d] * phi[g] - phi[int(act[d, g])]) % N
-        cols.append(col)
-    R = np.array(cols, dtype=np.int64).T if cols else np.zeros((dim, 0), dtype=np.int64)
+    # C2 with f = 0 makes each c_d a homomorphism; C3 makes d -> c_d crossed
+    c2 = np.kron(np.eye(nd - 1, dtype=np.int64), -_coboundary_rows(G, N))
+    W = kernel(np.vstack([c2, _crossed_rows(gal)]) % N, N)
+    chars = np.array(character_group_generators(G, N), dtype=np.int64).reshape(-1, n)
+    R = _twist_rows(act[1:], chi_n[1:], N) @ chars[:, 1:].T % N
     h1alg = subquotient(W, R, N)
     orders = h1alg.invariant_factors
     t = len(orders)
@@ -470,10 +401,7 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
         K = kernel(A, N)
     else:
         K = np.eye(t, dtype=np.int64)
-    scaled = np.zeros((t, K.shape[1]), dtype=np.int64)
-    for j, o in enumerate(orders):
-        scaled[j] = (K[j] % o) * (N // o) % N
-    sub = subquotient(scaled, np.zeros((t, 0), dtype=np.int64), N)
+    sub = subquotient(_scaled_columns(K, orders, N), np.zeros((t, 0), dtype=np.int64), N)
     reps = []
     for i in range(len(sub.invariant_factors)):
         x = _unscale_column(sub.generator_lifts[:, i], orders, N)

@@ -16,7 +16,8 @@ modulo the coboundary pairs of a change of section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import Optional
 
@@ -24,10 +25,13 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
+    _coboundary_rows,
+    _kernel_from_batches,
+    _twist_rows,
     bockstein,
     character_group_generators,
+    is_scalar_coboundary,
     reduced_cocycle_space,
-    scalar_module,
 )
 from .errors import (
     CapExceeded,
@@ -38,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import FiniteGroup, GroupAction
-from .zmod import RowEchelon, SubquotientModule, as_mod, kernel, solve, subquotient
+from .zmod import SubquotientModule, as_mod, solve, subquotient
 
 
 @dataclass
@@ -268,34 +272,16 @@ def splits_over(ext: EquivariantExtension, elements,
                 modulus: int | None = None) -> Optional[np.ndarray]:
     """Witness b with f(g,h) = b(gh) - b(g) - b(h) on H, or None.
 
-    This is splitting of the mu_N-level extension pulled back to H; the
-    Q/Z-level question is dies_in_qz of the restriction instead.
+    b is indexed by the positions of H's sorted elements.  This is splitting
+    of the mu_N-level extension pulled back to H; the Q/Z-level question is
+    dies_in_qz of the restriction instead.
     """
     G = ext.gal.G
     N = ext.modulus if modulus is None else modulus
     scale = 1 if modulus is None else modulus // ext.modulus
     elems = _check_subgroup(G, elements)
-    k = elems.size
-    pos = {int(e): i for i, e in enumerate(elems)}
-    rows, rhs = [], []
-    for i, g in enumerate(elems[1:], start=1):
-        for j, h in enumerate(elems[1:], start=1):
-            row = np.zeros(k - 1, dtype=np.int64)
-            gh = pos[int(G.mul[g, h])]
-            if gh:
-                row[gh - 1] += 1
-            row[i - 1] -= 1
-            row[j - 1] -= 1
-            rows.append(row)
-            rhs.append(scale * int(ext.f[g, h]) % N)
-    if not rows:
-        return np.zeros(1, dtype=np.int64)
-    res = solve(np.array(rows) % N, np.array(rhs), N)
-    if res is None:
-        return None
-    b = np.zeros(k, dtype=np.int64)
-    b[1:] = res[0]
-    return b
+    H, _ = G.subgroup_table(elems)
+    return is_scalar_coboundary(H, -scale * ext.f[np.ix_(elems, elems)], N)
 
 
 def splits_equivariantly(ext: EquivariantExtension, elements, delta_elements=None,
@@ -321,31 +307,16 @@ def splits_equivariantly(ext: EquivariantExtension, elements, delta_elements=Non
             raise NotStable("subgroup is not stable under the Galois action",
                             witness=(int(d), g))
     k = elems.size
-    pos = {int(e): i for i, e in enumerate(elems)}
-    chi = gal.chi % N
-    rows, rhs = [], []
-    for i, g in enumerate(elems[1:], start=1):
-        for j, h in enumerate(elems[1:], start=1):
-            row = np.zeros(k - 1, dtype=np.int64)
-            gh = pos[int(G.mul[g, h])]
-            if gh:
-                row[gh - 1] += 1
-            row[i - 1] -= 1
-            row[j - 1] -= 1
-            rows.append(row)
-            rhs.append(scale * int(ext.f[g, h]) % N)
-    for d in dels:
-        for i, g in enumerate(elems[1:], start=1):
-            row = np.zeros(k - 1, dtype=np.int64)
-            row[i - 1] += int(chi[d])
-            dg = pos[int(act[d, g])]
-            if dg:
-                row[dg - 1] -= 1
-            rows.append(row)
-            rhs.append((-scale * int(ext.c[d, g])) % N)
-    if not rows:
+    if k == 1:
         return np.zeros(1, dtype=np.int64)
-    res = solve(np.array(rows) % N, np.array(rhs) % N, N)
+    H, _ = G.subgroup_table(elems)
+    pos = np.zeros(G.order, dtype=np.int64)
+    pos[elems] = np.arange(k)
+    rows = np.vstack([-_coboundary_rows(H, N),
+                      _twist_rows(pos[act[np.ix_(dels, elems)]], gal.chi[dels], N)])
+    rhs = np.concatenate([scale * ext.f[np.ix_(elems[1:], elems[1:])].reshape(-1),
+                          -scale * ext.c[np.ix_(dels, elems[1:])].reshape(-1)])
+    res = solve(rows % N, rhs % N, N)
     if res is None:
         return None
     b = np.zeros(k, dtype=np.int64)
@@ -429,12 +400,30 @@ class ClassModule:
         return EquivariantExtension(self.gal, f, c)
 
 
+def _crossed_rows(gal: GaloisDatum) -> np.ndarray:
+    """C3 on twist tables: c_{de}(g) - chi(d) c_e(g) - c_d(e.g) for d, e, g != 1.
+
+    Columns are the values c_d(g), d, g != 1, at (d - 1)(|G| - 1) + g - 1.
+    """
+    n, nd = gal.G.order, gal.delta.order
+    d = np.arange(1, nd)[:, None, None]
+    e = np.arange(1, nd)[None, :, None]
+    g = np.arange(1, n)[None, None, :]
+    act = gal.action.table
+    out = np.zeros((nd - 1, nd - 1, n - 1, nd, n), dtype=np.int64)  # c_1, c_d(1) = 0
+    out[d - 1, e - 1, g - 1, gal.delta.mul[d, e], g] += 1
+    out[d - 1, e - 1, g - 1, e, g] -= gal.chi_mod_n[d]
+    out[d - 1, e - 1, g - 1, d, act[e, g]] -= 1
+    return out[:, :, :, 1:, 1:].reshape((nd - 1) ** 2 * (n - 1), (nd - 1) * (n - 1)) % gal.N
+
+
 def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     """Solve C1-C3 mod N and quotient by the coboundary pairs.
 
     The f-part runs in generator coordinates (values f(y, s) for a fixed
     generating set), which keeps the unknown count near |G| * rank instead
-    of |G|^2; C2 rows are expressed through the same atoms.
+    of |G|^2; C1 rows come from the reduced cocycle space and C2 rows are
+    expressed through the same atoms.
     """
     G, N = gal.G, gal.N
     n = G.order
@@ -449,95 +438,42 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     def cpos(d: int, g: int) -> int:
         return n_atoms + (d - 1) * (n - 1) + (g - 1)
 
-    ech = RowEchelon(dim, N)
     act = gal.action.table
     chi_n = gal.chi_mod_n
     mul = G.mul
 
-    batch = []
-
-    def flush():
-        nonlocal batch
-        if batch:
-            ech.add(np.vstack(batch))
-            batch = []
-
-    # C1 rows over the atom block (cocycle identity, third argument a generator)
-    gens = space.gens
-    for i, s in enumerate(gens):
-        hs = mul[:, s]
-        for g in range(1, n):
-            gh = mul[g]
-            rows = np.zeros((n - 1, dim), dtype=np.int64)
-            rows[:, :n_atoms] = space.expr[g, hs[1:], :].astype(np.int64) \
-                - space.expr[g, 1:, :]
-            hcol = (np.arange(1, n) - 1) * len(gens) + i
-            np.add.at(rows, (np.arange(n - 1), hcol), 1)
-            ok = gh[1:] != 0
-            np.add.at(rows, (np.nonzero(ok)[0], (gh[1:][ok] - 1) * len(gens) + i), -1)
-            batch.append(rows % N)
-            if len(batch) >= 32:
-                flush()
-    flush()
-
-    # C2: c_d(gh) - c_d(g) - c_d(h) - f(dg, dh) + chi(d) f(g,h) = 0
-    for d in range(1, nd):
-        dg = act[d]
-        for g in range(1, n):
-            rows = np.zeros((n - 1, dim), dtype=np.int64)
-            # f part: -f(dg, dh) + chi(d) f(g, h)
-            rows[:, :n_atoms] = (
-                chi_n[d] * space.expr[g, 1:, :].astype(np.int64)
-                - space.expr[dg[g], dg[1:], :]
-            )
-            # c part
-            ghs = mul[g, 1:]
-            ok = ghs != 0
-            np.add.at(rows, (np.nonzero(ok)[0], cpos(d, 1) + ghs[ok] - 1), 1)
-            rows[:, cpos(d, g)] -= 1
-            np.add.at(rows, (np.arange(n - 1), cpos(d, 1) + np.arange(n - 1)), -1)
-            batch.append(rows % N)
-            if len(batch) >= 32:
-                flush()
-    flush()
-
-    # C3: c_{de}(g) - chi(d) c_e(g) - c_d(e.g) = 0
-    for d in range(1, nd):
-        for e in range(1, nd):
-            de = int(gal.delta.mul[d, e])
-            rows = np.zeros((n - 1, dim), dtype=np.int64)
-            if de != 0:
-                np.add.at(rows, (np.arange(n - 1), cpos(de, 1) + np.arange(n - 1)), 1)
-            np.add.at(rows, (np.arange(n - 1), cpos(e, 1) + np.arange(n - 1)),
-                      -int(chi_n[d]))
-            eg = act[e, 1:]
-            ok = eg != 0
-            np.add.at(rows, (np.nonzero(ok)[0], cpos(d, 1) + eg[ok] - 1), -1)
-            batch.append(rows % N)
-    flush()
-
-    E = ech.matrix()
-    W = kernel(E, N, compress=False) if E.size else np.eye(dim, dtype=np.int64)
-
-    # coboundary pairs: for b : G -> Z/N, b(1)=0:
-    #   f-part atoms: db(y,s) = b(y) + b(s) - b(ys)
-    #   c-part: chi(d) b(g) - b(d.g)
-    cols = np.zeros((dim, n - 1), dtype=np.int64)
-    for bi in range(1, n):
-        col = np.zeros(dim, dtype=np.int64)
-        for y in range(1, n):
-            for i, s in enumerate(gens):
-                val = (1 if y == bi else 0) + (1 if s == bi else 0) \
-                    - (1 if int(mul[y, s]) == bi else 0)
-                if val:
-                    col[space.atom_index(y, i)] += val
+    def c2_batches():
+        # c_d(gh) - c_d(g) - c_d(h) - f(dg, dh) + chi(d) f(g,h) = 0
+        batch = []
         for d in range(1, nd):
+            dg = act[d]
             for g in range(1, n):
-                val = (int(chi_n[d]) if g == bi else 0) \
-                    - (1 if int(act[d, g]) == bi else 0)
-                if val:
-                    col[cpos(d, g)] += val
-        cols[:, bi - 1] = col % N
+                rows = np.zeros((n - 1, dim), dtype=np.int64)
+                # f part: -f(dg, dh) + chi(d) f(g, h)
+                rows[:, :n_atoms] = (
+                    chi_n[d] * space.expr[g, 1:, :].astype(np.int64)
+                    - space.expr[dg[g], dg[1:], :]
+                )
+                # c part
+                ghs = mul[g, 1:]
+                ok = ghs != 0
+                np.add.at(rows, (np.nonzero(ok)[0], cpos(d, 1) + ghs[ok] - 1), 1)
+                rows[:, cpos(d, g)] -= 1
+                np.add.at(rows, (np.arange(n - 1), cpos(d, 1) + np.arange(n - 1)), -1)
+                batch.append(rows % N)
+                if len(batch) >= 32:
+                    yield np.vstack(batch)
+                    batch = []
+        if batch:
+            yield np.vstack(batch)
+
+    c3 = _crossed_rows(gal)
+    c3 = np.hstack([np.zeros((c3.shape[0], n_atoms), dtype=np.int64), c3])
+    W = _kernel_from_batches(chain(space.c1_batches(dim), c2_batches(), [c3]), dim, N)
+    # coboundary pairs of b : G -> Z/N, b(1) = 0: db on the atoms, then the
+    # c-part chi(d) b(g) - b(d.g)
+    cols = np.vstack([_coboundary_rows(G, N, second=space.gens),
+                      _twist_rows(act[1:], chi_n[1:], N)])
     sub = subquotient(W, cols, N)
 
     cm = ClassModule(gal, sub.invariant_factors, [], sub, space)

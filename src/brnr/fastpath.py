@@ -24,18 +24,16 @@ from .cohomology import (
     cup_h1_h1,
     h1,
     is_scalar_coboundary,
-    scalar_module,
     sha,
 )
 from .errors import (
     CapExceeded,
     NotACocycle,
     NotSurjective,
-    OrderBound,
     ValidationError,
 )
 from .extensions import EquivariantExtension, GaloisDatum
-from .groups import AbelianModule, FiniteGroup, GroupAction, abelian_group, semidirect_product
+from .groups import AbelianModule, FiniteGroup, abelian_group, semidirect_product
 from .zmod import as_mod
 
 

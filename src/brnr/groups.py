@@ -9,7 +9,7 @@ reproducible.  Large abelian groups never become tables: they live as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -476,14 +476,6 @@ class AbelianModule:
             out[i] = idx % self.invariant_factors[i]
             idx //= self.invariant_factors[i]
         return out
-
-
-def module_from_group(factors, actor: FiniteGroup | None = None,
-                      matrices=None) -> AbelianModule:
-    mod = AbelianModule(tuple(factors), actor,
-                        None if matrices is None else np.asarray(matrices))
-    mod.validate()
-    return mod
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .extensions import EquivariantExtension, GaloisDatum
-from .fastpath import LocalWitness, SemidirectDatum, ThetaPoint
+from .fastpath import SemidirectDatum
 from .groups import FiniteGroup
 from .zmod import as_mod
 

@@ -12,7 +12,15 @@ import itertools
 
 import numpy as np
 
-from .cohomology import bockstein, dies_in_qz, h1, h2, scalar_module
+from .cohomology import (
+    _scaled_columns,
+    bockstein,
+    death_lattice,
+    dies_in_qz,
+    h1,
+    h2,
+    scalar_module,
+)
 from .engine import (
     b0,
     br_nr,
@@ -38,15 +46,16 @@ from .fastpath import (
 )
 from .groups import (
     AbelianModule,
-    GroupAction,
     abelian_group,
     cyclic_group,
     dihedral_group,
+    quaternion_group,
     semidirect_product,
+    subgroups_bicyclic,
     symmetric_group,
 )
-from .localeval import LocalDatum, NonabelianCocycle, evaluate, nonabelian_h1
-from .zmod import smith_normal_form_raw, as_mod
+from .localeval import LocalDatum, NonabelianCocycle, evaluate
+from .zmod import as_mod, smith_normal_form_raw, solve
 
 
 def _assert(cond, msg):
@@ -109,6 +118,25 @@ def check_dies_in_qz_bruteforce():
         if not brute:
             survivors += 1
     _assert(survivors > 0, "some class of (Z/2)^2 must survive in Q/Z")
+
+
+def check_qz_filter_vs_dies_in_qz():
+    # every class of H^2(G, Z/|G|) lies in the shared Q/Z death lattice iff
+    # dies_in_qz holds on each bicyclic subgroup
+    for G in (dihedral_group(4), quaternion_group()):
+        N = G.order
+        H = h2(G, scalar_module(N))
+        orders = H.invariant_factors
+        bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
+        lattice = death_lattice(G, subgroups_bicyclic(G),
+                                [rep[:, :, 0] for rep in H.representatives],
+                                orders, N, qz=True)
+        for x in itertools.product(*(range(o) for o in orders)):
+            table = H.element_table(x)[:, :, 0]
+            expect = all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics)
+            vec = _scaled_columns(np.array(x).reshape(-1, 1), orders, N)[:, 0]
+            _assert((solve(lattice, vec, N) is not None) == expect,
+                    f"Q/Z death lattice disagrees with dies_in_qz at {x} on {G}")
 
 
 def check_galois_condition_vs_bruteforce():
@@ -206,6 +234,7 @@ CHECKS = [
     ("smith normal form reconstruction", check_snf_reconstruction),
     ("H^2 of cyclic groups: gcd law", check_h2_gcd_law),
     ("Q/Z death vs brute-force coboundary search", check_dies_in_qz_bruteforce),
+    ("shared Q/Z death lattice vs dies_in_qz on D4 and Q8", check_qz_filter_vs_dies_in_qz),
     ("Galois condition closed form vs extension-group search",
      check_galois_condition_vs_bruteforce),
     ("splitting solver vs section search", check_splitting_vs_section_search),

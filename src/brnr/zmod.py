@@ -18,13 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-try:  # optional: accelerates the batched row reduction
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 
 def as_mod(a, m: int) -> np.ndarray:
     arr = np.asarray(a, dtype=np.int64)
@@ -295,36 +288,17 @@ def smith_normal_form(A: ZModMatrix) -> tuple[ZModMatrix, ZModMatrix, ZModMatrix
 # batched row echelon (span-preserving); used to compress big systems
 # ---------------------------------------------------------------------------
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _reduce_rows_against(batch, piv_rows, piv_cols, piv_vals, m):  # pragma: no cover
-        nb = batch.shape[0]
-        np_ = piv_rows.shape[0]
-        for i in range(nb):
-            for p in range(np_):
-                col = piv_cols[p]
-                v = piv_vals[p]
-                q = batch[i, col] // v
-                if q != 0:
-                    row = piv_rows[p]
-                    for j in range(col, batch.shape[1]):
-                        batch[i, j] = (batch[i, j] - q * row[j]) % m
-        return batch
-
-else:
-
-    def _reduce_rows_against(batch, piv_rows, piv_cols, piv_vals, m):
-        for p in range(piv_rows.shape[0]):
-            col = piv_cols[p]
-            qs = batch[:, col] // piv_vals[p]
-            idx = np.nonzero(qs)[0]
-            if idx.size:
-                batch[np.ix_(idx, range(col, batch.shape[1]))] = (
-                    batch[np.ix_(idx, range(col, batch.shape[1]))]
-                    - qs[idx, None] * piv_rows[p, col:]
-                ) % m
-        return batch
+def _reduce_rows_against(batch, piv_rows, piv_cols, piv_vals, m):
+    for p in range(piv_rows.shape[0]):
+        col = piv_cols[p]
+        qs = batch[:, col] // piv_vals[p]
+        idx = np.nonzero(qs)[0]
+        if idx.size:
+            batch[np.ix_(idx, range(col, batch.shape[1]))] = (
+                batch[np.ix_(idx, range(col, batch.shape[1]))]
+                - qs[idx, None] * piv_rows[p, col:]
+            ) % m
+    return batch
 
 
 class RowEchelon:
@@ -443,7 +417,7 @@ def echelon_compress(A: np.ndarray, m: int, batch: int = 8192) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def kernel(A: np.ndarray, m: int, *, compress: bool = True) -> np.ndarray:
+def kernel(A: np.ndarray, m: int) -> np.ndarray:
     """Columns generating {x : A x = 0 mod m}.  A is rows x cols."""
     A = as_mod(A, m)
     cols = A.shape[1]
@@ -451,7 +425,7 @@ def kernel(A: np.ndarray, m: int, *, compress: bool = True) -> np.ndarray:
         return np.zeros((cols, 0), dtype=np.int64)
     if A.shape[0] == 0 or not A.any():
         return np.eye(cols, dtype=np.int64)
-    if compress and A.shape[0] > 2 * cols + 16:
+    if A.shape[0] > 2 * cols + 16:
         A = echelon_compress(A, m)
     snf = smith_normal_form_raw(A, m, want_P=False, want_Q=True)
     gens = []

@@ -109,3 +109,18 @@ def test_selftest_via_subprocess():
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+def test_bad_cap_overrides_are_validation_errors(tmp_path, capsys):
+    job = tmp_path / "b0.json"
+    job.write_text((REPO / "jobs" / "b0-z8.json").read_text())
+    assert main(["run", str(job), "--cap", "nosuch=3"]) == 3
+    assert "nosuch" in capsys.readouterr().err
+    assert main(["run", str(job), "--cap", "h2_group"]) == 3
+    assert "h2_group" in capsys.readouterr().err
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"task": "b0", "caps": {"bogus": 1},
+                                 "group": {"kind": "table",
+                                           "table": cyclic_group(2).mul.tolist()}}))
+    assert main(["run", str(bogus)]) == 3
+    assert "bogus" in capsys.readouterr().err

@@ -10,14 +10,20 @@ from brnr.groups import (
     dihedral_group,
     group_from_table,
     quaternion_group,
+    semidirect_product,
+    subgroups_bicyclic,
     symmetric_group,
 )
 from brnr.cohomology import (
+    _coboundary_rows,
+    _scaled_columns,
+    _twist_rows,
     bockstein,
     character_group_generators,
     coboundary1,
     cocycle2_defect,
     cup_h1_h1,
+    death_lattice,
     dies_in_qz,
     h1,
     h2,
@@ -29,7 +35,9 @@ from brnr.cohomology import (
     subgroup_module,
     tate_h0,
 )
+from brnr.engine import b0
 from brnr.errors import NotACocycle, NotEquivariant
+from brnr.zmod import solve
 
 
 def brute_h2_order(G: FiniteGroup, m: int) -> int:
@@ -359,12 +367,68 @@ def test_sha1_trivial_family_cases():
 
 
 def test_sha2_bic_abelian_groups_vanish():
-    # B_0-style filter kills everything for small abelian groups
+    # the Q/Z bicyclic filter of B_0 kills everything for small abelian groups
     for factors in ([2, 2], [4], [2, 4], [3, 3]):
-        G = abelian_group(factors)
-        N = G.order
-        res = sha(G, scalar_module(N), 2, "bic", qz_intent=True)
-        assert res.invariant_factors == ()
+        assert b0(abelian_group(factors)).invariant_factors == ()
+
+
+def test_coboundary_rows_match_coboundary1_columns():
+    # reference: d1 of each basis 1-cochain, one column at a time
+    rng = np.random.default_rng(5)
+    for G in (abelian_group([2, 4]), quaternion_group(), symmetric_group(3),
+              abelian_group([3, 3])):
+        n, m = G.order, 12
+        units = np.concatenate([[1], rng.choice([1, 5, 7, 11], size=n - 1)])
+        M = scalar_module(m, G, units)
+        ref = np.zeros(((n - 1) ** 2, n - 1), dtype=np.int64)
+        for b in range(1, n):
+            a = np.zeros((n, 1), dtype=np.int64)
+            a[b, 0] = 1
+            ref[:, b - 1] = coboundary1(G, M, a)[1:, 1:, 0].reshape(-1)
+        assert np.array_equal(_coboundary_rows(G, m, units), ref)
+        plain = coboundary1(G, scalar_module(m), np.eye(n, dtype=np.int64)[:, 1:2])
+        assert np.array_equal(_coboundary_rows(G, m)[:, 0], plain[1:, 1:, 0].reshape(-1))
+        gens = G.minimal_generators()
+        sel = np.array([(y - 1) * (n - 1) + s - 1 for y in range(1, n) for s in gens])
+        assert np.array_equal(_coboundary_rows(G, m, units, second=gens), ref[sel])
+
+
+def test_twist_rows_match_loop():
+    G = symmetric_group(3)
+    act = np.array([np.arange(6), G.inv[np.arange(6)]])
+    chi = np.array([1, 5])
+    rows = _twist_rows(act, chi, 6)
+    for d in range(2):
+        for g in range(1, 6):
+            for b in range(1, 6):
+                expect = (chi[d] * (g == b) - (act[d, g] == b)) % 6
+                assert rows[d * 5 + g - 1, b - 1] == expect
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Q8xZ2", "D4xZ2", "Z2^3"])
+def test_qz_death_lattice_matches_dies_in_qz(name):
+    # the bicyclic Q/Z filter shared by b0 and br_nr holds a class of
+    # H^2(G, Z/|G|) iff dies_in_qz holds on every bicyclic subgroup
+    G = {
+        "S3": lambda: symmetric_group(3),
+        "D4": lambda: dihedral_group(4),
+        "Q8": quaternion_group,
+        "Q8xZ2": lambda: semidirect_product(cyclic_group(2), quaternion_group()).group,
+        "D4xZ2": lambda: semidirect_product(cyclic_group(2), dihedral_group(4)).group,
+        "Z2^3": lambda: abelian_group([2, 2, 2]),
+    }[name]()
+    N = G.order
+    H = h2(G, scalar_module(N))
+    orders = H.invariant_factors
+    bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
+    lattice = death_lattice(G, subgroups_bicyclic(G),
+                            [rep[:, :, 0] for rep in H.representatives], orders, N,
+                            qz=True)
+    for x in itertools.product(*(range(o) for o in orders)):
+        table = H.element_table(x)[:, :, 0]
+        expect = all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics)
+        vec = _scaled_columns(np.array(x).reshape(-1, 1), orders, N)[:, 0]
+        assert (solve(lattice, vec, N) is not None) == expect, x
 
 
 def test_inflation_restriction_h1_consistency():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from brnr.cohomology import bockstein, dies_in_qz
+from brnr.cohomology import bockstein, character_group_generators, dies_in_qz
 from brnr.errors import MismatchedBase, NotASubgroup, NotStable, ValidationError
 from brnr.extensions import (
     ClassModule,
@@ -25,6 +25,7 @@ from brnr.groups import (
     abelian_group,
     cyclic_group,
     group_from_table,
+    subgroups_cyclic,
     symmetric_group,
 )
 
@@ -150,6 +151,49 @@ def test_splits_equivariantly_remark_case():
     ext = EquivariantExtension(triv, f, np.zeros((1, 2), dtype=np.int64))
     assert splits_equivariantly(ext, [0, 1]) is None
     assert splits_equivariantly(zero_extension(triv), [0, 1]) is not None
+
+
+def assert_splitting_witness(ext, elems, b, modulus=None, equivariant=False):
+    """f = b(gh) - b(g) - b(h) on H, and chi(d) b(g) + c_d(g) = b(d.g)."""
+    N = ext.modulus if modulus is None else modulus
+    scale = N // ext.modulus
+    gal = ext.gal
+    val = dict(zip(sorted(elems), (int(x) for x in b)))
+    assert len(val) == len(b)
+    for g, h in itertools.product(val, repeat=2):
+        lhs = scale * int(ext.f[g, h])
+        assert (lhs - val[int(gal.G.mul[g, h])] + val[g] + val[h]) % N == 0
+    if equivariant:
+        for d, g in itertools.product(range(gal.delta.order), val):
+            lhs = int(gal.chi[d]) * val[g] + scale * int(ext.c[d, g])
+            assert (lhs - val[int(gal.action.table[d, g])]) % N == 0
+
+
+def test_splitting_witnesses_satisfy_their_equations():
+    G = abelian_group([2, 4])
+    subgroups = [list(e) for e in subgroups_cyclic(G)] + [list(range(G.order))]
+    found = 0
+    for gal in (GaloisDatum.trivial(G), GaloisDatum.real_like(G)):
+        cm = class_module(gal)
+        for coords in cm._sub.all_coordinates():
+            ext = cm.element(coords)
+            for elems in subgroups:
+                b = splits_over(ext, elems)
+                if b is not None:
+                    assert_splitting_witness(ext, elems, b)
+                    found += 1
+                b = splits_equivariantly(ext, elems)
+                if b is not None:
+                    assert_splitting_witness(ext, elems, b, equivariant=True)
+                    found += 1
+    gal = real_datum_z2()
+    for phi in character_group_generators(gal.G, gal.N,
+                                          equivariance=(gal.chi, gal.action.table)):
+        ext = bockstein_pair(gal, phi)
+        b = splits_equivariantly(ext, [0, 1], modulus=gal.N * gal.N)
+        assert_splitting_witness(ext, [0, 1], b, gal.N * gal.N, equivariant=True)
+        found += 1
+    assert found > 50
 
 
 def test_splitting_matches_brute_force_sections():
