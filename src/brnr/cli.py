@@ -74,23 +74,55 @@ def parse_job(text: str) -> Job:
 # ---------------------------------------------------------------------------
 
 
-def _build_group(spec: dict, caps: Caps):
+def _field(spec, key: str, owner: str):
+    """spec[key]; a ValidationError naming owner.key if it is missing."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{owner} must be a JSON object", witness=spec)
+    if key not in spec:
+        raise ValidationError(f"{owner}.{key} is missing")
+    return spec[key]
+
+
+def _ints(spec, key: str, owner: str, ndim: int) -> np.ndarray:
+    """spec[key] as a rectangular integer array of rank ndim (or empty)."""
+    try:
+        arr = np.asarray(_field(spec, key, owner))
+    except ValueError as err:               # ragged nesting
+        raise ValidationError(f"{owner}.{key} must be a rectangular array") from err
+    if arr.size and (arr.ndim != ndim or arr.dtype.kind not in "iu"):
+        raise ValidationError(f"{owner}.{key} must be a {ndim}-dimensional "
+                              "array of integers")
+    return arr.astype(np.int64)
+
+
+def _positive_int(spec: dict, key: str, owner: str) -> int | None:
+    """Optional spec[key], which must be a positive integer when present."""
+    value = spec.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)
+                              or value < 1):
+        raise ValidationError(f"{owner}.{key} must be a positive integer", witness=value)
+    return value
+
+
+def _build_group(spec, caps: Caps):
     """Returns (FiniteGroup, SemidirectDatum | None, AugmentationExample | None)."""
-    kind = spec.get("kind")
+    kind = _field(spec, "kind", "group")
     if kind == "table":
-        return group_from_table(np.asarray(spec["table"], dtype=np.int64)), None, None
+        return group_from_table(_ints(spec, "table", "group", 2)), None, None
     if kind == "permutations":
-        return group_from_permutations(spec["generators"],
-                                       degree=spec.get("degree"), caps=caps), None, None
+        return group_from_permutations(_ints(spec, "generators", "group", 2),
+                                       degree=_positive_int(spec, "degree", "group"),
+                                       caps=caps), None, None
     if kind == "abelian":
-        return abelian_group(spec["invariant_factors"]), None, None
+        return abelian_group(_ints(spec, "invariant_factors", "group", 1)), None, None
     if kind == "semidirect":
-        q = abelian_group(spec["q"]["invariant_factors"])
-        n_spec = spec["n"]
-        action = n_spec.get("action")
+        q = abelian_group(_ints(_field(spec, "q", "group"), "invariant_factors",
+                                "group.q", 1))
+        n_spec = _field(spec, "n", "group")
         module = AbelianModule(
-            tuple(n_spec["invariant_factors"]), q,
-            None if action is None else np.asarray(action, dtype=np.int64))
+            tuple(_ints(n_spec, "invariant_factors", "group.n", 1)), q,
+            None if n_spec.get("action") is None
+            else _ints(n_spec, "action", "group.n", 3))
         module.validate()
         sd = SemidirectDatum(q, module)
         group = None
@@ -98,34 +130,36 @@ def _build_group(spec: dict, caps: Caps):
             group = semidirect_product(sd.N, sd.Q, caps=caps).group
         return group, sd, None
     if kind == "example714":
-        ex = build_example_714(int(spec.get("p", 2)), caps)
+        ex = build_example_714(_positive_int(spec, "p", "group") or 2, caps)
         return None, ex.sd, ex
     raise ValidationError("unknown group kind", witness=kind)
 
 
-def _build_galois(spec: dict | None, G: FiniteGroup) -> GaloisDatum:
+def _build_galois(spec, G: FiniteGroup) -> GaloisDatum:
     if spec is None:
         return GaloisDatum.trivial(G)
-    if spec.get("kind") == "trivial":
+    if not isinstance(spec, dict):
+        raise ValidationError("galois must be a JSON object", witness=spec)
+    kind = spec.get("kind")
+    modulus = _positive_int(spec, "modulus", "galois")
+    if kind == "trivial":
         return GaloisDatum.trivial(
-            G, spec.get("modulus"),
+            G, modulus,
             base_algebraically_closed=bool(spec.get("base_algebraically_closed",
                                                     False)))
-    if spec.get("kind") == "real":
-        return GaloisDatum.real_like(G, spec.get("modulus"))
-    delta = group_from_table(np.asarray(spec["delta_table"], dtype=np.int64))
-    chi = np.asarray(spec["chi"], dtype=np.int64)
-    action = GroupAction(delta, G, np.asarray(spec["action"], dtype=np.int64))
-    gal = GaloisDatum(delta, G, chi, action, spec.get("modulus"),
+    if kind == "real":
+        return GaloisDatum.real_like(G, modulus)
+    delta = group_from_table(_ints(spec, "delta_table", "galois", 2))
+    action = GroupAction(delta, G, _ints(spec, "action", "galois", 2))
+    gal = GaloisDatum(delta, G, _ints(spec, "chi", "galois", 1), action, modulus,
                       bool(spec.get("base_algebraically_closed", False)))
     gal.validate()
     return gal
 
 
-def _build_local(spec: dict) -> LocalDatum:
-    delta_v = group_from_table(np.asarray(spec["delta_v_table"], dtype=np.int64))
-    return LocalDatum(spec.get("label", "v"), delta_v,
-                      np.asarray(spec["to_delta"], dtype=np.int64),
+def _build_local(spec) -> LocalDatum:
+    delta_v = group_from_table(_ints(spec, "delta_v_table", "local", 2))
+    return LocalDatum(spec.get("label", "v"), delta_v, _ints(spec, "to_delta", "local", 1),
                       tuple(spec.get("generators", ())))
 
 
@@ -212,7 +246,7 @@ def run_job(job: Job) -> tuple[str, int]:
     elif task == "sha2ab":
         if group is None:
             raise ValidationError("task sha2ab needs a tabulated group")
-        m = int(raw.get("modulus", 2))
+        m = _positive_int(raw, "modulus", "job") or 2
         rep = sha2_ab(group, m, caps)
         lines.append(f"Sha2_ab(G, Z/{m}) = {_fmt_factors(rep.invariant_factors)}")
 
@@ -227,7 +261,7 @@ def run_job(job: Job) -> tuple[str, int]:
                 for ld in data:
                     spec = next(s for s in raw.get("local", [])
                                 if s.get("label", "v") == ld.label)
-                    c_v = np.asarray(spec["c_v"], dtype=np.int64)
+                    c_v = _ints(spec, "c_v", "local", 1)
                     witnesses[ld.label] = local_witness(
                         sd, gen, ld.delta_v, c_v, caps=caps,
                         search_cup=bool(spec.get("search_cup", False)))

@@ -47,44 +47,6 @@ from .zmod import (
 )
 
 
-# ---------------------------------------------------------------------------
-# cochain containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Cochain1:
-    """Normalized 1-cochain: a table gamma -> M with value 0 at the identity."""
-
-    group: FiniteGroup
-    module: AbelianModule
-    table: np.ndarray  # (n, rank)
-
-    def __post_init__(self):
-        self.table = self.module.reduce(np.asarray(self.table, dtype=np.int64))
-        if self.table.shape != (self.group.order, self.module.rank):
-            raise ValidationError("1-cochain table has wrong shape")
-        if self.table[0].any():
-            raise ValidationError("1-cochain must vanish at the identity")
-
-
-@dataclass
-class Cochain2:
-    """Normalized 2-cochain: table (g, h) -> M vanishing if g or h is 1."""
-
-    group: FiniteGroup
-    module: AbelianModule
-    table: np.ndarray  # (n, n, rank)
-
-    def __post_init__(self):
-        self.table = self.module.reduce(np.asarray(self.table, dtype=np.int64))
-        n = self.group.order
-        if self.table.shape != (n, n, self.module.rank):
-            raise ValidationError("2-cochain table has wrong shape")
-        if self.table[0].any() or self.table[:, 0].any():
-            raise ValidationError("2-cochain must vanish on identity arguments")
-
-
 def scalar_module(m: int, actor: FiniteGroup | None = None,
                   units: np.ndarray | None = None) -> AbelianModule:
     """Z/m, optionally with an actor operating through a table of units."""
@@ -383,13 +345,6 @@ def coboundary1(G: FiniteGroup, M: AbelianModule, a: np.ndarray) -> np.ndarray:
         acted = np.broadcast_to(a[None, :, :], (n, n, M.rank)).copy()
     out = acted - a[G.mul] + a[:, None, :]
     return M.reduce(out)
-
-
-def coboundary0(G: FiniteGroup, M: AbelianModule, v: np.ndarray) -> np.ndarray:
-    n = G.order
-    v = M.reduce(v)
-    rows = np.stack([M.act_vec(g, v) - v for g in range(n)])
-    return M.reduce(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,19 @@ A class (f, c) is unramified iff
 
 Because the kernel of the extension is the divisible group Q/Z(1), the
 lift of <tau> always exists; condition (ii) collapses to the vanishing of
-one closed-form obstruction value mod N, derived from the coordinate
-group law.  The closed form is cross-checked against exhaustive search
-inside explicitly built extension groups (see tests and selftest).
+one closed-form obstruction value mod N per admissible triple
+(d, tau, gamma), derived from the coordinate group law.  The value is
+linear in (f, c): _galois_obstructions builds the matrix (a row per
+triple, a column per pair), and br_nr, algebraic_unramified and
+galois_condition all read condition (ii) from it.  The closed form is
+cross-checked against exhaustive search inside explicitly built extension
+groups, and br_nr against per-class is_unramified (see tests and selftest).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -76,43 +81,55 @@ def bogomolov_condition(ext: EquivariantExtension,
 # ---------------------------------------------------------------------------
 
 
-def _transfer_sums(ext: EquivariantExtension, tau: int) -> np.ndarray:
-    """T_k(tau) = sum_{i=1}^{k-1} f(tau^i, tau) mod N for k = 0..ord(tau)."""
-    G = ext.gal.G
-    N = ext.gal.N
-    n = G.element_order(tau)
-    T = np.zeros(n + 1, dtype=np.int64)
-    x = tau
-    for k in range(2, n + 1):
-        T[k] = (T[k - 1] + ext.f[x, tau]) % N
-        x = int(G.mul[x, tau])
-    return T
+def _galois_obstructions(gal: GaloisDatum, triples, fs: np.ndarray,
+                         cs: np.ndarray) -> np.ndarray:
+    """Obstruction values mod N: one row per triple, one column per pair (f, c).
+
+    For an admissible (d, tau, gamma), n = ord(tau) and chi(d) = q n + j,
+    the value is
+
+      c_d(tau) + f(gamma, d.tau) + f(gamma (d.tau), gamma^-1) - f(gamma, gamma^-1)
+               - T_j - q T_n,     T_k = sum_{i=1}^{k-1} f(tau^i, tau),
+
+    and the lift-and-conjugate condition holds iff it is 0.  The value is
+    linear in (f, c), so deciding the condition is a matrix product.
+    fs is (pairs, |G|, |G|), cs is (pairs, |Delta|, |G|); triples sharing
+    (d, tau) must be consecutive, as _admissible_triples yields them.
+    """
+    G, N = gal.G, gal.N
+    out = np.zeros((len(triples), len(fs)), dtype=np.int64)
+    for (d, tau), rows in groupby(range(len(triples)), key=lambda r: triples[r][:2]):
+        rows = list(rows)
+        gammas = np.array([triples[r][2] for r in rows], dtype=np.int64)
+        n = G.element_order(tau)
+        q, j = divmod(int(gal.chi[d]), n)
+        powers = np.zeros(n, dtype=np.int64)            # tau^0 .. tau^(n-1)
+        for i in range(1, n):
+            powers[i] = G.mul[powers[i - 1], tau]
+        T = np.zeros((len(fs), n + 1), dtype=np.int64)
+        T[:, 2:] = np.cumsum(fs[:, powers[1:], tau], axis=1) % N
+        base = cs[:, d, tau] - T[:, j] - q * T[:, n]
+        d_tau = int(gal.action.table[d, tau])
+        ginv = G.inv[gammas]
+        vals = (fs[:, gammas, d_tau] + fs[:, G.mul[gammas, d_tau], ginv]
+                - fs[:, gammas, ginv])
+        out[rows] = (vals.T + base) % N
+    return out
 
 
 def galois_condition_single(ext: EquivariantExtension, d: int, tau: int,
                             gamma: int) -> bool:
     """Closed-form test of the lift-and-conjugate condition for one triple."""
     gal = ext.gal
-    G, N = gal.G, gal.N
+    G = gal.G
     n = G.element_order(tau)
-    chi_int = int(gal.chi[d])
     d_tau = int(gal.action.table[d, tau])
-    target = G.power(tau, chi_int % n)
+    target = G.power(tau, int(gal.chi[d]) % n)
     if G.conjugate(d_tau, gamma) != target:
         raise PreconditionViolated(
             "gamma (d.tau) gamma^-1 != tau^chi(d)", witness=(d, tau, gamma))
-    T = _transfer_sums(ext, tau)
-    j, q = chi_int % n, chi_int // n
-    ginv = int(G.inv[gamma])
-    obstruction = (
-        int(ext.c[d, tau])
-        + int(ext.f[gamma, d_tau])
-        + int(ext.f[int(G.mul[gamma, d_tau]), ginv])
-        - int(ext.f[gamma, ginv])
-        - int(T[j])
-        - q * int(T[n])
-    ) % N
-    return obstruction == 0
+    return not _galois_obstructions(gal, [(d, tau, gamma)],
+                                    ext.f[None], ext.c[None]).any()
 
 
 def galois_condition_bruteforce(ext: EquivariantExtension, d: int, tau: int,
@@ -188,33 +205,10 @@ def galois_condition(ext: EquivariantExtension) -> tuple[bool, Optional[tuple]]:
     gal = ext.gal
     if gal.base_algebraically_closed:
         return True, None
-    G, N = gal.G, gal.N
-    n = G.order
-    mul_flat = G.mul.reshape(-1)
-    inv_arr = G.inv[np.arange(n)]
-    for d in range(gal.delta.order):
-        chi_int = int(gal.chi[d])
-        act_d = gal.action.table[d]
-        for tau in range(n):
-            ot = G.element_order(tau)
-            T = _transfer_sums(ext, tau)
-            j, q = chi_int % ot, chi_int // ot
-            base = (int(ext.c[d, tau]) - int(T[j]) - q * int(T[ot])) % N
-            d_tau = int(act_d[tau])
-            target = G.power(tau, j)
-            lhs = G.mul[:, d_tau]
-            conj = mul_flat[lhs * n + inv_arr]
-            gammas = np.nonzero(conj == target)[0]
-            if gammas.size == 0:
-                continue
-            g_dt = G.mul[gammas, d_tau]
-            vals = (base
-                    + ext.f[gammas, d_tau]
-                    + ext.f[g_dt, G.inv[gammas]]
-                    - ext.f[gammas, G.inv[gammas]]) % N
-            bad = np.nonzero(vals)[0]
-            if bad.size:
-                return False, (d, tau, int(gammas[bad[0]]))
+    triples = list(_admissible_triples(gal))
+    bad = np.nonzero(_galois_obstructions(gal, triples, ext.f[None], ext.c[None]))[0]
+    if bad.size:
+        return False, triples[bad[0]]
     return True, None
 
 
@@ -251,11 +245,6 @@ class BrauerReport:
         for d in self.invariant_factors:
             out *= d
         return out
-
-    def describe(self) -> str:
-        if not self.invariant_factors:
-            return "0"
-        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
 def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
@@ -322,10 +311,19 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     current = death_lattice(gal.G, bicyclics, [ge.f for ge in gen_exts], q_orders, N,
                             qz=True)
 
-    # exhaustive Galois-condition scan over the surviving subgroup
+    # Galois-condition scan over the surviving subgroup: the obstruction is
+    # linear, so each class is tested through one matrix over the generators
     surv = subquotient(current, np.zeros((s, 0), dtype=np.int64), N)
     if surv.order > caps.element_scan:
         raise CapExceeded("element_scan", caps.element_scan, surv.order)
+    triples = [] if gal.base_algebraically_closed else list(_admissible_triples(gal))
+    A = _galois_obstructions(gal, triples, np.array([ge.f for ge in gen_exts]),
+                             np.array([ge.c for ge in gen_exts]))
+    # q_i times generator i is a Kummer class up to coboundaries, where the
+    # obstruction vanishes; so the verdict is well defined on the quotient
+    # and the passing classes form a subgroup
+    if (A * np.array(q_orders) % N).any():
+        raise AssertionError("Galois obstruction is not defined on the Kummer quotient")
 
     def combine(qcoords: np.ndarray) -> EquivariantExtension:
         """Representative: integer combination of the quotient generators."""
@@ -338,18 +336,14 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     for coords in surv.all_coordinates():
         scaled_vec = surv.element_from_coordinates(coords)
         qcoords = _unscale_column(scaled_vec, q_orders, N)
-        ok, wit = is_unramified(combine(qcoords), bicyclics)
-        tested.append((tuple(int(x) for x in qcoords), ok, wit))
+        bad = np.nonzero(A @ qcoords % N)[0]
+        ok = not bad.size
+        tested.append((tuple(int(x) for x in qcoords), ok,
+                       None if ok else ("galois", triples[bad[0]])))
         if ok:
             passing.append(scaled_vec)
     if not passing:
         return BrauerReport((), [], cm, tested, label="Br0_nr")
-    # the passing set must be a subgroup: verify closure
-    pass_set = {tuple(p) for p in passing}
-    for a in passing:
-        for bvec in passing:
-            if tuple((a + bvec) % N) not in pass_set:
-                raise AssertionError("unramified classes failed to form a subgroup")
     mat = np.array(passing, dtype=np.int64).T
     final = subquotient(mat, np.zeros((s, 0), dtype=np.int64), N)
     reps = [combine(_unscale_column(col, q_orders, N)) for col in final.generator_lifts.T]
@@ -373,9 +367,6 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
     act = gal.action.table
     chi_n = gal.chi_mod_n
 
-    def cpos(d, g):
-        return (d - 1) * (n - 1) + (g - 1)
-
     # C2 with f = 0 makes each c_d a homomorphism; C3 makes d -> c_d crossed
     c2 = np.kron(np.eye(nd - 1, dtype=np.int64), -_coboundary_rows(G, N))
     W = kernel(np.vstack([c2, _crossed_rows(gal)]) % N, N)
@@ -387,26 +378,17 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
     if t == 0:
         return BrauerReport((), [], None, label="Br0_nr_alg")
 
-    # vanishing rows at admissible (d, tau): c_d(tau) = 0
-    gen_tables = [h1alg.generator_lifts[:, i] for i in range(t)]
-    van_rows = []
-    seen_pairs = set()
-    for d, tau, gamma in _admissible_triples(gal):
-        if d == 0 or tau == 0 or (d, tau) in seen_pairs:
-            continue
-        seen_pairs.add((d, tau))
-        van_rows.append([int(v[cpos(d, tau)]) for v in gen_tables])
-    if van_rows:
-        A = np.array(van_rows, dtype=np.int64) % N
-        K = kernel(A, N)
-    else:
-        K = np.eye(t, dtype=np.int64)
+    # vanishing rows at admissible (d, tau): with f = 0 the obstruction is
+    # c_d(tau), whatever gamma, so one triple per (d, tau) suffices
+    cs = np.zeros((t, nd, n), dtype=np.int64)
+    cs[:, 1:, 1:] = h1alg.generator_lifts.T.reshape(t, nd - 1, n - 1)
+    triples = list({tr[:2]: tr for tr in _admissible_triples(gal)}.values())
+    A = _galois_obstructions(gal, triples, np.zeros((t, n, n), dtype=np.int64), cs)
+    K = kernel(A, N)
     sub = subquotient(_scaled_columns(K, orders, N), np.zeros((t, 0), dtype=np.int64), N)
     reps = []
     for i in range(len(sub.invariant_factors)):
         x = _unscale_column(sub.generator_lifts[:, i], orders, N)
-        vec = (np.stack(gen_tables, axis=1) @ x) % N
-        c = np.zeros((nd, n), dtype=np.int64)
-        c[1:, 1:] = vec.reshape(nd - 1, n - 1)
-        reps.append(EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64), c))
+        reps.append(EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
+                                         np.tensordot(x, cs, axes=1) % N))
     return BrauerReport(sub.invariant_factors, reps, None, label="Br0_nr_alg")

@@ -85,11 +85,6 @@ class FastpathReport:
             out *= d
         return out
 
-    def describe(self) -> str:
-        if not self.invariant_factors:
-            return "0"
-        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
-
 
 def sha1_bic(sd: SemidirectDatum, caps: Caps = DEFAULT_CAPS) -> FastpathReport:
     """Classes of H^1(Q, N^) dying on every bicyclic subgroup of Q.

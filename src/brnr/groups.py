@@ -67,9 +67,6 @@ class FiniteGroup:
     def identity(self) -> int:
         return 0
 
-    def op(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
     def power(self, g: int, k: int) -> int:
         k = k % self.element_order(g)
         out = 0
@@ -122,16 +119,6 @@ class FiniteGroup:
 
     def centralizer(self, g: int) -> np.ndarray:
         return np.nonzero(self.mul[:, g] == self.mul[g, :])[0]
-
-    def commutator_subgroup(self) -> tuple[int, ...]:
-        n = self.order
-        comms = set()
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul[a, b]
-                ba = self.mul[b, a]
-                comms.add(int(self.mul[self.inv[ba], ab]))
-        return self.closure(comms)
 
     def minimal_generators(self) -> list[int]:
         """Greedy generating set following canonical element order."""
@@ -451,9 +438,6 @@ class AbelianModule:
         strides = np.ones(self.rank, dtype=np.int64)
         for i in range(self.rank - 2, -1, -1):
             strides[i] = strides[i + 1] * factors[i + 1]
-
-        def to_index(vec) -> int:
-            return int(np.dot(self.reduce(vec), strides))
 
         vecs = np.array(list(np.ndindex(*factors)), dtype=np.int64) \
             if self.rank else np.zeros((1, 0), dtype=np.int64)

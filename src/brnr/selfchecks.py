@@ -27,6 +27,7 @@ from .engine import (
     galois_condition,
     galois_condition_bruteforce,
     galois_condition_single,
+    is_unramified,
     _admissible_triples,
 )
 from .extensions import (
@@ -34,6 +35,7 @@ from .extensions import (
     GaloisDatum,
     class_module,
     extension_group,
+    kummer_kernel,
     splits_over,
 )
 from .fastpath import (
@@ -46,6 +48,7 @@ from .fastpath import (
 )
 from .groups import (
     AbelianModule,
+    GroupAction,
     abelian_group,
     cyclic_group,
     dihedral_group,
@@ -55,7 +58,7 @@ from .groups import (
     symmetric_group,
 )
 from .localeval import LocalDatum, NonabelianCocycle, evaluate
-from .zmod import as_mod, smith_normal_form_raw, solve
+from .zmod import as_mod, smith_normal_form_raw, solve, subquotient
 
 
 def _assert(cond, msg):
@@ -154,6 +157,42 @@ def check_galois_condition_vs_bruteforce():
                     f"galois closed form disagrees at {(d, tau, gamma)}")
 
 
+def unramified_by_enumeration(gal: GaloisDatum) -> tuple[int, ...]:
+    """Br^0_nr from is_unramified on every class of the class module.
+
+    Asserts that the unramified classes form a subgroup holding the Kummer
+    classes, and returns the invariant factors of their quotient: the answer
+    br_nr reads from its linear filter, found here class by class.
+    """
+    cm = class_module(gal)
+    orders = cm.invariant_factors
+    if not orders:
+        return ()
+    mods = np.array(orders, dtype=np.int64)
+    bics = subgroups_bicyclic(gal.G)
+    passing = {tuple(map(int, x)) for x in cm._sub.all_coordinates()
+               if is_unramified(cm.element(x), bics)[0]}
+    _assert((0,) * len(orders) in passing, "the zero class must be unramified")
+    for a in passing:
+        for b in passing:
+            _assert(tuple(map(int, np.add(a, b) % mods)) in passing,
+                    f"unramified classes are not closed under addition: {a} + {b}")
+    kum = kummer_kernel(cm) % mods[:, None]
+    for col in kum.T:
+        _assert(tuple(map(int, col)) in passing, f"Kummer class {col} is ramified")
+    U = _scaled_columns(np.array(sorted(passing), dtype=np.int64).T, orders, gal.N)
+    return subquotient(U, _scaled_columns(kum, orders, gal.N), gal.N).invariant_factors
+
+
+def check_linear_galois_filter():
+    G = abelian_group([2, 4])
+    delta = cyclic_group(2)
+    twist = GaloisDatum(delta, G, np.array([1, 31]), GroupAction.trivial(delta, G))
+    for gal in (GaloisDatum.real_like(dihedral_group(4)), twist):
+        _assert(br_nr(gal).invariant_factors == unramified_by_enumeration(gal),
+                f"br_nr disagrees with per-class is_unramified on {gal.G.name}")
+
+
 def check_splitting_vs_section_search():
     gal = GaloisDatum.trivial(cyclic_group(2), N=2)
     f, _ = bockstein(cyclic_group(2), np.array([0, 1]), 2)
@@ -237,6 +276,7 @@ CHECKS = [
     ("shared Q/Z death lattice vs dies_in_qz on D4 and Q8", check_qz_filter_vs_dies_in_qz),
     ("Galois condition closed form vs extension-group search",
      check_galois_condition_vs_bruteforce),
+    ("linear Galois filter vs per-class is_unramified", check_linear_galois_filter),
     ("splitting solver vs section search", check_splitting_vs_section_search),
     ("order-2 real-like regression", check_remark_real_case),
     ("group-ring example, p = 2", check_augmentation_example_p2),

@@ -152,11 +152,6 @@ def smith_normal_form_raw(
     # We track Q by its transpose action: represent Q as a row-transform on Q^T.
     # Concretely Q.mat holds Q^T, so that at the end Q = Q.mat.T, Qinv = Q.inv.T.
 
-    def col_scale(j, u):
-        A[:, j] = A[:, j] * u % m
-        if Q:
-            Q.row_scale(j, u)
-
     def col_addmul(j, k, q):
         # col_j -= q * col_k
         A[:, j] = (A[:, j] - q * A[:, k]) % m

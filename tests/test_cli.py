@@ -124,3 +124,21 @@ def test_bad_cap_overrides_are_validation_errors(tmp_path, capsys):
                                            "table": cyclic_group(2).mul.tolist()}}))
     assert main(["run", str(bogus)]) == 3
     assert "bogus" in capsys.readouterr().err
+
+
+Z2 = cyclic_group(2).mul.tolist()
+
+
+@pytest.mark.parametrize("job, field", [
+    ({"task": "b0", "group": {"kind": "table", "table": [[0, 1], [1]]}}, "group.table"),
+    ({"task": "sha2ab", "modulus": "x", "group": {"kind": "table", "table": Z2}},
+     "modulus"),
+    ({"task": "b0", "group": {"kind": "abelian"}}, "invariant_factors"),
+    ({"task": "brnr", "group": {"kind": "table", "table": Z2},
+      "galois": {"kind": "real", "modulus": "7"}}, "galois.modulus"),
+])
+def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps(job))
+    assert main(["run", str(f)]) == 3
+    assert field in capsys.readouterr().err

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from brnr.caps import Caps
-from brnr.cohomology import bockstein, dies_in_qz
+from brnr.cohomology import bockstein, character_group_generators, dies_in_qz
 from brnr.engine import (
     BrauerReport,
     _admissible_triples,
+    _galois_obstructions,
     algebraic_unramified,
     b0,
     bogomolov_condition,
@@ -36,10 +37,29 @@ from brnr.groups import (
     subgroups_cyclic,
     symmetric_group,
 )
+from brnr.selfchecks import unramified_by_enumeration
 
 
 def real_datum(G, N=None) -> GaloisDatum:
     gal = GaloisDatum.real_like(G, N)
+    gal.validate()
+    return gal
+
+
+def swap_datum() -> GaloisDatum:
+    """Order-2 Galois group swapping the factors of Z/2 x Z/2, chi = -1 mod 16."""
+    V = abelian_group([2, 2])
+    delta = cyclic_group(2)
+    swap = np.array([[0, 1, 2, 3], [0, 2, 1, 3]])
+    gal = GaloisDatum(delta, V, np.array([1, 15]), GroupAction(delta, V, swap), 4)
+    gal.validate()
+    return gal
+
+
+def twist_datum(G, u: int) -> GaloisDatum:
+    """Order-2 Galois group acting trivially on G, chi(sigma) = u mod |G|^2."""
+    delta = cyclic_group(2)
+    gal = GaloisDatum(delta, G, np.array([1, u]), GroupAction.trivial(delta, G))
     gal.validate()
     return gal
 
@@ -103,12 +123,9 @@ def test_galois_closed_form_matches_bruteforce(seed):
     # order-2 Galois group inverting roots of unity, G = Z/4
     data.append(real_datum(cyclic_group(4)))
     # order-2 Galois group acting on G = Z/2 x Z/2 by swap, chi = -1
-    V = abelian_group([2, 2])
-    delta = cyclic_group(2)
-    swap = np.array([[0, 1, 2, 3], [0, 2, 1, 3]])
-    gal = GaloisDatum(delta, V, np.array([1, 15]), GroupAction(delta, V, swap), 4)
-    gal.validate()
-    data.append(gal)
+    data.append(swap_datum())
+    # real-like Q8: the transfer sums T_j enter with a sign that matters
+    data.append(real_datum(quaternion_group()))
     for gal in data:
         cm = class_module(gal)
         if not cm.invariant_factors:
@@ -125,6 +142,49 @@ def test_galois_closed_form_matches_bruteforce(seed):
                 closed = galois_condition_single(ext, d, tau, gamma)
                 brute = galois_condition_bruteforce(ext, d, tau, gamma)
                 assert closed == brute, (gal.N, d, tau, gamma)
+
+
+FILTER_DATA = {
+    "real Z4": lambda: real_datum(cyclic_group(4)),
+    "real Z2xZ2": lambda: real_datum(abelian_group([2, 2])),
+    "real Z2xZ4": lambda: real_datum(abelian_group([2, 4])),
+    "real S3": lambda: real_datum(symmetric_group(3)),
+    "real D4": lambda: real_datum(dihedral_group(4)),
+    "real Q8": lambda: real_datum(quaternion_group()),
+    "trivial D4": lambda: GaloisDatum.trivial(dihedral_group(4)),
+    "swap Z2xZ2": swap_datum,
+    "twist Z2xZ4 k=2": lambda: twist_datum(abelian_group([2, 4]), 31),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_DATA))
+def test_linear_galois_filter_matches_per_class_bruteforce(name):
+    """br_nr's obstruction matrix agrees with is_unramified on every class."""
+    gal = FILTER_DATA[name]()
+    assert br_nr(gal).invariant_factors == unramified_by_enumeration(gal)
+
+
+@pytest.mark.parametrize("name", ["real D4", "real Z2xZ4", "swap Z2xZ2",
+                                  "twist Z2xZ4 k=2"])
+def test_galois_obstruction_vanishes_on_coboundary_and_kummer_pairs(name):
+    """The premise of the linear filter: the obstruction is a class function."""
+    gal = FILTER_DATA[name]()
+    G, N = gal.G, gal.N
+    rng = np.random.default_rng(11)
+    b = rng.integers(0, N, size=(6, G.order))
+    b[:, 0] = 0
+    fs = [(b[:, :, None] + b[:, None, :] - b[:, G.mul]) % N]
+    cs = [(gal.chi_mod_n[None, :, None] * b[:, None, :] - b[:, gal.action.table]) % N]
+    phis = character_group_generators(G, N, equivariance=(gal.chi, gal.action.table))
+    assert phis
+    for phi in phis:
+        f, c = bockstein(G, phi, N, gal.delta, gal.chi, gal.action.table)
+        fs.append(f[None])
+        cs.append(c[None])
+    A = _galois_obstructions(gal, list(_admissible_triples(gal)),
+                             np.concatenate(fs), np.concatenate(cs))
+    assert A.shape[1] == 6 + len(phis)
+    assert not A.any()
 
 
 # ---------------------------------------------------------------------------
