@@ -24,7 +24,7 @@ class Caps:
     local_tuples: int = 10**4        # rows enumerated in a Brauer-Manin tuple table
 
     def with_overrides(self, overrides: dict) -> "Caps":
-        """A copy with the named caps set; values are integers or digit strings."""
+        """A copy with the named caps set; values are integers >= 0 or digit strings."""
         values = {}
         for name, value in overrides.items():
             if name not in self.__dataclass_fields__:
@@ -33,6 +33,8 @@ class Caps:
                 value = int(value)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"cap {name} needs an integer value", witness=value)
+            if value < 0:
+                raise ValidationError(f"cap {name} must not be negative", witness=value)
             values[name] = value
         return replace(self, **values)
 

@@ -130,7 +130,7 @@ def _build_group(spec, caps: Caps):
             group = semidirect_product(sd.N, sd.Q, caps=caps).group
         return group, sd, None
     if kind == "example714":
-        ex = build_example_714(_positive_int(spec, "p", "group") or 2, caps)
+        ex = build_example_714(_positive_int(spec, "p", "group") or 2)
         return None, ex.sd, ex
     raise ValidationError("unknown group kind", witness=kind)
 
@@ -251,7 +251,10 @@ def run_job(job: Job) -> tuple[str, int]:
         lines.append(f"Sha2_ab(G, Z/{m}) = {_fmt_factors(rep.invariant_factors)}")
 
     elif task in ("evaluate", "bmreport"):
-        data = [_build_local(spec) for spec in raw.get("local", [])]
+        local = raw.get("local", [])
+        if not isinstance(local, list):
+            raise ValidationError("local must be a list of objects", witness=local)
+        data = [_build_local(spec) for spec in local]
         entries = []
         if sd is not None:
             fast = sha1_bic(sd, caps)
@@ -259,8 +262,7 @@ def run_job(job: Job) -> tuple[str, int]:
             if fast.invariant_factors:
                 gen = fast.cocycles[0]
                 for ld in data:
-                    spec = next(s for s in raw.get("local", [])
-                                if s.get("label", "v") == ld.label)
+                    spec = next(s for s in local if s.get("label", "v") == ld.label)
                     c_v = _ints(spec, "c_v", "local", 1)
                     witnesses[ld.label] = local_witness(
                         sd, gen, ld.delta_v, c_v, caps=caps,

@@ -15,9 +15,13 @@ The class module of extensions.py reuses its cocycle rows
 (``ReducedCocycleSpace.c1_batches``) and its scalar coboundary matrix
 (``_coboundary_rows``), which every scalar coboundary test also builds on.
 
-Death of classes on subgroups (Sha filters, B_0, the bicyclic condition
-of the engine) runs through one per-subgroup kernel, ``_death_kernel``,
-either literally or after pushing scalar classes into Q/Z.
+Literal death of classes on a family of subgroups (the Sha filters) runs
+through one per-subgroup kernel, ``_death_kernel``, intersected over the
+family by ``death_lattice``.  Death in Q/Z on every bicyclic subgroup (B_0
+and the Bogomolov condition of the engine) needs no subgroups at all: a
+central extension of an abelian group by the divisible group Q/Z splits
+iff it is abelian, so a class dies there iff f(x, y) = f(y, x) mod N for
+every commuting pair, one row each in ``bogomolov_lattice``.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .zmod import (
     RowEchelon,
     SubquotientModule,
     as_mod,
+    echelon_compress,
     intersect_submodules,
     kernel,
     solve,
@@ -668,50 +673,66 @@ def _unscale_column(col: np.ndarray, orders: tuple[int, ...], N: int) -> np.ndar
 
 def _death_kernel(tables: list[np.ndarray], orders: tuple[int, ...], N: int,
                   B: FiniteGroup, elements: np.ndarray,
-                  module: AbelianModule | None = None, scale: int = 1) -> np.ndarray:
+                  module: AbelianModule | None = None) -> np.ndarray:
     """Scaled class vectors x whose combination of ``tables`` dies on B.
 
     With ``module``, tables are 1-cocycles valued in it, and dying means
-    that the restriction is d0 v over B.  Without it, tables are scalar 2-cocycles
-    mod N (trivial action), and dying means that ``scale`` times the
-    restriction is d1 b mod N*scale: scale 1 is literal death, scale
-    exp(B) is death of the Q/Z-pushforward.  The kernel is computed jointly
-    in x and the witness, then projected onto x.
+    that the restriction is d0 v over B.  Without it, tables are scalar
+    2-cocycles mod N (trivial action), and dying means that the restriction
+    is d1 b mod N.  The kernel is computed jointly in x and the witness,
+    then projected onto x.
     """
     if module is not None:
-        m = N
         V = [_vec_of_table1(restrict_cochain(tab, elements, 1)) for tab in tables]
         D = _d0_columns(B, subgroup_module(module, B, elements))
         row_scales = np.tile(_row_scales(module), B.order - 1)[:, None]
     else:
-        m = N * scale
-        V = [scale * _vec_of_table2(restrict_cochain(tab, elements, 2)) for tab in tables]
-        D = _coboundary_rows(B, m)
+        V = [_vec_of_table2(restrict_cochain(tab, elements, 2)) for tab in tables]
+        D = _coboundary_rows(B, N)
         row_scales = 1
-    sysmat = np.hstack([np.array(V, dtype=np.int64).T, -D]) * row_scales % m
-    return _scaled_columns(kernel(sysmat, m)[:len(tables)], orders, N)
+    sysmat = np.hstack([np.array(V, dtype=np.int64).T, -D]) * row_scales % N
+    return _scaled_columns(kernel(sysmat, N)[:len(tables)], orders, N)
 
 
 def death_lattice(G: FiniteGroup, subgroups, tables: list[np.ndarray],
                   orders: tuple[int, ...], N: int,
-                  module: AbelianModule | None = None, qz: bool = False) -> np.ndarray:
+                  module: AbelianModule | None = None) -> np.ndarray:
     """Scaled vectors (columns in (Z/N)^t) of the classes dying on every subgroup.
 
-    A class is sum x_j [tables[j]] with x_j mod orders[j]; ``module`` and the
-    two kinds of death are as in ``_death_kernel``, with ``qz`` choosing
-    death in Q/Z (scale exp(B) per subgroup).
+    A class is sum x_j [tables[j]] with x_j mod orders[j]; ``module`` and
+    death are as in ``_death_kernel``.
     """
     current = _scaled_columns(np.eye(len(orders), dtype=np.int64), orders, N)
     for elems in subgroups:
         if len(elems) == 1:
             continue
         B, idx = G.subgroup_table(elems)
-        gens = _death_kernel(tables, orders, N, B, idx, module,
-                             B.exponent if qz else 1)
+        gens = _death_kernel(tables, orders, N, B, idx, module)
         current = intersect_submodules(current, gens, N)
         if current.shape[1] == 0:
             break
     return current
+
+
+def bogomolov_lattice(G: FiniteGroup, tables: list[np.ndarray],
+                      orders: tuple[int, ...], N: int) -> np.ndarray:
+    """Scaled vectors of the classes whose Q/Z-pushforward dies on every bicyclic subgroup.
+
+    ``tables`` are scalar 2-cocycles mod N, class j of order ``orders[j]``.
+    On an abelian subgroup a central extension by Q/Z splits iff it is
+    abelian, so the condition is f(x, y) = f(y, x) mod N for every
+    commuting pair x < y: one row per pair, one column per table.
+    Coboundaries and Bocksteins are symmetric on commuting pairs, so each
+    column times its order vanishes and the rows are defined on classes.
+    The generators come back in echelon (Howell) form.
+    """
+    x, y = np.nonzero(np.triu(G.mul == G.mul.T, 1)[1:, 1:])
+    T = np.array(tables, dtype=np.int64)[:, 1:, 1:]
+    S = (T[:, x, y] - T[:, y, x]).T % N
+    if (S * np.array(orders, dtype=np.int64) % N).any():
+        raise AssertionError("symmetry rows are not defined on classes")
+    gens = _scaled_columns(kernel(S, N), orders, N)
+    return echelon_compress(gens.T, N).T
 
 
 def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,

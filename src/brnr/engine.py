@@ -2,7 +2,10 @@
 
 A class (f, c) is unramified iff
 
-  (i)  its Q/Z-pushforward splits on every bicyclic subgroup of G, and
+  (i)  its Q/Z-pushforward splits on every bicyclic subgroup of G, which
+       holds iff f(x, y) = f(y, x) mod N for every commuting pair x, y
+       (an extension of an abelian group by the divisible Q/Z splits iff
+       it is abelian), and
   (ii) for every d in Delta and every pair (tau, gamma) with
        gamma (d.tau) gamma^-1 = tau^chi(d), a lift of <tau> into the
        Q/Z(1)-extension exists whose d-conjugate by a lift of gamma is its
@@ -14,9 +17,12 @@ one closed-form obstruction value mod N per admissible triple
 (d, tau, gamma), derived from the coordinate group law.  The value is
 linear in (f, c): _galois_obstructions builds the matrix (a row per
 triple, a column per pair), and br_nr, algebraic_unramified and
-galois_condition all read condition (ii) from it.  The closed form is
-cross-checked against exhaustive search inside explicitly built extension
-groups, and br_nr against per-class is_unramified (see tests and selftest).
+galois_condition all read condition (ii) from it.  Condition (i) is linear
+too: b0 and br_nr read it from the commuting-pair rows of
+cohomology.bogomolov_lattice, while bogomolov_condition keeps the
+per-subgroup test as the reference.  The closed form is cross-checked
+against exhaustive search inside explicitly built extension groups, and
+br_nr against per-class is_unramified (see tests and selftest).
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from .cohomology import (
     _twist_rows,
     _unscale_column,
     bockstein,
+    bogomolov_lattice,
     character_group_generators,
-    death_lattice,
     dies_in_qz,
     h2,
     scalar_module,
@@ -259,9 +265,8 @@ def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     if ambient is None or not ambient.invariant_factors:
         return BrauerReport((), [], None, label="B_0")
     orders = ambient.invariant_factors
-    current = death_lattice(G, subgroups_bicyclic(G),
-                            [rep[:, :, 0] for rep in ambient.representatives],
-                            orders, N, qz=True)
+    current = bogomolov_lattice(G, [rep[:, :, 0] for rep in ambient.representatives],
+                                orders, N)
     kummer = []
     for phi in character_group_generators(G, N):
         x = ambient.coordinates(bockstein(G, phi, N)[0][:, :, None])
@@ -307,9 +312,7 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
 
     # Bogomolov filter on the quotient: classes whose Q/Z-pushforward dies
     # on every bicyclic subgroup
-    bicyclics = subgroups_bicyclic(gal.G)
-    current = death_lattice(gal.G, bicyclics, [ge.f for ge in gen_exts], q_orders, N,
-                            qz=True)
+    current = bogomolov_lattice(gal.G, [ge.f for ge in gen_exts], q_orders, N)
 
     # Galois-condition scan over the surviving subgroup: the obstruction is
     # linear, so each class is tested through one matrix over the generators

@@ -234,15 +234,15 @@ class AugmentationExample:
     expected_generator_multiple: int      # sha generated by p^2 * [a]
 
 
-def build_example_714(p: int, caps: Caps = DEFAULT_CAPS) -> AugmentationExample:
+def build_example_714(p: int) -> AugmentationExample:
     """Q = (Z/p)^3 acting on N = dual of the augmentation ideal of (Z/p^3)[Q].
 
     The ideal I is free of rank p^3 - 1 over Z/p^3 on the elements
     [q] - [1]; left translation permutes the [q] and fixes the augmentation.
     """
     if p not in (2, 3):
-        raise CapExceeded("class_module_unknowns", caps.class_module_unknowns,
-                          (p ** 3 - 1) ** 2)
+        raise ValidationError("p must be 2 or 3: the example is built for those "
+                              "primes only", witness=p)
     Q = abelian_group([p, p, p])
     nQ = Q.order
     rank = nQ - 1

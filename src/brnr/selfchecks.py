@@ -15,7 +15,7 @@ import numpy as np
 from .cohomology import (
     _scaled_columns,
     bockstein,
-    death_lattice,
+    bogomolov_lattice,
     dies_in_qz,
     h1,
     h2,
@@ -124,37 +124,40 @@ def check_dies_in_qz_bruteforce():
 
 
 def check_qz_filter_vs_dies_in_qz():
-    # every class of H^2(G, Z/|G|) lies in the shared Q/Z death lattice iff
+    # every class of H^2(G, Z/|G|) lies in the commuting-pair lattice iff
     # dies_in_qz holds on each bicyclic subgroup
     for G in (dihedral_group(4), quaternion_group()):
         N = G.order
         H = h2(G, scalar_module(N))
         orders = H.invariant_factors
         bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
-        lattice = death_lattice(G, subgroups_bicyclic(G),
-                                [rep[:, :, 0] for rep in H.representatives],
-                                orders, N, qz=True)
+        lattice = bogomolov_lattice(G, [rep[:, :, 0] for rep in H.representatives],
+                                    orders, N)
         for x in itertools.product(*(range(o) for o in orders)):
             table = H.element_table(x)[:, :, 0]
             expect = all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics)
             vec = _scaled_columns(np.array(x).reshape(-1, 1), orders, N)[:, 0]
             _assert((solve(lattice, vec, N) is not None) == expect,
-                    f"Q/Z death lattice disagrees with dies_in_qz at {x} on {G}")
+                    f"commuting-pair lattice disagrees with dies_in_qz at {x} on {G}")
 
 
 def check_galois_condition_vs_bruteforce():
-    gal = GaloisDatum.real_like(cyclic_group(4))
-    cm = class_module(gal)
+    # real-like nonabelian data make every term of the closed form matter,
+    # the sign of the transfer sum T_j included
     rng = np.random.default_rng(7)
-    triples = list(_admissible_triples(gal))
-    for _ in range(3):
-        coords = rng.integers(0, 6, size=len(cm.invariant_factors))
-        ext = cm.element(coords)
-        for d, tau, gamma in triples:
-            closed = galois_condition_single(ext, d, tau, gamma)
-            brute = galois_condition_bruteforce(ext, d, tau, gamma)
-            _assert(closed == brute,
-                    f"galois closed form disagrees at {(d, tau, gamma)}")
+    for G in (cyclic_group(4), symmetric_group(3), dihedral_group(4),
+              quaternion_group()):
+        gal = GaloisDatum.real_like(G)
+        cm = class_module(gal)
+        triples = list(_admissible_triples(gal))
+        for _ in range(3):
+            coords = rng.integers(0, 6, size=len(cm.invariant_factors))
+            ext = cm.element(coords)
+            for d, tau, gamma in triples:
+                closed = galois_condition_single(ext, d, tau, gamma)
+                brute = galois_condition_bruteforce(ext, d, tau, gamma)
+                _assert(closed == brute,
+                        f"galois closed form disagrees at {(d, tau, gamma)} on {G.name}")
 
 
 def unramified_by_enumeration(gal: GaloisDatum) -> tuple[int, ...]:
@@ -273,7 +276,8 @@ CHECKS = [
     ("smith normal form reconstruction", check_snf_reconstruction),
     ("H^2 of cyclic groups: gcd law", check_h2_gcd_law),
     ("Q/Z death vs brute-force coboundary search", check_dies_in_qz_bruteforce),
-    ("shared Q/Z death lattice vs dies_in_qz on D4 and Q8", check_qz_filter_vs_dies_in_qz),
+    ("commuting-pair Q/Z lattice vs dies_in_qz on D4 and Q8",
+     check_qz_filter_vs_dies_in_qz),
     ("Galois condition closed form vs extension-group search",
      check_galois_condition_vs_bruteforce),
     ("linear Galois filter vs per-class is_unramified", check_linear_galois_filter),

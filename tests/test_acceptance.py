@@ -18,6 +18,7 @@ from brnr.engine import (
     _admissible_triples,
     algebraic_unramified,
     b0,
+    bogomolov_condition,
     br_nr,
     galois_condition_bruteforce,
     galois_condition_single,
@@ -46,6 +47,7 @@ from brnr.groups import (
     alternating_group,
     cyclic_group,
     dihedral_group,
+    group_from_table,
     quaternion_group,
     semidirect_product,
     symmetric_group,
@@ -368,6 +370,21 @@ ORDER64_SCAN_PREFIX = [0, 19, 320, 339, 512]
 ORDER64_HIT_TAILS = 531
 
 
+def test_b0_of_order_64_hit_is_invariant_under_relabelling():
+    # metamorphic: B_0 is a group invariant, so renaming the elements of the
+    # criterion-4b hit must leave b0 = Z/2; its generator must also pass the
+    # per-subgroup reference, death in Q/Z on every bicyclic subgroup
+    G = _order64_candidate(ORDER64_HIT_TAILS)
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+        inv = np.argsort(perm)
+        H = group_from_table(perm[G.mul[np.ix_(inv, inv)]])
+        rep = b0(H, CAPS)
+        assert rep.invariant_factors == (2,), seed
+        assert bogomolov_condition(rep.representatives[0])[0], seed
+
+
 # -- criterion 5: real-like vanishing ----------------------------------------
 
 
@@ -496,6 +513,10 @@ def test_criterion_9_closed_forms_vs_bruteforce():
     data.append(GaloisDatum.real_like(cyclic_group(3), N=3))
     Z16 = cyclic_group(16)
     data.append(GaloisDatum.real_like(Z16, N=16))
+    # real-like nonabelian data: only there does the sign of the transfer
+    # sum T_j in the closed form change the verdict
+    for G in (symmetric_group(3), D4, quaternion_group()):
+        data.append(GaloisDatum.real_like(G))
 
     mismatches = []
     checked = 0

@@ -136,6 +136,11 @@ Z2 = cyclic_group(2).mul.tolist()
     ({"task": "b0", "group": {"kind": "abelian"}}, "invariant_factors"),
     ({"task": "brnr", "group": {"kind": "table", "table": Z2},
       "galois": {"kind": "real", "modulus": "7"}}, "galois.modulus"),
+    ({"task": "bmreport", "group": {"kind": "example714", "p": 2}, "local": 5},
+     "local must be a list"),
+    ({"task": "b0", "group": {"kind": "table", "table": Z2},
+      "caps": {"table_group": -1}}, "table_group"),
+    ({"task": "sha1bic", "group": {"kind": "example714", "p": 4}}, "p must be 2 or 3"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"

@@ -19,11 +19,11 @@ from brnr.cohomology import (
     _scaled_columns,
     _twist_rows,
     bockstein,
+    bogomolov_lattice,
     character_group_generators,
     coboundary1,
     cocycle2_defect,
     cup_h1_h1,
-    death_lattice,
     dies_in_qz,
     h1,
     h2,
@@ -405,9 +405,17 @@ def test_twist_rows_match_loop():
                 assert rows[d * 5 + g - 1, b - 1] == expect
 
 
-@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Q8xZ2", "D4xZ2", "Z2^3"])
+def _metacyclic(n: int, q: int, u: int) -> FiniteGroup:
+    """Z/n x| Z/q with the generator of Z/q acting as multiplication by u."""
+    Q = cyclic_group(q)
+    action = np.array([[[pow(u, k, n)]] for k in range(q)], dtype=np.int64)
+    return semidirect_product(AbelianModule((n,), Q, action), Q).group
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Q8xZ2", "D4xZ2", "Z2^3",
+                                  "M16", "SD16", "D8", "Z4:Z4"])
 def test_qz_death_lattice_matches_dies_in_qz(name):
-    # the bicyclic Q/Z filter shared by b0 and br_nr holds a class of
+    # the commuting-pair lattice shared by b0 and br_nr holds a class of
     # H^2(G, Z/|G|) iff dies_in_qz holds on every bicyclic subgroup
     G = {
         "S3": lambda: symmetric_group(3),
@@ -416,14 +424,17 @@ def test_qz_death_lattice_matches_dies_in_qz(name):
         "Q8xZ2": lambda: semidirect_product(cyclic_group(2), quaternion_group()).group,
         "D4xZ2": lambda: semidirect_product(cyclic_group(2), dihedral_group(4)).group,
         "Z2^3": lambda: abelian_group([2, 2, 2]),
+        "M16": lambda: _metacyclic(8, 2, 5),
+        "SD16": lambda: _metacyclic(8, 2, 3),
+        "D8": lambda: _metacyclic(8, 2, 7),
+        "Z4:Z4": lambda: _metacyclic(4, 4, 3),
     }[name]()
     N = G.order
     H = h2(G, scalar_module(N))
     orders = H.invariant_factors
     bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
-    lattice = death_lattice(G, subgroups_bicyclic(G),
-                            [rep[:, :, 0] for rep in H.representatives], orders, N,
-                            qz=True)
+    lattice = bogomolov_lattice(G, [rep[:, :, 0] for rep in H.representatives],
+                                orders, N)
     for x in itertools.product(*(range(o) for o in orders)):
         table = H.element_table(x)[:, :, 0]
         expect = all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics)
