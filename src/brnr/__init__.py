@@ -88,10 +88,8 @@ from .localeval import (
 )
 from .zmod import (
     AbelianStructure,
-    ZModMatrix,
     cokernel,
     kernel,
-    smith_normal_form,
     solve,
 )
 

@@ -20,7 +20,6 @@ class Caps:
     h2_group: int = 256              # largest base group for any H^2 computation
     class_module_unknowns: int = 200_000
     nonabelian_enum: int = 10**7     # candidate tables |G|^#generators
-    element_scan: int = 2**16        # exhaustive element scans in quotient modules
     local_tuples: int = 10**4        # rows enumerated in a Brauer-Manin tuple table
 
     def with_overrides(self, overrides: dict) -> "Caps":

@@ -255,6 +255,14 @@ def run_job(job: Job) -> tuple[str, int]:
         if not isinstance(local, list):
             raise ValidationError("local must be a list of objects", witness=local)
         data = [_build_local(spec) for spec in local]
+        if sd is not None:
+            gal = GaloisDatum.trivial(group_from_table([[0]]), N=1)
+        elif group is None:
+            raise ValidationError("evaluation needs a group")
+        else:
+            gal = _build_galois(raw.get("galois"), group)
+        for ld in data:
+            ld.validate(gal)
         entries = []
         if sd is not None:
             fast = sha1_bic(sd, caps)
@@ -269,11 +277,7 @@ def run_job(job: Job) -> tuple[str, int]:
                         search_cup=bool(spec.get("search_cup", False)))
                 entries.append(FastpathClassEntry(
                     "sha-generator", sd, gen, sd.group_order, witnesses))
-            gal = GaloisDatum.trivial(group_from_table([[0]]), N=1)
         else:
-            if group is None:
-                raise ValidationError("evaluation needs a group")
-            gal = _build_galois(raw.get("galois"), group)
             rep = br_nr(gal, caps)
             for i, ext in enumerate(rep.representatives):
                 entries.append(ClassEntry(f"class{i}", ext))

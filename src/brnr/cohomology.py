@@ -21,7 +21,7 @@ family by ``death_lattice``.  Death in Q/Z on every bicyclic subgroup (B_0
 and the Bogomolov condition of the engine) needs no subgroups at all: a
 central extension of an abelian group by the divisible group Q/Z splits
 iff it is abelian, so a class dies there iff f(x, y) = f(y, x) mod N for
-every commuting pair, one row each in ``bogomolov_lattice``.
+every commuting pair, one row each in ``commuting_pair_rows``.
 """
 
 from __future__ import annotations
@@ -714,21 +714,33 @@ def death_lattice(G: FiniteGroup, subgroups, tables: list[np.ndarray],
     return current
 
 
+def commuting_pair_rows(G: FiniteGroup, tables,
+                        N: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The commuting pairs x < y of G (both != 1) and the matrix of condition (i).
+
+    On an abelian subgroup a central extension by Q/Z splits iff it is
+    abelian, so the Q/Z-pushforward of a scalar 2-cocycle f mod N dies on
+    every bicyclic subgroup iff f(x, y) = f(y, x) mod N for every commuting
+    pair: one row per pair, one column per table, entry t[x, y] - t[y, x].
+    Coboundaries and Bocksteins are symmetric on commuting pairs, so the
+    rows are defined on classes.
+    """
+    commuting = np.triu(G.mul == G.mul.T, 1)
+    commuting[0] = False
+    x, y = np.nonzero(commuting)
+    T = np.asarray(tables, dtype=np.int64)
+    return list(zip(x.tolist(), y.tolist())), (T[:, x, y] - T[:, y, x]).T % N
+
+
 def bogomolov_lattice(G: FiniteGroup, tables: list[np.ndarray],
                       orders: tuple[int, ...], N: int) -> np.ndarray:
     """Scaled vectors of the classes whose Q/Z-pushforward dies on every bicyclic subgroup.
 
-    ``tables`` are scalar 2-cocycles mod N, class j of order ``orders[j]``.
-    On an abelian subgroup a central extension by Q/Z splits iff it is
-    abelian, so the condition is f(x, y) = f(y, x) mod N for every
-    commuting pair x < y: one row per pair, one column per table.
-    Coboundaries and Bocksteins are symmetric on commuting pairs, so each
-    column times its order vanishes and the rows are defined on classes.
-    The generators come back in echelon (Howell) form.
+    ``tables`` are scalar 2-cocycles mod N, class j of order ``orders[j]``;
+    the condition is the kernel of ``commuting_pair_rows``, which must
+    vanish on ``orders``.  The generators come back in echelon (Howell) form.
     """
-    x, y = np.nonzero(np.triu(G.mul == G.mul.T, 1)[1:, 1:])
-    T = np.array(tables, dtype=np.int64)[:, 1:, 1:]
-    S = (T[:, x, y] - T[:, y, x]).T % N
+    _, S = commuting_pair_rows(G, tables, N)
     if (S * np.array(orders, dtype=np.int64) % N).any():
         raise AssertionError("symmetry rows are not defined on classes")
     gens = _scaled_columns(kernel(S, N), orders, N)

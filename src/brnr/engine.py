@@ -18,11 +18,15 @@ one closed-form obstruction value mod N per admissible triple
 linear in (f, c): _galois_obstructions builds the matrix (a row per
 triple, a column per pair), and br_nr, algebraic_unramified and
 galois_condition all read condition (ii) from it.  Condition (i) is linear
-too: b0 and br_nr read it from the commuting-pair rows of
-cohomology.bogomolov_lattice, while bogomolov_condition keeps the
-per-subgroup test as the reference.  The closed form is cross-checked
-against exhaustive search inside explicitly built extension groups, and
-br_nr against per-class is_unramified (see tests and selftest).
+too: b0 and br_nr read it from cohomology.commuting_pair_rows, while
+bogomolov_condition keeps the per-subgroup test as the reference.
+
+br_nr stacks the two matrices over the generators of the class module
+modulo Kummer classes; Br^0_nr is the kernel of the stack, and each
+generator's verdict is its column, with the first nonzero row as witness.
+No class is enumerated.  The closed form is cross-checked against
+exhaustive search inside explicitly built extension groups, and br_nr
+against per-class is_unramified (see tests and selftest).
 """
 
 from __future__ import annotations
@@ -43,12 +47,13 @@ from .cohomology import (
     bockstein,
     bogomolov_lattice,
     character_group_generators,
+    commuting_pair_rows,
     dies_in_qz,
     h2,
     scalar_module,
     sha,
 )
-from .errors import CapExceeded, PreconditionViolated
+from .errors import PreconditionViolated
 from .extensions import (
     ClassModule,
     EquivariantExtension,
@@ -242,6 +247,9 @@ class BrauerReport:
     invariant_factors: tuple[int, ...]
     representatives: list[EquivariantExtension]
     ambient: ClassModule | None
+    # br_nr: one entry per Kummer-quotient generator e_i, as (coordinates of
+    # e_i, verdict of its column, witness of its first nonzero row):
+    # ("bogomolov", (x, y)) for a commuting pair or ("galois", (d, tau, gamma))
     tested: list[tuple[tuple, bool, Optional[tuple]]] = field(default_factory=list)
     label: str = ""
 
@@ -289,67 +297,55 @@ def sha2_ab(G: FiniteGroup, modulus: int, caps: Caps = DEFAULT_CAPS) -> ShaResul
     return sha(G, scalar_module(modulus), 2, "ab", caps=caps)
 
 
-def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
-    """The full pipeline: class module, Kummer quotient, unramified filter."""
-    cm = class_module(gal, caps)
+def _kummer_quotient(cm: ClassModule) -> tuple[tuple[int, ...], list[EquivariantExtension]]:
+    """Orders and representatives of the generators of the class module mod Kummer classes."""
     orders = cm.invariant_factors
-    N = gal.N
-    t = len(orders)
-    if t == 0:
-        return BrauerReport((), [], cm, label="Br0_nr")
-    full = _scaled_columns(np.eye(t, dtype=np.int64), orders, N)
+    N = cm.gal.N
+    full = _scaled_columns(np.eye(len(orders), dtype=np.int64), orders, N)
     kum = _scaled_columns(kummer_kernel(cm), orders, N)
     quot = subquotient(full, kum, N)
-    q_orders = quot.invariant_factors
+    return quot.invariant_factors, [cm.element(_unscale_column(col, orders, N))
+                                    for col in quot.generator_lifts.T]
+
+
+def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
+    """The full pipeline: class module, Kummer quotient, unramified filter.
+
+    Both conditions are linear on the Kummer quotient: Br^0_nr is the
+    kernel of the commuting-pair rows stacked on the Galois obstruction
+    rows, one column per quotient generator.
+    """
+    cm = class_module(gal, caps)
+    if not cm.invariant_factors:
+        return BrauerReport((), [], cm, label="Br0_nr")
+    q_orders, gens = _kummer_quotient(cm)
     s = len(q_orders)
     if s == 0:
         return BrauerReport((), [], cm, label="Br0_nr")
-
-    def ext_of_scaled(col: np.ndarray) -> EquivariantExtension:
-        return cm.element(_unscale_column(col, orders, N))
-
-    gen_exts = [ext_of_scaled(quot.generator_lifts[:, i]) for i in range(s)]
-
-    # Bogomolov filter on the quotient: classes whose Q/Z-pushforward dies
-    # on every bicyclic subgroup
-    current = bogomolov_lattice(gal.G, [ge.f for ge in gen_exts], q_orders, N)
-
-    # Galois-condition scan over the surviving subgroup: the obstruction is
-    # linear, so each class is tested through one matrix over the generators
-    surv = subquotient(current, np.zeros((s, 0), dtype=np.int64), N)
-    if surv.order > caps.element_scan:
-        raise CapExceeded("element_scan", caps.element_scan, surv.order)
+    N = gal.N
+    fs = np.array([ge.f for ge in gens])
+    cs = np.array([ge.c for ge in gens])
+    pairs, S = commuting_pair_rows(gal.G, fs, N)
     triples = [] if gal.base_algebraically_closed else list(_admissible_triples(gal))
-    A = _galois_obstructions(gal, triples, np.array([ge.f for ge in gen_exts]),
-                             np.array([ge.c for ge in gen_exts]))
-    # q_i times generator i is a Kummer class up to coboundaries, where the
-    # obstruction vanishes; so the verdict is well defined on the quotient
-    # and the passing classes form a subgroup
+    A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
+    witnesses = [("bogomolov", p) for p in pairs] + [("galois", t) for t in triples]
+    # q_i times generator i is a Kummer class up to coboundaries, where both
+    # conditions hold; so the kernel is well defined on the quotient
     if (A * np.array(q_orders) % N).any():
-        raise AssertionError("Galois obstruction is not defined on the Kummer quotient")
+        raise AssertionError("unramified conditions are not defined on the Kummer quotient")
 
-    def combine(qcoords: np.ndarray) -> EquivariantExtension:
-        """Representative: integer combination of the quotient generators."""
-        f = sum(int(x) * ge.f for x, ge in zip(qcoords, gen_exts))
-        c = sum(int(x) * ge.c for x, ge in zip(qcoords, gen_exts))
-        return EquivariantExtension(gal, f % N, c % N)
-
-    passing: list[np.ndarray] = []
     tested = []
-    for coords in surv.all_coordinates():
-        scaled_vec = surv.element_from_coordinates(coords)
-        qcoords = _unscale_column(scaled_vec, q_orders, N)
-        bad = np.nonzero(A @ qcoords % N)[0]
-        ok = not bad.size
-        tested.append((tuple(int(x) for x in qcoords), ok,
-                       None if ok else ("galois", triples[bad[0]])))
-        if ok:
-            passing.append(scaled_vec)
-    if not passing:
-        return BrauerReport((), [], cm, tested, label="Br0_nr")
-    mat = np.array(passing, dtype=np.int64).T
-    final = subquotient(mat, np.zeros((s, 0), dtype=np.int64), N)
-    reps = [combine(_unscale_column(col, q_orders, N)) for col in final.generator_lifts.T]
+    for i, col in enumerate(A.T):
+        bad = np.nonzero(col)[0]
+        tested.append((tuple(int(k == i) for k in range(s)), not bad.size,
+                       witnesses[bad[0]] if bad.size else None))
+    final = subquotient(_scaled_columns(kernel(A, N), q_orders, N),
+                        np.zeros((s, 0), dtype=np.int64), N)
+    reps = []
+    for col in final.generator_lifts.T:
+        x = _unscale_column(col, q_orders, N)
+        reps.append(EquivariantExtension(gal, np.tensordot(x, fs, axes=1) % N,
+                                         np.tensordot(x, cs, axes=1) % N))
     return BrauerReport(final.invariant_factors, reps, cm, tested, label="Br0_nr")
 
 

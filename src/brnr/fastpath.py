@@ -27,7 +27,6 @@ from .cohomology import (
     sha,
 )
 from .errors import (
-    CapExceeded,
     NotACocycle,
     NotSurjective,
     ValidationError,
@@ -359,12 +358,11 @@ def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup
         return witness
     h_pts = h1(delta_v, n_tw, caps)
     witness.h1_local_structure = h_pts.invariant_factors
-    if h_pts.order > caps.element_scan:
-        raise CapExceeded("element_scan", caps.element_scan, h_pts.order)
-    for ycoords in _iter_coords(h_pts.invariant_factors):
-        if not any(ycoords):
-            continue
-        y = h_pts.element_table(np.array(ycoords, dtype=np.int64))
+    # the cup product is bilinear, so the generators decide it; the last
+    # generator with a nonzero cup is the lexicographically first nonzero
+    # class with one
+    for ycoords in np.eye(len(h_pts.invariant_factors), dtype=np.int64)[::-1]:
+        y = h_pts.element_table(ycoords)
         beta = cup_h1_h1(delta_v, nhat_tw, inflated, n_tw, y)
         if is_scalar_coboundary(delta_v, beta, e) is None:
             witness.cup_status = "WitnessPairFound"
@@ -372,10 +370,3 @@ def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup
             witness.cup_beta = beta
             break
     return witness
-
-
-def _iter_coords(factors):
-    if not factors:
-        return
-    for tup in np.ndindex(*factors):
-        yield tup

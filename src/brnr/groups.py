@@ -423,12 +423,6 @@ class AbelianModule:
         hom = np.asarray(hom, dtype=np.int64)
         return AbelianModule(self.invariant_factors, actor, self.action[hom])
 
-    def enumerate_vectors(self, cap: int = 200_000):
-        if self.order > cap:
-            raise OrderBound("element_scan", cap, self.order)
-        for tup in np.ndindex(*self.invariant_factors):
-            yield np.array(tup, dtype=np.int64)
-
     def to_table_group(self, caps: Caps = DEFAULT_CAPS) -> tuple[FiniteGroup, "GroupAction | None"]:
         """Tabulate the underlying group; also tabulates the action if present."""
         n = self.order

@@ -51,14 +51,18 @@ class LocalDatum:
     def validate(self, gal: GaloisDatum) -> None:
         D = self.delta_v
         if self.to_delta.shape != (D.order,):
-            raise ValidationError("structure map has wrong length")
+            raise ValidationError("structure map to_delta has wrong length")
+        out = np.nonzero((self.to_delta < 0) | (self.to_delta >= gal.delta.order))[0]
+        if out.size:
+            raise ValidationError(f"to_delta entries must lie in [0, {gal.delta.order})",
+                                  witness=int(self.to_delta[out[0]]))
         if self.to_delta[0] != 0:
-            raise ValidationError("structure map must preserve the identity")
+            raise ValidationError("structure map to_delta must preserve the identity")
         for a in range(D.order):
             for b in range(D.order):
                 if self.to_delta[int(D.mul[a, b])] != \
                         gal.delta.mul[self.to_delta[a], self.to_delta[b]]:
-                    raise ValidationError("structure map is not a homomorphism",
+                    raise ValidationError("structure map to_delta is not a homomorphism",
                                           witness=(a, b))
         gen_closure = D.closure(self.generators)
         if len(gen_closure) != D.order:

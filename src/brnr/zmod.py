@@ -47,28 +47,6 @@ def unit_scale(a: int, m: int) -> tuple[int, int]:
     raise AssertionError("unit lift must exist")  # unreachable
 
 
-@dataclass(frozen=True)
-class ZModMatrix:
-    """A rows x cols matrix over Z/m, entries reduced into [0, m)."""
-
-    modulus: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        ent = as_mod(self.entries, self.modulus)
-        if ent.ndim != 2:
-            raise ValueError("entries must be a 2-d array")
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -261,21 +239,6 @@ def smith_normal_form_raw(
         Q.mat.T if Q else None,
         Q.inv.T if (Q and Q.inv is not None) else None,
         (r, c),
-    )
-
-
-def smith_normal_form(A: ZModMatrix) -> tuple[ZModMatrix, ZModMatrix, ZModMatrix]:
-    """Return (D, U, V) with A = U @ D @ V mod m, U and V invertible mod m."""
-    snf = smith_normal_form_raw(A.entries, A.modulus, want_P=True, want_Pinv=True,
-                                want_Q=True, want_Qinv=True)
-    r, c = snf.shape
-    D = np.zeros((r, c), dtype=np.int64)
-    for i, d in enumerate(snf.diag):
-        D[i, i] = d
-    return (
-        ZModMatrix(A.modulus, D),
-        ZModMatrix(A.modulus, snf.Pinv),
-        ZModMatrix(A.modulus, snf.Qinv),
     )
 
 

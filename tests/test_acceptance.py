@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from brnr.caps import Caps
+from brnr.caps import DEFAULT_CAPS
 from brnr.cohomology import bockstein, dies_in_qz, h1, h2, scalar_module
 from brnr.engine import (
     _admissible_triples,
@@ -62,8 +62,6 @@ from brnr.localeval import (
     nonabelian_h1,
 )
 
-CAPS = Caps(element_scan=2**20)
-
 
 def report(criterion: str, passed: bool, extra: str = ""):
     status = "PASS" if passed else "FAIL"
@@ -77,9 +75,9 @@ def report(criterion: str, passed: bool, extra: str = ""):
 def test_criterion_1_augmentation_p2():
     t0 = time.time()
     ex = build_example_714(2)
-    H = h1(ex.sd.Q, ex.sd.N_hat, CAPS)
+    H = h1(ex.sd.Q, ex.sd.N_hat, DEFAULT_CAPS)
     ok_h1 = H.invariant_factors == (8,)
-    rep = sha1_bic(ex.sd, CAPS)
+    rep = sha1_bic(ex.sd, DEFAULT_CAPS)
     ok_sha = rep.invariant_factors == (2,)
     four_a = (4 * ex.a_table) % 8
     coords = H.coordinates(four_a)
@@ -98,7 +96,7 @@ def test_criterion_1_augmentation_p2():
 def test_criterion_2_augmentation_p3():
     t0 = time.time()
     ex = build_example_714(3)
-    rep = sha1_bic(ex.sd, CAPS)
+    rep = sha1_bic(ex.sd, DEFAULT_CAPS)
     elapsed = time.time() - t0
     report("criterion 2: p=3 Sha1_bic = [3]",
            rep.invariant_factors == (3,) and elapsed < 1800,
@@ -155,9 +153,9 @@ def test_criterion_3_fastpath_oracle_equivalence():
     all_ok = True
     details = []
     for name, sd in cases:
-        fast = sha1_bic(sd, CAPS)
-        G = semidirect_product(sd.N, sd.Q, caps=CAPS).group
-        slow = b0(G, CAPS)
+        fast = sha1_bic(sd, DEFAULT_CAPS)
+        G = semidirect_product(sd.N, sd.Q, caps=DEFAULT_CAPS).group
+        slow = b0(G, DEFAULT_CAPS)
         same = fast.invariant_factors == slow.invariant_factors
         all_ok = all_ok and same
         details.append(f"{name}(|G|={G.order}): "
@@ -227,8 +225,8 @@ def test_criterion_4a_brnr_equals_b0_up_to_32():
         else:
             G = make()
         gal = GaloisDatum.trivial(G)
-        lhs = br_nr(gal, CAPS).invariant_factors
-        rhs = b0(G, CAPS).invariant_factors
+        lhs = br_nr(gal, DEFAULT_CAPS).invariant_factors
+        rhs = b0(G, DEFAULT_CAPS).invariant_factors
         if lhs != rhs:
             bad.append((name, lhs, rhs))
     elapsed = time.time() - t0
@@ -336,7 +334,7 @@ def test_criterion_4b_order_64_nonzero_found_by_scan():
         if G is None:
             not_groups.append(tails)
             continue
-        rep = b0(G, CAPS)
+        rep = b0(G, DEFAULT_CAPS)
         if rep.invariant_factors:
             hit = (tails, G, rep)
             break
@@ -345,7 +343,7 @@ def test_criterion_4b_order_64_nonzero_found_by_scan():
     if hit is not None:
         tails, G, rep = hit
         gal = GaloisDatum.trivial(G)
-        full = br_nr(gal, CAPS)
+        full = br_nr(gal, DEFAULT_CAPS)
         ok_match = full.invariant_factors == rep.invariant_factors
         # CHKK 2010: B_0 = Z/2 for each order-64 group where it is nonzero
         ok_literature = rep.invariant_factors == (2,)
@@ -370,19 +368,33 @@ ORDER64_SCAN_PREFIX = [0, 19, 320, 339, 512]
 ORDER64_HIT_TAILS = 531
 
 
-def test_b0_of_order_64_hit_is_invariant_under_relabelling():
-    # metamorphic: B_0 is a group invariant, so renaming the elements of the
-    # criterion-4b hit must leave b0 = Z/2; its generator must also pass the
-    # per-subgroup reference, death in Q/Z on every bicyclic subgroup
+def _relabelled_order64_hits():
+    """The criterion-4b hit with its elements renamed, under seeds 1 and 2."""
     G = _order64_candidate(ORDER64_HIT_TAILS)
     for seed in (1, 2):
         rng = np.random.default_rng(seed)
         perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
         inv = np.argsort(perm)
-        H = group_from_table(perm[G.mul[np.ix_(inv, inv)]])
-        rep = b0(H, CAPS)
+        yield seed, group_from_table(perm[G.mul[np.ix_(inv, inv)]])
+
+
+def test_b0_of_order_64_hit_is_invariant_under_relabelling():
+    # metamorphic: B_0 is a group invariant, so renaming the elements of the
+    # criterion-4b hit must leave b0 = Z/2; its generator must also pass the
+    # per-subgroup reference, death in Q/Z on every bicyclic subgroup
+    for seed, H in _relabelled_order64_hits():
+        rep = b0(H, DEFAULT_CAPS)
         assert rep.invariant_factors == (2,), seed
         assert bogomolov_condition(rep.representatives[0])[0], seed
+
+
+def test_br_nr_of_order_64_hit_is_invariant_under_relabelling():
+    # the same for Br^0_nr over the trivial datum, a nonzero answer of the
+    # stacked kernel; its generator must pass the per-class reference
+    for seed, H in _relabelled_order64_hits():
+        rep = br_nr(GaloisDatum.trivial(H), DEFAULT_CAPS)
+        assert rep.invariant_factors == (2,), seed
+        assert is_unramified(rep.representatives[0]) == (True, None), seed
 
 
 # -- criterion 5: real-like vanishing ----------------------------------------
@@ -396,14 +408,14 @@ def test_criterion_5_real_field_vanishing():
         G = abelian_group(factors)
         gal = GaloisDatum.real_like(G)
         gal.validate()
-        got = br_nr(gal, CAPS).invariant_factors
+        got = br_nr(gal, DEFAULT_CAPS).invariant_factors
         if got != ():
             bad.append((tuple(factors), got))
     for factors in ([3], [9], [3, 3], [27], [3, 9], [3, 3, 3],
                     [5], [25], [5, 5], [7], [15], [21]):
         G = abelian_group(factors)
         gal = GaloisDatum.real_like(G)
-        got = br_nr(gal, CAPS).invariant_factors
+        got = br_nr(gal, DEFAULT_CAPS).invariant_factors
         if got != ():
             bad.append((tuple(factors), got))
     elapsed = time.time() - t0
@@ -444,7 +456,7 @@ def test_criterion_7_algebraic_vanishing():
         delta = cyclic_group(2)
         gal = GaloisDatum(delta, G, np.array([1, 1]),
                           GroupAction.trivial(delta, G), G.order)
-        got = algebraic_unramified(gal, CAPS).invariant_factors
+        got = algebraic_unramified(gal, DEFAULT_CAPS).invariant_factors
         if got != ():
             bad.append((G.name, got))
     elapsed = time.time() - t0
@@ -462,7 +474,7 @@ def test_criterion_8_evaluation_soundness():
     ok_base = True
     for G in (cyclic_group(4), symmetric_group(3), abelian_group([2, 2])):
         gal = GaloisDatum.trivial(G)
-        cm = class_module(gal, CAPS)
+        cm = class_module(gal, DEFAULT_CAPS)
         ld = LocalDatum("v", cyclic_group(2), np.zeros(2, dtype=np.int64))
         h0 = NonabelianCocycle(np.zeros(2, dtype=np.int64))
         for coords in cm._sub.all_coordinates():
@@ -473,14 +485,14 @@ def test_criterion_8_evaluation_soundness():
     # the p = 2 witness pipeline
     ex = build_example_714(2)
     gen = (4 * ex.a_table) % 8
-    w = local_witness(ex.sd, gen, ex.sd.Q, np.arange(8), caps=CAPS,
+    w = local_witness(ex.sd, gen, ex.sd.Q, np.arange(8), caps=DEFAULT_CAPS,
                       search_cup=False)
     ok_witness = w.verdict == "ObstructionWitnessed"
     entry = FastpathClassEntry("sha-gen", ex.sd, gen, ex.sd.group_order,
                                {"v2": w})
     trivial_gal = GaloisDatum.trivial(cyclic_group(2).subgroup_table([0])[0], N=1)
     ld = LocalDatum("v2", ex.sd.Q, np.zeros(8, dtype=np.int64))
-    rep = bm_report([entry], [ld], trivial_gal, CAPS)
+    rep = bm_report([entry], [ld], trivial_gal, DEFAULT_CAPS)
     counts = rep.counts()
     certified = any(pv.verdict == "NonzeroCertified"
                     for pv in rep.per_class["sha-gen"])
@@ -521,7 +533,7 @@ def test_criterion_9_closed_forms_vs_bruteforce():
     mismatches = []
     checked = 0
     for gal in data:
-        cm = class_module(gal, CAPS)
+        cm = class_module(gal, DEFAULT_CAPS)
         if not cm.invariant_factors:
             continue
         triples = list(_admissible_triples(gal))
@@ -544,7 +556,7 @@ def test_criterion_9_closed_forms_vs_bruteforce():
                 GaloisDatum.real_like(cyclic_group(2)),
                 GaloisDatum.trivial(abelian_group([2, 2]), N=2),
                 GaloisDatum.real_like(abelian_group([2, 2]), N=2)):
-        cm = class_module(gal, CAPS)
+        cm = class_module(gal, DEFAULT_CAPS)
         for coords in cm._sub.all_coordinates():
             ext = cm.element(np.asarray(coords))
             eg = extension_group(ext, validate_tables=False)
@@ -570,9 +582,9 @@ def test_criterion_9_closed_forms_vs_bruteforce():
     eval_bad = 0
     for gal in (GaloisDatum.real_like(cyclic_group(2)),
                 GaloisDatum.real_like(cyclic_group(4))):
-        cm = class_module(gal, CAPS)
+        cm = class_module(gal, DEFAULT_CAPS)
         ld = LocalDatum("v", gal.delta, np.arange(gal.delta.order))
-        points = nonabelian_h1(ld, gal, CAPS)
+        points = nonabelian_h1(ld, gal, DEFAULT_CAPS)
         for coords in cm._sub.all_coordinates():
             ext = cm.element(np.asarray(coords))
             eg = extension_group(ext, validate_tables=False)
@@ -614,7 +626,7 @@ def test_criterion_10_cohomology_kernel():
     bad = []
     for n in range(2, 13):
         for m in range(2, 13):
-            H = h2(cyclic_group(n), scalar_module(m), CAPS)
+            H = h2(cyclic_group(n), scalar_module(m), DEFAULT_CAPS)
             g = int(np.gcd(n, m))
             expect = () if g == 1 else (g,)
             if H.invariant_factors != expect:
@@ -628,11 +640,11 @@ def test_criterion_10_cohomology_kernel():
                     [2, 2, 2, 4], [2, 2, 2, 2, 2])
     for factors in abelian_list:
         G = abelian_group(factors)
-        if b0(G, CAPS).invariant_factors != ():
+        if b0(G, DEFAULT_CAPS).invariant_factors != ():
             bad.append(("b0", tuple(factors)))
     for G in (symmetric_group(3), dihedral_group(4), quaternion_group(),
               alternating_group(4)):
-        if b0(G, CAPS).invariant_factors != ():
+        if b0(G, DEFAULT_CAPS).invariant_factors != ():
             bad.append(("b0", G.name))
     elapsed = time.time() - t0
     report("criterion 10: H^2(Z/n, Z/m) = Z/gcd; B_0 = 0 for abelian <= 32 "

@@ -61,6 +61,21 @@ def test_worked_job_files_run_and_match_expectations(tmp_path):
     assert "NonzeroCertified" in out4
 
 
+def test_worked_job_reports_match_golden(capsys):
+    """`brnr run` on each worked job prints its report in tests/golden, timing aside.
+
+    When a report is meant to change, regenerate it with
+    `brnr run jobs/<job>.json > tests/golden/<job>.txt`.
+    """
+    golden_dir = REPO / "tests" / "golden"
+    jobs = sorted((REPO / "jobs").glob("*.json"))
+    assert [p.stem for p in jobs] == sorted(p.stem for p in golden_dir.glob("*.txt"))
+    for path in jobs:
+        assert main(["run", str(path)]) == 0
+        golden = (golden_dir / f"{path.stem}.txt").read_text()
+        assert strip_timing(capsys.readouterr().out) == strip_timing(golden), path.name
+
+
 def test_determinism_two_runs_byte_identical():
     text = (REPO / "jobs" / "real-order2.json").read_text()
     r1, _ = run_job(parse_job(text))
@@ -116,6 +131,9 @@ def test_bad_cap_overrides_are_validation_errors(tmp_path, capsys):
     job.write_text((REPO / "jobs" / "b0-z8.json").read_text())
     assert main(["run", str(job), "--cap", "nosuch=3"]) == 3
     assert "nosuch" in capsys.readouterr().err
+    # no class scan is left to bound
+    assert main(["run", str(job), "--cap", "element_scan=5"]) == 3
+    assert "element_scan" in capsys.readouterr().err
     assert main(["run", str(job), "--cap", "h2_group"]) == 3
     assert "h2_group" in capsys.readouterr().err
     bogus = tmp_path / "bogus.json"
@@ -141,6 +159,9 @@ Z2 = cyclic_group(2).mul.tolist()
     ({"task": "b0", "group": {"kind": "table", "table": Z2},
       "caps": {"table_group": -1}}, "table_group"),
     ({"task": "sha1bic", "group": {"kind": "example714", "p": 4}}, "p must be 2 or 3"),
+    ({"task": "bmreport", "group": {"kind": "table", "table": Z2},
+      "galois": {"kind": "real"},
+      "local": [{"delta_v_table": Z2, "to_delta": [7, 9]}]}, "to_delta"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"

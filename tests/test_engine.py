@@ -9,6 +9,7 @@ from brnr.engine import (
     BrauerReport,
     _admissible_triples,
     _galois_obstructions,
+    _kummer_quotient,
     algebraic_unramified,
     b0,
     bogomolov_condition,
@@ -152,6 +153,10 @@ FILTER_DATA = {
     "real D4": lambda: real_datum(dihedral_group(4)),
     "real Q8": lambda: real_datum(quaternion_group()),
     "trivial D4": lambda: GaloisDatum.trivial(dihedral_group(4)),
+    # only condition (i) acts here: elsewhere the Galois rows at d = 1
+    # already contain the commuting-pair conditions
+    "closed D4": lambda: GaloisDatum.trivial(dihedral_group(4),
+                                             base_algebraically_closed=True),
     "swap Z2xZ2": swap_datum,
     "twist Z2xZ4 k=2": lambda: twist_datum(abelian_group([2, 4]), 31),
 }
@@ -162,6 +167,26 @@ def test_linear_galois_filter_matches_per_class_bruteforce(name):
     """br_nr's obstruction matrix agrees with is_unramified on every class."""
     gal = FILTER_DATA[name]()
     assert br_nr(gal).invariant_factors == unramified_by_enumeration(gal)
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_DATA))
+def test_br_nr_verdict_per_quotient_generator(name):
+    """Each tested entry is the per-class verdict of one Kummer-quotient generator."""
+    gal = FILTER_DATA[name]()
+    report = br_nr(gal)
+    q_orders, gens = _kummer_quotient(report.ambient)
+    s = len(q_orders)
+    assert [coords for coords, _, _ in report.tested] == [
+        tuple(int(k == i) for k in range(s)) for i in range(s)]
+    for (_, ok, wit), ext in zip(report.tested, gens):
+        assert ok == is_unramified(ext)[0]
+        assert (wit is None) == ok
+        assert (not ok and wit[0] == "bogomolov") == (not bogomolov_condition(ext)[0])
+        if not ok and wit[0] == "bogomolov":
+            x, y = wit[1]
+            assert gal.G.mul[x, y] == gal.G.mul[y, x] and ext.f[x, y] != ext.f[y, x]
+        if not ok and wit[0] == "galois":
+            assert not galois_condition_single(ext, *wit[1])
 
 
 @pytest.mark.parametrize("name", ["real D4", "real Z2xZ4", "swap Z2xZ2",

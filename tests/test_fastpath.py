@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brnr.caps import Caps
-from brnr.cohomology import cocycle1_defect, h1
+from brnr.cohomology import cocycle1_defect, cup_h1_h1, h1, is_scalar_coboundary
 from brnr.engine import b0, bogomolov_condition, is_unramified
 from brnr.errors import CapExceeded, NotACocycle, NotSurjective, ValidationError
 from brnr.extensions import GaloisDatum, validate
@@ -249,3 +249,55 @@ def test_local_witness_bigger_quotient_inflates_nonzero():
     c_v = np.array([i >> 1 for i in range(16)], dtype=np.int64)
     w = local_witness(ex.sd, gen, D, c_v, search_cup=False)
     assert w.verdict == "ObstructionWitnessed"
+
+
+def cup_search_by_enumeration(sd, a_table, delta_v, c_v):
+    """The lexicographically first y in H^1(Delta_v, N) with [a] cup y != 0, or None.
+
+    The exhaustive reference for the cup-pair search of local_witness,
+    which reads the generators only.
+    """
+    nhat_tw = sd.N_hat.with_actor(delta_v, c_v)
+    n_tw = sd.N.with_actor(delta_v, c_v)
+    inflated = sd.N_hat.reduce(a_table)[c_v]
+    h_pts = h1(delta_v, n_tw)
+    for coords in np.ndindex(*h_pts.invariant_factors):
+        if not any(coords):
+            continue
+        y = h_pts.element_table(np.array(coords, dtype=np.int64))
+        beta = cup_h1_h1(delta_v, nhat_tw, inflated, n_tw, y)
+        if is_scalar_coboundary(delta_v, beta, sd.N.exponent) is None:
+            return y
+    return None
+
+
+def _cup_search_cases():
+    """(name, datum, a, Delta_v, c_v, the status the enumeration gives)."""
+    z2 = cyclic_group(2)
+    yield ("Z2", SemidirectDatum(z2, AbelianModule((2,))), np.array([[0], [1]]), z2, [0, 1],
+           "WitnessPairFound")
+    V = abelian_group([2, 2])
+    sd = SemidirectDatum(V, AbelianModule((2, 2)))
+    H = h1(V, sd.N_hat)
+    for coords in ((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0)):
+        a = H.element_table(np.array(coords))
+        for perm in ((1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2)):
+            yield f"V4 {coords} {perm}", sd, a, V, [0, *perm], "WitnessPairFound"
+    yield ("Z2 on Z4", SemidirectDatum(z2, AbelianModule((4,))), np.array([[0], [2]]),
+           z2, [0, 1], "NoneAtThisLevel")
+
+
+@pytest.mark.parametrize("case", list(_cup_search_cases()), ids=lambda case: case[0])
+def test_local_witness_cup_search_matches_enumeration(case):
+    _, sd, a, delta_v, c_v, status = case
+    c_v = np.array(c_v, dtype=np.int64)
+    w = local_witness(sd, a, delta_v, c_v, search_cup=True)
+    assert w.verdict == "ObstructionWitnessed"
+    expect = cup_search_by_enumeration(sd, a, delta_v, c_v)
+    assert w.cup_status == status == ("NoneAtThisLevel" if expect is None
+                                      else "WitnessPairFound")
+    if expect is None:
+        assert w.cup_point is None
+    else:
+        assert np.array_equal(w.cup_point.y_table, expect)
+        assert np.array_equal(w.cup_point.q_part, c_v)

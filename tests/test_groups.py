@@ -185,8 +185,9 @@ def test_module_dual_and_double_dual():
 def test_module_pairing_nondegenerate():
     M = AbelianModule((2, 4))
     seen = set()
-    for phi in M.enumerate_vectors():
-        row = tuple(M.pairing(phi, x) for x in M.enumerate_vectors())
+    vectors = [np.array(v, dtype=np.int64) for v in np.ndindex(*M.invariant_factors)]
+    for phi in vectors:
+        row = tuple(M.pairing(phi, x) for x in vectors)
         seen.add(row)
     assert len(seen) == M.order  # distinct characters give distinct rows
 

@@ -4,14 +4,12 @@ import pytest
 from brnr.zmod import (
     AbelianStructure,
     RowEchelon,
-    ZModMatrix,
     as_mod,
     cokernel,
     echelon_compress,
     gcd_with_modulus,
     intersect_submodules,
     kernel,
-    smith_normal_form,
     smith_normal_form_raw,
     solve,
     solve_many,
@@ -58,21 +56,31 @@ def test_unit_scale_exhaustive_small_moduli():
             assert d == (np.gcd(a, m) if a else 0)
 
 
-def test_snf_trivial_examples():
-    D, U, V = smith_normal_form(ZModMatrix(5, np.zeros((3, 3))))
-    assert not D.entries.any()
-    assert np.array_equal(U.entries, np.eye(3, dtype=np.int64))
-    assert np.array_equal(V.entries, np.eye(3, dtype=np.int64))
+def snf_full(A, m):
+    """(D, U, V) with A = U D V mod m, from the transforms of smith_normal_form_raw."""
+    snf = smith_normal_form_raw(A, m, want_P=True, want_Pinv=True,
+                                want_Q=True, want_Qinv=True)
+    D = np.zeros(snf.shape, dtype=np.int64)
+    for i, d in enumerate(snf.diag):
+        D[i, i] = d
+    return D, snf.Pinv, snf.Qinv
 
-    D, _, _ = smith_normal_form(ZModMatrix(4, [[2]]))
-    assert D.entries[0, 0] == 2
+
+def test_snf_trivial_examples():
+    D, U, V = snf_full(np.zeros((3, 3), dtype=np.int64), 5)
+    assert not D.any()
+    assert np.array_equal(U, np.eye(3, dtype=np.int64))
+    assert np.array_equal(V, np.eye(3, dtype=np.int64))
+
+    D, _, _ = snf_full(np.array([[2]]), 4)
+    assert D[0, 0] == 2
 
 
 def test_snf_reconstruction_example_mod_12():
-    A = ZModMatrix(12, [[2, 4], [4, 8]])
-    D, U, V = smith_normal_form(A)
-    assert list(np.diag(D.entries)) == [2, 0]
-    assert np.array_equal(U.entries @ D.entries @ V.entries % 12, A.entries)
+    A = np.array([[2, 4], [4, 8]])
+    D, U, V = snf_full(A, 12)
+    assert list(np.diag(D)) == [2, 0]
+    assert np.array_equal(U @ D @ V % 12, A)
 
 
 @pytest.mark.parametrize("m", MODULI)
@@ -100,12 +108,8 @@ def test_snf_reconstruction_large():
     rng = np.random.default_rng(7)
     for m in (8, 12):
         A = rng.integers(0, m, size=(40, 40))
-        snf = smith_normal_form_raw(A, m, want_P=True, want_Pinv=True,
-                                    want_Q=True, want_Qinv=True)
-        D = np.zeros((40, 40), dtype=np.int64)
-        for i, d in enumerate(snf.diag):
-            D[i, i] = d
-        assert np.array_equal(snf.Pinv @ D @ snf.Qinv % m, as_mod(A, m))
+        D, U, V = snf_full(A, m)
+        assert np.array_equal(U @ D @ V % m, as_mod(A, m))
 
 
 def test_solve_examples():
