@@ -159,8 +159,12 @@ def _build_galois(spec, G: FiniteGroup) -> GaloisDatum:
 
 def _build_local(spec) -> LocalDatum:
     delta_v = group_from_table(_ints(spec, "delta_v_table", "local", 2))
-    return LocalDatum(spec.get("label", "v"), delta_v, _ints(spec, "to_delta", "local", 1),
-                      tuple(spec.get("generators", ())))
+    to_delta = _ints(spec, "to_delta", "local", 1)
+    gens = _ints(spec, "generators", "local", 1) if "generators" in spec else ()
+    label = spec.get("label", "v")
+    if not isinstance(label, str):
+        raise ValidationError("local.label must be a string", witness=label)
+    return LocalDatum(label, delta_v, to_delta, tuple(map(int, gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +259,10 @@ def run_job(job: Job) -> tuple[str, int]:
         if not isinstance(local, list):
             raise ValidationError("local must be a list of objects", witness=local)
         data = [_build_local(spec) for spec in local]
+        labels = [ld.label for ld in data]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValidationError("local.label must be unique", witness=label)
         if sd is not None:
             gal = GaloisDatum.trivial(group_from_table([[0]]), N=1)
         elif group is None:
@@ -269,8 +277,7 @@ def run_job(job: Job) -> tuple[str, int]:
             witnesses: dict[str, Any] = {}
             if fast.invariant_factors:
                 gen = fast.cocycles[0]
-                for ld in data:
-                    spec = next(s for s in local if s.get("label", "v") == ld.label)
+                for spec, ld in zip(local, data):
                     c_v = _ints(spec, "c_v", "local", 1)
                     witnesses[ld.label] = local_witness(
                         sd, gen, ld.delta_v, c_v, caps=caps,

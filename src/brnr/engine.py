@@ -326,7 +326,10 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     fs = np.array([ge.f for ge in gens])
     cs = np.array([ge.c for ge in gens])
     pairs, S = commuting_pair_rows(gal.G, fs, N)
-    triples = [] if gal.base_algebraically_closed else list(_admissible_triples(gal))
+    # at d = 1 the obstruction is f(gamma, tau) - f(tau, gamma), a
+    # commuting-pair row already in S
+    triples = [] if gal.base_algebraically_closed else \
+        [t for t in _admissible_triples(gal) if t[0] != 0]
     A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
     witnesses = [("bogomolov", p) for p in pairs] + [("galois", t) for t in triples]
     # q_i times generator i is a Kummer class up to coboundaries, where both

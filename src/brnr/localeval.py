@@ -8,30 +8,33 @@ evaluating a class (f, c) at a point h gives the 2-cocycle
     beta(s, t) = c_s(h_t) + f(h_s, s.h_t)
 
 on Delta_v.  Verdicts are deliberately three-valued: Zero is certified by
-a coboundary witness; NonzeroCertified is reserved for the local-duality
+beta being a coboundary; NonzeroCertified is reserved for the local-duality
 pathway of the semidirect fast path; anything else is Unknown, because a
 nonzero finite-level class does not certify a nonzero local invariant.
+
+beta is linear in (f, c), and Zero means beta lies in the chi_v-twisted
+coboundary span, which depends on the place alone: bm_report enumerates
+each place's points once and reads every class at every point from one
+cokernel per place.  evaluate (one class, one point, one solve) is the
+reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .cohomology import is_scalar_coboundary
-from .errors import (
-    CapExceeded,
-    InvalidCocycle,
-    ValidationError,
-)
+from .cohomology import _coboundary_rows, is_scalar_coboundary
+from .errors import CapExceeded, InvalidCocycle, ValidationError
 from .extensions import EquivariantExtension, GaloisDatum
 from .fastpath import SemidirectDatum
 from .groups import FiniteGroup
-from .zmod import as_mod
+from .zmod import as_mod, cokernel
 
 
 @dataclass
@@ -58,14 +61,16 @@ class LocalDatum:
                                   witness=int(self.to_delta[out[0]]))
         if self.to_delta[0] != 0:
             raise ValidationError("structure map to_delta must preserve the identity")
-        for a in range(D.order):
-            for b in range(D.order):
-                if self.to_delta[int(D.mul[a, b])] != \
-                        gal.delta.mul[self.to_delta[a], self.to_delta[b]]:
-                    raise ValidationError("structure map to_delta is not a homomorphism",
-                                          witness=(a, b))
-        gen_closure = D.closure(self.generators)
-        if len(gen_closure) != D.order:
+        td = self.to_delta
+        bad = np.argwhere(td[D.mul] != gal.delta.mul[td[:, None], td])
+        if bad.size:
+            raise ValidationError("structure map to_delta is not a homomorphism",
+                                  witness=tuple(map(int, bad[0])))
+        out = [g for g in self.generators if not 0 <= g < D.order]
+        if out:
+            raise ValidationError(f"generators must lie in [0, {D.order})",
+                                  witness=int(out[0]))
+        if len(D.closure(self.generators)) != D.order:
             raise ValidationError("generating sequence does not generate")
 
     def chi_v(self, gal: GaloisDatum) -> np.ndarray:
@@ -87,22 +92,16 @@ class NonabelianCocycle:
 
 def cocycle_defect_nonabelian(ld: LocalDatum, gal: GaloisDatum,
                               table: np.ndarray) -> Optional[tuple[int, int]]:
-    D = ld.delta_v
-    G = gal.G
+    """First (s, t) with h(st) != h(s) * (s . h(t)), or None."""
     act = ld.action_v(gal)
-    for s in range(D.order):
-        hs = int(table[s])
-        for t in range(D.order):
-            lhs = int(table[int(D.mul[s, t])])
-            rhs = int(G.mul[hs, act[s, int(table[t])]])
-            if lhs != rhs:
-                return (s, t)
-    return None
+    s = np.arange(ld.delta_v.order)[:, None]
+    bad = np.argwhere(table[ld.delta_v.mul] != gal.G.mul[table[s], act[s, table]])
+    return tuple(map(int, bad[0])) if bad.size else None
 
 
 def nonabelian_h1(ld: LocalDatum, gal: GaloisDatum,
                   caps: Caps = DEFAULT_CAPS) -> list[NonabelianCocycle]:
-    """All twisted-cocycle classes, one lexicographically-least table each.
+    """All twisted-cocycle classes, one table each, the least by byte key.
 
     Generator images are enumerated, propagated along a fixed generator
     factorization, and the full cocycle law is then verified exhaustively;
@@ -120,44 +119,26 @@ def nonabelian_h1(ld: LocalDatum, gal: GaloisDatum,
     # factorization: BFS from identity by right-multiplication with gens
     parent: dict[int, tuple[int, int]] = {}
     order_out = [0]
-    seen = {0}
-    qi = 0
-    while qi < len(order_out):
-        x = order_out[qi]
-        qi += 1
+    for x in order_out:
         for gi, s in enumerate(gens):
             y = int(D.mul[x, s])
-            if y not in seen:
-                seen.add(y)
+            if y and y not in parent:
                 parent[y] = (x, gi)
                 order_out.append(y)
 
     classes: dict[bytes, np.ndarray] = {}
     for images in itertools.product(range(G.order), repeat=len(gens)):
         h = np.zeros(D.order, dtype=np.int64)
-        ok = True
         for y in order_out[1:]:
             x, gi = parent[y]
             # h(x * s) = h(x) * (x . h(s))
             h[y] = G.mul[h[x], act[x, images[gi]]]
-        for gi, s in enumerate(gens):
-            if h[s] != images[gi]:
-                ok = False
-                break
-        if ok and cocycle_defect_nonabelian(ld, gal, h) is not None:
-            ok = False
-        if not ok:
+        if (h[gens] != images).any() or cocycle_defect_nonabelian(ld, gal, h) is not None:
             continue
-        # orbit under twisted conjugation; keep the lex-least table
-        best = None
-        for g in range(G.order):
-            gi_ = int(G.inv[g])
-            conj = np.array([G.mul[G.mul[gi_, h[s]], act[s, g]]
-                             for s in range(D.order)], dtype=np.int64)
-            key = conj.tobytes()
-            if best is None or key < best[0]:
-                best = (key, conj)
-        classes.setdefault(best[0], best[1])
+        # orbit under twisted conjugation, row g = g^-1 h(s) (s.g); keep the
+        # least table by byte key
+        best = min(G.mul[G.mul[G.inv[:, None], h], act.T], key=lambda t: t.tobytes())
+        classes.setdefault(best.tobytes(), best)
     ordered = sorted(classes.values(), key=lambda t: t.tobytes())
     return [NonabelianCocycle(t) for t in ordered]
 
@@ -171,6 +152,10 @@ NONZERO_CERTIFIED = "NonzeroCertified"
 UNKNOWN = "Unknown"
 
 
+_DETAILS = {ZERO: "coboundary witness found",
+            UNKNOWN: "nonzero at this finite level; not a certificate"}
+
+
 @dataclass
 class EvaluationResult:
     beta: np.ndarray | None
@@ -178,31 +163,27 @@ class EvaluationResult:
     detail: str = ""
 
 
-def _beta_table(ext: EquivariantExtension, ld: LocalDatum,
-                h: np.ndarray) -> np.ndarray:
-    gal = ext.gal
-    D = ld.delta_v
+def _beta_tables(fs: np.ndarray, cs: np.ndarray, ld: LocalDatum, gal: GaloisDatum,
+                 h: np.ndarray) -> np.ndarray:
+    """beta_k(s, t) = c_k,s(h_t) + f_k(h_s, s.h_t) mod N for a stack of pairs.
+
+    fs is (k, |G|, |G|), cs is (k, |Delta|, |G|); the result is (k, |D_v|, |D_v|).
+    """
     act = ld.action_v(gal)
-    c_loc = ext.c[ld.to_delta]
-    nD = D.order
-    beta = np.zeros((nD, nD), dtype=np.int64)
-    for s in range(nD):
-        hs = int(h[s])
-        beta[s] = (c_loc[s, h] + ext.f[hs, act[s, h]]) % gal.N
-    beta[0, :] = 0
-    beta[:, 0] = 0
+    s = np.arange(ld.delta_v.order)[:, None]
+    beta = (cs[:, ld.to_delta[s], h] + fs[:, h[s], act[s, h]]) % gal.N
+    beta[:, 0, :] = 0
+    beta[:, :, 0] = 0
     return beta
 
 
-def _twisted_two_cocycle_defect(D: FiniteGroup, beta: np.ndarray,
+def _twisted_two_cocycle_defect(D: FiniteGroup, betas: np.ndarray,
                                 units: np.ndarray, m: int) -> Optional[tuple]:
-    for s in range(D.order):
-        lhs = (units[s] * beta) % m
-        lhs = lhs - beta[D.mul[s]] + beta[s][D.mul] - beta[s][:, None]
-        bad = np.argwhere(lhs % m)
-        if bad.size:
-            return (s, int(bad[0][0]), int(bad[0][1]))
-    return None
+    """First (k, s, t, u) where u(s) b(t, u) - b(st, u) + b(s, tu) - b(s, t) != 0."""
+    lhs = (units[:, None, None] * betas[:, None] - betas[:, D.mul]
+           + betas[:, :, D.mul] - betas[..., None])
+    bad = np.argwhere(lhs % m)
+    return tuple(map(int, bad[0])) if bad.size else None
 
 
 def evaluate(ext: EquivariantExtension, ld: LocalDatum,
@@ -220,17 +201,14 @@ def evaluate(ext: EquivariantExtension, ld: LocalDatum,
     if defect is not None:
         raise InvalidCocycle("point table violates the twisted cocycle law",
                              witness=defect)
-    beta = _beta_table(ext, ld, h.table)
+    beta = _beta_tables(ext.f[None], ext.c[None], ld, gal, h.table)
     chi_v = as_mod(ld.chi_v(gal), gal.N)
     defect2 = _twisted_two_cocycle_defect(ld.delta_v, beta, chi_v, gal.N)
     if defect2 is not None:
-        raise AssertionError(f"evaluation table is not a 2-cocycle at {defect2}")
-    units = None if (chi_v == 1 % gal.N).all() else chi_v
-    b = is_scalar_coboundary(ld.delta_v, beta, gal.N, units=units)
-    if b is not None:
-        return EvaluationResult(beta, ZERO, "coboundary witness found")
-    return EvaluationResult(beta, UNKNOWN,
-                            "nonzero at this finite level; not a certificate")
+        raise AssertionError(f"evaluation table is not a 2-cocycle at {defect2[1:]}")
+    verdict = UNKNOWN if is_scalar_coboundary(ld.delta_v, beta[0], gal.N,
+                                              units=chi_v) is None else ZERO
+    return EvaluationResult(beta[0], verdict, _DETAILS[verdict])
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +226,36 @@ class PointVerdict:
 
 @dataclass
 class ClassEntry:
-    """A table-level Brauer class evaluated over the enumerated local points."""
+    """A table-level Brauer class; bm_report evaluates all of them per place."""
 
     label: str
     ext: EquivariantExtension
 
-    def verdicts_for(self, ld: LocalDatum, gal: GaloisDatum,
-                     caps: Caps) -> list[PointVerdict]:
-        out = []
-        points = nonabelian_h1(ld, gal, caps)
-        for i, h in enumerate(points):
-            res = evaluate(self.ext, ld, h)
-            label = "base" if not h.table.any() else f"h{i}"
-            out.append(PointVerdict(ld.label, label, res.verdict, res.detail))
-        return out
+
+def _place_verdicts(exts: list[EquivariantExtension], ld: LocalDatum,
+                    gal: GaloisDatum, caps: Caps) -> list[list[PointVerdict]]:
+    """Verdicts of every table-level class at every point of one place.
+
+    A beta is Zero iff it dies in the cokernel of the chi_v-twisted
+    coboundary map on Delta_v, so one cokernel serves every class and point.
+    """
+    D, N = ld.delta_v, gal.N
+    chi_v = as_mod(ld.chi_v(gal), N)
+    coker = cokernel(_coboundary_rows(D, N, chi_v), N)
+    fs = np.array([e.f for e in exts])
+    cs = np.array([e.c for e in exts])
+    out: list[list[PointVerdict]] = [[] for _ in exts]
+    for i, h in enumerate(nonabelian_h1(ld, gal, caps)):
+        betas = _beta_tables(fs, cs, ld, gal, h.table)
+        defect = _twisted_two_cocycle_defect(D, betas, chi_v, N)
+        if defect is not None:
+            raise AssertionError(f"evaluation table is not a 2-cocycle at {defect}")
+        zero = ~coker.project(betas[:, 1:, 1:].reshape(len(exts), -1).T).any(axis=0)
+        label = "base" if not h.table.any() else f"h{i}"
+        for rows, z in zip(out, zero):
+            verdict = ZERO if z else UNKNOWN
+            rows.append(PointVerdict(ld.label, label, verdict, _DETAILS[verdict]))
+    return out
 
 
 def theta_point_beta(sd: SemidirectDatum, a_table: np.ndarray, modulus: int,
@@ -273,15 +267,9 @@ def theta_point_beta(sd: SemidirectDatum, a_table: np.ndarray, modulus: int,
     Nothing about G is tabulated; this is what makes huge N workable.
     """
     e = sd.N.exponent
-    scale = modulus // e
-    nD = c_v.shape[0]
-    qinv = sd.Q.inv
     e_over_d = np.array([e // d for d in sd.N.invariant_factors], dtype=np.int64)
-    beta = np.zeros((nD, nD), dtype=np.int64)
-    a_table = sd.N_hat.reduce(a_table)
-    for s in range(nD):
-        phi = a_table[int(qinv[c_v[s]])]
-        beta[s] = (y_table @ (phi * e_over_d)) % e * scale % modulus
+    phi = sd.N_hat.reduce(a_table)[sd.Q.inv[c_v]] * e_over_d    # row s: a(c_v(s)^-1)
+    beta = (phi @ np.asarray(y_table, dtype=np.int64).T) % e * (modulus // e) % modulus
     beta[0, :] = 0
     beta[:, 0] = 0
     return beta
@@ -350,38 +338,34 @@ def bm_report(entries: list[ClassEntry], data: list[LocalDatum], gal: GaloisDatu
     listed are evaluation-trivial for unramified classes and carry no
     constraint.
     """
-    per_class: dict[str, list[PointVerdict]] = {}
+    tables = [e.ext for e in entries if isinstance(e, ClassEntry)]
+    rows: list[list[PointVerdict]] = [[] for _ in entries]
     per_place_points: dict[str, dict[str, dict[str, str]]] = {}
-    for entry in entries:
-        rows = []
-        for ld in data:
-            for pv in entry.verdicts_for(ld, gal, caps):
-                rows.append(pv)
+    for ld in data:
+        at_place = iter(_place_verdicts(tables, ld, gal, caps) if tables else ())
+        for entry, out in zip(entries, rows):
+            pvs = (next(at_place) if isinstance(entry, ClassEntry)
+                   else entry.verdicts_for(ld, gal, caps))
+            out.extend(pvs)
+            for pv in pvs:
                 per_place_points.setdefault(ld.label, {}).setdefault(
                     pv.point_label, {})[entry.label] = pv.verdict
-        per_class[entry.label] = rows
+    per_class = {entry.label: out for entry, out in zip(entries, rows)}
 
     place_labels = [ld.label for ld in data]
-    axes = []
-    for place in place_labels:
-        axes.append(sorted(per_place_points.get(place, {"base": {}}).keys()))
-    n_tuples = 1
-    for ax in axes:
-        n_tuples *= max(len(ax), 1)
+    axes = [sorted(per_place_points.get(place, {"base": {}})) for place in place_labels]
+    n_tuples = math.prod(len(ax) for ax in axes)
     if n_tuples > caps.local_tuples:
         raise CapExceeded("local_tuples", caps.local_tuples, n_tuples)
-    rows = []
-    for combo in itertools.product(*axes) if axes else [()]:
-        verdicts = []
-        for place, point in zip(place_labels, combo):
-            verdicts.extend(per_place_points.get(place, {}).get(point, {}).values())
-        if not entries:
-            status = "Admissible"
-        elif any(v == NONZERO_CERTIFIED for v in verdicts):
+    tuple_rows = []
+    for combo in itertools.product(*axes):
+        verdicts = [v for place, point in zip(place_labels, combo)
+                    for v in per_place_points.get(place, {}).get(point, {}).values()]
+        if NONZERO_CERTIFIED in verdicts:
             status = "Excluded"
         elif all(v == ZERO for v in verdicts):
             status = "Admissible"
         else:
             status = "Undetermined"
-        rows.append((combo, status))
-    return BMReport(place_labels, per_class, rows)
+        tuple_rows.append((combo, status))
+    return BMReport(place_labels, per_class, tuple_rows)

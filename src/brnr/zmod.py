@@ -446,12 +446,11 @@ class AbelianStructure:
     _proj_rows: np.ndarray            # r x ambient_dim (rows of P for kept factors)
 
     def project(self, vec: np.ndarray) -> np.ndarray:
+        """Coordinates of a vector, or of each column of a matrix."""
         vec = as_mod(vec, self.modulus)
-        if not self.invariant_factors:
-            return np.zeros(0, dtype=np.int64)
         coords = self._proj_rows @ vec % self.modulus
         mods = np.array(self.invariant_factors, dtype=np.int64)
-        return coords % mods
+        return coords % mods.reshape((-1,) + (1,) * (vec.ndim - 1))
 
     def is_zero(self, vec: np.ndarray) -> bool:
         return not self.project(vec).any()

@@ -145,6 +145,9 @@ def test_bad_cap_overrides_are_validation_errors(tmp_path, capsys):
 
 
 Z2 = cyclic_group(2).mul.tolist()
+BM_REAL = {"task": "bmreport", "group": {"kind": "table", "table": Z2},
+           "galois": {"kind": "real"}}
+PLACE = {"delta_v_table": Z2, "to_delta": [0, 1]}
 
 
 @pytest.mark.parametrize("job, field", [
@@ -162,6 +165,14 @@ Z2 = cyclic_group(2).mul.tolist()
     ({"task": "bmreport", "group": {"kind": "table", "table": Z2},
       "galois": {"kind": "real"},
       "local": [{"delta_v_table": Z2, "to_delta": [7, 9]}]}, "to_delta"),
+    ({**BM_REAL, "local": [{**PLACE, "generators": 5}]}, "local.generators"),
+    ({**BM_REAL, "local": [{**PLACE, "generators": [7]}]}, "generators"),
+    ({**BM_REAL, "local": [{**PLACE, "generators": ["a"]}]}, "local.generators"),
+    ({**BM_REAL, "local": [{**PLACE, "label": [1]}]}, "local.label"),
+    ({**BM_REAL, "local": [{**PLACE, "label": "v"}, PLACE]}, "local.label"),
+    ({"task": "bmreport", "group": {"kind": "example714", "p": 2},
+      "local": [{"label": "v2", "delta_v_table": [[i ^ j for j in range(8)] for i in range(8)],
+                 "to_delta": [0] * 8, "c_v": [0, 1, 2, 3, 4, 5, 6, 99]}]}, "c_v"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"

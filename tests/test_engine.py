@@ -153,8 +153,8 @@ FILTER_DATA = {
     "real D4": lambda: real_datum(dihedral_group(4)),
     "real Q8": lambda: real_datum(quaternion_group()),
     "trivial D4": lambda: GaloisDatum.trivial(dihedral_group(4)),
-    # only condition (i) acts here: elsewhere the Galois rows at d = 1
-    # already contain the commuting-pair conditions
+    # only condition (i) acts here; br_nr drops the Galois rows at d = 1,
+    # so on every datum condition (i) comes from the commuting-pair rows alone
     "closed D4": lambda: GaloisDatum.trivial(dihedral_group(4),
                                              base_algebraically_closed=True),
     "swap Z2xZ2": swap_datum,

@@ -22,6 +22,7 @@ from brnr.groups import (
     GroupAction,
     abelian_group,
     cyclic_group,
+    dihedral_group,
     semidirect_product,
 )
 
@@ -249,6 +250,33 @@ def test_local_witness_bigger_quotient_inflates_nonzero():
     c_v = np.array([i >> 1 for i in range(16)], dtype=np.int64)
     w = local_witness(ex.sd, gen, D, c_v, search_cup=False)
     assert w.verdict == "ObstructionWitnessed"
+
+
+def test_local_witness_structure_map_checks():
+    """First non-homomorphic pair as the old double loop found it; range checked."""
+    V = abelian_group([2, 2])
+    sd = SemidirectDatum(V, AbelianModule((2, 2)))
+    a = h1(V, sd.N_hat).element_table(np.array([0, 0, 0, 1]))
+    rng = np.random.default_rng(3)
+    D4 = dihedral_group(4)
+    for D, maps in ((cyclic_group(4), itertools.product(range(4), repeat=3)),
+                    (V, itertools.product(range(4), repeat=3)),
+                    (D4, rng.integers(0, 4, size=(200, 7)))):
+        for tail in maps:
+            c_v = np.array((0, *tail))
+            expect = None
+            for x in range(D.order):
+                for y in range(D.order):
+                    if expect is None and c_v[D.mul[x, y]] != V.mul[c_v[x], c_v[y]]:
+                        expect = (x, y)
+            if expect is None:
+                continue
+            with pytest.raises(ValidationError) as err:
+                local_witness(sd, a, D, c_v, search_cup=False)
+            assert err.value.witness == expect
+    for c_v in ([0, 1, 2, 4], [0, 1, 2, -1]):
+        with pytest.raises(ValidationError, match="c_v"):
+            local_witness(sd, a, V, np.array(c_v), search_cup=False)
 
 
 def cup_search_by_enumeration(sd, a_table, delta_v, c_v):

@@ -13,11 +13,15 @@ from brnr.extensions import (
     class_module,
     zero_extension,
 )
+from brnr.fastpath import SemidirectDatum
 from brnr.groups import (
+    AbelianModule,
     GroupAction,
     abelian_group,
     cyclic_group,
+    dihedral_group,
     group_from_table,
+    quaternion_group,
     symmetric_group,
 )
 from brnr.localeval import (
@@ -25,6 +29,7 @@ from brnr.localeval import (
     FastpathClassEntry,
     LocalDatum,
     NonabelianCocycle,
+    PointVerdict,
     bm_report,
     cocycle_defect_nonabelian,
     evaluate,
@@ -242,3 +247,194 @@ def test_fastpath_entry_produces_excluded_row():
     ld = LocalDatum("v2", ex.sd.Q, np.zeros(8, dtype=np.int64))
     rep = bm_report([entry], [ld], trivial)
     assert rep.counts()["Excluded"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# one cokernel per place against per-point evaluate; vectorised checks
+# against loops
+# ---------------------------------------------------------------------------
+
+
+def swap_datum(chi: int) -> GaloisDatum:
+    """Order-2 Galois group swapping the factors of Z/2 x Z/2, chi(sigma) = chi."""
+    V = abelian_group([2, 2])
+    delta = cyclic_group(2)
+    gal = GaloisDatum(delta, V, np.array([1, chi % 16]),
+                      GroupAction(delta, V, np.array([[0, 1, 2, 3], [0, 2, 1, 3]])), 4)
+    gal.validate()
+    return gal
+
+
+def d4_outer_datum() -> GaloisDatum:
+    """Order-2 Galois group acting on D4 by an involutive outer automorphism."""
+    G = dihedral_group(4)
+    inner = {tuple(G.mul[G.mul[g]][:, G.inv[g]]) for g in range(8)}
+    for perm in itertools.permutations(range(1, 8)):
+        a = np.array((0,) + perm)
+        if (np.array_equal(a[G.mul], G.mul[a[:, None], a])
+                and np.array_equal(a[a], np.arange(8)) and tuple(a) not in inner):
+            break
+    else:
+        raise AssertionError("D4 has an involutive outer automorphism")
+    delta = cyclic_group(2)
+    gal = GaloisDatum(delta, G, np.array([1, 63]),
+                      GroupAction(delta, G, np.array([np.arange(8), a])))
+    gal.validate()
+    return gal
+
+
+def places_onto(gal) -> list[LocalDatum]:
+    """A Z/2, a Z/4 and a (Z/2)^2 place mapped onto Delta (of order 1 or 2)."""
+    on = gal.delta.order - 1
+    data = [LocalDatum("Z2", cyclic_group(2), [0, on]),
+            LocalDatum("Z4", cyclic_group(4), [0, on, 0, on]),
+            LocalDatum("V4", abelian_group([2, 2]), [0, on, on, 0])]
+    for ld in data:
+        ld.validate(gal)
+    return data
+
+
+def point_labels(ld, gal) -> dict:
+    return {"base" if not h.table.any() else f"h{i}": h
+            for i, h in enumerate(nonabelian_h1(ld, gal))}
+
+
+BM_DATA = {
+    "real D4": lambda: GaloisDatum.real_like(dihedral_group(4)),
+    "real Q8": lambda: GaloisDatum.real_like(quaternion_group()),
+    "real Z2xZ4": lambda: GaloisDatum.real_like(abelian_group([2, 4])),
+    "trivial S3": lambda: GaloisDatum.trivial(symmetric_group(3)),
+    "swap chi=1": lambda: swap_datum(1),
+    "swap chi=-1": lambda: swap_datum(-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BM_DATA))
+def test_bm_report_matches_per_point_evaluate(name):
+    """The per-place cokernel gives evaluate's verdict for every class and point."""
+    gal = BM_DATA[name]()
+    data = places_onto(gal)
+    cm = class_module(gal)
+    entries = [ClassEntry(f"c{i}", cm.element(np.array(x))) for i, x in enumerate(
+        itertools.islice(itertools.product(*map(range, cm.invariant_factors)), 32))]
+    rep = bm_report(entries, data, gal)
+    points = {ld.label: point_labels(ld, gal) for ld in data}
+    by_label = {ld.label: ld for ld in data}
+    seen = set()
+    for entry in entries:
+        rows = rep.per_class[entry.label]
+        assert [(pv.place, pv.point_label) for pv in rows] == [
+            (ld.label, label) for ld in data for label in points[ld.label]]
+        for pv in rows:
+            ld, h = by_label[pv.place], points[pv.place][pv.point_label].table
+            res = evaluate(entry.ext, ld, NonabelianCocycle(h))
+            assert (pv.verdict, pv.detail) == (res.verdict, res.detail)
+            seen.add(pv.verdict)
+            act = ld.action_v(gal)
+            f, c = entry.ext.f, entry.ext.c
+            for s, t in itertools.product(range(1, ld.delta_v.order), repeat=2):
+                assert res.beta[s, t] == (c[ld.to_delta[s], h[t]]
+                                          + f[h[s], act[s, h[t]]]) % gal.N
+    # nonzero betas occur on every datum but Q8, under chi_v = 1 and -1
+    assert seen == ({"Zero"} if name == "real Q8" else {"Zero", "Unknown"})
+    at_point: dict = {}
+    for rows in rep.per_class.values():
+        for pv in rows:
+            at_point.setdefault((pv.place, pv.point_label), []).append(pv.verdict)
+    assert [combo for combo, _ in rep.tuple_rows] == list(
+        itertools.product(*(sorted(points[ld.label]) for ld in data)))
+    for combo, status in rep.tuple_rows:
+        verdicts = [v for place, point in zip(rep.places, combo)
+                    for v in at_point[place, point]]
+        assert status == ("Excluded" if "NonzeroCertified" in verdicts
+                          else "Admissible" if set(verdicts) == {"Zero"}
+                          else "Undetermined")
+
+
+def test_bm_report_keeps_entry_order_with_mixed_entries():
+    gal = GaloisDatum.real_like(dihedral_group(4))
+    data = places_onto(gal)
+    cm = class_module(gal)
+    Q = cyclic_group(2)
+    sd = SemidirectDatum(Q, AbelianModule((4,), Q, np.array([[[1]], [[3]]])))
+    fast = [FastpathClassEntry(label, sd, np.zeros((2, 1), dtype=np.int64), 8)
+            for label in ("a", "c")]
+    tables = [ClassEntry(label, cm.element(np.array(x)))
+              for label, x in (("b", [1] * len(cm.invariant_factors)),
+                               ("d", [0] * len(cm.invariant_factors)))]
+    rep = bm_report([fast[0], tables[0], fast[1], tables[1]], data, gal)
+    assert list(rep.per_class) == ["a", "b", "c", "d"]
+    alone = bm_report(tables, data, gal)
+    assert rep.per_class["b"] == alone.per_class["b"]
+    assert rep.per_class["d"] == alone.per_class["d"]
+    assert rep.per_class["a"] == rep.per_class["c"] == [
+        PointVerdict(ld.label, "base", "Zero", "neutral point") for ld in data]
+
+
+def first_defect_by_loops(ld, gal, table):
+    """The first (s, t) with h(st) != h(s) (s.h(t)), scanning s, then t."""
+    D, G = ld.delta_v, gal.G
+    act = ld.action_v(gal)
+    for s in range(D.order):
+        for t in range(D.order):
+            if table[D.mul[s, t]] != G.mul[table[s], act[s, table[t]]]:
+                return (s, t)
+    return None
+
+
+H1_DATA = {"swap Z2xZ2": lambda: swap_datum(-1), "outer D4": d4_outer_datum}
+
+
+@pytest.mark.parametrize("name", sorted(H1_DATA))
+def test_nonabelian_h1_matches_exhaustive_orbits(name):
+    """All maps Delta_v -> G, cocycles kept, least byte key per orbit."""
+    gal = H1_DATA[name]()
+    G = gal.G
+    V = abelian_group([2, 2])
+    data = places_onto(gal) + [LocalDatum("V4 half", V, [0, 1, 0, 1]),
+                               LocalDatum("V4 off", V, [0, 0, 0, 0])]
+    counts = []
+    for ld in data:
+        D = ld.delta_v
+        act = ld.action_v(gal)
+        reps = set()
+        for table in itertools.product(range(G.order), repeat=D.order):
+            h = np.array(table, dtype=np.int64)
+            defect = first_defect_by_loops(ld, gal, h)
+            assert cocycle_defect_nonabelian(ld, gal, h) == defect
+            if defect is not None:
+                continue
+            orbit = [np.array([G.mul[G.mul[G.inv[g], h[s]], act[s, g]]
+                               for s in range(D.order)], dtype=np.int64)
+                     for g in range(G.order)]
+            reps.add(min(t.tobytes() for t in orbit))
+        assert [h.table.tobytes() for h in nonabelian_h1(ld, gal)] == sorted(reps)
+        counts.append(len(reps))
+    assert max(counts) > 2
+
+
+def test_structure_map_check_reports_the_first_failing_pair():
+    gal = d4_outer_datum()
+    for D in (cyclic_group(4), abelian_group([2, 2]), dihedral_group(4)):
+        for tail in itertools.product(range(2), repeat=D.order - 1):
+            td = np.array((0,) + tail)
+            expect = None
+            for a in range(D.order):
+                for b in range(D.order):
+                    if expect is None and \
+                            td[D.mul[a, b]] != gal.delta.mul[td[a], td[b]]:
+                        expect = (a, b)
+            ld = LocalDatum("v", D, td)
+            if expect is None:
+                ld.validate(gal)
+                continue
+            with pytest.raises(ValidationError) as err:
+                ld.validate(gal)
+            assert err.value.witness == expect
+
+
+def test_local_datum_rejects_generators_out_of_range():
+    gal = GaloisDatum.real_like(cyclic_group(2))
+    for gens in ((7,), (-1,), (1, 4)):
+        with pytest.raises(ValidationError, match="generators"):
+            LocalDatum("v", cyclic_group(4), [0, 1, 0, 1], gens).validate(gal)

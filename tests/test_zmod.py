@@ -182,6 +182,10 @@ def test_cokernel_matches_brute_force(m):
             assert np.array_equal(coords, expect)
         for j in range(c):
             assert st.is_zero(A[:, j])
+        # a matrix projects column by column
+        X = rng.integers(0, m, size=(r, 3))
+        assert np.array_equal(st.project(X), np.array([st.project(x) for x in X.T]).T
+                              .reshape(len(st.invariant_factors), 3))
         # multiset of coordinate orders equals multiset of coset orders
         add = lambda a, b: tuple((np.array(a) + np.array(b)) % m)
         cosets: dict[tuple, tuple] = {}
