@@ -19,7 +19,6 @@ from typing import Any
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .cohomology import h1
 from .engine import algebraic_unramified, b0, br_nr, sha2_ab
 from .errors import BrnrError, CapError, ParseError, ValidationError
 from .extensions import GaloisDatum
@@ -40,7 +39,7 @@ from .groups import (
 )
 from .localeval import ClassEntry, FastpathClassEntry, LocalDatum, bm_report
 
-TASKS = ("b0", "brnr", "sha1bic", "algebraic", "evaluate", "bmreport", "sha2ab")
+TASKS = ("b0", "brnr", "sha1bic", "algebraic", "bmreport", "sha2ab")
 
 
 @dataclass
@@ -230,7 +229,7 @@ def run_job(job: Job) -> tuple[str, int]:
         rep = sha1_bic(sd, caps)
         lines.append(f"Sha1_bic(Q, N^) = {_fmt_factors(rep.invariant_factors)}")
         if example is not None:
-            amb = h1(sd.Q, sd.N_hat, caps)
+            amb = rep.ambient
             gen = (example.expected_generator_multiple * example.a_table) \
                 % sd.N_hat.exponent
             coords = amb.coordinates(gen)
@@ -254,7 +253,7 @@ def run_job(job: Job) -> tuple[str, int]:
         rep = sha2_ab(group, m, caps)
         lines.append(f"Sha2_ab(G, Z/{m}) = {_fmt_factors(rep.invariant_factors)}")
 
-    elif task in ("evaluate", "bmreport"):
+    elif task == "bmreport":
         local = raw.get("local", [])
         if not isinstance(local, list):
             raise ValidationError("local must be a list of objects", witness=local)

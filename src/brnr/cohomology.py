@@ -6,22 +6,24 @@ kernel-mod-image of the bar-resolution coboundary maps, all over Z/m where
 m is the exponent of the coefficient module (mixed invariant factors are
 handled by scaling each equation row into Z/m).
 
-For scalar coefficients with trivial action there is a second H^2 route
-that first eliminates most unknowns: a normalized 2-cocycle is determined
-by its values f(y, s) with s in a fixed generating set, and the cocycle
-identity with the third argument restricted to generators implies the
-general one.  That route handles base groups far beyond the dense one.
-The class module of extensions.py reuses its cocycle rows
-(``ReducedCocycleSpace.c1_batches``) and its scalar coboundary matrix
-(``_coboundary_rows``), which every scalar coboundary test also builds on.
+Cocycle and coboundary questions are asked on generator rows: a
+normalized cocycle is fixed by its values with the last argument in a
+generating set, and satisfies the cocycle identity once it does there.
+``_coboundary_rows`` is the one builder of d1 (module coefficients; a unit
+twist is a rank-1 module); ``h1`` reads its rows (g, s), s a generator.
+For scalar coefficients with trivial action, ``h2_trivial_scalar`` keeps
+only the unknowns f(y, s) and handles base groups far beyond the dense
+route; the class module of extensions.py reuses its cocycle rows
+(``ReducedCocycleSpace.c1_batches``).  ``is_scalar_coboundary`` and the
+dense ``h2`` keep every row, as independent references.
 
-Literal death of classes on a family of subgroups (the Sha filters) runs
-through one per-subgroup kernel, ``_death_kernel``, intersected over the
-family by ``death_lattice``.  Death in Q/Z on every bicyclic subgroup (B_0
-and the Bogomolov condition of the engine) needs no subgroups at all: a
-central extension of an abelian group by the divisible group Q/Z splits
-iff it is abelian, so a class dies there iff f(x, y) = f(y, x) mod N for
-every commuting pair, one row each in ``commuting_pair_rows``.
+Literal death of classes on a family of subgroups (the Sha filters) is one
+stacked kernel, ``death_lattice``, with one cokernel per subgroup.  Death
+in Q/Z on every bicyclic subgroup (B_0 and the Bogomolov condition of the
+engine) needs no subgroups at all: a central extension of an abelian group
+by the divisible group Q/Z splits iff it is abelian, so a class dies there
+iff f(x, y) = f(y, x) mod N for every commuting pair, one row each in
+``commuting_pair_rows``.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .zmod import (
     RowEchelon,
     SubquotientModule,
     as_mod,
+    cokernel,
     echelon_compress,
-    intersect_submodules,
     kernel,
     solve,
     subquotient,
@@ -143,29 +145,6 @@ def _lattice_columns(dim_blocks: int, M: AbelianModule) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
-def _d1_matrix_rows(G: FiniteGroup, M: AbelianModule):
-    """Yield batches of scaled rows of d1 : C^1 -> C^2."""
-    n, r, m = G.order, M.rank, M.exponent
-    dim1 = (n - 1) * r
-    scales = _row_scales(M)
-    for g in range(1, n):
-        Ag = M.matrix(g)
-        rows = np.zeros(((n - 1) * r, dim1), dtype=np.int64)
-        for h in range(1, n):
-            base = (h - 1) * r
-            blk = rows[base : base + r]
-            # + g . a(h)
-            blk[:, (h - 1) * r : h * r] += Ag
-            # - a(gh)
-            gh = int(G.mul[g, h])
-            if gh != 0:
-                blk[np.arange(r), (gh - 1) * r + np.arange(r)] -= 1
-            # + a(g)
-            blk[np.arange(r), (g - 1) * r + np.arange(r)] += 1
-            blk *= scales[:, None]
-        yield rows % m
-
-
 def _d0_columns(G: FiniteGroup, M: AbelianModule) -> np.ndarray:
     """Columns of d0 : M -> C^1, (d0 v)(g) = g.v - v."""
     n, r = G.order, M.rank
@@ -203,24 +182,31 @@ def _d2_matrix_rows(G: FiniteGroup, M: AbelianModule):
         yield rows * np.tile(scales, n - 1)[:, None] % m
 
 
-def _coboundary_rows(B: FiniteGroup, m: int, units: np.ndarray | None = None,
-                     second=None) -> np.ndarray:
-    """Matrix of d1 on scalar 1-cochains: b -> u(g) b(h) - b(gh) + b(g) mod m.
+def _coboundary_rows(B: FiniteGroup, M: AbelianModule | int, second=None) -> np.ndarray:
+    """Scaled matrix of d1 on 1-cochains: a -> g.a(h) - a(gh) + a(g) mod exp(M).
 
     Rows are the pairs (g, h) with g != 1 outer and h inner, h running over
-    the elements != 1 or over ``second``; columns are b(1), ..., b(|B|-1).
-    ``units`` twists the action (u = 1 without it).
+    the elements != 1 or over ``second``, then the coordinates i of M, each
+    scaled into Z/exp(M) by exp(M)/d_i; columns are a(1), ..., a(|B|-1),
+    coordinate inner.  An integer m stands for Z/m with trivial action; a
+    unit twist u(g) is the rank-1 module ``scalar_module(m, B, u)``.
     """
     n = B.order
+    if isinstance(M, AbelianModule):
+        r, m, acts, scales = M.rank, M.exponent, M.action, _row_scales(M)
+    else:
+        r, m, acts, scales = 1, M, None, np.ones(1, dtype=np.int64)
     hs = np.arange(1, n) if second is None else np.asarray(second, dtype=np.int64)
-    u = np.ones(n, dtype=np.int64) if units is None else np.asarray(units, dtype=np.int64)
+    eye = np.eye(r, dtype=np.int64)
+    acts = np.broadcast_to(eye, (n, r, r)) if acts is None else acts
     g = np.arange(1, n)[:, None]
     h = np.arange(len(hs))[None, :]
-    out = np.zeros((n - 1, len(hs), n), dtype=np.int64)   # column 0 is b(1) = 0
-    out[g - 1, h, hs[None, :]] += u[g]
-    out[g - 1, h, g] += 1
-    out[g - 1, h, B.mul[g, hs[None, :]]] -= 1
-    return out[:, :, 1:].reshape((n - 1) * len(hs), n - 1) % m
+    out = np.zeros((n - 1, len(hs), r, n, r), dtype=np.int64)   # block 0 is a(1) = 0
+    out[g - 1, h, :, hs[None, :], :] += acts[1:, None]
+    out[g - 1, h, :, g, :] += eye
+    out[g - 1, h, :, B.mul[g, hs[None, :]], :] -= eye
+    out *= scales[:, None, None]
+    return out[:, :, :, 1:].reshape((n - 1) * len(hs) * r, (n - 1) * r) % m
 
 
 def _twist_rows(act: np.ndarray, chi: np.ndarray, m: int) -> np.ndarray:
@@ -288,12 +274,19 @@ class CohomologyGroup:
 
 
 def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
-    """H^1(G, M) = Z^1/B^1 on normalized 1-cochains."""
+    """H^1(G, M) = Z^1/B^1 on normalized 1-cochains.
+
+    Z^1 is cut out by the rows (g, s) of d1 with s in a generating set, one
+    batch per generator: if a(gs) = a(g) + g.a(s) for every g and every
+    generator s, then a(gh) = a(g) + g.a(h) for every h, by induction on
+    the length of h as a word in the generators.
+    """
     n, r, m = G.order, M.rank, M.exponent
     dim1 = (n - 1) * r
     if dim1 > caps.class_module_unknowns:
         raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim1)
-    W = _kernel_from_batches(_d1_matrix_rows(G, M), dim1, m)
+    W = _kernel_from_batches((_coboundary_rows(G, M, second=[s])
+                              for s in G.minimal_generators()), dim1, m)
     R = np.hstack([_d0_columns(G, M), _lattice_columns(n - 1, M)])
     sub = subquotient(W, R, m)
     reps = [M.reduce(_table1_of_vec(sub.generator_lifts[:, i], n, r))
@@ -474,7 +467,7 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
 
 
 # ---------------------------------------------------------------------------
-# Tate H^0, restriction, Q/Z death, Sha filters
+# Tate H^0, restriction, Q/Z death
 # ---------------------------------------------------------------------------
 
 
@@ -513,14 +506,6 @@ def tate_h0(G: FiniteGroup, M: AbelianModule) -> TateH0:
     return TateH0(sub.invariant_factors, reps, sub)
 
 
-def restrict_cochain(table: np.ndarray, elements: np.ndarray, degree: int) -> np.ndarray:
-    """Slice a cochain table to a subgroup (indices must be sorted)."""
-    elements = np.asarray(elements, dtype=np.int64)
-    if degree == 1:
-        return table[elements]
-    return table[np.ix_(elements, elements)]
-
-
 def subgroup_module(M: AbelianModule, H: FiniteGroup, elements: np.ndarray) -> AbelianModule:
     """The coefficient module viewed over a subgroup of its actor."""
     if M.action is None:
@@ -551,7 +536,8 @@ def is_scalar_coboundary(B: FiniteGroup, table: np.ndarray, m: int,
     table = as_mod(table, m).reshape(n, n)
     if n == 1:
         return np.zeros(1, dtype=np.int64)
-    res = solve(_coboundary_rows(B, m, units), _vec_of_table2(table), m)
+    coeffs = m if units is None or m == 1 else scalar_module(m, B, units)
+    res = solve(_coboundary_rows(B, coeffs), _vec_of_table2(table), m)
     if res is None:
         return None
     b = np.zeros(n, dtype=np.int64)
@@ -671,47 +657,44 @@ def _unscale_column(col: np.ndarray, orders: tuple[int, ...], N: int) -> np.ndar
     return x
 
 
-def _death_kernel(tables: list[np.ndarray], orders: tuple[int, ...], N: int,
-                  B: FiniteGroup, elements: np.ndarray,
-                  module: AbelianModule | None = None) -> np.ndarray:
-    """Scaled class vectors x whose combination of ``tables`` dies on B.
-
-    With ``module``, tables are 1-cocycles valued in it, and dying means
-    that the restriction is d0 v over B.  Without it, tables are scalar
-    2-cocycles mod N (trivial action), and dying means that the restriction
-    is d1 b mod N.  The kernel is computed jointly in x and the witness,
-    then projected onto x.
-    """
-    if module is not None:
-        V = [_vec_of_table1(restrict_cochain(tab, elements, 1)) for tab in tables]
-        D = _d0_columns(B, subgroup_module(module, B, elements))
-        row_scales = np.tile(_row_scales(module), B.order - 1)[:, None]
-    else:
-        V = [_vec_of_table2(restrict_cochain(tab, elements, 2)) for tab in tables]
-        D = _coboundary_rows(B, N)
-        row_scales = 1
-    sysmat = np.hstack([np.array(V, dtype=np.int64).T, -D]) * row_scales % N
-    return _scaled_columns(kernel(sysmat, N)[:len(tables)], orders, N)
-
-
 def death_lattice(G: FiniteGroup, subgroups, tables: list[np.ndarray],
                   orders: tuple[int, ...], N: int,
                   module: AbelianModule | None = None) -> np.ndarray:
     """Scaled vectors (columns in (Z/N)^t) of the classes dying on every subgroup.
 
-    A class is sum x_j [tables[j]] with x_j mod orders[j]; ``module`` and
-    death are as in ``_death_kernel``.
+    A class is sum x_j [tables[j]] with x_j mod orders[j].  With ``module``,
+    tables are 1-cocycles valued in it and dying on B means restricting to
+    d0 v; without it, they are scalar 2-cocycles mod N (trivial action) and
+    dying means restricting to d1 b.  The restriction minus a coboundary is
+    a cocycle, which vanishes iff it vanishes on the rows at B's generators;
+    so the class dies on B iff those rows vanish in the cokernel of B's
+    coboundary map on them.  Each cokernel coordinate, scaled by N/f, is one
+    row; one kernel of all rows gives the lattice, in echelon (Howell) form.
     """
-    current = _scaled_columns(np.eye(len(orders), dtype=np.int64), orders, N)
+    T = np.asarray(tables, dtype=np.int64)
+    blocks = [np.zeros((0, len(orders)), dtype=np.int64)]
     for elems in subgroups:
         if len(elems) == 1:
             continue
         B, idx = G.subgroup_table(elems)
-        gens = _death_kernel(tables, orders, N, B, idx, module)
-        current = intersect_submodules(current, gens, N)
-        if current.shape[1] == 0:
-            break
-    return current
+        gens = B.minimal_generators()
+        if module is not None:
+            r = module.rank
+            sel = ((np.array(gens)[:, None] - 1) * r + np.arange(r)).reshape(-1)
+            scales = np.tile(_row_scales(module), len(gens))[:, None]
+            D = _d0_columns(B, subgroup_module(module, B, idx))[sel] * scales
+            V = T[:, idx[gens]].reshape(len(tables), -1).T * scales
+        else:
+            D = _coboundary_rows(B, N, second=gens)
+            V = T[:, idx[1:, None], idx[gens]].reshape(len(tables), -1).T
+        coker = cokernel(D, N)
+        f = np.array(coker.invariant_factors, dtype=np.int64)
+        blocks.append(coker.project(V) * (N // f)[:, None] % N)
+    S = np.vstack(blocks)
+    if (S * np.array(orders, dtype=np.int64) % N).any():
+        raise AssertionError("death rows are not defined on classes")
+    lattice = _scaled_columns(kernel(S, N), orders, N)
+    return echelon_compress(lattice.T, N).T
 
 
 def commuting_pair_rows(G: FiniteGroup, tables,

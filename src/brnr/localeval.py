@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .cohomology import _coboundary_rows, is_scalar_coboundary
+from .cohomology import _coboundary_rows, is_scalar_coboundary, scalar_module
 from .errors import CapExceeded, InvalidCocycle, ValidationError
 from .extensions import EquivariantExtension, GaloisDatum
 from .fastpath import SemidirectDatum
@@ -238,10 +238,15 @@ def _place_verdicts(exts: list[EquivariantExtension], ld: LocalDatum,
 
     A beta is Zero iff it dies in the cokernel of the chi_v-twisted
     coboundary map on Delta_v, so one cokernel serves every class and point.
+    It is asked on the rows (s, t) with t in ``ld.generators``: beta minus
+    a twisted coboundary is a twisted 2-cocycle, which vanishes iff it
+    vanishes on those rows.
     """
     D, N = ld.delta_v, gal.N
     chi_v = as_mod(ld.chi_v(gal), N)
-    coker = cokernel(_coboundary_rows(D, N, chi_v), N)
+    gens = list(ld.generators)
+    coeffs = scalar_module(N, D, chi_v) if N > 1 else N
+    coker = cokernel(_coboundary_rows(D, coeffs, second=gens), N)
     fs = np.array([e.f for e in exts])
     cs = np.array([e.c for e in exts])
     out: list[list[PointVerdict]] = [[] for _ in exts]
@@ -250,7 +255,7 @@ def _place_verdicts(exts: list[EquivariantExtension], ld: LocalDatum,
         defect = _twisted_two_cocycle_defect(D, betas, chi_v, N)
         if defect is not None:
             raise AssertionError(f"evaluation table is not a 2-cocycle at {defect}")
-        zero = ~coker.project(betas[:, 1:, 1:].reshape(len(exts), -1).T).any(axis=0)
+        zero = ~coker.project(betas[:, 1:, gens].reshape(len(exts), -1).T).any(axis=0)
         label = "base" if not h.table.any() else f"h{i}"
         for rows, z in zip(out, zero):
             verdict = ZERO if z else UNKNOWN

@@ -13,13 +13,20 @@ import itertools
 import numpy as np
 
 from .cohomology import (
+    _FAMILIES,
+    ShaResult,
+    _d0_columns,
+    _row_scales,
     _scaled_columns,
     bockstein,
     bogomolov_lattice,
     dies_in_qz,
     h1,
     h2,
+    is_scalar_coboundary,
     scalar_module,
+    sha,
+    subgroup_module,
 )
 from .engine import (
     b0,
@@ -236,6 +243,37 @@ def check_augmentation_example_p2():
     _assert(coords is not None and coords.any(), "4[a] must be the generator")
 
 
+def classes_dying_by_full_rows(res: ShaResult) -> set[tuple[int, ...]]:
+    """Ambient coordinates of the classes that restrict to a coboundary on
+    every subgroup of the family, each restriction solved on every row."""
+    amb = res.ambient
+    G, M, N = amb.group, amb.module, amb.module.exponent
+    subgroups = [G.subgroup_table(e) for e in _FAMILIES[res.family](G) if len(e) > 1]
+
+    def dies(table, B, idx) -> bool:
+        if res.degree == 2:
+            return is_scalar_coboundary(B, table[np.ix_(idx, idx)][:, :, 0], N) is not None
+        scales = np.tile(_row_scales(M), B.order - 1)
+        D = _d0_columns(B, subgroup_module(M, B, idx)) * scales[:, None]
+        return solve(D, table[idx][1:].reshape(-1) * scales, N) is not None
+
+    return {x for x in itertools.product(*(range(o) for o in amb.invariant_factors))
+            if all(dies(amb.element_table(x), B, idx) for B, idx in subgroups)}
+
+
+def check_sha_vs_per_class_restriction():
+    # the stacked death kernel passes exactly the classes whose restriction
+    # to every subgroup of the family is a coboundary
+    ex = build_example_714(2)
+    for res in (sha(ex.sd.Q, ex.sd.N_hat, 1, "bic"),
+                sha(abelian_group([2, 4]), scalar_module(4), 2, "cyc")):
+        orders = np.array(res.ambient.invariant_factors)
+        span = {tuple(sum(int(c) * v for c, v in zip(cs, res.coordinates_in_ambient)) % orders)
+                for cs in itertools.product(*(range(f) for f in res.invariant_factors))}
+        _assert(res.invariant_factors and classes_dying_by_full_rows(res) == span,
+                f"Sha_{res.family} disagrees with per-class restriction on {res.ambient.group}")
+
+
 def check_fastpath_oracle_equivalence():
     Q = cyclic_group(2)
     M = AbelianModule((4,), Q, np.array([[[1]], [[3]]]))
@@ -284,6 +322,7 @@ CHECKS = [
     ("splitting solver vs section search", check_splitting_vs_section_search),
     ("order-2 real-like regression", check_remark_real_case),
     ("group-ring example, p = 2", check_augmentation_example_p2),
+    ("Sha stacked kernel vs per-class restriction", check_sha_vs_per_class_restriction),
     ("fast path vs engine on a dihedral case", check_fastpath_oracle_equivalence),
     ("extension coordinate formula vs direct construction",
      check_extension_formula_cross_validation),

@@ -541,36 +541,6 @@ def solve_many(A: np.ndarray, B: np.ndarray, m: int) -> Optional[np.ndarray]:
     return snf.Q @ Y % m
 
 
-def submodule_invariants(gens: np.ndarray, m: int) -> tuple[int, ...]:
-    """Invariant factors (ascending divisibility) of the column span of gens."""
-    gens = as_mod(gens, m)
-    if m <= 1 or gens.size == 0 or not gens.any():
-        return ()
-    if gens.shape[1] > 2 * gens.shape[0] + 16:
-        gens = echelon_compress(gens.T, m).T
-    snf = smith_normal_form_raw(gens, m, want_P=False, want_Q=False)
-    factors = sorted(
-        (m // g for d in snf.diag if (g := gcd_with_modulus(int(d), m)) != m),
-        reverse=True,
-    )
-    factors = [f for f in factors if f > 1]
-    return tuple(reversed(factors))
-
-
-def intersect_submodules(G1: np.ndarray, G2: np.ndarray, m: int) -> np.ndarray:
-    """Generators of colspan(G1) intersect colspan(G2)."""
-    G1 = as_mod(G1, m)
-    G2 = as_mod(G2, m)
-    if G1.shape[1] == 0 or G2.shape[1] == 0:
-        return np.zeros((G1.shape[0], 0), dtype=np.int64)
-    stacked = np.hstack([G1, (-G2) % m])
-    K = kernel(stacked, m)
-    gens = G1 @ K[: G1.shape[1]] % m
-    if gens.any():
-        return echelon_compress(gens.T, m).T
-    return np.zeros((G1.shape[0], 0), dtype=np.int64)
-
-
 @dataclass
 class SubquotientModule:
     """W / R for submodules R <= W <= (Z/m)^n, with ambient coordinates.

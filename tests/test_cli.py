@@ -173,6 +173,8 @@ PLACE = {"delta_v_table": Z2, "to_delta": [0, 1]}
     ({"task": "bmreport", "group": {"kind": "example714", "p": 2},
       "local": [{"label": "v2", "delta_v_table": [[i ^ j for j in range(8)] for i in range(8)],
                  "to_delta": [0] * 8, "c_v": [0, 1, 2, 3, 4, 5, 6, 99]}]}, "c_v"),
+    # one report, one task: evaluate was a second name for bmreport
+    ({**BM_REAL, "task": "evaluate", "local": [PLACE]}, "task must be one of"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"

@@ -16,12 +16,15 @@ from brnr.groups import (
 )
 from brnr.cohomology import (
     _coboundary_rows,
+    _row_scales,
     _scaled_columns,
+    _table1_of_vec,
     _twist_rows,
     bockstein,
     bogomolov_lattice,
     character_group_generators,
     coboundary1,
+    cocycle1_defect,
     cocycle2_defect,
     cup_h1_h1,
     dies_in_qz,
@@ -29,7 +32,6 @@ from brnr.cohomology import (
     h2,
     h2_trivial_scalar,
     is_scalar_coboundary,
-    restrict_cochain,
     scalar_module,
     sha,
     subgroup_module,
@@ -37,7 +39,9 @@ from brnr.cohomology import (
 )
 from brnr.engine import b0
 from brnr.errors import NotACocycle, NotEquivariant
-from brnr.zmod import solve
+from brnr.fastpath import build_example_714
+from brnr.selfchecks import classes_dying_by_full_rows
+from brnr.zmod import kernel, solve
 
 
 def brute_h2_order(G: FiniteGroup, m: int) -> int:
@@ -100,6 +104,81 @@ def test_h1_z2_negating_z4():
     cob = sorted({(2 * v) % 4 for v in range(4)})
     assert cob == [0, 2]
     assert H.order == len(cocycles) // len(cob)
+
+
+def _sign_units(G: FiniteGroup, m: int) -> np.ndarray:
+    """u(g) = -1 outside the kernel of the first character of Hom(G, Z/2)."""
+    phi = character_group_generators(G, 2)[0]
+    return (1 - 2 * phi) % m
+
+
+def _swap_module(G: FiniteGroup, d: int) -> AbelianModule:
+    """(Z/d)^2 with the elements outside the kernel of a character swapping."""
+    phi = character_group_generators(G, 2)[0]
+    swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    return AbelianModule((d, d), G, np.array([swap if p else np.eye(2, dtype=np.int64)
+                                              for p in phi]))
+
+
+def _trivial_module(G: FiniteGroup, factors) -> AbelianModule:
+    return AbelianModule(tuple(factors), G,
+                         np.tile(np.eye(len(factors), dtype=np.int64), (G.order, 1, 1)))
+
+
+# nontrivial actions, a nonabelian actor, and mixed invariant factors
+H1_DATA = {
+    "S3 sign Z/4": lambda: (symmetric_group(3), scalar_module(4, symmetric_group(3),
+                                                             _sign_units(symmetric_group(3), 4))),
+    "S3 sign Z/6": lambda: (symmetric_group(3), scalar_module(6, symmetric_group(3),
+                                                             _sign_units(symmetric_group(3), 6))),
+    "Z2 swap (Z/2)^2": lambda: (cyclic_group(2), _swap_module(cyclic_group(2), 2)),
+    "Z2 swap (Z/4)^2": lambda: (cyclic_group(2), _swap_module(cyclic_group(2), 4)),
+    "D4 swap (Z/2)^2": lambda: (dihedral_group(4), _swap_module(dihedral_group(4), 2)),
+    "Z4 trivial Z2xZ4": lambda: (cyclic_group(4), _trivial_module(cyclic_group(4), (2, 4))),
+    "Z2xZ4 trivial Z/4": lambda: (abelian_group([2, 4]),
+                                  _trivial_module(abelian_group([2, 4]), (4,))),
+    "Z2 shear Z2xZ4": lambda: (cyclic_group(2), AbelianModule(
+        (2, 4), cyclic_group(2), np.array([np.eye(2, dtype=np.int64), [[1, 0], [2, 1]]]))),
+}
+
+
+def brute_h1_order(G: FiniteGroup, M: AbelianModule) -> int:
+    """|H^1(G, M)| = |Z^1| / |B^1| by enumerating all normalized 1-cochains."""
+    n = G.order
+    assert M.order ** (n - 1) <= 20_000, "brute force only for tiny cases"
+    vecs = np.array(list(itertools.product(*(range(d) for d in M.invariant_factors))),
+                    dtype=np.int64)
+    a = np.zeros((len(vecs) ** (n - 1), n, M.rank), dtype=np.int64)
+    a[:, 1:] = vecs[np.array(list(itertools.product(range(len(vecs)), repeat=n - 1)))]
+    acts = np.array([M.matrix(g) for g in range(n)])
+    lhs = np.einsum("gij,khj->kghi", acts, a) - a[:, G.mul] + a[:, :, None, :]
+    n_cocycles = int((~M.reduce(lhs).any(axis=(1, 2, 3))).sum())
+    coboundaries = {M.reduce(np.einsum("gij,j->gi", acts, v) - v).tobytes() for v in vecs}
+    return n_cocycles // len(coboundaries)
+
+
+@pytest.mark.parametrize("name", sorted(H1_DATA))
+def test_h1_matches_bruteforce(name):
+    # Z^1 is cut out by the generator rows of d1 alone: its order matches
+    # enumeration, and every kernel column of those rows is a full cocycle
+    G, M = H1_DATA[name]()
+    H = h1(G, M)
+    assert H.order == brute_h1_order(G, M)
+    rows = np.vstack([_coboundary_rows(G, M, second=[s]) for s in G.minimal_generators()])
+    K = kernel(rows, M.exponent)
+    for j in range(K.shape[1]):
+        assert cocycle1_defect(G, M, _table1_of_vec(K[:, j], G.order, M.rank)) is None
+    for i, rep in enumerate(H.representatives):
+        assert cocycle1_defect(G, M, rep) is None
+        assert np.array_equal(H.coordinates(rep), np.eye(len(H.invariant_factors))[i])
+
+
+def test_h1_of_group_ring_example():
+    ex = build_example_714(2)
+    H = h1(ex.sd.Q, ex.sd.N_hat)
+    assert H.invariant_factors == ex.expected_h1
+    for rep in H.representatives:
+        assert cocycle1_defect(ex.sd.Q, ex.sd.N_hat, rep) is None
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4)])
@@ -193,7 +272,7 @@ def test_restriction_to_trivial_subgroup_is_zero():
     G = cyclic_group(4)
     H2 = h2(G, scalar_module(4))
     rep = H2.representatives[0]
-    sub = restrict_cochain(rep, np.array([0]), 2)
+    sub = rep[np.ix_([0], [0])]
     assert not sub.any()
 
 
@@ -204,7 +283,7 @@ def test_restrict_h2_generator_of_z4_to_z2():
     elems = np.array([0, 2])
     B, idx = G.subgroup_table(elems)
     rep = H2.representatives[0]
-    restricted = restrict_cochain(rep[:, :, 0], idx, 2)
+    restricted = rep[np.ix_(idx, idx)][:, :, 0]
     # brute-force: is the restriction a coboundary mod 4 on Z/2?
     witness = is_scalar_coboundary(B, restricted, 4)
     HB = h2(B, scalar_module(4))
@@ -385,12 +464,16 @@ def test_coboundary_rows_match_coboundary1_columns():
             a = np.zeros((n, 1), dtype=np.int64)
             a[b, 0] = 1
             ref[:, b - 1] = coboundary1(G, M, a)[1:, 1:, 0].reshape(-1)
-        assert np.array_equal(_coboundary_rows(G, m, units), ref)
+        assert np.array_equal(_coboundary_rows(G, M), ref)
         plain = coboundary1(G, scalar_module(m), np.eye(n, dtype=np.int64)[:, 1:2])
-        assert np.array_equal(_coboundary_rows(G, m)[:, 0], plain[1:, 1:, 0].reshape(-1))
+        assert np.array_equal(_coboundary_rows(G, scalar_module(m))[:, 0],
+                              plain[1:, 1:, 0].reshape(-1))
         gens = G.minimal_generators()
         sel = np.array([(y - 1) * (n - 1) + s - 1 for y in range(1, n) for s in gens])
-        assert np.array_equal(_coboundary_rows(G, m, units, second=gens), ref[sel])
+        assert np.array_equal(_coboundary_rows(G, M, second=gens), ref[sel])
+    # Z/1 needs no module object
+    Z1 = _coboundary_rows(cyclic_group(2), 1)
+    assert Z1.shape == (1, 1) and not Z1.any()
 
 
 def test_twist_rows_match_loop():
@@ -440,6 +523,69 @@ def test_qz_death_lattice_matches_dies_in_qz(name):
         expect = all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics)
         vec = _scaled_columns(np.array(x).reshape(-1, 1), orders, N)[:, 0]
         assert (solve(lattice, vec, N) is not None) == expect, x
+
+
+def _example_714_data():
+    ex = build_example_714(2)
+    return ex.sd.Q, ex.sd.N_hat
+
+
+# (group and module, degree, family): Sha != 0 first, then Sha = 0 with
+# a nonzero ambient group, then Sha equal to the ambient group
+SHA_DATA = {
+    "714 p=2 bic": (_example_714_data, 1, "bic"),
+    "714 p=2 cyc": (_example_714_data, 1, "cyc"),
+    "Z2xZ4 mod 4 cyc": (lambda: (abelian_group([2, 4]), scalar_module(4)), 2, "cyc"),
+    "Z2^3 mod 4 cyc": (lambda: (abelian_group([2, 2, 2]), scalar_module(4)), 2, "cyc"),
+    "Z4xZ4 mod 16 cyc": (lambda: (abelian_group([4, 4]), scalar_module(16)), 2, "cyc"),
+    "S4 mod 24 cyc": (lambda: (symmetric_group(4), scalar_module(24)), 2, "cyc"),
+    "S3 sign Z/6 cyc": (H1_DATA["S3 sign Z/6"], 1, "cyc"),
+    "D4 swap (Z/2)^2 bic": (H1_DATA["D4 swap (Z/2)^2"], 1, "bic"),
+    "Z4 trivial Z2xZ4 bic": (H1_DATA["Z4 trivial Z2xZ4"], 1, "bic"),
+    "Z2xZ4 mod 4 ab": (lambda: (abelian_group([2, 4]), scalar_module(4)), 2, "ab"),
+    "S3 mod 24 cyc": (lambda: (symmetric_group(3), scalar_module(24)), 2, "cyc"),
+    "Q8 mod 2 ab": (lambda: (quaternion_group(), scalar_module(2)), 2, "ab"),
+}
+
+@pytest.mark.parametrize("name", list(SHA_DATA))
+def test_sha_matches_per_class_restriction(name):
+    # the stacked death kernel passes exactly the classes whose restriction
+    # to every subgroup of the family is a coboundary, solved on every row
+    make, degree, family = SHA_DATA[name]
+    G, M = make()
+    res = sha(G, M, degree, family)
+    orders = res.ambient.invariant_factors
+    assert orders
+    span = {tuple(sum(int(c) * np.asarray(v) for c, v in zip(cs, res.coordinates_in_ambient))
+                  % np.array(orders))
+            for cs in itertools.product(*(range(f) for f in res.invariant_factors))}
+    assert classes_dying_by_full_rows(res) == span
+    assert len(span) == res.order
+
+
+def test_coboundary_rows_module_coefficients():
+    # rank > 1, mixed invariant factors: row (g, h, i) of d1 scaled by exp/d_i
+    Z2 = cyclic_group(2)
+    cases = [(symmetric_group(3), _swap_module(symmetric_group(3), 4)),
+             (Z2, H1_DATA["Z2 shear Z2xZ4"]()[1]),
+             (cyclic_group(4), _trivial_module(cyclic_group(4), (2, 4))),
+             (Z2, AbelianModule((2, 4)))]
+    for G, M in cases:
+        n, r, m = G.order, M.rank, M.exponent
+        scales = np.tile(_row_scales(M), (n - 1) ** 2)
+        ref = np.zeros(((n - 1) ** 2 * r, (n - 1) * r), dtype=np.int64)
+        for col in range((n - 1) * r):
+            a = np.zeros((n, r), dtype=np.int64)
+            a[1 + col // r, col % r] = 1
+            ref[:, col] = coboundary1(G, M, a)[1:, 1:].reshape(-1) * scales % m
+        assert np.array_equal(_coboundary_rows(G, M), ref)
+        gens = G.minimal_generators()
+        sel = np.array([((y - 1) * (n - 1) + s - 1) * r + i
+                        for y in range(1, n) for s in gens for i in range(r)])
+        assert np.array_equal(_coboundary_rows(G, M, second=gens), ref[sel])
+    # Z/1 needs no module object
+    Z1 = _coboundary_rows(cyclic_group(2), 1)
+    assert Z1.shape == (1, 1) and not Z1.any()
 
 
 def test_inflation_restriction_h1_consistency():

@@ -71,7 +71,7 @@ def test_example_714_p2_values():
 
 def test_example_714_restriction_orders():
     # restriction of [a] to bicyclic B has order |B| in H^1(B, N^)
-    from brnr.cohomology import restrict_cochain, subgroup_module
+    from brnr.cohomology import subgroup_module
     from brnr.groups import subgroups_bicyclic
     ex = build_example_714(2)
     Q = ex.sd.Q
@@ -82,7 +82,7 @@ def test_example_714_restriction_orders():
         B, idx = Q.subgroup_table(elems)
         MB = subgroup_module(ex.sd.N_hat, B, idx)
         HB = h1(B, MB)
-        restricted = restrict_cochain(ex.a_table, idx, 1)
+        restricted = ex.a_table[idx]
         coords = HB.coordinates(restricted)
         assert coords is not None
         # order of the class equals |B|

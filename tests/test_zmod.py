@@ -8,12 +8,10 @@ from brnr.zmod import (
     cokernel,
     echelon_compress,
     gcd_with_modulus,
-    intersect_submodules,
     kernel,
     smith_normal_form_raw,
     solve,
     solve_many,
-    submodule_invariants,
     subquotient,
     unit_scale,
 )
@@ -234,19 +232,3 @@ def test_subquotient_structure():
     v = sq.element_from_coordinates(np.array([1, 0]))
     assert sq.coordinates(v) is not None
 
-
-def test_intersect_submodules():
-    m = 12
-    G1 = np.array([[2], [0]])
-    G2 = np.array([[3], [0]])
-    inter = intersect_submodules(G1, G2, m)
-    span = brute_span(inter, m) if inter.size else {(0, 0)}
-    assert span == {(x, 0) for x in range(0, 12, 6)}
-
-
-def test_submodule_invariants():
-    m = 8
-    gens = np.array([[2, 0], [0, 4]])
-    assert submodule_invariants(gens, m) == (2, 4)
-    assert submodule_invariants(np.zeros((3, 0)), m) == ()
-    assert submodule_invariants(np.eye(2, dtype=np.int64), m) == (8, 8)
