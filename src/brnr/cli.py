@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,6 +41,8 @@ from .groups import (
 from .localeval import ClassEntry, FastpathClassEntry, LocalDatum, bm_report
 
 TASKS = ("b0", "brnr", "sha1bic", "algebraic", "bmreport", "sha2ab")
+# chi is kept mod N^2 and its values are multiplied in int64, so N^4 < 2^63
+MAX_MODULUS = 1 << 15
 
 
 @dataclass
@@ -94,35 +97,64 @@ def _ints(spec, key: str, owner: str, ndim: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _positive_int(spec: dict, key: str, owner: str) -> int | None:
-    """Optional spec[key], which must be a positive integer when present."""
+def _positive_int(spec: dict, key: str, owner: str, most: int | None = None) -> int | None:
+    """Optional spec[key], which must be a positive integer (at most ``most``)."""
     value = spec.get(key)
     if value is not None and (isinstance(value, bool) or not isinstance(value, int)
-                              or value < 1):
-        raise ValidationError(f"{owner}.{key} must be a positive integer", witness=value)
+                              or value < 1 or (most is not None and value > most)):
+        raise ValidationError(f"{owner}.{key} must be a positive integer"
+                              + ("" if most is None else f" at most {most}"), witness=value)
     return value
+
+
+def _bool(spec: dict, key: str, owner: str) -> bool:
+    """Optional spec[key], which must be true or false when present."""
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{owner}.{key} must be true or false", witness=value)
+    return value
+
+
+@contextmanager
+def _naming(field: str):
+    """Prefix a validation error raised inside with the job field it concerns."""
+    try:
+        yield
+    except ValidationError as err:
+        raise ValidationError(f"{field}: {err}") from err
+
+
+def _group_table(spec, key: str, owner: str) -> FiniteGroup:
+    table = _ints(spec, key, owner, 2)
+    with _naming(f"{owner}.{key}"):
+        return group_from_table(table)
 
 
 def _build_group(spec, caps: Caps):
     """Returns (FiniteGroup, SemidirectDatum | None, AugmentationExample | None)."""
     kind = _field(spec, "kind", "group")
     if kind == "table":
-        return group_from_table(_ints(spec, "table", "group", 2)), None, None
+        return _group_table(spec, "table", "group"), None, None
     if kind == "permutations":
-        return group_from_permutations(_ints(spec, "generators", "group", 2),
-                                       degree=_positive_int(spec, "degree", "group"),
-                                       caps=caps), None, None
+        gens = _ints(spec, "generators", "group", 2)
+        degree = _positive_int(spec, "degree", "group")
+        with _naming("group.generators"):
+            return group_from_permutations(gens, degree=degree, caps=caps), None, None
     if kind == "abelian":
-        return abelian_group(_ints(spec, "invariant_factors", "group", 1)), None, None
+        factors = _ints(spec, "invariant_factors", "group", 1)
+        with _naming("group.invariant_factors"):
+            return abelian_group(factors), None, None
     if kind == "semidirect":
-        q = abelian_group(_ints(_field(spec, "q", "group"), "invariant_factors",
-                                "group.q", 1))
+        factors = _ints(_field(spec, "q", "group"), "invariant_factors", "group.q", 1)
+        with _naming("group.q.invariant_factors"):
+            q = abelian_group(factors)
         n_spec = _field(spec, "n", "group")
-        module = AbelianModule(
-            tuple(_ints(n_spec, "invariant_factors", "group.n", 1)), q,
-            None if n_spec.get("action") is None
-            else _ints(n_spec, "action", "group.n", 3))
-        module.validate()
+        factors = _ints(n_spec, "invariant_factors", "group.n", 1)
+        action = None if n_spec.get("action") is None \
+            else _ints(n_spec, "action", "group.n", 3)
+        with _naming("group.n"):
+            module = AbelianModule(tuple(factors), q, action)
+            module.validate()
         sd = SemidirectDatum(q, module)
         group = None
         if sd.group_order <= caps.table_group:
@@ -140,24 +172,24 @@ def _build_galois(spec, G: FiniteGroup) -> GaloisDatum:
     if not isinstance(spec, dict):
         raise ValidationError("galois must be a JSON object", witness=spec)
     kind = spec.get("kind")
-    modulus = _positive_int(spec, "modulus", "galois")
+    if kind not in (None, "trivial", "real"):
+        raise ValidationError('galois.kind must be "trivial", "real" or absent',
+                              witness=kind)
+    modulus = _positive_int(spec, "modulus", "galois", most=MAX_MODULUS)
+    closed = _bool(spec, "base_algebraically_closed", "galois")
     if kind == "trivial":
-        return GaloisDatum.trivial(
-            G, modulus,
-            base_algebraically_closed=bool(spec.get("base_algebraically_closed",
-                                                    False)))
+        return GaloisDatum.trivial(G, modulus, base_algebraically_closed=closed)
     if kind == "real":
         return GaloisDatum.real_like(G, modulus)
-    delta = group_from_table(_ints(spec, "delta_table", "galois", 2))
+    delta = _group_table(spec, "delta_table", "galois")
     action = GroupAction(delta, G, _ints(spec, "action", "galois", 2))
-    gal = GaloisDatum(delta, G, _ints(spec, "chi", "galois", 1), action, modulus,
-                      bool(spec.get("base_algebraically_closed", False)))
+    gal = GaloisDatum(delta, G, _ints(spec, "chi", "galois", 1), action, modulus, closed)
     gal.validate()
     return gal
 
 
 def _build_local(spec) -> LocalDatum:
-    delta_v = group_from_table(_ints(spec, "delta_v_table", "local", 2))
+    delta_v = _group_table(spec, "delta_v_table", "local")
     to_delta = _ints(spec, "to_delta", "local", 1)
     gens = _ints(spec, "generators", "local", 1) if "generators" in spec else ()
     label = spec.get("label", "v")
@@ -249,7 +281,7 @@ def run_job(job: Job) -> tuple[str, int]:
     elif task == "sha2ab":
         if group is None:
             raise ValidationError("task sha2ab needs a tabulated group")
-        m = _positive_int(raw, "modulus", "job") or 2
+        m = _positive_int(raw, "modulus", "job", most=MAX_MODULUS) or 2
         rep = sha2_ab(group, m, caps)
         lines.append(f"Sha2_ab(G, Z/{m}) = {_fmt_factors(rep.invariant_factors)}")
 
@@ -280,7 +312,7 @@ def run_job(job: Job) -> tuple[str, int]:
                     c_v = _ints(spec, "c_v", "local", 1)
                     witnesses[ld.label] = local_witness(
                         sd, gen, ld.delta_v, c_v, caps=caps,
-                        search_cup=bool(spec.get("search_cup", False)))
+                        search_cup=_bool(spec, "search_cup", "local"))
                 entries.append(FastpathClassEntry(
                     "sha-generator", sd, gen, sd.group_order, witnesses))
         else:

@@ -537,11 +537,11 @@ def is_scalar_coboundary(B: FiniteGroup, table: np.ndarray, m: int,
     if n == 1:
         return np.zeros(1, dtype=np.int64)
     coeffs = m if units is None or m == 1 else scalar_module(m, B, units)
-    res = solve(_coboundary_rows(B, coeffs), _vec_of_table2(table), m)
-    if res is None:
+    x = solve(_coboundary_rows(B, coeffs), _vec_of_table2(table), m)
+    if x is None:
         return None
     b = np.zeros(n, dtype=np.int64)
-    b[1:] = res[0]
+    b[1:] = x
     return b
 
 

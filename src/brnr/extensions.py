@@ -316,11 +316,11 @@ def splits_equivariantly(ext: EquivariantExtension, elements, delta_elements=Non
                       _twist_rows(pos[act[np.ix_(dels, elems)]], gal.chi[dels], N)])
     rhs = np.concatenate([scale * ext.f[np.ix_(elems[1:], elems[1:])].reshape(-1),
                           -scale * ext.c[np.ix_(dels, elems[1:])].reshape(-1)])
-    res = solve(rows % N, rhs % N, N)
-    if res is None:
+    x = solve(rows % N, rhs % N, N)
+    if x is None:
         return None
     b = np.zeros(k, dtype=np.int64)
-    b[1:] = res[0]
+    b[1:] = x
     return b
 
 

@@ -317,14 +317,14 @@ def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup
     """
     c_v = np.asarray(c_v, dtype=np.int64)
     if c_v.shape != (delta_v.order,):
-        raise ValidationError("structure map table has wrong length")
+        raise ValidationError("structure map c_v has wrong length")
     out = np.nonzero((c_v < 0) | (c_v >= sd.Q.order))[0]
     if out.size:
         raise ValidationError(f"c_v entries must lie in [0, {sd.Q.order})",
                               witness=int(c_v[out[0]]))
     bad = np.argwhere(c_v[delta_v.mul] != sd.Q.mul[c_v[:, None], c_v])
     if bad.size:
-        raise ValidationError("structure map is not a homomorphism",
+        raise ValidationError("structure map c_v is not a homomorphism",
                               witness=tuple(map(int, bad[0])))
     if set(map(int, c_v)) != set(range(sd.Q.order)):
         raise NotSurjective("structure map must be onto Q")

@@ -167,8 +167,10 @@ def group_from_permutations(generators, degree: int | None = None,
             raise ValidationError("degree required for an empty generator list")
         degree = len(gens[0])
     for g in gens:
-        if sorted(g) != list(range(degree)):
-            raise ValidationError("not a permutation", witness=g)
+        if len(g) != degree or sorted(g) != list(range(degree)):
+            raise ValidationError(f"not a permutation of degree {degree}", witness=g)
+    if not gens:
+        degree = 0      # the trivial group, whatever the degree
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
@@ -282,7 +284,7 @@ class GroupAction:
     def validate(self) -> None:
         n = self.target.order
         if not np.array_equal(self.table[0], np.arange(n)):
-            raise ValidationError("identity must act as the identity map",
+            raise ValidationError("action of the identity is not the identity map",
                                   witness=int(self.table[0].argmax()))
         mt = self.target.mul
         for a in range(self.actor.order):
@@ -373,7 +375,7 @@ class AbelianModule:
                     "action matrix does not respect the moduli", witness=(a, i, j))
         if not np.array_equal(self.action[0] % d[:, None],
                               np.eye(self.rank, dtype=np.int64) % d[:, None]):
-            raise ValidationError("identity must act as the identity matrix")
+            raise ValidationError("action of the identity is not the identity matrix")
         for a in range(self.actor.order):
             for b in range(self.actor.order):
                 ab = int(self.actor.mul[a, b])

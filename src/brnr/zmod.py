@@ -5,6 +5,9 @@ filters) reduces to four primitives over Z/m: Smith normal form with
 unimodular transforms, linear solving, kernels, and cokernel structure.
 All of it is done directly mod m -- never over Z and then reduced --
 using the fact that every element of Z/m is a unit times a divisor of m.
+Tall systems are first compressed to their reduced Howell form, which
+``RowEchelon`` computes per prime power: one column sweep for each
+prime-power factor of m, joined by CRT.
 
 Matrices are numpy int64 arrays with entries reduced into [0, m).
 Column spans are "submodules generated by the columns".
@@ -174,8 +177,10 @@ def smith_normal_form_raw(
             if rowv.any():
                 qs = rowv // d
                 idx = np.nonzero(qs)[0]
-                for j in idx:
-                    col_addmul(t + 1 + int(j), t, int(qs[j]))
+                if idx.size:
+                    A[:, t + 1 + idx] = (A[:, t + 1 + idx] - A[:, t, None] * qs[idx]) % m
+                    if Q:
+                        Q.rows_addmul_bulk(t + 1 + idx, t, qs[idx])
                 rem = A[t, t + 1 :]
                 if rem.any():
                     j = int(np.nonzero(rem)[0][0])
@@ -243,130 +248,115 @@ def smith_normal_form_raw(
 
 
 # ---------------------------------------------------------------------------
-# batched row echelon (span-preserving); used to compress big systems
+# Howell form (span-preserving row reduction); used to compress big systems
 # ---------------------------------------------------------------------------
 
-def _reduce_rows_against(batch, piv_rows, piv_cols, piv_vals, m):
-    for p in range(piv_rows.shape[0]):
-        col = piv_cols[p]
-        qs = batch[:, col] // piv_vals[p]
-        idx = np.nonzero(qs)[0]
-        if idx.size:
-            batch[np.ix_(idx, range(col, batch.shape[1]))] = (
-                batch[np.ix_(idx, range(col, batch.shape[1]))]
-                - qs[idx, None] * piv_rows[p, col:]
-            ) % m
-    return batch
+
+def _prime_powers(m: int) -> list[int]:
+    """The prime-power factors of m, smallest prime first."""
+    out, p = [], 2
+    while p * p <= m:
+        q = 1
+        while m % p == 0:
+            m //= p
+            q *= p
+        if q > 1:
+            out.append(q)
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+def _leads(rows: np.ndarray) -> np.ndarray:
+    """Column of the first nonzero entry of each row; the width for a zero row."""
+    nz = np.hstack([rows != 0, np.ones((rows.shape[0], 1), dtype=bool)])
+    return nz.argmax(axis=1)
+
+
+def _sweep(rows: np.ndarray, q: int, pivots: dict[int, np.ndarray]) -> np.ndarray:
+    """Eliminate rows (entries in [0, q), q a prime power) into ``pivots``.
+
+    Columns are taken left to right.  At column c the row of least valuation,
+    or the stored pivot if none is smaller, becomes the pivot p^v; it divides
+    every pending entry at c, which exact division clears.  A displaced pivot
+    is pending again.  Returns the annihilator rows (q/p^v) * pivot of the
+    pivots set here, which are still to be eliminated.
+    """
+    lead = _leads(rows)
+    n = rows.shape[1]
+    anns = []
+    while True:
+        c = int(lead.min(initial=n))
+        if c == n:
+            return np.array(anns, dtype=np.int64).reshape(-1, n)
+        at = np.flatnonzero(lead == c)
+        vals = np.gcd(rows[at, c], q)
+        k = int(np.argmin(vals))
+        piv = pivots.get(c)
+        if piv is None or vals[k] < piv[c]:
+            i = at[k]
+            u, d = unit_scale(int(rows[i, c]), q)
+            new = rows[i] * u % q
+            rows[i] = 0 if piv is None else piv
+            pivots[c] = piv = new
+            if d > 1:
+                anns.append((q // d) * new % q)
+        block = (rows[at, c:] - (rows[at, c] // piv[c])[:, None] * piv[c:]) % q
+        rows[at, c:] = block
+        lead[at] = c + _leads(block)
 
 
 class RowEchelon:
-    """Incremental span-preserving row reduction over Z/m.
+    """Span-preserving row reduction over Z/m, kept in Howell form.
 
-    Feed row batches with :meth:`add`; :meth:`matrix` returns a small set of
-    rows with the same row span as everything fed in.  Pivot values are
-    divisors of m; annihilator multiples are inserted so later rows reduce
-    as far as possible (Howell-style closure).
+    Feed row batches with :meth:`add`; :meth:`matrix` returns the reduced
+    Howell form of everything fed in, which depends only on its row span.
+    Rows are eliminated once per prime-power factor q of m (Howell 1986;
+    Storjohann 2000): over Z/q the least-valuation pivot divides its whole
+    column, so pivots never merge, and pushing each pivot's annihilator
+    multiple back into the pending rows gives the Howell property.  Pivot
+    rows are stored only for the columns that have one.
     """
 
     def __init__(self, ncols: int, m: int):
         self.ncols = ncols
         self.m = m
-        self._rows: list[np.ndarray] = []
-        self._pivcol: list[int] = []
-
-    def _pivot_arrays(self):
-        order = np.argsort(np.array(self._pivcol, dtype=np.int64), kind="stable")
-        rows = np.array([self._rows[i] for i in order], dtype=np.int64)
-        cols = np.array([self._pivcol[i] for i in order], dtype=np.int64)
-        vals = rows[np.arange(len(order)), cols]
-        return rows, cols, vals
+        self._pivots: dict[int, dict[int, np.ndarray]] = {q: {} for q in _prime_powers(m)}
 
     def add(self, batch: np.ndarray) -> None:
-        m = self.m
-        if m <= 1:
-            return
-        batch = as_mod(batch, m)
-        batch = batch[batch.any(axis=1)]
-        if batch.size == 0:
-            return
-        if self._rows:
-            rows, cols, vals = self._pivot_arrays()
-            batch = _reduce_rows_against(np.ascontiguousarray(batch), rows, cols, vals, m)
-            batch = batch[batch.any(axis=1)]
-        for row in batch:
-            self._insert(row.copy())
-
-    def _insert(self, row: np.ndarray) -> None:
-        m = self.m
-        queue = [row]
-        while queue:
-            row = queue.pop()
-            while True:
-                nz = np.nonzero(row)[0]
-                if nz.size == 0:
-                    break
-                c = int(nz[0])
-                v = int(row[c])
-                if c in self._pivcol:
-                    p = self._pivcol.index(c)
-                    piv = self._rows[p]
-                    pv = int(piv[c])
-                    if v % pv == 0:
-                        row = (row - (v // pv) * piv) % m
-                        continue
-                    g, x, y = _xgcd(v, pv)
-                    new = (x * row + y * piv) % m
-                    u, d = unit_scale(int(new[c]), m)
-                    new = new * u % m
-                    old = (piv - (pv // d) * new) % m
-                    row = (row - (v // d) * new) % m
-                    self._rows[p] = new
-                    if old.any():
-                        queue.append(old)
-                    ann = (m // d) * new % m
-                    if ann.any():
-                        queue.append(ann)
-                    continue
-                u, d = unit_scale(v, m)
-                row = row * u % m
-                self._rows.append(row)
-                self._pivcol.append(c)
-                ann = (m // d) * row % m
-                if ann.any():
-                    queue.append(ann)
-                break
+        batch = np.asarray(batch, dtype=np.int64)
+        for q, pivots in self._pivots.items():
+            rows = np.mod(batch, q)
+            rows = rows[rows.any(axis=1)]
+            while rows.size:
+                rows = _sweep(rows, q, pivots)
 
     def matrix(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, self.ncols), dtype=np.int64)
-        rows, cols, vals = self._pivot_arrays()
-        # back-reduce entries above each pivot for a tidier, more canonical form
-        for p in range(len(cols)):
-            c, v = int(cols[p]), int(vals[p])
-            qs = rows[:, c] // v
-            qs[p] = 0
-            idx = np.nonzero(qs)[0]
+        """Join the per-prime pivots of each column by CRT, then back-reduce."""
+        m = self.m
+        cols = sorted(set().union(*self._pivots.values()))
+        rows = np.zeros((len(cols), self.ncols), dtype=np.int64)
+        for q, pivots in self._pivots.items():
+            e = (m // q) * pow(m // q, -1, q) % m       # 1 mod q, 0 mod m/q
+            for k, c in enumerate(cols):
+                if c in pivots:
+                    rows[k] += e * pivots[c]
+        rows %= m
+        for k, c in enumerate(cols):
+            u, v = unit_scale(int(rows[k, c]), m)
+            if u != 1:
+                rows[k] = rows[k] * u % m
+            qs = rows[:k, c] // v
+            idx = np.flatnonzero(qs)
             if idx.size:
-                rows[idx] = (rows[idx] - qs[idx, None] * rows[p]) % self.m
-        keep = rows.any(axis=1)
-        return rows[keep]
+                rows[idx, c:] = (rows[idx, c:] - qs[idx, None] * rows[k, c:]) % m
+        return rows
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def echelon_compress(A: np.ndarray, m: int, batch: int = 8192) -> np.ndarray:
-    """Rows with the same row span as A, at most ~2*cols of them."""
+def echelon_compress(A: np.ndarray, m: int) -> np.ndarray:
+    """The reduced Howell form of A: at most cols rows with A's row span."""
     A = np.asarray(A, dtype=np.int64)
     ech = RowEchelon(A.shape[1], m)
-    for start in range(0, A.shape[0], batch):
-        ech.add(A[start : start + batch])
+    ech.add(A)
     return ech.matrix()
 
 
@@ -399,36 +389,30 @@ def kernel(A: np.ndarray, m: int) -> np.ndarray:
     return np.array(gens, dtype=np.int64).T
 
 
-def solve(A: np.ndarray, b: np.ndarray, m: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """One solution of A x = b mod m plus kernel generators, or None."""
+def solve(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
+    """One solution x of A x = b mod m, or None.
+
+    ``b`` is a vector or a matrix; a matrix is solved column by column and
+    gives None if any column is inconsistent.
+    """
     A = as_mod(A, m)
     b = as_mod(b, m)
     r, c = A.shape
+    y = np.zeros((c,) + b.shape[1:], dtype=np.int64)
     if m <= 1:
-        return np.zeros(c, dtype=np.int64), np.eye(c, dtype=np.int64)
+        return y
     snf = smith_normal_form_raw(A, m, want_P=True, want_Q=True)
     cvec = snf.P @ b % m
-    y = np.zeros(c, dtype=np.int64)
     ndiag = len(snf.diag)
     for i in range(r):
-        ci = int(cvec[i])
         d = int(snf.diag[i]) if i < ndiag else 0
         g = gcd_with_modulus(d, m)
-        if ci % g:
+        if (cvec[i] % g).any():
             return None
         if i < c and g != m:
             mg = m // g
-            y[i] = (ci // g) * pow(d // g, -1, mg) % mg
-    x = snf.Q @ y % m
-    gens = []
-    for j in range(c):
-        d = int(snf.diag[j]) if j < ndiag else 0
-        g = gcd_with_modulus(d, m)
-        if g == 1:
-            continue
-        gens.append(snf.Q[:, j] * (m // g) % m)
-    kr = np.array(gens, dtype=np.int64).T if gens else np.zeros((c, 0), dtype=np.int64)
-    return x, kr
+            y[i] = (cvec[i] // g) * pow(d // g, -1, mg) % mg
+    return snf.Q @ y % m
 
 
 @dataclass
@@ -518,29 +502,6 @@ def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure
 # ---------------------------------------------------------------------------
 
 
-def solve_many(A: np.ndarray, B: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """Solve A X = B columnwise; None if any column is inconsistent."""
-    A = as_mod(A, m)
-    B = as_mod(B, m)
-    r, c = A.shape
-    if m <= 1:
-        return np.zeros((c, B.shape[1]), dtype=np.int64)
-    snf = smith_normal_form_raw(A, m, want_P=True, want_Q=True)
-    C = snf.P @ B % m
-    Y = np.zeros((c, B.shape[1]), dtype=np.int64)
-    ndiag = len(snf.diag)
-    for i in range(r):
-        d = int(snf.diag[i]) if i < ndiag else 0
-        g = gcd_with_modulus(d, m)
-        if (C[i] % g).any():
-            return None
-        if i < c and g != m:
-            mg = m // g
-            inv = pow(d // g, -1, mg)
-            Y[i] = (C[i] // g) * inv % mg
-    return snf.Q @ Y % m
-
-
 @dataclass
 class SubquotientModule:
     """W / R for submodules R <= W <= (Z/m)^n, with ambient coordinates.
@@ -557,10 +518,8 @@ class SubquotientModule:
     _inner: AbelianStructure
 
     def coordinates(self, vec: np.ndarray) -> Optional[np.ndarray]:
-        res = solve(self._W, as_mod(vec, self.modulus), self.modulus)
-        if res is None:
-            return None
-        return self._inner.project(res[0])
+        x = solve(self._W, vec, self.modulus)
+        return None if x is None else self._inner.project(x)
 
     def element_from_coordinates(self, coords: np.ndarray) -> np.ndarray:
         return self.generator_lifts @ as_mod(coords, self.modulus) % self.modulus
@@ -586,7 +545,7 @@ def subquotient(W: np.ndarray, R: np.ndarray, m: int) -> SubquotientModule:
     if k == 0 or m <= 1:
         return SubquotientModule(m, n, (), np.zeros((n, 0), dtype=np.int64), W,
                                  cokernel(np.zeros((0, 0), dtype=np.int64), m, rows=0))
-    T = solve_many(W, R, m) if R.shape[1] else np.zeros((k, 0), dtype=np.int64)
+    T = solve(W, R, m) if R.shape[1] else np.zeros((k, 0), dtype=np.int64)
     if T is None:
         raise ValueError("R is not contained in the span of W")
     rels = kernel(W, m)

@@ -181,3 +181,107 @@ def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field
     f.write_text(json.dumps(job))
     assert main(["run", str(f)]) == 3
     assert field in capsys.readouterr().err
+
+
+E8 = [[i ^ j for j in range(8)] for i in range(8)]
+WELL_FORMED = {
+    "b0-table": {"task": "b0", "group": {"kind": "table", "table": cyclic_group(4).mul.tolist()},
+                 "caps": {"table_group": 64}},
+    "b0-perm": {"task": "b0", "group": {"kind": "permutations", "degree": 3,
+                                        "generators": [[1, 2, 0]]}},
+    "b0-abelian": {"task": "b0", "group": {"kind": "abelian", "invariant_factors": [2, 2]}},
+    "b0-semidirect": {"task": "b0", "group": {
+        "kind": "semidirect", "q": {"invariant_factors": [2]},
+        "n": {"invariant_factors": [3], "action": [[[1]], [[2]]]}}},
+    "brnr-real": {"task": "brnr", "group": {"kind": "table", "table": Z2},
+                  "galois": {"kind": "real", "modulus": 2}},
+    "brnr-trivial": {"task": "brnr", "group": {"kind": "table", "table": Z2},
+                     "galois": {"kind": "trivial", "base_algebraically_closed": False}},
+    "brnr-explicit": {"task": "brnr", "group": {"kind": "table", "table": Z2},
+                      "galois": {"delta_table": Z2, "chi": [1, 3],
+                                 "action": [[0, 1], [0, 1]], "modulus": 2}},
+    "bm-table": {**BM_REAL, "local": [{"label": "v", "delta_v_table": Z2,
+                                       "to_delta": [0, 1], "generators": [1]}]},
+    "bm-714": {"task": "bmreport", "group": {"kind": "example714", "p": 2},
+               "local": [{"label": "v2", "delta_v_table": E8, "to_delta": [0] * 8,
+                          "c_v": list(range(8)), "search_cup": False}]},
+}
+MISSING = object()
+# (job, path to the field, a wrong-typed value, an out-of-range value or
+# None if the field has no range, whether the field is required); the
+# error message must name the last key of the path
+JOB_FIELDS = [
+    ("b0-table", ("task",), 5, "nope", True),
+    ("b0-table", ("group",), 5, None, True),
+    ("b0-table", ("group", "kind"), 5, "nosuch", True),
+    ("b0-table", ("group", "table"), "x", [[0, 5], [5, 0]], True),
+    ("b0-table", ("caps",), [1], None, False),
+    ("b0-table", ("caps", "table_group"), "x", -1, False),
+    ("b0-perm", ("group", "generators"), "x", [[0, 5, 1]], True),
+    ("b0-perm", ("group", "degree"), "3", 10**30, False),
+    ("b0-abelian", ("group", "invariant_factors"), "x", [0], True),
+    ("b0-semidirect", ("group", "q"), 5, None, True),
+    ("b0-semidirect", ("group", "q", "invariant_factors"), "x", [1], True),
+    ("b0-semidirect", ("group", "n"), 5, None, True),
+    ("b0-semidirect", ("group", "n", "invariant_factors"), "x", [1], True),
+    ("b0-semidirect", ("group", "n", "action"), "x", [[[2]], [[2]]], False),
+    ("brnr-real", ("galois",), 5, None, False),
+    ("brnr-real", ("galois", "kind"), 5, "imaginary", False),
+    ("brnr-real", ("galois", "modulus"), "2", 10**30, False),
+    ("brnr-trivial", ("galois", "base_algebraically_closed"), "no", None, False),
+    ("brnr-explicit", ("galois", "delta_table"), "x", [[0, 2], [2, 0]], True),
+    ("brnr-explicit", ("galois", "chi"), "x", [1, 2], True),
+    ("brnr-explicit", ("galois", "action"), "x", [[1, 0], [0, 1]], True),
+    ("brnr-explicit", ("galois", "modulus"), 2.5, 0, False),
+    ("bm-table", ("local",), 5, None, False),
+    ("bm-table", ("local", 0), 5, None, False),
+    ("bm-table", ("local", 0, "label"), [1], None, False),
+    ("bm-table", ("local", 0, "delta_v_table"), "x", [[0, 2], [2, 0]], True),
+    ("bm-table", ("local", 0, "to_delta"), "x", [0, 7], True),
+    ("bm-table", ("local", 0, "generators"), "x", [7], False),
+    ("bm-714", ("group", "p"), "2", 4, False),
+    ("bm-714", ("local", 0, "c_v"), "x", [0, 1, 2, 3, 4, 5, 6, 99], True),
+    ("bm-714", ("local", 0, "search_cup"), "no", None, False),
+]
+
+# where the message names the field in other words
+NAMED_AS = {
+    (("galois", "kind"), "missing"): "galois.delta_table",   # then the datum is explicit
+    (("group", "n", "invariant_factors"), "out of range"): "group.n: invariant factors",
+}
+
+
+def _malformed_jobs():
+    for job, path, wrong, out_of_range, required in JOB_FIELDS:
+        cases = {"wrong type": wrong, "out of range": out_of_range,
+                 "missing": MISSING if required else None}
+        for case, value in cases.items():
+            if value is None:
+                continue
+            name = NAMED_AS.get((path, case),
+                                next(k for k in reversed(path) if isinstance(k, str)))
+            field = ".".join(map(str, path))
+            yield pytest.param(job, path, value, name, id=f"{job}:{field}:{case}")
+
+
+@pytest.mark.parametrize("job", sorted(WELL_FORMED))
+def test_well_formed_jobs_run(tmp_path, job):
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps(WELL_FORMED[job]))
+    assert main(["run", str(f)]) == 0
+
+
+@pytest.mark.parametrize("job, path, value, name", _malformed_jobs())
+def test_every_malformed_job_field_is_named(tmp_path, capsys, job, path, value, name):
+    raw = json.loads(json.dumps(WELL_FORMED[job]))
+    spec = raw
+    for key in path[:-1]:
+        spec = spec[key]
+    if value is MISSING:
+        del spec[path[-1]]
+    else:
+        spec[path[-1]] = value
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps(raw))
+    assert main(["run", str(f)]) in (2, 3, 4)
+    assert name in capsys.readouterr().err

@@ -11,7 +11,6 @@ from brnr.zmod import (
     kernel,
     smith_normal_form_raw,
     solve,
-    solve_many,
     subquotient,
     unit_scale,
 )
@@ -111,19 +110,24 @@ def test_snf_reconstruction_large():
 
 
 def test_solve_examples():
-    x, k = solve(np.eye(3, dtype=np.int64), np.array([1, 2, 3]), 5)
+    x = solve(np.eye(3, dtype=np.int64), np.array([1, 2, 3]), 5)
     assert np.array_equal(x, [1, 2, 3])
-    assert k.shape[1] == 0
+    assert kernel(np.eye(3, dtype=np.int64), 5).shape[1] == 0
 
     assert solve(np.array([[2]]), np.array([1]), 4) is None
 
-    res = solve(np.array([[2]]), np.array([2]), 4)
-    assert res is not None
-    x, k = res
+    x = solve(np.array([[2]]), np.array([2]), 4)
+    assert x is not None
     assert 2 * x[0] % 4 == 2
-    spanned = {(2 * t) % 4 for t in range(4) for g in k.T for _ in [0]}
+    k = kernel(np.array([[2]]), 4)
     assert {int(g[0]) for g in k.T} <= {0, 2}
     assert any(int(g[0]) == 2 for g in k.T)
+
+    # a matrix right-hand side is solved column by column
+    X = solve(np.array([[2, 0], [0, 3]]), np.array([[2, 4], [3, 0]]), 6)
+    assert X is not None and not ((np.array([[2, 0], [0, 3]]) @ X
+                                   - np.array([[2, 4], [3, 0]])) % 6).any()
+    assert solve(np.array([[2]]), np.array([[2, 1]]), 4) is None
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
@@ -138,13 +142,13 @@ def test_solve_matches_brute_force(m):
         for x in np.ndindex(*([m] * c)):
             if not ((A @ np.array(x) - b) % m).any():
                 brute.append(np.array(x))
-        res = solve(A, b, m)
-        if res is None:
+        x0 = solve(A, b, m)
+        if x0 is None:
             assert not brute
         else:
-            x0, kr = res
             assert not ((A @ x0 - b) % m).any()
-            # kernel spans exactly the solution differences
+            # the kernel spans exactly the solution differences
+            kr = kernel(A, m)
             kspan = brute_span(kr, m) if kr.size else {tuple([0] * c)}
             diffs = {tuple((s - x0) % m) for s in brute}
             assert kspan == diffs
@@ -216,9 +220,9 @@ def test_echelon_preserves_row_span():
         assert E.shape[0] <= 2 * 7 + 2
         # every original row is in the span of E and conversely
         for row in A % m:
-            assert solve_many(E.T, row.reshape(-1, 1), m) is not None
+            assert solve(E.T, row, m) is not None
         for row in E:
-            assert solve_many(A.T % m, row.reshape(-1, 1), m) is not None
+            assert solve(A.T % m, row, m) is not None
 
 
 def test_subquotient_structure():
@@ -232,3 +236,43 @@ def test_subquotient_structure():
     v = sq.element_from_coordinates(np.array([1, 0]))
     assert sq.coordinates(v) is not None
 
+
+@pytest.mark.parametrize("m", [4, 8, 27, 6, 12, 60, 72])
+def test_row_echelon_is_the_canonical_howell_form(m):
+    rng = np.random.default_rng(2024 + m)
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    for _ in range(30):
+        c = int(rng.integers(1, 6))
+        r = int(rng.integers(1, 7))
+        A = rng.choice(divisors, size=(r, c)) * rng.integers(0, m, size=(r, c)) % m
+        E = echelon_compress(A, m)
+        # the same form under every row order and batch split
+        for _ in range(4):
+            ech = RowEchelon(c, m)
+            rows = A[rng.permutation(r)]
+            cuts = [0, *sorted(rng.integers(0, r + 1, size=2)), r]
+            for a, b in zip(cuts, cuts[1:]):
+                ech.add(rows[a:b])
+            assert np.array_equal(ech.matrix(), E)
+        # echelon form with canonical pivots and reduced entries above them
+        piv = [int(np.flatnonzero(row)[0]) for row in E]
+        assert piv == sorted(set(piv))
+        for i, p in enumerate(piv):
+            v = int(E[i, p])
+            assert m % v == 0 and v < m
+            assert (E[:i, p] < v).all()
+        # the row span is unchanged
+        if m**c <= 4096:
+            span = brute_span(A.T, m)
+            assert brute_span(E.T, m) == span
+            # Howell property: span vectors that vanish before column j are
+            # spanned by the rows whose pivot is at j or later
+            for j in range(c + 1):
+                tail = E[[i for i, p in enumerate(piv) if p >= j]]
+                expect = {x for x in span if not any(x[:j])}
+                assert brute_span(tail.T, m) == expect
+        else:
+            for row in A % m:
+                assert solve(E.T, row, m) is not None
+            for row in E:
+                assert solve(A.T % m, row, m) is not None
