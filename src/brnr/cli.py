@@ -143,11 +143,11 @@ def _build_group(spec, caps: Caps):
     if kind == "abelian":
         factors = _ints(spec, "invariant_factors", "group", 1)
         with _naming("group.invariant_factors"):
-            return abelian_group(factors), None, None
+            return abelian_group(factors, caps), None, None
     if kind == "semidirect":
         factors = _ints(_field(spec, "q", "group"), "invariant_factors", "group.q", 1)
         with _naming("group.q.invariant_factors"):
-            q = abelian_group(factors)
+            q = abelian_group(factors, caps)
         n_spec = _field(spec, "n", "group")
         factors = _ints(n_spec, "invariant_factors", "group.n", 1)
         action = None if n_spec.get("action") is None \

@@ -8,14 +8,18 @@ handled by scaling each equation row into Z/m).
 
 Cocycle and coboundary questions are asked on generator rows: a
 normalized cocycle is fixed by its values with the last argument in a
-generating set, and satisfies the cocycle identity once it does there.
+generating set S, and satisfies the cocycle identity once it does there.
 ``_coboundary_rows`` is the one builder of d1 (module coefficients; a unit
 twist is a rank-1 module); ``h1`` reads its rows (g, s), s a generator.
 For scalar coefficients with trivial action, ``h2_trivial_scalar`` keeps
-only the unknowns f(y, s) and handles base groups far beyond the dense
-route; the class module of extensions.py reuses its cocycle rows
-(``ReducedCocycleSpace.c1_batches``).  ``is_scalar_coboundary`` and the
-dense ``h2`` keep every row, as independent references.
+only the unknowns f(y, s) and writes the cocycle identity only at first
+arguments g in S as well, (n-1)|S|^2 rows: the rows at S say that the
+relators of a presentation keep their values under conjugation by S,
+hence by the free group, and by Hopf's formula (Reidemeister-Schreier)
+that is the whole cocycle identity.  The class module of extensions.py
+reuses these rows (``ReducedCocycleSpace.c1_batches``).
+``is_scalar_coboundary`` and the dense ``h2`` keep every row, as
+independent references.
 
 Literal death of classes on a family of subgroups (the Sha filters) is one
 stacked kernel, ``death_lattice``, with one cokernel per subgroup.  Death
@@ -103,10 +107,6 @@ def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray) -> Optional
 # ---------------------------------------------------------------------------
 # flattening helpers for the dense bar-resolution route
 # ---------------------------------------------------------------------------
-
-
-def _vec_of_table1(table: np.ndarray) -> np.ndarray:
-    return table[1:].reshape(-1)
 
 
 def _table1_of_vec(vec: np.ndarray, n: int, r: int) -> np.ndarray:
@@ -249,8 +249,17 @@ class CohomologyGroup:
     _coords: Callable[[np.ndarray], Optional[np.ndarray]]
 
     def coordinates(self, table: np.ndarray) -> Optional[np.ndarray]:
-        """Class coordinates of a cocycle table; None if it is no cocycle."""
-        return self._coords(np.asarray(table, dtype=np.int64))
+        """Class coordinates of a cocycle table; None if it is no cocycle.
+
+        A stack of k tables (a leading axis before the full table shape
+        (n,) * degree + (rank,)) gives a (classes, k) matrix, one column per
+        table, from one solve; None if any of them is no cocycle.
+        """
+        table = np.asarray(table, dtype=np.int64)
+        if table.ndim == self.degree + 2:
+            return self._coords(table)
+        x = self._coords(table[None])
+        return None if x is None else x[:, 0]
 
     def is_coboundary(self, table: np.ndarray) -> bool:
         c = self.coordinates(table)
@@ -292,10 +301,10 @@ def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
     reps = [M.reduce(_table1_of_vec(sub.generator_lifts[:, i], n, r))
             for i in range(len(sub.invariant_factors))]
 
-    def coords(table: np.ndarray) -> Optional[np.ndarray]:
-        if cocycle1_defect(G, M, table) is not None:
+    def coords(tables: np.ndarray) -> Optional[np.ndarray]:
+        if any(cocycle1_defect(G, M, t) is not None for t in tables):
             return None
-        return sub.coordinates(_vec_of_table1(M.reduce(table)))
+        return sub.coordinates(M.reduce(tables)[:, 1:].reshape(len(tables), -1).T)
 
     return CohomologyGroup(G, M, 1, sub.invariant_factors, reps, coords)
 
@@ -325,10 +334,10 @@ def h2(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
     reps = [M.reduce(_table2_of_vec(sub.generator_lifts[:, i], n, r))
             for i in range(len(sub.invariant_factors))]
 
-    def coords(table: np.ndarray) -> Optional[np.ndarray]:
-        if cocycle2_defect(G, M, table) is not None:
+    def coords(tables: np.ndarray) -> Optional[np.ndarray]:
+        if any(cocycle2_defect(G, M, t) is not None for t in tables):
             return None
-        return sub.coordinates(_vec_of_table2(M.reduce(table)))
+        return sub.coordinates(M.reduce(tables)[:, 1:, 1:].reshape(len(tables), -1).T)
 
     return CohomologyGroup(G, M, 2, sub.invariant_factors, reps, coords)
 
@@ -354,48 +363,75 @@ def coboundary1(G: FiniteGroup, M: AbelianModule, a: np.ndarray) -> np.ndarray:
 class ReducedCocycleSpace:
     """Generator coordinates for normalized Z^2(G, Z/m) (trivial action).
 
-    Atoms are the values f(y, s) for y != 1 and s in a fixed generating
-    set; ``expr`` writes every f(g, x) of a cocycle as an integer combination
-    of atoms.  The atom vectors of cocycles are the kernel of ``c1_batches``.
+    Atoms are the values f(y, s) for y != 1 and s in a fixed generating set
+    S.  A normalized cocycle is fixed by its atoms: along the BFS tree of G
+    over S, f(g, x) = f(g, parent) + f(g parent, s) - f(parent, s) for
+    x = parent s.  ``levels`` holds the tree one BFS level at a time, as
+    arrays (x, parent, position of s), so each level is one vector step.
+    ``expr`` writes f(g, x) as an integer combination of atoms only for the
+    first arguments g that the generator rows read (the keys of ``slot``),
+    never as a full n x n x atoms tensor; ``expand`` rebuilds whole tables
+    by the same recurrence.  The atom vectors of cocycles are the kernel of
+    ``c1_batches``.
     """
 
     group: FiniteGroup
     modulus: int
     gens: list[int]
-    expr: np.ndarray            # (n, n, n_atoms)
+    levels: list[np.ndarray]    # (3, nodes of the level) each
+    slot: dict[int, int]        # first argument g -> its block of expr
+    expr: np.ndarray            # (len(slot), n, n_atoms) int32
 
     def atom_index(self, y, s_pos: int):
         return (y - 1) * len(self.gens) + s_pos
 
-    def expand(self, atom_vec: np.ndarray) -> np.ndarray:
-        n = self.group.order
-        return (self.expr.reshape(n * n, -1) @ as_mod(atom_vec, self.modulus)) \
-            .reshape(n, n) % self.modulus
+    def values(self, g: int) -> np.ndarray:
+        """Atom expressions of f(g, x), one row per x; g must be in ``slot``."""
+        return self.expr[self.slot[g]].astype(np.int64)
 
-    def atomize(self, table: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.expr.shape[2], dtype=np.int64)
-        for y in range(1, self.group.order):
-            for i, s in enumerate(self.gens):
-                out[self.atom_index(y, i)] = table[y, s]
-        return out % self.modulus
+    def expand(self, atoms: np.ndarray) -> np.ndarray:
+        """The (n, n) table of an atom vector, or (k, n, n) for the k columns of a matrix."""
+        G, m, gens = self.group, self.modulus, np.asarray(self.gens, dtype=np.int64)
+        n = G.order
+        a = as_mod(atoms, m)
+        f = np.zeros((1 if a.ndim == 1 else a.shape[1], n, n), dtype=np.int64)
+        f[:, 1:, gens] = a.reshape(n - 1, len(gens), len(f)).transpose(2, 0, 1)
+        for x, parent, i in self.levels:
+            s = gens[i]
+            f[:, :, x] = f[:, :, parent] + f[:, G.mul[:, parent], s] - f[:, parent, s][:, None, :]
+        f %= m
+        return f[0] if a.ndim == 1 else f
+
+    def atomize(self, tables: np.ndarray) -> np.ndarray:
+        """Atom vector of an (n, n) table, or atom columns of a (k, n, n) stack."""
+        vals = np.asarray(tables, dtype=np.int64)[..., 1:, self.gens]
+        return vals.reshape(vals.shape[:-2] + (self.expr.shape[2],)).T % self.modulus
 
     def c1_batches(self, width: int | None = None):
-        """Row batches of the cocycle identity with third argument a generator.
+        """Row batches of the cocycle identity with first and third argument generators.
 
         The rows act on atom vectors, zero-padded on the right to ``width``
-        columns: f(g,h) + f(gh,s) - f(g,hs) - f(h,s) = 0 for g, h != 1.
+        columns: f(g,h) + f(gh,s) - f(g,hs) - f(h,s) = 0 for g, s in S and
+        h != 1.  These rows suffice (Reidemeister-Schreier): an atom vector
+        is a value map on the Schreier generators of R = ker(F -> G), F free
+        on S, and the row (g, h, s) says that the relator w_h s w_hs^-1
+        keeps its value under conjugation by g.  Those relators generate R
+        and each g in S is a child of 1 in the tree, so invariance under S
+        is invariance under F: the solutions are Hom(R/[F,R], Z/m), the
+        normalized cocycles (Hopf's formula).
         """
-        G, m, expr = self.group, self.modulus, self.expr
-        n, n_atoms = G.order, expr.shape[2]
+        G, m = self.group, self.modulus
+        n, n_atoms = G.order, self.expr.shape[2]
         width = n_atoms if width is None else width
         h = np.arange(1, n)
         batch = []
         for i, s in enumerate(self.gens):
             hs = G.mul[1:, s]
-            for g in range(1, n):
+            for g in self.gens:
+                e = self.values(g)
                 gh = G.mul[g, 1:]
                 rows = np.zeros((n - 1, width), dtype=np.int64)
-                rows[:, :n_atoms] = expr[g, hs, :].astype(np.int64) - expr[g, 1:, :]
+                rows[:, :n_atoms] = e[hs] - e[1:]
                 rows[h - 1, self.atom_index(h, i)] += 1
                 ok = np.nonzero(gh)[0]
                 rows[ok, self.atom_index(gh[ok], i)] -= 1
@@ -407,41 +443,48 @@ class ReducedCocycleSpace:
             yield np.vstack(batch)
 
 
-def reduced_cocycle_space(G: FiniteGroup, m: int) -> ReducedCocycleSpace:
-    """Express every cocycle value f(g, x) through the atoms f(y, s).
+def reduced_cocycle_space(G: FiniteGroup, m: int,
+                          autos: np.ndarray | None = None) -> ReducedCocycleSpace:
+    """Atoms over ``G.minimal_generators()`` and their expressions at the generators.
 
-    The cocycle identity itself is not eliminated here: callers feed
-    ``c1_batches`` into their own system (h2_trivial_scalar alone, the
-    class module together with its Galois rows).
+    ``autos`` is an image table of automorphisms of G, one row each (a
+    Galois action); expressions are then built at the images of the
+    generators too, which the class module's C2 rows read.  The cocycle
+    identity itself is not eliminated here: callers feed ``c1_batches``
+    into their own system (h2_trivial_scalar alone, the class module
+    together with its Galois rows).
     """
     n = G.order
     gens = G.minimal_generators()
-    n_atoms = (n - 1) * len(gens)
-
-    def aidx(y, s_pos):
-        return (y - 1) * len(gens) + s_pos
-
-    # BFS expansion of the second argument
-    expr = np.zeros((n, n, n_atoms), dtype=np.int32)
+    k = len(gens)
+    levels = []
     seen = {0}
-    queue = [0]
-    while queue:
-        parent = queue.pop(0)
-        for i, s in enumerate(gens):
-            x = int(G.mul[parent, s])
-            if x in seen:
-                continue
-            seen.add(x)
-            queue.append(x)
-            expr[:, x, :] = expr[:, parent, :]
-            gp = G.mul[:, parent]  # g * parent for all g
-            rows = np.nonzero(gp != 0)[0]
-            np.add.at(expr, (rows, x, (gp[rows] - 1) * len(gens) + i), 1)
-            if parent != 0:
-                expr[:, x, aidx(parent, i)] -= 1
+    frontier = [0]
+    while frontier:
+        level = []
+        for parent in frontier:
+            for i, s in enumerate(gens):
+                x = int(G.mul[parent, s])
+                if x not in seen:
+                    seen.add(x)
+                    level.append((x, parent, i))
+        if level:
+            levels.append(np.array(level, dtype=np.int64).T)
+        frontier = [x for x, _, _ in level]
     if len(seen) != n:
         raise ValidationError("generators do not generate the group")
-    return ReducedCocycleSpace(G, m, gens, expr)
+    firsts = set(gens) if autos is None else {*gens, *autos[:, gens].ravel().tolist()}
+    firsts = np.array(sorted(firsts), dtype=np.int64)
+    expr = np.zeros((len(firsts), n, (n - 1) * k), dtype=np.int32)
+    for x, parent, i in levels:
+        expr[:, x] = expr[:, parent]
+        gp = G.mul[firsts[:, None], parent]
+        j, l = np.nonzero(gp)
+        expr[j, x[l], (gp[j, l] - 1) * k + i[l]] += 1
+        l = np.nonzero(parent)[0]
+        expr[:, x[l], (parent[l] - 1) * k + i[l]] -= 1
+    slot = {int(g): j for j, g in enumerate(firsts)}
+    return ReducedCocycleSpace(G, m, gens, levels, slot, expr)
 
 
 def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
@@ -454,14 +497,13 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
     # coboundaries in atom coordinates: db(y, s) for s a generator
     sub = subquotient(cocycles, _coboundary_rows(G, m, second=space.gens), m)
     M = scalar_module(m)
-    reps = [space.expand(sub.generator_lifts[:, i])[:, :, None]
-            for i in range(len(sub.invariant_factors))]
+    reps = list(space.expand(sub.generator_lifts)[..., None])
 
-    def coords(table: np.ndarray) -> Optional[np.ndarray]:
-        table = as_mod(table, m).reshape(n, n)
-        if cocycle2_defect(G, M, table[:, :, None]) is not None:
+    def coords(tables: np.ndarray) -> Optional[np.ndarray]:
+        tables = as_mod(tables, m).reshape(-1, n, n)
+        if any(cocycle2_defect(G, M, t[:, :, None]) is not None for t in tables):
             return None
-        return sub.coordinates(space.atomize(table))
+        return sub.coordinates(space.atomize(tables))
 
     return CohomologyGroup(G, M, 2, sub.invariant_factors, reps, coords)
 

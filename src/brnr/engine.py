@@ -275,14 +275,11 @@ def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     orders = ambient.invariant_factors
     current = bogomolov_lattice(G, [rep[:, :, 0] for rep in ambient.representatives],
                                 orders, N)
-    kummer = []
-    for phi in character_group_generators(G, N):
-        x = ambient.coordinates(bockstein(G, phi, N)[0][:, :, None])
-        if x is None:
-            raise AssertionError("bockstein output must be a cocycle")
-        kummer.append(x)
-    R = _scaled_columns(np.array(kummer, dtype=np.int64).reshape(-1, len(orders)).T,
-                        orders, N)
+    carries = [bockstein(G, phi, N)[0] for phi in character_group_generators(G, N)]
+    kummer = ambient.coordinates(np.array(carries, dtype=np.int64).reshape(-1, N, N, 1))
+    if kummer is None:
+        raise AssertionError("bockstein output must be a cocycle")
+    R = _scaled_columns(kummer, orders, N)
     sub = subquotient(current, R, N)
     gal = GaloisDatum.trivial(G, N, base_algebraically_closed=True)
     reps = [EquivariantExtension(

@@ -371,33 +371,31 @@ class ClassModule:
             out *= d
         return out
 
-    def _vec_of_pair(self, ext: EquivariantExtension) -> np.ndarray:
-        space = self._space
-        n = self.gal.G.order
-        fa = space.atomize(ext.f)
-        cc = ext.c[1:, 1:].reshape(-1)
-        return np.concatenate([fa, cc])
+    def coordinates(self, ext) -> Optional[np.ndarray]:
+        """Class coordinates of a pair; None if it breaks one of C1-C3.
 
-    def coordinates(self, ext: EquivariantExtension) -> Optional[np.ndarray]:
-        if ext.violated_law() is not None:
+        A list of k pairs gives a (classes, k) matrix, one column per pair,
+        from one solve; None if any of them breaks a law.
+        """
+        single = isinstance(ext, EquivariantExtension)
+        exts = [ext] if single else list(ext)
+        if any(e.violated_law() is not None for e in exts):
             return None
-        return self._sub.coordinates(self._vec_of_pair(ext))
+        k, n, nd = len(exts), self.gal.G.order, self.gal.delta.order
+        fs = np.array([e.f for e in exts], dtype=np.int64).reshape(k, n, n)
+        cs = np.array([e.c for e in exts], dtype=np.int64).reshape(k, nd, n)
+        x = self._sub.coordinates(np.vstack([
+            self._space.atomize(fs), cs[:, 1:, 1:].reshape(k, (nd - 1) * (n - 1)).T]))
+        return x[:, 0] if single and x is not None else x
 
     def element(self, coords) -> EquivariantExtension:
-        coords = np.asarray(coords, dtype=np.int64)
-        vec = self._sub.element_from_coordinates(coords)
-        return self._pair_of_vec(vec)
-
-    def _pair_of_vec(self, vec: np.ndarray) -> EquivariantExtension:
-        space = self._space
-        n = self.gal.G.order
-        nd = self.gal.delta.order
-        n_atoms = space.expr.shape[2]
-        f = space.expand(vec[:n_atoms])
-        c = np.zeros((nd, n), dtype=np.int64)
-        if nd > 1 and n > 1:
-            c[1:, 1:] = vec[n_atoms:].reshape(nd - 1, n - 1)
-        return EquivariantExtension(self.gal, f, c)
+        """The pair with these class coordinates, a combination of the representatives."""
+        x = as_mod(coords, self.gal.N)
+        n, nd = self.gal.G.order, self.gal.delta.order
+        fs = np.array([r.f for r in self.representatives], dtype=np.int64)
+        cs = np.array([r.c for r in self.representatives], dtype=np.int64)
+        return EquivariantExtension(self.gal, (x @ fs.reshape(len(x), n * n)).reshape(n, n),
+                                    (x @ cs.reshape(len(x), nd * n)).reshape(nd, n))
 
 
 def _crossed_rows(gal: GaloisDatum) -> np.ndarray:
@@ -420,15 +418,20 @@ def _crossed_rows(gal: GaloisDatum) -> np.ndarray:
 def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     """Solve C1-C3 mod N and quotient by the coboundary pairs.
 
-    The f-part runs in generator coordinates (values f(y, s) for a fixed
-    generating set), which keeps the unknown count near |G| * rank instead
+    The f-part runs in generator coordinates (values f(y, s) for s in a
+    generating set S), which keeps the unknown count near |G| * |S| instead
     of |G|^2; C1 rows come from the reduced cocycle space and C2 rows are
-    expressed through the same atoms.
+    expressed through the same atoms, at first arguments g in S only.  Once
+    f is a cocycle, F = dc_d - (d*f - chi(d) f) is a trivial-action
+    2-cocycle; if F(s, h) = 0 for every s in S, the cocycle identity gives
+    F(sg, h) = F(g, h), so F = 0 by induction on the word length of the
+    first argument.  The C2 rows read f at first arguments in S and d(S).
     """
     G, N = gal.G, gal.N
     n = G.order
     nd = gal.delta.order
-    space = reduced_cocycle_space(G, N)
+    act = gal.action.table
+    space = reduced_cocycle_space(G, N, autos=act)
     n_atoms = space.expr.shape[2]
     n_c = (nd - 1) * (n - 1)
     dim = n_atoms + n_c
@@ -438,22 +441,19 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     def cpos(d: int, g: int) -> int:
         return n_atoms + (d - 1) * (n - 1) + (g - 1)
 
-    act = gal.action.table
     chi_n = gal.chi_mod_n
     mul = G.mul
 
     def c2_batches():
-        # c_d(gh) - c_d(g) - c_d(h) - f(dg, dh) + chi(d) f(g,h) = 0
+        # c_d(gh) - c_d(g) - c_d(h) - f(dg, dh) + chi(d) f(g,h) = 0, g in S
         batch = []
         for d in range(1, nd):
             dg = act[d]
-            for g in range(1, n):
+            for g in space.gens:
                 rows = np.zeros((n - 1, dim), dtype=np.int64)
                 # f part: -f(dg, dh) + chi(d) f(g, h)
-                rows[:, :n_atoms] = (
-                    chi_n[d] * space.expr[g, 1:, :].astype(np.int64)
-                    - space.expr[dg[g], dg[1:], :]
-                )
+                rows[:, :n_atoms] = (chi_n[d] * space.values(g)[1:]
+                                     - space.values(dg[g])[dg[1:]])
                 # c part
                 ghs = mul[g, 1:]
                 ok = ghs != 0
@@ -476,10 +476,12 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
                       _twist_rows(act[1:], chi_n[1:], N)])
     sub = subquotient(W, cols, N)
 
-    cm = ClassModule(gal, sub.invariant_factors, [], sub, space)
-    cm.representatives = [cm._pair_of_vec(sub.generator_lifts[:, i]).validated()
-                          for i in range(len(sub.invariant_factors))]
-    return cm
+    lifts = sub.generator_lifts
+    cs = np.zeros((lifts.shape[1], nd, n), dtype=np.int64)
+    cs[:, 1:, 1:] = lifts[n_atoms:].T.reshape(len(cs), nd - 1, n - 1)
+    reps = [EquivariantExtension(gal, f, c).validated()
+            for f, c in zip(space.expand(lifts[:n_atoms]), cs)]
+    return ClassModule(gal, sub.invariant_factors, reps, sub, space)
 
 
 def kummer_kernel(cm: ClassModule) -> np.ndarray:
@@ -492,14 +494,8 @@ def kummer_kernel(cm: ClassModule) -> np.ndarray:
     G, N = gal.G, gal.N
     phis = character_group_generators(
         G, N, equivariance=(gal.chi, gal.action.table))
-    cols = []
-    for phi in phis:
-        f, c = bockstein(G, phi, N, gal.delta, gal.chi, gal.action.table)
-        ext = EquivariantExtension(gal, f, c).validated()
-        x = cm.coordinates(ext)
-        if x is None:
-            raise AssertionError("equivariant bockstein must satisfy C1-C3")
-        cols.append(x)
-    if not cols:
-        return np.zeros((len(cm.invariant_factors), 0), dtype=np.int64)
-    return np.array(cols, dtype=np.int64).T
+    x = cm.coordinates([EquivariantExtension(
+        gal, *bockstein(G, phi, N, gal.delta, gal.chi, gal.action.table)) for phi in phis])
+    if x is None:
+        raise AssertionError("equivariant bockstein must satisfy C1-C3")
+    return x

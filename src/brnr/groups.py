@@ -469,9 +469,9 @@ def cyclic_group(n: int) -> FiniteGroup:
                        name=f"Z/{n}")
 
 
-def abelian_group(factors) -> FiniteGroup:
+def abelian_group(factors, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
     mod = AbelianModule(tuple(factors))
-    G, _ = mod.to_table_group()
+    G, _ = mod.to_table_group(caps)
     G.name = " x ".join(f"Z/{d}" for d in factors)
     return G
 

@@ -507,7 +507,8 @@ class SubquotientModule:
     """W / R for submodules R <= W <= (Z/m)^n, with ambient coordinates.
 
     ``coordinates`` solves membership in W and projects mod R; it returns
-    None for vectors outside W.
+    None for vectors outside W.  A matrix is solved in one SNF of W, one
+    coordinate column per column, and gives None if any column is outside W.
     """
 
     modulus: int

@@ -388,6 +388,20 @@ def test_b0_of_order_64_hit_is_invariant_under_relabelling():
         assert bogomolov_condition(rep.representatives[0])[0], seed
 
 
+@pytest.mark.parametrize("name, k", [("S3", 4), ("D4", 2), ("Q8", 3), ("A4", 2),
+                                     ("Q8xZ2", 2), ("hit", 2), ("hit", 3)])
+def test_b0_is_unchanged_by_a_cyclic_direct_factor(name, k):
+    # metamorphic: B_0(G x Z/k) = B_0(G); the criterion-4b hit carries Z/2
+    G = {"S3": lambda: symmetric_group(3), "D4": lambda: dihedral_group(4),
+         "Q8": quaternion_group, "A4": lambda: alternating_group(4),
+         "Q8xZ2": lambda: _direct_with_z2(quaternion_group()),
+         "hit": lambda: _order64_candidate(ORDER64_HIT_TAILS)}[name]()
+    GxZk = semidirect_product(cyclic_group(k), G).group
+    got = b0(GxZk, DEFAULT_CAPS).invariant_factors
+    assert got == b0(G, DEFAULT_CAPS).invariant_factors
+    assert got == ((2,) if name == "hit" else ())
+
+
 def test_br_nr_of_order_64_hit_is_invariant_under_relabelling():
     # the same for Br^0_nr over the trivial datum, a nonzero answer of the
     # stacked kernel; its generator must pass the per-class reference

@@ -205,6 +205,16 @@ WELL_FORMED = {
     "bm-714": {"task": "bmreport", "group": {"kind": "example714", "p": 2},
                "local": [{"label": "v2", "delta_v_table": E8, "to_delta": [0] * 8,
                           "c_v": list(range(8)), "search_cup": False}]},
+    "sha1bic-714": {"task": "sha1bic", "group": {"kind": "example714", "p": 2}},
+    "sha1bic-semidirect": {"task": "sha1bic", "group": {
+        "kind": "semidirect", "q": {"invariant_factors": [2]},
+        "n": {"invariant_factors": [4], "action": [[[1]], [[3]]]}}},
+    "algebraic-real": {"task": "algebraic", "group": {"kind": "table", "table": Z2},
+                       "galois": {"kind": "real", "modulus": 2}},
+    "algebraic-explicit": {"task": "algebraic", "group": {"kind": "table", "table": Z2},
+                           "galois": {"delta_table": Z2, "chi": [1, 3],
+                                      "action": [[0, 1], [0, 1]], "modulus": 2}},
+    "sha2ab": {"task": "sha2ab", "modulus": 4, "group": {"kind": "table", "table": Z2}},
 }
 MISSING = object()
 # (job, path to the field, a wrong-typed value, an out-of-range value or
@@ -242,6 +252,26 @@ JOB_FIELDS = [
     ("bm-714", ("group", "p"), "2", 4, False),
     ("bm-714", ("local", 0, "c_v"), "x", [0, 1, 2, 3, 4, 5, 6, 99], True),
     ("bm-714", ("local", 0, "search_cup"), "no", None, False),
+    ("sha1bic-714", ("group",), 5, None, True),
+    ("sha1bic-714", ("group", "kind"), 5, "nosuch", True),
+    ("sha1bic-714", ("group", "p"), "2", 4, False),
+    ("sha1bic-semidirect", ("group", "q"), 5, None, True),
+    ("sha1bic-semidirect", ("group", "q", "invariant_factors"), "x", [1], True),
+    ("sha1bic-semidirect", ("group", "n"), 5, None, True),
+    ("sha1bic-semidirect", ("group", "n", "invariant_factors"), "x", [1], True),
+    ("sha1bic-semidirect", ("group", "n", "action"), "x", [[[2]], [[2]]], False),
+    ("algebraic-real", ("group",), 5, None, True),
+    ("algebraic-real", ("group", "table"), "x", [[0, 5], [5, 0]], True),
+    ("algebraic-real", ("galois",), 5, None, False),
+    ("algebraic-real", ("galois", "kind"), 5, "imaginary", False),
+    ("algebraic-real", ("galois", "modulus"), "2", 10**30, False),
+    ("algebraic-explicit", ("galois", "delta_table"), "x", [[0, 2], [2, 0]], True),
+    ("algebraic-explicit", ("galois", "chi"), "x", [1, 2], True),
+    ("algebraic-explicit", ("galois", "action"), "x", [[1, 0], [0, 1]], True),
+    ("algebraic-explicit", ("galois", "modulus"), 2.5, 0, False),
+    ("sha2ab", ("modulus",), "x", 0, False),
+    ("sha2ab", ("group",), 5, None, True),
+    ("sha2ab", ("group", "table"), "x", [[0, 5], [5, 0]], True),
 ]
 
 # where the message names the field in other words
@@ -285,3 +315,13 @@ def test_every_malformed_job_field_is_named(tmp_path, capsys, job, path, value, 
     f.write_text(json.dumps(raw))
     assert main(["run", str(f)]) in (2, 3, 4)
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("job, cap", [("b0-perm", 2), ("b0-abelian", 2), ("b0-semidirect", 1)])
+def test_table_group_cap_binds_every_group_kind(tmp_path, capsys, job, cap):
+    # the abelian kind and the q of the semidirect kind tabulate under the
+    # job's caps, as the permutation kind does
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps({**WELL_FORMED[job], "caps": {"table_group": cap}}))
+    assert main(["run", str(f)]) == 4
+    assert "table_group" in capsys.readouterr().err

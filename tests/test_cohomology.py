@@ -640,3 +640,53 @@ def test_zero_verdict_witness_is_sound():
             again[0, :] = 0
             again[:, 0] = 0
             assert np.array_equal(again, table)
+
+
+def _random_cocycles(H, rng, k):
+    """k random members of Z^d: class combinations plus coboundaries, with their classes."""
+    G, M = H.group, H.module
+    n, r = G.order, M.rank
+    coords = np.array([rng.integers(0, d, size=k) for d in H.invariant_factors],
+                      dtype=np.int64).reshape(-1, k)
+    tables = []
+    for j in range(k):
+        if H.degree == 1:
+            v = rng.integers(0, M.exponent, size=r)
+            cob = np.array([M.matrix(g) @ v - v for g in range(n)])
+        else:
+            b = np.zeros((n, r), dtype=np.int64)
+            b[1:] = rng.integers(0, M.exponent, size=(n - 1, r))
+            cob = coboundary1(G, M, b)
+        tables.append(M.reduce(H.element_table(coords[:, j]) + cob))
+    return np.array(tables), coords
+
+
+COORDINATE_DATA = {
+    "h1 S3 sign Z/6": lambda: h1(*H1_DATA["S3 sign Z/6"]()),
+    "h1 D4 swap (Z/2)^2": lambda: h1(*H1_DATA["D4 swap (Z/2)^2"]()),
+    "h1 Z2 shear Z2xZ4": lambda: h1(*H1_DATA["Z2 shear Z2xZ4"]()),
+    "h2 dense D4": lambda: h2(dihedral_group(4), _trivial_module(dihedral_group(4), (4,))),
+    "h2 scalar Q8": lambda: h2(quaternion_group(), scalar_module(8)),
+    "h2 scalar SD16": lambda: h2(_metacyclic(8, 2, 3), scalar_module(16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_DATA))
+def test_cohomology_coordinates_take_a_batch(name):
+    # a stack of cocycles gives one column per table, equal to the
+    # table-by-table coordinates; one non-cocycle makes the batch None
+    H = COORDINATE_DATA[name]()
+    assert H.invariant_factors
+    rng = np.random.default_rng(3)
+    tables, coords = _random_cocycles(H, rng, 6)
+    batch = H.coordinates(tables)
+    orders = np.array(H.invariant_factors)[:, None]
+    assert np.array_equal(batch % orders, coords % orders)
+    for j, table in enumerate(tables):
+        assert np.array_equal(H.coordinates(table), batch[:, j])
+    defect = cocycle1_defect if H.degree == 1 else cocycle2_defect
+    cells = (slice(1, None),) * H.degree
+    bad = np.zeros_like(tables[0])
+    while defect(H.group, H.module, bad) is None:
+        bad[cells] = rng.integers(0, H.module.exponent, size=bad[cells].shape)
+    assert H.coordinates(np.array([*tables[:3], bad, *tables[3:]])) is None

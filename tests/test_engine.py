@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from brnr.caps import Caps
-from brnr.cohomology import bockstein, character_group_generators, dies_in_qz
+from brnr.cohomology import (
+    bockstein,
+    character_group_generators,
+    dies_in_qz,
+    h2,
+    scalar_module,
+)
 from brnr.engine import (
     BrauerReport,
     _admissible_triples,
@@ -29,12 +35,16 @@ from brnr.extensions import (
     zero_extension,
 )
 from brnr.groups import (
+    AbelianModule,
     GroupAction,
     abelian_group,
     alternating_group,
     cyclic_group,
     dihedral_group,
+    group_from_table,
     quaternion_group,
+    semidirect_product,
+    subgroups_bicyclic,
     subgroups_cyclic,
     symmetric_group,
 )
@@ -256,6 +266,53 @@ def test_b0_of_nonabelian_small_groups_is_zero():
     assert b0(dihedral_group(4)).invariant_factors == ()
     assert b0(quaternion_group()).invariant_factors == ()
     assert b0(alternating_group(4)).invariant_factors == ()
+    # H^2(A5, Z/60) = Z/2 with no character to take a Bockstein of
+    assert b0(alternating_group(5)).invariant_factors == ()
+
+
+def b0_order_by_classes(G) -> int:
+    """|B_0(G)| class by class: the classes of H^2(G, Z/N) whose restriction
+    to every bicyclic subgroup dies in Q/Z, over the span of the Bocksteins."""
+    N = G.order
+    H = h2(G, scalar_module(N))
+    orders = H.invariant_factors
+    bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
+    dying = set()
+    for x in itertools.product(*(range(o) for o in orders)):
+        table = H.element_table(x)[:, :, 0]
+        if all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics):
+            dying.add(x)
+    kummer = [H.coordinates(bockstein(G, phi, N)[0][:, :, None]) % orders
+              for phi in character_group_generators(G, N)]
+    span, frontier = {(0,) * len(orders)}, [(0,) * len(orders)]
+    while frontier:
+        x = frontier.pop()
+        for k in kummer:
+            y = tuple((np.array(x) + k) % orders)
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    assert span <= dying
+    return len(dying) // len(span)
+
+
+# nonabelian Z/n x| Z/q, the generator of Z/q acting by u
+METACYCLIC = [(3, 2, 2), (4, 2, 3), (5, 4, 2), (7, 3, 2), (8, 2, 3), (8, 2, 5),
+              (4, 4, 3), (9, 2, 8)]
+
+
+@pytest.mark.parametrize("seed", range(len(METACYCLIC)))
+def test_b0_matches_per_class_dies_in_qz(seed):
+    # each group under a seeded relabelling
+    rng = np.random.default_rng(seed)
+    n, q, u = METACYCLIC[seed]
+    Q = cyclic_group(q)
+    action = np.array([[[pow(u, k, n)]] for k in range(q)], dtype=np.int64)
+    G = semidirect_product(AbelianModule((n,), Q, action), Q).group
+    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    inv = np.argsort(perm)
+    G = group_from_table(perm[G.mul[np.ix_(inv, inv)]])
+    assert b0(G).order == b0_order_by_classes(G), (n, q, u)
 
 
 def test_sha2_ab_examples():

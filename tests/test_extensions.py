@@ -24,6 +24,7 @@ from brnr.groups import (
     GroupAction,
     abelian_group,
     cyclic_group,
+    dihedral_group,
     group_from_table,
     subgroups_cyclic,
     symmetric_group,
@@ -381,3 +382,30 @@ def test_scale_extension():
     c1 = cm.coordinates(ext)
     c2 = cm.coordinates(scale_extension(ext, 3))
     assert np.array_equal((3 * c1) % np.array(cm.invariant_factors), c2)
+
+
+def test_class_module_coordinates_take_a_batch():
+    # a list of pairs gives one column per pair, equal to the pair-by-pair
+    # coordinates; one pair breaking C1 makes the batch None
+    gal = GaloisDatum.real_like(dihedral_group(4))
+    cm = class_module(gal)
+    assert cm.invariant_factors
+    orders = np.array(cm.invariant_factors)[:, None]
+    rng = np.random.default_rng(9)
+    coords = np.array([rng.integers(0, d, size=5) for d in cm.invariant_factors])
+    exts = []
+    for x in coords.T:
+        b = rng.integers(0, gal.N, size=gal.G.order)
+        b[0] = 0
+        f = (b[:, None] + b[None, :] - b[gal.G.mul]) % gal.N
+        c = (gal.chi_mod_n[:, None] * b[None, :] - b[gal.action.table]) % gal.N
+        exts.append(baer_sum(cm.element(x), EquivariantExtension(gal, f, c)))
+    batch = cm.coordinates(exts)
+    assert np.array_equal(batch % orders, coords % orders)
+    for j, ext in enumerate(exts):
+        assert np.array_equal(cm.coordinates(ext), batch[:, j])
+    f = rng.integers(0, gal.N, size=(gal.G.order, gal.G.order))
+    f[0] = f[:, 0] = 0
+    bad = EquivariantExtension(gal, f, exts[0].c)
+    assert bad.violated_law() is not None
+    assert cm.coordinates(exts[:2] + [bad] + exts[2:]) is None

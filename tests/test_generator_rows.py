@@ -1,0 +1,196 @@
+"""The cocycle systems at generator rows against the full-row systems.
+
+Production writes the cocycle identity (C1) and the automorphism law (C2)
+only at first arguments g in S = ``G.minimal_generators()``.  The
+references below keep every first argument g != 1, as the systems did
+before, with the full n x n x atoms expression tensor.  Over Z/m equal
+kernels have equal Howell forms, so the comparison is bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from brnr.cohomology import (
+    _kernel_from_batches,
+    cocycle2_defect,
+    reduced_cocycle_space,
+    scalar_module,
+)
+from brnr.extensions import GaloisDatum, _crossed_rows, class_module
+from brnr.groups import (
+    AbelianModule,
+    GroupAction,
+    cyclic_group,
+    dihedral_group,
+    group_from_table,
+    quaternion_group,
+    semidirect_product,
+)
+from brnr.zmod import echelon_compress, kernel
+
+from test_engine import FILTER_DATA
+
+
+def full_expr(G, gens) -> np.ndarray:
+    """expr[g, x]: f(g, x) in the atoms f(y, s), for every g, by BFS over x."""
+    n, k = G.order, len(gens)
+    expr = np.zeros((n, n, (n - 1) * k), dtype=np.int64)
+    seen, queue = {0}, [0]
+    while queue:
+        parent = queue.pop(0)
+        for i, s in enumerate(gens):
+            x = int(G.mul[parent, s])
+            if x in seen:
+                continue
+            seen.add(x)
+            queue.append(x)
+            expr[:, x] = expr[:, parent]
+            for g in range(n):
+                gp = int(G.mul[g, parent])
+                if gp:
+                    expr[g, x, (gp - 1) * k + i] += 1
+            if parent:
+                expr[:, x, (parent - 1) * k + i] -= 1
+    return expr
+
+
+def full_c1_rows(G, gens, m, width=None) -> np.ndarray:
+    """f(g,h) + f(gh,s) - f(g,hs) - f(h,s) for every g, h != 1 and s in S."""
+    n, k = G.order, len(gens)
+    expr = full_expr(G, gens)
+    rows = []
+    for i, s in enumerate(gens):
+        for g in range(1, n):
+            for h in range(1, n):
+                row = expr[g, G.mul[h, s]] - expr[g, h]
+                row[(h - 1) * k + i] += 1
+                gh = int(G.mul[g, h])
+                if gh:
+                    row[(gh - 1) * k + i] -= 1
+                rows.append(row)
+    rows = np.array(rows, dtype=np.int64) % m
+    width = rows.shape[1] if width is None else width
+    return np.hstack([rows, np.zeros((len(rows), width - rows.shape[1]), dtype=np.int64)])
+
+
+def full_c2_rows(gal, gens) -> np.ndarray:
+    """c_d(gh) - c_d(g) - c_d(h) - f(dg, dh) + chi(d) f(g, h) for d, g, h != 1."""
+    G, N, nd = gal.G, gal.N, gal.delta.order
+    n = G.order
+    expr = full_expr(G, gens)
+    n_atoms = expr.shape[2]
+    act, chi = gal.action.table, gal.chi_mod_n
+    rows = []
+    for d in range(1, nd):
+        for g in range(1, n):
+            for h in range(1, n):
+                row = np.zeros(n_atoms + (nd - 1) * (n - 1), dtype=np.int64)
+                row[:n_atoms] = chi[d] * expr[g, h] - expr[act[d, g], act[d, h]]
+                c = n_atoms + (d - 1) * (n - 1) - 1          # column of c_d(x) is c + x
+                gh = int(G.mul[g, h])
+                if gh:
+                    row[c + gh] += 1
+                row[c + g] -= 1
+                row[c + h] -= 1
+                rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, n_atoms + (nd - 1) * (n - 1)) % N
+
+
+def howell_of_kernel(rows, m) -> np.ndarray:
+    return echelon_compress(kernel(rows, m).T, m)
+
+
+def relabel(G, seed):
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    inv = np.argsort(perm)
+    return group_from_table(perm[G.mul[np.ix_(inv, inv)]]), perm
+
+
+def metacyclic(n, q, u):
+    Q = cyclic_group(q)
+    action = np.array([[[pow(u, k, n)]] for k in range(q)], dtype=np.int64)
+    return semidirect_product(AbelianModule((n,), Q, action), Q).group
+
+
+GROUPS = {
+    "D4": lambda: dihedral_group(4),
+    "Q8": quaternion_group,
+    "M16": lambda: metacyclic(8, 2, 5),
+    "SD16": lambda: metacyclic(8, 2, 3),
+    "D8": lambda: metacyclic(8, 2, 7),
+    "Z4:Z4": lambda: metacyclic(4, 4, 3),
+    "D4xZ2": lambda: semidirect_product(cyclic_group(2), dihedral_group(4)).group,
+    "Q8xZ2": lambda: semidirect_product(cyclic_group(2), quaternion_group()).group,
+    "D16": lambda: dihedral_group(16),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_c1_generator_rows_match_full_rows(name, seed):
+    G = GROUPS[name]()
+    if seed is not None:
+        G, _ = relabel(G, seed)
+    for m in (2, 4, 12, G.order):
+        space = reduced_cocycle_space(G, m)
+        n_atoms = space.expr.shape[2]
+        K = _kernel_from_batches(space.c1_batches(), n_atoms, m)
+        ref = howell_of_kernel(full_c1_rows(G, space.gens, m), m)
+        assert np.array_equal(echelon_compress(K.T, m), ref), m
+        # every kernel vector is a whole cocycle
+        for table in space.expand(K):
+            assert cocycle2_defect(G, scalar_module(m), table[:, :, None]) is None
+
+
+def inner_datum(G, t: int) -> GaloisDatum:
+    """Delta = Z/2 acting on G by conjugation with the involution t, chi = -1."""
+    N = G.order
+    conj = G.mul[G.mul[t], G.inv[t]]
+    delta = cyclic_group(2)
+    gal = GaloisDatum(delta, G, np.array([1, N * N - 1]),
+                      GroupAction(delta, G, np.array([np.arange(N), conj])))
+    gal.validate()
+    return gal
+
+
+def relabel_datum(gal, seed) -> GaloisDatum:
+    G, perm = relabel(gal.G, seed)
+    act = np.zeros_like(gal.action.table)
+    act[:, perm] = perm[gal.action.table]
+    out = GaloisDatum(gal.delta, G, gal.chi, GroupAction(gal.delta, G, act), gal.N,
+                      gal.base_algebraically_closed)
+    out.validate()
+    return out
+
+
+def _reflection(G):
+    """An involution outside the centre: conjugation by it moves a generator."""
+    for t in range(1, G.order):
+        if G.mul[t, t] == 0 and any(G.mul[t, s] != G.mul[s, t] for s in G.minimal_generators()):
+            return t
+    raise AssertionError("no noncentral involution")
+
+
+C2_DATA = {
+    **FILTER_DATA,
+    "inner D4": lambda: inner_datum(dihedral_group(4), _reflection(dihedral_group(4))),
+    "inner D4xZ2": lambda: inner_datum(GROUPS["D4xZ2"](), _reflection(GROUPS["D4xZ2"]())),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("name", sorted(C2_DATA))
+def test_c2_generator_rows_match_full_rows(name, seed):
+    gal = C2_DATA[name]()
+    if seed is not None:
+        gal = relabel_datum(gal, seed)
+    G, N = gal.G, gal.N
+    gens = G.minimal_generators()
+    n_atoms = (G.order - 1) * len(gens)
+    dim = n_atoms + (gal.delta.order - 1) * (G.order - 1)
+    c3 = _crossed_rows(gal)
+    ref = np.vstack([full_c1_rows(G, gens, N, dim), full_c2_rows(gal, gens),
+                     np.hstack([np.zeros((len(c3), n_atoms), dtype=np.int64), c3])])
+    cm = class_module(gal)
+    assert np.array_equal(echelon_compress(cm._sub._W.T, N), howell_of_kernel(ref, N))

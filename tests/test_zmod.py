@@ -237,6 +237,23 @@ def test_subquotient_structure():
     assert sq.coordinates(v) is not None
 
 
+def test_subquotient_coordinates_take_a_batch():
+    # a matrix of members gives their coordinates as columns; one column
+    # outside W makes the whole batch None
+    rng = np.random.default_rng(7)
+    m = 12
+    W = rng.integers(0, m, size=(6, 3))
+    sq = subquotient(W, 2 * W[:, :1] % m, m)
+    assert sq.invariant_factors
+    V = W @ rng.integers(0, m, size=(3, 5)) % m
+    batch = sq.coordinates(V)
+    assert batch.shape == (len(sq.invariant_factors), 5)
+    for j in range(5):
+        assert np.array_equal(batch[:, j], sq.coordinates(V[:, j]))
+    outside = next(v for v in rng.integers(0, m, size=(20, 6)) if sq.coordinates(v) is None)
+    assert sq.coordinates(np.column_stack([V[:, :2], outside, V[:, 2:]])) is None
+
+
 @pytest.mark.parametrize("m", [4, 8, 27, 6, 12, 60, 72])
 def test_row_echelon_is_the_canonical_howell_form(m):
     rng = np.random.default_rng(2024 + m)
