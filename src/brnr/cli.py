@@ -131,7 +131,11 @@ def _group_table(spec, key: str, owner: str) -> FiniteGroup:
 
 
 def _build_group(spec, caps: Caps):
-    """Returns (FiniteGroup, SemidirectDatum | None, AugmentationExample | None)."""
+    """Returns (FiniteGroup | None, SemidirectDatum | None, AugmentationExample | None).
+
+    A semidirect group is left untabulated: ``run_job`` tabulates it, under
+    the ``table_group`` cap, only for the tasks that need its table.
+    """
     kind = _field(spec, "kind", "group")
     if kind == "table":
         return _group_table(spec, "table", "group"), None, None
@@ -155,11 +159,7 @@ def _build_group(spec, caps: Caps):
         with _naming("group.n"):
             module = AbelianModule(tuple(factors), q, action)
             module.validate()
-        sd = SemidirectDatum(q, module)
-        group = None
-        if sd.group_order <= caps.table_group:
-            group = semidirect_product(sd.N, sd.Q, caps=caps).group
-        return group, sd, None
+        return None, SemidirectDatum(q, module), None
     if kind == "example714":
         ex = build_example_714(_positive_int(spec, "p", "group") or 2)
         return None, ex.sd, ex
@@ -233,18 +233,18 @@ def run_job(job: Job) -> tuple[str, int]:
     raw = job.raw
 
     group, sd, example = _build_group(raw.get("group", {}), caps)
+    if task in ("b0", "brnr", "algebraic", "sha2ab") and group is None:
+        if example is not None:
+            raise ValidationError(f"task {task} needs a tabulated group")
+        group = semidirect_product(sd.N, sd.Q, caps=caps).group
 
     if task == "b0":
-        if group is None:
-            raise ValidationError("task b0 needs a tabulated group")
         rep = b0(group, caps)
         lines.append(f"B_0 = {_fmt_factors(rep.invariant_factors)}")
         for i, ext in enumerate(rep.representatives):
             lines.extend(_fmt_table(ext.f, f"generator {i} cocycle"))
 
     elif task == "brnr":
-        if group is None:
-            raise ValidationError("task brnr needs a tabulated group")
         gal = _build_galois(raw.get("galois"), group)
         rep = br_nr(gal, caps)
         lines.append(f"Br0_nr = {_fmt_factors(rep.invariant_factors)}")
@@ -272,15 +272,11 @@ def run_job(job: Job) -> tuple[str, int]:
             lines.extend(_fmt_table(table, f"generator {i} (1-cocycle on Q)"))
 
     elif task == "algebraic":
-        if group is None:
-            raise ValidationError("task algebraic needs a tabulated group")
         gal = _build_galois(raw.get("galois"), group)
         rep = algebraic_unramified(gal, caps)
         lines.append(f"Br0_nr_alg = {_fmt_factors(rep.invariant_factors)}")
 
     elif task == "sha2ab":
-        if group is None:
-            raise ValidationError("task sha2ab needs a tabulated group")
         m = _positive_int(raw, "modulus", "job", most=MAX_MODULUS) or 2
         rep = sha2_ab(group, m, caps)
         lines.append(f"Sha2_ab(G, Z/{m}) = {_fmt_factors(rep.invariant_factors)}")

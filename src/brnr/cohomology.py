@@ -88,11 +88,16 @@ def cocycle1_defect(G: FiniteGroup, M: AbelianModule, a: np.ndarray) -> Optional
 
 
 def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray) -> Optional[tuple]:
-    """First (g, h, k) violating the 2-cocycle identity, or None."""
+    """First (g, h, k), g in {1} u S, violating the 2-cocycle identity, or None.
+
+    S is ``G.minimal_generators()``.  F = df is a 3-cocycle, and dF = 0 at
+    (s, g, h, k) reads F(sg, h, k) = s.F(g, h, k) once F(s, ., .) = 0: so F
+    vanishes everywhere if it vanishes at 1 and at S, O(|S| |G|^2) work.
+    """
     n = G.order
     f = M.reduce(f)
     flat = f.reshape(n * n, -1)
-    for g in range(n):
+    for g in sorted({G.identity, *G.minimal_generators()}):
         acted = (flat @ M.matrix(g).T).reshape(n, n, -1) if M.action is not None \
             else f
         lhs = acted - flat[G.mul[g].reshape(-1, 1) * n + np.arange(n)].reshape(n, n, -1)

@@ -5,9 +5,11 @@ filters) reduces to four primitives over Z/m: Smith normal form with
 unimodular transforms, linear solving, kernels, and cokernel structure.
 All of it is done directly mod m -- never over Z and then reduced --
 using the fact that every element of Z/m is a unit times a divisor of m.
-Tall systems are first compressed to their reduced Howell form, which
-``RowEchelon`` computes per prime power: one column sweep for each
-prime-power factor of m, joined by CRT.
+The Smith normal form pivots on the least gcd(a, m), found from one key
+per row that is updated only where a row changes.  Tall systems are first
+compressed to their reduced Howell form, which ``RowEchelon`` computes per
+prime power: one column sweep for each prime-power factor of m, joined by
+CRT.
 
 Matrices are numpy int64 arrays with entries reduced into [0, m).
 Column spans are "submodules generated by the columns".
@@ -107,7 +109,17 @@ def smith_normal_form_raw(
     want_Q: bool = True,
     want_Qinv: bool = False,
 ) -> SmithNormalForm:
-    """Diagonalize A over Z/m: P A Q = D with d_i | d_(i+1) as divisors of m."""
+    """Diagonalize A over Z/m: P A Q = D with d_i | d_(i+1) as divisors of m.
+
+    Step t pivots on the least (gcd(a, m), row, column) over the nonzero
+    a in A[t:, t:], then clears its column and row, swapping in any
+    remainder a composite m leaves.  Rows below t are zero left of t, so
+    ``keys[i]`` (least gcd(a, m) in row i, m if none) is that of the block:
+    built once, carried by row swaps, and recomputed for the rows a column
+    clear rewrites, which include any row the remainder swap sent down
+    (it keeps the old pivot d in column t, and the new pivot is below d).
+    Column t is then zero off row t, so the row clear writes row t alone.
+    """
     A = as_mod(A, m).copy()
     r, c = A.shape
     if m <= 1:
@@ -118,9 +130,14 @@ def smith_normal_form_raw(
     P = _Transform(r, m, want_Pinv) if (want_P or want_Pinv) else None
     Q = _Transform(c, m, want_Qinv) if (want_Q or want_Qinv) else None
 
+    keys = np.full(r, m, dtype=np.int64)     # least gcd(a, m) per row, m if none
+    nz = np.nonzero(A)
+    np.minimum.at(keys, nz[0], np.gcd(A[nz], m))
+
     def row_swap(i, k):
         if i != k:
             A[[i, k]] = A[[k, i]]
+            keys[[i, k]] = keys[[k, i]]
             if P:
                 P.row_swap(i, k)
 
@@ -142,15 +159,11 @@ def smith_normal_form_raw(
     t = 0
     rank = min(r, c)
     while t < rank:
-        sub = A[t:, t:]
-        nz_r, nz_c = np.nonzero(sub)
-        if nz_r.size == 0:
+        i = t + int(np.argmin(keys[t:]))
+        if keys[i] == m:
             break
-        vals = sub[nz_r, nz_c]
-        keys = np.gcd(vals, m)
-        best = np.lexsort((nz_c, nz_r, keys))[0]
-        row_swap(t, t + int(nz_r[best]))
-        col_swap(t, t + int(nz_c[best]))
+        row_swap(t, i)
+        col_swap(t, t + int(np.argmin(np.gcd(A[t, t:], m))))
 
         while True:
             u, d = unit_scale(int(A[t, t]), m)
@@ -158,27 +171,29 @@ def smith_normal_form_raw(
                 A[t] = A[t] * u % m
                 if P:
                     P.row_scale(t, u)
-            # clear the pivot column below t
+            # clear the pivot column below t; rows are zero left of t
             colv = A[t + 1 :, t]
             if colv.any():
                 qs = colv // d
                 idx = np.nonzero(qs)[0]
                 if idx.size:
-                    A[t + 1 + idx, :] = (A[t + 1 + idx, :] - qs[idx, None] * A[t, :]) % m
+                    rows = t + 1 + idx
+                    A[rows, t:] = (A[rows, t:] - qs[idx, None] * A[t, t:]) % m
+                    keys[rows] = np.gcd(A[rows, t:], m).min(axis=1)
                     if P:
-                        P.rows_addmul_bulk(t + 1 + idx, t, qs[idx])
+                        P.rows_addmul_bulk(rows, t, qs[idx])
                 rem = A[t + 1 :, t]
                 if rem.any():
                     i = int(np.nonzero(rem)[0][0])
                     row_swap(t, t + 1 + i)
                     continue
-            # clear the pivot row right of t
+            # clear the pivot row right of t: column t is zero off row t
             rowv = A[t, t + 1 :]
             if rowv.any():
                 qs = rowv // d
                 idx = np.nonzero(qs)[0]
                 if idx.size:
-                    A[:, t + 1 + idx] = (A[:, t + 1 + idx] - A[:, t, None] * qs[idx]) % m
+                    A[t, t + 1 + idx] = (A[t, t + 1 + idx] - d * qs[idx]) % m
                     if Q:
                         Q.rows_addmul_bulk(t + 1 + idx, t, qs[idx])
                 rem = A[t, t + 1 :]

@@ -216,6 +216,15 @@ WELL_FORMED = {
                                       "action": [[0, 1], [0, 1]], "modulus": 2}},
     "sha2ab": {"task": "sha2ab", "modulus": 4, "group": {"kind": "table", "table": Z2}},
 }
+S3_SEMIDIRECT = WELL_FORMED["b0-semidirect"]["group"]
+WELL_FORMED.update({
+    "brnr-semidirect": {"task": "brnr", "group": S3_SEMIDIRECT,
+                        "galois": {"kind": "real", "modulus": 2}},
+    "algebraic-semidirect": {"task": "algebraic", "group": S3_SEMIDIRECT,
+                             "galois": {"kind": "real", "modulus": 2}},
+    "sha2ab-semidirect": {"task": "sha2ab", "modulus": 2, "group": S3_SEMIDIRECT},
+    "sha1bic-s3": {"task": "sha1bic", "group": S3_SEMIDIRECT},
+})
 MISSING = object()
 # (job, path to the field, a wrong-typed value, an out-of-range value or
 # None if the field has no range, whether the field is required); the
@@ -317,11 +326,20 @@ def test_every_malformed_job_field_is_named(tmp_path, capsys, job, path, value, 
     assert name in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("job, cap", [("b0-perm", 2), ("b0-abelian", 2), ("b0-semidirect", 1)])
+@pytest.mark.parametrize("job, cap", [
+    ("b0-perm", 2), ("b0-abelian", 2), ("b0-semidirect", 1), ("b0-semidirect", 2),
+    ("brnr-semidirect", 2), ("algebraic-semidirect", 2), ("sha2ab-semidirect", 2),
+    ("sha1bic-s3", 2),
+])
 def test_table_group_cap_binds_every_group_kind(tmp_path, capsys, job, cap):
-    # the abelian kind and the q of the semidirect kind tabulate under the
-    # job's caps, as the permutation kind does
+    # the abelian kind, the q of the semidirect kind and, for the tasks that
+    # need a table of G, the order-6 semidirect group itself tabulate under
+    # the job's caps, as the permutation kind does; sha1bic needs no table of
+    # G and still runs
     f = tmp_path / "job.json"
     f.write_text(json.dumps({**WELL_FORMED[job], "caps": {"table_group": cap}}))
+    if job.startswith("sha1bic"):
+        assert main(["run", str(f)]) == 0
+        return
     assert main(["run", str(f)]) == 4
     assert "table_group" in capsys.readouterr().err

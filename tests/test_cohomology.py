@@ -623,6 +623,59 @@ def test_coboundary_compositions_vanish():
                 assert cocycle2_defect(G, M, img) is None
 
 
+def _cocycle2_violations(G: FiniteGroup, M: AbelianModule, f: np.ndarray) -> list:
+    """Reference: every (g, h, k) violating the cocycle identity, in order."""
+    n = G.order
+    f = M.reduce(f)
+    acts = np.array([M.matrix(g) for g in range(n)])
+    lhs = (np.einsum("gij,hkj->ghki", acts, f) - f[G.mul] + f[:, G.mul]
+           - f[:, :, None, :])
+    return [tuple(int(x) for x in t) for t in np.argwhere(M.reduce(lhs).any(axis=3))]
+
+
+DEFECT_DATA = {
+    "D4 sign Z/4": lambda: (dihedral_group(4), scalar_module(
+        4, dihedral_group(4), _sign_units(dihedral_group(4), 4))),
+    "Q8 sign Z/4": lambda: (quaternion_group(), scalar_module(
+        4, quaternion_group(), _sign_units(quaternion_group(), 4))),
+    "S3 sign Z/6": lambda: (symmetric_group(3), scalar_module(
+        6, symmetric_group(3), _sign_units(symmetric_group(3), 6))),
+    "S3 trivial Z/3": lambda: (symmetric_group(3), scalar_module(3)),
+    "D4 swap (Z/2)^2": lambda: (dihedral_group(4), _swap_module(dihedral_group(4), 2)),
+    "SD16 swap (Z/4)^2": lambda: (_metacyclic(8, 2, 3), _swap_module(_metacyclic(8, 2, 3), 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFECT_DATA))
+def test_cocycle2_defect_on_generator_rows_matches_all_rows(name):
+    # the cocycle check reads only the rows g in {1} u S; its verdict must be
+    # that of every row, and its witness the first bad triple in those rows.
+    # Cochains: coboundaries of 1-cochains with a(1) != 0 (so f(1, x) != 0)
+    # and H^2 representatives, each perturbed at one entry, every other time
+    # in the row f(1, .).
+    G, M = DEFECT_DATA[name]()
+    n, r = G.order, M.rank
+    rows = {G.identity, *G.minimal_generators()}
+    d = np.array(M.invariant_factors, dtype=np.int64)
+    rng = np.random.default_rng(n * 101 + r)
+    cocycles = [coboundary1(G, M, rng.integers(0, d, size=(n, r))) for _ in range(6)]
+    if n <= 8:
+        cocycles += h2(G, M).representatives
+    for f in cocycles:
+        assert _cocycle2_violations(G, M, f) == []
+        assert cocycle2_defect(G, M, f) is None
+        for trial in range(8):
+            g = G.identity if trial % 2 == 0 else int(rng.integers(0, n))
+            h, i = int(rng.integers(0, n)), int(rng.integers(0, r))
+            bad = f.copy()
+            bad[g, h, i] = (bad[g, h, i] + rng.integers(1, d[i])) % d[i]
+            ref = _cocycle2_violations(G, M, bad)
+            got = cocycle2_defect(G, M, bad)
+            assert (got is None) == (not ref), (g, h, i)
+            if ref:
+                assert got == next(t for t in ref if t[0] in rows), (g, h, i)
+
+
 def test_zero_verdict_witness_is_sound():
     # whenever is_scalar_coboundary returns b, d1(b) equals the table
     rng = np.random.default_rng(31)
