@@ -191,11 +191,12 @@ def _build_galois(spec, G: FiniteGroup) -> GaloisDatum:
 def _build_local(spec) -> LocalDatum:
     delta_v = _group_table(spec, "delta_v_table", "local")
     to_delta = _ints(spec, "to_delta", "local", 1)
-    gens = _ints(spec, "generators", "local", 1) if "generators" in spec else ()
+    gens = (tuple(map(int, _ints(spec, "generators", "local", 1)))
+            if "generators" in spec else None)
     label = spec.get("label", "v")
     if not isinstance(label, str):
         raise ValidationError("local.label must be a string", witness=label)
-    return LocalDatum(label, delta_v, to_delta, tuple(map(int, gens)))
+    return LocalDatum(label, delta_v, to_delta, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,15 @@ nonzero finite-level class does not certify a nonzero local invariant.
 beta is linear in (f, c), and Zero means beta lies in the chi_v-twisted
 coboundary span, which depends on the place alone: bm_report enumerates
 each place's points once and reads every class at every point from one
-cokernel per place.  evaluate (one class, one point, one solve) is the
-reference.
+cokernel per place, with the betas of all classes at all points in one
+array.  evaluate (one class, one point, one solve) is the reference.
+
+nonabelian_h1 enumerates generator images in fixed blocks of candidates,
+one array per block: it propagates them along a BFS factorization of
+Delta_v, checks the cocycle law on the generator columns only, and keeps
+the least member of each twisted-conjugation orbit by byte key (the order
+of ``tobytes()``, not the numeric order once |G| > 255).  A tuple of points
+takes the largest of one status code per (place, point).
 """
 
 from __future__ import annotations
@@ -44,11 +51,11 @@ class LocalDatum:
     label: str
     delta_v: FiniteGroup
     to_delta: np.ndarray              # homomorphism Delta_v -> Delta
-    generators: tuple[int, ...] = ()
+    generators: Optional[tuple[int, ...]] = None   # None: minimal_generators()
 
     def __post_init__(self):
         self.to_delta = np.asarray(self.to_delta, dtype=np.int64)
-        if not self.generators:
+        if self.generators is None:
             self.generators = tuple(self.delta_v.minimal_generators())
 
     def validate(self, gal: GaloisDatum) -> None:
@@ -99,13 +106,42 @@ def cocycle_defect_nonabelian(ld: LocalDatum, gal: GaloisDatum,
     return tuple(map(int, bad[0])) if bad.size else None
 
 
+# cells (candidates x |G| x |D_v|) of one nonabelian_h1 block: this bounds the
+# memory of the enumeration, the nonabelian_enum cap bounds its length
+_BLOCK_CELLS = 1 << 18
+
+
+def _byte_key(tables: np.ndarray) -> np.ndarray:
+    """Each '<i8' entry read as a big-endian word: numeric order is byte order.
+
+    Rows then compare as their ``tobytes()`` do.  Above |G| = 255 this order
+    differs from the numeric order of the entries.
+    """
+    return np.ascontiguousarray(tables, dtype="<i8").view(">u8").astype(np.uint64)
+
+
+def _distinct_by_byte_key(tables: np.ndarray) -> np.ndarray:
+    """The distinct rows of a (rows, |D_v|) array, sorted by byte key."""
+    key = _byte_key(tables)
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    return tables[order[new]]
+
+
 def nonabelian_h1(ld: LocalDatum, gal: GaloisDatum,
                   caps: Caps = DEFAULT_CAPS) -> list[NonabelianCocycle]:
     """All twisted-cocycle classes, one table each, the least by byte key.
 
-    Generator images are enumerated, propagated along a fixed generator
-    factorization, and the full cocycle law is then verified exhaustively;
-    classes are orbits of h'(s) = g^-1 h(s) (s.g) over g in G.
+    Generator images are enumerated in blocks of candidates, one array per
+    block, and propagated along a fixed generator factorization, one column
+    per element of Delta_v.  The cocycle law is checked on the columns
+    t in ``ld.generators``: if h(xs) = h(x) (x.h(s)) for every x and every
+    generator s, it holds for every t by induction on word length.  Classes
+    are orbits of h'(s) = g^-1 h(s) (s.g) over g in G; each keeps its least
+    member by byte key (``tobytes()`` order), and the classes come sorted by
+    that key.
     """
     ld.validate(gal)
     D = ld.delta_v
@@ -126,21 +162,32 @@ def nonabelian_h1(ld: LocalDatum, gal: GaloisDatum,
                 parent[y] = (x, gi)
                 order_out.append(y)
 
-    classes: dict[bytes, np.ndarray] = {}
-    for images in itertools.product(range(G.order), repeat=len(gens)):
-        h = np.zeros(D.order, dtype=np.int64)
+    xs = np.arange(D.order)
+    # images in itertools.product order: the first generator's digit is the slowest
+    radix = G.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // (G.order * D.order))
+    found = []
+    for lo in range(0, total, step):
+        images = np.arange(lo, min(lo + step, total))[:, None] // radix % G.order
+        h = np.zeros((len(images), D.order), dtype=np.int64)
         for y in order_out[1:]:
             x, gi = parent[y]
             # h(x * s) = h(x) * (x . h(s))
-            h[y] = G.mul[h[x], act[x, images[gi]]]
-        if (h[gens] != images).any() or cocycle_defect_nonabelian(ld, gal, h) is not None:
-            continue
+            h[:, y] = G.mul[h[:, x], act[x, images[:, gi]]]
+        ok = (h[:, gens] == images).all(axis=1)
+        for s in gens:
+            ok &= (h[:, D.mul[:, s]] == G.mul[h, act[xs, h[:, [s]]]]).all(axis=1)
+        h = h[ok]
         # orbit under twisted conjugation, row g = g^-1 h(s) (s.g); keep the
-        # least table by byte key
-        best = min(G.mul[G.mul[G.inv[:, None], h], act.T], key=lambda t: t.tobytes())
-        classes.setdefault(best.tobytes(), best)
-    ordered = sorted(classes.values(), key=lambda t: t.tobytes())
-    return [NonabelianCocycle(t) for t in ordered]
+        # least row by byte key, one column at a time
+        orbit = G.mul[G.mul[G.inv[:, None], h[:, None, :]], act.T]
+        key = _byte_key(orbit)
+        least = np.ones(orbit.shape[:2], dtype=bool)
+        for col in np.moveaxis(key, 2, 0):
+            low = np.where(least, col, np.iinfo(np.uint64).max).min(axis=1)
+            least &= col == low[:, None]
+        found.append(_distinct_by_byte_key(orbit[np.arange(len(h)), least.argmax(axis=1)]))
+    return [NonabelianCocycle(t) for t in _distinct_by_byte_key(np.concatenate(found))]
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +202,10 @@ UNKNOWN = "Unknown"
 _DETAILS = {ZERO: "coboundary witness found",
             UNKNOWN: "nonzero at this finite level; not a certificate"}
 
+# tuple status codes, read by bm_report: the largest code among a tuple's verdicts
+_CODE = {ZERO: 0, NONZERO_CERTIFIED: 2}       # any other verdict: 1
+_STATUS = ("Admissible", "Undetermined", "Excluded")
+
 
 @dataclass
 class EvaluationResult:
@@ -167,23 +218,38 @@ def _beta_tables(fs: np.ndarray, cs: np.ndarray, ld: LocalDatum, gal: GaloisDatu
                  h: np.ndarray) -> np.ndarray:
     """beta_k(s, t) = c_k,s(h_t) + f_k(h_s, s.h_t) mod N for a stack of pairs.
 
-    fs is (k, |G|, |G|), cs is (k, |Delta|, |G|); the result is (k, |D_v|, |D_v|).
+    fs is (k, |G|, |G|), cs is (k, |Delta|, |G|) and h is (..., |D_v|), one
+    point or a stack of them; the result is (k, ..., |D_v|, |D_v|).
     """
     act = ld.action_v(gal)
     s = np.arange(ld.delta_v.order)[:, None]
-    beta = (cs[:, ld.to_delta[s], h] + fs[:, h[s], act[s, h]]) % gal.N
-    beta[:, 0, :] = 0
-    beta[:, :, 0] = 0
+    hs, ht = h[..., :, None], h[..., None, :]
+    beta = (cs[:, ld.to_delta[s], ht] + fs[:, hs, act[s, ht]]) % gal.N
+    beta[..., 0, :] = 0
+    beta[..., :, 0] = 0
     return beta
 
 
-def _twisted_two_cocycle_defect(D: FiniteGroup, betas: np.ndarray,
-                                units: np.ndarray, m: int) -> Optional[tuple]:
-    """First (k, s, t, u) where u(s) b(t, u) - b(st, u) + b(s, tu) - b(s, t) != 0."""
-    lhs = (units[:, None, None] * betas[:, None] - betas[:, D.mul]
-           + betas[:, :, D.mul] - betas[..., None])
+def _twisted_two_cocycle_defect(D: FiniteGroup, betas: np.ndarray, units: np.ndarray,
+                                m: int, gens) -> Optional[tuple]:
+    """First (..., s, t, u), s in {1} u gens, where
+    u(s) b(t, u) - b(st, u) + b(s, tu) - b(s, t) != 0, or None.
+
+    betas is (..., |D|, |D|).  F = d(beta) is a twisted 3-cocycle, and
+    dF = 0 at (s, g, t, u) reads F(sg, t, u) = u(s) F(g, t, u) once
+    F(s, ., .) = 0: so F vanishes everywhere if it vanishes at 1 and at the
+    generators, O(|gens| |D|^2) work per table.
+    """
+    rows = np.array(sorted({0, *gens}), dtype=np.int64)
+    at = betas[..., rows, :]
+    lhs = (units[rows, None, None] * betas[..., None, :, :] - betas[..., D.mul[rows], :]
+           + at[..., D.mul] - at[..., None])
     bad = np.argwhere(lhs % m)
-    return tuple(map(int, bad[0])) if bad.size else None
+    if not bad.size:
+        return None
+    witness = list(map(int, bad[0]))
+    witness[-3] = int(rows[witness[-3]])
+    return tuple(witness)
 
 
 def evaluate(ext: EquivariantExtension, ld: LocalDatum,
@@ -203,7 +269,7 @@ def evaluate(ext: EquivariantExtension, ld: LocalDatum,
                              witness=defect)
     beta = _beta_tables(ext.f[None], ext.c[None], ld, gal, h.table)
     chi_v = as_mod(ld.chi_v(gal), gal.N)
-    defect2 = _twisted_two_cocycle_defect(ld.delta_v, beta, chi_v, gal.N)
+    defect2 = _twisted_two_cocycle_defect(ld.delta_v, beta, chi_v, gal.N, ld.generators)
     if defect2 is not None:
         raise AssertionError(f"evaluation table is not a 2-cocycle at {defect2[1:]}")
     verdict = UNKNOWN if is_scalar_coboundary(ld.delta_v, beta[0], gal.N,
@@ -240,27 +306,26 @@ def _place_verdicts(exts: list[EquivariantExtension], ld: LocalDatum,
     coboundary map on Delta_v, so one cokernel serves every class and point.
     It is asked on the rows (s, t) with t in ``ld.generators``: beta minus
     a twisted coboundary is a twisted 2-cocycle, which vanishes iff it
-    vanishes on those rows.
+    vanishes on those rows.  The betas of all classes at all points are one
+    (classes, points, |D_v|, |D_v|) array, checked and projected at once.
     """
     D, N = ld.delta_v, gal.N
     chi_v = as_mod(ld.chi_v(gal), N)
     gens = list(ld.generators)
     coeffs = scalar_module(N, D, chi_v) if N > 1 else N
     coker = cokernel(_coboundary_rows(D, coeffs, second=gens), N)
-    fs = np.array([e.f for e in exts])
-    cs = np.array([e.c for e in exts])
-    out: list[list[PointVerdict]] = [[] for _ in exts]
-    for i, h in enumerate(nonabelian_h1(ld, gal, caps)):
-        betas = _beta_tables(fs, cs, ld, gal, h.table)
-        defect = _twisted_two_cocycle_defect(D, betas, chi_v, N)
-        if defect is not None:
-            raise AssertionError(f"evaluation table is not a 2-cocycle at {defect}")
-        zero = ~coker.project(betas[:, 1:, gens].reshape(len(exts), -1).T).any(axis=0)
-        label = "base" if not h.table.any() else f"h{i}"
-        for rows, z in zip(out, zero):
-            verdict = ZERO if z else UNKNOWN
-            rows.append(PointVerdict(ld.label, label, verdict, _DETAILS[verdict]))
-    return out
+    points = np.array([h.table for h in nonabelian_h1(ld, gal, caps)])
+    betas = _beta_tables(np.array([e.f for e in exts]), np.array([e.c for e in exts]),
+                         ld, gal, points)
+    defect = _twisted_two_cocycle_defect(D, betas, chi_v, N, gens)
+    if defect is not None:
+        raise AssertionError(f"evaluation table is not a 2-cocycle at {defect}")
+    flat = betas[..., 1:, gens].reshape(len(exts) * len(points), -1)
+    zero = ~coker.project(flat.T).any(axis=0).reshape(len(exts), len(points))
+    labels = ["base" if not h.any() else f"h{i}" for i, h in enumerate(points)]
+    verdicts = [[ZERO if z else UNKNOWN for z in row] for row in zero.tolist()]
+    return [[PointVerdict(ld.label, label, v, _DETAILS[v]) for label, v in zip(labels, row)]
+            for row in verdicts]
 
 
 def theta_point_beta(sd: SemidirectDatum, a_table: np.ndarray, modulus: int,
@@ -358,19 +423,17 @@ def bm_report(entries: list[ClassEntry], data: list[LocalDatum], gal: GaloisDatu
     per_class = {entry.label: out for entry, out in zip(entries, rows)}
 
     place_labels = [ld.label for ld in data]
-    axes = [sorted(per_place_points.get(place, {"base": {}})) for place in place_labels]
+    points = [per_place_points.get(place, {"base": {}}) for place in place_labels]
+    axes = [sorted(at) for at in points]
     n_tuples = math.prod(len(ax) for ax in axes)
     if n_tuples > caps.local_tuples:
         raise CapExceeded("local_tuples", caps.local_tuples, n_tuples)
-    tuple_rows = []
-    for combo in itertools.product(*axes):
-        verdicts = [v for place, point in zip(place_labels, combo)
-                    for v in per_place_points.get(place, {}).get(point, {}).values()]
-        if NONZERO_CERTIFIED in verdicts:
-            status = "Excluded"
-        elif all(v == ZERO for v in verdicts):
-            status = "Admissible"
-        else:
-            status = "Undetermined"
-        tuple_rows.append((combo, status))
-    return BMReport(place_labels, per_class, tuple_rows)
+    # a point's code is the largest at it, a tuple's the largest of its points'
+    codes = [np.array([max((_CODE.get(v, 1) for v in at[point].values()), default=0)
+                       for point in ax], dtype=np.int8) for at, ax in zip(points, axes)]
+    grid = np.zeros((), dtype=np.int8)
+    for code in codes:
+        grid = np.maximum.outer(grid, code)
+    statuses = [_STATUS[c] for c in grid.ravel().tolist()]
+    return BMReport(place_labels, per_class,
+                    list(zip(itertools.product(*axes), statuses)))

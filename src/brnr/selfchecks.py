@@ -64,7 +64,7 @@ from .groups import (
     subgroups_bicyclic,
     symmetric_group,
 )
-from .localeval import LocalDatum, NonabelianCocycle, evaluate
+from .localeval import LocalDatum, NonabelianCocycle, evaluate, nonabelian_h1
 from .zmod import as_mod, smith_normal_form_raw, solve, subquotient
 
 
@@ -314,6 +314,32 @@ def check_base_point_evaluation_zero():
                 "base point must evaluate to Zero")
 
 
+def check_nonabelian_h1_vs_orbit_count():
+    """Point count on D4 under an outer Galois action vs orbits of all cochains."""
+    Q = cyclic_group(2)
+    G = semidirect_product(AbelianModule((4,), Q, np.array([[[1]], [[3]]])), Q).group
+    # r^n s^q has index 2n + q; r -> r^-1, s -> s r is an involutive outer automorphism
+    n, q = np.divmod(np.arange(8), 2)
+    outer = (-n - q) % 4 * 2 + q
+    gal = GaloisDatum(Q, G, np.array([1, 63]),
+                      GroupAction(Q, G, np.array([np.arange(8), outer])))
+    gal.validate()
+    counts = []
+    for ld in (LocalDatum("Z4", cyclic_group(4), np.array([0, 1, 0, 1])),
+               LocalDatum("V4", abelian_group([2, 2]), np.array([0, 1, 1, 0])),
+               LocalDatum("V4 off", abelian_group([2, 2]), np.zeros(4, dtype=np.int64))):
+        D, act = ld.delta_v, ld.action_v(gal)
+        h = np.indices((G.order,) * D.order).reshape(D.order, -1).T    # every cochain
+        s = np.arange(D.order)[:, None]
+        law = (h[:, D.mul] == G.mul[h[:, :, None], act[s, h[:, None, :]]]).all(axis=(1, 2))
+        orbits = {frozenset(tuple(G.mul[G.mul[G.inv[g], t], act[:, g]]) for g in range(G.order))
+                  for t in h[law]}
+        _assert(len(nonabelian_h1(ld, gal)) == len(orbits),
+                f"nonabelian_h1 at {ld.label} disagrees with the orbit count")
+        counts.append(len(orbits))
+    _assert(max(counts) > 2, "some place should have more than two points")
+
+
 CHECKS = [
     ("smith normal form reconstruction", check_snf_reconstruction),
     ("H^2 of cyclic groups: gcd law", check_h2_gcd_law),
@@ -331,4 +357,5 @@ CHECKS = [
     ("extension coordinate formula vs direct construction",
      check_extension_formula_cross_validation),
     ("base-point evaluation is Zero", check_base_point_evaluation_zero),
+    ("nonabelian H^1 vs orbits of all cochains", check_nonabelian_h1_vs_orbit_count),
 ]

@@ -175,6 +175,9 @@ PLACE = {"delta_v_table": Z2, "to_delta": [0, 1]}
                  "to_delta": [0] * 8, "c_v": [0, 1, 2, 3, 4, 5, 6, 99]}]}, "c_v"),
     # one report, one task: evaluate was a second name for bmreport
     ({**BM_REAL, "task": "evaluate", "local": [PLACE]}, "task must be one of"),
+    # an explicit empty sequence is taken as given, not replaced by a default
+    ({**BM_REAL, "local": [{**PLACE, "generators": []}]},
+     "generating sequence does not generate"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"
@@ -202,6 +205,8 @@ WELL_FORMED = {
                                  "action": [[0, 1], [0, 1]], "modulus": 2}},
     "bm-table": {**BM_REAL, "local": [{"label": "v", "delta_v_table": Z2,
                                        "to_delta": [0, 1], "generators": [1]}]},
+    "bm-trivial-place": {**BM_REAL, "local": [{"label": "v", "delta_v_table": [[0]],
+                                               "to_delta": [0], "generators": []}]},
     "bm-714": {"task": "bmreport", "group": {"kind": "example714", "p": 2},
                "local": [{"label": "v2", "delta_v_table": E8, "to_delta": [0] * 8,
                           "c_v": list(range(8)), "search_cup": False}]},
