@@ -47,7 +47,6 @@ from .extensions import (
     pullback,
     splits_equivariantly,
     splits_over,
-    validate,
     zero_extension,
 )
 from .fastpath import (

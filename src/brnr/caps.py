@@ -16,7 +16,6 @@ from .errors import ValidationError
 class Caps:
     table_group: int = 4096          # largest group stored as a full table
     closure: int = 10**6             # permutation-closure enumeration bound
-    h2_dense_group: int = 24         # largest base group for the dense bar-resolution H^2
     h2_group: int = 256              # largest base group for any H^2 computation
     class_module_unknowns: int = 200_000
     nonabelian_enum: int = 10**7     # candidate tables |G|^#generators

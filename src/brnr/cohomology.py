@@ -1,10 +1,11 @@
 """Cohomology of finite groups with finite abelian coefficients.
 
-Cochains are dense tables indexed by group elements, normalized to vanish
-whenever an argument is the identity.  H^1 and H^2 are computed as
-kernel-mod-image of the bar-resolution coboundary maps, all over Z/m where
-m is the exponent of the coefficient module (mixed invariant factors are
-handled by scaling each equation row into Z/m).
+Cochains are tables indexed by group elements, normalized to vanish
+whenever an argument is the identity.  H^1 (any module) and H^2 (scalar
+coefficients with trivial action) are computed as kernel-mod-image of the
+bar-resolution coboundary maps, all over Z/m where m is the exponent of
+the coefficient module (mixed invariant factors are handled by scaling
+each equation row into Z/m).
 
 Cocycle and coboundary questions are asked on generator rows: a
 normalized cocycle is fixed by its values with the last argument in a
@@ -18,16 +19,18 @@ relators of a presentation keep their values under conjugation by S,
 hence by the free group, and by Hopf's formula (Reidemeister-Schreier)
 that is the whole cocycle identity.  The class module of extensions.py
 reuses these rows (``ReducedCocycleSpace.c1_batches``).
-``is_scalar_coboundary`` and the dense ``h2`` keep every row, as
-independent references.
+``is_scalar_coboundary`` keeps every row, as an independent reference.
 
-Literal death of classes on a family of subgroups (the Sha filters) is one
-stacked kernel, ``death_lattice``, with one cokernel per subgroup.  Death
-in Q/Z on every bicyclic subgroup (B_0 and the Bogomolov condition of the
-engine) needs no subgroups at all: a central extension of an abelian group
-by the divisible group Q/Z splits iff it is abelian, so a class dies there
-iff f(x, y) = f(y, x) mod N for every commuting pair, one row each in
-``commuting_pair_rows``.
+Every answer is a subgroup of classes cut out by linear rows, modulo a
+relation subgroup; ``class_subgroup`` is the one solve that turns such
+rows into invariant factors and generators, and the only code that knows
+how a class of order o sits in Z/N.  Literal death of classes on a family
+of subgroups (the Sha filters) is one stack of rows, ``death_rows``, with
+one cokernel per subgroup.  Death in Q/Z on every bicyclic subgroup (B_0
+and the Bogomolov condition of the engine) needs no subgroups at all: a
+central extension of an abelian group by the divisible group Q/Z splits
+iff it is abelian, so a class dies there iff f(x, y) = f(y, x) mod N for
+every commuting pair, one row each in ``commuting_pair_rows``.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray) -> Optional
 
 
 # ---------------------------------------------------------------------------
-# flattening helpers for the dense bar-resolution route
+# flattening helpers
 # ---------------------------------------------------------------------------
 
 
@@ -122,12 +125,6 @@ def _table1_of_vec(vec: np.ndarray, n: int, r: int) -> np.ndarray:
 
 def _vec_of_table2(table: np.ndarray) -> np.ndarray:
     return table[1:, 1:].reshape(-1)
-
-
-def _table2_of_vec(vec: np.ndarray, n: int, r: int) -> np.ndarray:
-    out = np.zeros((n, n, r), dtype=np.int64)
-    out[1:, 1:] = vec.reshape(n - 1, n - 1, r)
-    return out
 
 
 def _row_scales(M: AbelianModule) -> np.ndarray:
@@ -157,34 +154,6 @@ def _d0_columns(G: FiniteGroup, M: AbelianModule) -> np.ndarray:
     for g in range(1, n):
         cols[(g - 1) * r : g * r, :] = M.matrix(g) - np.eye(r, dtype=np.int64)
     return cols % M.exponent
-
-
-def _d2_matrix_rows(G: FiniteGroup, M: AbelianModule):
-    """Yield batches of scaled rows of d2 : C^2 -> C^3 (one batch per g)."""
-    n, r, m = G.order, M.rank, M.exponent
-    dim2 = (n - 1) * (n - 1) * r
-    scales = np.tile(_row_scales(M), n - 1)
-
-    def pcol(a: int, b: int, i: int) -> int:
-        return ((a - 1) * (n - 1) + (b - 1)) * r + i
-
-    for g in range(1, n):
-        Ag = M.matrix(g)
-        rows = np.zeros(((n - 1) * (n - 1) * r, dim2), dtype=np.int64)
-        idx = 0
-        for h in range(1, n):
-            gh = int(G.mul[g, h])
-            for k in range(1, n):
-                blk = rows[idx : idx + r]
-                blk[:, pcol(h, k, 0) : pcol(h, k, 0) + r] += Ag
-                if gh != 0:
-                    blk[np.arange(r), pcol(gh, k, np.arange(r))] -= 1
-                hk = int(G.mul[h, k])
-                if hk != 0:
-                    blk[np.arange(r), pcol(g, hk, np.arange(r))] += 1
-                blk[np.arange(r), pcol(g, h, np.arange(r))] -= 1
-                idx += r
-        yield rows * np.tile(scales, n - 1)[:, None] % m
 
 
 def _coboundary_rows(B: FiniteGroup, M: AbelianModule | int, second=None) -> np.ndarray:
@@ -266,10 +235,6 @@ class CohomologyGroup:
         x = self._coords(table[None])
         return None if x is None else x[:, 0]
 
-    def is_coboundary(self, table: np.ndarray) -> bool:
-        c = self.coordinates(table)
-        return c is not None and not c.any()
-
     @property
     def order(self) -> int:
         out = 1
@@ -315,48 +280,10 @@ def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
 
 
 def h2(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
-    """H^2(G, M) = Z^2/B^2 on normalized 2-cochains."""
-    if M.rank == 1 and M.action is None:
-        return h2_trivial_scalar(G, int(M.invariant_factors[0]), caps)
-    n = G.order
-    if n > caps.h2_dense_group:
-        raise OrderBound("h2_dense_group", caps.h2_dense_group, n)
-    r, m = M.rank, M.exponent
-    dim2 = (n - 1) * (n - 1) * r
-    if dim2 > caps.class_module_unknowns:
-        raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim2)
-    W = _kernel_from_batches(_d2_matrix_rows(G, M), dim2, m)
-    # columns of d1 are images of the basis 1-cochains
-    cols = np.zeros((dim2, (n - 1) * r), dtype=np.int64)
-    for g in range(1, n):
-        for i in range(r):
-            a = np.zeros((n, r), dtype=np.int64)
-            a[g, i] = 1
-            img = coboundary1(G, M, a)
-            cols[:, (g - 1) * r + i] = _vec_of_table2(img)
-    R = np.hstack([cols, _lattice_columns((n - 1) * (n - 1), M)])
-    sub = subquotient(W, R, m)
-    reps = [M.reduce(_table2_of_vec(sub.generator_lifts[:, i], n, r))
-            for i in range(len(sub.invariant_factors))]
-
-    def coords(tables: np.ndarray) -> Optional[np.ndarray]:
-        if any(cocycle2_defect(G, M, t) is not None for t in tables):
-            return None
-        return sub.coordinates(M.reduce(tables)[:, 1:, 1:].reshape(len(tables), -1).T)
-
-    return CohomologyGroup(G, M, 2, sub.invariant_factors, reps, coords)
-
-
-def coboundary1(G: FiniteGroup, M: AbelianModule, a: np.ndarray) -> np.ndarray:
-    """d1 a as a full normalized 2-cochain table: g.a(h) - a(gh) + a(g)."""
-    n = G.order
-    a = M.reduce(np.asarray(a, dtype=np.int64))
-    if M.action is not None:
-        acted = np.stack([a @ M.matrix(g).T for g in range(n)])  # (g, h, r)
-    else:
-        acted = np.broadcast_to(a[None, :, :], (n, n, M.rank)).copy()
-    out = acted - a[G.mul] + a[:, None, :]
-    return M.reduce(out)
+    """H^2(G, M) = Z^2/B^2 for scalar coefficients with trivial action."""
+    if M.rank != 1 or M.action is not None:
+        raise ValidationError("H^2 needs scalar coefficients with trivial action")
+    return h2_trivial_scalar(G, int(M.invariant_factors[0]), caps)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +602,6 @@ class ShaResult:
     coordinates_in_ambient: list[np.ndarray]
     family: str
     degree: int
-    _sub: SubquotientModule | None = None
 
     @property
     def order(self) -> int:
@@ -704,22 +630,44 @@ def _unscale_column(col: np.ndarray, orders: tuple[int, ...], N: int) -> np.ndar
     return x
 
 
-def death_lattice(G: FiniteGroup, subgroups, tables: list[np.ndarray],
-                  orders: tuple[int, ...], N: int,
-                  module: AbelianModule | None = None) -> np.ndarray:
-    """Scaled vectors (columns in (Z/N)^t) of the classes dying on every subgroup.
+def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
+                   relations: np.ndarray | None = None
+                   ) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """{x in prod Z/orders[j] : S x = 0 mod N} / <relations>, with generators.
 
-    A class is sum x_j [tables[j]] with x_j mod orders[j].  With ``module``,
-    tables are 1-cocycles valued in it and dying on B means restricting to
-    d0 v; without it, they are scalar 2-cocycles mod N (trivial action) and
-    dying means restricting to d1 b.  The restriction minus a coboundary is
-    a cocycle, which vanishes iff it vanishes on the rows at B's generators;
-    so the class dies on B iff those rows vanish in the cokernel of B's
-    coboundary map on them.  Each cokernel coordinate, scaled by N/f, is one
-    row; one kernel of all rows gives the lattice, in echelon (Howell) form.
+    Class j of order orders[j] sits in Z/N as (N/orders[j]) Z/N, so the
+    rows of S (one column per class) must vanish on every orders[j] e_j.
+    The kernel of S is scaled into (Z/N)^t, put in echelon (Howell) form
+    and taken modulo the scaled columns of ``relations``, coordinate vectors
+    that satisfy S.  Returns the invariant factors of the quotient and one
+    coordinate vector (mod orders) per generator.
+    """
+    t = len(orders)
+    S = np.asarray(S, dtype=np.int64)
+    if (S * np.array(orders, dtype=np.int64) % N).any():
+        raise AssertionError("rows are not defined on classes")
+    W = echelon_compress(_scaled_columns(kernel(S, N), orders, N).T, N).T
+    R = np.zeros((t, 0), dtype=np.int64) if relations is None \
+        else _scaled_columns(relations, orders, N)
+    sub = subquotient(W, R, N)
+    return sub.invariant_factors, [_unscale_column(col, orders, N)
+                                   for col in sub.generator_lifts.T]
+
+
+def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
+               module: AbelianModule | None = None) -> np.ndarray:
+    """Rows (one column per table) whose kernel holds the classes dying on every subgroup.
+
+    A class is sum x_j [tables[j]].  With ``module``, tables are 1-cocycles
+    valued in it and dying on B means restricting to d0 v; without it, they
+    are scalar 2-cocycles mod N (trivial action) and dying means restricting
+    to d1 b.  The restriction minus a coboundary is a cocycle, which
+    vanishes iff it vanishes on the rows at B's generators; so the class
+    dies on B iff those rows vanish in the cokernel of B's coboundary map on
+    them.  Each cokernel coordinate, scaled by N/f, is one row.
     """
     T = np.asarray(tables, dtype=np.int64)
-    blocks = [np.zeros((0, len(orders)), dtype=np.int64)]
+    blocks = [np.zeros((0, len(tables)), dtype=np.int64)]
     for elems in subgroups:
         if len(elems) == 1:
             continue
@@ -737,11 +685,7 @@ def death_lattice(G: FiniteGroup, subgroups, tables: list[np.ndarray],
         coker = cokernel(D, N)
         f = np.array(coker.invariant_factors, dtype=np.int64)
         blocks.append(coker.project(V) * (N // f)[:, None] % N)
-    S = np.vstack(blocks)
-    if (S * np.array(orders, dtype=np.int64) % N).any():
-        raise AssertionError("death rows are not defined on classes")
-    lattice = _scaled_columns(kernel(S, N), orders, N)
-    return echelon_compress(lattice.T, N).T
+    return np.vstack(blocks)
 
 
 def commuting_pair_rows(G: FiniteGroup, tables,
@@ -760,21 +704,6 @@ def commuting_pair_rows(G: FiniteGroup, tables,
     x, y = np.nonzero(commuting)
     T = np.asarray(tables, dtype=np.int64)
     return list(zip(x.tolist(), y.tolist())), (T[:, x, y] - T[:, y, x]).T % N
-
-
-def bogomolov_lattice(G: FiniteGroup, tables: list[np.ndarray],
-                      orders: tuple[int, ...], N: int) -> np.ndarray:
-    """Scaled vectors of the classes whose Q/Z-pushforward dies on every bicyclic subgroup.
-
-    ``tables`` are scalar 2-cocycles mod N, class j of order ``orders[j]``;
-    the condition is the kernel of ``commuting_pair_rows``, which must
-    vanish on ``orders``.  The generators come back in echelon (Howell) form.
-    """
-    _, S = commuting_pair_rows(G, tables, N)
-    if (S * np.array(orders, dtype=np.int64) % N).any():
-        raise AssertionError("symmetry rows are not defined on classes")
-    gens = _scaled_columns(kernel(S, N), orders, N)
-    return echelon_compress(gens.T, N).T
 
 
 def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
@@ -801,11 +730,10 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
         tables, module = ambient.representatives, M
     else:
         tables, module = [rep[:, :, 0] for rep in ambient.representatives], None
-    current = death_lattice(G, _FAMILIES[family](G), tables, orders, N, module)
-    sub = subquotient(current, np.zeros((len(orders), 0), dtype=np.int64), N)
-    coords = [_unscale_column(col, orders, N) for col in sub.generator_lifts.T]
+    factors, coords = class_subgroup(
+        death_rows(G, _FAMILIES[family](G), tables, N, module), orders, N)
     reps = [ambient.element_table(x) for x in coords]
-    return ShaResult(ambient, sub.invariant_factors, reps, coords, family, degree, sub)
+    return ShaResult(ambient, factors, reps, coords, family, degree)
 
 
 def character_group_generators(G: FiniteGroup, N: int,

@@ -24,9 +24,13 @@ bogomolov_condition keeps the per-subgroup test as the reference.
 br_nr stacks the two matrices over the generators of the class module
 modulo Kummer classes; Br^0_nr is the kernel of the stack, and each
 generator's verdict is its column, with the first nonzero row as witness.
-No class is enumerated.  The closed form is cross-checked against
-exhaustive search inside explicitly built extension groups, and br_nr
-against per-class is_unramified (see tests and selftest).
+No class is enumerated.  b0, br_nr, algebraic_unramified and the Kummer
+quotient each hand their rows (and relations) to one
+cohomology.class_subgroup call, which returns class coordinates; this
+module never scales classes into Z/N itself.  The closed form is
+cross-checked against exhaustive search inside explicitly built extension
+groups, and br_nr against per-class is_unramified (see tests and
+selftest).
 """
 
 from __future__ import annotations
@@ -41,12 +45,10 @@ from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
     ShaResult,
     _coboundary_rows,
-    _scaled_columns,
     _twist_rows,
-    _unscale_column,
     bockstein,
-    bogomolov_lattice,
     character_group_generators,
+    class_subgroup,
     commuting_pair_rows,
     dies_in_qz,
     h2,
@@ -272,21 +274,16 @@ def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     ambient = h2(G, scalar_module(N), caps) if N > 1 else None
     if ambient is None or not ambient.invariant_factors:
         return BrauerReport((), [], None, label="B_0")
-    orders = ambient.invariant_factors
-    current = bogomolov_lattice(G, [rep[:, :, 0] for rep in ambient.representatives],
-                                orders, N)
+    _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in ambient.representatives], N)
     carries = [bockstein(G, phi, N)[0] for phi in character_group_generators(G, N)]
     kummer = ambient.coordinates(np.array(carries, dtype=np.int64).reshape(-1, N, N, 1))
     if kummer is None:
         raise AssertionError("bockstein output must be a cocycle")
-    R = _scaled_columns(kummer, orders, N)
-    sub = subquotient(current, R, N)
+    factors, coords = class_subgroup(S, ambient.invariant_factors, N, kummer)
     gal = GaloisDatum.trivial(G, N, base_algebraically_closed=True)
-    reps = [EquivariantExtension(
-                gal, ambient.element_table(_unscale_column(col, orders, N))[:, :, 0],
-                np.zeros((1, N), dtype=np.int64))
-            for col in sub.generator_lifts.T]
-    return BrauerReport(sub.invariant_factors, reps, None, label="B_0")
+    reps = [EquivariantExtension(gal, ambient.element_table(x)[:, :, 0],
+                                 np.zeros((1, N), dtype=np.int64)) for x in coords]
+    return BrauerReport(factors, reps, None, label="B_0")
 
 
 def sha2_ab(G: FiniteGroup, modulus: int, caps: Caps = DEFAULT_CAPS) -> ShaResult:
@@ -297,12 +294,9 @@ def sha2_ab(G: FiniteGroup, modulus: int, caps: Caps = DEFAULT_CAPS) -> ShaResul
 def _kummer_quotient(cm: ClassModule) -> tuple[tuple[int, ...], list[EquivariantExtension]]:
     """Orders and representatives of the generators of the class module mod Kummer classes."""
     orders = cm.invariant_factors
-    N = cm.gal.N
-    full = _scaled_columns(np.eye(len(orders), dtype=np.int64), orders, N)
-    kum = _scaled_columns(kummer_kernel(cm), orders, N)
-    quot = subquotient(full, kum, N)
-    return quot.invariant_factors, [cm.element(_unscale_column(col, orders, N))
-                                    for col in quot.generator_lifts.T]
+    factors, coords = class_subgroup(np.zeros((0, len(orders)), dtype=np.int64), orders,
+                                     cm.gal.N, kummer_kernel(cm))
+    return factors, [cm.element(x) for x in coords]
 
 
 def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
@@ -329,24 +323,18 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
         [t for t in _admissible_triples(gal) if t[0] != 0]
     A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
     witnesses = [("bogomolov", p) for p in pairs] + [("galois", t) for t in triples]
-    # q_i times generator i is a Kummer class up to coboundaries, where both
-    # conditions hold; so the kernel is well defined on the quotient
-    if (A * np.array(q_orders) % N).any():
-        raise AssertionError("unramified conditions are not defined on the Kummer quotient")
 
     tested = []
     for i, col in enumerate(A.T):
         bad = np.nonzero(col)[0]
         tested.append((tuple(int(k == i) for k in range(s)), not bad.size,
                        witnesses[bad[0]] if bad.size else None))
-    final = subquotient(_scaled_columns(kernel(A, N), q_orders, N),
-                        np.zeros((s, 0), dtype=np.int64), N)
-    reps = []
-    for col in final.generator_lifts.T:
-        x = _unscale_column(col, q_orders, N)
-        reps.append(EquivariantExtension(gal, np.tensordot(x, fs, axes=1) % N,
-                                         np.tensordot(x, cs, axes=1) % N))
-    return BrauerReport(final.invariant_factors, reps, cm, tested, label="Br0_nr")
+    # q_i times generator i is a Kummer class up to coboundaries, where both
+    # conditions hold; so the kernel is well defined on the quotient
+    factors, coords = class_subgroup(A, q_orders, N)
+    reps = [EquivariantExtension(gal, np.tensordot(x, fs, axes=1) % N,
+                                 np.tensordot(x, cs, axes=1) % N) for x in coords]
+    return BrauerReport(factors, reps, cm, tested, label="Br0_nr")
 
 
 def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
@@ -383,11 +371,7 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
     cs[:, 1:, 1:] = h1alg.generator_lifts.T.reshape(t, nd - 1, n - 1)
     triples = list({tr[:2]: tr for tr in _admissible_triples(gal)}.values())
     A = _galois_obstructions(gal, triples, np.zeros((t, n, n), dtype=np.int64), cs)
-    K = kernel(A, N)
-    sub = subquotient(_scaled_columns(K, orders, N), np.zeros((t, 0), dtype=np.int64), N)
-    reps = []
-    for i in range(len(sub.invariant_factors)):
-        x = _unscale_column(sub.generator_lifts[:, i], orders, N)
-        reps.append(EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
-                                         np.tensordot(x, cs, axes=1) % N))
-    return BrauerReport(sub.invariant_factors, reps, None, label="Br0_nr_alg")
+    factors, coords = class_subgroup(A, orders, N)
+    reps = [EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
+                                 np.tensordot(x, cs, axes=1) % N) for x in coords]
+    return BrauerReport(factors, reps, None, label="Br0_nr_alg")

@@ -30,8 +30,10 @@ from .cohomology import (
     _twist_rows,
     bockstein,
     character_group_generators,
+    cocycle2_defect,
     is_scalar_coboundary,
     reduced_cocycle_space,
+    scalar_module,
 )
 from .errors import (
     CapExceeded,
@@ -131,18 +133,17 @@ class EquivariantExtension:
         return self.gal.N
 
     def violated_law(self) -> Optional[tuple[str, tuple]]:
-        """First violated law among C1, C2, C3 with a witness tuple, or None."""
+        """First violated law among C1, C2, C3 with a witness tuple, or None.
+
+        C1 is read at first arguments in {1} u S only (``cocycle2_defect``),
+        so its witness (g, h, k) has g there.
+        """
         G, N = self.gal.G, self.gal.N
         mul = G.mul
         f, c = self.f, self.c
-        n = G.order
-        for g in range(n):
-            lhs = f[g][:, None] + f[mul[g]]        # f(g,h) + f(gh,k)
-            rhs = f[g][mul] + f                     # f(g,hk) + f(h,k)
-            bad = np.argwhere((lhs - rhs) % N)
-            if bad.size:
-                h, k = map(int, bad[0])
-                return ("C1", (g, h, k))
+        bad = cocycle2_defect(G, scalar_module(N), f[:, :, None])
+        if bad is not None:
+            return ("C1", bad)
         act = self.gal.action.table
         chi_n = self.gal.chi_mod_n
         for d in range(self.gal.delta.order):
@@ -170,11 +171,6 @@ class EquivariantExtension:
         return self
 
 
-def validate(ext: EquivariantExtension, gal: GaloisDatum | None = None):
-    """Check C1-C3 exhaustively; returns None or (law, witness)."""
-    return ext.violated_law()
-
-
 def zero_extension(gal: GaloisDatum) -> EquivariantExtension:
     n = gal.G.order
     return EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
@@ -192,10 +188,6 @@ def baer_sum(e1: EquivariantExtension, e2: EquivariantExtension) -> EquivariantE
         raise MismatchedBase("extensions live over different data")
     return EquivariantExtension(e1.gal, (e1.f + e2.f) % e1.modulus,
                                 (e1.c + e2.c) % e1.modulus)
-
-
-def scale_extension(e: EquivariantExtension, k: int) -> EquivariantExtension:
-    return EquivariantExtension(e.gal, k * e.f % e.modulus, k * e.c % e.modulus)
 
 
 # ---------------------------------------------------------------------------

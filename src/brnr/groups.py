@@ -386,11 +386,6 @@ class AbelianModule:
         # invertibility of each action matrix follows from the homomorphism
         # law with the inverse element
 
-    def act_vec(self, a: int, v: np.ndarray) -> np.ndarray:
-        if self.action is None:
-            return self.reduce(v)
-        return self.reduce(self.action[a] @ np.asarray(v, dtype=np.int64))
-
     def matrix(self, a: int) -> np.ndarray:
         if self.action is None:
             return np.eye(self.rank, dtype=np.int64)

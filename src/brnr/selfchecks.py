@@ -19,7 +19,8 @@ from .cohomology import (
     _row_scales,
     _scaled_columns,
     bockstein,
-    bogomolov_lattice,
+    class_subgroup,
+    commuting_pair_rows,
     dies_in_qz,
     h1,
     h2,
@@ -134,22 +135,28 @@ def check_dies_in_qz_bruteforce():
     _assert(survivors > 0, "some class of (Z/2)^2 must survive in Q/Z")
 
 
+def class_span(factors, coords, orders) -> set[tuple[int, ...]]:
+    """Every combination of the generators ``coords``, each over its own invariant factor."""
+    mods = np.array(orders, dtype=np.int64)
+    gens = np.array(coords, dtype=np.int64).reshape(len(factors), len(mods))
+    return {tuple(map(int, np.array(cs, dtype=np.int64) @ gens % mods))
+            for cs in itertools.product(*(range(f) for f in factors))}
+
+
 def check_qz_filter_vs_dies_in_qz():
-    # every class of H^2(G, Z/|G|) lies in the commuting-pair lattice iff
-    # dies_in_qz holds on each bicyclic subgroup
+    # the classes of H^2(G, Z/|G|) in the kernel of the commuting-pair rows
+    # are those for which dies_in_qz holds on each bicyclic subgroup
     for G in (dihedral_group(4), quaternion_group()):
         N = G.order
         H = h2(G, scalar_module(N))
         orders = H.invariant_factors
         bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
-        lattice = bogomolov_lattice(G, [rep[:, :, 0] for rep in H.representatives],
-                                    orders, N)
-        for x in itertools.product(*(range(o) for o in orders)):
-            table = H.element_table(x)[:, :, 0]
-            expect = all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics)
-            vec = _scaled_columns(np.array(x).reshape(-1, 1), orders, N)[:, 0]
-            _assert((solve(lattice, vec, N) is not None) == expect,
-                    f"commuting-pair lattice disagrees with dies_in_qz at {x} on {G}")
+        _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
+        expect = {x for x in itertools.product(*(range(o) for o in orders))
+                  if all(dies_in_qz(H.element_table(x)[:, :, 0][np.ix_(idx, idx)], B, N)
+                         for B, idx in bics)}
+        _assert(class_span(*class_subgroup(S, orders, N), orders) == expect,
+                f"commuting-pair kernel disagrees with dies_in_qz on {G}")
 
 
 def check_galois_condition_vs_bruteforce():
@@ -271,9 +278,8 @@ def check_sha_vs_per_class_restriction():
     ex = build_example_714(2)
     for res in (sha(ex.sd.Q, ex.sd.N_hat, 1, "bic"),
                 sha(abelian_group([2, 4]), scalar_module(4), 2, "cyc")):
-        orders = np.array(res.ambient.invariant_factors)
-        span = {tuple(sum(int(c) * v for c, v in zip(cs, res.coordinates_in_ambient)) % orders)
-                for cs in itertools.product(*(range(f) for f in res.invariant_factors))}
+        span = class_span(res.invariant_factors, res.coordinates_in_ambient,
+                          res.ambient.invariant_factors)
         _assert(res.invariant_factors and classes_dying_by_full_rows(res) == span,
                 f"Sha_{res.family} disagrees with per-class restriction on {res.ambient.group}")
 

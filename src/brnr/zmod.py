@@ -451,9 +451,6 @@ class AbelianStructure:
         mods = np.array(self.invariant_factors, dtype=np.int64)
         return coords % mods.reshape((-1,) + (1,) * (vec.ndim - 1))
 
-    def is_zero(self, vec: np.ndarray) -> bool:
-        return not self.project(vec).any()
-
     @property
     def order(self) -> int:
         out = 1
@@ -479,11 +476,6 @@ class AbelianStructure:
                 j -= 1
             if j < 0:
                 return
-
-    def element_from_coordinates(self, coords: np.ndarray) -> np.ndarray:
-        if not self.invariant_factors:
-            return np.zeros(self.ambient_dim, dtype=np.int64)
-        return self.generator_lifts @ as_mod(coords, self.modulus) % self.modulus
 
 
 def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure:
@@ -536,9 +528,6 @@ class SubquotientModule:
     def coordinates(self, vec: np.ndarray) -> Optional[np.ndarray]:
         x = solve(self._W, vec, self.modulus)
         return None if x is None else self._inner.project(x)
-
-    def element_from_coordinates(self, coords: np.ndarray) -> np.ndarray:
-        return self.generator_lifts @ as_mod(coords, self.modulus) % self.modulus
 
     @property
     def order(self) -> int:

@@ -131,9 +131,10 @@ def test_bad_cap_overrides_are_validation_errors(tmp_path, capsys):
     job.write_text((REPO / "jobs" / "b0-z8.json").read_text())
     assert main(["run", str(job), "--cap", "nosuch=3"]) == 3
     assert "nosuch" in capsys.readouterr().err
-    # no class scan is left to bound
-    assert main(["run", str(job), "--cap", "element_scan=5"]) == 3
-    assert "element_scan" in capsys.readouterr().err
+    # no class scan and no dense H^2 are left to bound
+    for gone in ("element_scan", "h2_dense_group"):
+        assert main(["run", str(job), "--cap", f"{gone}=5"]) == 3
+        assert gone in capsys.readouterr().err
     assert main(["run", str(job), "--cap", "h2_group"]) == 3
     assert "h2_group" in capsys.readouterr().err
     bogus = tmp_path / "bogus.json"

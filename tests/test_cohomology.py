@@ -17,15 +17,14 @@ from brnr.groups import (
 from brnr.cohomology import (
     _coboundary_rows,
     _row_scales,
-    _scaled_columns,
     _table1_of_vec,
     _twist_rows,
     bockstein,
-    bogomolov_lattice,
     character_group_generators,
-    coboundary1,
+    class_subgroup,
     cocycle1_defect,
     cocycle2_defect,
+    commuting_pair_rows,
     cup_h1_h1,
     dies_in_qz,
     h1,
@@ -38,10 +37,11 @@ from brnr.cohomology import (
     tate_h0,
 )
 from brnr.engine import b0
-from brnr.errors import NotACocycle, NotEquivariant
+from brnr.errors import NotACocycle, NotEquivariant, ValidationError
 from brnr.fastpath import build_example_714
-from brnr.selfchecks import classes_dying_by_full_rows
-from brnr.zmod import kernel, solve
+from brnr.selfchecks import class_span, classes_dying_by_full_rows
+from brnr.zmod import kernel
+from dense_h2 import coboundary1, dense_h2
 
 
 def brute_h2_order(G: FiniteGroup, m: int) -> int:
@@ -213,14 +213,7 @@ def test_h2_dense_vs_reduced_agree():
     for G in (cyclic_group(4), abelian_group([2, 2]), symmetric_group(3),
               dihedral_group(4), quaternion_group()):
         for m in (2, 4, G.order):
-            dense_M = AbelianModule((m,), G, np.tile(np.eye(1, dtype=np.int64),
-                                                     (G.order, 1, 1)))
-            from brnr.cohomology import CohomologyGroup  # dense path via action
-            import brnr.cohomology as C
-            n = G.order
-            Hd = None
-            # force the dense route by giving a (trivial) action
-            Hd = h2(G, dense_M)
+            Hd = dense_h2(G, _trivial_module(G, (m,)))
             Hr = h2_trivial_scalar(G, m)
             assert Hd.invariant_factors == Hr.invariant_factors
             # cross coordinates: each dense generator must be recognized by
@@ -247,7 +240,17 @@ def test_representatives_are_cocycles_and_coordinates_are_unit_vectors():
         b = np.zeros((G.order, 1), dtype=np.int64)
         b[1:, 0] = np.arange(1, G.order) % G.order
         db = coboundary1(G, M, b)
-        assert H.is_coboundary(db)
+        c = H.coordinates(db)
+        assert c is not None and not c.any()
+
+
+def test_h2_needs_trivial_scalar_coefficients():
+    # twisted or higher-rank coefficients have only the dense reference
+    G = symmetric_group(3)
+    for M in (_trivial_module(G, (6,)), scalar_module(6, G, _sign_units(G, 6)),
+              AbelianModule((2, 4))):
+        with pytest.raises(ValidationError):
+            h2(G, M)
 
 
 def test_tate_h0_examples():
@@ -369,7 +372,7 @@ def test_cup_of_coboundary_is_coboundary():
     M2 = AbelianModule((4,), G2, np.array([[[1]], [[3]]]))
     M2d = M2.dual()
     v = np.array([1], dtype=np.int64)
-    cob = np.stack([M2.act_vec(g, v) - v for g in range(2)]) % 4
+    cob = np.stack([M2.reduce(M2.matrix(g) @ v) - v for g in range(2)]) % 4
     y = np.array([[0], [1]])
     out = cup_h1_h1(G2, M2, cob, M2d, y)
     # the pairing is equivariant, so the cup lands in trivial-action H^2
@@ -498,8 +501,8 @@ def _metacyclic(n: int, q: int, u: int) -> FiniteGroup:
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Q8xZ2", "D4xZ2", "Z2^3",
                                   "M16", "SD16", "D8", "Z4:Z4"])
 def test_qz_death_lattice_matches_dies_in_qz(name):
-    # the commuting-pair lattice shared by b0 and br_nr holds a class of
-    # H^2(G, Z/|G|) iff dies_in_qz holds on every bicyclic subgroup
+    # the kernel of the commuting-pair rows shared by b0 and br_nr holds a
+    # class of H^2(G, Z/|G|) iff dies_in_qz holds on every bicyclic subgroup
     G = {
         "S3": lambda: symmetric_group(3),
         "D4": lambda: dihedral_group(4),
@@ -516,13 +519,39 @@ def test_qz_death_lattice_matches_dies_in_qz(name):
     H = h2(G, scalar_module(N))
     orders = H.invariant_factors
     bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
-    lattice = bogomolov_lattice(G, [rep[:, :, 0] for rep in H.representatives],
-                                orders, N)
-    for x in itertools.product(*(range(o) for o in orders)):
-        table = H.element_table(x)[:, :, 0]
-        expect = all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics)
-        vec = _scaled_columns(np.array(x).reshape(-1, 1), orders, N)[:, 0]
-        assert (solve(lattice, vec, N) is not None) == expect, x
+    _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
+    expect = {x for x in itertools.product(*(range(o) for o in orders))
+              if all(dies_in_qz(H.element_table(x)[:, :, 0][np.ix_(idx, idx)], B, N)
+                     for B, idx in bics)}
+    assert class_span(*class_subgroup(S, orders, N), orders) == expect
+
+
+@pytest.mark.parametrize("N", [12, 24, 36])
+def test_class_subgroup_matches_enumeration(N):
+    # {x in prod Z/o_j : S x = 0 mod N} / <relations> against enumeration of
+    # every class vector: S has column j in (N/o_j) Z/N, the relations are
+    # random members of the kernel.  The quotient's order must match, and
+    # the combinations of the generators over the returned invariant
+    # factors must hit every coset exactly once.
+    rng = np.random.default_rng(N)
+    divisors = [d for d in range(2, N + 1) if N % d == 0]
+    for trial in range(16):
+        orders = tuple(int(o) for o in rng.choice(divisors, size=int(rng.integers(1, 4))))
+        mods = np.array(orders)
+        S = rng.integers(0, mods, size=(int(rng.integers(0, 4)), len(orders))) * (N // mods)
+        every = np.array(list(itertools.product(*(range(o) for o in orders))))
+        members = every[~(every @ S.T % N).any(axis=1)]
+        picks = members[rng.integers(0, len(members), size=int(rng.integers(0, 3)))]
+        rels = class_span((N,) * len(picks), picks, orders)
+        factors, coords = class_subgroup(S, orders, N, picks.T if len(picks) else None)
+        assert len(members) == np.prod(factors, dtype=int) * len(rels), (trial, orders)
+        cosets = {frozenset(tuple(map(int, (np.array(x) + r) % mods)) for r in rels)
+                  for x in class_span(factors, coords, orders)}
+        assert len(cosets) == np.prod(factors, dtype=int)
+        assert set().union(*cosets) == set(map(tuple, members.tolist()))
+    # column j must vanish on o_j e_j: a 1 in a column of order 2 does not
+    with pytest.raises(AssertionError):
+        class_subgroup(np.array([[0, 1]]), (N, 2), N)
 
 
 def _example_714_data():
@@ -556,9 +585,7 @@ def test_sha_matches_per_class_restriction(name):
     res = sha(G, M, degree, family)
     orders = res.ambient.invariant_factors
     assert orders
-    span = {tuple(sum(int(c) * np.asarray(v) for c, v in zip(cs, res.coordinates_in_ambient))
-                  % np.array(orders))
-            for cs in itertools.product(*(range(f) for f in res.invariant_factors))}
+    span = class_span(res.invariant_factors, res.coordinates_in_ambient, orders)
     assert classes_dying_by_full_rows(res) == span
     assert len(span) == res.order
 
@@ -606,7 +633,6 @@ def test_inflation_restriction_h1_consistency():
 
 def test_coboundary_compositions_vanish():
     # d2(d1(a)) = 0 for every 1-cochain basis vector, across several (G, M)
-    from brnr.cohomology import coboundary1, cocycle2_defect
     cases = [
         (cyclic_group(4), scalar_module(4)),
         (symmetric_group(3), scalar_module(6)),
@@ -660,7 +686,7 @@ def test_cocycle2_defect_on_generator_rows_matches_all_rows(name):
     rng = np.random.default_rng(n * 101 + r)
     cocycles = [coboundary1(G, M, rng.integers(0, d, size=(n, r))) for _ in range(6)]
     if n <= 8:
-        cocycles += h2(G, M).representatives
+        cocycles += dense_h2(G, M).representatives
     for f in cocycles:
         assert _cocycle2_violations(G, M, f) == []
         assert cocycle2_defect(G, M, f) is None
@@ -718,7 +744,8 @@ COORDINATE_DATA = {
     "h1 S3 sign Z/6": lambda: h1(*H1_DATA["S3 sign Z/6"]()),
     "h1 D4 swap (Z/2)^2": lambda: h1(*H1_DATA["D4 swap (Z/2)^2"]()),
     "h1 Z2 shear Z2xZ4": lambda: h1(*H1_DATA["Z2 shear Z2xZ4"]()),
-    "h2 dense D4": lambda: h2(dihedral_group(4), _trivial_module(dihedral_group(4), (4,))),
+    "h2 dense D4": lambda: dense_h2(dihedral_group(4),
+                                    _trivial_module(dihedral_group(4), (4,))),
     "h2 scalar Q8": lambda: h2(quaternion_group(), scalar_module(8)),
     "h2 scalar SD16": lambda: h2(_metacyclic(8, 2, 3), scalar_module(16)),
 }

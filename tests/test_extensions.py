@@ -14,10 +14,8 @@ from brnr.extensions import (
     extension_group,
     kummer_kernel,
     pullback,
-    scale_extension,
     splits_equivariantly,
     splits_over,
-    validate,
     zero_extension,
 )
 from brnr.groups import (
@@ -26,6 +24,7 @@ from brnr.groups import (
     cyclic_group,
     dihedral_group,
     group_from_table,
+    quaternion_group,
     subgroups_cyclic,
     symmetric_group,
 )
@@ -68,13 +67,13 @@ def brute_sections(eg, elems, group):
 def test_validate_zero_pair():
     for gal in (GaloisDatum.trivial(cyclic_group(2)), real_datum_z2(),
                 GaloisDatum.trivial(symmetric_group(3))):
-        assert validate(zero_extension(gal)) is None
+        assert zero_extension(gal).violated_law() is None
 
 
 def test_validate_bockstein_pair():
     gal = real_datum_z2()
     ext = bockstein_pair(gal, [0, 1])
-    assert validate(ext) is None
+    assert ext.violated_law() is None
     assert ext.c[1, 1] == 1  # the nontrivial twist
 
 
@@ -85,7 +84,7 @@ def test_validate_catches_non_homomorphism_c():
     c = np.zeros((2, 4), dtype=np.int64)
     c[1] = [0, 1, 1, 1]  # not additive on (Z/2)^2
     ext = EquivariantExtension(gal, np.zeros((4, 4), dtype=np.int64), c)
-    law, witness = validate(ext)
+    law, witness = ext.violated_law()
     assert law == "C2"
 
 
@@ -142,7 +141,7 @@ def test_splits_equivariantly_remark_case():
     # the constant-Z/4 pair: carry cocycle, no twist
     f, _ = bockstein(cyclic_group(2), np.array([0, 1]), 2)
     const_z4 = EquivariantExtension(gal, f, np.zeros((2, 2), dtype=np.int64))
-    assert validate(const_z4) is None
+    assert const_z4.violated_law() is None
     assert splits_equivariantly(const_z4, [0, 1]) is None
     # and the twisted companion does not split equivariantly either (f blocks)
     twisted = bockstein_pair(gal, [0, 1])
@@ -260,7 +259,7 @@ def test_pullback():
     assert not z.f.any()
     # the order-2 subgroup: restriction still satisfies the laws
     sub, idx = pullback(ext, [0, 2])
-    assert validate(sub) is None
+    assert sub.violated_law() is None
 
 
 def test_baer_sum_and_class_module_functoriality():
@@ -319,7 +318,7 @@ def test_class_module_brute_force_tiny():
             c = np.zeros((2, 2), dtype=np.int64)
             c[1, 1] = cv
             ext = EquivariantExtension(gal, f, c)
-            if validate(ext) is None:
+            if ext.violated_law() is None:
                 valid.append(ext)
     assert len(valid) == 4
     # coboundary pairs: b(1) in {0,1}: db = 2b = 0, twist chi*b - b = 0 mod 2
@@ -380,7 +379,7 @@ def test_scale_extension():
     ext = EquivariantExtension(gal, f, np.zeros((1, 4), dtype=np.int64))
     cm = class_module(gal)
     c1 = cm.coordinates(ext)
-    c2 = cm.coordinates(scale_extension(ext, 3))
+    c2 = cm.coordinates(EquivariantExtension(gal, 3 * ext.f, 3 * ext.c))
     assert np.array_equal((3 * c1) % np.array(cm.invariant_factors), c2)
 
 
@@ -409,3 +408,69 @@ def test_class_module_coordinates_take_a_batch():
     bad = EquivariantExtension(gal, f, exts[0].c)
     assert bad.violated_law() is not None
     assert cm.coordinates(exts[:2] + [bad] + exts[2:]) is None
+
+
+def _laws_by_all_rows(ext: EquivariantExtension) -> tuple[list, object]:
+    """Reference: every C1 violation (g, h, k) over all g, in order, and the
+    first violated law among C2, C3 with its witness (or None)."""
+    gal, f, c = ext.gal, ext.f, ext.c
+    G, N, mul = gal.G, gal.N, gal.G.mul
+    c1 = []
+    for g in range(G.order):
+        lhs = f[g][:, None] + f[mul[g]]        # f(g,h) + f(gh,k)
+        rhs = f[g][mul] + f                     # f(g,hk) + f(h,k)
+        c1 += [(g, int(h), int(k)) for h, k in np.argwhere((lhs - rhs) % N)]
+    act, chi_n = gal.action.table, gal.chi_mod_n
+    for d in range(gal.delta.order):
+        lhs = c[d][mul] - c[d][:, None] - c[d][None, :]
+        bad = np.argwhere((lhs - f[np.ix_(act[d], act[d])] + chi_n[d] * f) % N)
+        if bad.size:
+            return c1, ("C2", (d, int(bad[0][0]), int(bad[0][1])))
+    for d in range(gal.delta.order):
+        for e in range(gal.delta.order):
+            bad = np.nonzero((c[gal.delta.mul[d, e]] - chi_n[d] * c[e] - c[d][act[e]]) % N)[0]
+            if bad.size:
+                return c1, ("C3", (d, e, int(bad[0])))
+    return c1, None
+
+
+@pytest.mark.parametrize("name", ["real D4", "real Q8", "trivial S3", "twist Z2xZ4"])
+def test_violated_law_on_generator_rows_matches_all_rows(name):
+    # C1 is read at first arguments {1} u S only; the verdict must be that of
+    # every row, and the C1 witness the first bad triple in those rows.
+    # Pairs: class-module elements, each perturbed at one entry of f (every
+    # other time in a row f(g, .) with g outside {1} u S) or, when Delta is
+    # not trivial, of c.
+    delta = cyclic_group(2)
+    gal = {
+        "real D4": lambda: GaloisDatum.real_like(dihedral_group(4)),
+        "real Q8": lambda: GaloisDatum.real_like(quaternion_group()),
+        "trivial S3": lambda: GaloisDatum.trivial(symmetric_group(3)),
+        "twist Z2xZ4": lambda: GaloisDatum(delta, abelian_group([2, 4]), np.array([1, 31]),
+                                           GroupAction.trivial(delta, abelian_group([2, 4]))),
+    }[name]()
+    G, N = gal.G, gal.N
+    n = G.order
+    rows = {G.identity, *G.minimal_generators()}
+    others = [g for g in range(1, n) if g not in rows]
+    cm = class_module(gal)
+    rng = np.random.default_rng(n * 7 + gal.delta.order)
+    seen = set()
+    for trial in range(40):
+        ext = cm.element(rng.integers(0, N, size=len(cm.invariant_factors)))
+        assert ext.violated_law() is None and _laws_by_all_rows(ext) == ([], None)
+        f, c = ext.f.copy(), ext.c.copy()
+        if trial % 4 == 3 and gal.delta.order > 1:
+            c[rng.integers(1, gal.delta.order), rng.integers(1, n)] += 1
+        else:
+            g = int(rng.choice(others)) if trial % 2 and others else int(rng.integers(1, n))
+            f[g, rng.integers(1, n)] += int(rng.integers(1, N))
+        bad = EquivariantExtension(gal, f, c)
+        c1, rest = _laws_by_all_rows(bad)
+        got = bad.violated_law()
+        if c1:
+            assert got == ("C1", next(t for t in c1 if t[0] in rows)), trial
+        else:
+            assert got == rest, trial
+        seen.add(got[0])
+    assert seen == ({"C1", "C2"} if gal.delta.order > 1 else {"C1"})

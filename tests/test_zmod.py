@@ -322,7 +322,7 @@ def test_cokernel_matches_brute_force(m):
             expect[i] = 1 % st.invariant_factors[i]
             assert np.array_equal(coords, expect)
         for j in range(c):
-            assert st.is_zero(A[:, j])
+            assert not st.project(A[:, j]).any()
         # a matrix projects column by column
         X = rng.integers(0, m, size=(r, 3))
         assert np.array_equal(st.project(X), np.array([st.project(x) for x in X.T]).T
@@ -372,7 +372,7 @@ def test_subquotient_structure():
     assert sq.invariant_factors == (4, 4)
     assert sq.coordinates(np.array([1, 0])) is not None
     assert sq.coordinates(np.array([0, 1])) is None  # not in W
-    v = sq.element_from_coordinates(np.array([1, 0]))
+    v = sq.generator_lifts @ np.array([1, 0]) % m
     assert sq.coordinates(v) is not None
 
 
