@@ -36,7 +36,7 @@ selftest).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Optional
 
 import numpy as np
@@ -45,6 +45,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
     ShaResult,
     _coboundary_rows,
+    _kernel_from_batches,
     _twist_rows,
     bockstein,
     character_group_generators,
@@ -65,7 +66,7 @@ from .extensions import (
     kummer_kernel,
 )
 from .groups import FiniteGroup, subgroups_bicyclic
-from .zmod import kernel, subquotient
+from .zmod import subquotient
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +355,19 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
     act = gal.action.table
     chi_n = gal.chi_mod_n
 
-    # C2 with f = 0 makes each c_d a homomorphism; C3 makes d -> c_d crossed
-    c2 = np.kron(np.eye(nd - 1, dtype=np.int64), -_coboundary_rows(G, N))
-    W = kernel(np.vstack([c2, _crossed_rows(gal)]) % N, N)
+    # C2 with f = 0 makes each c_d a homomorphism, decided at the generators
+    # of G as in character_group_generators; C3 makes d -> c_d crossed,
+    # decided at the generators of Delta
+    hom = _coboundary_rows(G, N, second=G.minimal_generators())
+
+    def c2_rows(d: int) -> np.ndarray:
+        rows = np.zeros((len(hom), dim), dtype=np.int64)
+        rows[:, (d - 1) * (n - 1):d * (n - 1)] = hom
+        return rows
+
+    W = _kernel_from_batches(chain(map(c2_rows, range(1, nd)),
+                                   (_crossed_rows(gal, e) for e in gal.delta.minimal_generators())),
+                             dim, N)
     chars = np.array(character_group_generators(G, N), dtype=np.int64).reshape(-1, n)
     R = _twist_rows(act[1:], chi_n[1:], N) @ chars[:, 1:].T % N
     h1alg = subquotient(W, R, N)

@@ -390,21 +390,26 @@ class ClassModule:
                                     (x @ cs.reshape(len(x), nd * n)).reshape(nd, n))
 
 
-def _crossed_rows(gal: GaloisDatum) -> np.ndarray:
-    """C3 on twist tables: c_{de}(g) - chi(d) c_e(g) - c_d(e.g) for d, e, g != 1.
+def _crossed_rows(gal: GaloisDatum, e: int) -> np.ndarray:
+    """C3 at second argument e: c_{de}(g) - chi(d) c_e(g) - c_d(e.g) for d, g != 1.
 
     Columns are the values c_d(g), d, g != 1, at (d - 1)(|G| - 1) + g - 1.
+    The rows at the generators e of Delta decide C3: with b_d = c_d o d^-1
+    it reads b_{de} = b_d + d.b_e, the left 1-cocycle law for the action
+    (d.b)(y) = chi(d) b(d^-1.y), which holds for every e once it holds at
+    generators, by induction on the word length of e.
     """
     n, nd = gal.G.order, gal.delta.order
-    d = np.arange(1, nd)[:, None, None]
-    e = np.arange(1, nd)[None, :, None]
-    g = np.arange(1, n)[None, None, :]
-    act = gal.action.table
-    out = np.zeros((nd - 1, nd - 1, n - 1, nd, n), dtype=np.int64)  # c_1, c_d(1) = 0
-    out[d - 1, e - 1, g - 1, gal.delta.mul[d, e], g] += 1
-    out[d - 1, e - 1, g - 1, e, g] -= gal.chi_mod_n[d]
-    out[d - 1, e - 1, g - 1, d, act[e, g]] -= 1
-    return out[:, :, :, 1:, 1:].reshape((nd - 1) ** 2 * (n - 1), (nd - 1) * (n - 1)) % gal.N
+    d = np.repeat(np.arange(1, nd), n - 1)
+    g = np.tile(np.arange(1, n), nd - 1)
+    row = np.arange(d.size)
+    out = np.zeros((d.size, d.size), dtype=np.int64)     # c_1 = 0, c_d(1) = 0
+    de = gal.delta.mul[d, e]
+    ok = de != 0
+    np.add.at(out, (row[ok], (de[ok] - 1) * (n - 1) + g[ok] - 1), 1)
+    np.add.at(out, (row, (e - 1) * (n - 1) + g - 1), -gal.chi_mod_n[d])
+    np.add.at(out, (row, (d - 1) * (n - 1) + gal.action.table[e, g] - 1), -1)
+    return out % gal.N
 
 
 def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
@@ -418,6 +423,8 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     2-cocycle; if F(s, h) = 0 for every s in S, the cocycle identity gives
     F(sg, h) = F(g, h), so F = 0 by induction on the word length of the
     first argument.  The C2 rows read f at first arguments in S and d(S).
+    C3 rows sit at second arguments in the generators of Delta (see
+    _crossed_rows).
     """
     G, N = gal.G, gal.N
     n = G.order
@@ -459,9 +466,9 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
         if batch:
             yield np.vstack(batch)
 
-    c3 = _crossed_rows(gal)
-    c3 = np.hstack([np.zeros((c3.shape[0], n_atoms), dtype=np.int64), c3])
-    W = _kernel_from_batches(chain(space.c1_batches(dim), c2_batches(), [c3]), dim, N)
+    c3 = (np.hstack([np.zeros((n_c, n_atoms), dtype=np.int64), _crossed_rows(gal, e)])
+          for e in gal.delta.minimal_generators())
+    W = _kernel_from_batches(chain(space.c1_batches(dim), c2_batches(), c3), dim, N)
     # coboundary pairs of b : G -> Z/N, b(1) = 0: db on the atoms, then the
     # c-part chi(d) b(g) - b(d.g)
     cols = np.vstack([_coboundary_rows(G, N, second=space.gens),

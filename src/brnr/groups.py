@@ -120,8 +120,8 @@ class FiniteGroup:
     def centralizer(self, g: int) -> np.ndarray:
         return np.nonzero(self.mul[:, g] == self.mul[g, :])[0]
 
-    def minimal_generators(self) -> list[int]:
-        """Greedy generating set following canonical element order."""
+    @cached_property
+    def _minimal_generators(self) -> tuple[int, ...]:
         gens: list[int] = []
         have = self.closure(gens)
         for x in range(1, self.order):
@@ -130,7 +130,15 @@ class FiniteGroup:
                 have = self.closure(gens)
                 if len(have) == self.order:
                     break
-        return gens
+        return tuple(gens)
+
+    def minimal_generators(self) -> list[int]:
+        """Greedy generating set following canonical element order.
+
+        Computed once per group; each call returns a new list, which callers
+        may use as an index array and may change.
+        """
+        return list(self._minimal_generators)
 
     def subgroup_table(self, elements) -> tuple["FiniteGroup", np.ndarray]:
         """Reindexed table of a subgroup; returns (group, original indices)."""

@@ -9,7 +9,11 @@ The Smith normal form pivots on the least gcd(a, m), found from one key
 per row that is updated only where a row changes.  Tall systems are first
 compressed to their reduced Howell form, which ``RowEchelon`` computes per
 prime power: one column sweep for each prime-power factor of m, joined by
-CRT.
+CRT.  The sweep and the back-reduction run in panels of columns (pivots):
+inside a panel only its own columns are kept current, and the columns
+right of it get the panel's updates at its end from one exact matmul,
+float64 while the sums stay below 2^53 and int64 below 2^63, with a
+narrower panel where even that would overflow (see ``_panel``).
 
 Matrices are numpy int64 arrays with entries reduced into [0, m).
 Column spans are "submodules generated by the columns".
@@ -287,6 +291,58 @@ def _leads(rows: np.ndarray) -> np.ndarray:
     return nz.argmax(axis=1)
 
 
+_PANEL = 64     # columns per panel, pivots per back-reduction run, rows and columns per matmul
+
+
+def _panel(q: int) -> tuple[int, type]:
+    """Panel width w and matmul dtype for sums of w products of entries in [0, q).
+
+    float64 GEMM is exact while w (q-1)^2 < 2^53.  Past that, int64 ``@`` is
+    exact while w (q-1)^2 < 2^63, and w shrinks until it is, down to 1: the
+    per-column update, exact for every q with q^2 < 2^63.
+    """
+    sq = (q - 1) ** 2
+    if _PANEL * sq < 2 ** 53:
+        return _PANEL, np.float64
+    return max(1, min(_PANEL, (2 ** 63 - 1) // sq)), np.int64
+
+
+def _product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """a @ b in ``dtype``, exact for b.shape[0] terms when :func:`_panel` chose it.
+
+    The product is taken in blocks of at most _PANEL rows and columns, so
+    each matmul (with b.shape[0] <= _PANEL) has at most 2^18 multiply-adds
+    and OpenBLAS runs it on the calling thread: on a 2-core machine under
+    outside load its threaded GEMM was slower than one thread.
+    """
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=dtype)
+    for i in range(0, a.shape[0], _PANEL):
+        for j in range(0, b.shape[1], _PANEL):
+            np.matmul(a[i:i + _PANEL], b[:, j:j + _PANEL], out=out[i:i + _PANEL, j:j + _PANEL])
+    return out
+
+
+def _sub_product(rows, idx, start: int, coef, pivs, q: int, dtype) -> np.ndarray:
+    """rows[idx, start:] -= coef @ pivs[:, start:] mod q, _PANEL columns at a time.
+
+    Returns the column of each updated row's first nonzero entry from
+    ``start`` on (the width for none).
+    """
+    n = rows.shape[1]
+    lead = np.full(coef.shape[0], n, dtype=np.int64)
+    coef = coef.astype(dtype, copy=False)
+    for s in range(start, n, _PANEL):
+        e = min(n, s + _PANEL)
+        block = rows[idx, s:e]
+        np.subtract(block, _product(coef, pivs[:, s:e], dtype), out=block, casting="unsafe")
+        rows[idx, s:e] = np.mod(block, q, out=block)
+        nz = block != 0
+        first = (lead == n) & nz.any(axis=1)
+        lead[first] = s + nz[first].argmax(axis=1)
+    return lead
+
+
 def _sweep(rows: np.ndarray, q: int, pivots: dict[int, np.ndarray]) -> np.ndarray:
     """Eliminate rows (entries in [0, q), q a prime power) into ``pivots``.
 
@@ -295,29 +351,56 @@ def _sweep(rows: np.ndarray, q: int, pivots: dict[int, np.ndarray]) -> np.ndarra
     every pending entry at c, which exact division clears.  A displaced pivot
     is pending again.  Returns the annihilator rows (q/p^v) * pivot of the
     pivots set here, which are still to be eliminated.
+
+    Columns are taken in panels of w (see :func:`_panel`).  Inside a panel
+    only the panel columns of the rows led there are kept current, and each
+    such row records the multiple of each pivot it subtracted; the columns
+    right of the panel are updated once, at its end, by one exact matmul of
+    those coefficients with the pivot rows.  A row promoted to pivot inside
+    the panel first gets its own delayed update (one vector-matrix product),
+    and the displaced pivot it trades places with starts with no
+    coefficients.  Every value is the one the per-column update gives.
     """
-    lead = _leads(rows)
     n = rows.shape[1]
+    w, dtype = _panel(q)
+    lead = _leads(rows)
     anns = []
-    while True:
-        c = int(lead.min(initial=n))
-        if c == n:
-            return np.array(anns, dtype=np.int64).reshape(-1, n)
-        at = np.flatnonzero(lead == c)
-        vals = np.gcd(rows[at, c], q)
-        k = int(np.argmin(vals))
-        piv = pivots.get(c)
-        if piv is None or vals[k] < piv[c]:
-            i = at[k]
-            u, d = unit_scale(int(rows[i, c]), q)
-            new = rows[i] * u % q
-            rows[i] = 0 if piv is None else piv
-            pivots[c] = piv = new
-            if d > 1:
-                anns.append((q // d) * new % q)
-        block = (rows[at, c:] - (rows[at, c] // piv[c])[:, None] * piv[c:]) % q
-        rows[at, c:] = block
-        lead[at] = c + _leads(block)
+    c0 = int(lead.min(initial=n))
+    while c0 < n:
+        c1 = min(c0 + w, n)
+        tail = c1 < n                  # columns right of the panel, updated at its end
+        if tail:
+            act = np.flatnonzero(lead < c1)
+            coef = np.zeros((rows.shape[0], c1 - c0), dtype=np.int64)
+            used = np.zeros((c1 - c0, n), dtype=np.int64)     # the pivot row of each column
+        while (c := int(lead.min())) < c1:
+            at = np.flatnonzero(lead == c)
+            vals = np.gcd(rows[at, c], q)
+            k = int(np.argmin(vals))
+            piv = pivots.get(c)
+            if piv is None or vals[k] < piv[c]:
+                i = at[k]
+                new = rows[i]
+                if tail:
+                    new = np.concatenate([new[:c1], (new[c1:] - coef[i] @ used[:, c1:]) % q])
+                    coef[i] = 0
+                u, d = unit_scale(int(new[c]), q)
+                new = new * u % q
+                rows[i] = 0 if piv is None else piv
+                pivots[c] = piv = new
+                if d > 1:
+                    anns.append((q // d) * new % q)
+            f = rows[at, c] // piv[c]
+            if tail:
+                used[c - c0] = piv
+                coef[at, c - c0] = f
+            block = (rows[at, c:c1] - f[:, None] * piv[c:c1]) % q
+            rows[at, c:c1] = block
+            lead[at] = c + _leads(block)
+        if tail:
+            lead[act] = _sub_product(rows, act, c1, coef[act], used, q, dtype)
+        c0 = int(lead.min())
+    return np.array(anns, dtype=np.int64).reshape(-1, n)
 
 
 class RowEchelon:
@@ -329,7 +412,10 @@ class RowEchelon:
     Storjohann 2000): over Z/q the least-valuation pivot divides its whole
     column, so pivots never merge, and pushing each pivot's annihilator
     multiple back into the pending rows gives the Howell property.  Pivot
-    rows are stored only for the columns that have one.
+    rows are stored only for the columns that have one.  Both the sweep and
+    the back-reduction delay their updates right of a panel and apply them
+    with one exact matmul per panel (Storjohann-Mulders 1998); the form is
+    canonical, so it is the one the per-column updates give.
     """
 
     def __init__(self, ncols: int, m: int):
@@ -346,7 +432,19 @@ class RowEchelon:
                 rows = _sweep(rows, q, pivots)
 
     def matrix(self) -> np.ndarray:
-        """Join the per-prime pivots of each column by CRT, then back-reduce."""
+        """Join the per-prime pivots of each column by CRT, then back-reduce.
+
+        Each pivot is scaled to its canonical associate gcd(v, m), and, pivot
+        by pivot, every row above it is reduced below it in its column.  Row
+        k is used only at step k, before any later pivot touches it.  So a
+        run of up to w unit pivots (see :func:`_panel`) acts as it stood at
+        the run's start: the multiples f that the steps subtract solve
+        f T = r, with T the run's rows on its pivot columns (unit upper
+        triangular) and r a row's entries there (for a row of the run, only
+        those right of its own pivot), and one matmul applies them.  A
+        non-unit pivot v subtracts floor(r / v), which is no linear map, so
+        it reduces the rows above it alone.
+        """
         m = self.m
         cols = sorted(set().union(*self._pivots.values()))
         rows = np.zeros((len(cols), self.ncols), dtype=np.int64)
@@ -357,13 +455,35 @@ class RowEchelon:
                     rows[k] += e * pivots[c]
         rows %= m
         for k, c in enumerate(cols):
-            u, v = unit_scale(int(rows[k, c]), m)
+            u, _ = unit_scale(int(rows[k, c]), m)
             if u != 1:
                 rows[k] = rows[k] * u % m
-            qs = rows[:k, c] // v
-            idx = np.flatnonzero(qs)
-            if idx.size:
-                rows[idx, c:] = (rows[idx, c:] - qs[idx, None] * rows[k, c:]) % m
+        w, dtype = _panel(m)
+        unit = rows[np.arange(len(cols)), cols] == 1
+        k = 0
+        while k < len(cols):
+            c = cols[k]
+            if not unit[k]:
+                qs = rows[:k, c] // rows[k, c]
+                idx = np.flatnonzero(qs)
+                if idx.size:
+                    rows[idx, c:] = (rows[idx, c:] - qs[idx, None] * rows[k, c:]) % m
+                k += 1
+                continue
+            k1 = k + 1
+            while k1 < min(k + w, len(cols)) and unit[k1]:
+                k1 += 1
+            pc = cols[k:k1]
+            block = rows[k:k1].copy()
+            T = block[:, pc]
+            Tinv = np.eye(k1 - k, dtype=np.int64)
+            for t in range(k1 - k - 2, -1, -1):
+                Tinv[t, t + 1:] = -(T[t, t + 1:] @ Tinv[t + 1:, t + 1:]) % m
+            r = rows[:k1, pc]
+            r[k:] -= np.eye(k1 - k, dtype=np.int64)
+            f = _product(r, Tinv, dtype).astype(np.int64) % m
+            _sub_product(rows, slice(0, k1), c, f, block, m, dtype)
+            k = k1
         return rows
 
 

@@ -419,6 +419,58 @@ def test_algebraic_unramified_can_be_nonzero():
     assert (got == expected) or (np.prod(got or (1,)) == classes)
 
 
+def wang_datum(N: int) -> GaloisDatum:
+    """Wang's counterexample to Grunwald's theorem: Delta = (Z/N^2)^x,
+    tabulated on the odd residues, chi the residue itself, acting trivially
+    on G = Z/N, N a power of 2."""
+    res = list(range(1, N * N, 2))
+    pos = {r: i for i, r in enumerate(res)}
+    delta = group_from_table([[pos[a * b % (N * N)] for b in res] for a in res])
+    G = cyclic_group(N)
+    gal = GaloisDatum(delta, G, np.array(res), GroupAction.trivial(delta, G), N)
+    gal.validate()
+    return gal
+
+
+def test_algebraic_unramified_wang_counterexample_is_z2():
+    gal = wang_datum(8)
+    rep = algebraic_unramified(gal)
+    assert rep.invariant_factors == (2,)
+    (alg,) = rep.representatives
+    assert not alg.f.any() and alg.violated_law() is None and is_unramified(alg)[0]
+    cm = class_module(gal)
+    assert cm.invariant_factors == (2, 2, 2)
+    assert list(cm.coordinates(alg)) == [0, 1, 0]
+    # independent count: a class has an f = 0 representative iff f is a
+    # coboundary db, which on Z/8 = <1> means sum_k f(k, 1) = 0 mod 8; then
+    # (f - db, c - (chi(d) - 1) b) is one, and is_unramified decides it
+    n, N, chi = gal.G.order, gal.N, gal.chi_mod_n
+    count = 0
+    for x in itertools.product(range(2), repeat=3):
+        f = sum(k * r.f for k, r in zip(x, cm.representatives)) % N
+        c = sum(k * r.c for k, r in zip(x, cm.representatives)) % N
+        if sum(f[k, 1] for k in range(n)) % N:
+            continue
+        b = np.zeros(n, dtype=np.int64)
+        for k in range(1, n - 1):
+            b[k + 1] = (b[k] - f[k, 1]) % N
+        db = (b[None, :] - b[(np.arange(n)[:, None] + np.arange(n)) % n] + b[:, None]) % N
+        assert np.array_equal(db, f)
+        zero_f = EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
+                                      (c - (chi[:, None] - 1) * b) % N)
+        assert zero_f.violated_law() is None
+        count += bool(is_unramified(zero_f)[0])
+    assert count == 2
+
+
+def test_algebraic_unramified_wang_counterexample_mod_16_in_bounded_memory():
+    # |Delta| = 128 on Z/16: the full C2 and C3 systems held 435 MB and 3.96 GB
+    rep = algebraic_unramified(wang_datum(16))
+    assert rep.invariant_factors == (2,)
+    (alg,) = rep.representatives
+    assert not alg.f.any() and alg.violated_law() is None
+
+
 # ---------------------------------------------------------------------------
 # split-cyclotomic simplification agreement
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """The cocycle systems at generator rows against the full-row systems.
 
 Production writes the cocycle identity (C1) and the automorphism law (C2)
-only at first arguments g in S = ``G.minimal_generators()``.  The
+only at first arguments g in S = ``G.minimal_generators()``, and the
+crossed law (C3) only at second arguments in the generators of Delta.  The
 references below keep every first argument g != 1, as the systems did
-before, with the full n x n x atoms expression tensor.  Over Z/m equal
-kernels have equal Howell forms, so the comparison is bit for bit.
+before, with the full n x n x atoms expression tensor, and C3 at every
+pair d, e != 1.  Over Z/m equal kernels have equal Howell forms, so the
+comparison is bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from brnr.cohomology import (
+    _coboundary_rows,
     _kernel_from_batches,
     cocycle2_defect,
     reduced_cocycle_space,
@@ -28,7 +31,7 @@ from brnr.groups import (
 )
 from brnr.zmod import echelon_compress, kernel
 
-from test_engine import FILTER_DATA
+from test_engine import FILTER_DATA, wang_datum
 
 
 def full_expr(G, gens) -> np.ndarray:
@@ -94,6 +97,20 @@ def full_c2_rows(gal, gens) -> np.ndarray:
                 row[c + h] -= 1
                 rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(-1, n_atoms + (nd - 1) * (n - 1)) % N
+
+
+def full_c3_rows(gal) -> np.ndarray:
+    """c_{de}(g) - chi(d) c_e(g) - c_d(e.g) for every d, e, g != 1."""
+    n, nd = gal.G.order, gal.delta.order
+    d = np.arange(1, nd)[:, None, None]
+    e = np.arange(1, nd)[None, :, None]
+    g = np.arange(1, n)[None, None, :]
+    act = gal.action.table
+    out = np.zeros((nd - 1, nd - 1, n - 1, nd, n), dtype=np.int64)  # c_1, c_d(1) = 0
+    out[d - 1, e - 1, g - 1, gal.delta.mul[d, e], g] += 1
+    out[d - 1, e - 1, g - 1, e, g] -= gal.chi_mod_n[d]
+    out[d - 1, e - 1, g - 1, d, act[e, g]] -= 1
+    return out[:, :, :, 1:, 1:].reshape((nd - 1) ** 2 * (n - 1), (nd - 1) * (n - 1)) % gal.N
 
 
 def howell_of_kernel(rows, m) -> np.ndarray:
@@ -176,6 +193,8 @@ C2_DATA = {
     **FILTER_DATA,
     "inner D4": lambda: inner_datum(dihedral_group(4), _reflection(dihedral_group(4))),
     "inner D4xZ2": lambda: inner_datum(GROUPS["D4xZ2"](), _reflection(GROUPS["D4xZ2"]())),
+    # Delta = (Z/64)^x = Z/2 x Z/16 needs two generators
+    "Wang Z8": lambda: wang_datum(8),
 }
 
 
@@ -189,8 +208,22 @@ def test_c2_generator_rows_match_full_rows(name, seed):
     gens = G.minimal_generators()
     n_atoms = (G.order - 1) * len(gens)
     dim = n_atoms + (gal.delta.order - 1) * (G.order - 1)
-    c3 = _crossed_rows(gal)
+    c3 = full_c3_rows(gal)
     ref = np.vstack([full_c1_rows(G, gens, N, dim), full_c2_rows(gal, gens),
                      np.hstack([np.zeros((len(c3), n_atoms), dtype=np.int64), c3])])
     cm = class_module(gal)
     assert np.array_equal(echelon_compress(cm._sub._W.T, N), howell_of_kernel(ref, N))
+
+
+@pytest.mark.parametrize("name", sorted(set(C2_DATA) - {"trivial D4", "closed D4"}))
+def test_crossed_hom_generator_rows_match_full_rows(name):
+    # the f = 0 system of algebraic_unramified: each c_d a homomorphism (C2
+    # at the generators of G) and d -> c_d crossed (C3 at the generators of
+    # Delta), against C2 at every h and C3 at every pair d, e
+    gal = C2_DATA[name]()
+    G, N, nd = gal.G, gal.N, gal.delta.order
+    eye = np.eye(nd - 1, dtype=np.int64)
+    rows = np.vstack([np.kron(eye, _coboundary_rows(G, N, second=G.minimal_generators())),
+                      *(_crossed_rows(gal, e) for e in gal.delta.minimal_generators())])
+    ref = np.vstack([np.kron(eye, _coboundary_rows(G, N)), full_c3_rows(gal)])
+    assert np.array_equal(howell_of_kernel(rows, N), howell_of_kernel(ref, N))

@@ -64,6 +64,19 @@ def test_element_orders_and_exponent():
     assert sorted(S3.element_orders.tolist()) == [1, 2, 2, 2, 3, 3]
 
 
+def test_minimal_generators_are_computed_once_and_returned_as_fresh_lists():
+    G = dihedral_group(8)
+    gens = G.minimal_generators()
+    assert isinstance(gens, list) and len(G.closure(gens)) == G.order
+    assert G._minimal_generators is G._minimal_generators
+    # a list indexes one axis; a tuple would be read as a multi-axis index
+    assert np.array_equal(np.arange(G.order)[gens], gens)
+    expect = list(gens)
+    gens.append(0)
+    gens[0] = 5
+    assert G.minimal_generators() == expect
+
+
 def test_subgroups_cyclic():
     Z4 = cyclic_group(4)
     subs = subgroups_cyclic(Z4)

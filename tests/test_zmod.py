@@ -8,6 +8,9 @@ from brnr.zmod import (
     RowEchelon,
     SmithNormalForm,
     _Transform,
+    _leads,
+    _panel,
+    _prime_powers,
     as_mod,
     cokernel,
     echelon_compress,
@@ -235,17 +238,149 @@ def test_snf_matches_full_scan_reference(m):
                 _assert_same_snf(A, m)
 
 
-def test_snf_matches_full_scan_reference_on_group_ring_howell_form():
-    # the 650 x 676 Howell form of the cocycle rows of h1 for the p = 3
-    # group-ring example, the largest system of sha1_bic there
+def _group_ring_h1_batches():
+    """The cocycle-row batches of h1 for the p = 3 group-ring example: three
+    batches of 676 columns mod 27, the largest system of sha1_bic there."""
     ex = build_example_714(3)
     G, M = ex.sd.Q, ex.sd.N_hat
-    ech = RowEchelon((G.order - 1) * M.rank, M.exponent)
-    for s in G.minimal_generators():
-        ech.add(_coboundary_rows(G, M, second=[s]))
+    ncols = (G.order - 1) * M.rank
+    return [_coboundary_rows(G, M, second=[s]) for s in G.minimal_generators()], ncols, M.exponent
+
+
+def test_snf_matches_full_scan_reference_on_group_ring_howell_form():
+    batches, ncols, m = _group_ring_h1_batches()
+    ech = RowEchelon(ncols, m)
+    for batch in batches:
+        ech.add(batch)
     E = ech.matrix()
-    assert E.shape == (650, 676) and M.exponent == 27
+    assert E.shape == (650, 676) and m == 27
     _assert_same_snf(E, 27)
+
+
+def _sweep_per_column(rows, q, pivots):
+    """Reference sweep: each column step rewrites the whole tail of every
+    pending row led there (the elimination before column panels)."""
+    lead = _leads(rows)
+    n = rows.shape[1]
+    anns = []
+    while True:
+        c = int(lead.min(initial=n))
+        if c == n:
+            return np.array(anns, dtype=np.int64).reshape(-1, n)
+        at = np.flatnonzero(lead == c)
+        vals = np.gcd(rows[at, c], q)
+        k = int(np.argmin(vals))
+        piv = pivots.get(c)
+        if piv is None or vals[k] < piv[c]:
+            i = at[k]
+            u, d = unit_scale(int(rows[i, c]), q)
+            new = rows[i] * u % q
+            rows[i] = 0 if piv is None else piv
+            pivots[c] = piv = new
+            if d > 1:
+                anns.append((q // d) * new % q)
+        block = (rows[at, c:] - (rows[at, c] // piv[c])[:, None] * piv[c:]) % q
+        rows[at, c:] = block
+        lead[at] = c + _leads(block)
+
+
+def _howell_per_column(batches, ncols, m):
+    """Reference RowEchelon: per-column sweeps, then a back-reduction that
+    reduces the rows above each pivot, one pivot at a time."""
+    per_q = {q: {} for q in _prime_powers(m)}
+    for batch in batches:
+        batch = np.asarray(batch, dtype=np.int64)
+        for q, pivots in per_q.items():
+            rows = np.mod(batch, q)
+            rows = rows[rows.any(axis=1)]
+            while rows.size:
+                rows = _sweep_per_column(rows, q, pivots)
+    cols = sorted(set().union(*per_q.values()))
+    rows = np.zeros((len(cols), ncols), dtype=np.int64)
+    for q, pivots in per_q.items():
+        e = (m // q) * pow(m // q, -1, q) % m
+        for k, c in enumerate(cols):
+            if c in pivots:
+                rows[k] += e * pivots[c]
+    rows %= m
+    for k, c in enumerate(cols):
+        u, v = unit_scale(int(rows[k, c]), m)
+        if u != 1:
+            rows[k] = rows[k] * u % m
+        qs = rows[:k, c] // v
+        idx = np.flatnonzero(qs)
+        if idx.size:
+            rows[idx, c:] = (rows[idx, c:] - qs[idx, None] * rows[k, c:]) % m
+    return rows
+
+
+def _assert_same_howell(batches, ncols, m):
+    ech = RowEchelon(ncols, m)
+    for batch in batches:
+        ech.add(batch)
+    got = ech.matrix()
+    ref = _howell_per_column(batches, ncols, m)
+    assert np.array_equal(got, ref), (ncols, m)
+    return got
+
+
+def _random_batches(rng, m, ncols):
+    """Up to three batches of rows that are divisor multiples of random
+    entries, at a random density, so non-unit pivots and displacements occur."""
+    divisors = [d for d in range(1, min(m, 100) + 1) if m % d == 0]
+    out = []
+    for _ in range(int(rng.integers(1, 4))):
+        r = int(rng.integers(0, ncols + 8))
+        A = rng.choice(divisors, size=(r, ncols)) * rng.integers(0, m, size=(r, ncols)) % m
+        out.append(A * (rng.random((r, ncols)) < rng.random()))
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 27, 64, 6, 12, 36, 60, 72, 3**19])
+def test_panel_howell_matches_per_column_reference(m):
+    # widths 1-200 cover one panel, several panels and a ragged last panel;
+    # the same matrix() must come out, bit for bit
+    rng = np.random.default_rng(3100 + m % 1000)
+    for ncols in (1, 2, 7, 63, 64, 65, 130, 200):
+        _assert_same_howell(_random_batches(rng, m, ncols), ncols, m)
+
+
+@pytest.mark.parametrize("m", [8, 27, 72])
+def test_panel_howell_displaced_pivots_empty_and_zero_batches(m):
+    # non-unit pivots stored first, then unit rows that displace them;
+    # empty and all-zero batches change nothing
+    rng = np.random.default_rng(77 + m)
+    ncols = 150
+    p = min(d for d in range(2, m + 1) if m % d == 0)
+    low = p * rng.integers(0, m, size=(ncols, ncols)) % m
+    unit = rng.integers(0, m, size=(ncols, ncols))
+    empty, zero = np.zeros((0, ncols), dtype=np.int64), np.zeros((5, ncols), dtype=np.int64)
+    _assert_same_howell([empty, low, zero, unit, empty], ncols, m)
+    ech = RowEchelon(ncols, m)
+    ech.add(low)
+    stored = {q: {c: int(piv[c]) for c, piv in pivs.items()} for q, pivs in ech._pivots.items()}
+    ech.add(unit)
+    assert any(int(ech._pivots[q][c][c]) < v for q in stored for c, v in stored[q].items())
+    ech = RowEchelon(ncols, m)
+    ech.add(empty)
+    ech.add(zero)
+    assert ech.matrix().shape == (0, ncols)
+
+
+def test_panel_howell_matches_per_column_reference_on_group_ring_system():
+    batches, ncols, m = _group_ring_h1_batches()
+    assert _assert_same_howell(batches, ncols, m).shape == (650, 676)
+
+
+def test_panel_width_keeps_products_exact():
+    # float64 while w (q-1)^2 < 2^53, then int64 with w shrunk below 2^63
+    for q in (2, 27, 3**10, 3**19, 2**31 - 1):
+        w, dtype = _panel(q)
+        bound = 2**53 if dtype is np.float64 else 2**63
+        assert w * (q - 1) ** 2 < bound, q
+    assert _panel(27)[1] is np.float64
+    assert _panel(3**19) == (6, np.int64)
+    assert _panel(2**31 - 1) == (2, np.int64)
 
 
 def test_solve_examples():
