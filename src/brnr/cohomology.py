@@ -50,6 +50,7 @@ from .groups import (
     subgroups_cyclic,
 )
 from .zmod import (
+    Kernel,
     RowEchelon,
     SubquotientModule,
     as_mod,
@@ -198,12 +199,11 @@ def _twist_rows(act: np.ndarray, chi: np.ndarray, m: int) -> np.ndarray:
     return out[:, :, 1:].reshape(nd * (n - 1), n - 1) % m
 
 
-def _kernel_from_batches(batches, dim: int, m: int) -> np.ndarray:
+def _kernel_from_batches(batches, dim: int, m: int) -> Kernel:
     ech = RowEchelon(dim, m)
     for batch in batches:
         ech.add(batch)
-    E = ech.matrix()
-    return kernel(E, m) if E.size else np.eye(dim, dtype=np.int64)
+    return kernel(ech, m)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +646,7 @@ def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
     S = np.asarray(S, dtype=np.int64)
     if (S * np.array(orders, dtype=np.int64) % N).any():
         raise AssertionError("rows are not defined on classes")
-    W = echelon_compress(_scaled_columns(kernel(S, N), orders, N).T, N).T
+    W = echelon_compress(_scaled_columns(kernel(S, N).gens, orders, N).T, N).T
     R = np.zeros((t, 0), dtype=np.int64) if relations is None \
         else _scaled_columns(relations, orders, N)
     sub = subquotient(W, R, N)
@@ -751,7 +751,7 @@ def character_group_generators(G: FiniteGroup, N: int,
     if equivariance is not None:
         chi, act = equivariance
         rows.append(_twist_rows(act, as_mod(chi, N), N))
-    K = kernel(np.vstack(rows), N)
+    K = kernel(np.vstack(rows), N).gens
     out = []
     for j in range(K.shape[1]):
         phi = np.zeros(n, dtype=np.int64)

@@ -6,14 +6,22 @@ unimodular transforms, linear solving, kernels, and cokernel structure.
 All of it is done directly mod m -- never over Z and then reduced --
 using the fact that every element of Z/m is a unit times a divisor of m.
 The Smith normal form pivots on the least gcd(a, m), found from one key
-per row that is updated only where a row changes.  Tall systems are first
-compressed to their reduced Howell form, which ``RowEchelon`` computes per
-prime power: one column sweep for each prime-power factor of m, joined by
-CRT.  The sweep and the back-reduction run in panels of columns (pivots):
-inside a panel only its own columns are kept current, and the columns
-right of it get the panel's updates at its end from one exact matmul,
-float64 while the sums stay below 2^53 and int64 below 2^63, with a
-narrower panel where even that would overflow (see ``_panel``).
+per row that is updated only where a row changes.
+
+Kernels are read off the reduced Howell form, which ``RowEchelon``
+computes per prime power: one column sweep for each prime-power factor of
+m, joined by CRT.  A unit pivot solves its own column in terms of the
+columns that carry no unit pivot, so only the non-unit rows on those
+columns go through a Smith normal form, often a small one or none (see
+``kernel``).  The resulting ``Kernel`` keeps the rows of that
+factorization that give coordinates in it, so ``subquotient`` of a kernel
+and its ``coordinates`` need no second factorization; one SNF remains, on
+the small relation matrix of the quotient.  The sweep and the
+back-reduction run in panels of columns (pivots): inside a panel only its
+own columns are kept current, and the columns right of it get the panel's
+updates at its end from one exact matmul, float64 while the sums stay
+below 2^53 and int64 below 2^63, with a narrower panel where even that
+would overflow (see ``_panel``).
 
 Matrices are numpy int64 arrays with entries reduced into [0, m).
 Column spans are "submodules generated by the columns".
@@ -267,7 +275,7 @@ def smith_normal_form_raw(
 
 
 # ---------------------------------------------------------------------------
-# Howell form (span-preserving row reduction); used to compress big systems
+# Howell form (span-preserving row reduction); kernels start from it
 # ---------------------------------------------------------------------------
 
 
@@ -326,8 +334,10 @@ def _product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
 def _sub_product(rows, idx, start: int, coef, pivs, q: int, dtype) -> np.ndarray:
     """rows[idx, start:] -= coef @ pivs[:, start:] mod q, _PANEL columns at a time.
 
-    Returns the column of each updated row's first nonzero entry from
-    ``start`` on (the width for none).
+    A block where every pivot row is zero is left as it is (block-diagonal
+    batches have many), but it is still scanned for leads.  Returns the
+    column of each updated row's first nonzero entry from ``start`` on (the
+    width for none).
     """
     n = rows.shape[1]
     lead = np.full(coef.shape[0], n, dtype=np.int64)
@@ -335,8 +345,9 @@ def _sub_product(rows, idx, start: int, coef, pivs, q: int, dtype) -> np.ndarray
     for s in range(start, n, _PANEL):
         e = min(n, s + _PANEL)
         block = rows[idx, s:e]
-        np.subtract(block, _product(coef, pivs[:, s:e], dtype), out=block, casting="unsafe")
-        rows[idx, s:e] = np.mod(block, q, out=block)
+        if pivs[:, s:e].any():
+            np.subtract(block, _product(coef, pivs[:, s:e], dtype), out=block, casting="unsafe")
+            rows[idx, s:e] = np.mod(block, q, out=block)
         nz = block != 0
         first = (lead == n) & nz.any(axis=1)
         lead[first] = s + nz[first].argmax(axis=1)
@@ -500,28 +511,71 @@ def echelon_compress(A: np.ndarray, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def kernel(A: np.ndarray, m: int) -> np.ndarray:
-    """Columns generating {x : A x = 0 mod m}.  A is rows x cols."""
-    A = as_mod(A, m)
-    cols = A.shape[1]
-    if m <= 1 or cols == 0:
-        return np.zeros((cols, 0), dtype=np.int64)
-    if A.shape[0] == 0 or not A.any():
-        return np.eye(cols, dtype=np.int64)
-    if A.shape[0] > 2 * cols + 16:
-        A = echelon_compress(A, m)
-    snf = smith_normal_form_raw(A, m, want_P=False, want_Q=True)
-    gens = []
-    ndiag = len(snf.diag)
-    for j in range(cols):
-        d = int(snf.diag[j]) if j < ndiag else 0
-        g = gcd_with_modulus(d, m)
-        if g == 1:
-            continue
-        gens.append(snf.Q[:, j] * (m // g) % m)
-    if not gens:
-        return np.zeros((cols, 0), dtype=np.int64)
-    return np.array(gens, dtype=np.int64).T
+@dataclass
+class Kernel:
+    """{x : A x = 0 mod m} as independent generators with their orders.
+
+    The columns of ``gens`` generate the kernel and sum t_j gens[:, j] = 0
+    exactly when every orders[j] divides t_j, so the kernel is the product
+    of the Z/orders[j].  ``coordinates`` reads t off the factorization the
+    generators came from (see :func:`kernel`): the rows ``_inv`` of Q'^-1
+    on the non-unit-pivot columns ``_rest``.
+    """
+
+    modulus: int
+    gens: np.ndarray            # cols x k
+    orders: tuple[int, ...]
+    _rest: np.ndarray
+    _inv: np.ndarray            # k x len(_rest)
+
+    def coordinates(self, vec: np.ndarray) -> Optional[np.ndarray]:
+        """t with gens t = vec, one column per column of a matrix; None if any is outside.
+
+        On the kernel, Q'^-1 x_rest is (m/g_j) t_j in coordinate j; off it
+        the division is meaningless, so ``gens t = vec`` is checked.
+        """
+        m = self.modulus
+        vec = as_mod(vec, m)
+        g = np.array(self.orders, dtype=np.int64).reshape((-1,) + (1,) * (vec.ndim - 1))
+        x = (self._inv @ vec[self._rest] % m) // (m // g)
+        return None if ((self.gens @ x - vec) % m).any() else x
+
+
+def kernel(A: np.ndarray | RowEchelon, m: int) -> Kernel:
+    """{x : A x = 0 mod m} for A (rows x cols), or for the rows fed to a RowEchelon.
+
+    A has the kernel of its reduced Howell form E.  In E each unit pivot is
+    1 and the only nonzero entry of its column (the back-reduction clears
+    above it, the echelon shape below), and the other rows vanish on the
+    unit pivot columns P.  So E x = 0 exactly when
+    x_P = -E[unit rows, rest] x_rest and E' x_rest = 0, for
+    E' = E[non-unit rows, rest] and ``rest`` the columns outside P.  Only
+    E' is put in Smith normal form, P' E' Q' = D: ker E' is generated by
+    the columns (m/g_j) Q'_j of order g_j = gcd(d_j, m) > 1, and each
+    generator gets its x_P from the unit rows.  With no non-unit rows
+    Q' = I and every rest column is free.
+    """
+    if isinstance(A, RowEchelon):
+        n, E = A.ncols, A.matrix()
+    else:
+        n, E = np.shape(A)[1], echelon_compress(A, m)
+    lead = _leads(E)
+    unit = E[np.arange(len(E)), lead] == 1
+    free = np.ones(n, dtype=bool)
+    free[lead[unit]] = False
+    rest = np.flatnonzero(free)
+    g = np.full(len(rest), m, dtype=np.int64)
+    Q = Qinv = np.eye(len(rest), dtype=np.int64)
+    if not unit.all():
+        snf = smith_normal_form_raw(E[~unit][:, rest], m, want_P=False, want_Qinv=True)
+        Q, Qinv = snf.Q, snf.Qinv
+        g[:len(snf.diag)] = np.gcd(snf.diag, m)
+    keep = np.flatnonzero(g > 1)
+    g = g[keep]
+    gens = np.zeros((n, len(keep)), dtype=np.int64)
+    gens[rest] = Q[:, keep] * (m // g) % m
+    gens[lead[unit]] = -E[unit][:, rest] @ gens[rest] % m
+    return Kernel(m, gens, tuple(int(d) for d in g), rest, Qinv[keep])
 
 
 def solve(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
@@ -633,20 +687,22 @@ def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure
 class SubquotientModule:
     """W / R for submodules R <= W <= (Z/m)^n, with ambient coordinates.
 
-    ``coordinates`` solves membership in W and projects mod R; it returns
-    None for vectors outside W.  A matrix is solved in one SNF of W, one
-    coordinate column per column, and gives None if any column is outside W.
+    ``coordinates`` finds x with W x = vec and projects it mod R; it
+    returns None for vectors outside W.  A matrix gives one coordinate
+    column per column, and None if any column is outside W.  When W is a
+    :class:`Kernel`, x is one matmul with the rows its factorization kept;
+    any other W is solved by one SNF per call.
     """
 
     modulus: int
     ambient_dim: int
     invariant_factors: tuple[int, ...]
     generator_lifts: np.ndarray      # ambient_dim x r, representatives in W
-    _W: np.ndarray
+    _W: Kernel | np.ndarray
     _inner: AbelianStructure
 
     def coordinates(self, vec: np.ndarray) -> Optional[np.ndarray]:
-        x = solve(self._W, vec, self.modulus)
+        x = _span_coordinates(self._W, vec, self.modulus)
         return None if x is None else self._inner.project(x)
 
     @property
@@ -662,18 +718,37 @@ class SubquotientModule:
         )
 
 
-def subquotient(W: np.ndarray, R: np.ndarray, m: int) -> SubquotientModule:
-    """Structure of colspan(W)/colspan(R); R must lie inside colspan(W)."""
-    W = as_mod(W, m)
+def _span_coordinates(W: Kernel | np.ndarray, vec: np.ndarray, m: int) -> Optional[np.ndarray]:
+    """x with W x = vec mod m (per column for a matrix), or None."""
+    return W.coordinates(vec) if isinstance(W, Kernel) else solve(W, vec, m)
+
+
+def subquotient(W: Kernel | np.ndarray, R: np.ndarray, m: int) -> SubquotientModule:
+    """Structure of colspan(W)/colspan(R); R must lie inside colspan(W).
+
+    W / R is Z^k modulo the coordinates T of R in W's generators and the
+    relations among those generators, so one SNF of [T | relations] gives
+    it.  A :class:`Kernel` W brings both from its own factorization: T from
+    its ``coordinates`` and the relations orders[j] e_j.  Any other W costs
+    one SNF for T (``solve``) and one for its relations (``kernel``).
+    """
     R = as_mod(R, m)
-    n, k = W.shape
+    if isinstance(W, Kernel):
+        gens = W.gens
+    else:
+        W = gens = as_mod(W, m)
+    n, k = gens.shape
     if k == 0 or m <= 1:
         return SubquotientModule(m, n, (), np.zeros((n, 0), dtype=np.int64), W,
                                  cokernel(np.zeros((0, 0), dtype=np.int64), m, rows=0))
-    T = solve(W, R, m) if R.shape[1] else np.zeros((k, 0), dtype=np.int64)
+    T = _span_coordinates(W, R, m) if R.shape[1] else np.zeros((k, 0), dtype=np.int64)
     if T is None:
         raise ValueError("R is not contained in the span of W")
-    rels = kernel(W, m)
+    if isinstance(W, Kernel):
+        orders = np.array(W.orders, dtype=np.int64)
+        rels = np.diag(orders)[:, orders < m]       # order m: no relation
+    else:
+        rels = kernel(W, m).gens
     inner = cokernel(np.hstack([T, rels]), m, rows=k)
-    lifts = W @ inner.generator_lifts % m
+    lifts = gens @ inner.generator_lifts % m
     return SubquotientModule(m, n, inner.invariant_factors, lifts, W, inner)

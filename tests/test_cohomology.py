@@ -42,6 +42,8 @@ from brnr.fastpath import build_example_714
 from brnr.selfchecks import class_span, classes_dying_by_full_rows
 from brnr.zmod import kernel
 from dense_h2 import coboundary1, dense_h2
+from test_engine import METACYCLIC
+from test_generator_rows import relabel
 
 
 def brute_h2_order(G: FiniteGroup, m: int) -> int:
@@ -165,7 +167,7 @@ def test_h1_matches_bruteforce(name):
     H = h1(G, M)
     assert H.order == brute_h1_order(G, M)
     rows = np.vstack([_coboundary_rows(G, M, second=[s]) for s in G.minimal_generators()])
-    K = kernel(rows, M.exponent)
+    K = kernel(rows, M.exponent).gens
     for j in range(K.shape[1]):
         assert cocycle1_defect(G, M, _table1_of_vec(K[:, j], G.order, M.rank)) is None
     for i, rep in enumerate(H.representatives):
@@ -226,22 +228,59 @@ def test_h2_dense_vs_reduced_agree():
                 assert c is not None
 
 
-def test_representatives_are_cocycles_and_coordinates_are_unit_vectors():
-    for G in (cyclic_group(6), abelian_group([2, 4]), symmetric_group(3)):
-        H = h2(G, scalar_module(G.order))
-        M = scalar_module(G.order)
-        for i, rep in enumerate(H.representatives):
-            assert cocycle2_defect(G, M, rep) is None
-            coords = H.coordinates(rep)
-            expect = np.zeros(len(H.invariant_factors), dtype=np.int64)
-            expect[i] = 1
-            assert np.array_equal(coords, expect)
-        # coboundaries have zero coordinates
-        b = np.zeros((G.order, 1), dtype=np.int64)
-        b[1:, 0] = np.arange(1, G.order) % G.order
-        db = coboundary1(G, M, b)
-        c = H.coordinates(db)
-        assert c is not None and not c.any()
+def _relabelled(G, M, seed):
+    """G under a seeded relabelling, with M's action carried along."""
+    G2, perm = relabel(G, seed)
+    return G2, AbelianModule(M.invariant_factors, G2,
+                             None if M.action is None else M.action[np.argsort(perm)])
+
+
+def _metacyclic_h2(n, q, u, seed):
+    G, M = _relabelled(_metacyclic(n, q, u), scalar_module(n * q), seed)
+    return h2(G, M)
+
+
+ROUND_TRIP = {
+    "h2 Z6": lambda: h2(cyclic_group(6), scalar_module(6)),
+    "h2 Z2xZ4": lambda: h2(abelian_group([2, 4]), scalar_module(8)),
+    "h2 S3": lambda: h2(symmetric_group(3), scalar_module(6)),
+    **{f"h2 Z{n}:Z{q} u={u}": (lambda n=n, q=q, u=u: _metacyclic_h2(n, q, u, n + q))
+       for n, q, u in METACYCLIC},
+    **{f"h1 {name}": (lambda name=name: h1(*_relabelled(*H1_DATA[name](), 7)))
+       for name in ("S3 sign Z/6", "D4 swap (Z/2)^2", "Z4 trivial Z2xZ4")},
+    "sha1 ambient D4 swap": lambda: sha(*_relabelled(*H1_DATA["D4 swap (Z/2)^2"](), 8),
+                                        1, "cyc").ambient,
+    "sha2 ambient SD16": lambda: sha(*_relabelled(_metacyclic(8, 2, 3), scalar_module(16), 9),
+                                     2, "ab").ambient,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_representatives_are_cocycles_and_coordinates_are_unit_vectors(name):
+    # kernel bases are not canonical, so the basis must round-trip: the
+    # representatives get the unit vectors, element_table(x) gets x back,
+    # coboundaries add nothing and a cochain outside Z^d gets None
+    H = ROUND_TRIP[name]()
+    G, M = H.group, H.module
+    k = len(H.invariant_factors)
+    assert k
+    defect = cocycle1_defect if H.degree == 1 else cocycle2_defect
+    for rep in H.representatives:
+        assert defect(G, M, rep) is None
+    assert np.array_equal(H.coordinates(np.array(H.representatives)),
+                          np.eye(k, dtype=np.int64))
+    rng = np.random.default_rng(17)
+    orders = np.array(H.invariant_factors, dtype=np.int64)
+    for x in rng.integers(0, orders, size=(4, k)):
+        assert np.array_equal(H.coordinates(H.element_table(x)), x)
+    tables, coords = _random_cocycles(H, rng, 4)
+    assert np.array_equal(H.coordinates(tables), coords % orders[:, None])
+    cells = (slice(1, None),) * H.degree
+    bad = np.zeros_like(tables[0])
+    while defect(G, M, bad) is None:
+        bad[cells] = rng.integers(0, M.exponent, size=bad[cells].shape)
+    assert H.coordinates(bad) is None
+    assert H.coordinates(np.array([tables[0], bad])) is None
 
 
 def test_h2_needs_trivial_scalar_coefficients():

@@ -28,6 +28,7 @@ from brnr.groups import (
     subgroups_cyclic,
     symmetric_group,
 )
+from test_generator_rows import C2_DATA, relabel_datum
 
 
 def real_datum_z2() -> GaloisDatum:
@@ -383,15 +384,29 @@ def test_scale_extension():
     assert np.array_equal((3 * c1) % np.array(cm.invariant_factors), c2)
 
 
-def test_class_module_coordinates_take_a_batch():
+CLASS_MODULE_DATA = {
+    "real D4": lambda: GaloisDatum.real_like(dihedral_group(4)),
+    **{f"{name} relabelled": (lambda name=name: relabel_datum(C2_DATA[name](), 11))
+       for name in C2_DATA},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MODULE_DATA))
+def test_class_module_coordinates_take_a_batch(name):
+    # the representatives get the unit vectors and element(x) gets x back;
     # a list of pairs gives one column per pair, equal to the pair-by-pair
-    # coordinates; one pair breaking C1 makes the batch None
-    gal = GaloisDatum.real_like(dihedral_group(4))
+    # coordinates; one pair breaking C1, or C2 or C3, makes the batch None
+    gal = CLASS_MODULE_DATA[name]()
     cm = class_module(gal)
-    assert cm.invariant_factors
-    orders = np.array(cm.invariant_factors)[:, None]
+    k = len(cm.invariant_factors)
+    orders = np.array(cm.invariant_factors, dtype=np.int64).reshape(k, 1)
     rng = np.random.default_rng(9)
-    coords = np.array([rng.integers(0, d, size=5) for d in cm.invariant_factors])
+    coords = np.array([rng.integers(0, d, size=5) for d in cm.invariant_factors],
+                      dtype=np.int64).reshape(k, 5)
+    if k:
+        assert np.array_equal(cm.coordinates(cm.representatives), np.eye(k, dtype=np.int64))
+        for x in coords.T:
+            assert np.array_equal(cm.coordinates(cm.element(x)), x)
     exts = []
     for x in coords.T:
         b = rng.integers(0, gal.N, size=gal.G.order)
@@ -405,9 +420,15 @@ def test_class_module_coordinates_take_a_batch():
         assert np.array_equal(cm.coordinates(ext), batch[:, j])
     f = rng.integers(0, gal.N, size=(gal.G.order, gal.G.order))
     f[0] = f[:, 0] = 0
-    bad = EquivariantExtension(gal, f, exts[0].c)
-    assert bad.violated_law() is not None
-    assert cm.coordinates(exts[:2] + [bad] + exts[2:]) is None
+    bads = [EquivariantExtension(gal, f, exts[0].c)]
+    if gal.delta.order > 1:
+        c = rng.integers(0, gal.N, size=exts[0].c.shape)
+        c[0] = c[:, 0] = 0
+        bads.append(EquivariantExtension(gal, exts[0].f, c))
+    for bad in bads:
+        assert bad.violated_law() is not None
+        assert cm.coordinates(bad) is None
+        assert cm.coordinates(exts[:2] + [bad] + exts[2:]) is None
 
 
 def _laws_by_all_rows(ext: EquivariantExtension) -> tuple[list, object]:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import brnr.extensions
 from brnr.cohomology import _coboundary_rows
+from brnr.extensions import GaloisDatum, class_module
 from brnr.fastpath import build_example_714
+from brnr.groups import abelian_group, cyclic_group
 from brnr.zmod import (
     AbelianStructure,
     RowEchelon,
@@ -345,6 +348,30 @@ def test_panel_howell_matches_per_column_reference(m):
         _assert_same_howell(_random_batches(rng, m, ncols), ncols, m)
 
 
+@pytest.mark.parametrize("m", [4, 27, 12])
+def test_panel_howell_matches_per_column_reference_on_block_diagonal_batches(m):
+    # each batch is nonzero only in its own 15 columns, as the per-d batches
+    # of algebraic_unramified on Wang's N = 16 datum are, so most 64-column
+    # blocks right of a panel have all-zero pivot rows; the last batches
+    # couple the first block to a far one (a row led into a block whose
+    # update is skipped) and then every block
+    rng = np.random.default_rng(4100 + m)
+    ncols, width = 200, 15
+    batches = []
+    for s in range(0, ncols, width):
+        block = _random_batches(rng, m, width)[0]
+        if s == 0:      # a unit pivot at every column of the first block
+            block = np.vstack([np.triu(rng.integers(0, m, size=(width, width)), 1)
+                               + np.eye(width, dtype=np.int64), block])
+        batch = np.zeros((len(block), ncols), dtype=np.int64)
+        batch[:, s:s + width] = block[:, :ncols - s]
+        batches.append(batch)
+    far = rng.integers(0, m, size=(3, ncols))
+    far[:, width:150] = 0
+    batches += [far, rng.integers(0, m, size=(3, ncols))]
+    _assert_same_howell(batches, ncols, m)
+
+
 @pytest.mark.parametrize("m", [8, 27, 72])
 def test_panel_howell_displaced_pivots_empty_and_zero_batches(m):
     # non-unit pivots stored first, then unit rows that displace them;
@@ -386,14 +413,14 @@ def test_panel_width_keeps_products_exact():
 def test_solve_examples():
     x = solve(np.eye(3, dtype=np.int64), np.array([1, 2, 3]), 5)
     assert np.array_equal(x, [1, 2, 3])
-    assert kernel(np.eye(3, dtype=np.int64), 5).shape[1] == 0
+    assert kernel(np.eye(3, dtype=np.int64), 5).gens.shape[1] == 0
 
     assert solve(np.array([[2]]), np.array([1]), 4) is None
 
     x = solve(np.array([[2]]), np.array([2]), 4)
     assert x is not None
     assert 2 * x[0] % 4 == 2
-    k = kernel(np.array([[2]]), 4)
+    k = kernel(np.array([[2]]), 4).gens
     assert {int(g[0]) for g in k.T} <= {0, 2}
     assert any(int(g[0]) == 2 for g in k.T)
 
@@ -422,7 +449,7 @@ def test_solve_matches_brute_force(m):
         else:
             assert not ((A @ x0 - b) % m).any()
             # the kernel spans exactly the solution differences
-            kr = kernel(A, m)
+            kr = kernel(A, m).gens
             kspan = brute_span(kr, m) if kr.size else {tuple([0] * c)}
             diffs = {tuple((s - x0) % m) for s in brute}
             assert kspan == diffs
@@ -478,7 +505,7 @@ def test_kernel_is_exact_random():
             r = int(rng.integers(1, 5))
             c = int(rng.integers(1, 5))
             A = rng.integers(0, m, size=(r, c))
-            K = kernel(A, m)
+            K = kernel(A, m).gens
             assert not (A @ K % m).any()
             if c <= 3 and m <= 8:
                 brute = {tuple(x) for x in np.ndindex(*([m] * c))
@@ -567,3 +594,209 @@ def test_row_echelon_is_the_canonical_howell_form(m):
                 assert solve(E.T, row, m) is not None
             for row in E:
                 assert solve(A.T % m, row, m) is not None
+
+
+# ---------------------------------------------------------------------------
+# kernels from the Howell form against one SNF of the whole system
+# ---------------------------------------------------------------------------
+
+
+def _snf_kernel(A, m):
+    """Reference kernel: generators (m/g_j) Q_j from one SNF of all of A."""
+    A = as_mod(A, m)
+    cols = A.shape[1]
+    if m <= 1 or cols == 0:
+        return np.zeros((cols, 0), dtype=np.int64)
+    if A.shape[0] == 0 or not A.any():
+        return np.eye(cols, dtype=np.int64)
+    snf = smith_normal_form_raw(A, m, want_P=False, want_Q=True)
+    gens = []
+    for j in range(cols):
+        g = gcd_with_modulus(int(snf.diag[j]) if j < len(snf.diag) else 0, m)
+        if g > 1:
+            gens.append(snf.Q[:, j] * (m // g) % m)
+    return np.array(gens, dtype=np.int64).reshape(-1, cols).T
+
+
+def _solve_subquotient(W, R, m):
+    """Reference subquotient: T by solve, relations by the SNF kernel of W."""
+    W, R = as_mod(W, m), as_mod(R, m)
+    T = solve(W, R, m) if R.shape[1] else np.zeros((W.shape[1], 0), dtype=np.int64)
+    assert T is not None
+    return cokernel(np.hstack([T, _snf_kernel(W, m)]), m, rows=W.shape[1])
+
+
+def _solve_coordinates(W, inner, vec, m):
+    """Reference subquotient coordinates: one solve in W, projected mod R."""
+    x = solve(W, vec, m)
+    return None if x is None else inner.project(x)
+
+
+def _span_order(howell, m):
+    """|row span| of a reduced Howell form: prod m / pivot."""
+    out = 1
+    for row in howell:
+        out *= m // int(row[np.flatnonzero(row)[0]])
+    return out
+
+
+def _pivot_kinds(A, m):
+    E = echelon_compress(A, m)
+    unit = E[np.arange(len(E)), _leads(E)] == 1
+    return int(unit.sum()), int((~unit).sum())
+
+
+def _assert_kernel_matches_reference(A, m):
+    """Same span as the SNF kernel, independent generators of the stated
+    orders, A K = 0, and coordinates that give back random combinations."""
+    K = kernel(A, m)
+    ref = _snf_kernel(A, m)
+    n = np.shape(A)[1]
+    assert K.gens.shape == (n, len(K.orders))
+    assert not (as_mod(A, m) @ K.gens % m).any()
+    howell = echelon_compress(K.gens.T, m)
+    assert np.array_equal(howell, echelon_compress(ref.T, m))
+    assert int(np.prod(K.orders, dtype=object)) == _span_order(howell, m)
+    for col, g in zip(K.gens.T, K.orders):
+        assert 1 < g and m % g == 0 and not (g * col % m).any()
+        assert gcd_with_modulus(int(np.gcd.reduce(col)), m) == m // g
+    rng = np.random.default_rng(n * 1000 + m)
+    X = rng.integers(0, m, size=(len(K.orders), 4))
+    orders = np.array(K.orders, dtype=np.int64)[:, None]
+    assert np.array_equal(K.coordinates(K.gens @ X % m), X % orders)
+    return K, ref
+
+
+MIXED_MODULI = [2, 4, 8, 16, 27, 12, 36, 72]
+
+
+@pytest.mark.parametrize("m", MIXED_MODULI)
+def test_kernel_matches_snf_reference_on_mixed_pivots(m):
+    rng = np.random.default_rng(5200 + m)
+    kinds = np.zeros(2, dtype=np.int64)
+    for ncols in (1, 2, 5, 9, 17, 40):
+        for _ in range(4):
+            A = np.vstack(_random_batches(rng, m, ncols))
+            kinds += _pivot_kinds(A, m) if len(A) else (0, 0)
+            _assert_kernel_matches_reference(A, m)
+    # units occur at every modulus, and non-units at every composite one
+    assert kinds[0] and (kinds[1] or m == 2)
+
+
+@pytest.mark.parametrize("m", MIXED_MODULI)
+def test_subquotient_of_a_kernel_matches_solve_reference(m):
+    rng = np.random.default_rng(5300 + m)
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    for ncols in (1, 3, 6, 12, 30):
+        for _ in range(3):
+            A = np.vstack(_random_batches(rng, m, ncols))
+            K, ref = _assert_kernel_matches_reference(A, m)
+            R = K.gens @ (rng.choice(divisors, size=(len(K.orders), 3))
+                          * rng.integers(0, m, size=(len(K.orders), 3))) % m
+            sub = subquotient(K, R, m)
+            inner = _solve_subquotient(ref, R, m)
+            assert sub.invariant_factors == inner.invariant_factors
+            assert sub.invariant_factors == subquotient(K.gens, R, m).invariant_factors
+            if not sub.invariant_factors:
+                continue
+            # lifts project to unit vectors, R to zero, combinations back to x
+            eye = np.eye(len(sub.invariant_factors), dtype=np.int64)
+            assert np.array_equal(sub.coordinates(sub.generator_lifts), eye)
+            assert not sub.coordinates(R).any()
+            fs = np.array(sub.invariant_factors, dtype=np.int64)[:, None]
+            x = rng.integers(0, m, size=(len(fs), 5))
+            v = (sub.generator_lifts @ x + R @ rng.integers(0, m, size=(R.shape[1], 5))) % m
+            assert np.array_equal(sub.coordinates(v), x % fs)
+            # in the reference's coordinates the lifts are a basis with the
+            # same orders: they generate, and lift j has order f_j
+            ref_x = _solve_coordinates(ref, inner, sub.generator_lifts, m)
+            ref_f = np.array(inner.invariant_factors, dtype=np.int64)[:, None]
+            scaled = ref_x * (m // ref_f) % m
+            assert np.array_equal(echelon_compress(scaled.T, m),
+                                  echelon_compress(np.diag(m // ref_f[:, 0]), m))
+            for col, f in zip(scaled.T, sub.invariant_factors):
+                assert m // gcd_with_modulus(int(np.gcd.reduce(col)), m) == f
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_kernel_coordinates_reject_exactly_the_vectors_outside(m):
+    # brute force over (Z/m)^n: None exactly off the span of the kernel
+    rng = np.random.default_rng(5400 + m)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            A = np.vstack(_random_batches(rng, m, n))
+            K = kernel(A, m)
+            span = brute_span(_snf_kernel(A, m), m) if len(K.orders) else {(0,) * n}
+            sub = subquotient(K, np.zeros((n, 0), dtype=np.int64), m)
+            for v in np.ndindex(*([m] * n)):
+                v = np.array(v, dtype=np.int64)
+                inside = tuple(v) in span
+                x = K.coordinates(v)
+                assert (x is not None) == inside
+                assert (sub.coordinates(v) is not None) == inside
+                if inside:
+                    assert np.array_equal(K.gens @ x % m, v)
+            # one column outside makes a batch None
+            out = [v for v in np.ndindex(*([m] * n)) if v not in span]
+            if out and K.orders:
+                V = np.column_stack([K.gens[:, 0], np.array(out[0])])
+                assert K.coordinates(V) is None
+
+
+def test_kernel_of_the_all_unit_group_ring_system_needs_no_snf(monkeypatch):
+    # the p = 3 h1 system: 650 unit pivots over 676 columns mod 27, so the
+    # kernel is read off E with no SNF at all
+    batches, ncols, m = _group_ring_h1_batches()
+    ech = RowEchelon(ncols, m)
+    for batch in batches:
+        ech.add(batch)
+    E = ech.matrix()
+    assert _pivot_kinds(E, m) == (650, 0)
+    ref = _snf_kernel(E, m)
+    monkeypatch.setattr("brnr.zmod.smith_normal_form_raw", None)
+    K = kernel(ech, m)
+    assert K.orders == (27,) * 26
+    assert np.array_equal(echelon_compress(K.gens.T, m), echelon_compress(ref.T, m))
+    assert not (E @ K.gens % m).any()
+    x = np.random.default_rng(1).integers(0, m, size=(26, 3))
+    assert np.array_equal(K.coordinates(K.gens @ x % m), x)
+
+
+@pytest.mark.parametrize("G, kinds", [
+    (cyclic_group(16), (0, 29)),            # all non-unit: the SNF is all of E
+    (abelian_group([2, 2, 2, 2]), (39, 32)),
+    (abelian_group([5, 5]), (48, 0)),
+])
+def test_kernel_on_real_like_class_module_systems(G, kinds, monkeypatch):
+    # the C1-C3 rows class_module feeds to its kernel, as one matrix
+    seen = []
+
+    def spy(batches, dim, m):
+        seen.append(np.vstack([np.zeros((0, dim), dtype=np.int64), *batches]))
+        return kernel(seen[-1], m)
+
+    monkeypatch.setattr(brnr.extensions, "_kernel_from_batches", spy)
+    class_module(GaloisDatum.real_like(G))
+    A, m = seen[0], G.order
+    assert _pivot_kinds(A, m) == kinds
+    _assert_kernel_matches_reference(A, m)
+
+
+def test_kernel_special_cases():
+    # a zero matrix: everything, one free generator per column
+    K = _assert_kernel_matches_reference(np.zeros((3, 4), dtype=np.int64), 6)[0]
+    assert K.orders == (6,) * 4
+    K = _assert_kernel_matches_reference(np.zeros((0, 2), dtype=np.int64), 4)[0]
+    assert K.orders == (4, 4)
+    # m = 1: the zero module
+    K = kernel(np.array([[1, 2], [3, 4]]), 1)
+    assert K.gens.shape == (2, 0) and K.orders == ()
+    assert K.coordinates(np.array([5, 7])).shape == (0,)
+    assert subquotient(K, np.zeros((2, 0), dtype=np.int64), 1).invariant_factors == ()
+    # a single column, unit, non-unit and zero
+    for col, orders in (([[3], [2]], ()), ([[2], [4]], (2,)), ([[0]], (8,))):
+        assert _assert_kernel_matches_reference(np.array(col), 8)[0].orders == orders
+    # a unit row that ends in non-unit columns
+    A = np.array([[1, 2, 4], [0, 4, 0]])
+    K = _assert_kernel_matches_reference(A, 8)[0]
+    assert K.coordinates(np.array([1, 0, 0])) is None
