@@ -24,6 +24,8 @@ bogomolov_condition keeps the per-subgroup test as the reference.
 br_nr stacks the two matrices over the generators of the class module
 modulo Kummer classes; Br^0_nr is the kernel of the stack, and each
 generator's verdict is its column, with the first nonzero row as witness.
+algebraic_unramified reads the classes with f = 0, H^1(Delta, G^(chi)) for
+G^(chi) = Hom(G, Z/N) under (d.b)(y) = chi(d) b(d^-1.y), off one h1 call.
 No class is enumerated.  b0, br_nr, algebraic_unramified and the Kummer
 quotient each hand their rows (and relations) to one
 cohomology.class_subgroup call, which returns class coordinates; this
@@ -36,7 +38,7 @@ selftest).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -45,13 +47,12 @@ from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
     ShaResult,
     _coboundary_rows,
-    _kernel_from_batches,
-    _twist_rows,
     bockstein,
     character_group_generators,
     class_subgroup,
     commuting_pair_rows,
     dies_in_qz,
+    h1,
     h2,
     scalar_module,
     sha,
@@ -61,12 +62,11 @@ from .extensions import (
     ClassModule,
     EquivariantExtension,
     GaloisDatum,
-    _crossed_rows,
     class_module,
     kummer_kernel,
 )
-from .groups import FiniteGroup, subgroups_bicyclic
-from .zmod import subquotient
+from .groups import AbelianModule, FiniteGroup, subgroups_bicyclic
+from .zmod import kernel
 
 
 # ---------------------------------------------------------------------------
@@ -338,51 +338,47 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     return BrauerReport(factors, reps, cm, tested, label="Br0_nr")
 
 
-def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
-    """Unramified classes representable with f = 0.
+def _character_module(gal: GaloisDatum) -> tuple[np.ndarray, AbelianModule]:
+    """Generator tables b_j (column j holds b_j(g)) and the Delta-module G^(chi).
 
-    These are crossed homomorphisms c (C2 makes each c_d additive, C3 makes
-    d -> c_d crossed), modulo shifts chi(d) b - b o d by characters b, and
-    must vanish at every (d, tau) admitting a gamma with
-    gamma (d.tau) gamma^-1 = tau^chi(d).
+    The generators of the kernel of the homomorphism rows have orders off a
+    Smith diagonal, so they form the divisor chain AbelianModule asks for.
+    """
+    G, nd = gal.G, gal.delta.order
+    K = kernel(_coboundary_rows(G, gal.N, second=G.minimal_generators()), gal.N)
+    k = len(K.orders)
+    B = np.vstack([np.zeros((1, k), dtype=np.int64), K.gens])
+    # acted[d, y, j] = (d.b_j)(y) = chi(d) b_j(d^-1.y)
+    acted = gal.chi_mod_n[:, None, None] * B[gal.action.table[gal.delta.inv]]
+    mats = K.coordinates(acted[:, 1:].transpose(1, 0, 2).reshape(G.order - 1, nd * k))
+    return B, AbelianModule(K.orders, gal.delta, mats.reshape(k, nd, k).transpose(1, 0, 2))
+
+
+def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
+    """Unramified classes representable with f = 0, inside H^1(Delta, G^(chi)).
+
+    With f = 0, C2 makes each c_d a homomorphism G -> Z/N, and C3 with
+    b_d = c_d o d^-1 is the 1-cocycle law on G^(chi) = Hom(G, Z/N) under
+    (d.b)(y) = chi(d) b(d^-1.y); the shifts chi(d) b - b o d are the
+    coboundaries.  A class survives iff c_d(g) = b_d(d.g) vanishes at every
+    (d, tau) admitting a gamma with gamma (d.tau) gamma^-1 = tau^chi(d).
     """
     G, N = gal.G, gal.N
-    n = G.order
-    nd = gal.delta.order
-    dim = (nd - 1) * (n - 1)
-    if dim == 0:
+    n, nd = G.order, gal.delta.order
+    if (nd - 1) * (n - 1) == 0:
         return BrauerReport((), [], None, label="Br0_nr_alg")
-    act = gal.action.table
-    chi_n = gal.chi_mod_n
-
-    # C2 with f = 0 makes each c_d a homomorphism, decided at the generators
-    # of G as in character_group_generators; C3 makes d -> c_d crossed,
-    # decided at the generators of Delta
-    hom = _coboundary_rows(G, N, second=G.minimal_generators())
-
-    def c2_rows(d: int) -> np.ndarray:
-        rows = np.zeros((len(hom), dim), dtype=np.int64)
-        rows[:, (d - 1) * (n - 1):d * (n - 1)] = hom
-        return rows
-
-    W = _kernel_from_batches(chain(map(c2_rows, range(1, nd)),
-                                   (_crossed_rows(gal, e) for e in gal.delta.minimal_generators())),
-                             dim, N)
-    chars = np.array(character_group_generators(G, N), dtype=np.int64).reshape(-1, n)
-    R = _twist_rows(act[1:], chi_n[1:], N) @ chars[:, 1:].T % N
-    h1alg = subquotient(W, R, N)
-    orders = h1alg.invariant_factors
-    t = len(orders)
+    B, module = _character_module(gal)
+    H = h1(gal.delta, module, caps)
+    t = len(H.invariant_factors)
     if t == 0:
         return BrauerReport((), [], None, label="Br0_nr_alg")
-
-    # vanishing rows at admissible (d, tau): with f = 0 the obstruction is
-    # c_d(tau), whatever gamma, so one triple per (d, tau) suffices
-    cs = np.zeros((t, nd, n), dtype=np.int64)
-    cs[:, 1:, 1:] = h1alg.generator_lifts.T.reshape(t, nd - 1, n - 1)
+    b = np.array(H.representatives, dtype=np.int64) @ B.T       # b[j, d, g] = b_d(g)
+    cs = b[:, np.arange(nd)[:, None], gal.action.table] % N     # c_d(g) = b_d(d.g)
+    # with f = 0 the obstruction is c_d(tau), whatever gamma, so one triple
+    # per admissible (d, tau) suffices
     triples = list({tr[:2]: tr for tr in _admissible_triples(gal)}.values())
     A = _galois_obstructions(gal, triples, np.zeros((t, n, n), dtype=np.int64), cs)
-    factors, coords = class_subgroup(A, orders, N)
+    factors, coords = class_subgroup(A, H.invariant_factors, N)
     reps = [EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
                                  np.tensordot(x, cs, axes=1) % N) for x in coords]
     return BrauerReport(factors, reps, None, label="Br0_nr_alg")

@@ -393,8 +393,8 @@ class ClassModule:
 def _crossed_rows(gal: GaloisDatum, e: int) -> np.ndarray:
     """C3 at second argument e: c_{de}(g) - chi(d) c_e(g) - c_d(e.g) for d, g != 1.
 
-    Columns are the values c_d(g), d, g != 1, at (d - 1)(|G| - 1) + g - 1.
-    The rows at the generators e of Delta decide C3: with b_d = c_d o d^-1
+    These are the C3 rows of ``class_module``.  Columns are the values
+    c_d(g), d, g != 1, at (d - 1)(|G| - 1) + g - 1.  The rows at the generators e of Delta decide C3: with b_d = c_d o d^-1
     it reads b_{de} = b_d + d.b_e, the left 1-cocycle law for the action
     (d.b)(y) = chi(d) b(d^-1.y), which holds for every e once it holds at
     generators, by induction on the word length of e.

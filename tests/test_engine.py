@@ -8,12 +8,14 @@ from brnr.cohomology import (
     bockstein,
     character_group_generators,
     dies_in_qz,
+    h1,
     h2,
     scalar_module,
 )
 from brnr.engine import (
     BrauerReport,
     _admissible_triples,
+    _character_module,
     _galois_obstructions,
     _kummer_quotient,
     algebraic_unramified,
@@ -415,8 +417,7 @@ def test_algebraic_unramified_can_be_nonzero():
     shifts = {((chi * b1 - b1) % 3, (chi * 2 * b1 - 2 * b1) % 3) for b1 in range(3)}
     classes = len(valid) // len(shifts)
     expected = () if classes == 1 else (classes,)
-    got = rep.invariant_factors
-    assert (got == expected) or (np.prod(got or (1,)) == classes)
+    assert rep.invariant_factors == expected
 
 
 def wang_datum(N: int) -> GaloisDatum:
@@ -430,6 +431,129 @@ def wang_datum(N: int) -> GaloisDatum:
     gal = GaloisDatum(delta, G, np.array(res), GroupAction.trivial(delta, G), N)
     gal.validate()
     return gal
+
+
+def psi_datum(a: int, b: int) -> GaloisDatum:
+    """Wang's Delta = (Z/64)^x at N = 8, chi the residue, acting on G = Z/8 by
+    g -> psi(d) g, where psi : Delta -> (Z/8)^x sends -1 to a and 5 to b."""
+    base = wang_datum(8)
+    res = [int(r) for r in base.chi]
+    psi = {(-1) ** i * 5 ** j % 64: a ** i * b ** j % 8 for i in range(2) for j in range(16)}
+    G = cyclic_group(8)
+    act = np.array([[psi[r] * g % 8 for g in range(8)] for r in res])
+    gal = GaloisDatum(base.delta, G, base.chi, GroupAction(base.delta, G, act), 8)
+    gal.validate()
+    return gal
+
+
+def conjugation_datum(G, u: int) -> GaloisDatum:
+    """Delta = Z/2 acting by conjugation with the first noncentral involution t
+    of G, chi(sigma) = u mod |G|^2."""
+    n = G.order
+    t = next(t for t in range(1, n) if G.mul[t, t] == 0 and (G.mul[t] != G.mul[:, t]).any())
+    conj = G.mul[G.mul[t], G.inv[t]]
+    delta = cyclic_group(2)
+    gal = GaloisDatum(delta, G, np.array([1, u]),
+                      GroupAction(delta, G, np.array([np.arange(n), conj])))
+    gal.validate()
+    return gal
+
+
+def cyclic_unit_datum(n: int, u: int, c: int) -> GaloisDatum:
+    """Delta = Z/4 acting on G = Z/n by k.g = u^k g, chi(k) = c^k mod n^2."""
+    delta, G = cyclic_group(4), cyclic_group(n)
+    act = np.array([[pow(u, k, n) * g % n for g in range(n)] for k in range(4)])
+    gal = GaloisDatum(delta, G, np.array([pow(c, k, n * n) for k in range(4)]),
+                      GroupAction(delta, G, act))
+    gal.validate()
+    return gal
+
+
+def _along_tree(G, gens, start, step):
+    """A table on G with t(1) = start and t(x s_i) = step(x, t(x), i) along
+    the BFS tree of G over gens."""
+    out, queue = {0: start}, [0]
+    while queue:
+        x = queue.pop(0)
+        for i, s in enumerate(gens):
+            y = int(G.mul[x, s])
+            if y not in out:
+                out[y] = step(x, out[x], i)
+                queue.append(y)
+    return np.array([out[g] for g in range(G.order)], dtype=np.int64)
+
+
+def algebraic_by_enumeration(gal):
+    """The f = 0 classes by exhaustive search, and which of them are unramified.
+
+    A pair (0, c) satisfying C2 and C3 is fixed by the values c_e(s) at the
+    generators e of Delta and s of G (C2 extends c_e along G, C3 extends c
+    along Delta), so every choice of those values is extended, and kept iff
+    C2 holds at every (d, g, h) and C3 at every (d, e, g).  A class is keyed
+    by the least of c + (chi(d) b - b o d) over the homomorphisms b.
+    Returns the keys of all classes and of the unramified ones (one
+    is_unramified call per class), and the key function.
+    """
+    G, D, N = gal.G, gal.delta, gal.N
+    n, nd = G.order, D.order
+    act, chi = gal.action.table, gal.chi_mod_n
+    S, SD = G.minimal_generators(), D.minimal_generators()
+
+    def hom(vals):
+        return _along_tree(G, S, 0, lambda x, v, i: (v + vals[i]) % N)
+
+    chars = [b for b in map(hom, itertools.product(range(N), repeat=len(S)))
+             if not ((b[G.mul] - b[:, None] - b[None, :]) % N).any()]
+    shifts = [(chi[:, None] * b - b[act]) % N for b in chars]
+
+    def key(c):
+        return min(((c + s) % N).tobytes() for s in shifts)
+
+    classes = {}
+    for vals in itertools.product(range(N), repeat=len(SD) * len(S)):
+        ce = [hom(vals[k * len(S):(k + 1) * len(S)]) for k in range(len(SD))]
+        # C3 at (d, e): c_{de} = chi(d) c_e + c_d o e
+        c = _along_tree(D, SD, np.zeros(n, dtype=np.int64),
+                        lambda d, cd, k: (chi[d] * ce[k] + cd[act[SD[k]]]) % N)
+        c2 = c[:, G.mul] - c[:, :, None] - c[:, None, :]
+        c3 = c[D.mul] - chi[:, None, None] * c[None] - c[np.arange(nd)[:, None, None], act[None]]
+        if not (c2 % N).any() and not (c3 % N).any():
+            classes.setdefault(key(c), c)
+    zero = np.zeros((n, n), dtype=np.int64)
+    unramified = {k for k, c in classes.items()
+                  if is_unramified(EquivariantExtension(gal, zero, c))[0]}
+    return set(classes), unramified, key
+
+
+ALGEBRAIC_DATA = {
+    **{f"psi {a},{b}": (lambda a=a, b=b: psi_datum(a, b))
+       for a, b in itertools.product((1, 3, 5, 7), repeat=2)},
+    # H^1 is nonzero here and the filter kills all of it
+    "S3 chi=17": lambda: twist_datum(symmetric_group(3), 17),
+    "S3 chi=35": lambda: twist_datum(symmetric_group(3), 35),
+    "inner D4 chi=31": lambda: conjugation_datum(dihedral_group(4), 31),
+    # Delta acts with order 4, so d and d^-1 act differently
+    "Z4 on Z8 u=7 chi=15": lambda: cyclic_unit_datum(8, 7, 15),
+    "Z4 on Z10 u=3 chi=43": lambda: cyclic_unit_datum(10, 3, 43),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAIC_DATA))
+def test_algebraic_unramified_matches_enumeration(name):
+    gal = ALGEBRAIC_DATA[name]()
+    classes, unramified, key = algebraic_by_enumeration(gal)
+    # the pre-filter group is H^1(Delta, G^(chi))
+    assert len(classes) == h1(gal.delta, _character_module(gal)[1]).order
+    if not name.startswith("psi"):
+        # the filter kills a nonzero H^1
+        assert len(classes) > 1 and len(unramified) == 1
+    rep = algebraic_unramified(gal)
+    assert rep.order == len(unramified)
+    for alg in rep.representatives:
+        assert not alg.f.any() and alg.violated_law() is None
+    spanned = {key(sum(x * r.c for x, r in zip(xs, rep.representatives)) % gal.N)
+               for xs in itertools.product(*map(range, rep.invariant_factors))}
+    assert spanned == unramified
 
 
 def test_algebraic_unramified_wang_counterexample_is_z2():

@@ -6,7 +6,9 @@ crossed law (C3) only at second arguments in the generators of Delta.  The
 references below keep every first argument g != 1, as the systems did
 before, with the full n x n x atoms expression tensor, and C3 at every
 pair d, e != 1.  Over Z/m equal kernels have equal Howell forms, so the
-comparison is bit for bit.
+comparison is bit for bit.  The f = 0 part of the full system, modulo the
+character shifts, is the reference for the algebraic part, which production
+computes as H^1(Delta, G^(chi)) with ``h1``.
 """
 
 import numpy as np
@@ -15,11 +17,15 @@ import pytest
 from brnr.cohomology import (
     _coboundary_rows,
     _kernel_from_batches,
+    character_group_generators,
+    class_subgroup,
     cocycle2_defect,
+    h1,
     reduced_cocycle_space,
     scalar_module,
 )
-from brnr.extensions import GaloisDatum, _crossed_rows, class_module
+from brnr.engine import _character_module, algebraic_unramified
+from brnr.extensions import GaloisDatum, class_module
 from brnr.groups import (
     AbelianModule,
     GroupAction,
@@ -29,9 +35,9 @@ from brnr.groups import (
     quaternion_group,
     semidirect_product,
 )
-from brnr.zmod import echelon_compress, kernel
+from brnr.zmod import echelon_compress, kernel, subquotient
 
-from test_engine import FILTER_DATA, wang_datum
+from test_engine import FILTER_DATA, conjugation_datum, psi_datum, wang_datum
 
 
 def full_expr(G, gens) -> np.ndarray:
@@ -160,17 +166,6 @@ def test_c1_generator_rows_match_full_rows(name, seed):
             assert cocycle2_defect(G, scalar_module(m), table[:, :, None]) is None
 
 
-def inner_datum(G, t: int) -> GaloisDatum:
-    """Delta = Z/2 acting on G by conjugation with the involution t, chi = -1."""
-    N = G.order
-    conj = G.mul[G.mul[t], G.inv[t]]
-    delta = cyclic_group(2)
-    gal = GaloisDatum(delta, G, np.array([1, N * N - 1]),
-                      GroupAction(delta, G, np.array([np.arange(N), conj])))
-    gal.validate()
-    return gal
-
-
 def relabel_datum(gal, seed) -> GaloisDatum:
     G, perm = relabel(gal.G, seed)
     act = np.zeros_like(gal.action.table)
@@ -181,18 +176,11 @@ def relabel_datum(gal, seed) -> GaloisDatum:
     return out
 
 
-def _reflection(G):
-    """An involution outside the centre: conjugation by it moves a generator."""
-    for t in range(1, G.order):
-        if G.mul[t, t] == 0 and any(G.mul[t, s] != G.mul[s, t] for s in G.minimal_generators()):
-            return t
-    raise AssertionError("no noncentral involution")
-
-
 C2_DATA = {
     **FILTER_DATA,
-    "inner D4": lambda: inner_datum(dihedral_group(4), _reflection(dihedral_group(4))),
-    "inner D4xZ2": lambda: inner_datum(GROUPS["D4xZ2"](), _reflection(GROUPS["D4xZ2"]())),
+    # chi = -1
+    "inner D4": lambda: conjugation_datum(dihedral_group(4), 63),
+    "inner D4xZ2": lambda: conjugation_datum(GROUPS["D4xZ2"](), 255),
     # Delta = (Z/64)^x = Z/2 x Z/16 needs two generators
     "Wang Z8": lambda: wang_datum(8),
 }
@@ -215,15 +203,58 @@ def test_c2_generator_rows_match_full_rows(name, seed):
     assert np.array_equal(echelon_compress(cm._sub._W.gens.T, N), howell_of_kernel(ref, N))
 
 
-@pytest.mark.parametrize("name", sorted(set(C2_DATA) - {"trivial D4", "closed D4"}))
+CROSSED_DATA = {
+    **{k: v for k, v in C2_DATA.items() if k not in ("trivial D4", "closed D4")},
+    "psi Z8 3,3": lambda: psi_datum(3, 3),
+    "psi Z8 7,5": lambda: psi_datum(7, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSED_DATA))
 def test_crossed_hom_generator_rows_match_full_rows(name):
-    # the f = 0 system of algebraic_unramified: each c_d a homomorphism (C2
-    # at the generators of G) and d -> c_d crossed (C3 at the generators of
-    # Delta), against C2 at every h and C3 at every pair d, e
-    gal = C2_DATA[name]()
+    # the f = 0 pairs: each c_d a homomorphism (C2 at every h) and d -> c_d
+    # crossed (C3 at every pair d, e), modulo the shifts chi(d) b - b o d by
+    # characters b, are H^1(Delta, G^(chi)) under c_d(g) = b_d(d.g)
+    gal = CROSSED_DATA[name]()
     G, N, nd = gal.G, gal.N, gal.delta.order
-    eye = np.eye(nd - 1, dtype=np.int64)
-    rows = np.vstack([np.kron(eye, _coboundary_rows(G, N, second=G.minimal_generators())),
-                      *(_crossed_rows(gal, e) for e in gal.delta.minimal_generators())])
-    ref = np.vstack([np.kron(eye, _coboundary_rows(G, N)), full_c3_rows(gal)])
-    assert np.array_equal(howell_of_kernel(rows, N), howell_of_kernel(ref, N))
+    act, chi = gal.action.table, gal.chi_mod_n
+    full = np.vstack([np.kron(np.eye(nd - 1, dtype=np.int64), _coboundary_rows(G, N)),
+                      full_c3_rows(gal)])
+    shifts = [(chi[1:, None] * b[1:] - b[act[1:, 1:]]).reshape(-1) % N
+              for b in character_group_generators(G, N)]
+    ref = subquotient(kernel(full, N), np.array(shifts, dtype=np.int64).T, N)
+    B, module = _character_module(gal)
+    H = h1(gal.delta, module)
+    assert H.invariant_factors == ref.invariant_factors
+    if not H.invariant_factors:
+        return
+    cs = (np.array(H.representatives) @ B.T)[:, np.arange(nd)[:, None], act] % N
+    x = ref.coordinates(cs[:, 1:, 1:].reshape(len(cs), -1).T)
+    # the images of the generators of H generate the reference group
+    assert x is not None
+    assert class_subgroup(np.zeros((0, len(x)), dtype=np.int64), ref.invariant_factors, N,
+                          relations=x)[0] == ()
+
+
+def relabel_delta(gal, seed) -> GaloisDatum:
+    """The same datum with Delta's elements renamed: table, chi and action rows."""
+    delta, perm = relabel(gal.delta, seed)
+    chi = np.zeros_like(gal.chi)
+    chi[perm] = gal.chi
+    act = np.zeros_like(gal.action.table)
+    act[perm] = gal.action.table
+    out = GaloisDatum(delta, gal.G, chi, GroupAction(delta, gal.G, act), gal.N,
+                      gal.base_algebraically_closed)
+    out.validate()
+    return out
+
+
+# the psi data where the algebraic part is Z/2; (1, 1) is Wang's datum at N = 8
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("psi", [(1, 1), (1, 7), (3, 3), (3, 7), (5, 1), (5, 3)], ids=str)
+def test_algebraic_unramified_is_invariant_under_relabelling(psi, seed):
+    gal = psi_datum(*psi)
+    assert algebraic_unramified(gal).invariant_factors == (2,)
+    for moved in (relabel_datum(gal, seed), relabel_delta(gal, seed),
+                  relabel_delta(relabel_datum(gal, seed), seed + 10)):
+        assert algebraic_unramified(moved).invariant_factors == (2,)
