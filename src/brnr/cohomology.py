@@ -55,7 +55,6 @@ from .zmod import (
     SubquotientModule,
     as_mod,
     cokernel,
-    echelon_compress,
     kernel,
     solve,
     subquotient,
@@ -301,7 +300,7 @@ class ReducedCocycleSpace:
     x = parent s.  ``levels`` holds the tree one BFS level at a time, as
     arrays (x, parent, position of s), so each level is one vector step.
     ``expr`` writes f(g, x) as an integer combination of atoms only for the
-    first arguments g that the generator rows read (the keys of ``slot``),
+    first arguments g that the generator rows read (``slot[g] < len(expr)``),
     never as a full n x n x atoms tensor; ``expand`` rebuilds whole tables
     by the same recurrence.  The atom vectors of cocycles are the kernel of
     ``c1_batches``.
@@ -311,15 +310,18 @@ class ReducedCocycleSpace:
     modulus: int
     gens: list[int]
     levels: list[np.ndarray]    # (3, nodes of the level) each
-    slot: dict[int, int]        # first argument g -> its block of expr
-    expr: np.ndarray            # (len(slot), n, n_atoms) int32
+    slot: np.ndarray            # first argument g -> its block of expr, len(expr) if none
+    expr: np.ndarray            # (blocks, n, n_atoms) int32
 
     def atom_index(self, y, s_pos: int):
         return (y - 1) * len(self.gens) + s_pos
 
-    def values(self, g: int) -> np.ndarray:
-        """Atom expressions of f(g, x), one row per x; g must be in ``slot``."""
-        return self.expr[self.slot[g]].astype(np.int64)
+    def at(self, g, x) -> np.ndarray:
+        """Atom expressions of f(g, x) for indices g and x, broadcast.
+
+        g must have a block of ``expr``; any other g raises IndexError.
+        """
+        return self.expr[self.slot[g], x].astype(np.int64)
 
     def expand(self, atoms: np.ndarray) -> np.ndarray:
         """The (n, n) table of an atom vector, or (k, n, n) for the k columns of a matrix."""
@@ -360,10 +362,9 @@ class ReducedCocycleSpace:
         for i, s in enumerate(self.gens):
             hs = G.mul[1:, s]
             for g in self.gens:
-                e = self.values(g)
                 gh = G.mul[g, 1:]
                 rows = np.zeros((n - 1, width), dtype=np.int64)
-                rows[:, :n_atoms] = e[hs] - e[1:]
+                rows[:, :n_atoms] = self.at(g, hs) - self.at(g, h)
                 rows[h - 1, self.atom_index(h, i)] += 1
                 ok = np.nonzero(gh)[0]
                 rows[ok, self.atom_index(gh[ok], i)] -= 1
@@ -389,22 +390,7 @@ def reduced_cocycle_space(G: FiniteGroup, m: int,
     n = G.order
     gens = G.minimal_generators()
     k = len(gens)
-    levels = []
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        level = []
-        for parent in frontier:
-            for i, s in enumerate(gens):
-                x = int(G.mul[parent, s])
-                if x not in seen:
-                    seen.add(x)
-                    level.append((x, parent, i))
-        if level:
-            levels.append(np.array(level, dtype=np.int64).T)
-        frontier = [x for x, _, _ in level]
-    if len(seen) != n:
-        raise ValidationError("generators do not generate the group")
+    levels = G.tree_levels(gens)
     firsts = set(gens) if autos is None else {*gens, *autos[:, gens].ravel().tolist()}
     firsts = np.array(sorted(firsts), dtype=np.int64)
     expr = np.zeros((len(firsts), n, (n - 1) * k), dtype=np.int32)
@@ -415,7 +401,8 @@ def reduced_cocycle_space(G: FiniteGroup, m: int,
         expr[j, x[l], (gp[j, l] - 1) * k + i[l]] += 1
         l = np.nonzero(parent)[0]
         expr[:, x[l], (parent[l] - 1) * k + i[l]] -= 1
-    slot = {int(g): j for j, g in enumerate(firsts)}
+    slot = np.full(n, len(firsts), dtype=np.int64)
+    slot[firsts] = np.arange(len(firsts))
     return ReducedCocycleSpace(G, m, gens, levels, slot, expr)
 
 
@@ -611,47 +598,26 @@ class ShaResult:
         return out
 
 
-def _scaled_columns(coord_cols: np.ndarray, orders: tuple[int, ...], N: int) -> np.ndarray:
-    """Class coordinates (rows j mod orders[j]) scaled into (Z/N)^t by N/orders[j]."""
-    out = np.array(coord_cols, dtype=np.int64)
-    for j, o in enumerate(orders):
-        out[j] = out[j] % o * (N // o) % N
-    return out
-
-
-def _unscale_column(col: np.ndarray, orders: tuple[int, ...], N: int) -> np.ndarray:
-    """Inverse of ``_scaled_columns`` on one column of the scaled lattice."""
-    x = np.zeros(len(orders), dtype=np.int64)
-    for j, o in enumerate(orders):
-        q, r = divmod(int(col[j]) % N, N // o)
-        if r:
-            raise AssertionError("column leaves the scaled class lattice")
-        x[j] = q % o
-    return x
-
-
 def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
                    relations: np.ndarray | None = None
                    ) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """{x in prod Z/orders[j] : S x = 0 mod N} / <relations>, with generators.
 
-    Class j of order orders[j] sits in Z/N as (N/orders[j]) Z/N, so the
-    rows of S (one column per class) must vanish on every orders[j] e_j.
-    The kernel of S is scaled into (Z/N)^t, put in echelon (Howell) form
-    and taken modulo the scaled columns of ``relations``, coordinate vectors
-    that satisfy S.  Returns the invariant factors of the quotient and one
-    coordinate vector (mod orders) per generator.
+    The rows of S (one column per class) must vanish on every orders[j] e_j,
+    so the kernel of S in (Z/N)^t holds the lattice L of the orders[j] e_j,
+    and the classes that S kills are ker S / L.  The answer is one
+    subquotient of that Kernel by L and the columns of ``relations``,
+    coordinate vectors that satisfy S.  Returns the invariant factors of
+    the quotient and one coordinate vector (mod orders) per generator.
     """
-    t = len(orders)
+    mods = np.array(orders, dtype=np.int64)
     S = np.asarray(S, dtype=np.int64)
-    if (S * np.array(orders, dtype=np.int64) % N).any():
+    if (S * mods % N).any():
         raise AssertionError("rows are not defined on classes")
-    W = echelon_compress(_scaled_columns(kernel(S, N).gens, orders, N).T, N).T
-    R = np.zeros((t, 0), dtype=np.int64) if relations is None \
-        else _scaled_columns(relations, orders, N)
-    sub = subquotient(W, R, N)
-    return sub.invariant_factors, [_unscale_column(col, orders, N)
-                                   for col in sub.generator_lifts.T]
+    lattice = np.diag(mods)[:, mods < N]            # a class of order N needs none
+    R = lattice if relations is None else np.hstack([lattice, relations])
+    sub = subquotient(kernel(S, N), R, N)
+    return sub.invariant_factors, list(sub.generator_lifts.T % mods)
 
 
 def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,

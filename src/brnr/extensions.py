@@ -11,7 +11,9 @@ laws make the pair a Delta-group:
 
 Everything here is linear in (f, c), which turns enumeration-of-extensions
 into kernel computations: the class module is the solution space of C1-C3
-modulo the coboundary pairs of a change of section.
+modulo the coboundary pairs of a change of section.  It is solved in
+generator coordinates, for the values f(y, s) and c_e(s) with s and e
+generators of G and of Delta; the other values follow along spanning trees.
 """
 
 from __future__ import annotations
@@ -155,13 +157,11 @@ class EquivariantExtension:
                 g, h = map(int, bad[0])
                 return ("C2", (d, g, h))
         for d in range(self.gal.delta.order):
-            for e in range(self.gal.delta.order):
-                de = int(self.gal.delta.mul[d, e])
-                lhs = c[de]
-                rhs = chi_n[d] * c[e] + c[d][act[e]]
-                bad = np.nonzero((lhs - rhs) % N)[0]
-                if bad.size:
-                    return ("C3", (d, e, int(bad[0])))
+            # row e: c_{de}(g) - chi(d) c_e(g) - c_d(e.g)
+            bad = np.argwhere((c[self.gal.delta.mul[d]] - chi_n[d] * c - c[d][act]) % N)
+            if bad.size:
+                e, g = map(int, bad[0])
+                return ("C3", (d, e, g))
         return None
 
     def validated(self) -> "EquivariantExtension":
@@ -376,8 +376,9 @@ class ClassModule:
         k, n, nd = len(exts), self.gal.G.order, self.gal.delta.order
         fs = np.array([e.f for e in exts], dtype=np.int64).reshape(k, n, n)
         cs = np.array([e.c for e in exts], dtype=np.int64).reshape(k, nd, n)
-        x = self._sub.coordinates(np.vstack([
-            self._space.atomize(fs), cs[:, 1:, 1:].reshape(k, (nd - 1) * (n - 1)).T]))
+        SD, S = self.gal.delta.minimal_generators(), self._space.gens
+        cs = cs[:, SD][:, :, S].reshape(k, len(SD) * len(S))
+        x = self._sub.coordinates(np.vstack([self._space.atomize(fs), cs.T]))
         return x[:, 0] if single and x is not None else x
 
     def element(self, coords) -> EquivariantExtension:
@@ -390,94 +391,89 @@ class ClassModule:
                                     (x @ cs.reshape(len(x), nd * n)).reshape(nd, n))
 
 
-def _crossed_rows(gal: GaloisDatum, e: int) -> np.ndarray:
-    """C3 at second argument e: c_{de}(g) - chi(d) c_e(g) - c_d(e.g) for d, g != 1.
+def _grid(*axes) -> tuple[np.ndarray, ...]:
+    """Flat index arrays over the product of the axes, the first outermost."""
+    return tuple(a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
 
-    These are the C3 rows of ``class_module``.  Columns are the values
-    c_d(g), d, g != 1, at (d - 1)(|G| - 1) + g - 1.  The rows at the generators e of Delta decide C3: with b_d = c_d o d^-1
-    it reads b_{de} = b_d + d.b_e, the left 1-cocycle law for the action
-    (d.b)(y) = chi(d) b(d^-1.y), which holds for every e once it holds at
-    generators, by induction on the word length of e.
+
+def _c_expressions(gal: GaloisDatum, space) -> np.ndarray:
+    """C[d, g, :]: c_d(g) as a combination of the unknowns of ``class_module``.
+
+    The unknowns are the atoms of ``space``, then c_e(s) for e in S_Delta =
+    ``delta.minimal_generators()`` (outer) and s in S = ``space.gens``.  For
+    e in S_Delta, c_e runs along the left BFS tree of G over S by C2 at first
+    argument s, c_e(s x) = c_e(s) + c_e(x) + f(e.s, e.x) - chi(e) f(s, x),
+    which reads f only at first arguments in S and e(S).  The other c_d run
+    along the right BFS tree of Delta over S_Delta by C3,
+    c_{pe}(g) = chi(p) c_e(g) + c_p(e.g).
     """
-    n, nd = gal.G.order, gal.delta.order
-    d = np.repeat(np.arange(1, nd), n - 1)
-    g = np.tile(np.arange(1, n), nd - 1)
-    row = np.arange(d.size)
-    out = np.zeros((d.size, d.size), dtype=np.int64)     # c_1 = 0, c_d(1) = 0
-    de = gal.delta.mul[d, e]
-    ok = de != 0
-    np.add.at(out, (row[ok], (de[ok] - 1) * (n - 1) + g[ok] - 1), 1)
-    np.add.at(out, (row, (e - 1) * (n - 1) + g - 1), -gal.chi_mod_n[d])
-    np.add.at(out, (row, (d - 1) * (n - 1) + gal.action.table[e, g] - 1), -1)
-    return out % gal.N
+    G, N, delta = gal.G, gal.N, gal.delta
+    act, chi = gal.action.table, gal.chi_mod_n
+    S = np.asarray(space.gens, dtype=np.int64)
+    SD = np.asarray(delta.minimal_generators(), dtype=np.int64)
+    E = SD[:, None]                                 # c_e for every e at once
+    n_atoms = space.expr.shape[2]
+    C = np.zeros((delta.order, G.order, n_atoms + SD.size * S.size), dtype=np.int64)
+    C[E, S, n_atoms + np.arange(SD.size * S.size).reshape(SD.size, S.size)] = 1
+    for x, parent, i in G.tree_levels(S, left=True):
+        s = S[i]
+        C[E, x] = C[E, s] + C[E, parent]
+        C[E, x, :n_atoms] += (space.at(act[E, s], act[E, parent])
+                              - chi[E][..., None] * space.at(s, parent))
+        C[E, x] %= N
+    for x, parent, j in delta.tree_levels(SD):
+        e = SD[j]
+        C[x] = (chi[parent, None, None] * C[e] + C[parent[:, None], act[e]]) % N
+    return C
 
 
 def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     """Solve C1-C3 mod N and quotient by the coboundary pairs.
 
-    The f-part runs in generator coordinates (values f(y, s) for s in a
-    generating set S), which keeps the unknown count near |G| * |S| instead
-    of |G|^2; C1 rows come from the reduced cocycle space and C2 rows are
-    expressed through the same atoms, at first arguments g in S only.  Once
-    f is a cocycle, F = dc_d - (d*f - chi(d) f) is a trivial-action
-    2-cocycle; if F(s, h) = 0 for every s in S, the cocycle identity gives
+    The system runs in generator coordinates: its unknowns are the atoms
+    f(y, s), s in S = ``G.minimal_generators()``, then c_e(s) for e in
+    S_Delta = ``delta.minimal_generators()`` and s in S, and every c_d(g) is
+    a fixed combination of them (``_c_expressions``).  C1 rows come from the
+    reduced cocycle space.  C2 rows sit at d = e in S_Delta and first
+    arguments s in S: once f is a cocycle, F = dc_e - (e*f - chi(e) f) is a
+    trivial-action 2-cocycle, and F(s, h) = 0 for every s in S gives
     F(sg, h) = F(g, h), so F = 0 by induction on the word length of the
-    first argument.  The C2 rows read f at first arguments in S and d(S).
-    C3 rows sit at second arguments in the generators of Delta (see
-    _crossed_rows).
+    first argument.  C3 rows sit at (d, e, g) with e in S_Delta: with
+    b_d = c_d o d^-1 they read b_{de} = b_d + d.b_e, the left 1-cocycle law
+    for the action (d.b)(y) = chi(d) b(d^-1.y), which then holds for every e
+    by induction on its word length.  C2 at the other d follows from C3:
+    dc_{de} = chi(d) dc_e + (dc_d)(e., e.) = (de)*f - chi(de) f by induction
+    on the word length of d.  The rows along the two trees vanish
+    identically, and all Galois rows go to the kernel as one batch.
     """
     G, N = gal.G, gal.N
     n = G.order
-    nd = gal.delta.order
-    act = gal.action.table
-    space = reduced_cocycle_space(G, N, autos=act)
-    n_atoms = space.expr.shape[2]
-    n_c = (nd - 1) * (n - 1)
-    dim = n_atoms + n_c
+    act, chi_n = gal.action.table, gal.chi_mod_n
+    SD = np.array(gal.delta.minimal_generators(), dtype=np.int64)
+    space = reduced_cocycle_space(G, N, autos=act[SD])
+    S, n_atoms = np.array(space.gens, dtype=np.int64), space.expr.shape[2]
+    dim = n_atoms + len(SD) * len(S)
     if dim > caps.class_module_unknowns:
         raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim)
-
-    def cpos(d: int, g: int) -> int:
-        return n_atoms + (d - 1) * (n - 1) + (g - 1)
-
-    chi_n = gal.chi_mod_n
-    mul = G.mul
-
-    def c2_batches():
-        # c_d(gh) - c_d(g) - c_d(h) - f(dg, dh) + chi(d) f(g,h) = 0, g in S
-        batch = []
-        for d in range(1, nd):
-            dg = act[d]
-            for g in space.gens:
-                rows = np.zeros((n - 1, dim), dtype=np.int64)
-                # f part: -f(dg, dh) + chi(d) f(g, h)
-                rows[:, :n_atoms] = (chi_n[d] * space.values(g)[1:]
-                                     - space.values(dg[g])[dg[1:]])
-                # c part
-                ghs = mul[g, 1:]
-                ok = ghs != 0
-                np.add.at(rows, (np.nonzero(ok)[0], cpos(d, 1) + ghs[ok] - 1), 1)
-                rows[:, cpos(d, g)] -= 1
-                np.add.at(rows, (np.arange(n - 1), cpos(d, 1) + np.arange(n - 1)), -1)
-                batch.append(rows % N)
-                if len(batch) >= 32:
-                    yield np.vstack(batch)
-                    batch = []
-        if batch:
-            yield np.vstack(batch)
-
-    c3 = (np.hstack([np.zeros((n_c, n_atoms), dtype=np.int64), _crossed_rows(gal, e)])
-          for e in gal.delta.minimal_generators())
-    W = _kernel_from_batches(chain(space.c1_batches(dim), c2_batches(), c3), dim, N)
-    # coboundary pairs of b : G -> Z/N, b(1) = 0: db on the atoms, then the
-    # c-part chi(d) b(g) - b(d.g)
-    cols = np.vstack([_coboundary_rows(G, N, second=space.gens),
-                      _twist_rows(act[1:], chi_n[1:], N)])
+    C = _c_expressions(gal, space)
+    # C2: c_e(sh) - c_e(s) - c_e(h) - f(e.s, e.h) + chi(e) f(s, h), h != 1
+    e, s, h = _grid(SD, S, np.arange(1, n))
+    c2 = C[e, G.mul[s, h]] - C[e, s] - C[e, h]
+    c2[:, :n_atoms] += chi_n[e, None] * space.at(s, h) - space.at(act[e, s], act[e, h])
+    # C3: c_{de}(g) - chi(d) c_e(g) - c_d(e.g), d, g != 1
+    d, e, g = _grid(np.arange(1, gal.delta.order), SD, np.arange(1, n))
+    c3 = C[gal.delta.mul[d, e], g] - chi_n[d, None] * C[e, g] - C[d, act[e, g]]
+    galois = np.vstack([c2, c3]) % N
+    W = _kernel_from_batches(chain(space.c1_batches(dim), [galois]), dim, N)
+    # coboundary pairs of b : G -> Z/N, b(1) = 0: db on the atoms, then
+    # chi(e) b(s) - b(e.s) on the c_e(s)
+    twist = _twist_rows(act[SD], chi_n[SD], N).reshape(len(SD), n - 1, n - 1)
+    cols = np.vstack([_coboundary_rows(G, N, second=S),
+                      twist[:, S - 1].reshape(len(SD) * len(S), n - 1)])
     sub = subquotient(W, cols, N)
 
     lifts = sub.generator_lifts
-    cs = np.zeros((lifts.shape[1], nd, n), dtype=np.int64)
-    cs[:, 1:, 1:] = lifts[n_atoms:].T.reshape(len(cs), nd - 1, n - 1)
+    cs = np.moveaxis(C @ lifts % N, 2, 0)
     reps = [EquivariantExtension(gal, f, c).validated()
             for f, c in zip(space.expand(lifts[:n_atoms]), cs)]
     return ClassModule(gal, sub.invariant_factors, reps, sub, space)

@@ -140,6 +140,31 @@ class FiniteGroup:
         """
         return list(self._minimal_generators)
 
+    def tree_levels(self, gens, left: bool = False) -> list[np.ndarray]:
+        """The BFS spanning tree of the group over ``gens``, one level at a time.
+
+        Each level is a (3, nodes) array of rows x, parent and the position
+        i of the generator with x = parent * gens[i], or x = gens[i] * parent
+        if ``left``; a level lists its nodes by parent, then by generator.
+        Raises ValidationError if ``gens`` do not generate the group.
+        """
+        gens = np.asarray(gens, dtype=np.int64)
+        children = (self.mul[gens].T if left else self.mul[:, gens]).tolist()
+        levels, seen, frontier = [], {0}, [0]
+        while frontier:
+            level = []
+            for parent in frontier:
+                for i, x in enumerate(children[parent]):
+                    if x not in seen:
+                        seen.add(x)
+                        level.append((x, parent, i))
+            if level:
+                levels.append(np.array(level, dtype=np.int64).T)
+            frontier = [x for x, _, _ in level]
+        if len(seen) != self.order:
+            raise ValidationError("generators do not generate the group")
+        return levels
+
     def subgroup_table(self, elements) -> tuple["FiniteGroup", np.ndarray]:
         """Reindexed table of a subgroup; returns (group, original indices)."""
         elems = tuple(sorted(int(e) for e in set(elements)))

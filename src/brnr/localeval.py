@@ -152,16 +152,7 @@ def nonabelian_h1(ld: LocalDatum, gal: GaloisDatum,
         raise CapExceeded("nonabelian_enum", caps.nonabelian_enum, total)
     act = ld.action_v(gal)
 
-    # factorization: BFS from identity by right-multiplication with gens
-    parent: dict[int, tuple[int, int]] = {}
-    order_out = [0]
-    for x in order_out:
-        for gi, s in enumerate(gens):
-            y = int(D.mul[x, s])
-            if y and y not in parent:
-                parent[y] = (x, gi)
-                order_out.append(y)
-
+    levels = D.tree_levels(gens)
     xs = np.arange(D.order)
     # images in itertools.product order: the first generator's digit is the slowest
     radix = G.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
@@ -170,8 +161,7 @@ def nonabelian_h1(ld: LocalDatum, gal: GaloisDatum,
     for lo in range(0, total, step):
         images = np.arange(lo, min(lo + step, total))[:, None] // radix % G.order
         h = np.zeros((len(images), D.order), dtype=np.int64)
-        for y in order_out[1:]:
-            x, gi = parent[y]
+        for y, x, gi in levels:
             # h(x * s) = h(x) * (x . h(s))
             h[:, y] = G.mul[h[:, x], act[x, images[:, gi]]]
         ok = (h[:, gens] == images).all(axis=1)

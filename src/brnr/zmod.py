@@ -632,25 +632,6 @@ class AbelianStructure:
             out *= d
         return out
 
-    def all_coordinates(self):
-        """Iterate every coordinate tuple (lexicographic); caller caps size."""
-        if not self.invariant_factors:
-            yield np.zeros(0, dtype=np.int64)
-            return
-        radix = self.invariant_factors
-        idx = np.zeros(len(radix), dtype=np.int64)
-        while True:
-            yield idx.copy()
-            j = len(radix) - 1
-            while j >= 0:
-                idx[j] += 1
-                if idx[j] < radix[j]:
-                    break
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                return
-
 
 def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure:
     """Structure of (Z/m)^rows / colspan(A)."""
@@ -711,11 +692,6 @@ class SubquotientModule:
         for d in self.invariant_factors:
             out *= d
         return out
-
-    def all_coordinates(self):
-        yield from self._inner.all_coordinates() if self.invariant_factors else iter(
-            [np.zeros(0, dtype=np.int64)]
-        )
 
 
 def _span_coordinates(W: Kernel | np.ndarray, vec: np.ndarray, m: int) -> Optional[np.ndarray]:

@@ -491,7 +491,7 @@ def test_criterion_8_evaluation_soundness():
         cm = class_module(gal, DEFAULT_CAPS)
         ld = LocalDatum("v", cyclic_group(2), np.zeros(2, dtype=np.int64))
         h0 = NonabelianCocycle(np.zeros(2, dtype=np.int64))
-        for coords in cm._sub.all_coordinates():
+        for coords in itertools.product(*map(range, cm.invariant_factors)):
             ext = cm.element(np.asarray(coords))
             if evaluate(ext, ld, h0).verdict != "Zero":
                 ok_base = False
@@ -571,7 +571,7 @@ def test_criterion_9_closed_forms_vs_bruteforce():
                 GaloisDatum.trivial(abelian_group([2, 2]), N=2),
                 GaloisDatum.real_like(abelian_group([2, 2]), N=2)):
         cm = class_module(gal, DEFAULT_CAPS)
-        for coords in cm._sub.all_coordinates():
+        for coords in itertools.product(*map(range, cm.invariant_factors)):
             ext = cm.element(np.asarray(coords))
             eg = extension_group(ext, validate_tables=False)
             G = gal.G
@@ -599,7 +599,7 @@ def test_criterion_9_closed_forms_vs_bruteforce():
         cm = class_module(gal, DEFAULT_CAPS)
         ld = LocalDatum("v", gal.delta, np.arange(gal.delta.order))
         points = nonabelian_h1(ld, gal, DEFAULT_CAPS)
-        for coords in cm._sub.all_coordinates():
+        for coords in itertools.product(*map(range, cm.invariant_factors)):
             ext = cm.element(np.asarray(coords))
             eg = extension_group(ext, validate_tables=False)
             big = semidirect_product(eg.group, gal.delta,

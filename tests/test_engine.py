@@ -33,6 +33,7 @@ from brnr.extensions import (
     EquivariantExtension,
     GaloisDatum,
     class_module,
+    kummer_kernel,
     splits_equivariantly,
     zero_extension,
 )
@@ -239,7 +240,7 @@ def test_bogomolov_rejects_surviving_class_with_witness():
     gal = GaloisDatum.trivial(V8)  # N = 8
     cm = class_module(gal)
     rejected = 0
-    for coords in itertools.islice(cm._sub.all_coordinates(), 256):
+    for coords in itertools.islice(itertools.product(*map(range, cm.invariant_factors)), 256):
         ext = cm.element(np.asarray(coords))
         ok, wit = bogomolov_condition(ext)
         if not ok:
@@ -564,7 +565,14 @@ def test_algebraic_unramified_wang_counterexample_is_z2():
     assert not alg.f.any() and alg.violated_law() is None and is_unramified(alg)[0]
     cm = class_module(gal)
     assert cm.invariant_factors == (2, 2, 2)
-    assert list(cm.coordinates(alg)) == [0, 1, 0]
+    # in any basis: alg is a class outside the Kummer classes, and modulo
+    # them it is the generator of Br^0_nr = Z/2
+    x = cm.coordinates(alg)
+    K = kummer_kernel(cm)
+    kummer = {tuple(K @ t % 2) for t in itertools.product(range(2), repeat=K.shape[1])}
+    assert tuple(x) not in kummer
+    (gen,) = br_nr(gal).representatives
+    assert tuple((cm.coordinates(gen) - x) % 2) in kummer
     # independent count: a class has an f = 0 representative iff f is a
     # coboundary db, which on Z/8 = <1> means sum_k f(k, 1) = 0 mod 8; then
     # (f - db, c - (chi(d) - 1) b) is one, and is_unramified decides it
@@ -593,6 +601,25 @@ def test_algebraic_unramified_wang_counterexample_mod_16_in_bounded_memory():
     assert rep.invariant_factors == (2,)
     (alg,) = rep.representatives
     assert not alg.f.any() and alg.violated_law() is None
+
+
+def test_br_nr_wang_counterexample_mod_16():
+    # |Delta| = 128 on Z/16: the class module solves for the 15 atoms f(y, 1)
+    # and c_e(1) at the two generators e of Delta, not for (127)(15) values c_d(g)
+    gal = wang_datum(16)
+    rep = br_nr(gal)
+    assert rep.invariant_factors == (2,)
+    assert rep.ambient.invariant_factors == (2, 2, 2)
+    assert rep.ambient._sub._W.gens.shape[0] == 15 + 2
+    (gen,) = rep.representatives
+    assert gen.violated_law() is None and is_unramified(gen)[0]
+    alg = algebraic_unramified(gal).representatives[0]
+    x = rep.ambient.coordinates([gen, alg])
+    K = kummer_kernel(rep.ambient)
+    kummer = {tuple(K @ t % 2) for t in itertools.product(range(2), repeat=K.shape[1])}
+    # the algebraic generator is the generator of Br^0_nr modulo Kummer classes
+    assert tuple(x[:, 0] % 2) not in kummer
+    assert tuple((x[:, 0] - x[:, 1]) % 2) in kummer
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +668,7 @@ def test_cyclotomic_simplification_agrees_with_main_test():
         gal.validate()
         cm = class_module(gal)
         count = 0
-        for coords in cm._sub.all_coordinates():
+        for coords in itertools.product(*map(range, cm.invariant_factors)):
             ext = cm.element(np.asarray(coords))
             main = is_unramified(ext)[0]
             simple = simplified_unramified_cyclotomic(ext)

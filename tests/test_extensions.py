@@ -28,6 +28,7 @@ from brnr.groups import (
     subgroups_cyclic,
     symmetric_group,
 )
+from test_engine import cyclic_unit_datum
 from test_generator_rows import C2_DATA, relabel_datum
 
 
@@ -176,7 +177,7 @@ def test_splitting_witnesses_satisfy_their_equations():
     found = 0
     for gal in (GaloisDatum.trivial(G), GaloisDatum.real_like(G)):
         cm = class_module(gal)
-        for coords in cm._sub.all_coordinates():
+        for coords in itertools.product(*map(range, cm.invariant_factors)):
             ext = cm.element(coords)
             for elems in subgroups:
                 b = splits_over(ext, elems)
@@ -202,7 +203,7 @@ def test_splitting_matches_brute_force_sections():
     G = abelian_group([2, 2])
     for gal in (GaloisDatum.trivial(G, N=2), GaloisDatum.real_like(G, N=2)):
         cm = class_module(gal)
-        for coords in itertools.islice(cm._sub.all_coordinates(), 0, None):
+        for coords in itertools.product(*map(range, cm.invariant_factors)):
             ext = cm.element(coords)
             eg = extension_group(ext)
             for elems in ([0, 1], [0, 1, 2, 3]):
@@ -267,7 +268,7 @@ def test_baer_sum_and_class_module_functoriality():
     gal = real_datum_z2()
     cm = class_module(gal)
     assert cm.invariant_factors == (2, 2)
-    exts = [cm.element(c) for c in cm._sub.all_coordinates()]
+    exts = [cm.element(c) for c in itertools.product(*map(range, cm.invariant_factors))]
     for e1 in exts:
         for e2 in exts:
             s = baer_sum(e1, e2)
@@ -418,15 +419,19 @@ def test_class_module_coordinates_take_a_batch(name):
     assert np.array_equal(batch % orders, coords % orders)
     for j, ext in enumerate(exts):
         assert np.array_equal(cm.coordinates(ext), batch[:, j])
-    f = rng.integers(0, gal.N, size=(gal.G.order, gal.G.order))
-    f[0] = f[:, 0] = 0
-    bads = [EquivariantExtension(gal, f, exts[0].c)]
+    # bad by construction (|G| >= 3): adding 1 to f(1, 2) changes the C1 sum
+    # at (x, 1, 2), x != 1, by -1, and adding 1 to c_1(1) changes the C2 sum
+    # at (1, 1, 2) by -1 (indices are elements, 0 the identity)
+    assert gal.G.order >= 3
+    f = exts[0].f.copy()
+    f[1, 2] += 1
+    bads = [("C1", EquivariantExtension(gal, f, exts[0].c))]
     if gal.delta.order > 1:
-        c = rng.integers(0, gal.N, size=exts[0].c.shape)
-        c[0] = c[:, 0] = 0
-        bads.append(EquivariantExtension(gal, exts[0].f, c))
-    for bad in bads:
-        assert bad.violated_law() is not None
+        c = exts[0].c.copy()
+        c[1, 1] += 1
+        bads.append(("C2", EquivariantExtension(gal, exts[0].f, c)))
+    for law, bad in bads:
+        assert bad.violated_law()[0] == law
         assert cm.coordinates(bad) is None
         assert cm.coordinates(exts[:2] + [bad] + exts[2:]) is None
 
@@ -495,3 +500,20 @@ def test_violated_law_on_generator_rows_matches_all_rows(name):
             assert got == rest, trial
         seen.add(got[0])
     assert seen == ({"C1", "C2"} if gal.delta.order > 1 else {"C1"})
+
+
+def test_violated_law_finds_the_first_crossed_witness():
+    # f = 0 and c_d(g) = k_d g on Z/8: C1 and C2 hold and C3 alone decides;
+    # Delta = Z/4 acts by u = 7, so d and d^-1 act differently
+    gal = cyclic_unit_datum(8, 7, 15)
+    rng = np.random.default_rng(4)
+    seen = set()
+    for trial in range(20):
+        k = rng.integers(0, 8, size=4) * (trial > 0)           # trial 0: the zero pair
+        k[0] = 0
+        ext = EquivariantExtension(gal, np.zeros((8, 8), dtype=np.int64),
+                                   np.outer(k, np.arange(8)) % 8)
+        got = ext.violated_law()
+        assert (got is None or got[0] == "C3") and _laws_by_all_rows(ext) == ([], got)
+        seen.add(got is None)
+    assert seen == {False, True}

@@ -1,9 +1,11 @@
 """The cocycle systems at generator rows against the full-row systems.
 
-Production writes the cocycle identity (C1) and the automorphism law (C2)
-only at first arguments g in S = ``G.minimal_generators()``, and the
-crossed law (C3) only at second arguments in the generators of Delta.  The
-references below keep every first argument g != 1, as the systems did
+Production writes the cocycle identity (C1) only at first arguments g in
+S = ``G.minimal_generators()``, and solves the class module for the atoms
+and the values c_e(s), e in S_Delta = ``delta.minimal_generators()``, with
+the automorphism law (C2) at d in S_Delta and first arguments in S and the
+crossed law (C3) at second arguments in S_Delta.  The references below keep
+one unknown per c_d(g), every first argument g != 1, as the systems did
 before, with the full n x n x atoms expression tensor, and C3 at every
 pair d, e != 1.  Over Z/m equal kernels have equal Howell forms, so the
 comparison is bit for bit.  The f = 0 part of the full system, modulo the
@@ -24,8 +26,8 @@ from brnr.cohomology import (
     reduced_cocycle_space,
     scalar_module,
 )
-from brnr.engine import _character_module, algebraic_unramified
-from brnr.extensions import GaloisDatum, class_module
+from brnr.engine import _character_module, algebraic_unramified, br_nr
+from brnr.extensions import GaloisDatum, _c_expressions, class_module
 from brnr.groups import (
     AbelianModule,
     GroupAction,
@@ -200,7 +202,12 @@ def test_c2_generator_rows_match_full_rows(name, seed):
     ref = np.vstack([full_c1_rows(G, gens, N, dim), full_c2_rows(gal, gens),
                      np.hstack([np.zeros((len(c3), n_atoms), dtype=np.int64), c3])])
     cm = class_module(gal)
-    assert np.array_equal(echelon_compress(cm._sub._W.gens.T, N), howell_of_kernel(ref, N))
+    # production solves for the atoms and c_e(s), e in S_Delta, s in S; the
+    # expression table C maps its kernel onto the pairs (atoms, c_d(g))
+    W = cm._sub._W.gens
+    C = _c_expressions(gal, cm._space)
+    full = np.vstack([W[:n_atoms], (C[1:, 1:] @ W).reshape(-1, W.shape[1])]) % N
+    assert np.array_equal(echelon_compress(full.T, N), howell_of_kernel(ref, N))
 
 
 CROSSED_DATA = {
@@ -258,3 +265,25 @@ def test_algebraic_unramified_is_invariant_under_relabelling(psi, seed):
     for moved in (relabel_datum(gal, seed), relabel_delta(gal, seed),
                   relabel_delta(relabel_datum(gal, seed), seed + 10)):
         assert algebraic_unramified(moved).invariant_factors == (2,)
+
+
+# class module and Br^0_nr of every psi datum, (1, 1) being Wang's at N = 8
+PSI_ANSWERS = {
+    (1, 1): ((2, 2, 2), (2,)), (1, 3): ((2, 2, 2), ()), (1, 5): ((2, 2, 2), ()),
+    (1, 7): ((2, 2, 2), (2,)), (3, 1): ((4, 4), ()), (3, 3): ((2, 2), (2,)),
+    (3, 5): ((4, 4), ()), (3, 7): ((2, 2), (2,)), (5, 1): ((2, 2), (2,)),
+    (5, 3): ((2, 2), (2,)), (5, 5): ((2, 2), ()), (5, 7): ((2, 2), ()),
+    (7, 1): ((2, 4, 4), ()), (7, 3): ((2, 2, 2), ()), (7, 5): ((2, 8, 8), ()),
+    (7, 7): ((2, 2, 2), ()),
+}
+
+
+@pytest.mark.parametrize("psi", sorted(PSI_ANSWERS), ids=str)
+def test_class_module_and_br_nr_are_invariant_under_relabelling(psi):
+    # the c-unknowns sit at the generators of G and of Delta, and the trees
+    # of c depend on both; renaming either must not change the answers
+    gal = psi_datum(*psi)
+    for moved in (gal, relabel_datum(gal, 5), relabel_delta(gal, 5),
+                  relabel_delta(relabel_datum(gal, 6), 16)):
+        assert class_module(moved).invariant_factors == PSI_ANSWERS[psi][0]
+        assert br_nr(moved).invariant_factors == PSI_ANSWERS[psi][1]

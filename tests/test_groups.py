@@ -77,6 +77,43 @@ def test_minimal_generators_are_computed_once_and_returned_as_fresh_lists():
     assert G.minimal_generators() == expect
 
 
+def _tree_by_loop(G, gens, left):
+    """Reference: the BFS tree one node at a time, children by parent then generator."""
+    levels, seen, frontier = [], {0}, [0]
+    while frontier:
+        level = []
+        for parent in frontier:
+            for i, s in enumerate(gens):
+                x = int(G.mul[s, parent] if left else G.mul[parent, s])
+                if x not in seen:
+                    seen.add(x)
+                    level.append((x, parent, i))
+        if level:
+            levels.append(np.array(level, dtype=np.int64).T)
+        frontier = [x for x, _, _ in level]
+    return levels
+
+
+@pytest.mark.parametrize("left", [False, True])
+def test_tree_levels_match_the_loop_and_reject_non_generators(left):
+    for G in (symmetric_group(4), quaternion_group(), dihedral_group(6), cyclic_group(12)):
+        gs = G.minimal_generators()
+        for gens in (gs, gs[::-1], [0, *gs, gs[0], G.order - 1]):
+            levels = G.tree_levels(gens, left=left)
+            ref = _tree_by_loop(G, gens, left)
+            assert len(levels) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(levels, ref))
+            x, parent, i = np.hstack(levels)
+            assert sorted(x) == list(range(1, G.order))
+            s = np.asarray(gens)[i]
+            assert np.array_equal(x, G.mul[s, parent] if left else G.mul[parent, s])
+        with pytest.raises(ValidationError):
+            G.tree_levels(gs[:-1] if len(gs) > 1 else [0], left=left)
+    assert cyclic_group(1).tree_levels([], left=left) == []
+    with pytest.raises(ValidationError):
+        cyclic_group(3).tree_levels([], left=left)
+
+
 def test_subgroups_cyclic():
     Z4 = cyclic_group(4)
     subs = subgroups_cyclic(Z4)

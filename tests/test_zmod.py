@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-import brnr.extensions
 from brnr.cohomology import _coboundary_rows
-from brnr.extensions import GaloisDatum, class_module
+from brnr.extensions import GaloisDatum
 from brnr.fastpath import build_example_714
 from brnr.groups import abelian_group, cyclic_group
 from brnr.zmod import (
@@ -24,6 +23,8 @@ from brnr.zmod import (
     subquotient,
     unit_scale,
 )
+
+from test_generator_rows import full_c1_rows, full_c2_rows, full_c3_rows
 
 MODULI = [2, 3, 4, 8, 12, 64]
 
@@ -767,17 +768,14 @@ def test_kernel_of_the_all_unit_group_ring_system_needs_no_snf(monkeypatch):
     (abelian_group([2, 2, 2, 2]), (39, 32)),
     (abelian_group([5, 5]), (48, 0)),
 ])
-def test_kernel_on_real_like_class_module_systems(G, kinds, monkeypatch):
-    # the C1-C3 rows class_module feeds to its kernel, as one matrix
-    seen = []
-
-    def spy(batches, dim, m):
-        seen.append(np.vstack([np.zeros((0, dim), dtype=np.int64), *batches]))
-        return kernel(seen[-1], m)
-
-    monkeypatch.setattr(brnr.extensions, "_kernel_from_batches", spy)
-    class_module(GaloisDatum.real_like(G))
-    A, m = seen[0], G.order
+def test_kernel_on_real_like_class_module_systems(G, kinds):
+    # the C1-C3 rows on one unknown per atom and per c_d(g), as one matrix
+    gal, m = GaloisDatum.real_like(G), G.order
+    gens = G.minimal_generators()
+    n_atoms = (G.order - 1) * len(gens)
+    c3 = full_c3_rows(gal)
+    A = np.vstack([full_c1_rows(G, gens, m, n_atoms + G.order - 1), full_c2_rows(gal, gens),
+                   np.hstack([np.zeros((len(c3), n_atoms), dtype=np.int64), c3])])
     assert _pivot_kinds(A, m) == kinds
     _assert_kernel_matches_reference(A, m)
 
