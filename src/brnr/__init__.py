@@ -51,7 +51,6 @@ from .extensions import (
 )
 from .fastpath import (
     AugmentationExample,
-    FastpathReport,
     SemidirectDatum,
     build_example_714,
     extension_from_q_cocycle,

@@ -269,7 +269,7 @@ def run_job(job: Job) -> tuple[str, int]:
             lines.append(
                 f"H1(Q, N^) = {_fmt_factors(amb.invariant_factors)}; "
                 f"p^2*[a] has coordinates {coords.tolist()}")
-        for i, table in enumerate(rep.cocycles):
+        for i, table in enumerate(rep.representatives):
             lines.extend(_fmt_table(table, f"generator {i} (1-cocycle on Q)"))
 
     elif task == "algebraic":
@@ -304,7 +304,7 @@ def run_job(job: Job) -> tuple[str, int]:
             fast = sha1_bic(sd, caps)
             witnesses: dict[str, Any] = {}
             if fast.invariant_factors:
-                gen = fast.cocycles[0]
+                gen = fast.representatives[0]
                 for spec, ld in zip(local, data):
                     c_v = _ints(spec, "c_v", "local", 1)
                     witnesses[ld.label] = local_witness(

@@ -10,14 +10,18 @@ each equation row into Z/m).
 Cocycle and coboundary questions are asked on generator rows: a
 normalized cocycle is fixed by its values with the last argument in a
 generating set S, and satisfies the cocycle identity once it does there.
-``_coboundary_rows`` is the one builder of d1 (module coefficients; a unit
-twist is a rank-1 module); ``h1`` reads its rows (g, s), s a generator.
-For scalar coefficients with trivial action, ``h2_trivial_scalar`` keeps
-only the unknowns f(y, s) and writes the cocycle identity only at first
-arguments g in S as well, (n-1)|S|^2 rows: the rows at S say that the
-relators of a presentation keep their values under conjugation by S,
-hence by the free group, and by Hopf's formula (Reidemeister-Schreier)
-that is the whole cocycle identity.  The class module of extensions.py
+``_cocycle1_space`` is the one 1-cocycle system: its unknowns are the
+values a(s), s in S, every a(g) is a fixed combination of them, and its
+rows are the cocycle identity at (g, s).  ``h1`` and the character groups
+(``character_group_generators``, ``engine._character_module``) solve it,
+so H^1 has |S| rank(M) unknowns.  ``_coboundary_rows`` builds d1 on
+whole 1-cochains, for the coboundary questions.  For scalar coefficients
+with trivial action, ``h2_trivial_scalar`` keeps only the unknowns
+f(y, s) and writes the cocycle identity only at first arguments g in S as
+well, (n-1)|S|^2 rows: the rows at S say that the relators of a
+presentation keep their values under conjugation by S, hence by the free
+group, and by Hopf's formula (Reidemeister-Schreier) that is the whole
+cocycle identity.  The class module of extensions.py
 reuses these rows (``ReducedCocycleSpace.c1_batches``).
 ``is_scalar_coboundary`` keeps every row, as an independent reference.
 
@@ -117,12 +121,6 @@ def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray) -> Optional
 # ---------------------------------------------------------------------------
 
 
-def _table1_of_vec(vec: np.ndarray, n: int, r: int) -> np.ndarray:
-    out = np.zeros((n, r), dtype=np.int64)
-    out[1:] = vec.reshape(n - 1, r)
-    return out
-
-
 def _vec_of_table2(table: np.ndarray) -> np.ndarray:
     return table[1:, 1:].reshape(-1)
 
@@ -134,26 +132,17 @@ def _row_scales(M: AbelianModule) -> np.ndarray:
 
 def _lattice_columns(dim_blocks: int, M: AbelianModule) -> np.ndarray:
     """Columns d_i * e_(block, i): the coefficient lattice relations."""
-    r = M.rank
-    cols = []
-    for b in range(dim_blocks):
-        for i, d in enumerate(M.invariant_factors):
-            if d != M.exponent:
-                col = np.zeros(dim_blocks * r, dtype=np.int64)
-                col[b * r + i] = d
-                cols.append(col)
-    if not cols:
-        return np.zeros((dim_blocks * r, 0), dtype=np.int64)
-    return np.array(cols, dtype=np.int64).T
+    d = np.tile(np.array(M.invariant_factors, dtype=np.int64), dim_blocks)
+    return np.diag(d)[:, d != M.exponent]
 
 
-def _d0_columns(G: FiniteGroup, M: AbelianModule) -> np.ndarray:
-    """Columns of d0 : M -> C^1, (d0 v)(g) = g.v - v."""
-    n, r = G.order, M.rank
-    cols = np.zeros(((n - 1) * r, r), dtype=np.int64)
-    for g in range(1, n):
-        cols[(g - 1) * r : g * r, :] = M.matrix(g) - np.eye(r, dtype=np.int64)
-    return cols % M.exponent
+def _d0_columns(M: AbelianModule, elements) -> np.ndarray:
+    """Columns of d0 : M -> C^1 read at ``elements`` of the actor, (d0 v)(g) = g.v - v."""
+    r, elements = M.rank, np.asarray(elements, dtype=np.int64)
+    if M.action is None:
+        return np.zeros((len(elements) * r, r), dtype=np.int64)
+    cols = M.action[elements] - np.eye(r, dtype=np.int64)
+    return cols.reshape(len(elements) * r, r) % M.exponent
 
 
 def _coboundary_rows(B: FiniteGroup, M: AbelianModule | int, second=None) -> np.ndarray:
@@ -196,6 +185,31 @@ def _twist_rows(act: np.ndarray, chi: np.ndarray, m: int) -> np.ndarray:
     out[d, g - 1, g] += np.asarray(chi, dtype=np.int64)[:, None] % m
     out[d, g - 1, act[:, 1:]] -= 1
     return out[:, :, 1:].reshape(nd * (n - 1), n - 1) % m
+
+
+def _cocycle1_space(G: FiniteGroup, M: AbelianModule) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Generator coordinates for normalized Z^1(G, M): (S, E, rows).
+
+    The unknowns v are the values a(s), s in S = ``G.minimal_generators()``,
+    coordinate inner.  a(g) = E[g] @ v, E of shape (|G|, rank, |S| rank),
+    filled along the BFS tree of G over S by a(x s) = a(x) + x.a(s), so a
+    cocycle is E applied to its values at S.  ``rows`` are
+    E[g s] - E[g] - g.E[s] at every g and s in S, coordinate i scaled into
+    Z/exp(M) by exp(M)/d_i.  They give the whole cocycle law: if
+    a(g h) = a(g) + g.a(h), then a(g h s) = a(g) + g.a(h) + g h.a(s)
+    = a(g) + g.a(h s), by induction on the word length of h.
+    """
+    S = G.minimal_generators()
+    n, r, k, m = G.order, M.rank, len(S), M.exponent
+    acts = np.array([M.matrix(g) for g in range(n)], dtype=np.int64).reshape(n, r, r)
+    E = np.zeros((n, r, k, r), dtype=np.int64)     # (g, coordinate, s, coordinate of a(s))
+    for x, parent, i in G.tree_levels(S):
+        E[x] = E[parent]
+        E[x, :, i] += acts[parent]
+    E = E.reshape(n, r, k * r) % m
+    rows = E[G.mul[:, S]] - E[:, None] - acts[:, None] @ E[S]
+    rows *= _row_scales(M)[:, None]
+    return S, E, rows.reshape(n * k * r, k * r) % m
 
 
 def _kernel_from_batches(batches, dim: int, m: int) -> Kernel:
@@ -252,28 +266,26 @@ class CohomologyGroup:
 
 
 def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
-    """H^1(G, M) = Z^1/B^1 on normalized 1-cochains.
+    """H^1(G, M) = Z^1/B^1 in the values of a 1-cocycle at the generators.
 
-    Z^1 is cut out by the rows (g, s) of d1 with s in a generating set, one
-    batch per generator: if a(gs) = a(g) + g.a(s) for every g and every
-    generator s, then a(gh) = a(g) + g.a(h) for every h, by induction on
-    the length of h as a word in the generators.
+    Z^1 is the kernel of the rows of ``_cocycle1_space``, |S| rank(M)
+    unknowns a(s) for s in S = ``G.minimal_generators()``.  B^1 and the
+    coefficient lattice are read there too: d0 v at S is s.v - v.  The
+    representatives are whole tables, a(g) = E[g] @ a(S), and a cocycle
+    table has the coordinates of its values at S.
     """
-    n, r, m = G.order, M.rank, M.exponent
-    dim1 = (n - 1) * r
-    if dim1 > caps.class_module_unknowns:
-        raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim1)
-    W = _kernel_from_batches((_coboundary_rows(G, M, second=[s])
-                              for s in G.minimal_generators()), dim1, m)
-    R = np.hstack([_d0_columns(G, M), _lattice_columns(n - 1, M)])
-    sub = subquotient(W, R, m)
-    reps = [M.reduce(_table1_of_vec(sub.generator_lifts[:, i], n, r))
-            for i in range(len(sub.invariant_factors))]
+    dim = len(G.minimal_generators()) * M.rank
+    if dim > caps.class_module_unknowns:
+        raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim)
+    S, E, rows = _cocycle1_space(G, M)
+    R = np.hstack([_d0_columns(M, S), _lattice_columns(len(S), M)])
+    sub = subquotient(kernel(rows, M.exponent), R, M.exponent)
+    reps = list(M.reduce(np.moveaxis(E @ sub.generator_lifts, 2, 0)))
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:
         if any(cocycle1_defect(G, M, t) is not None for t in tables):
             return None
-        return sub.coordinates(M.reduce(tables)[:, 1:].reshape(len(tables), -1).T)
+        return sub.coordinates(M.reduce(tables)[:, S].reshape(len(tables), -1).T)
 
     return CohomologyGroup(G, M, 1, sub.invariant_factors, reps, coords)
 
@@ -452,12 +464,8 @@ class TateH0:
 def tate_h0(G: FiniteGroup, M: AbelianModule) -> TateH0:
     """Invariants modulo norms: M^G / N_G(M)."""
     r, m = M.rank, M.exponent
-    scales = _row_scales(M)
-    rows = []
-    for g in range(1, G.order):
-        rows.append((M.matrix(g) - np.eye(r, dtype=np.int64)) * scales[:, None] % m)
-    A = np.vstack(rows) if rows else np.zeros((0, r), dtype=np.int64)
-    W = kernel(A, m)
+    scales = np.tile(_row_scales(M), G.order - 1)[:, None]
+    W = kernel(_d0_columns(M, range(1, G.order)) * scales % m, m)
     norm = np.zeros((r, r), dtype=np.int64)
     for g in range(G.order):
         norm += M.matrix(g)
@@ -574,8 +582,8 @@ def bockstein(G: FiniteGroup, phi: np.ndarray, N: int,
 
 _FAMILIES = {
     "ab": subgroups_abelian,
-    "bic": subgroups_bicyclic,
-    "cyc": subgroups_cyclic,
+    "bic": lambda G, caps: subgroups_bicyclic(G),
+    "cyc": lambda G, caps: subgroups_cyclic(G),
 }
 
 
@@ -640,10 +648,8 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
         B, idx = G.subgroup_table(elems)
         gens = B.minimal_generators()
         if module is not None:
-            r = module.rank
-            sel = ((np.array(gens)[:, None] - 1) * r + np.arange(r)).reshape(-1)
             scales = np.tile(_row_scales(module), len(gens))[:, None]
-            D = _d0_columns(B, subgroup_module(module, B, idx))[sel] * scales
+            D = _d0_columns(subgroup_module(module, B, idx), gens) * scales
             V = T[:, idx[gens]].reshape(len(tables), -1).T * scales
         else:
             D = _coboundary_rows(B, N, second=gens)
@@ -697,7 +703,7 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
     else:
         tables, module = [rep[:, :, 0] for rep in ambient.representatives], None
     factors, coords = class_subgroup(
-        death_rows(G, _FAMILIES[family](G), tables, N, module), orders, N)
+        death_rows(G, _FAMILIES[family](G, caps), tables, N, module), orders, N)
     reps = [ambient.element_table(x) for x in coords]
     return ShaResult(ambient, factors, reps, coords, family, degree)
 
@@ -708,19 +714,16 @@ def character_group_generators(G: FiniteGroup, N: int,
     """Generators of Hom(G, Z/N), optionally chi-twisted equivariant ones.
 
     ``equivariance`` is (chi mod N^2 over Delta, action table Delta x G).
+    A homomorphism is a 1-cocycle for the trivial action, solved for its
+    values at S (``_cocycle1_space``).  phi(d.g) - chi(d) phi(g) is a
+    homomorphism in g, so equivariance is asked at S only.
     """
-    n = G.order
-    if n == 1:
+    if G.order == 1 or N == 1:
         return []
-    # phi(gs) = phi(g) + phi(s) for s in a generating set implies additivity
-    rows = [_coboundary_rows(G, N, second=G.minimal_generators())]
+    S, E, rows = _cocycle1_space(G, scalar_module(N))
+    E = E[:, 0]                                     # phi(g) = E[g] @ phi(S)
     if equivariance is not None:
         chi, act = equivariance
-        rows.append(_twist_rows(act, as_mod(chi, N), N))
-    K = kernel(np.vstack(rows), N).gens
-    out = []
-    for j in range(K.shape[1]):
-        phi = np.zeros(n, dtype=np.int64)
-        phi[1:] = K[:, j]
-        out.append(phi % N)
-    return out
+        twist = E[act[:, S]] - as_mod(chi, N)[:, None, None] * E[S]
+        rows = np.vstack([rows, twist.reshape(-1, len(S)) % N])
+    return list((E @ kernel(rows, N).gens % N).T)

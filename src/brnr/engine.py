@@ -46,7 +46,7 @@ import numpy as np
 from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
     ShaResult,
-    _coboundary_rows,
+    _cocycle1_space,
     bockstein,
     character_group_generators,
     class_subgroup,
@@ -341,16 +341,20 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
 def _character_module(gal: GaloisDatum) -> tuple[np.ndarray, AbelianModule]:
     """Generator tables b_j (column j holds b_j(g)) and the Delta-module G^(chi).
 
-    The generators of the kernel of the homomorphism rows have orders off a
-    Smith diagonal, so they form the divisor chain AbelianModule asks for.
+    Hom(G, Z/N) is solved for the values b(s), s in S =
+    ``G.minimal_generators()`` (``_cocycle1_space`` with trivial action),
+    and a homomorphism is fixed by them, so the action is read at S too.
+    The generators of the kernel have orders off a Smith diagonal, so they
+    form the divisor chain AbelianModule asks for.
     """
-    G, nd = gal.G, gal.delta.order
-    K = kernel(_coboundary_rows(G, gal.N, second=G.minimal_generators()), gal.N)
+    nd, N = gal.delta.order, gal.N
+    S, E, rows = _cocycle1_space(gal.G, scalar_module(N))
+    K = kernel(rows, N)
     k = len(K.orders)
-    B = np.vstack([np.zeros((1, k), dtype=np.int64), K.gens])
-    # acted[d, y, j] = (d.b_j)(y) = chi(d) b_j(d^-1.y)
-    acted = gal.chi_mod_n[:, None, None] * B[gal.action.table[gal.delta.inv]]
-    mats = K.coordinates(acted[:, 1:].transpose(1, 0, 2).reshape(G.order - 1, nd * k))
+    B = E[:, 0] @ K.gens % N
+    # acted[d, i, j] = (d.b_j)(s_i) = chi(d) b_j(d^-1.s_i)
+    acted = gal.chi_mod_n[:, None, None] * B[gal.action.table[gal.delta.inv][:, S]]
+    mats = K.coordinates(acted.transpose(1, 0, 2).reshape(len(S), nd * k))
     return B, AbelianModule(K.orders, gal.delta, mats.reshape(k, nd, k).transpose(1, 0, 2))
 
 
@@ -365,7 +369,7 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
     """
     G, N = gal.G, gal.N
     n, nd = G.order, gal.delta.order
-    if (nd - 1) * (n - 1) == 0:
+    if (nd - 1) * (n - 1) == 0 or N == 1:
         return BrauerReport((), [], None, label="Br0_nr_alg")
     B, module = _character_module(gal)
     H = h1(gal.delta, module, caps)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
-    CohomologyGroup,
     ShaResult,
     cocycle1_defect,
     cup_h1_h1,
@@ -68,32 +67,14 @@ class SemidirectDatum:
                               self.N.action % d[None, :, None])
 
 
-@dataclass
-class FastpathReport:
-    """Invariant factors with representative 1-cocycles on Q valued in N^."""
-
-    invariant_factors: tuple[int, ...]
-    cocycles: list[np.ndarray]
-    ambient: CohomologyGroup
-    sha_result: ShaResult
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
-
-def sha1_bic(sd: SemidirectDatum, caps: Caps = DEFAULT_CAPS) -> FastpathReport:
+def sha1_bic(sd: SemidirectDatum, caps: Caps = DEFAULT_CAPS) -> ShaResult:
     """Classes of H^1(Q, N^) dying on every bicyclic subgroup of Q.
 
     For G = N x| Q of abelian groups this group is the geometric unramified
     invariant of G (tested against the general engine on tabulated cases).
+    Its representatives are 1-cocycles on Q valued in N^.
     """
-    res = sha(sd.Q, sd.N_hat, 1, "bic", caps=caps)
-    return FastpathReport(res.invariant_factors, list(res.representatives),
-                          res.ambient, res)
+    return sha(sd.Q, sd.N_hat, 1, "bic", caps=caps)
 
 
 def extension_from_q_cocycle(sd: SemidirectDatum, a_table: np.ndarray,

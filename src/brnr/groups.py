@@ -264,8 +264,11 @@ def _cycle(G: FiniteGroup, g: int) -> list[int]:
     return out
 
 
-def subgroups_abelian(G: FiniteGroup, cap: int = 100_000) -> list[tuple[int, ...]]:
-    """All abelian subgroups, grown by extending with centralizing elements."""
+def subgroups_abelian(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
+    """All abelian subgroups, grown by extending with centralizing elements.
+
+    More than ``caps.closure`` of them raise OrderBound naming ``closure``.
+    """
     found = set(subgroups_cyclic(G))
     frontier = list(found)
     while frontier:
@@ -278,8 +281,8 @@ def subgroups_abelian(G: FiniteGroup, cap: int = 100_000) -> list[tuple[int, ...
         for g in sorted(cent - members):
             H2 = G.closure(list(H) + [g])
             if H2 not in found:
-                if len(found) > cap:
-                    raise OrderBound("closure", cap, len(found))
+                if len(found) > caps.closure:
+                    raise OrderBound("closure", caps.closure, len(found))
                 found.add(H2)
                 frontier.append(H2)
     return sorted(found, key=lambda h: (len(h), h))

@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 
+from .caps import DEFAULT_CAPS
 from .cohomology import (
     _FAMILIES,
     ShaResult,
@@ -259,13 +260,14 @@ def classes_dying_by_full_rows(res: ShaResult) -> set[tuple[int, ...]]:
     every subgroup of the family, each restriction solved on every row."""
     amb = res.ambient
     G, M, N = amb.group, amb.module, amb.module.exponent
-    subgroups = [G.subgroup_table(e) for e in _FAMILIES[res.family](G) if len(e) > 1]
+    subgroups = [G.subgroup_table(e) for e in _FAMILIES[res.family](G, DEFAULT_CAPS)
+                 if len(e) > 1]
 
     def dies(table, B, idx) -> bool:
         if res.degree == 2:
             return is_scalar_coboundary(B, table[np.ix_(idx, idx)][:, :, 0], N) is not None
         scales = np.tile(_row_scales(M), B.order - 1)
-        D = _d0_columns(B, subgroup_module(M, B, idx)) * scales[:, None]
+        D = _d0_columns(subgroup_module(M, B, idx), range(1, B.order)) * scales[:, None]
         return solve(D, table[idx][1:].reshape(-1) * scales, N) is not None
 
     return {x for x in itertools.product(*(range(o) for o in amb.invariant_factors))

@@ -81,7 +81,7 @@ def test_criterion_1_augmentation_p2():
     ok_sha = rep.invariant_factors == (2,)
     four_a = (4 * ex.a_table) % 8
     coords = H.coordinates(four_a)
-    gen_coords = rep.sha_result.coordinates_in_ambient[0]
+    gen_coords = rep.coordinates_in_ambient[0]
     ok_gen = coords is not None and np.array_equal(coords % 8, gen_coords % 8)
     elapsed = time.time() - t0
     report("criterion 1: p=2 H1=[8], Sha=[2], generator = 4[a]",

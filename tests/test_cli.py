@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from brnr.cli import Job, main, parse_job, run_job
+from brnr.cohomology import h1
 from brnr.errors import ParseError, ValidationError
+from brnr.fastpath import build_example_714
 from brnr.groups import cyclic_group
 
 REPO = Path(__file__).resolve().parents[1]
@@ -76,6 +78,22 @@ def test_worked_job_reports_match_golden(capsys):
         assert strip_timing(capsys.readouterr().out) == strip_timing(golden), path.name
 
 
+def test_augmentation_golden_generator_is_the_class_p2_a():
+    """The Sha generator printed in the augmentation-p2 golden is p^2 [a].
+
+    The golden pins one representative table, and any cohomologous table
+    would do; this pins its class in H^1(Q, N^).
+    """
+    ex = build_example_714(2)
+    H = h1(ex.sd.Q, ex.sd.N_hat)
+    lines = (REPO / "tests" / "golden" / "augmentation-p2.txt").read_text().splitlines()
+    top = lines.index("generator 0 (1-cocycle on Q) (shape 8x7):") + 1
+    table = np.array([line.split() for line in lines[top:top + 8]], dtype=np.int64)
+    p2a = H.coordinates(ex.expected_generator_multiple * ex.a_table % 8)
+    assert p2a.any()
+    assert np.array_equal(H.coordinates(table), p2a)
+
+
 def test_determinism_two_runs_byte_identical():
     text = (REPO / "jobs" / "real-order2.json").read_text()
     r1, _ = run_job(parse_job(text))
@@ -117,6 +135,17 @@ def test_cap_override_flag(tmp_path):
     f.write_text(json.dumps(job))
     assert main(["run", str(f), "--cap", "h2_group=4"]) == 4
     assert main(["run", str(f), "--cap", "h2_group=64"]) == 0
+
+
+def test_abelian_subgroup_family_keeps_the_closure_cap(tmp_path, capsys):
+    # sha2ab lists the 67 subgroups of (Z/2)^4; the job's closure cap binds
+    job = {"task": "sha2ab", "modulus": 2,
+           "group": {"kind": "abelian", "invariant_factors": [2, 2, 2, 2]}}
+    f = tmp_path / "sha2ab.json"
+    f.write_text(json.dumps(job))
+    assert main(["run", str(f), "--cap", "closure=3"]) == 4
+    assert "closure=3" in capsys.readouterr().err
+    assert main(["run", str(f)]) == 0
 
 
 def test_selftest_via_subprocess():
@@ -230,6 +259,11 @@ WELL_FORMED.update({
                              "galois": {"kind": "real", "modulus": 2}},
     "sha2ab-semidirect": {"task": "sha2ab", "modulus": 2, "group": S3_SEMIDIRECT},
     "sha1bic-s3": {"task": "sha1bic", "group": S3_SEMIDIRECT},
+    # Hom(G, Z/1) = 0: no character group over Z/1 is built
+    "algebraic-modulus-1": {"task": "algebraic", "group": {"kind": "table", "table": Z2},
+                            "galois": {"kind": "real", "modulus": 1}},
+    "brnr-modulus-1": {"task": "brnr", "group": {"kind": "table", "table": Z2},
+                       "galois": {"kind": "real", "modulus": 1}},
 })
 MISSING = object()
 # (job, path to the field, a wrong-typed value, an out-of-range value or

@@ -391,20 +391,14 @@ def test_algebraic_unramified_perfect_group_is_zero():
     assert algebraic_unramified(gal).invariant_factors == ()
 
 
-def test_algebraic_unramified_can_be_nonzero():
-    # order-2 Galois group acting trivially on Z/3, chi = -1 mod 9:
-    # crossed homs with the admissibility filter can survive; compare to a
-    # direct count.  tau admissible pairs: gamma tau gamma^-1 = tau^{chi},
-    # chi = -1: tau ~ tau^-1 in an abelian group iff tau^2 = 1: only tau=0.
-    # So no vanishing constraints beyond tau = 0 and the group is
-    # H^1(Z/2, Hom(Z/3, Z/3)-twisted).
+def test_algebraic_unramified_of_real_like_z3_is_zero():
+    # Delta = Z/2 acting trivially on G = Z/3 with chi(sigma) = -1 mod 9:
+    # the pairs with f = 0 are the c_sigma in Hom(Z/3, Z/3) (C3 holds for
+    # each, 3 c = 0), modulo the shifts chi(sigma) b - b = -2 b, which are
+    # all of them, so the count gives 0 before any filter
     G = cyclic_group(3)
     gal = real_datum(G)  # N = 3, chi(-1) = 8 mod 9
     rep = algebraic_unramified(gal)
-    # H^1(Z/2, Z/3 with negation) = ker(1+(-1))/im(-1-1) = Z/3 / <1> = 0?
-    # norm = 0 map: kernel of (chi+1)... direct check via brute force below
-    dim = 2  # c_sigma(1), c_sigma(2)
-    N = 3
     chi = 2  # -1 mod 3
     valid = []
     for c1 in range(3):
@@ -413,7 +407,6 @@ def test_algebraic_unramified_can_be_nonzero():
             # additivity on Z/3: c(2) = 2 c(1)
             if (c[2] - 2 * c[1]) % 3:
                 continue
-            # crossed: c_{ss} = chi c_s + c_s(s.) -> 0 = 2*c + c = 3c, auto
             valid.append((c1, c2))
     shifts = {((chi * b1 - b1) % 3, (chi * 2 * b1 - 2 * b1) % 3) for b1 in range(3)}
     classes = len(valid) // len(shifts)

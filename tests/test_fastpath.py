@@ -63,7 +63,7 @@ def test_example_714_p2_values():
     four_a = (ex.expected_generator_multiple * ex.a_table) % 8
     coords = H.coordinates(four_a)
     assert coords is not None and coords.any()
-    gen_coords = rep.sha_result.coordinates_in_ambient[0]
+    gen_coords = rep.coordinates_in_ambient[0]
     # same subgroup of the ambient: each generates the other
     assert (coords % 8).tolist() == (gen_coords % 8).tolist()
 
@@ -185,7 +185,7 @@ def test_prop_7_2_soundness_small():
     H = h1(sd.Q, sd.N_hat)
     rep = sha1_bic(sd)
     sha_coords = {tuple((np.asarray(c) % np.array(H.invariant_factors)).tolist())
-                  for c in _span(rep.sha_result.coordinates_in_ambient,
+                  for c in _span(rep.coordinates_in_ambient,
                                  H.invariant_factors)}
     for coords in itertools.product(*[range(d) for d in H.invariant_factors]):
         table = H.element_table(np.array(coords, dtype=np.int64))

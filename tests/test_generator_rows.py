@@ -11,6 +11,12 @@ pair d, e != 1.  Over Z/m equal kernels have equal Howell forms, so the
 comparison is bit for bit.  The f = 0 part of the full system, modulo the
 character shifts, is the reference for the algebraic part, which production
 computes as H^1(Delta, G^(chi)) with ``h1``.
+
+``h1`` and the character groups solve for the values of a 1-cocycle at S
+(``_cocycle1_space``).  The references keep one unknown per value a(g),
+g != 1: H^1 cut out by the rows (g, s) of d1, one batch per generator, and
+Hom(G, Z/N) as the kernel of those rows stacked on the twist rows at
+every element of G.
 """
 
 import numpy as np
@@ -18,7 +24,10 @@ import pytest
 
 from brnr.cohomology import (
     _coboundary_rows,
+    _d0_columns,
     _kernel_from_batches,
+    _lattice_columns,
+    _twist_rows,
     character_group_generators,
     class_subgroup,
     cocycle2_defect,
@@ -28,16 +37,19 @@ from brnr.cohomology import (
 )
 from brnr.engine import _character_module, algebraic_unramified, br_nr
 from brnr.extensions import GaloisDatum, _c_expressions, class_module
+from brnr.fastpath import build_example_714
 from brnr.groups import (
     AbelianModule,
     GroupAction,
+    abelian_group,
     cyclic_group,
     dihedral_group,
     group_from_table,
     quaternion_group,
     semidirect_product,
+    symmetric_group,
 )
-from brnr.zmod import echelon_compress, kernel, subquotient
+from brnr.zmod import as_mod, echelon_compress, kernel, subquotient
 
 from test_engine import FILTER_DATA, conjugation_datum, psi_datum, wang_datum
 
@@ -287,3 +299,133 @@ def test_class_module_and_br_nr_are_invariant_under_relabelling(psi):
                   relabel_delta(relabel_datum(gal, 6), 16)):
         assert class_module(moved).invariant_factors == PSI_ANSWERS[psi][0]
         assert br_nr(moved).invariant_factors == PSI_ANSWERS[psi][1]
+
+
+def full_h1(G, M):
+    """H^1(G, M) on the (|G| - 1) rank unknowns a(g), g != 1, with the rows
+    (g, s) of d1 fed one generator s at a time and d0 at every element."""
+    n, m = G.order, M.exponent
+    W = _kernel_from_batches((_coboundary_rows(G, M, second=[s])
+                              for s in G.minimal_generators()), (n - 1) * M.rank, m)
+    R = np.hstack([_d0_columns(M, range(1, n)), _lattice_columns(n - 1, M)])
+    return subquotient(W, R, m)
+
+
+def full_characters(G, N, equivariance=None) -> np.ndarray:
+    """Rows of the Howell form of Hom(G, Z/N), optionally the chi-equivariant
+    part, on the unknowns phi(g), g != 1, from every row of the system."""
+    rows = [_coboundary_rows(G, N, second=G.minimal_generators())]
+    if equivariance is not None:
+        chi, act = equivariance
+        rows.append(_twist_rows(act, as_mod(chi, N), N))
+    return howell_of_kernel(np.vstack(rows), N)
+
+
+def character_module(G, factors, matrix_of) -> AbelianModule:
+    """prod Z/factors with g acting by the matrix ``matrix_of(phi(g))``, for
+    phi the first character of Hom(G, Z/2)."""
+    phi = character_group_generators(G, 2)[0]
+    return AbelianModule(factors, G, np.array([matrix_of(p) for p in phi], dtype=np.int64))
+
+
+def augmentation_module(G, m) -> AbelianModule:
+    """The augmentation ideal of (Z/m)[G] on the basis [g] - [1], g != 1,
+    under left translation."""
+    n = G.order
+    mats = np.zeros((n, n - 1, n - 1), dtype=np.int64)
+    for x in range(n):
+        for g in range(1, n):
+            xg = int(G.mul[x, g])
+            if xg:
+                mats[x, xg - 1, g - 1] += 1
+            if x:
+                mats[x, x - 1, g - 1] -= 1
+    return AbelianModule((m,) * (n - 1), G, mats % m)
+
+
+def relabel_module(M, seed) -> AbelianModule:
+    G, perm = relabel(M.actor, seed)
+    action = np.zeros_like(M.action)
+    action[perm] = M.action
+    return AbelianModule(M.invariant_factors, G, action)
+
+
+SHEAR = lambda p: [[1, 0], [2 * p, 1]]                      # on Z/2 x Z/4
+SIGN = lambda p: [[1, 0], [0, 1 - 2 * p]]
+SWAP = lambda p: [[1 - p, p], [p, 1 - p]]
+ONE = group_from_table([[0]])
+H1_MODULES = {
+    "S3 augmentation Z/6": lambda: augmentation_module(symmetric_group(3), 6),
+    "D4 augmentation Z/4": lambda: augmentation_module(dihedral_group(4), 4),
+    "Q8 augmentation Z/8": lambda: augmentation_module(quaternion_group(), 8),
+    "S3 sign Z2xZ4": lambda: character_module(symmetric_group(3), (2, 4), SIGN),
+    "D4 shear Z2xZ4": lambda: character_module(dihedral_group(4), (2, 4), SHEAR),
+    "Q8 shear Z2xZ4": lambda: character_module(quaternion_group(), (2, 4), SHEAR),
+    "D4 swap (Z/4)^2": lambda: character_module(dihedral_group(4), (4, 4), SWAP),
+    "Z2xZ4 sign Z2xZ4": lambda: character_module(abelian_group([2, 4]), (2, 4), SIGN),
+    "group ring p=2": lambda: build_example_714(2).sd.N_hat,
+    "trivial group Z/4": lambda: AbelianModule((4,), ONE, np.ones((1, 1, 1), dtype=np.int64)),
+    "S3 rank 0": lambda: AbelianModule((), symmetric_group(3),
+                                       np.zeros((6, 0, 0), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 4])
+@pytest.mark.parametrize("name", sorted(H1_MODULES))
+def test_h1_at_generators_matches_full_system(name, seed):
+    M = H1_MODULES[name]()
+    if seed is not None and M.actor.order > 1:
+        M = relabel_module(M, seed)
+    G = M.actor
+    M.validate()
+    H, ref = h1(G, M), full_h1(G, M)
+    assert H.invariant_factors == ref.invariant_factors
+    if not H.invariant_factors:
+        return
+    # the representatives of h1 have reference coordinates that generate
+    # the reference group; with equal orders the map is an isomorphism
+    x = ref.coordinates(np.array([rep[1:].reshape(-1) for rep in H.representatives]).T)
+    assert x is not None
+    assert class_subgroup(np.zeros((0, len(x)), dtype=np.int64), ref.invariant_factors,
+                          M.exponent, relations=x)[0] == ()
+    # and the reference lifts are cocycles whose h1 coordinates generate H^1
+    lifts = ref.generator_lifts.T.reshape(-1, G.order - 1, M.rank)
+    tables = np.concatenate([np.zeros((len(lifts), 1, M.rank), dtype=np.int64), lifts], axis=1)
+    y = H.coordinates(tables)
+    assert y is not None
+    assert class_subgroup(np.zeros((0, len(y)), dtype=np.int64), H.invariant_factors,
+                          M.exponent, relations=y)[0] == ()
+
+
+@pytest.mark.parametrize("seed", [None, 2])
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_characters_at_generators_match_full_rows(name, seed):
+    G = GROUPS[name]()
+    if seed is not None:
+        G, _ = relabel(G, seed)
+    for N in (2, 4, G.order):
+        phis = np.array(character_group_generators(G, N), dtype=np.int64).reshape(-1, G.order)
+        assert np.array_equal(echelon_compress(phis[:, 1:], N), full_characters(G, N))
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("name", sorted(CROSSED_DATA))
+def test_character_module_matches_full_rows(name, seed):
+    gal = CROSSED_DATA[name]()
+    if seed is not None:
+        gal = relabel_datum(gal, seed)
+    G, N = gal.G, gal.N
+    # the equivariant characters, whose Bocksteins are the Kummer classes
+    equivariance = (gal.chi, gal.action.table)
+    phis = np.array(character_group_generators(G, N, equivariance),
+                    dtype=np.int64).reshape(-1, G.order)
+    assert np.array_equal(echelon_compress(phis[:, 1:], N),
+                          full_characters(G, N, equivariance))
+    # G^(chi): its generators span Hom(G, Z/N), and the action matrices read
+    # at the generators of G give (d.b)(y) = chi(d) b(d^-1.y) at every y
+    B, module = _character_module(gal)
+    assert np.array_equal(echelon_compress(B[1:].T, N), full_characters(G, N))
+    module.validate()
+    for d in range(gal.delta.order):
+        acted = gal.chi_mod_n[d] * B[gal.action.table[gal.delta.inv[d]]] % N
+        assert np.array_equal(acted, B @ module.matrix(d) % N)

@@ -243,8 +243,9 @@ def test_snf_matches_full_scan_reference(m):
 
 
 def _group_ring_h1_batches():
-    """The cocycle-row batches of h1 for the p = 3 group-ring example: three
-    batches of 676 columns mod 27, the largest system of sha1_bic there."""
+    """The rows (g, s) of d1 for the p = 3 group-ring example on all 676
+    values a(g), one batch mod 27 per generator s: the H^1 system before
+    h1 solved at the generators, kept as a large Howell form."""
     ex = build_example_714(3)
     G, M = ex.sd.Q, ex.sd.N_hat
     ncols = (G.order - 1) * M.rank
