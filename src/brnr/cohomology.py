@@ -14,23 +14,29 @@ generating set S, and satisfies the cocycle identity once it does there.
 values a(s), s in S, every a(g) is a fixed combination of them, and its
 rows are the cocycle identity at (g, s).  ``h1`` and the character groups
 (``character_group_generators``, ``engine._character_module``) solve it,
-so H^1 has |S| rank(M) unknowns.  ``_coboundary_rows`` builds d1 on
-whole 1-cochains, for the coboundary questions.  For scalar coefficients
-with trivial action, ``h2_trivial_scalar`` keeps only the unknowns
-f(y, s) and writes the cocycle identity only at first arguments g in S as
-well, (n-1)|S|^2 rows: the rows at S say that the relators of a
-presentation keep their values under conjugation by S, hence by the free
-group, and by Hopf's formula (Reidemeister-Schreier) that is the whole
-cocycle identity.  The class module of extensions.py
-reuses these rows (``ReducedCocycleSpace.c1_batches``).
-``is_scalar_coboundary`` keeps every row, as an independent reference.
+so H^1 has |S| rank(M) unknowns.  For scalar coefficients with trivial
+action, ``h2_trivial_scalar`` keeps only the unknowns f(y, s) and writes
+the cocycle identity only at first arguments g in S as well,
+(n-1)|S|^2 rows: the rows at S say that the relators of a presentation
+keep their values under conjugation by S, hence by the free group, and by
+Hopf's formula (Reidemeister-Schreier) that is the whole cocycle
+identity.  The class module of extensions.py reuses these rows
+(``ReducedCocycleSpace.c1_batches``).
+
+A table is a cocycle iff the identity holds at first arguments {1} u S
+(``cocycle1_defect``, ``cocycle2_defect``, on stacks of tables, twisted
+scalars included).  A cocycle is a coboundary iff its rows at second
+arguments in S lie in the span of d1 there, whose ``zmod.span_rows``
+vanish exactly on it: ``death_rows`` and ``coboundary_mask`` read them
+after the cocycle check.  ``is_scalar_coboundary`` solves every row for a
+witness; it is the reference.
 
 Every answer is a subgroup of classes cut out by linear rows, modulo a
 relation subgroup; ``class_subgroup`` is the one solve that turns such
 rows into invariant factors and generators, and the only code that knows
 how a class of order o sits in Z/N.  Literal death of classes on a family
 of subgroups (the Sha filters) is one stack of rows, ``death_rows``, with
-one cokernel per subgroup.  Death in Q/Z on every bicyclic subgroup (B_0
+one span test per subgroup.  Death in Q/Z on every bicyclic subgroup (B_0
 and the Bogomolov condition of the engine) needs no subgroups at all: a
 central extension of an abelian group by the divisible group Q/Z splits
 iff it is abelian, so a class dies there iff f(x, y) = f(y, x) mod N for
@@ -58,9 +64,9 @@ from .zmod import (
     RowEchelon,
     SubquotientModule,
     as_mod,
-    cokernel,
     kernel,
     solve,
+    span_rows,
     subquotient,
 )
 
@@ -82,38 +88,43 @@ def scalar_module(m: int, actor: FiniteGroup | None = None,
 
 
 def cocycle1_defect(G: FiniteGroup, M: AbelianModule, a: np.ndarray) -> Optional[tuple]:
-    """First (g, h) where g.a(h) - a(gh) + a(g) != 0, or None."""
-    n = G.order
+    """First (..., g, h), g in {1} u S, where g.a(h) - a(gh) + a(g) != 0, or None.
+
+    a is a table (n, rank) or a stack (..., n, rank), S is
+    ``G.minimal_generators()``.  That is the whole law, by induction on word
+    length: a(s g' h) = a(s) + s.a(g' h) = a(s g') + s g'.a(h).
+    """
     a = M.reduce(a)
-    for g in range(n):
-        acted = (a @ M.matrix(g).T) if M.action is not None else a
-        lhs = M.reduce(acted + a[g][None, :] - a[G.mul[g]])
-        bad = np.nonzero(lhs.any(axis=1))[0]
-        if bad.size:
-            return (g, int(bad[0]))
-    return None
+    rows = np.array(sorted({G.identity, *G.minimal_generators()}))
+    bad = np.zeros(a.shape[:-2] + (len(rows), G.order), dtype=bool)
+    for i, g in enumerate(rows):
+        acted = a if M.action is None else np.einsum("...i,ji->...j", a, M.matrix(g))
+        bad[..., i, :] = M.reduce(acted + a[..., g, None, :] - a[..., G.mul[g], :]).any(axis=-1)
+    hit = np.argwhere(bad)[:1]
+    hit[:, -2] = rows[hit[:, -2]]
+    return tuple(map(int, hit[0])) if len(hit) else None
 
 
-def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray) -> Optional[tuple]:
-    """First (g, h, k), g in {1} u S, violating the 2-cocycle identity, or None.
+def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray,
+                    gens=None) -> Optional[tuple]:
+    """First (..., g, h, k), g in {1} u S, violating the 2-cocycle identity, or None.
 
-    S is ``G.minimal_generators()``.  F = df is a 3-cocycle, and dF = 0 at
+    f is a table (n, n, rank) or a stack (..., n, n, rank), S is ``gens`` or
+    ``G.minimal_generators()``.  F = df is a 3-cocycle, and dF = 0 at
     (s, g, h, k) reads F(sg, h, k) = s.F(g, h, k) once F(s, ., .) = 0: so F
     vanishes everywhere if it vanishes at 1 and at S, O(|S| |G|^2) work.
     """
     n = G.order
     f = M.reduce(f)
-    flat = f.reshape(n * n, -1)
-    for g in sorted({G.identity, *G.minimal_generators()}):
-        acted = (flat @ M.matrix(g).T).reshape(n, n, -1) if M.action is not None \
-            else f
-        lhs = acted - flat[G.mul[g].reshape(-1, 1) * n + np.arange(n)].reshape(n, n, -1)
-        lhs = lhs + f[g][G.mul] - f[g][:, None, :]
-        lhs = M.reduce(lhs)
-        bad = np.argwhere(lhs.any(axis=2))
-        if bad.size:
-            return (g, int(bad[0][0]), int(bad[0][1]))
-    return None
+    rows = np.array(sorted({G.identity, *(G.minimal_generators() if gens is None else gens)}))
+    bad = np.zeros(f.shape[:-3] + (len(rows), n, n), dtype=bool)
+    for i, g in enumerate(rows):
+        acted = f if M.action is None else np.einsum("...i,ji->...j", f, M.matrix(g))
+        lhs = acted - f[..., G.mul[g], :, :] + f[..., g, G.mul, :] - f[..., g, :, None, :]
+        bad[..., i, :, :] = M.reduce(lhs).any(axis=-1)
+    hit = np.argwhere(bad)[:1]
+    hit[:, -3] = rows[hit[:, -3]]
+    return tuple(map(int, hit[0])) if len(hit) else None
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +294,7 @@ def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
     reps = list(M.reduce(np.moveaxis(E @ sub.generator_lifts, 2, 0)))
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:
-        if any(cocycle1_defect(G, M, t) is not None for t in tables):
+        if cocycle1_defect(G, M, tables) is not None:
             return None
         return sub.coordinates(M.reduce(tables)[:, S].reshape(len(tables), -1).T)
 
@@ -432,7 +443,7 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:
         tables = as_mod(tables, m).reshape(-1, n, n)
-        if any(cocycle2_defect(G, M, t[:, :, None]) is not None for t in tables):
+        if cocycle2_defect(G, M, tables[..., None]) is not None:
             return None
         return sub.coordinates(space.atomize(tables))
 
@@ -495,11 +506,34 @@ def dies_in_qz(f_table: np.ndarray, B: FiniteGroup, N: int) -> bool:
     return is_scalar_coboundary(B, e * f, N * e) is not None
 
 
+def coboundary_mask(B: FiniteGroup, tables: np.ndarray, m: int,
+                    units: np.ndarray | None = None, gens=None) -> np.ndarray:
+    """Which scalar 2-cocycles of a stack (..., n, n) are coboundaries mod m.
+
+    Coefficients are Z/m, twisted by the units u(g) if given.  The cocycle
+    law is checked at first arguments {1} u S, S = ``gens`` or
+    ``B.minimal_generators()``.  A cocycle minus a coboundary is a cocycle,
+    which vanishes iff it vanishes on the rows (g, s), s in S; so a table is
+    a coboundary iff those rows lie in the span of d1 on them.
+    """
+    if m == 1:
+        return np.ones(np.shape(tables)[:-2], dtype=bool)
+    gens = B.minimal_generators() if gens is None else list(gens)
+    tables, M = as_mod(tables, m), scalar_module(m, B, units)
+    defect = cocycle2_defect(B, M, tables[..., None], gens)
+    if defect is not None:
+        raise AssertionError(f"table is not a 2-cocycle at {defect}")
+    rows = span_rows(_coboundary_rows(B, M, second=gens), m)
+    vals = tables[..., 1:, gens].reshape(tables.shape[:-2] + (rows.shape[1],)) @ rows.T
+    return ~(vals % m).any(axis=-1)
+
+
 def is_scalar_coboundary(B: FiniteGroup, table: np.ndarray, m: int,
                          units: np.ndarray | None = None) -> Optional[np.ndarray]:
     """Witness b with d1 b = table for scalar coefficients (optional unit twist).
 
-    With a twist, (d1 b)(g, h) = u(g) b(h) - b(gh) + b(g).
+    With a twist, (d1 b)(g, h) = u(g) b(h) - b(gh) + b(g).  Every row is
+    solved: the reference for ``coboundary_mask``.
     """
     n = B.order
     table = as_mod(table, m).reshape(n, n)
@@ -637,10 +671,14 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
     are scalar 2-cocycles mod N (trivial action) and dying means restricting
     to d1 b.  The restriction minus a coboundary is a cocycle, which
     vanishes iff it vanishes on the rows at B's generators; so the class
-    dies on B iff those rows vanish in the cokernel of B's coboundary map on
-    them.  Each cokernel coordinate, scaled by N/f, is one row.
+    dies on B iff those rows lie in the span of B's coboundary map on them,
+    which the ``span_rows`` of that map read.
     """
     T = np.asarray(tables, dtype=np.int64)
+    defect = cocycle1_defect(G, module, T) if module is not None \
+        else cocycle2_defect(G, scalar_module(N), T[..., None])
+    if defect is not None:
+        raise AssertionError(f"table is not a cocycle at {defect}")
     blocks = [np.zeros((0, len(tables)), dtype=np.int64)]
     for elems in subgroups:
         if len(elems) == 1:
@@ -654,9 +692,7 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
         else:
             D = _coboundary_rows(B, N, second=gens)
             V = T[:, idx[1:, None], idx[gens]].reshape(len(tables), -1).T
-        coker = cokernel(D, N)
-        f = np.array(coker.invariant_factors, dtype=np.int64)
-        blocks.append(coker.project(V) * (N // f)[:, None] % N)
+        blocks.append(span_rows(D, N) @ V % N)
     return np.vstack(blocks)
 
 
@@ -679,7 +715,7 @@ def commuting_pair_rows(G: FiniteGroup, tables,
 
 
 def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
-        caps: Caps = DEFAULT_CAPS, ambient: CohomologyGroup | None = None) -> ShaResult:
+        caps: Caps = DEFAULT_CAPS) -> ShaResult:
     """Classes of H^degree(G, M) dying on every subgroup of the family.
 
     Dying is literal: the restriction is a coboundary with coefficients in
@@ -692,8 +728,7 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
         raise ValidationError("degree must be 1 or 2")
     if degree == 2 and (M.rank != 1 or M.action is not None):
         raise ValidationError("degree 2 needs trivial scalar coefficients")
-    if ambient is None:
-        ambient = h1(G, M, caps) if degree == 1 else h2(G, M, caps)
+    ambient = h1(G, M, caps) if degree == 1 else h2(G, M, caps)
     orders = ambient.invariant_factors
     N = M.exponent
     if not orders:

@@ -57,7 +57,7 @@ from .cohomology import (
     scalar_module,
     sha,
 )
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, ValidationError
 from .extensions import (
     ClassModule,
     EquivariantExtension,
@@ -289,6 +289,8 @@ def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
 
 def sha2_ab(G: FiniteGroup, modulus: int, caps: Caps = DEFAULT_CAPS) -> ShaResult:
     """Classes of H^2(G, Z/m) dying on every abelian subgroup (literal mod m)."""
+    if modulus < 2:
+        raise ValidationError("sha2ab modulus must be at least 2", witness=modulus)
     return sha(G, scalar_module(modulus), 2, "ab", caps=caps)
 
 

@@ -19,10 +19,10 @@ import numpy as np
 from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
     ShaResult,
+    coboundary_mask,
     cocycle1_defect,
     cup_h1_h1,
     h1,
-    is_scalar_coboundary,
     sha,
 )
 from .errors import (
@@ -285,8 +285,7 @@ class LocalWitness:
 
 
 def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup,
-                  c_v: np.ndarray, chi_v: np.ndarray | None = None,
-                  caps: Caps = DEFAULT_CAPS,
+                  c_v: np.ndarray, caps: Caps = DEFAULT_CAPS,
                   search_cup: bool = True) -> LocalWitness:
     """Inflate [a] along a surjection Delta_v ->> Q and certify nonvanishing.
 
@@ -309,9 +308,6 @@ def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup
                               witness=tuple(map(int, bad[0])))
     if set(map(int, c_v)) != set(range(sd.Q.order)):
         raise NotSurjective("structure map must be onto Q")
-    e = sd.N.exponent
-    if chi_v is not None and (as_mod(chi_v, e) != 1 % e).any():
-        raise ValidationError("chi_v must be 1 mod exp(N) for this pathway")
 
     a_table = sd.N_hat.reduce(a_table)
     amb = h1(sd.Q, sd.N_hat, caps)
@@ -345,12 +341,13 @@ def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup
     # the cup product is bilinear, so the generators decide it; the last
     # generator with a nonzero cup is the lexicographically first nonzero
     # class with one
-    for ycoords in np.eye(len(h_pts.invariant_factors), dtype=np.int64)[::-1]:
-        y = h_pts.element_table(ycoords)
-        beta = cup_h1_h1(delta_v, nhat_tw, inflated, n_tw, y)
-        if is_scalar_coboundary(delta_v, beta, e) is None:
-            witness.cup_status = "WitnessPairFound"
-            witness.cup_point = ThetaPoint(y, c_v.copy())
-            witness.cup_beta = beta
-            break
+    ys = [h_pts.element_table(x) for x in np.eye(len(h_pts.invariant_factors), dtype=np.int64)]
+    betas = np.array([cup_h1_h1(delta_v, nhat_tw, inflated, n_tw, y) for y in ys],
+                     dtype=np.int64).reshape(len(ys), delta_v.order, delta_v.order)
+    nonzero = np.flatnonzero(~coboundary_mask(delta_v, betas, sd.N.exponent))
+    if nonzero.size:
+        j = int(nonzero[-1])
+        witness.cup_status = "WitnessPairFound"
+        witness.cup_point = ThetaPoint(ys[j], c_v.copy())
+        witness.cup_beta = betas[j]
     return witness

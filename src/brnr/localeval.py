@@ -14,9 +14,12 @@ nonzero finite-level class does not certify a nonzero local invariant.
 
 beta is linear in (f, c), and Zero means beta lies in the chi_v-twisted
 coboundary span, which depends on the place alone: bm_report enumerates
-each place's points once and reads every class at every point from one
-cokernel per place, with the betas of all classes at all points in one
-array.  evaluate (one class, one point, one solve) is the reference.
+each place's points once and reads every class at every point with one
+``cohomology.coboundary_mask`` call per place on one array of betas: the
+twisted 2-cocycle check at first arguments {1} u generators, then one
+product with the span rows of the twisted d1 at those second arguments.
+The theta-cup verdict asks the same test.  evaluate (one class, one
+point, one solve on every row) is the reference.
 
 nonabelian_h1 enumerates generator images in fixed blocks of candidates,
 one array per block: it propagates them along a BFS factorization of
@@ -36,12 +39,12 @@ from typing import Optional
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .cohomology import _coboundary_rows, is_scalar_coboundary, scalar_module
+from .cohomology import cocycle2_defect, coboundary_mask, is_scalar_coboundary, scalar_module
 from .errors import CapExceeded, InvalidCocycle, ValidationError
 from .extensions import EquivariantExtension, GaloisDatum
 from .fastpath import SemidirectDatum
 from .groups import FiniteGroup
-from .zmod import as_mod, cokernel
+from .zmod import as_mod
 
 
 @dataclass
@@ -220,28 +223,6 @@ def _beta_tables(fs: np.ndarray, cs: np.ndarray, ld: LocalDatum, gal: GaloisDatu
     return beta
 
 
-def _twisted_two_cocycle_defect(D: FiniteGroup, betas: np.ndarray, units: np.ndarray,
-                                m: int, gens) -> Optional[tuple]:
-    """First (..., s, t, u), s in {1} u gens, where
-    u(s) b(t, u) - b(st, u) + b(s, tu) - b(s, t) != 0, or None.
-
-    betas is (..., |D|, |D|).  F = d(beta) is a twisted 3-cocycle, and
-    dF = 0 at (s, g, t, u) reads F(sg, t, u) = u(s) F(g, t, u) once
-    F(s, ., .) = 0: so F vanishes everywhere if it vanishes at 1 and at the
-    generators, O(|gens| |D|^2) work per table.
-    """
-    rows = np.array(sorted({0, *gens}), dtype=np.int64)
-    at = betas[..., rows, :]
-    lhs = (units[rows, None, None] * betas[..., None, :, :] - betas[..., D.mul[rows], :]
-           + at[..., D.mul] - at[..., None])
-    bad = np.argwhere(lhs % m)
-    if not bad.size:
-        return None
-    witness = list(map(int, bad[0]))
-    witness[-3] = int(rows[witness[-3]])
-    return tuple(witness)
-
-
 def evaluate(ext: EquivariantExtension, ld: LocalDatum,
              h: NonabelianCocycle) -> EvaluationResult:
     """Evaluate a table-level class at a local point.
@@ -257,14 +238,16 @@ def evaluate(ext: EquivariantExtension, ld: LocalDatum,
     if defect is not None:
         raise InvalidCocycle("point table violates the twisted cocycle law",
                              witness=defect)
-    beta = _beta_tables(ext.f[None], ext.c[None], ld, gal, h.table)
+    beta = _beta_tables(ext.f[None], ext.c[None], ld, gal, h.table)[0]
     chi_v = as_mod(ld.chi_v(gal), gal.N)
-    defect2 = _twisted_two_cocycle_defect(ld.delta_v, beta, chi_v, gal.N, ld.generators)
-    if defect2 is not None:
-        raise AssertionError(f"evaluation table is not a 2-cocycle at {defect2[1:]}")
-    verdict = UNKNOWN if is_scalar_coboundary(ld.delta_v, beta[0], gal.N,
+    if gal.N > 1:
+        defect2 = cocycle2_defect(ld.delta_v, scalar_module(gal.N, ld.delta_v, chi_v),
+                                  beta[..., None], ld.generators)
+        if defect2 is not None:
+            raise AssertionError(f"evaluation table is not a 2-cocycle at {defect2}")
+    verdict = UNKNOWN if is_scalar_coboundary(ld.delta_v, beta, gal.N,
                                               units=chi_v) is None else ZERO
-    return EvaluationResult(beta[0], verdict, _DETAILS[verdict])
+    return EvaluationResult(beta, verdict, _DETAILS[verdict])
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +275,16 @@ def _place_verdicts(exts: list[EquivariantExtension], ld: LocalDatum,
                     gal: GaloisDatum, caps: Caps) -> list[list[PointVerdict]]:
     """Verdicts of every table-level class at every point of one place.
 
-    A beta is Zero iff it dies in the cokernel of the chi_v-twisted
-    coboundary map on Delta_v, so one cokernel serves every class and point.
-    It is asked on the rows (s, t) with t in ``ld.generators``: beta minus
-    a twisted coboundary is a twisted 2-cocycle, which vanishes iff it
-    vanishes on those rows.  The betas of all classes at all points are one
-    (classes, points, |D_v|, |D_v|) array, checked and projected at once.
+    A beta is Zero iff it is a chi_v-twisted coboundary on Delta_v, so one
+    span test serves every class and point (``coboundary_mask``, asked on
+    the rows (s, t) with t in ``ld.generators``).  The betas of all classes
+    at all points are one (classes, points, |D_v|, |D_v|) array, checked
+    and tested at once.
     """
-    D, N = ld.delta_v, gal.N
-    chi_v = as_mod(ld.chi_v(gal), N)
-    gens = list(ld.generators)
-    coeffs = scalar_module(N, D, chi_v) if N > 1 else N
-    coker = cokernel(_coboundary_rows(D, coeffs, second=gens), N)
     points = np.array([h.table for h in nonabelian_h1(ld, gal, caps)])
     betas = _beta_tables(np.array([e.f for e in exts]), np.array([e.c for e in exts]),
                          ld, gal, points)
-    defect = _twisted_two_cocycle_defect(D, betas, chi_v, N, gens)
-    if defect is not None:
-        raise AssertionError(f"evaluation table is not a 2-cocycle at {defect}")
-    flat = betas[..., 1:, gens].reshape(len(exts) * len(points), -1)
-    zero = ~coker.project(flat.T).any(axis=0).reshape(len(exts), len(points))
+    zero = coboundary_mask(ld.delta_v, betas, gal.N, ld.chi_v(gal), ld.generators)
     labels = ["base" if not h.any() else f"h{i}" for i, h in enumerate(points)]
     verdicts = [[ZERO if z else UNKNOWN for z in row] for row in zero.tolist()]
     return [[PointVerdict(ld.label, label, v, _DETAILS[v]) for label, v in zip(labels, row)]
@@ -362,8 +335,7 @@ class FastpathClassEntry:
         if w.cup_point is not None:
             beta = theta_point_beta(self.sd, self.a_table, self.modulus,
                                     w.cup_point.q_part, w.cup_point.y_table)
-            b = is_scalar_coboundary(w.delta_v, beta, self.modulus)
-            if b is None:
+            if not coboundary_mask(w.delta_v, beta, self.modulus):
                 out.append(PointVerdict(ld.label, "theta-cup", NONZERO_CERTIFIED,
                                         "finite-level duality pairing is nonzero"))
             else:

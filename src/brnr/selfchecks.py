@@ -66,7 +66,7 @@ from .groups import (
     symmetric_group,
 )
 from .localeval import LocalDatum, NonabelianCocycle, evaluate, nonabelian_h1
-from .zmod import as_mod, smith_normal_form_raw, solve, subquotient
+from .zmod import as_mod, kernel, smith_normal_form_raw, solve, span_rows, subquotient
 
 
 def _assert(cond, msg):
@@ -203,7 +203,8 @@ def unramified_by_enumeration(gal: GaloisDatum) -> tuple[int, ...]:
         _assert(tuple(map(int, col)) in passing, f"Kummer class {col} is ramified")
     lattice = np.diag(mods)
     U = np.hstack([np.array(sorted(passing), dtype=np.int64).T, lattice])
-    return subquotient(U, np.hstack([lattice, kum]), gal.N).invariant_factors
+    W = kernel(span_rows(U, gal.N), gal.N)
+    return subquotient(W, np.hstack([lattice, kum]), gal.N).invariant_factors
 
 
 def check_linear_galois_filter():

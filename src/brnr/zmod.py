@@ -1,8 +1,9 @@
 """Exact linear algebra over Z/m.
 
 Everything downstream (cohomology, extension classes, the unramified
-filters) reduces to four primitives over Z/m: Smith normal form with
-unimodular transforms, linear solving, kernels, and cokernel structure.
+filters) reduces to a few primitives over Z/m: Smith normal form with
+unimodular transforms, kernels, cokernel structure and ``span_rows`` (the
+rows that vanish exactly on a column span), with ``solve`` for witnesses.
 All of it is done directly mod m -- never over Z and then reduced --
 using the fact that every element of Z/m is a unit times a divisor of m.
 The Smith normal form pivots on the least gcd(a, m), found from one key
@@ -659,6 +660,18 @@ def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure
     return AbelianStructure(m, n, tuple(factors), lifts % m, proj % m)
 
 
+def span_rows(A: np.ndarray, m: int) -> np.ndarray:
+    """Rows R with R x = 0 mod m exactly when x lies in colspan(A).
+
+    x is in the span iff each of its cokernel coordinates vanishes mod its
+    invariant factor f, so R is the cokernel projection with each row
+    scaled by m/f.
+    """
+    coker = cokernel(A, m)
+    f = np.array(coker.invariant_factors, dtype=np.int64)
+    return coker._proj_rows * (m // f)[:, None] % m
+
+
 # ---------------------------------------------------------------------------
 # submodules and subquotients
 # ---------------------------------------------------------------------------
@@ -666,65 +679,38 @@ def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure
 
 @dataclass
 class SubquotientModule:
-    """W / R for submodules R <= W <= (Z/m)^n, with ambient coordinates.
+    """W / R for a :class:`Kernel` W and a submodule R <= W of (Z/m)^n.
 
-    ``coordinates`` finds x with W x = vec and projects it mod R; it
-    returns None for vectors outside W.  A matrix gives one coordinate
-    column per column, and None if any column is outside W.  When W is a
-    :class:`Kernel`, x is one matmul with the rows its factorization kept;
-    any other W is solved by one SNF per call.
+    ``coordinates`` finds x with W.gens x = vec (one matmul with the rows the
+    kernel's factorization kept) and projects it mod R; it returns None for
+    vectors outside W.  A matrix gives one coordinate column per column, and
+    None if any column is outside W.
     """
 
-    modulus: int
-    ambient_dim: int
     invariant_factors: tuple[int, ...]
-    generator_lifts: np.ndarray      # ambient_dim x r, representatives in W
-    _W: Kernel | np.ndarray
+    generator_lifts: np.ndarray      # n x r, representatives in W
+    _W: Kernel
     _inner: AbelianStructure
 
     def coordinates(self, vec: np.ndarray) -> Optional[np.ndarray]:
-        x = _span_coordinates(self._W, vec, self.modulus)
+        x = self._W.coordinates(vec)
         return None if x is None else self._inner.project(x)
 
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
 
-
-def _span_coordinates(W: Kernel | np.ndarray, vec: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """x with W x = vec mod m (per column for a matrix), or None."""
-    return W.coordinates(vec) if isinstance(W, Kernel) else solve(W, vec, m)
-
-
-def subquotient(W: Kernel | np.ndarray, R: np.ndarray, m: int) -> SubquotientModule:
-    """Structure of colspan(W)/colspan(R); R must lie inside colspan(W).
+def subquotient(W: Kernel, R: np.ndarray, m: int) -> SubquotientModule:
+    """Structure of W/colspan(R); R must lie inside W.
 
     W / R is Z^k modulo the coordinates T of R in W's generators and the
     relations among those generators, so one SNF of [T | relations] gives
-    it.  A :class:`Kernel` W brings both from its own factorization: T from
-    its ``coordinates`` and the relations orders[j] e_j.  Any other W costs
-    one SNF for T (``solve``) and one for its relations (``kernel``).
+    it.  The :class:`Kernel` brings both from its own factorization: T from
+    its ``coordinates`` and the relations orders[j] e_j.  A column span A is
+    the Kernel ``kernel(span_rows(A, m), m)``.
     """
-    R = as_mod(R, m)
-    if isinstance(W, Kernel):
-        gens = W.gens
-    else:
-        W = gens = as_mod(W, m)
-    n, k = gens.shape
-    if k == 0 or m <= 1:
-        return SubquotientModule(m, n, (), np.zeros((n, 0), dtype=np.int64), W,
-                                 cokernel(np.zeros((0, 0), dtype=np.int64), m, rows=0))
-    T = _span_coordinates(W, R, m) if R.shape[1] else np.zeros((k, 0), dtype=np.int64)
+    T = W.coordinates(as_mod(R, m))
     if T is None:
         raise ValueError("R is not contained in the span of W")
-    if isinstance(W, Kernel):
-        orders = np.array(W.orders, dtype=np.int64)
-        rels = np.diag(orders)[:, orders < m]       # order m: no relation
-    else:
-        rels = kernel(W, m).gens
-    inner = cokernel(np.hstack([T, rels]), m, rows=k)
-    lifts = gens @ inner.generator_lifts % m
-    return SubquotientModule(m, n, inner.invariant_factors, lifts, W, inner)
+    orders = np.array(W.orders, dtype=np.int64)
+    rels = np.diag(orders)[:, orders < m]       # order m: no relation
+    inner = cokernel(np.hstack([T, rels]), m, rows=len(orders))
+    return SubquotientModule(inner.invariant_factors, W.gens @ inner.generator_lifts % m,
+                             W, inner)

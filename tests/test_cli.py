@@ -208,6 +208,9 @@ PLACE = {"delta_v_table": Z2, "to_delta": [0, 1]}
     # an explicit empty sequence is taken as given, not replaced by a default
     ({**BM_REAL, "local": [{**PLACE, "generators": []}]},
      "generating sequence does not generate"),
+    # Z/1 is no coefficient module: the job field is named, not the module
+    ({"task": "sha2ab", "modulus": 1, "group": {"kind": "table", "table": Z2}},
+     "sha2ab modulus must be at least 2 (witness: 1)"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"

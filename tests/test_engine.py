@@ -7,6 +7,8 @@ from brnr.caps import Caps
 from brnr.cohomology import (
     bockstein,
     character_group_generators,
+    class_subgroup,
+    commuting_pair_rows,
     dies_in_qz,
     h1,
     h2,
@@ -28,7 +30,7 @@ from brnr.engine import (
     is_unramified,
     sha2_ab,
 )
-from brnr.errors import PreconditionViolated
+from brnr.errors import OrderBound, PreconditionViolated
 from brnr.extensions import (
     EquivariantExtension,
     GaloisDatum,
@@ -44,6 +46,7 @@ from brnr.groups import (
     alternating_group,
     cyclic_group,
     dihedral_group,
+    group_from_permutations,
     group_from_table,
     quaternion_group,
     semidirect_product,
@@ -51,7 +54,7 @@ from brnr.groups import (
     subgroups_cyclic,
     symmetric_group,
 )
-from brnr.selfchecks import unramified_by_enumeration
+from brnr.selfchecks import class_span, unramified_by_enumeration
 
 
 def real_datum(G, N=None) -> GaloisDatum:
@@ -273,18 +276,26 @@ def test_b0_of_nonabelian_small_groups_is_zero():
     assert b0(alternating_group(5)).invariant_factors == ()
 
 
+def classes_dying_in_qz(G, H) -> set:
+    """Coordinates of the classes of H = H^2(G, Z/|G|) whose restriction to
+    every bicyclic subgroup dies in Q/Z, one dies_in_qz call each."""
+    N = G.order
+    bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
+    dying = set()
+    for x in itertools.product(*(range(o) for o in H.invariant_factors)):
+        table = H.element_table(x)[:, :, 0]
+        if all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics):
+            dying.add(x)
+    return dying
+
+
 def b0_order_by_classes(G) -> int:
     """|B_0(G)| class by class: the classes of H^2(G, Z/N) whose restriction
     to every bicyclic subgroup dies in Q/Z, over the span of the Bocksteins."""
     N = G.order
     H = h2(G, scalar_module(N))
     orders = H.invariant_factors
-    bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
-    dying = set()
-    for x in itertools.product(*(range(o) for o in orders)):
-        table = H.element_table(x)[:, :, 0]
-        if all(dies_in_qz(table[np.ix_(idx, idx)], B, N) for B, idx in bics):
-            dying.add(x)
+    dying = classes_dying_in_qz(G, H)
     kummer = [H.coordinates(bockstein(G, phi, N)[0][:, :, None]) % orders
               for phi in character_group_generators(G, N)]
     span, frontier = {(0,) * len(orders)}, [(0,) * len(orders)]
@@ -316,6 +327,33 @@ def test_b0_matches_per_class_dies_in_qz(seed):
     inv = np.argsort(perm)
     G = group_from_table(perm[G.mul[np.ix_(inv, inv)]])
     assert b0(G).order == b0_order_by_classes(G), (n, q, u)
+
+
+def random_permutation_group(seed: int, most: int = 24):
+    """The group of two seeded random permutations of degree 4 to 6, of order 2 to ``most``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        degree = int(rng.integers(4, 7))
+        try:
+            G = group_from_permutations([rng.permutation(degree) for _ in range(2)], degree,
+                                        caps=Caps(closure=most))
+        except OrderBound:
+            continue
+        if G.order > 1:
+            return G
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_b0_matches_per_class_dies_in_qz_on_random_permutation_groups(seed):
+    # the commuting-pair rows keep exactly the classes that die in Q/Z on
+    # every bicyclic subgroup, and b0 is their quotient by the Bocksteins
+    G = random_permutation_group(seed)
+    N = G.order
+    H = h2(G, scalar_module(N))
+    orders = H.invariant_factors
+    _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
+    assert class_span(*class_subgroup(S, orders, N), orders) == classes_dying_in_qz(G, H)
+    assert b0(G).order == b0_order_by_classes(G)
 
 
 def test_sha2_ab_examples():

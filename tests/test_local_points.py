@@ -3,8 +3,9 @@
 ``nonabelian_h1`` enumerates its candidates in blocks, checks the cocycle
 law on the generator columns only and keeps the least orbit member by
 byte key; the reference walks the candidates one at a time and checks the
-law at every pair.  ``_twisted_two_cocycle_defect`` checks the first
-arguments {1} u generators; the reference checks every row.  bm_report
+law at every pair.  ``cocycle2_defect`` over the unit-twisted module
+checks the first arguments {1} u generators; the reference checks every
+row.  bm_report
 reads a tuple's status from one code per (place, point); the reference
 rebuilds the verdict list for every tuple.  Each comparison is exact:
 identical table lists in identical order, identical witnesses, identical
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from brnr.caps import DEFAULT_CAPS
+from brnr.cohomology import cocycle2_defect, scalar_module
 from brnr.errors import CapExceeded
 from brnr.extensions import GaloisDatum, class_module
 from brnr.fastpath import build_example_714, local_witness
@@ -38,7 +40,6 @@ from brnr.localeval import (
     NonabelianCocycle,
     _BLOCK_CELLS,
     _beta_tables,
-    _twisted_two_cocycle_defect,
     bm_report,
     cocycle_defect_nonabelian,
     nonabelian_h1,
@@ -216,24 +217,25 @@ def test_two_cocycle_defect_on_generator_rows_matches_all_rows(name):
         D = ld.delta_v
         rows = {0, *ld.generators}
         units = as_mod(ld.chi_v(gal), N)
+        twisted = scalar_module(N, D, units)
         points = np.array([h.table for h in nonabelian_h1(ld, gal)])
         betas = _beta_tables(fs, cs, ld, gal, points).reshape(-1, D.order, D.order)
         assert twisted_defects_all_rows(D, betas, units, N) == []
-        assert _twisted_two_cocycle_defect(D, betas, units, N, ld.generators) is None
+        assert cocycle2_defect(D, twisted, betas[..., None], ld.generators) is None
         for trial in range(12):
             s = 0 if trial % 2 == 0 else int(rng.integers(D.order))
             t = int(rng.integers(D.order))
             bad = betas.copy()
             bad[int(rng.integers(len(bad))), s, t] += int(rng.integers(1, N))
             ref = twisted_defects_all_rows(D, bad, units, N)
-            got = _twisted_two_cocycle_defect(D, bad, units, N, ld.generators)
+            got = cocycle2_defect(D, twisted, bad[..., None], ld.generators)
             assert (got is None) == (not ref)
             if ref:
                 assert got == next(w for w in ref if w[1] in rows)
             # the stacked (classes, points, |D_v|, |D_v|) form gives the same
             # witness with the flat index split
-            stacked = _twisted_two_cocycle_defect(
-                D, bad.reshape(len(exts), len(points), D.order, D.order), units, N,
+            stacked = cocycle2_defect(
+                D, twisted, bad.reshape(len(exts), len(points), D.order, D.order, 1),
                 ld.generators)
             assert (stacked is None) == (got is None)
             if got:

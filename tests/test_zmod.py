@@ -20,6 +20,7 @@ from brnr.zmod import (
     kernel,
     smith_normal_form_raw,
     solve,
+    span_rows,
     subquotient,
     unit_scale,
 )
@@ -532,7 +533,7 @@ def test_subquotient_structure():
     m = 8
     W = np.array([[1, 0], [0, 2]])  # Z/8 + 2Z/8
     R = np.array([[4], [0]])        # 4Z/8 inside the first factor
-    sq = subquotient(W, R, m)
+    sq = subquotient(kernel(span_rows(W, m), m), R, m)
     assert sq.invariant_factors == (4, 4)
     assert sq.coordinates(np.array([1, 0])) is not None
     assert sq.coordinates(np.array([0, 1])) is None  # not in W
@@ -546,7 +547,7 @@ def test_subquotient_coordinates_take_a_batch():
     rng = np.random.default_rng(7)
     m = 12
     W = rng.integers(0, m, size=(6, 3))
-    sq = subquotient(W, 2 * W[:, :1] % m, m)
+    sq = subquotient(kernel(span_rows(W, m), m), 2 * W[:, :1] % m, m)
     assert sq.invariant_factors
     V = W @ rng.integers(0, m, size=(3, 5)) % m
     batch = sq.coordinates(V)
@@ -698,7 +699,8 @@ def test_subquotient_of_a_kernel_matches_solve_reference(m):
             sub = subquotient(K, R, m)
             inner = _solve_subquotient(ref, R, m)
             assert sub.invariant_factors == inner.invariant_factors
-            assert sub.invariant_factors == subquotient(K.gens, R, m).invariant_factors
+            span = kernel(span_rows(K.gens, m), m)
+            assert sub.invariant_factors == subquotient(span, R, m).invariant_factors
             if not sub.invariant_factors:
                 continue
             # lifts project to unit vectors, R to zero, combinations back to x
