@@ -564,11 +564,10 @@ def cup_h1_h1(G: FiniteGroup, M: AbelianModule, x: np.ndarray, Mdual: AbelianMod
     e = M.exponent
     x = M.reduce(x)
     y = Mdual.reduce(y)
-    out = np.zeros((n, n), dtype=np.int64)
-    for s in range(n):
-        ys = (y @ Mdual.matrix(s).T) if Mdual.action is not None else y
-        for t in range(n):
-            out[s, t] = M.pairing(Mdual.reduce(ys[t]), x[s])
+    mats = np.array([Mdual.matrix(s) for s in range(n)])
+    ys = Mdual.reduce(np.einsum("sij,tj->sti", mats, y))        # ys[s, t] = s.y(t)
+    w = np.array([e // d for d in M.invariant_factors], dtype=np.int64)
+    out = np.einsum("sti,si->st", ys, w * x)
     out[0, :] = 0
     out[:, 0] = 0
     return out % e

@@ -11,34 +11,27 @@ A class (f, c) is unramified iff
        Q/Z(1)-extension exists whose d-conjugate by a lift of gamma is its
        chi(d)-th power.
 
-Because the kernel of the extension is the divisible group Q/Z(1), the
-lift of <tau> always exists; condition (ii) collapses to the vanishing of
-one closed-form obstruction value mod N per admissible triple
-(d, tau, gamma), derived from the coordinate group law.  The value is
-linear in (f, c): _galois_obstructions builds the matrix (a row per
-triple, a column per pair), and br_nr, algebraic_unramified and
-galois_condition all read condition (ii) from it.  Condition (i) is linear
-too: b0 and br_nr read it from cohomology.commuting_pair_rows, while
-bogomolov_condition keeps the per-subgroup test as the reference.
-
-br_nr stacks the two matrices over the generators of the class module
-modulo Kummer classes; Br^0_nr is the kernel of the stack, and each
-generator's verdict is its column, with the first nonzero row as witness.
-algebraic_unramified reads the classes with f = 0, H^1(Delta, G^(chi)) for
-G^(chi) = Hom(G, Z/N) under (d.b)(y) = chi(d) b(d^-1.y), off one h1 call.
-No class is enumerated.  b0, br_nr, algebraic_unramified and the Kummer
-quotient each hand their rows (and relations) to one
-cohomology.class_subgroup call, which returns class coordinates; this
-module never scales classes into Z/N itself.  The closed form is
-cross-checked against exhaustive search inside explicitly built extension
-groups, and br_nr against per-class is_unramified (see tests and
-selftest).
+The lift of <tau> always exists, as Q/Z(1) is divisible, so (ii) is the
+vanishing of one closed-form value mod N per admissible triple
+(d, tau, gamma), linear in (f, c) (_galois_obstructions).  So both
+conditions are matrices with one column per pair: (i) has a row per
+commuting pair (cohomology.commuting_pair_rows), and beside (i), (ii) needs
+one row per (d, <tau>) (_galois_rows).  br_nr stacks them over the
+generators of the class module modulo Kummer classes: Br^0_nr is the
+kernel, and each generator's verdict is its column, with the first nonzero
+row as witness.  algebraic_unramified reads the classes with f = 0,
+H^1(Delta, G^(chi)), off one h1 call.  b0, br_nr, algebraic_unramified and
+the Kummer quotient each hand their rows to one
+cohomology.class_subgroup call, and no class is enumerated.
+bogomolov_condition, galois_condition (every admissible triple) and
+exhaustive search in explicit extension groups stay as the references
+that the tests and selftest compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -95,6 +88,14 @@ def bogomolov_condition(ext: EquivariantExtension,
 # ---------------------------------------------------------------------------
 
 
+def _power_table(G: FiniteGroup) -> np.ndarray:
+    """P[k, g] = g^k for 0 <= k < exp(G)."""
+    P = np.zeros((G.exponent, G.order), dtype=np.int64)
+    for k in range(1, G.exponent):
+        P[k] = G.mul[P[k - 1], np.arange(G.order)]
+    return P
+
+
 def _galois_obstructions(gal: GaloisDatum, triples, fs: np.ndarray,
                          cs: np.ndarray) -> np.ndarray:
     """Obstruction values mod N: one row per triple, one column per pair (f, c).
@@ -107,42 +108,35 @@ def _galois_obstructions(gal: GaloisDatum, triples, fs: np.ndarray,
 
     and the lift-and-conjugate condition holds iff it is 0.  The value is
     linear in (f, c), so deciding the condition is a matrix product.
-    fs is (pairs, |G|, |G|), cs is (pairs, |Delta|, |G|); triples sharing
-    (d, tau) must be consecutive, as _admissible_triples yields them.
+    fs is (pairs, |G|, |G|), cs is (pairs, |Delta|, |G|).
     """
     G, N = gal.G, gal.N
-    out = np.zeros((len(triples), len(fs)), dtype=np.int64)
-    for (d, tau), rows in groupby(range(len(triples)), key=lambda r: triples[r][:2]):
-        rows = list(rows)
-        gammas = np.array([triples[r][2] for r in rows], dtype=np.int64)
-        n = G.element_order(tau)
-        q, j = divmod(int(gal.chi[d]), n)
-        powers = np.zeros(n, dtype=np.int64)            # tau^0 .. tau^(n-1)
-        for i in range(1, n):
-            powers[i] = G.mul[powers[i - 1], tau]
-        T = np.zeros((len(fs), n + 1), dtype=np.int64)
-        T[:, 2:] = np.cumsum(fs[:, powers[1:], tau], axis=1) % N
-        base = cs[:, d, tau] - T[:, j] - q * T[:, n]
-        d_tau = int(gal.action.table[d, tau])
-        ginv = G.inv[gammas]
-        vals = (fs[:, gammas, d_tau] + fs[:, G.mul[gammas, d_tau], ginv]
-                - fs[:, gammas, ginv])
-        out[rows] = (vals.T + base) % N
-    return out
+    d, tau, gamma = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
+    n = G.element_orders[tau]
+    q, j = np.divmod(gal.chi[d], n)
+    P = _power_table(G)
+    T = np.zeros((len(fs), len(P) + 1, G.order), dtype=np.int64)    # T[:, k, tau] = T_k
+    T[:, 2:] = np.cumsum(fs[:, P[1:], np.arange(G.order)], axis=1) % N
+    d_tau = gal.action.table[d, tau]
+    ginv = G.inv[gamma]
+    vals = (cs[:, d, tau] + fs[:, gamma, d_tau] + fs[:, G.mul[gamma, d_tau], ginv]
+            - fs[:, gamma, ginv] - T[:, j, tau] - q * T[:, n, tau])
+    return (vals % N).T
+
+
+def _require_admissible(gal: GaloisDatum, d: int, tau: int, gamma: int) -> None:
+    G = gal.G
+    target = G.power(tau, int(gal.chi[d]) % G.element_order(tau))
+    if G.conjugate(int(gal.action.table[d, tau]), gamma) != target:
+        raise PreconditionViolated(
+            "gamma (d.tau) gamma^-1 != tau^chi(d)", witness=(d, tau, gamma))
 
 
 def galois_condition_single(ext: EquivariantExtension, d: int, tau: int,
                             gamma: int) -> bool:
     """Closed-form test of the lift-and-conjugate condition for one triple."""
-    gal = ext.gal
-    G = gal.G
-    n = G.element_order(tau)
-    d_tau = int(gal.action.table[d, tau])
-    target = G.power(tau, int(gal.chi[d]) % n)
-    if G.conjugate(d_tau, gamma) != target:
-        raise PreconditionViolated(
-            "gamma (d.tau) gamma^-1 != tau^chi(d)", witness=(d, tau, gamma))
-    return not _galois_obstructions(gal, [(d, tau, gamma)],
+    _require_admissible(ext.gal, d, tau, gamma)
+    return not _galois_obstructions(ext.gal, [(d, tau, gamma)],
                                     ext.f[None], ext.c[None]).any()
 
 
@@ -157,13 +151,10 @@ def galois_condition_bruteforce(ext: EquivariantExtension, d: int, tau: int,
     """
     gal = ext.gal
     G, N = gal.G, gal.N
+    _require_admissible(gal, d, tau, gamma)
     n = G.element_order(tau)
     m = n * N
     chi_int = int(gal.chi[d])
-    d_tau = int(gal.action.table[d, tau])
-    target = G.power(tau, chi_int % n)
-    if G.conjugate(d_tau, gamma) != target:
-        raise PreconditionViolated("inadmissible triple", witness=(d, tau, gamma))
     f_big = (n * ext.f) % m
     c_big = (n * ext.c) % m
     chi_m = chi_int % m
@@ -200,18 +191,52 @@ def galois_condition_bruteforce(ext: EquivariantExtension, d: int, tau: int,
 def _admissible_triples(gal: GaloisDatum):
     """Yield (d, tau, gamma) with gamma (d.tau) gamma^-1 = tau^chi(d)."""
     G = gal.G
-    n = G.order
-    mul_flat = G.mul.reshape(-1)
     for d in range(gal.delta.order):
-        chi_int = int(gal.chi[d])
-        for tau in range(n):
-            ot = G.element_order(tau)
-            target = G.power(tau, chi_int % ot)
-            d_tau = int(gal.action.table[d, tau])
-            lhs = G.mul[:, d_tau]                       # gamma * (d.tau)
-            conj = mul_flat[lhs * n + G.inv[np.arange(n)]]
+        for tau in range(G.order):
+            target = G.power(tau, int(gal.chi[d]) % G.element_order(tau))
+            conj = G.mul[G.mul[:, gal.action.table[d, tau]], G.inv]   # gamma (d.tau) gamma^-1
             for gamma in np.nonzero(conj == target)[0]:
                 yield d, tau, int(gamma)
+
+
+def _galois_rows(gal: GaloisDatum) -> np.ndarray:
+    """The rows (d, tau, gamma) that decide condition (ii) beside condition (i).
+
+    One row per d != 1 and cyclic subgroup <tau> != 1 that admits a gamma:
+    tau is the least generator of <tau>, gamma the least admissible one.
+    The value v at (d, tau, gamma) reads the central element
+    delta = g d(psi) g^-1 psi^-chi(d) of the extension at level Z/(nN),
+    n = ord tau, as delta = n v, for psi a lift of tau of order n and g one
+    of gamma; central shifts cancel, so delta depends on neither lift.
+    Every other admissible triple adds nothing to the commuting-pair rows:
+
+    - d = 1 gives the commuting-pair row f(gamma, tau) - f(tau, gamma), and
+      <tau> = 1 gives 0.
+    - For gamma' = z gamma also admissible, z centralizes t = tau^chi(d),
+      and conjugating by a lift of z multiplies delta by the commutator of
+      the lifts of z and t: v changes by the commuting-pair row at (z, t).
+    - For k a unit mod n, gamma is admissible for (d, tau^k) and psi^k
+      lifts tau^k with order n, so delta(tau^k) = delta(tau)^k, delta being
+      central.  As g d(psi) g^-1 and psi^chi(d) commute and have n-th power
+      1, delta(tau)^n = 1, and delta(tau) = delta(tau^k)^k' for
+      k k' = 1 mod n: the rows at tau and tau^k are multiples of each other.
+
+    So the kernel is that of every admissible triple with d != 1.  A column
+    that passes the commuting-pair rows is 0 at every gamma or at none, and
+    at every generator of <tau> or at none, so its first nonzero row, the
+    witness in br_nr's report, is the first nonzero admissible triple.
+    """
+    G = gal.G
+    n, orders, P = G.order, G.element_orders, _power_table(G)
+    units = np.gcd(np.arange(len(P))[:, None], orders) == 1
+    taus = np.nonzero(np.where(units, P, n).min(axis=0) == np.arange(n))[0][1:]
+    d = np.repeat(np.arange(1, gal.delta.order), len(taus))
+    tau = np.tile(taus, gal.delta.order - 1)
+    target = P[gal.chi[d] % orders[tau], tau]
+    conj = G.mul[G.mul[:, gal.action.table[d, tau]], G.inv[:, None]]   # conj[gamma, row]
+    hit = conj == target
+    ok = hit.any(axis=0)
+    return np.stack([d[ok], tau[ok], hit.argmax(axis=0)[ok]], axis=1)
 
 
 def galois_condition(ext: EquivariantExtension) -> tuple[bool, Optional[tuple]]:
@@ -258,10 +283,7 @@ class BrauerReport:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
 
 def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
@@ -306,8 +328,8 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     """The full pipeline: class module, Kummer quotient, unramified filter.
 
     Both conditions are linear on the Kummer quotient: Br^0_nr is the
-    kernel of the commuting-pair rows stacked on the Galois obstruction
-    rows, one column per quotient generator.
+    kernel of the commuting-pair rows stacked on the Galois rows
+    (``_galois_rows``), one column per quotient generator.
     """
     cm = class_module(gal, caps)
     if not cm.invariant_factors:
@@ -320,12 +342,11 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     fs = np.array([ge.f for ge in gens])
     cs = np.array([ge.c for ge in gens])
     pairs, S = commuting_pair_rows(gal.G, fs, N)
-    # at d = 1 the obstruction is f(gamma, tau) - f(tau, gamma), a
-    # commuting-pair row already in S
-    triples = [] if gal.base_algebraically_closed else \
-        [t for t in _admissible_triples(gal) if t[0] != 0]
+    triples = np.zeros((0, 3), dtype=np.int64) if gal.base_algebraically_closed \
+        else _galois_rows(gal)
     A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
-    witnesses = [("bogomolov", p) for p in pairs] + [("galois", t) for t in triples]
+    witnesses = [("bogomolov", p) for p in pairs] + \
+        [("galois", tuple(t)) for t in triples.tolist()]
 
     tested = []
     for i, col in enumerate(A.T):
@@ -366,8 +387,9 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
     With f = 0, C2 makes each c_d a homomorphism G -> Z/N, and C3 with
     b_d = c_d o d^-1 is the 1-cocycle law on G^(chi) = Hom(G, Z/N) under
     (d.b)(y) = chi(d) b(d^-1.y); the shifts chi(d) b - b o d are the
-    coboundaries.  A class survives iff c_d(g) = b_d(d.g) vanishes at every
-    (d, tau) admitting a gamma with gamma (d.tau) gamma^-1 = tau^chi(d).
+    coboundaries.  A class survives iff c_d(tau) = b_d(d.tau) vanishes at
+    every row (d, tau, gamma) of ``_galois_rows``: with f = 0 the
+    commuting-pair rows vanish, so those rows alone decide condition (ii).
     """
     G, N = gal.G, gal.N
     n, nd = G.order, gal.delta.order
@@ -375,15 +397,13 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
         return BrauerReport((), [], None, label="Br0_nr_alg")
     B, module = _character_module(gal)
     H = h1(gal.delta, module, caps)
-    t = len(H.invariant_factors)
-    if t == 0:
+    if not H.invariant_factors:
         return BrauerReport((), [], None, label="Br0_nr_alg")
     b = np.array(H.representatives, dtype=np.int64) @ B.T       # b[j, d, g] = b_d(g)
     cs = b[:, np.arange(nd)[:, None], gal.action.table] % N     # c_d(g) = b_d(d.g)
-    # with f = 0 the obstruction is c_d(tau), whatever gamma, so one triple
-    # per admissible (d, tau) suffices
-    triples = list({tr[:2]: tr for tr in _admissible_triples(gal)}.values())
-    A = _galois_obstructions(gal, triples, np.zeros((t, n, n), dtype=np.int64), cs)
+    # with f = 0 the obstruction is c_d(tau), whatever gamma
+    d, tau, _ = _galois_rows(gal).T
+    A = cs[:, d, tau].T
     factors, coords = class_subgroup(A, H.invariant_factors, N)
     reps = [EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
                                  np.tensordot(x, cs, axes=1) % N) for x in coords]

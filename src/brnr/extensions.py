@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 import numpy as np
@@ -137,31 +137,32 @@ class EquivariantExtension:
     def violated_law(self) -> Optional[tuple[str, tuple]]:
         """First violated law among C1, C2, C3 with a witness tuple, or None.
 
-        C1 is read at first arguments in {1} u S only (``cocycle2_defect``),
-        so its witness (g, h, k) has g there.
+        C1 is read at first arguments g in {1} u S (``cocycle2_defect``), C2
+        at e in S_Delta = ``delta.minimal_generators()`` and C3 at (d, e in
+        S_Delta, g): for a validated datum that gives all three laws, as in
+        ``class_module``.  Witnesses: (g, h, k), (e, g, h) and (d, e, g).
         """
         G, N = self.gal.G, self.gal.N
-        mul = G.mul
         f, c = self.f, self.c
         bad = cocycle2_defect(G, scalar_module(N), f[:, :, None])
         if bad is not None:
             return ("C1", bad)
-        act = self.gal.action.table
-        chi_n = self.gal.chi_mod_n
-        for d in range(self.gal.delta.order):
-            dg = act[d]
-            lhs = c[d][mul] - c[d][:, None] - c[d][None, :]
-            rhs = f[np.ix_(dg, dg)] - chi_n[d] * f
-            bad = np.argwhere((lhs - rhs) % N)
-            if bad.size:
-                g, h = map(int, bad[0])
-                return ("C2", (d, g, h))
-        for d in range(self.gal.delta.order):
-            # row e: c_{de}(g) - chi(d) c_e(g) - c_d(e.g)
-            bad = np.argwhere((c[self.gal.delta.mul[d]] - chi_n[d] * c - c[d][act]) % N)
-            if bad.size:
-                e, g = map(int, bad[0])
-                return ("C3", (d, e, g))
+        act, chi_n = self.gal.action.table, self.gal.chi_mod_n
+        SD = self.gal.delta.minimal_generators()
+        # row (e, g, h): c_e(gh) - c_e(g) - c_e(h) - f(e.g, e.h) + chi(e) f(g, h)
+        ce, ae = c[SD], act[SD]
+        defect = (ce[:, G.mul] - ce[:, :, None] - ce[:, None, :]
+                  - f[ae[:, :, None], ae[:, None, :]] + chi_n[SD, None, None] * f)
+        bad = np.argwhere(defect % N)
+        if bad.size:
+            i, g, h = map(int, bad[0])
+            return ("C2", (SD[i], g, h))
+        # row (d, e, g): c_{de}(g) - chi(d) c_e(g) - c_d(e.g)
+        defect = c[self.gal.delta.mul[:, SD]] - chi_n[:, None, None] * ce - c[:, ae]
+        bad = np.argwhere(defect % N)
+        if bad.size:
+            d, i, g = map(int, bad[0])
+            return ("C3", (d, SD[i], g))
         return None
 
     def validated(self) -> "EquivariantExtension":
@@ -203,10 +204,6 @@ class ExtensionGroup:
     action: GroupAction             # Delta on the extension group
     N: int
     base_order: int
-    section: np.ndarray             # g -> index of (0, g)
-    fiber: np.ndarray               # lambda -> index of (lambda, 1)
-    project: np.ndarray             # index -> g
-    coefficient: np.ndarray         # index -> lambda
 
     def pair_index(self, lam: int, g: int) -> int:
         return (lam % self.N) * self.base_order + g
@@ -230,18 +227,11 @@ def extension_group(ext: EquivariantExtension, gal: GaloisDatum | None = None,
         coeff = (a + lam + ext.f[g, gpart]) % N
         mul[i] = coeff * n + G.mul[g, gpart]
     group = FiniteGroup(mul, validate=validate_tables)
-    chi_n = gal.chi_mod_n
-    act_tab = np.empty((gal.delta.order, total), dtype=np.int64)
-    for d in range(gal.delta.order):
-        coeff = (chi_n[d] * lam + ext.c[d, gpart]) % N
-        act_tab[d] = coeff * n + gal.action.table[d, gpart]
-    action = GroupAction(gal.delta, group, act_tab)
+    coeff = (gal.chi_mod_n[:, None] * lam + ext.c[:, gpart]) % N
+    action = GroupAction(gal.delta, group, coeff * n + gal.action.table[:, gpart])
     if validate_tables:
         action.validate()
-    return ExtensionGroup(group, action, N, n,
-                          section=np.arange(n, dtype=np.int64),
-                          fiber=np.arange(N, dtype=np.int64) * n,
-                          project=gpart, coefficient=lam)
+    return ExtensionGroup(group, action, N, n)
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +281,17 @@ def splits_equivariantly(ext: EquivariantExtension, elements, delta_elements=Non
     elems = _check_subgroup(G, elements)
     dels = np.arange(gal.delta.order) if delta_elements is None \
         else np.array(sorted(set(int(d) for d in delta_elements)), dtype=np.int64)
-    act = gal.action.table
-    for d in dels:
-        imgs = act[d][elems]
-        if not np.isin(imgs, elems).all():
-            g = int(elems[int(np.argwhere(~np.isin(imgs, elems))[0])])
-            raise NotStable("subgroup is not stable under the Galois action",
-                            witness=(int(d), g))
+    imgs = gal.action.table[np.ix_(dels, elems)]
+    bad = np.argwhere(~np.isin(imgs, elems))
+    if bad.size:
+        raise NotStable("subgroup is not stable under the Galois action",
+                        witness=(int(dels[bad[0, 0]]), int(elems[bad[0, 1]])))
     k = elems.size
     if k == 1:
         return np.zeros(1, dtype=np.int64)
     H, _ = G.subgroup_table(elems)
-    pos = np.zeros(G.order, dtype=np.int64)
-    pos[elems] = np.arange(k)
     rows = np.vstack([-_coboundary_rows(H, N),
-                      _twist_rows(pos[act[np.ix_(dels, elems)]], gal.chi[dels], N)])
+                      _twist_rows(np.searchsorted(elems, imgs), gal.chi[dels], N)])
     rhs = np.concatenate([scale * ext.f[np.ix_(elems[1:], elems[1:])].reshape(-1),
                           -scale * ext.c[np.ix_(dels, elems[1:])].reshape(-1)])
     x = solve(rows % N, rhs % N, N)
@@ -325,17 +311,14 @@ def pullback(ext: EquivariantExtension, elements,
     """
     gal = ext.gal
     elems = _check_subgroup(gal.G, elements)
-    act = gal.action.table
-    for d in range(gal.delta.order):
-        if not np.isin(act[d][elems], elems).all():
-            raise NotStable("subgroup not Galois-stable", witness=int(d))
+    imgs = gal.action.table[:, elems]
+    stable = np.isin(imgs, elems).all(axis=1)
+    if not stable.all():
+        raise NotStable("subgroup not Galois-stable", witness=int(np.argmin(stable)))
     H, idx = gal.G.subgroup_table(elems)
-    pos = {int(e): i for i, e in enumerate(idx)}
-    sub_act = np.array([[pos[int(act[d, e])] for e in idx]
-                        for d in range(gal.delta.order)], dtype=np.int64)
     new_gal = sub_gal or GaloisDatum(gal.delta, H, gal.chi,
-                                     GroupAction(gal.delta, H, sub_act), gal.N,
-                                     gal.base_algebraically_closed)
+                                     GroupAction(gal.delta, H, np.searchsorted(idx, imgs)),
+                                     gal.N, gal.base_algebraically_closed)
     f = ext.f[np.ix_(idx, idx)]
     c = ext.c[:, idx]
     return EquivariantExtension(new_gal, f, c), idx
@@ -358,10 +341,7 @@ class ClassModule:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     def coordinates(self, ext) -> Optional[np.ndarray]:
         """Class coordinates of a pair; None if it breaks one of C1-C3.

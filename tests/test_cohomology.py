@@ -402,6 +402,38 @@ def test_cup_product():
     assert not z.any()
 
 
+def cup_by_pairing(G, M, x, Mdual, y):
+    """Reference cup table: one AbelianModule.pairing call per (s, t)."""
+    n = G.order
+    x, y = M.reduce(x), Mdual.reduce(y)
+    out = np.zeros((n, n), dtype=np.int64)
+    for s in range(n):
+        ys = y @ Mdual.matrix(s).T
+        for t in range(n):
+            out[s, t] = M.pairing(Mdual.reduce(ys[t]), x[s])
+    out[0, :] = 0
+    out[:, 0] = 0
+    return out % M.exponent
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cup_table_matches_the_pairing_loop(p):
+    # the example 7.14 modules, acted on by Q (of order 27 at p = 3) directly
+    # and through a relabelling, and a trivial module with mixed factors
+    ex = build_example_714(p)
+    sd, Q = ex.sd, ex.sd.Q
+    rng = np.random.default_rng(p)
+    V = abelian_group([2, 4])
+    triv = AbelianModule((2, 4), V, None)
+    cases = [(V, triv, triv, rng.integers(0, 4, size=(8, 2)))]
+    for c_v in (np.arange(Q.order), np.concatenate([[0], 1 + rng.permutation(Q.order - 1)])):
+        cases.append((Q, sd.N_hat.with_actor(Q, c_v), sd.N.with_actor(Q, c_v), ex.a_table))
+    for G, M, Md, x in cases:
+        for _ in range(2):
+            y = rng.integers(0, Md.exponent, size=(G.order, Md.rank))
+            assert np.array_equal(cup_h1_h1(G, M, x, Md, y), cup_by_pairing(G, M, x, Md, y))
+
+
 def test_cup_of_coboundary_is_coboundary():
     G = cyclic_group(4)
     M = scalar_module(4, G)

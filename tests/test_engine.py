@@ -1,9 +1,14 @@
 import itertools
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brnr.engine
 from brnr.caps import Caps
+from brnr.cli import main, parse_job, run_job
 from brnr.cohomology import (
     bockstein,
     character_group_generators,
@@ -19,6 +24,7 @@ from brnr.engine import (
     _admissible_triples,
     _character_module,
     _galois_obstructions,
+    _galois_rows,
     _kummer_quotient,
     algebraic_unramified,
     b0,
@@ -41,6 +47,7 @@ from brnr.extensions import (
 )
 from brnr.groups import (
     AbelianModule,
+    FiniteGroup,
     GroupAction,
     abelian_group,
     alternating_group,
@@ -55,6 +62,8 @@ from brnr.groups import (
     symmetric_group,
 )
 from brnr.selfchecks import class_span, unramified_by_enumeration
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def real_datum(G, N=None) -> GaloisDatum:
@@ -226,6 +235,113 @@ def test_galois_obstruction_vanishes_on_coboundary_and_kummer_pairs(name):
                              np.concatenate(fs), np.concatenate(cs))
     assert A.shape[1] == 6 + len(phis)
     assert not A.any()
+
+
+def br_nr_by_all_triples(gal):
+    """br_nr's answer from every admissible triple with d != 1 as a Galois row:
+    (invariant factors, representatives as (f, c), tested)."""
+    N = gal.N
+    q_orders, gens = _kummer_quotient(class_module(gal))
+    fs = np.array([ge.f for ge in gens])
+    cs = np.array([ge.c for ge in gens])
+    pairs, S = commuting_pair_rows(gal.G, fs, N)
+    triples = [t for t in _admissible_triples(gal) if t[0] != 0]
+    A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
+    witnesses = [("bogomolov", p) for p in pairs] + [("galois", t) for t in triples]
+    tested = []
+    for i, col in enumerate(A.T):
+        bad = np.nonzero(col)[0]
+        tested.append((tuple(int(k == i) for k in range(len(q_orders))), not bad.size,
+                       witnesses[bad[0]] if bad.size else None))
+    factors, coords = class_subgroup(A, q_orders, N)
+    reps = [(np.tensordot(x, fs, axes=1) % N, np.tensordot(x, cs, axes=1) % N)
+            for x in coords]
+    return factors, reps, tested
+
+
+ROW_DATA = {
+    "real D4": lambda: real_datum(dihedral_group(4)),
+    "real Q8": lambda: real_datum(quaternion_group()),
+    "inner D4 chi=31": lambda: conjugation_datum(dihedral_group(4), 31),
+    "inner S3 chi=35": lambda: conjugation_datum(symmetric_group(3), 35),
+    "wang 8": lambda: wang_datum(8),
+    "wang 16": lambda: wang_datum(16),
+    **{f"psi {a},{b}": (lambda a=a, b=b: psi_datum(a, b))
+       for a, b in itertools.product((1, 3, 5, 7), repeat=2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DATA))
+def test_br_nr_galois_rows_match_all_admissible_triples(name):
+    # one row per (d, <tau>) gives the kernel, the representatives and the
+    # first failing rows of every admissible triple
+    gal = ROW_DATA[name]()
+    G = gal.G
+    keys = [t[:2] for t in _admissible_triples(gal) if t[0] != 0]
+    pairs = set(keys)
+    assert len(pairs) < len(keys)                   # several gamma for one (d, tau)
+    cyclic = {tau: G.closure([tau]) for _, tau in pairs}
+    assert len({(d, cyclic[tau]) for d, tau in pairs}) < len(pairs)   # tau^k, k a unit
+    rows = _galois_rows(gal)
+    assert len(rows) == len({(d, cyclic[tau]) for d, tau in pairs if tau})
+    factors, reps, tested = br_nr_by_all_triples(gal)
+    report = br_nr(gal)
+    assert report.invariant_factors == factors
+    assert report.tested == tested
+    assert len(report.representatives) == len(reps)
+    for ext, (f, c) in zip(report.representatives, reps):
+        assert np.array_equal(ext.f, f) and np.array_equal(ext.c, c)
+
+
+def test_no_production_path_enumerates_admissible_triples(monkeypatch, capsys):
+    # _admissible_triples stays as the reference of the Galois rows only
+    def forbidden(gal):
+        raise AssertionError("the reference enumeration was called")
+
+    monkeypatch.setattr(brnr.engine, "_admissible_triples", forbidden)
+    for name in ("real Q8", "inner D4 chi=31", "psi 1,1", "wang 8"):
+        gal = ROW_DATA[name]()
+        br_nr(gal)
+        algebraic_unramified(gal)
+    assert main(["run", str(REPO / "jobs" / "real-order2.json")]) == 0
+    assert "galois witness (1, 1, 0)" in capsys.readouterr().out
+    job = {"task": "algebraic", "group": {"kind": "table", "table": [[0, 1], [1, 0]]},
+           "galois": {"kind": "real"}}
+    assert run_job(parse_job(json.dumps(job)))[1] == 0
+    with pytest.raises(AssertionError, match="reference enumeration"):
+        galois_condition(zero_extension(gal))
+
+
+@pytest.mark.parametrize("name", ["real D4", "real Q8", "inner D4 chi=31", "psi 3,5",
+                                  "wang 8"])
+def test_galois_value_at_a_unit_power_is_that_multiple(name):
+    # v(d, tau^k, gamma) = k v(d, tau, gamma) mod N for k a unit mod ord tau,
+    # and ord(tau) v = 0, on class-module elements that need not pass
+    # condition (i)
+    gal = ROW_DATA[name]()
+    G, N = gal.G, gal.N
+    cm = class_module(gal)
+    rng = np.random.default_rng(len(name))
+    exts = [cm.element(rng.integers(0, N, size=len(cm.invariant_factors))) for _ in range(3)]
+    fs = np.array([e.f for e in exts])
+    cs = np.array([e.c for e in exts])
+    triples = list(_admissible_triples(gal))
+    base = _galois_obstructions(gal, triples, fs, cs)
+    orders = np.array([G.element_order(tau) for _, tau, _ in triples])
+    assert not (orders[:, None] * base % N).any()
+    checked = 0
+    for k in range(2, G.exponent):
+        at = [i for i, (_, tau, _) in enumerate(triples)
+              if math.gcd(k, G.element_order(tau)) == 1 and G.element_order(tau) > 2]
+        powered = [(d, G.power(tau, k), gamma) for d, tau, gamma in (triples[i] for i in at)]
+        assert np.array_equal(_galois_obstructions(gal, powered, fs, cs),
+                              k * base[at] % N)
+        for i in rng.choice(len(at), size=min(len(at), 8), replace=False):
+            for ext in exts:
+                assert galois_condition_single(ext, *triples[at[i]]) == \
+                    galois_condition_single(ext, *powered[i])
+        checked += len(at)
+    assert checked and base.any()
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +568,24 @@ def test_algebraic_unramified_of_real_like_z3_is_zero():
     assert rep.invariant_factors == expected
 
 
+def cyclotomic_datum(factors, N: int) -> GaloisDatum:
+    """The constant group G = prod Z/factors over Q at level Q(mu_(N^2)):
+    Delta = (Z/N^2)^x, tabulated on the residues prime to N, chi the residue
+    itself, acting trivially on G.  The table multiplies units mod N^2, so it
+    is a group by construction and is not validated (at |Delta| = 768 that
+    takes seconds)."""
+    units = np.array([r for r in range(1, N * N) if math.gcd(r, N) == 1])
+    delta = FiniteGroup(np.searchsorted(units, np.outer(units, units) % (N * N)),
+                        validate=False)
+    G = abelian_group(factors)
+    return GaloisDatum(delta, G, units, GroupAction.trivial(delta, G), N)
+
+
 def wang_datum(N: int) -> GaloisDatum:
-    """Wang's counterexample to Grunwald's theorem: Delta = (Z/N^2)^x,
-    tabulated on the odd residues, chi the residue itself, acting trivially
-    on G = Z/N, N a power of 2."""
-    res = list(range(1, N * N, 2))
-    pos = {r: i for i, r in enumerate(res)}
-    delta = group_from_table([[pos[a * b % (N * N)] for b in res] for a in res])
-    G = cyclic_group(N)
-    gal = GaloisDatum(delta, G, np.array(res), GroupAction.trivial(delta, G), N)
+    """Wang's counterexample to Grunwald's theorem: constant G = Z/N over Q,
+    N a power of 2, with the table of Delta validated."""
+    gal = cyclotomic_datum([N], N)
+    group_from_table(gal.delta.mul)
     gal.validate()
     return gal
 
@@ -651,6 +776,17 @@ def test_br_nr_wang_counterexample_mod_16():
     # the algebraic generator is the generator of Br^0_nr modulo Kummer classes
     assert tuple(x[:, 0] % 2) not in kummer
     assert tuple((x[:, 0] - x[:, 1]) % 2) in kummer
+
+
+@pytest.mark.parametrize("factors, N, expect", [
+    *(([n], n, (2,) if n % 8 == 0 else ()) for n in (8, 12, 16, 24, 32, 48)),
+    ([2, 8], 8, (2,)), ([8, 8], 8, (2, 2)), ([4, 4], 8, ())])
+def test_grunwald_wang_constant_groups_over_q(factors, N, expect):
+    # constant prod Z/n_i over Q: Br^0_nr = (Z/2)^#{i : 8 | n_i} (Wang, Ann.
+    # of Math. 51 (1950)); 16 is an 8th power at every odd place, not at 2
+    gal = cyclotomic_datum(factors, N)
+    assert br_nr(gal).invariant_factors == expect
+    assert algebraic_unramified(gal).invariant_factors == expect
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from brnr.groups import (
     subgroups_cyclic,
     symmetric_group,
 )
-from test_engine import cyclic_unit_datum
+from test_engine import cyclic_unit_datum, wang_datum
 from test_generator_rows import C2_DATA, relabel_datum
 
 
@@ -502,9 +502,18 @@ def test_violated_law_on_generator_rows_matches_all_rows(name):
     assert seen == ({"C1", "C2"} if gal.delta.order > 1 else {"C1"})
 
 
-def test_violated_law_finds_the_first_crossed_witness():
+def _crossed_defect(ext: EquivariantExtension, d: int, e: int, g: int) -> int:
+    """C3 at (d, e, g): c_{de}(g) - chi(d) c_e(g) - c_d(e.g) mod N."""
+    gal = ext.gal
+    return int((ext.c[gal.delta.mul[d, e], g] - gal.chi_mod_n[d] * ext.c[e, g]
+                - ext.c[d, gal.action.table[e, g]]) % gal.N)
+
+
+def test_violated_law_finds_a_crossed_witness():
     # f = 0 and c_d(g) = k_d g on Z/8: C1 and C2 hold and C3 alone decides;
-    # Delta = Z/4 acts by u = 7, so d and d^-1 act differently
+    # Delta = Z/4 acts by u = 7, so d and d^-1 act differently.  C3 is read
+    # at (d, e, g) with e in S_Delta, so the witness is a violated row, not
+    # always the first one over every e ((2, 1, 1) where that is (1, 2, 1))
     gal = cyclic_unit_datum(8, 7, 15)
     rng = np.random.default_rng(4)
     seen = set()
@@ -514,6 +523,30 @@ def test_violated_law_finds_the_first_crossed_witness():
         ext = EquivariantExtension(gal, np.zeros((8, 8), dtype=np.int64),
                                    np.outer(k, np.arange(8)) % 8)
         got = ext.violated_law()
-        assert (got is None or got[0] == "C3") and _laws_by_all_rows(ext) == ([], got)
+        c1, rest = _laws_by_all_rows(ext)
+        assert c1 == [] and (got is None) == (rest is None)
+        if got is not None:
+            assert got[0] == rest[0] == "C3" and _crossed_defect(ext, *got[1])
         seen.add(got is None)
     assert seen == {False, True}
+
+
+def test_violated_law_catches_a_twist_off_the_generators_of_delta():
+    # Wang's Delta = (Z/64)^x = Z/2 x Z/16 has two generators; a class-module
+    # element changed at one c_d, d not among them, is caught by C3
+    gal = wang_datum(8)
+    SD = gal.delta.minimal_generators()
+    assert len(SD) == 2
+    others = [d for d in range(1, gal.delta.order) if d not in SD]
+    cm = class_module(gal)
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        ext = cm.element(rng.integers(0, 2, size=len(cm.invariant_factors)))
+        assert ext.violated_law() is None
+        c = ext.c.copy()
+        d = int(rng.choice(others))
+        c[d, rng.integers(1, 8)] += rng.integers(1, 8)
+        bad = EquivariantExtension(gal, ext.f, c)
+        got = bad.violated_law()
+        assert got is not None and _laws_by_all_rows(bad)[1] is not None
+        assert got[0] == "C3" and _crossed_defect(bad, *got[1])
