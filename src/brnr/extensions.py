@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, prod
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -68,16 +68,19 @@ class GaloisDatum:
             raise ValidationError("chi table has wrong length")
 
     def validate(self) -> None:
-        n2 = self.N * self.N
-        if self.chi[0] % n2 != 1 % n2:
+        """chi, then the action; chi(de) = chi(d) chi(e) is read at e in S_Delta:
+        the e where it holds for all d are closed under products, so are all."""
+        n2, chi = self.N * self.N, self.chi
+        if chi[0] % n2 != 1 % n2:
             raise ValidationError("chi(identity) must be 1", witness=0)
-        for d in range(self.delta.order):
-            if gcd(int(self.chi[d]), n2) != 1:
-                raise ValidationError("chi value is not a unit mod N^2", witness=d)
-            for e in range(self.delta.order):
-                de = int(self.delta.mul[d, e])
-                if (self.chi[d] * self.chi[e] - self.chi[de]) % n2:
-                    raise ValidationError("chi is not multiplicative", witness=(d, e))
+        bad = np.gcd(chi, n2) != 1
+        if bad.any():
+            raise ValidationError("chi value is not a unit mod N^2", witness=int(bad.argmax()))
+        SD = self.delta.minimal_generators()
+        bad = np.argwhere((chi[:, None] * chi[SD] - chi[self.delta.mul[:, SD]]) % n2)
+        if bad.size:
+            d, i = map(int, bad[0])
+            raise ValidationError("chi is not multiplicative", witness=(d, SD[i]))
         self.action.validate()
 
     @property
@@ -210,8 +213,7 @@ class ExtensionGroup:
 
 
 def extension_group(ext: EquivariantExtension, gal: GaloisDatum | None = None,
-                    caps: Caps = DEFAULT_CAPS,
-                    validate_tables: bool = True) -> ExtensionGroup:
+                    caps: Caps = DEFAULT_CAPS) -> ExtensionGroup:
     """Build the order N*|G| group with law (a,g)(b,h) = (a+b+f(g,h), gh)."""
     gal = ext.gal if gal is None else gal
     G, N = gal.G, gal.N
@@ -226,11 +228,10 @@ def extension_group(ext: EquivariantExtension, gal: GaloisDatum | None = None,
         a, g = int(lam[i]), int(gpart[i])
         coeff = (a + lam + ext.f[g, gpart]) % N
         mul[i] = coeff * n + G.mul[g, gpart]
-    group = FiniteGroup(mul, validate=validate_tables)
+    group = FiniteGroup(mul)
     coeff = (gal.chi_mod_n[:, None] * lam + ext.c[:, gpart]) % N
     action = GroupAction(gal.delta, group, coeff * n + gal.action.table[:, gpart])
-    if validate_tables:
-        action.validate()
+    action.validate()
     return ExtensionGroup(group, action, N, n)
 
 
@@ -371,11 +372,6 @@ class ClassModule:
                                     (x @ cs.reshape(len(x), nd * n)).reshape(nd, n))
 
 
-def _grid(*axes) -> tuple[np.ndarray, ...]:
-    """Flat index arrays over the product of the axes, the first outermost."""
-    return tuple(a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
-
-
 def _c_expressions(gal: GaloisDatum, space) -> np.ndarray:
     """C[d, g, :]: c_d(g) as a combination of the unknowns of ``class_module``.
 
@@ -424,7 +420,7 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     by induction on its word length.  C2 at the other d follows from C3:
     dc_{de} = chi(d) dc_e + (dc_d)(e., e.) = (de)*f - chi(de) f by induction
     on the word length of d.  The rows along the two trees vanish
-    identically, and all Galois rows go to the kernel as one batch.
+    identically; those of C3, at the tree edges of Delta, are not built.
     """
     G, N = gal.G, gal.N
     n = G.order
@@ -437,14 +433,19 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
         raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim)
     C = _c_expressions(gal, space)
     # C2: c_e(sh) - c_e(s) - c_e(h) - f(e.s, e.h) + chi(e) f(s, h), h != 1
-    e, s, h = _grid(SD, S, np.arange(1, n))
+    e, s, h = (a.ravel() for a in np.meshgrid(SD, S, np.arange(1, n), indexing="ij"))
     c2 = C[e, G.mul[s, h]] - C[e, s] - C[e, h]
     c2[:, :n_atoms] += chi_n[e, None] * space.at(s, h) - space.at(act[e, s], act[e, h])
-    # C3: c_{de}(g) - chi(d) c_e(g) - c_d(e.g), d, g != 1
-    d, e, g = _grid(np.arange(1, gal.delta.order), SD, np.arange(1, n))
-    c3 = C[gal.delta.mul[d, e], g] - chi_n[d, None] * C[e, g] - C[d, act[e, g]]
-    galois = np.vstack([c2, c3]) % N
-    W = _kernel_from_batches(chain(space.c1_batches(dim), [galois]), dim, N)
+    # C3: c_{de}(g) - chi(d) c_e(g) - c_d(e.g), g != 1, at the (d, e) off
+    # the right BFS tree of Delta over S_Delta (d = 1 is on it)
+    off = np.ones((gal.delta.order, len(SD)), dtype=bool)
+    for _, parent, i in gal.delta.tree_levels(SD):
+        off[parent, i] = False
+    d, e = np.nonzero(off)
+    d, e, g = np.repeat(d, n - 1), np.repeat(SD[e], n - 1), np.tile(np.arange(1, n), len(d))
+    c3 = C[gal.delta.mul[d, e], g] - C[d, act[e, g]]
+    c3 -= chi_n[d, None] * C[e, g]
+    W = _kernel_from_batches(chain(space.c1_batches(dim), [c2, c3]), dim, N)
     # coboundary pairs of b : G -> Z/N, b(1) = 0: db on the atoms, then
     # chi(e) b(s) - b(e.s) on the c_e(s)
     twist = _twist_rows(act[SD], chi_n[SD], N).reshape(len(SD), n - 1, n - 1)

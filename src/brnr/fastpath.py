@@ -116,16 +116,15 @@ def extension_from_q_cocycle(sd: SemidirectDatum, a_table: np.ndarray,
 
 def _require_coefficient_only_action(sd: SemidirectDatum, gal: GaloisDatum) -> None:
     e = sd.N.exponent
-    if (as_mod(gal.chi, e) != 1 % e).any():
-        d = int(np.nonzero(as_mod(gal.chi, e) != 1 % e)[0][0])
+    bad = as_mod(gal.chi, e) != 1 % e
+    if bad.any():
         raise ValidationError(
             "chi must be 1 mod exp(N): the coefficient roots of unity must "
-            "already be in the base field", witness=d)
-    ident = np.arange(gal.G.order, dtype=np.int64)
-    for d in range(gal.delta.order):
-        if not np.array_equal(gal.action.table[d], ident):
-            raise ValidationError("the Galois action must fix G pointwise",
-                                  witness=d)
+            "already be in the base field", witness=int(bad.argmax()))
+    bad = (gal.action.table != np.arange(gal.G.order)).any(axis=1)
+    if bad.any():
+        raise ValidationError("the Galois action must fix G pointwise",
+                              witness=int(bad.argmax()))
 
 
 def direct_product_extension_group(sd: SemidirectDatum, a_table: np.ndarray,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import lcm, prod
 
 import numpy as np
 
@@ -27,7 +27,12 @@ from .errors import (
 
 
 class FiniteGroup:
-    """A finite group given by its multiplication table (identity = 0)."""
+    """A finite group given by its multiplication table (identity = 0).
+
+    Associativity is checked at s in S = ``minimal_generators()`` (Light's
+    test): the a with (gh)a = g(ha) for all g, h contain S and are closed
+    under products, (gh)(ab) = (g(ha))b = g(h(ab)), so they are all.
+    """
 
     def __init__(self, mul: np.ndarray, *, validate: bool = True, name: str = ""):
         mul = np.asarray(mul, dtype=np.int64)
@@ -52,12 +57,12 @@ class FiniteGroup:
             raise NoInverse("element has no inverse", witness=int(np.nonzero(inv < 0)[0][0]))
         self.inv = inv
         if validate:
-            for g in range(n):
-                left = mul[mul[g]]          # (h,k) -> (g h) k
-                right = mul[g][mul]         # (h,k) -> g (h k)
-                if not np.array_equal(left, right):
-                    h, k = map(int, np.argwhere(left != right)[0])
-                    raise NonAssociative("associativity fails", witness=(g, h, k))
+            S = self.minimal_generators()
+            col = mul[:, S]                 # (h, i) -> h s_i
+            bad = np.argwhere(col[mul] != mul[:, col])
+            if bad.size:
+                g, h, i = map(int, bad[0])
+                raise NonAssociative("associativity fails", witness=(g, h, S[i]))
 
     @property
     def order(self) -> int:
@@ -94,10 +99,7 @@ class FiniteGroup:
 
     @cached_property
     def exponent(self) -> int:
-        out = 1
-        for k in self.element_orders:
-            out = out * int(k) // gcd(out, int(k))
-        return out
+        return lcm(*map(int, self.element_orders))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -318,24 +320,26 @@ class GroupAction:
             raise ValidationError("action table has wrong shape")
 
     def validate(self) -> None:
-        n = self.target.order
-        if not np.array_equal(self.table[0], np.arange(n)):
+        """Permutation rows, then row[gs] = row[g] row[s] at the target's
+        generators s and table[ae] = table[a] o table[e] at the actor's e: the
+        s, or e, where a law holds are closed under products, so are all."""
+        T, n = self.table, self.target.order
+        if not np.array_equal(T[0], np.arange(n)):
             raise ValidationError("action of the identity is not the identity map",
-                                  witness=int(self.table[0].argmax()))
-        mt = self.target.mul
-        for a in range(self.actor.order):
-            row = self.table[a]
-            if sorted(row.tolist()) != list(range(n)):
-                raise ValidationError("action row is not a permutation", witness=a)
-            if not np.array_equal(row[mt], mt[np.ix_(row, row)]):
-                bad = np.argwhere(row[mt] != mt[np.ix_(row, row)])[0]
-                raise ValidationError("action row is not an automorphism",
-                                      witness=(a, int(bad[0]), int(bad[1])))
-        for a in range(self.actor.order):
-            for b in range(self.actor.order):
-                ab = int(self.actor.mul[a, b])
-                if not np.array_equal(self.table[ab], self.table[a][self.table[b]]):
-                    raise ValidationError("action is not a homomorphism", witness=(a, b))
+                                  witness=int(T[0].argmax()))
+        bad = (np.sort(T, axis=1) != np.arange(n)).any(axis=1)
+        if bad.any():
+            raise ValidationError("action row is not a permutation", witness=int(bad.argmax()))
+        mt, S = self.target.mul, self.target.minimal_generators()
+        bad = np.argwhere(T[:, mt[:, S]] != mt[T[:, :, None], T[:, None, S]])
+        if bad.size:
+            a, g, i = map(int, bad[0])
+            raise ValidationError("action row is not an automorphism", witness=(a, g, S[i]))
+        SA = self.actor.minimal_generators()
+        bad = np.argwhere(T[self.actor.mul[:, SA]] != T[np.arange(len(T))[:, None, None], T[SA]])
+        if bad.size:
+            a, i = map(int, bad[0, :2])
+            raise ValidationError("action is not a homomorphism", witness=(a, SA[i]))
 
     def act(self, a: int, x: int) -> int:
         return int(self.table[a, x])
@@ -385,10 +389,7 @@ class AbelianModule:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
@@ -399,26 +400,23 @@ class AbelianModule:
         return np.asarray(v, dtype=np.int64) % mods
 
     def validate(self) -> None:
+        """The moduli, then M(ae) = M(a) M(e) at the actor's generators e: the
+        e where it holds for all a are closed under products, so are all."""
         if self.action is None:
             return
-        d = np.array(self.invariant_factors, dtype=np.int64)
-        for a in range(self.actor.order):
-            M = self.action[a]
-            bad = np.argwhere((M * d[None, :]) % d[:, None])
-            if bad.size:
-                i, j = map(int, bad[0])
-                raise ValidationError(
-                    "action matrix does not respect the moduli", witness=(a, i, j))
-        if not np.array_equal(self.action[0] % d[:, None],
-                              np.eye(self.rank, dtype=np.int64) % d[:, None]):
+        d = np.array(self.invariant_factors, dtype=np.int64)[:, None]
+        bad = np.argwhere(self.action * d.T % d)
+        if bad.size:
+            raise ValidationError("action matrix does not respect the moduli",
+                                  witness=tuple(map(int, bad[0])))
+        if not np.array_equal(self.action[0] % d, np.eye(self.rank, dtype=np.int64) % d):
             raise ValidationError("action of the identity is not the identity matrix")
-        for a in range(self.actor.order):
-            for b in range(self.actor.order):
-                ab = int(self.actor.mul[a, b])
-                prod = self.action[a] @ self.action[b] % d[:, None]
-                if not np.array_equal(prod, self.action[ab] % d[:, None]):
-                    raise ValidationError("module action is not a homomorphism",
-                                          witness=(a, b))
+        S = self.actor.minimal_generators()
+        bad = np.argwhere((self.action[:, None] @ self.action[S]
+                           - self.action[self.actor.mul[:, S]]) % d)
+        if bad.size:
+            a, i = map(int, bad[0, :2])
+            raise ValidationError("module action is not a homomorphism", witness=(a, S[i]))
         # invertibility of each action matrix follows from the homomorphism
         # law with the inverse element
 

@@ -573,7 +573,7 @@ def test_criterion_9_closed_forms_vs_bruteforce():
         cm = class_module(gal, DEFAULT_CAPS)
         for coords in itertools.product(*map(range, cm.invariant_factors)):
             ext = cm.element(np.asarray(coords))
-            eg = extension_group(ext, validate_tables=False)
+            eg = extension_group(ext)
             G = gal.G
             n = G.order
             for elems in ([0, 1], list(range(n))):
@@ -601,7 +601,7 @@ def test_criterion_9_closed_forms_vs_bruteforce():
         points = nonabelian_h1(ld, gal, DEFAULT_CAPS)
         for coords in itertools.product(*map(range, cm.invariant_factors)):
             ext = cm.element(np.asarray(coords))
-            eg = extension_group(ext, validate_tables=False)
+            eg = extension_group(ext)
             big = semidirect_product(eg.group, gal.delta,
                                      GroupAction(gal.delta, eg.group,
                                                  eg.action.table))

@@ -178,6 +178,14 @@ Z2 = cyclic_group(2).mul.tolist()
 BM_REAL = {"task": "bmreport", "group": {"kind": "table", "table": Z2},
            "galois": {"kind": "real"}}
 PLACE = {"delta_v_table": Z2, "to_delta": [0, 1]}
+Z4 = cyclic_group(4).mul.tolist()
+NONASSOCIATIVE = cyclic_group(6).mul.copy()
+NONASSOCIATIVE[2, 3] = 1            # identity and inverses intact
+
+
+def explicit_galois(delta, chi, action):
+    return {"task": "brnr", "group": {"kind": "table", "table": Z4},
+            "galois": {"delta_table": delta, "chi": chi, "action": action, "modulus": 4}}
 
 
 @pytest.mark.parametrize("job, field", [
@@ -211,6 +219,20 @@ PLACE = {"delta_v_table": Z2, "to_delta": [0, 1]}
     # Z/1 is no coefficient module: the job field is named, not the module
     ({"task": "sha2ab", "modulus": 1, "group": {"kind": "table", "table": Z2}},
      "sha2ab modulus must be at least 2 (witness: 1)"),
+    # the table laws, each read at generators
+    ({"task": "b0", "group": {"kind": "table", "table": NONASSOCIATIVE.tolist()}},
+     "group.table: associativity fails"),
+    (explicit_galois(Z2, [1, 1], [[0, 1, 2, 3], [0, 1, 1, 3]]), "action row is not a permutation"),
+    (explicit_galois(Z2, [1, 1], [[0, 1, 2, 3], [0, 2, 1, 3]]),
+     "action row is not an automorphism"),
+    (explicit_galois(Z4, [1] * 4, [[0, 1, 2, 3], [0, 3, 2, 1], [0, 3, 2, 1], [0, 1, 2, 3]]),
+     "action is not a homomorphism"),
+    (explicit_galois(Z2, [1, 2], [[0, 1, 2, 3]] * 2), "chi value is not a unit mod N^2"),
+    (explicit_galois(Z4, [1, 3, 1, 5], [[0, 1, 2, 3]] * 4), "chi is not multiplicative"),
+    ({"task": "b0", "group": {"kind": "semidirect", "q": {"invariant_factors": [4]},
+                              "n": {"invariant_factors": [5],
+                                    "action": [[[1]], [[2]], [[4]], [[2]]]}}},
+     "group.n: module action is not a homomorphism"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"

@@ -47,7 +47,6 @@ from brnr.extensions import (
 )
 from brnr.groups import (
     AbelianModule,
-    FiniteGroup,
     GroupAction,
     abelian_group,
     alternating_group,
@@ -571,23 +570,20 @@ def test_algebraic_unramified_of_real_like_z3_is_zero():
 def cyclotomic_datum(factors, N: int) -> GaloisDatum:
     """The constant group G = prod Z/factors over Q at level Q(mu_(N^2)):
     Delta = (Z/N^2)^x, tabulated on the residues prime to N, chi the residue
-    itself, acting trivially on G.  The table multiplies units mod N^2, so it
-    is a group by construction and is not validated (at |Delta| = 768 that
-    takes seconds)."""
+    itself, acting trivially on G; the table of Delta and the datum are
+    validated."""
     units = np.array([r for r in range(1, N * N) if math.gcd(r, N) == 1])
-    delta = FiniteGroup(np.searchsorted(units, np.outer(units, units) % (N * N)),
-                        validate=False)
+    delta = group_from_table(np.searchsorted(units, np.outer(units, units) % (N * N)))
     G = abelian_group(factors)
-    return GaloisDatum(delta, G, units, GroupAction.trivial(delta, G), N)
+    gal = GaloisDatum(delta, G, units, GroupAction.trivial(delta, G), N)
+    gal.validate()
+    return gal
 
 
 def wang_datum(N: int) -> GaloisDatum:
     """Wang's counterexample to Grunwald's theorem: constant G = Z/N over Q,
-    N a power of 2, with the table of Delta validated."""
-    gal = cyclotomic_datum([N], N)
-    group_from_table(gal.delta.mul)
-    gal.validate()
-    return gal
+    N a power of 2."""
+    return cyclotomic_datum([N], N)
 
 
 def psi_datum(a: int, b: int) -> GaloisDatum:
@@ -780,7 +776,7 @@ def test_br_nr_wang_counterexample_mod_16():
 
 @pytest.mark.parametrize("factors, N, expect", [
     *(([n], n, (2,) if n % 8 == 0 else ()) for n in (8, 12, 16, 24, 32, 48)),
-    ([2, 8], 8, (2,)), ([8, 8], 8, (2, 2)), ([4, 4], 8, ())])
+    ([2, 8], 8, (2,)), ([8, 8], 8, (2, 2)), ([4, 4], 8, ()), ([64], 64, (2,))])
 def test_grunwald_wang_constant_groups_over_q(factors, N, expect):
     # constant prod Z/n_i over Q: Br^0_nr = (Z/2)^#{i : 8 | n_i} (Wang, Ann.
     # of Math. 51 (1950)); 16 is an 8th power at every odd place, not at 2

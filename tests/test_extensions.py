@@ -234,7 +234,7 @@ def test_conjugation_formula_matches_extension_group():
     for _ in range(4):
         coords = rng.integers(0, 6, size=len(cm.invariant_factors))
         ext = cm.element(coords)
-        eg = extension_group(ext, validate_tables=False)
+        eg = extension_group(ext)
         f = ext.f
         for gamma in range(6):
             for lam in range(6):

@@ -7,6 +7,7 @@ from brnr.caps import Caps
 from brnr.cohomology import cocycle1_defect, cup_h1_h1, h1, is_scalar_coboundary
 from brnr.engine import b0, bogomolov_condition, is_unramified
 from brnr.errors import CapExceeded, NotACocycle, NotSurjective, ValidationError
+from brnr.extensions import GaloisDatum
 from brnr.fastpath import (
     SemidirectDatum,
     build_example_714,
@@ -129,6 +130,23 @@ def test_extension_from_q_cocycle_rejects_noncocycle():
     sd2 = SemidirectDatum(Q, M)
     with pytest.raises(NotACocycle):
         extension_from_q_cocycle(sd2, bad)
+
+
+def test_coefficient_only_precondition_names_the_first_offending_d():
+    sd = inverting_datum([4], [2])
+    G = semidirect_product(sd.N, sd.Q).group           # D4, nonabelian
+    delta = abelian_group([2, 2])
+    a0 = np.zeros((2, 1), dtype=np.int64)
+    ident = np.tile(np.arange(G.order), (4, 1))
+    conj = G.mul[G.mul[1], G.inv[1]]                   # moves the rotations
+    cases = [(np.ones(4), np.vstack([ident[:2], conj, conj]), "fix G pointwise", 2),
+             (np.ones(4), np.vstack([ident[:3], conj]), "fix G pointwise", 3),
+             (np.array([1, 1, 1, 3]), ident, "chi must be 1 mod exp", 3)]
+    for chi, table, message, d in cases:
+        gal = GaloisDatum(delta, G, chi, GroupAction(delta, G, table), G.order)
+        with pytest.raises(ValidationError, match=message) as err:
+            extension_from_q_cocycle(sd, a0, gal)
+        assert err.value.witness == d
 
 
 def test_extension_formula_matches_direct_construction():
