@@ -182,9 +182,15 @@ def _build_galois(spec, G: FiniteGroup) -> GaloisDatum:
     if kind == "real":
         return GaloisDatum.real_like(G, modulus)
     delta = _group_table(spec, "delta_table", "galois")
-    action = GroupAction(delta, G, _ints(spec, "action", "galois", 2))
-    gal = GaloisDatum(delta, G, _ints(spec, "chi", "galois", 1), action, modulus, closed)
-    gal.validate()
+    table = _ints(spec, "action", "galois", 2)
+    with _naming("galois.action"):
+        action = GroupAction(delta, G, table)
+    chi = _ints(spec, "chi", "galois", 1)
+    with _naming("galois.chi"):
+        gal = GaloisDatum(delta, G, chi, action, modulus, closed)
+        gal.validate_chi()
+    with _naming("galois.action"):
+        action.validate()
     return gal
 
 

@@ -15,13 +15,16 @@ values a(s), s in S, every a(g) is a fixed combination of them, and its
 rows are the cocycle identity at (g, s).  ``h1`` and the character groups
 (``character_group_generators``, ``engine._character_module``) solve it,
 so H^1 has |S| rank(M) unknowns.  For scalar coefficients with trivial
-action, ``h2_trivial_scalar`` keeps only the unknowns f(y, s) and writes
-the cocycle identity only at first arguments g in S as well,
-(n-1)|S|^2 rows: the rows at S say that the relators of a presentation
-keep their values under conjugation by S, hence by the free group, and by
-Hopf's formula (Reidemeister-Schreier) that is the whole cocycle
-identity.  The class module of extensions.py reuses these rows
-(``ReducedCocycleSpace.c1_batches``).
+action, ``h2_trivial_scalar`` fixes the gauge: a coboundary moves every
+cocycle to one that vanishes on the edges f(parent, s) of the BFS tree of
+G over S, so its unknowns are the n|S| - n + 1 Schreier atoms f(y, s) off
+the tree, the values on a free basis of the relators R of the
+presentation F -> G.  It writes the cocycle identity at first arguments g
+in S and the atoms, |S|(n|S| - n + 1) rows: they say that the relators
+keep their values under conjugation by S, hence by F, and by Hopf's
+formula that is the whole cocycle identity.  The coboundaries left are the
+|S| of the homomorphisms F -> Z/m.  The class module of extensions.py
+reuses the atoms, the rows and the gauge (``ReducedCocycleSpace``).
 
 A table is a cocycle iff the identity holds at first arguments {1} u S
 (``cocycle1_defect``, ``cocycle2_defect``, on stacks of tables, twisted
@@ -315,29 +318,50 @@ def h2(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
 
 @dataclass
 class ReducedCocycleSpace:
-    """Generator coordinates for normalized Z^2(G, Z/m) (trivial action).
+    """Gauge-fixed coordinates for Z^2(G, Z/m) (trivial action): the Schreier atoms.
 
-    Atoms are the values f(y, s) for y != 1 and s in a fixed generating set
-    S.  A normalized cocycle is fixed by its atoms: along the BFS tree of G
-    over S, f(g, x) = f(g, parent) + f(g parent, s) - f(parent, s) for
-    x = parent s.  ``levels`` holds the tree one BFS level at a time, as
-    arrays (x, parent, position of s), so each level is one vector step.
-    ``expr`` writes f(g, x) as an integer combination of atoms only for the
-    first arguments g that the generator rows read (``slot[g] < len(expr)``),
-    never as a full n x n x atoms tensor; ``expand`` rebuilds whole tables
-    by the same recurrence.  The atom vectors of cocycles are the kernel of
-    ``c1_batches``.
+    Let F be free on S = ``gens``, R the kernel of F -> G, and w_x the word
+    of x along the BFS tree of G over S (``levels``: arrays (x, parent,
+    position of s) with x = parent s, one BFS level at a time).  The
+    relators r(y, s) = w_y s w_ys^-1 for (y, s) off the tree are a free
+    basis of R (Nielsen-Schreier): the n|S| - n + 1 Schreier atoms, 65
+    instead of (n-1)|S| = 93 for Z2 x Z2 x Z8.  A normalized cocycle f
+    lifts s to (0, s) in its extension Z/m x G, which sends w_x to
+    (b(x), x) with b(x) = b(parent) + f(parent, s) (``gauge``), and r(y, s)
+    to its value f(y, s) + b(y) + b(s) - b(ys) = (f + db)(y, s).  So the
+    gauged cocycle f + db, which is cohomologous to f, vanishes on every
+    tree edge (b(s) = 0), and its other atoms are the values of a
+    homomorphism phi : R -> Z/m that vanishes on [F, R], since Z/m is
+    central.  Hopf's formula gives the exact sequence
+
+        Hom(F, Z/m) -> Hom(R/[F,R], Z/m) -> H^2(G, Z/m) -> 0
+
+    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 7.6): the
+    gauged cocycles are Hom(R/[F,R], Z/m), cut out by ``c1_batches``, and a
+    gauged cocycle is a coboundary exactly when phi is the restriction of a
+    homomorphism lambda : F -> Z/m, i.e. equals db for b(x) = lambda(w_x) =
+    word(x) . lambda(S).  Those are the |S| columns of ``coboundaries``.
+
+    ``column`` numbers the unknowns f(y, s_i), row by row, with -1 where the
+    gauge makes f zero (the tree edges, y = 1 among them); ``word`` counts the
+    generators along each tree word.  A gauged cocycle is fixed by its
+    atoms: along the tree, f(g, x) = f(g, parent) + f(g parent, s), the
+    term - f(parent, s) of the cocycle identity being zero.  ``expr`` writes
+    f(g, x) as an integer combination of atoms only for the first arguments
+    g that the generator rows read (``slot[g] < len(expr)``), never as a
+    full n x n x atoms tensor; ``expand`` rebuilds whole tables by the same
+    recurrence, and ``atomize`` reads the atoms of any cocycle's gauged
+    table.
     """
 
     group: FiniteGroup
     modulus: int
     gens: list[int]
     levels: list[np.ndarray]    # (3, nodes of the level) each
+    column: np.ndarray          # (n, |S|): atom f(y, s_i) -> its unknown, -1 if zero
+    word: np.ndarray            # (n, |S|): generator counts of the tree word of x
     slot: np.ndarray            # first argument g -> its block of expr, len(expr) if none
     expr: np.ndarray            # (blocks, n, n_atoms) int32
-
-    def atom_index(self, y, s_pos: int):
-        return (y - 1) * len(self.gens) + s_pos
 
     def at(self, g, x) -> np.ndarray:
         """Atom expressions of f(g, x) for indices g and x, broadcast.
@@ -349,48 +373,70 @@ class ReducedCocycleSpace:
     def expand(self, atoms: np.ndarray) -> np.ndarray:
         """The (n, n) table of an atom vector, or (k, n, n) for the k columns of a matrix."""
         G, m, gens = self.group, self.modulus, np.asarray(self.gens, dtype=np.int64)
-        n = G.order
         a = as_mod(atoms, m)
-        f = np.zeros((1 if a.ndim == 1 else a.shape[1], n, n), dtype=np.int64)
-        f[:, 1:, gens] = a.reshape(n - 1, len(gens), len(f)).transpose(2, 0, 1)
-        for x, parent, i in self.levels:
-            s = gens[i]
-            f[:, :, x] = f[:, :, parent] + f[:, G.mul[:, parent], s] - f[:, parent, s][:, None, :]
+        a = a[:, None] if a.ndim == 1 else a
+        a = np.vstack([a, np.zeros((1, a.shape[1]), dtype=np.int64)])   # column -1 reads 0
+        f = np.zeros((a.shape[1], G.order, G.order), dtype=np.int64)
+        f[:, :, gens] = np.moveaxis(a[self.column], 2, 0)
+        for x, parent, i in self.levels[1:]:
+            f[:, :, x] = f[:, :, parent] + f[:, G.mul[:, parent], gens[i]]
         f %= m
-        return f[0] if a.ndim == 1 else f
+        return f[0] if np.ndim(atoms) == 1 else f
+
+    def gauge(self, tables: np.ndarray) -> np.ndarray:
+        """b along the tree, b(x) = b(parent) + f(parent, s), for a table or a stack.
+
+        For a normalized cocycle f, f + db vanishes on every tree edge.
+        """
+        f, gens = np.asarray(tables, dtype=np.int64), np.asarray(self.gens, dtype=np.int64)
+        b = np.zeros(f.shape[:-1], dtype=np.int64)
+        for x, parent, i in self.levels:
+            b[..., x] = b[..., parent] + f[..., parent, gens[i]]
+        return b % self.modulus
+
+    def _atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y, i, ys_i) of each atom f(y, s_i), in the order of the unknowns."""
+        y, i = np.nonzero(self.column >= 0)
+        return y, i, self.group.mul[y, np.asarray(self.gens, dtype=np.int64)[i]]
 
     def atomize(self, tables: np.ndarray) -> np.ndarray:
-        """Atom vector of an (n, n) table, or atom columns of a (k, n, n) stack."""
-        vals = np.asarray(tables, dtype=np.int64)[..., 1:, self.gens]
-        return vals.reshape(vals.shape[:-2] + (self.expr.shape[2],)).T % self.modulus
+        """Atom vector of the gauged (n, n) table, or atom columns of a (k, n, n) stack."""
+        f, b = np.asarray(tables, dtype=np.int64), self.gauge(tables)
+        y, i, ys = self._atoms()
+        s = np.asarray(self.gens, dtype=np.int64)[i]
+        return (f[..., y, s] + b[..., y] + b[..., s] - b[..., ys]).T % self.modulus
+
+    def coboundaries(self) -> np.ndarray:
+        """db on the atoms for b(x) = word(x) . b(S): one column per generator."""
+        y, i, ys = self._atoms()
+        word = self.word
+        return (word[y] + np.eye(len(self.gens), dtype=np.int64)[i] - word[ys]) % self.modulus
 
     def c1_batches(self, width: int | None = None):
         """Row batches of the cocycle identity with first and third argument generators.
 
         The rows act on atom vectors, zero-padded on the right to ``width``
         columns: f(g,h) + f(gh,s) - f(g,hs) - f(h,s) = 0 for g, s in S and
-        h != 1.  These rows suffice (Reidemeister-Schreier): an atom vector
-        is a value map on the Schreier generators of R = ker(F -> G), F free
-        on S, and the row (g, h, s) says that the relator w_h s w_hs^-1
-        keeps its value under conjugation by g.  Those relators generate R
-        and each g in S is a child of 1 in the tree, so invariance under S
-        is invariance under F: the solutions are Hom(R/[F,R], Z/m), the
-        normalized cocycles (Hopf's formula).
+        (h, s) an atom.  The row (g, h, s) says that phi(r(h, s)) keeps its
+        value under conjugation by g, and the r(h, s) generate R, so
+        invariance under S, hence under F, is phi([F, R]) = 0.  At a tree
+        edge (h, s) the relator is 1 in F and the row vanishes identically,
+        since f(g, hs) is expanded by that very identity: it is not built.
         """
         G, m = self.group, self.modulus
-        n, n_atoms = G.order, self.expr.shape[2]
+        n_atoms = self.expr.shape[2]
         width = n_atoms if width is None else width
-        h = np.arange(1, n)
         batch = []
         for i, s in enumerate(self.gens):
-            hs = G.mul[1:, s]
+            h = np.flatnonzero(self.column[:, i] >= 0)
+            hs = G.mul[h, s]
             for g in self.gens:
-                gh = G.mul[g, 1:]
-                rows = np.zeros((n - 1, width), dtype=np.int64)
+                rows = np.zeros((len(h), width), dtype=np.int64)
                 rows[:, :n_atoms] = self.at(g, hs) - self.at(g, h)
-                rows[h - 1, self.atom_index(h, i)] += 1
-                ok = np.nonzero(gh)[0]
-                rows[ok, self.atom_index(gh[ok], i)] -= 1
+                rows[np.arange(len(h)), self.column[h, i]] += 1
+                gh = self.column[G.mul[g, h], i]
+                ok = np.flatnonzero(gh >= 0)
+                rows[ok, gh[ok]] -= 1
                 batch.append(rows % m)
                 if len(batch) == 16:
                     yield np.vstack(batch)
@@ -399,9 +445,17 @@ class ReducedCocycleSpace:
             yield np.vstack(batch)
 
 
+def _off_tree(n: int, k: int, levels) -> np.ndarray:
+    """(n, k) mask of the pairs (y, i) that are no edge (parent y, generator i) of a tree."""
+    off = np.ones((n, k), dtype=bool)
+    for _, parent, i in levels:
+        off[parent, i] = False
+    return off
+
+
 def reduced_cocycle_space(G: FiniteGroup, m: int,
                           autos: np.ndarray | None = None) -> ReducedCocycleSpace:
-    """Atoms over ``G.minimal_generators()`` and their expressions at the generators.
+    """Schreier atoms over ``G.minimal_generators()`` and their expressions at the generators.
 
     ``autos`` is an image table of automorphisms of G, one row each (a
     Galois action); expressions are then built at the images of the
@@ -414,30 +468,33 @@ def reduced_cocycle_space(G: FiniteGroup, m: int,
     gens = G.minimal_generators()
     k = len(gens)
     levels = G.tree_levels(gens)
+    atom = _off_tree(n, k, levels)
+    column = np.full((n, k), -1, dtype=np.int64)
+    column[atom] = np.arange(atom.sum())
+    word = np.zeros((n, k), dtype=np.int64)
     firsts = set(gens) if autos is None else {*gens, *autos[:, gens].ravel().tolist()}
     firsts = np.array(sorted(firsts), dtype=np.int64)
-    expr = np.zeros((len(firsts), n, (n - 1) * k), dtype=np.int32)
+    expr = np.zeros((len(firsts), n, int(atom.sum())), dtype=np.int32)
     for x, parent, i in levels:
+        word[x] = word[parent]
+        word[x, i] += 1
         expr[:, x] = expr[:, parent]
-        gp = G.mul[firsts[:, None], parent]
-        j, l = np.nonzero(gp)
-        expr[j, x[l], (gp[j, l] - 1) * k + i[l]] += 1
-        l = np.nonzero(parent)[0]
-        expr[:, x[l], (parent[l] - 1) * k + i[l]] -= 1
+        col = column[G.mul[firsts[:, None], parent], i]
+        j, l = np.nonzero(col >= 0)
+        expr[j, x[l], col[j, l]] += 1
     slot = np.full(n, len(firsts), dtype=np.int64)
     slot[firsts] = np.arange(len(firsts))
-    return ReducedCocycleSpace(G, m, gens, levels, slot, expr)
+    return ReducedCocycleSpace(G, m, gens, levels, column, word, slot, expr)
 
 
 def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
+    """H^2(G, Z/m) on the Schreier atoms, modulo the |S| gauge-fixed coboundaries."""
     n = G.order
     if n > caps.h2_group:
         raise OrderBound("h2_group", caps.h2_group, n)
     space = reduced_cocycle_space(G, m)
-    n_atoms = space.expr.shape[2]
-    cocycles = _kernel_from_batches(space.c1_batches(), n_atoms, m)
-    # coboundaries in atom coordinates: db(y, s) for s a generator
-    sub = subquotient(cocycles, _coboundary_rows(G, m, second=space.gens), m)
+    cocycles = _kernel_from_batches(space.c1_batches(), space.expr.shape[2], m)
+    sub = subquotient(cocycles, space.coboundaries(), m)
     M = scalar_module(m)
     reps = list(space.expand(sub.generator_lifts)[..., None])
 

@@ -12,8 +12,9 @@ laws make the pair a Delta-group:
 Everything here is linear in (f, c), which turns enumeration-of-extensions
 into kernel computations: the class module is the solution space of C1-C3
 modulo the coboundary pairs of a change of section.  It is solved in
-generator coordinates, for the values f(y, s) and c_e(s) with s and e
-generators of G and of Delta; the other values follow along spanning trees.
+generator coordinates and a fixed gauge, for the Schreier atoms f(y, s)
+off the spanning tree of G and the values c_e(s), with s and e generators
+of G and of Delta; the other values follow along spanning trees.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
     _coboundary_rows,
     _kernel_from_batches,
+    _off_tree,
     _twist_rows,
     bockstein,
     character_group_generators,
@@ -68,8 +70,13 @@ class GaloisDatum:
             raise ValidationError("chi table has wrong length")
 
     def validate(self) -> None:
-        """chi, then the action; chi(de) = chi(d) chi(e) is read at e in S_Delta:
-        the e where it holds for all d are closed under products, so are all."""
+        """chi (``validate_chi``), then the action."""
+        self.validate_chi()
+        self.action.validate()
+
+    def validate_chi(self) -> None:
+        """chi(1) = 1 and units mod N^2; chi(de) = chi(d) chi(e) is read at e in
+        S_Delta: the e where it holds for all d are closed under products, so are all."""
         n2, chi = self.N * self.N, self.chi
         if chi[0] % n2 != 1 % n2:
             raise ValidationError("chi(identity) must be 1", witness=0)
@@ -81,7 +88,6 @@ class GaloisDatum:
         if bad.size:
             d, i = map(int, bad[0])
             raise ValidationError("chi is not multiplicative", witness=(d, SD[i]))
-        self.action.validate()
 
     @property
     def chi_mod_n(self) -> np.ndarray:
@@ -357,9 +363,13 @@ class ClassModule:
         k, n, nd = len(exts), self.gal.G.order, self.gal.delta.order
         fs = np.array([e.f for e in exts], dtype=np.int64).reshape(k, n, n)
         cs = np.array([e.c for e in exts], dtype=np.int64).reshape(k, nd, n)
-        SD, S = self.gal.delta.minimal_generators(), self._space.gens
-        cs = cs[:, SD][:, :, S].reshape(k, len(SD) * len(S))
-        x = self._sub.coordinates(np.vstack([self._space.atomize(fs), cs.T]))
+        space, act = self._space, self.gal.action.table
+        SD, S = self.gal.delta.minimal_generators(), space.gens
+        # the c-part of the gauged pair: c + chi b - b o d, b(s) = 0
+        b = space.gauge(fs)
+        cs = cs[:, SD][:, :, S] - b[:, act[SD][:, S]]
+        x = self._sub.coordinates(np.vstack([space.atomize(fs),
+                                             cs.reshape(k, len(SD) * len(S)).T]))
         return x[:, 0] if single and x is not None else x
 
     def element(self, coords) -> EquivariantExtension:
@@ -406,21 +416,32 @@ def _c_expressions(gal: GaloisDatum, space) -> np.ndarray:
 def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     """Solve C1-C3 mod N and quotient by the coboundary pairs.
 
-    The system runs in generator coordinates: its unknowns are the atoms
-    f(y, s), s in S = ``G.minimal_generators()``, then c_e(s) for e in
-    S_Delta = ``delta.minimal_generators()`` and s in S, and every c_d(g) is
-    a fixed combination of them (``_c_expressions``).  C1 rows come from the
-    reduced cocycle space.  C2 rows sit at d = e in S_Delta and first
-    arguments s in S: once f is a cocycle, F = dc_e - (e*f - chi(e) f) is a
-    trivial-action 2-cocycle, and F(s, h) = 0 for every s in S gives
-    F(sg, h) = F(g, h), so F = 0 by induction on the word length of the
-    first argument.  C3 rows sit at (d, e, g) with e in S_Delta: with
-    b_d = c_d o d^-1 they read b_{de} = b_d + d.b_e, the left 1-cocycle law
-    for the action (d.b)(y) = chi(d) b(d^-1.y), which then holds for every e
-    by induction on its word length.  C2 at the other d follows from C3:
+    Every pair (f, c) is cohomologous to one with f gauge-fixed: the pair
+    of b = ``space.gauge(f)``, (db, chi b - b o d), makes f vanish on the
+    tree edges of G (``ReducedCocycleSpace``).  So the system runs on the
+    gauged pairs, in generator coordinates: its unknowns are the Schreier
+    atoms of f, then c_e(s) for e in S_Delta = ``delta.minimal_generators()``
+    and s in S = ``G.minimal_generators()``, (n|S| - n + 1) + |S_Delta||S|
+    in all, and every c_d(g) is a fixed combination of them
+    (``_c_expressions``).  C1 rows come from the reduced cocycle space.  C2
+    rows sit at d = e in S_Delta and first arguments s in S: once f is a
+    cocycle, F = dc_e - (e*f - chi(e) f) is a trivial-action 2-cocycle, and
+    F(s, h) = 0 for every s in S gives F(sg, h) = F(g, h), so F = 0 by
+    induction on the word length of the first argument.  C3 rows sit at
+    (d, e, g) with e in S_Delta: with b_d = c_d o d^-1 they read
+    b_{de} = b_d + d.b_e, the left 1-cocycle law for the action
+    (d.b)(y) = chi(d) b(d^-1.y), which then holds for every e by induction
+    on its word length.  C2 at the other d follows from C3:
     dc_{de} = chi(d) dc_e + (dc_d)(e., e.) = (de)*f - chi(de) f by induction
-    on the word length of d.  The rows along the two trees vanish
-    identically; those of C3, at the tree edges of Delta, are not built.
+    on the word length of d.  The rows along the three trees vanish
+    identically and are not built: C1 at the tree edges of G, C2 at the
+    edges of the left tree of G that ``_c_expressions`` follows, C3 at the
+    tree edges of Delta.
+
+    A gauged pair is a coboundary pair exactly when its b keeps f gauged,
+    db = 0 on the tree edges, i.e. b(x) = word(x) . b(S) (Hopf's formula,
+    as for H^2): the |S| columns of ``space.coboundaries`` on the atoms,
+    with chi(e) b(s) - b(e.s) on the c_e(s).
     """
     G, N = gal.G, gal.N
     n = G.order
@@ -432,25 +453,23 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     if dim > caps.class_module_unknowns:
         raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim)
     C = _c_expressions(gal, space)
-    # C2: c_e(sh) - c_e(s) - c_e(h) - f(e.s, e.h) + chi(e) f(s, h), h != 1
-    e, s, h = (a.ravel() for a in np.meshgrid(SD, S, np.arange(1, n), indexing="ij"))
+    # C2: c_e(sh) - c_e(s) - c_e(h) - f(e.s, e.h) + chi(e) f(s, h), h != 1,
+    # off the left BFS tree of G over S (h = 1 is on it)
+    h, i = np.nonzero(_off_tree(n, len(S), G.tree_levels(S, left=True)))
+    e, s, h = np.repeat(SD, len(h)), np.tile(S[i], len(SD)), np.tile(h, len(SD))
     c2 = C[e, G.mul[s, h]] - C[e, s] - C[e, h]
     c2[:, :n_atoms] += chi_n[e, None] * space.at(s, h) - space.at(act[e, s], act[e, h])
     # C3: c_{de}(g) - chi(d) c_e(g) - c_d(e.g), g != 1, at the (d, e) off
     # the right BFS tree of Delta over S_Delta (d = 1 is on it)
-    off = np.ones((gal.delta.order, len(SD)), dtype=bool)
-    for _, parent, i in gal.delta.tree_levels(SD):
-        off[parent, i] = False
-    d, e = np.nonzero(off)
+    d, e = np.nonzero(_off_tree(gal.delta.order, len(SD), gal.delta.tree_levels(SD)))
     d, e, g = np.repeat(d, n - 1), np.repeat(SD[e], n - 1), np.tile(np.arange(1, n), len(d))
     c3 = C[gal.delta.mul[d, e], g] - C[d, act[e, g]]
     c3 -= chi_n[d, None] * C[e, g]
     W = _kernel_from_batches(chain(space.c1_batches(dim), [c2, c3]), dim, N)
-    # coboundary pairs of b : G -> Z/N, b(1) = 0: db on the atoms, then
+    # coboundary pairs of b(x) = word(x) . b(S): db on the atoms, then
     # chi(e) b(s) - b(e.s) on the c_e(s)
-    twist = _twist_rows(act[SD], chi_n[SD], N).reshape(len(SD), n - 1, n - 1)
-    cols = np.vstack([_coboundary_rows(G, N, second=S),
-                      twist[:, S - 1].reshape(len(SD) * len(S), n - 1)])
+    twist = chi_n[SD, None, None] * np.eye(len(S), dtype=np.int64) - space.word[act[SD][:, S]]
+    cols = np.vstack([space.coboundaries(), twist.reshape(len(SD) * len(S), len(S)) % N])
     sub = subquotient(W, cols, N)
 
     lifts = sub.generator_lifts

@@ -233,6 +233,18 @@ def explicit_galois(delta, chi, action):
                               "n": {"invariant_factors": [5],
                                     "action": [[[1]], [[2]], [[4]], [[2]]]}}},
      "group.n: module action is not a homomorphism"),
+    # an explicit Galois datum names the field of each law
+    (explicit_galois(Z2, [1, 1], [[0, 1, 2, 3], [0, 1, 1, 3]]),
+     "galois.action: action row is not a permutation (witness: 1)"),
+    (explicit_galois(Z2, [1, 1], [[0, 1, 2, 3], [0, 2, 1, 3]]),
+     "galois.action: action row is not an automorphism"),
+    (explicit_galois(Z4, [1] * 4, [[0, 1, 2, 3], [0, 3, 2, 1], [0, 3, 2, 1], [0, 1, 2, 3]]),
+     "galois.action: action is not a homomorphism"),
+    (explicit_galois(Z2, [1, 1], [[0, 1, 2, 3]] * 3), "galois.action: action table has wrong shape"),
+    (explicit_galois(Z2, [1, 2], [[0, 1, 2, 3]] * 2), "galois.chi: chi value is not a unit"),
+    (explicit_galois(Z4, [1, 3, 1, 5], [[0, 1, 2, 3]] * 4), "galois.chi: chi is not multiplicative"),
+    (explicit_galois(Z2, [3, 1], [[0, 1, 2, 3]] * 2), "galois.chi: chi(identity) must be 1"),
+    (explicit_galois(Z2, [1, 1, 1], [[0, 1, 2, 3]] * 2), "galois.chi: chi table has wrong length"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"

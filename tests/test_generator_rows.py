@@ -7,8 +7,12 @@ the automorphism law (C2) at d in S_Delta and first arguments in S and the
 crossed law (C3) at second arguments in S_Delta.  The references below keep
 one unknown per c_d(g), every first argument g != 1, as the systems did
 before, with the full n x n x atoms expression tensor, and C3 at every
-pair d, e != 1.  Over Z/m equal kernels have equal Howell forms, so the
-comparison is bit for bit.  The f = 0 part of the full system, modulo the
+pair d, e != 1.  Production also fixes the gauge: its f vanishes on the
+tree edges of G below level 1, so it solves only on the Schreier atoms, and
+its kernel is compared with the reference kernel cut by those atoms = 0;
+with the coboundaries it spans the whole reference kernel.  Over Z/m equal
+kernels have equal Howell forms, so the comparison is bit for bit.  The
+f = 0 part of the full system, modulo the
 character shifts, is the reference for the algebraic part, which production
 computes as H^1(Delta, G^(chi)) with ``h1``.
 
@@ -75,6 +79,30 @@ def full_expr(G, gens) -> np.ndarray:
             if parent:
                 expr[:, x, (parent - 1) * k + i] -= 1
     return expr
+
+
+def tree_edge_rows(G, gens, width=None) -> np.ndarray:
+    """Rows f(parent, s) = 0 at the edges x = parent s, parent != 1, of the
+    BFS tree that ``full_expr`` follows: the gauge, on the atoms f(y, s)."""
+    n, k = G.order, len(gens)
+    rows, seen, queue = [], {0}, [0]
+    while queue:
+        parent = queue.pop(0)
+        for i, s in enumerate(gens):
+            x = int(G.mul[parent, s])
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+                if parent:
+                    rows.append((parent - 1) * k + i)
+    out = np.zeros((len(rows), (n - 1) * k if width is None else width), dtype=np.int64)
+    out[np.arange(len(rows)), rows] = 1
+    return out
+
+
+def embedded_atoms(space, K) -> np.ndarray:
+    """The rows f(y, s), y != 1 and s in S, of the tables of kernel columns K."""
+    return space.expand(K)[:, 1:, space.gens].reshape(K.shape[1], -1)
 
 
 def full_c1_rows(G, gens, m, width=None) -> np.ndarray:
@@ -172,9 +200,17 @@ def test_c1_generator_rows_match_full_rows(name, seed):
     for m in (2, 4, 12, G.order):
         space = reduced_cocycle_space(G, m)
         n_atoms = space.expr.shape[2]
+        assert n_atoms == G.order * (len(space.gens) - 1) + 1
         K = _kernel_from_batches(space.c1_batches(), n_atoms, m).gens
-        ref = howell_of_kernel(full_c1_rows(G, space.gens, m), m)
-        assert np.array_equal(echelon_compress(K.T, m), ref), m
+        rows = full_c1_rows(G, space.gens, m)
+        # the gauged cocycles are the full kernel with the tree atoms = 0
+        full = embedded_atoms(space, K)
+        ref = howell_of_kernel(np.vstack([rows, tree_edge_rows(G, space.gens)]), m)
+        assert np.array_equal(echelon_compress(full, m), ref), m
+        # and with the coboundaries db (every b, at every atom) they span it
+        cob = _coboundary_rows(G, m, second=space.gens).T
+        assert np.array_equal(echelon_compress(np.vstack([full, cob]), m),
+                              howell_of_kernel(rows, m)), m
         # every kernel vector is a whole cocycle
         for table in space.expand(K):
             assert cocycle2_defect(G, scalar_module(m), table[:, :, None]) is None
@@ -206,20 +242,31 @@ def test_c2_generator_rows_match_full_rows(name, seed):
     gal = C2_DATA[name]()
     if seed is not None:
         gal = relabel_datum(gal, seed)
-    G, N = gal.G, gal.N
+    G, N, nd = gal.G, gal.N, gal.delta.order
+    n = G.order
     gens = G.minimal_generators()
-    n_atoms = (G.order - 1) * len(gens)
-    dim = n_atoms + (gal.delta.order - 1) * (G.order - 1)
+    n_atoms = (n - 1) * len(gens)
+    dim = n_atoms + (nd - 1) * (n - 1)
     c3 = full_c3_rows(gal)
     ref = np.vstack([full_c1_rows(G, gens, N, dim), full_c2_rows(gal, gens),
                      np.hstack([np.zeros((len(c3), n_atoms), dtype=np.int64), c3])])
     cm = class_module(gal)
-    # production solves for the atoms and c_e(s), e in S_Delta, s in S; the
-    # expression table C maps its kernel onto the pairs (atoms, c_d(g))
-    W = cm._sub._W.gens
-    C = _c_expressions(gal, cm._space)
-    full = np.vstack([W[:n_atoms], (C[1:, 1:] @ W).reshape(-1, W.shape[1])]) % N
-    assert np.array_equal(echelon_compress(full.T, N), howell_of_kernel(ref, N))
+    # production solves for the Schreier atoms and c_e(s), e in S_Delta, s in
+    # S; the tables of the atoms and the expression table C map its kernel
+    # onto the pairs (atoms, c_d(g))
+    W, space = cm._sub._W.gens, cm._space
+    assert len(W) == n * (len(gens) - 1) + 1 + len(gal.delta.minimal_generators()) * len(gens)
+    C = _c_expressions(gal, space)
+    full = np.hstack([embedded_atoms(space, W[:space.expr.shape[2]]),
+                      (C[1:, 1:] @ W).reshape(-1, W.shape[1]).T]) % N
+    # the gauged pairs are the full kernel with the tree atoms of f = 0
+    gauged = np.vstack([ref, tree_edge_rows(G, gens, dim)])
+    assert np.array_equal(echelon_compress(full, N), howell_of_kernel(gauged, N))
+    # and with the coboundary pairs (db, chi(d) b - b o d) of every b they span it
+    pairs = np.vstack([_coboundary_rows(G, N, second=gens),
+                       _twist_rows(gal.action.table[1:], gal.chi_mod_n[1:], N)]).T
+    assert np.array_equal(echelon_compress(np.vstack([full, pairs]), N),
+                          howell_of_kernel(ref, N))
 
 
 CROSSED_DATA = {
