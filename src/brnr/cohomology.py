@@ -39,7 +39,9 @@ relation subgroup; ``class_subgroup`` is the one solve that turns such
 rows into invariant factors and generators, and the only code that knows
 how a class of order o sits in Z/N.  Literal death of classes on a family
 of subgroups (the Sha filters) is one stack of rows, ``death_rows``, with
-one span test per subgroup.  Death in Q/Z on every bicyclic subgroup (B_0
+one span test per inclusion-maximal member of the family: a class that
+dies on B dies on every subgroup of B, since restriction to it factors
+through B (Bogomolov 1987).  Death in Q/Z on every bicyclic subgroup (B_0
 and the Bogomolov condition of the engine) needs no subgroups at all: a
 central extension of an abelian group by the divisible group Q/Z splits
 iff it is abelian, so a class dies there iff f(x, y) = f(y, x) mod N for
@@ -499,7 +501,10 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
     reps = list(space.expand(sub.generator_lifts)[..., None])
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:
+        # a cocycle has f(1, g) = f(g, 1) = f(1, 1); minus the coboundary of
+        # the constant cochain f(1, 1), it is normalized, as atomize needs
         tables = as_mod(tables, m).reshape(-1, n, n)
+        tables = (tables - tables[:, :1, :1]) % m
         if cocycle2_defect(G, M, tables[..., None]) is not None:
             return None
         return sub.coordinates(space.atomize(tables))
@@ -718,6 +723,15 @@ def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
     return sub.invariant_factors, list(sub.generator_lifts.T % mods)
 
 
+def _maximal_members(subgroups) -> list[frozenset]:
+    """The members of a family that lie in no other member, largest first."""
+    kept: list[frozenset] = []
+    for H in sorted(map(frozenset, subgroups), key=len, reverse=True):
+        if not any(H <= K for K in kept):
+            kept.append(H)
+    return kept
+
+
 def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
                module: AbelianModule | None = None) -> np.ndarray:
     """Rows (one column per table) whose kernel holds the classes dying on every subgroup.
@@ -729,6 +743,11 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
     vanishes iff it vanishes on the rows at B's generators; so the class
     dies on B iff those rows lie in the span of B's coboundary map on them,
     which the ``span_rows`` of that map read.
+
+    Rows are built for the inclusion-maximal members only.  Restriction is
+    transitive, res_C = res^B_C o res_B, so a class that dies on B dies on
+    every C <= B: the rows of C vanish on the kernel of the rows of B, and
+    the stack keeps its kernel, the classes dying on every member.
     """
     T = np.asarray(tables, dtype=np.int64)
     defect = cocycle1_defect(G, module, T) if module is not None \
@@ -736,7 +755,7 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
     if defect is not None:
         raise AssertionError(f"table is not a cocycle at {defect}")
     blocks = [np.zeros((0, len(tables)), dtype=np.int64)]
-    for elems in subgroups:
+    for elems in _maximal_members(subgroups):
         if len(elems) == 1:
             continue
         B, idx = G.subgroup_table(elems)

@@ -382,15 +382,16 @@ class ClassModule:
                                     (x @ cs.reshape(len(x), nd * n)).reshape(nd, n))
 
 
-def _c_expressions(gal: GaloisDatum, space) -> np.ndarray:
+def _c_expressions(gal: GaloisDatum, space, left_levels, delta_levels) -> np.ndarray:
     """C[d, g, :]: c_d(g) as a combination of the unknowns of ``class_module``.
 
     The unknowns are the atoms of ``space``, then c_e(s) for e in S_Delta =
     ``delta.minimal_generators()`` (outer) and s in S = ``space.gens``.  For
-    e in S_Delta, c_e runs along the left BFS tree of G over S by C2 at first
-    argument s, c_e(s x) = c_e(s) + c_e(x) + f(e.s, e.x) - chi(e) f(s, x),
-    which reads f only at first arguments in S and e(S).  The other c_d run
-    along the right BFS tree of Delta over S_Delta by C3,
+    e in S_Delta, c_e runs along the left BFS tree of G over S
+    (``left_levels``) by C2 at first argument s,
+    c_e(s x) = c_e(s) + c_e(x) + f(e.s, e.x) - chi(e) f(s, x), which reads f
+    only at first arguments in S and e(S).  The other c_d run along the
+    right BFS tree of Delta over S_Delta (``delta_levels``) by C3,
     c_{pe}(g) = chi(p) c_e(g) + c_p(e.g).
     """
     G, N, delta = gal.G, gal.N, gal.delta
@@ -401,13 +402,13 @@ def _c_expressions(gal: GaloisDatum, space) -> np.ndarray:
     n_atoms = space.expr.shape[2]
     C = np.zeros((delta.order, G.order, n_atoms + SD.size * S.size), dtype=np.int64)
     C[E, S, n_atoms + np.arange(SD.size * S.size).reshape(SD.size, S.size)] = 1
-    for x, parent, i in G.tree_levels(S, left=True):
+    for x, parent, i in left_levels:
         s = S[i]
         C[E, x] = C[E, s] + C[E, parent]
         C[E, x, :n_atoms] += (space.at(act[E, s], act[E, parent])
                               - chi[E][..., None] * space.at(s, parent))
         C[E, x] %= N
-    for x, parent, j in delta.tree_levels(SD):
+    for x, parent, j in delta_levels:
         e = SD[j]
         C[x] = (chi[parent, None, None] * C[e] + C[parent[:, None], act[e]]) % N
     return C
@@ -452,16 +453,17 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     dim = n_atoms + len(SD) * len(S)
     if dim > caps.class_module_unknowns:
         raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim)
-    C = _c_expressions(gal, space)
+    left_levels, delta_levels = G.tree_levels(S, left=True), gal.delta.tree_levels(SD)
+    C = _c_expressions(gal, space, left_levels, delta_levels)
     # C2: c_e(sh) - c_e(s) - c_e(h) - f(e.s, e.h) + chi(e) f(s, h), h != 1,
     # off the left BFS tree of G over S (h = 1 is on it)
-    h, i = np.nonzero(_off_tree(n, len(S), G.tree_levels(S, left=True)))
+    h, i = np.nonzero(_off_tree(n, len(S), left_levels))
     e, s, h = np.repeat(SD, len(h)), np.tile(S[i], len(SD)), np.tile(h, len(SD))
     c2 = C[e, G.mul[s, h]] - C[e, s] - C[e, h]
     c2[:, :n_atoms] += chi_n[e, None] * space.at(s, h) - space.at(act[e, s], act[e, h])
     # C3: c_{de}(g) - chi(d) c_e(g) - c_d(e.g), g != 1, at the (d, e) off
     # the right BFS tree of Delta over S_Delta (d = 1 is on it)
-    d, e = np.nonzero(_off_tree(gal.delta.order, len(SD), gal.delta.tree_levels(SD)))
+    d, e = np.nonzero(_off_tree(gal.delta.order, len(SD), delta_levels))
     d, e, g = np.repeat(d, n - 1), np.repeat(SD[e], n - 1), np.tile(np.arange(1, n), len(d))
     c3 = C[gal.delta.mul[d, e], g] - C[d, act[e, g]]
     c3 -= chi_n[d, None] * C[e, g]

@@ -634,30 +634,38 @@ class AbelianStructure:
         return out
 
 
-def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure:
-    """Structure of (Z/m)^rows / colspan(A)."""
+def _factor_span(A: np.ndarray, m: int, rows: int | None,
+                 want_Pinv: bool) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(factors, rows of P, columns of P^-1) of (Z/m)^rows / colspan(A).
+
+    P A Q = D is the Smith normal form; the kept diagonal positions are the
+    invariant factors f = gcd(d, m) > 1, and P (and P^-1 if ``want_Pinv``,
+    else None) is cut to them.  An A wider than 2 rows + 16 is first
+    replaced by the transpose of the Howell form of A^T, which has the same
+    column span and at most ``rows`` columns.
+    """
     A = as_mod(A, m)
     n = rows if rows is not None else A.shape[0]
     if A.shape[0] != n:
         raise ValueError("row count mismatch")
     if m <= 1 or n == 0:
-        return AbelianStructure(m, n, (), np.zeros((n, 0), dtype=np.int64),
-                                np.zeros((0, n), dtype=np.int64))
+        return (np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64),
+                np.zeros((n, 0), dtype=np.int64))
     if A.shape[1] > 2 * n + 16:
         A = echelon_compress(A.T, m).T
-    snf = smith_normal_form_raw(A, m, want_P=True, want_Pinv=True, want_Q=False)
-    ndiag = len(snf.diag)
-    factors, keep = [], []
-    for i in range(n):
-        d = int(snf.diag[i]) if i < ndiag else 0
-        f = gcd_with_modulus(d, m)
-        if f > 1:
-            factors.append(f)
-            keep.append(i)
-    keep_arr = np.array(keep, dtype=np.int64)
-    lifts = (snf.Pinv[:, keep_arr] if keep else np.zeros((n, 0), dtype=np.int64))
-    proj = (snf.P[keep_arr, :] if keep else np.zeros((0, n), dtype=np.int64))
-    return AbelianStructure(m, n, tuple(factors), lifts % m, proj % m)
+    snf = smith_normal_form_raw(A, m, want_P=True, want_Pinv=want_Pinv, want_Q=False)
+    d = np.zeros(n, dtype=np.int64)
+    d[:len(snf.diag)] = snf.diag
+    f = np.gcd(d, m)                            # gcd(0, m) = m: a free Z/m
+    keep = np.flatnonzero(f > 1)
+    Pinv = snf.Pinv[:, keep] % m if want_Pinv else None
+    return f[keep], snf.P[keep] % m, Pinv
+
+
+def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure:
+    """Structure of (Z/m)^rows / colspan(A)."""
+    f, proj, lifts = _factor_span(A, m, rows, want_Pinv=True)
+    return AbelianStructure(m, proj.shape[1], tuple(int(x) for x in f), lifts, proj)
 
 
 def span_rows(A: np.ndarray, m: int) -> np.ndarray:
@@ -665,11 +673,12 @@ def span_rows(A: np.ndarray, m: int) -> np.ndarray:
 
     x is in the span iff each of its cokernel coordinates vanishes mod its
     invariant factor f, so R is the cokernel projection with each row
-    scaled by m/f.
+    scaled by m/f.  Only the rows of P are read: the Smith normal form is
+    asked for P alone, not for the P^-1 that ``cokernel`` keeps for its
+    generator lifts.
     """
-    coker = cokernel(A, m)
-    f = np.array(coker.invariant_factors, dtype=np.int64)
-    return coker._proj_rows * (m // f)[:, None] % m
+    f, proj, _ = _factor_span(A, m, None, want_Pinv=False)
+    return proj * (m // f)[:, None] % m
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import itertools
 import numpy as np
 import pytest
 
+import brnr.cohomology
+
 from brnr.groups import (
     AbelianModule,
     FiniteGroup,
@@ -626,16 +628,22 @@ def test_class_subgroup_matches_enumeration(N):
         class_subgroup(np.array([[0, 1]]), (N, 2), N)
 
 
-def _example_714_data():
-    ex = build_example_714(2)
+def _example_714_data(p=2):
+    ex = build_example_714(p)
     return ex.sd.Q, ex.sd.N_hat
 
 
 # (group and module, degree, family): Sha != 0 first, then Sha = 0 with
-# a nonzero ambient group, then Sha equal to the ambient group
+# a nonzero ambient group, then Sha equal to the ambient group.  The
+# reference keeps every member of the family; death_rows keeps the maximal
+# ones, which drops the lines of (Z/p)^3 under its planes in "714 p=3 bic"
+# and the centre of Q8 under its three Z/4 in "Q8 swap (Z/4)^2 cyc".  In
+# "S3 mod 6 bic" and "S4 mod 24 bic" some cyclic members are maximal
+# (every member of S3, the Z/3 of S4)
 SHA_DATA = {
     "714 p=2 bic": (_example_714_data, 1, "bic"),
     "714 p=2 cyc": (_example_714_data, 1, "cyc"),
+    "714 p=3 bic": (lambda: _example_714_data(3), 1, "bic"),
     "Z2xZ4 mod 4 cyc": (lambda: (abelian_group([2, 4]), scalar_module(4)), 2, "cyc"),
     "Z2^3 mod 4 cyc": (lambda: (abelian_group([2, 2, 2]), scalar_module(4)), 2, "cyc"),
     "Z4xZ4 mod 16 cyc": (lambda: (abelian_group([4, 4]), scalar_module(16)), 2, "cyc"),
@@ -643,6 +651,10 @@ SHA_DATA = {
     "S3 sign Z/6 cyc": (H1_DATA["S3 sign Z/6"], 1, "cyc"),
     "D4 swap (Z/2)^2 bic": (H1_DATA["D4 swap (Z/2)^2"], 1, "bic"),
     "Z4 trivial Z2xZ4 bic": (H1_DATA["Z4 trivial Z2xZ4"], 1, "bic"),
+    "Q8 swap (Z/4)^2 cyc": (lambda: (quaternion_group(), _swap_module(quaternion_group(), 4)),
+                            1, "cyc"),
+    "S3 mod 6 bic": (lambda: (symmetric_group(3), scalar_module(6)), 2, "bic"),
+    "S4 mod 24 bic": (lambda: (symmetric_group(4), scalar_module(24)), 2, "bic"),
     "Z2xZ4 mod 4 ab": (lambda: (abelian_group([2, 4]), scalar_module(4)), 2, "ab"),
     "S3 mod 24 cyc": (lambda: (symmetric_group(3), scalar_module(24)), 2, "cyc"),
     "Q8 mod 2 ab": (lambda: (quaternion_group(), scalar_module(2)), 2, "ab"),
@@ -660,6 +672,21 @@ def test_sha_matches_per_class_restriction(name):
     span = class_span(res.invariant_factors, res.coordinates_in_ambient, orders)
     assert classes_dying_by_full_rows(res) == span
     assert len(span) == res.order
+
+
+@pytest.mark.parametrize("p, planes", [(2, 7), (3, 13)])
+def test_death_rows_solve_the_maximal_members_only(p, planes, monkeypatch):
+    # the bicyclic family of Q = (Z/p)^3 is the trivial group, p^2 + p + 1
+    # lines and as many planes; one span_rows call per plane, on the d0
+    # columns at its two generators
+    Q, M = _example_714_data(p)
+    assert len(subgroups_bicyclic(Q)) == 1 + 2 * planes
+    shapes = []
+    span_rows = brnr.cohomology.span_rows
+    monkeypatch.setattr(brnr.cohomology, "span_rows",
+                        lambda A, m: shapes.append(A.shape) or span_rows(A, m))
+    assert sha(Q, M, 1, "bic").invariant_factors == (p,)
+    assert shapes == [(2 * M.rank, M.rank)] * planes
 
 
 def test_coboundary_rows_module_coefficients():

@@ -24,7 +24,8 @@ from brnr.cohomology import (
 )
 from brnr.errors import CapExceeded
 from brnr.extensions import EquivariantExtension, class_module
-from brnr.groups import alternating_group, dihedral_group, quaternion_group, symmetric_group
+from brnr.groups import (abelian_group, alternating_group, dihedral_group, quaternion_group,
+                         symmetric_group)
 
 from dense_h2 import dense_h2
 from test_engine import conjugation_datum, psi_datum, real_datum, wang_datum
@@ -109,6 +110,26 @@ def test_h2_coordinates_ignore_coboundaries(name):
     assert np.array_equal(x, y)
     # a coboundary alone has coordinates 0
     assert not H.coordinates(coboundary(G, random_cochains(G, 4, m, 3), m)[..., None]).any()
+
+
+@pytest.mark.parametrize("make", [lambda: dihedral_group(4), lambda: abelian_group([2, 4])],
+                         ids=["D4", "Z2xZ4"])
+def test_h2_coordinates_of_cocycles_that_are_not_normalized(make):
+    # a cocycle has f(1, g) = f(g, 1) = f(1, 1), which need not be 0: the
+    # constant table c is the coboundary of the constant cochain c
+    G, m = make(), 4
+    H = h2_trivial_scalar(G, m)
+    reps = np.array(H.representatives)
+    x = H.coordinates(reps)
+    for c in range(1, m):
+        const = np.full((G.order, G.order, 1), c, dtype=np.int64)
+        assert not H.coordinates(const).any()
+        assert np.array_equal(H.coordinates((reps + const) % m), x)
+        # off the constant, a table is still no cocycle
+        bad = const.copy()
+        bad[1, 1] += 1
+        assert cocycle2_defect(G, scalar_module(m), bad) is not None
+        assert H.coordinates(bad) is None
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))

@@ -256,7 +256,8 @@ def test_c2_generator_rows_match_full_rows(name, seed):
     # onto the pairs (atoms, c_d(g))
     W, space = cm._sub._W.gens, cm._space
     assert len(W) == n * (len(gens) - 1) + 1 + len(gal.delta.minimal_generators()) * len(gens)
-    C = _c_expressions(gal, space)
+    C = _c_expressions(gal, space, G.tree_levels(space.gens, left=True),
+                       gal.delta.tree_levels(gal.delta.minimal_generators()))
     full = np.hstack([embedded_atoms(space, W[:space.expr.shape[2]]),
                       (C[1:, 1:] @ W).reshape(-1, W.shape[1]).T]) % N
     # the gauged pairs are the full kernel with the tree atoms of f = 0

@@ -46,13 +46,27 @@ from test_localeval import places_onto
 REPO = Path(__file__).resolve().parents[1]
 
 
+def column_span(A: np.ndarray, m: int) -> set:
+    """Every combination of the columns of A mod m, grown one column at a time."""
+    span = np.zeros((1, A.shape[0]), dtype=np.int64)
+    for a in A.T:
+        span = (span[:, None] + np.arange(m)[:, None] * a) % m
+        span = np.unique(span.reshape(-1, A.shape[0]), axis=0)
+    return set(map(tuple, span.tolist()))
+
+
 @pytest.mark.parametrize("m", [4, 6, 8, 9])
 def test_span_rows_vanish_exactly_on_the_column_span(m):
+    # the wide A (more than 2n + 16 columns) is compressed to its Howell
+    # form before the Smith normal form; its columns lie in a random rank-2
+    # submodule, scaled by non-units, so the span is often proper
     rng = np.random.default_rng(m)
     for n in (1, 2, 3):
-        for cols in (0, 1, 2, 4):
-            A = rng.integers(0, m, size=(n, cols)) * rng.choice([1, 2, 3], size=cols) % m
-            span = {tuple(A @ np.array(x) % m) for x in itertools.product(range(m), repeat=cols)}
+        for cols in (0, 1, 2, 4, 2 * n + 17):
+            A = rng.integers(0, m, size=(n, cols)) if cols < 8 else \
+                rng.integers(0, m, size=(n, 2)) @ rng.integers(0, m, size=(2, cols))
+            A = A * rng.choice([1, 2, 3], size=cols) % m
+            span = column_span(A, m)
             R = span_rows(A, m)
             for v in itertools.product(range(m), repeat=n):
                 assert (not (R @ np.array(v) % m).any()) == (v in span)
