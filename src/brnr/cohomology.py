@@ -30,22 +30,26 @@ A table is a cocycle iff the identity holds at first arguments {1} u S
 (``cocycle1_defect``, ``cocycle2_defect``, on stacks of tables, twisted
 scalars included).  A cocycle is a coboundary iff its rows at second
 arguments in S lie in the span of d1 there, whose ``zmod.span_rows``
-vanish exactly on it: ``death_rows`` and ``coboundary_mask`` read them
-after the cocycle check.  ``is_scalar_coboundary`` solves every row for a
-witness; it is the reference.
+vanish exactly on it: ``coboundary_mask`` reads them after the cocycle
+check, and ``death_rows`` reads those of d0 for 1-cocycles.
+``is_scalar_coboundary`` solves every row for a witness; it is the
+reference.
 
 Every answer is a subgroup of classes cut out by linear rows, modulo a
 relation subgroup; ``class_subgroup`` is the one solve that turns such
 rows into invariant factors and generators, and the only code that knows
-how a class of order o sits in Z/N.  Literal death of classes on a family
-of subgroups (the Sha filters) is one stack of rows, ``death_rows``, with
-one span test per inclusion-maximal member of the family: a class that
-dies on B dies on every subgroup of B, since restriction to it factors
-through B (Bogomolov 1987).  Death in Q/Z on every bicyclic subgroup (B_0
-and the Bogomolov condition of the engine) needs no subgroups at all: a
-central extension of an abelian group by the divisible group Q/Z splits
-iff it is abelian, so a class dies there iff f(x, y) = f(y, x) mod N for
-every commuting pair, one row each in ``commuting_pair_rows``.
+how a class of order o sits in Z/N.  Death in Q/Z on every bicyclic
+subgroup (B_0 and the Bogomolov condition of the engine) needs no
+subgroups: a central extension of an abelian group by the divisible Q/Z
+splits iff it is abelian, so a class dies there iff f(x, y) = f(y, x)
+mod N for every commuting pair, one row each in ``commuting_pair_rows``
+(Bogomolov 1987).  Literal death mod N of a degree-2 class on a family
+(the Sha^2 filters of ``sha``) needs none either: it is the kernel of one
+cyclic-splitting row per g != 1 (``_power_sums``) and, for the bicyclic
+and abelian families, of the commuting-pair rows, so Sha^2_ab = Sha^2_bic.
+Degree 1 stacks ``death_rows``, one span test per inclusion-maximal member
+of the family: a class that dies on B dies on every subgroup of B, since
+restriction to it factors through B.
 """
 
 from __future__ import annotations
@@ -671,6 +675,32 @@ def bockstein(G: FiniteGroup, phi: np.ndarray, N: int,
     return f, c
 
 
+def _power_table(G: FiniteGroup) -> np.ndarray:
+    """P[k, g] = g^k for 0 <= k < exp(G)."""
+    P = np.zeros((G.exponent, G.order), dtype=np.int64)
+    for k in range(1, G.exponent):
+        P[k] = G.mul[P[k - 1], np.arange(G.order)]
+    return P
+
+
+def _power_sums(G: FiniteGroup, fs: np.ndarray, N: int) -> np.ndarray:
+    """T[:, k, g] = T_k(g) = sum_{i=1}^{k-1} f(g^i, g) mod N for 0 <= k <= exp(G).
+
+    fs is a stack (tables, |G|, |G|) of normalized scalar 2-cocycles mod N.
+    The lift (a, g) in the extension Z/N x_f G has k-th power
+    (k a + T_k(g), g^k).  With k = ord g, f dies on <g> iff some lift has
+    order k, iff gcd(k, N) divides T_k(g): the cyclic-splitting row of
+    ``sha`` is (N / gcd(k, N)) T_k(g) mod N.  On a coboundary db,
+    T_k(g) = k b(g) - b(g^k), which is k b(g) at k = ord g, so that row is
+    defined on classes.  The Galois obstructions of the engine read T at
+    other k too.
+    """
+    P = _power_table(G)
+    T = np.zeros((len(fs), len(P) + 1, G.order), dtype=np.int64)
+    T[:, 2:] = np.cumsum(fs[:, P[1:], np.arange(G.order)], axis=1) % N
+    return T
+
+
 # ---------------------------------------------------------------------------
 # Sha: classes dying on a family of subgroups
 # ---------------------------------------------------------------------------
@@ -732,17 +762,15 @@ def _maximal_members(subgroups) -> list[frozenset]:
     return kept
 
 
-def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
-               module: AbelianModule | None = None) -> np.ndarray:
-    """Rows (one column per table) whose kernel holds the classes dying on every subgroup.
+def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray],
+               M: AbelianModule) -> np.ndarray:
+    """Rows (one column per 1-cocycle) whose kernel holds the classes dying on every subgroup.
 
-    A class is sum x_j [tables[j]].  With ``module``, tables are 1-cocycles
-    valued in it and dying on B means restricting to d0 v; without it, they
-    are scalar 2-cocycles mod N (trivial action) and dying means restricting
-    to d1 b.  The restriction minus a coboundary is a cocycle, which
-    vanishes iff it vanishes on the rows at B's generators; so the class
-    dies on B iff those rows lie in the span of B's coboundary map on them,
-    which the ``span_rows`` of that map read.
+    A class is sum x_j [tables[j]], the tables 1-cocycles valued in M, and
+    dying on B means restricting to d0 v.  The restriction minus a
+    coboundary is a cocycle, which vanishes iff it vanishes at B's
+    generators; so the class dies on B iff its values there lie in the
+    span of d0 on them, which the ``span_rows`` of that map read.
 
     Rows are built for the inclusion-maximal members only.  Restriction is
     transitive, res_C = res^B_C o res_B, so a class that dies on B dies on
@@ -750,8 +778,7 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
     the stack keeps its kernel, the classes dying on every member.
     """
     T = np.asarray(tables, dtype=np.int64)
-    defect = cocycle1_defect(G, module, T) if module is not None \
-        else cocycle2_defect(G, scalar_module(N), T[..., None])
+    defect = cocycle1_defect(G, M, T)
     if defect is not None:
         raise AssertionError(f"table is not a cocycle at {defect}")
     blocks = [np.zeros((0, len(tables)), dtype=np.int64)]
@@ -760,14 +787,10 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray], N: int,
             continue
         B, idx = G.subgroup_table(elems)
         gens = B.minimal_generators()
-        if module is not None:
-            scales = np.tile(_row_scales(module), len(gens))[:, None]
-            D = _d0_columns(subgroup_module(module, B, idx), gens) * scales
-            V = T[:, idx[gens]].reshape(len(tables), -1).T * scales
-        else:
-            D = _coboundary_rows(B, N, second=gens)
-            V = T[:, idx[1:, None], idx[gens]].reshape(len(tables), -1).T
-        blocks.append(span_rows(D, N) @ V % N)
+        scales = np.tile(_row_scales(M), len(gens))[:, None]
+        D = _d0_columns(subgroup_module(M, B, idx), gens) * scales
+        V = T[:, idx[gens]].reshape(len(tables), -1).T * scales
+        blocks.append(span_rows(D, M.exponent) @ V % M.exponent)
     return np.vstack(blocks)
 
 
@@ -794,8 +817,17 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
     """Classes of H^degree(G, M) dying on every subgroup of the family.
 
     Dying is literal: the restriction is a coboundary with coefficients in
-    M.  Degree 2 needs scalar coefficients with trivial action; for death
-    in Q/Z see ``engine.b0``.
+    M.  Degree 1 stacks ``death_rows`` over the maximal members of the
+    family.  Degree 2 needs scalar coefficients Z/N with trivial action
+    (for death in Q/Z see ``engine.b0``) and lists no subgroup: its rows
+    are the cyclic-splitting rows of ``_power_sums``, one per g != 1, and
+    for ``bic`` and ``ab`` the ``commuting_pair_rows`` under them.  On an
+    abelian B where f is symmetric, the extension Z/N x_f B is abelian, and
+    an abelian extension of B = sum <b_i> splits iff it splits over each
+    <b_i>: lifts of order ord b_i extend additively.  Conversely a split
+    extension of an abelian B is abelian.  So f dies on every abelian
+    subgroup, or on every bicyclic one, iff both blocks vanish on it, and
+    Sha^2_ab = Sha^2_bic.
     """
     if family not in _FAMILIES:
         raise ValidationError(f"unknown subgroup family {family!r}")
@@ -809,11 +841,14 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
     if not orders:
         return ShaResult(ambient, (), [], [], family, degree)
     if degree == 1:
-        tables, module = ambient.representatives, M
+        rows = death_rows(G, _FAMILIES[family](G, caps), ambient.representatives, M)
     else:
-        tables, module = [rep[:, :, 0] for rep in ambient.representatives], None
-    factors, coords = class_subgroup(
-        death_rows(G, _FAMILIES[family](G, caps), tables, N, module), orders, N)
+        f = np.array([rep[:, :, 0] for rep in ambient.representatives])
+        g, k = np.arange(1, G.order), G.element_orders[1:]
+        rows = (N // np.gcd(k, N))[:, None] * _power_sums(G, f, N)[:, k, g].T % N
+        if family != "cyc":
+            rows = np.vstack([rows, commuting_pair_rows(G, f, N)[1]])
+    factors, coords = class_subgroup(rows, orders, N)
     reps = [ambient.element_table(x) for x in coords]
     return ShaResult(ambient, factors, reps, coords, family, degree)
 

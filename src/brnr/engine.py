@@ -40,6 +40,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
     ShaResult,
     _cocycle1_space,
+    _power_sums,
+    _power_table,
     bockstein,
     character_group_generators,
     class_subgroup,
@@ -88,14 +90,6 @@ def bogomolov_condition(ext: EquivariantExtension,
 # ---------------------------------------------------------------------------
 
 
-def _power_table(G: FiniteGroup) -> np.ndarray:
-    """P[k, g] = g^k for 0 <= k < exp(G)."""
-    P = np.zeros((G.exponent, G.order), dtype=np.int64)
-    for k in range(1, G.exponent):
-        P[k] = G.mul[P[k - 1], np.arange(G.order)]
-    return P
-
-
 def _galois_obstructions(gal: GaloisDatum, triples, fs: np.ndarray,
                          cs: np.ndarray) -> np.ndarray:
     """Obstruction values mod N: one row per triple, one column per pair (f, c).
@@ -114,9 +108,7 @@ def _galois_obstructions(gal: GaloisDatum, triples, fs: np.ndarray,
     d, tau, gamma = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
     n = G.element_orders[tau]
     q, j = np.divmod(gal.chi[d], n)
-    P = _power_table(G)
-    T = np.zeros((len(fs), len(P) + 1, G.order), dtype=np.int64)    # T[:, k, tau] = T_k
-    T[:, 2:] = np.cumsum(fs[:, P[1:], np.arange(G.order)], axis=1) % N
+    T = _power_sums(G, fs, N)  # T[:, k, tau] = T_k
     d_tau = gal.action.table[d, tau]
     ginv = G.inv[gamma]
     vals = (cs[:, d, tau] + fs[:, gamma, d_tau] + fs[:, G.mul[gamma, d_tau], ginv]

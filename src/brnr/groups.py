@@ -169,19 +169,18 @@ class FiniteGroup:
 
     def subgroup_table(self, elements) -> tuple["FiniteGroup", np.ndarray]:
         """Reindexed table of a subgroup; returns (group, original indices)."""
-        elems = tuple(sorted(int(e) for e in set(elements)))
-        if not elems or elems[0] != 0:
-            raise NotASubgroup("subgroup must contain the identity", witness=elems[:4])
-        pos = {e: i for i, e in enumerate(elems)}
-        sub = np.empty((len(elems), len(elems)), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                p = int(self.mul[a, b])
-                if p not in pos:
-                    raise NotASubgroup("set not closed under multiplication",
-                                       witness=(a, b, p))
-                sub[i, j] = pos[p]
-        return FiniteGroup(sub, validate=False), np.array(elems, dtype=np.int64)
+        elems = np.array(sorted({int(e) for e in elements}), dtype=np.int64)
+        if not len(elems) or elems[0] != 0:
+            raise NotASubgroup("subgroup must contain the identity",
+                               witness=tuple(elems[:4].tolist()))
+        pos = np.full(self.order, -1, dtype=np.int64)
+        pos[elems] = np.arange(len(elems))
+        sub = pos[self.mul[elems[:, None], elems]]
+        if sub.min() < 0:
+            a, b = elems[np.argwhere(sub < 0)[0]].tolist()
+            raise NotASubgroup("set not closed under multiplication",
+                               witness=(a, b, int(self.mul[a, b])))
+        return FiniteGroup(sub, validate=False), elems
 
     def __repr__(self):
         label = f" {self.name}" if self.name else ""

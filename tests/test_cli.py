@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brnr.caps import Caps
 from brnr.cli import Job, main, parse_job, run_job
-from brnr.cohomology import h1
-from brnr.errors import ParseError, ValidationError
+from brnr.cohomology import h1, scalar_module, sha
+from brnr.errors import OrderBound, ParseError, ValidationError
 from brnr.fastpath import build_example_714
-from brnr.groups import cyclic_group
+from brnr.groups import abelian_group, cyclic_group
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -137,15 +138,24 @@ def test_cap_override_flag(tmp_path):
     assert main(["run", str(f), "--cap", "h2_group=64"]) == 0
 
 
-def test_abelian_subgroup_family_keeps_the_closure_cap(tmp_path, capsys):
-    # sha2ab lists the 67 subgroups of (Z/2)^4; the job's closure cap binds
+def test_closure_cap_binds_the_degree_1_abelian_family_only(tmp_path, capsys):
+    # sha2ab reads commuting-pair and cyclic-splitting rows and lists no
+    # subgroup, so a closure cap below the 67 subgroups of (Z/2)^4 leaves its
+    # report unchanged; degree 1 still lists the abelian family
     job = {"task": "sha2ab", "modulus": 2,
            "group": {"kind": "abelian", "invariant_factors": [2, 2, 2, 2]}}
     f = tmp_path / "sha2ab.json"
     f.write_text(json.dumps(job))
-    assert main(["run", str(f), "--cap", "closure=3"]) == 4
-    assert "closure=3" in capsys.readouterr().err
-    assert main(["run", str(f)]) == 0
+    reports = []
+    for extra in (["--cap", "closure=3"], []):
+        assert main(["run", str(f), *extra]) == 0
+        reports.append([line for line in capsys.readouterr().out.splitlines()
+                        if not line.startswith("# timing")])
+    assert reports[0] == reports[1] and "Sha2_ab(G, Z/2) = 0" in reports[0]
+    G = abelian_group([2, 2, 2, 2])
+    with pytest.raises(OrderBound) as err:
+        sha(G, scalar_module(2, G), 1, "ab", caps=Caps(closure=3))
+    assert err.value.cap_name == "closure"
 
 
 def test_selftest_via_subprocess():

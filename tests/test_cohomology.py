@@ -8,6 +8,7 @@ from brnr.groups import (
     AbelianModule,
     FiniteGroup,
     abelian_group,
+    alternating_group,
     cyclic_group,
     dihedral_group,
     group_from_table,
@@ -44,7 +45,7 @@ from brnr.fastpath import build_example_714
 from brnr.selfchecks import class_span, classes_dying_by_full_rows
 from brnr.zmod import kernel
 from dense_h2 import coboundary1, dense_h2
-from test_engine import METACYCLIC
+from test_engine import METACYCLIC, _metacyclic, random_permutation_group
 from test_generator_rows import relabel
 
 
@@ -565,13 +566,6 @@ def test_twist_rows_match_loop():
                 assert rows[d * 5 + g - 1, b - 1] == expect
 
 
-def _metacyclic(n: int, q: int, u: int) -> FiniteGroup:
-    """Z/n x| Z/q with the generator of Z/q acting as multiplication by u."""
-    Q = cyclic_group(q)
-    action = np.array([[[pow(u, k, n)]] for k in range(q)], dtype=np.int64)
-    return semidirect_product(AbelianModule((n,), Q, action), Q).group
-
-
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Q8xZ2", "D4xZ2", "Z2^3",
                                   "M16", "SD16", "D8", "Z4:Z4"])
 def test_qz_death_lattice_matches_dies_in_qz(name):
@@ -658,6 +652,14 @@ SHA_DATA = {
     "Z2xZ4 mod 4 ab": (lambda: (abelian_group([2, 4]), scalar_module(4)), 2, "ab"),
     "S3 mod 24 cyc": (lambda: (symmetric_group(3), scalar_module(24)), 2, "cyc"),
     "Q8 mod 2 ab": (lambda: (quaternion_group(), scalar_module(2)), 2, "ab"),
+    "Q8 mod 2 cyc": (lambda: (quaternion_group(), scalar_module(2)), 2, "cyc"),
+    "M16 mod 4 ab": (lambda: (_metacyclic(8, 2, 5), scalar_module(4)), 2, "ab"),
+    "SD16 mod 2 bic": (lambda: (_metacyclic(8, 2, 3), scalar_module(2)), 2, "bic"),
+    "Z4:Z4 mod 2 ab": (lambda: (_metacyclic(4, 4, 3), scalar_module(2)), 2, "ab"),
+    "D4 mod 8 cyc": (lambda: (dihedral_group(4), scalar_module(8)), 2, "cyc"),
+    "D4 mod 8 ab": (lambda: (dihedral_group(4), scalar_module(8)), 2, "ab"),
+    "A4 mod 4 cyc": (lambda: (alternating_group(4), scalar_module(4)), 2, "cyc"),
+    "A4 mod 4 ab": (lambda: (alternating_group(4), scalar_module(4)), 2, "ab"),
 }
 
 @pytest.mark.parametrize("name", list(SHA_DATA))
@@ -672,6 +674,49 @@ def test_sha_matches_per_class_restriction(name):
     span = class_span(res.invariant_factors, res.coordinates_in_ambient, orders)
     assert classes_dying_by_full_rows(res) == span
     assert len(span) == res.order
+
+
+@pytest.mark.parametrize("name, factors", [
+    ("Q8 mod 2 cyc", (2, 2)), ("Q8 mod 2 ab", (2, 2)), ("M16 mod 4 ab", (2,)),
+    ("SD16 mod 2 bic", (2,)), ("Z4:Z4 mod 2 ab", (2,)),
+    ("D4 mod 8 cyc", (2,)), ("D4 mod 8 ab", ()), ("A4 mod 4 cyc", (2,)), ("A4 mod 4 ab", ())])
+def test_sha2_of_nonabelian_groups(name, factors):
+    # on D4 mod 8 and A4 mod 4 a class splits over every cyclic subgroup
+    # and is cut by the commuting-pair rows
+    make, degree, family = SHA_DATA[name]
+    assert sha(*make(), degree, family).invariant_factors == factors
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sha2_ab_equals_sha2_bic_on_random_permutation_groups(seed):
+    # an abelian extension of sum <b_i> splits iff it splits over each <b_i>,
+    # so the classes dying on every abelian subgroup, each solved on every
+    # row, are those dying on every bicyclic one
+    G = random_permutation_group(seed)
+    for m in (2, 4, 6):
+        bic, ab = (sha(G, scalar_module(m), 2, family) for family in ("bic", "ab"))
+        orders = ab.ambient.invariant_factors
+        spans = [class_span(r.invariant_factors, r.coordinates_in_ambient, orders)
+                 for r in (bic, ab)]
+        assert spans[0] == spans[1] == classes_dying_by_full_rows(ab)
+
+
+def test_sha2_lists_no_subgroup(monkeypatch):
+    # degree 2 reads two row blocks over the H^2 representatives: no member
+    # of the family is listed, tabulated or solved
+    def forbidden(*args, **kwargs):
+        raise AssertionError("degree-2 sha enumerated a subgroup")
+
+    for family in ("ab", "bic", "cyc"):
+        monkeypatch.setitem(brnr.cohomology._FAMILIES, family, forbidden)
+    for name in ("subgroups_abelian", "subgroups_bicyclic", "subgroups_cyclic"):
+        monkeypatch.setattr(brnr.cohomology, name, forbidden)
+    monkeypatch.setattr(FiniteGroup, "subgroup_table", forbidden)
+    monkeypatch.setattr(brnr.cohomology, "death_rows", forbidden)
+    monkeypatch.setattr(brnr.cohomology, "span_rows", forbidden)
+    for name in ("D4 mod 8 ab", "Z4:Z4 mod 2 ab", "SD16 mod 2 bic", "A4 mod 4 cyc"):
+        make, degree, family = SHA_DATA[name]
+        sha(*make(), degree, family)
 
 
 @pytest.mark.parametrize("p, planes", [(2, 7), (3, 13)])

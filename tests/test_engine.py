@@ -47,6 +47,7 @@ from brnr.extensions import (
 )
 from brnr.groups import (
     AbelianModule,
+    FiniteGroup,
     GroupAction,
     abelian_group,
     alternating_group,
@@ -425,6 +426,13 @@ def b0_order_by_classes(G) -> int:
     return len(dying) // len(span)
 
 
+def _metacyclic(n: int, q: int, u: int) -> FiniteGroup:
+    """Z/n x| Z/q with the generator of Z/q acting as multiplication by u."""
+    Q = cyclic_group(q)
+    action = np.array([[[pow(u, k, n)]] for k in range(q)], dtype=np.int64)
+    return semidirect_product(AbelianModule((n,), Q, action), Q).group
+
+
 # nonabelian Z/n x| Z/q, the generator of Z/q acting by u
 METACYCLIC = [(3, 2, 2), (4, 2, 3), (5, 4, 2), (7, 3, 2), (8, 2, 3), (8, 2, 5),
               (4, 4, 3), (9, 2, 8)]
@@ -435,9 +443,7 @@ def test_b0_matches_per_class_dies_in_qz(seed):
     # each group under a seeded relabelling
     rng = np.random.default_rng(seed)
     n, q, u = METACYCLIC[seed]
-    Q = cyclic_group(q)
-    action = np.array([[[pow(u, k, n)]] for k in range(q)], dtype=np.int64)
-    G = semidirect_product(AbelianModule((n,), Q, action), Q).group
+    G = _metacyclic(n, q, u)
     perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
     inv = np.argsort(perm)
     G = group_from_table(perm[G.mul[np.ix_(inv, inv)]])
@@ -476,6 +482,14 @@ def test_sha2_ab_examples():
     assert sha2_ab(symmetric_group(3), 2).invariant_factors == ()
     from brnr.groups import group_from_table
     assert sha2_ab(group_from_table([[0]]), 2).invariant_factors == ()
+
+
+def test_sha2_ab_of_an_abelian_group_is_zero():
+    # an abelian G is one of its own abelian subgroups, and (Z/2)^6 has 64
+    # elements and 2,825 subgroups, none of them listed
+    res = sha2_ab(abelian_group([2] * 6), 2)
+    assert res.ambient.invariant_factors == (2,) * 21
+    assert res.invariant_factors == ()
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +582,13 @@ def test_algebraic_unramified_of_real_like_z3_is_zero():
 
 
 def cyclotomic_datum(factors, N: int) -> GaloisDatum:
-    """The constant group G = prod Z/factors over Q at level Q(mu_(N^2)):
-    Delta = (Z/N^2)^x, tabulated on the residues prime to N, chi the residue
-    itself, acting trivially on G; the table of Delta and the datum are
-    validated."""
+    """The constant group G = prod Z/factors (or the group ``factors``) over Q
+    at level Q(mu_(N^2)): Delta = (Z/N^2)^x, tabulated on the residues prime
+    to N, chi the residue itself, acting trivially on G; the table of Delta
+    and the datum are validated."""
     units = np.array([r for r in range(1, N * N) if math.gcd(r, N) == 1])
     delta = group_from_table(np.searchsorted(units, np.outer(units, units) % (N * N)))
-    G = abelian_group(factors)
+    G = factors if isinstance(factors, FiniteGroup) else abelian_group(factors)
     gal = GaloisDatum(delta, G, units, GroupAction.trivial(delta, G), N)
     gal.validate()
     return gal
@@ -777,10 +791,13 @@ def test_br_nr_wang_counterexample_mod_16():
 
 @pytest.mark.parametrize("factors, N, expect", [
     *(([n], n, (2,) if n % 8 == 0 else ()) for n in (8, 12, 16, 24, 32, 48)),
-    ([2, 8], 8, (2,)), ([8, 8], 8, (2, 2)), ([4, 4], 8, ()), ([64], 64, (2,))])
+    ([2, 8], 8, (2,)), ([8, 8], 8, (2, 2)), ([4, 4], 8, ()), ([64], 64, (2,)),
+    (semidirect_product(cyclic_group(8), dihedral_group(4)).group, 8, (2,)),
+    (_metacyclic(3, 8, 2), 24, (2,))])
 def test_grunwald_wang_constant_groups_over_q(factors, N, expect):
     # constant prod Z/n_i over Q: Br^0_nr = (Z/2)^#{i : 8 | n_i} (Wang, Ann.
-    # of Math. 51 (1950)); 16 is an 8th power at every odd place, not at 2
+    # of Math. 51 (1950)); 16 is an 8th power at every odd place, not at 2.
+    # D4 x Z/8 and Z/3 x| Z/8 (exp G | N) have one Z/8 in G^ab, so Z/2 too
     gal = cyclotomic_datum(factors, N)
     assert br_nr(gal).invariant_factors == expect
     assert algebraic_unramified(gal).invariant_factors == expect

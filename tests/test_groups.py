@@ -254,3 +254,45 @@ def test_subgroup_table_rejects_nonsubgroup():
     S3 = symmetric_group(3)
     with pytest.raises(NotASubgroup):
         S3.subgroup_table([0, 1, 2])  # two transpositions but not closed? find real one
+
+
+def _subgroup_table_by_loop(G, elements):
+    """The reindexed table by one lookup per pair, raising at the first
+    (a, b, ab) in row-major order that leaves the set."""
+    elems = tuple(sorted(int(e) for e in set(elements)))
+    if not elems or elems[0] != 0:
+        raise NotASubgroup("subgroup must contain the identity", witness=elems[:4])
+    pos = {e: i for i, e in enumerate(elems)}
+    sub = np.empty((len(elems), len(elems)), dtype=np.int64)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            p = int(G.mul[a, b])
+            if p not in pos:
+                raise NotASubgroup("set not closed", witness=(a, b, p))
+            sub[i, j] = pos[p]
+    return sub, np.array(elems, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subgroup_table_matches_the_pairwise_loop(seed):
+    # closures of random elements (subgroups), random sets with and without
+    # the identity: the same table and indices, or the same first witness
+    S5 = symmetric_group(5)
+    rng = np.random.default_rng(seed)
+    for trial in range(50):
+        kind = trial % 3
+        if kind == 0:
+            elems = S5.closure(rng.choice(S5.order, int(rng.integers(1, 3))).tolist())
+        else:
+            elems = rng.choice(S5.order, int(rng.integers(1, 40)), replace=False).tolist()
+            elems = elems + [0] if kind == 1 else elems
+        try:
+            want = _subgroup_table_by_loop(S5, elems)
+        except NotASubgroup as exc:
+            with pytest.raises(NotASubgroup) as got:
+                S5.subgroup_table(elems)
+            assert got.value.witness == exc.witness
+            assert all(type(w) is int for w in got.value.witness)
+            continue
+        B, idx = S5.subgroup_table(elems)
+        assert np.array_equal(B.mul, want[0]) and np.array_equal(idx, want[1])
