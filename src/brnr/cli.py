@@ -177,8 +177,10 @@ def _build_galois(spec, G: FiniteGroup) -> GaloisDatum:
                               witness=kind)
     modulus = _positive_int(spec, "modulus", "galois", most=MAX_MODULUS)
     closed = _bool(spec, "base_algebraically_closed", "galois")
+    with _naming("galois.modulus"):            # exp(G) | N, a precondition of every kind
+        trivial = GaloisDatum.trivial(G, modulus, base_algebraically_closed=closed)
     if kind == "trivial":
-        return GaloisDatum.trivial(G, modulus, base_algebraically_closed=closed)
+        return trivial
     if kind == "real":
         return GaloisDatum.real_like(G, modulus)
     delta = _group_table(spec, "delta_table", "galois")

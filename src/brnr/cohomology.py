@@ -28,12 +28,15 @@ reuses the atoms, the rows and the gauge (``ReducedCocycleSpace``).
 
 A table is a cocycle iff the identity holds at first arguments {1} u S
 (``cocycle1_defect``, ``cocycle2_defect``, on stacks of tables, twisted
-scalars included).  A cocycle is a coboundary iff its rows at second
-arguments in S lie in the span of d1 there, whose ``zmod.span_rows``
-vanish exactly on it: ``coboundary_mask`` reads them after the cocycle
-check, and ``death_rows`` reads those of d0 for 1-cocycles.
-``is_scalar_coboundary`` solves every row for a witness; it is the
-reference.
+scalars included).  A 1-cocycle dies on a subgroup iff its values at the
+subgroup's generators lie in the span of d0 there (``death_rows``, by
+``zmod.span_rows``).  A scalar 2-cocycle, twisted by units u(g) or not,
+is a coboundary iff the atoms of its gauged form lie in the span of the
+|S| u-twisted coboundary columns (Gruenberg's
+H^2 = coker(Der(F, M) -> Hom_G(R^ab, M))): ``coboundary_mask`` reads
+only the values f(y, s), s in S, and does not check the cocycle law,
+which its callers prove.  ``is_scalar_coboundary`` solves every row for a
+witness; it is the reference.
 
 Every answer is a subgroup of classes cut out by linear rows, modulo a
 relation subgroup; ``class_subgroup`` is the one solve that turns such
@@ -55,6 +58,8 @@ restriction to it factors through B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,7 +77,9 @@ from .zmod import (
     Kernel,
     RowEchelon,
     SubquotientModule,
+    _howell_residue,
     as_mod,
+    echelon_compress,
     kernel,
     solve,
     span_rows,
@@ -114,18 +121,17 @@ def cocycle1_defect(G: FiniteGroup, M: AbelianModule, a: np.ndarray) -> Optional
     return tuple(map(int, hit[0])) if len(hit) else None
 
 
-def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray,
-                    gens=None) -> Optional[tuple]:
+def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray) -> Optional[tuple]:
     """First (..., g, h, k), g in {1} u S, violating the 2-cocycle identity, or None.
 
-    f is a table (n, n, rank) or a stack (..., n, n, rank), S is ``gens`` or
+    f is a table (n, n, rank) or a stack (..., n, n, rank), S is
     ``G.minimal_generators()``.  F = df is a 3-cocycle, and dF = 0 at
     (s, g, h, k) reads F(sg, h, k) = s.F(g, h, k) once F(s, ., .) = 0: so F
     vanishes everywhere if it vanishes at 1 and at S, O(|S| |G|^2) work.
     """
     n = G.order
     f = M.reduce(f)
-    rows = np.array(sorted({G.identity, *(G.minimal_generators() if gens is None else gens)}))
+    rows = np.array(sorted({G.identity, *G.minimal_generators()}))
     bad = np.zeros(f.shape[:-3] + (len(rows), n, n), dtype=bool)
     for i, g in enumerate(rows):
         acted = f if M.action is None else np.einsum("...i,ji->...j", f, M.matrix(g))
@@ -139,10 +145,6 @@ def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray,
 # ---------------------------------------------------------------------------
 # flattening helpers
 # ---------------------------------------------------------------------------
-
-
-def _vec_of_table2(table: np.ndarray) -> np.ndarray:
-    return table[1:, 1:].reshape(-1)
 
 
 def _row_scales(M: AbelianModule) -> np.ndarray:
@@ -165,31 +167,30 @@ def _d0_columns(M: AbelianModule, elements) -> np.ndarray:
     return cols.reshape(len(elements) * r, r) % M.exponent
 
 
-def _coboundary_rows(B: FiniteGroup, M: AbelianModule | int, second=None) -> np.ndarray:
+def _coboundary_rows(B: FiniteGroup, M: AbelianModule | int) -> np.ndarray:
     """Scaled matrix of d1 on 1-cochains: a -> g.a(h) - a(gh) + a(g) mod exp(M).
 
-    Rows are the pairs (g, h) with g != 1 outer and h inner, h running over
-    the elements != 1 or over ``second``, then the coordinates i of M, each
-    scaled into Z/exp(M) by exp(M)/d_i; columns are a(1), ..., a(|B|-1),
-    coordinate inner.  An integer m stands for Z/m with trivial action; a
-    unit twist u(g) is the rank-1 module ``scalar_module(m, B, u)``.
+    Rows are the pairs (g, h) with g != 1 outer and h != 1 inner, then the
+    coordinates i of M, each scaled into Z/exp(M) by exp(M)/d_i; columns
+    are a(1), ..., a(|B|-1), coordinate inner.  An integer m stands for Z/m
+    with trivial action; a unit twist u(g) is the rank-1 module
+    ``scalar_module(m, B, u)``.
     """
     n = B.order
     if isinstance(M, AbelianModule):
         r, m, acts, scales = M.rank, M.exponent, M.action, _row_scales(M)
     else:
         r, m, acts, scales = 1, M, None, np.ones(1, dtype=np.int64)
-    hs = np.arange(1, n) if second is None else np.asarray(second, dtype=np.int64)
     eye = np.eye(r, dtype=np.int64)
     acts = np.broadcast_to(eye, (n, r, r)) if acts is None else acts
     g = np.arange(1, n)[:, None]
-    h = np.arange(len(hs))[None, :]
-    out = np.zeros((n - 1, len(hs), r, n, r), dtype=np.int64)   # block 0 is a(1) = 0
-    out[g - 1, h, :, hs[None, :], :] += acts[1:, None]
-    out[g - 1, h, :, g, :] += eye
-    out[g - 1, h, :, B.mul[g, hs[None, :]], :] -= eye
+    h = np.arange(1, n)[None, :]
+    out = np.zeros((n - 1, n - 1, r, n, r), dtype=np.int64)   # block 0 is a(1) = 0
+    out[g - 1, h - 1, :, h, :] += acts[1:, None]
+    out[g - 1, h - 1, :, g, :] += eye
+    out[g - 1, h - 1, :, B.mul[g, h], :] -= eye
     out *= scales[:, None, None]
-    return out[:, :, :, 1:].reshape((n - 1) * len(hs) * r, (n - 1) * r) % m
+    return out[:, :, :, 1:].reshape((n - 1) * (n - 1) * r, (n - 1) * r) % m
 
 
 def _twist_rows(act: np.ndarray, chi: np.ndarray, m: int) -> np.ndarray:
@@ -270,10 +271,7 @@ class CohomologyGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     def element_table(self, coords) -> np.ndarray:
         """Representative cocycle for the given coordinate tuple."""
@@ -324,40 +322,34 @@ def h2(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
 
 @dataclass
 class ReducedCocycleSpace:
-    """Gauge-fixed coordinates for Z^2(G, Z/m) (trivial action): the Schreier atoms.
+    """Gauge-fixed coordinates for scalar 2-cocycles of G: the Schreier atoms.
 
-    Let F be free on S = ``gens``, R the kernel of F -> G, and w_x the word
-    of x along the BFS tree of G over S (``levels``: arrays (x, parent,
-    position of s) with x = parent s, one BFS level at a time).  The
-    relators r(y, s) = w_y s w_ys^-1 for (y, s) off the tree are a free
-    basis of R (Nielsen-Schreier): the n|S| - n + 1 Schreier atoms, 65
-    instead of (n-1)|S| = 93 for Z2 x Z2 x Z8.  A normalized cocycle f
-    lifts s to (0, s) in its extension Z/m x G, which sends w_x to
-    (b(x), x) with b(x) = b(parent) + f(parent, s) (``gauge``), and r(y, s)
-    to its value f(y, s) + b(y) + b(s) - b(ys) = (f + db)(y, s).  So the
-    gauged cocycle f + db, which is cohomologous to f, vanishes on every
-    tree edge (b(s) = 0), and its other atoms are the values of a
-    homomorphism phi : R -> Z/m that vanishes on [F, R], since Z/m is
-    central.  Hopf's formula gives the exact sequence
+    G acts on Z/m by units u(x) (u = 1: trivially).  Let F be free on
+    S = ``gens``, R the kernel of F -> G, and w_x the word of x along the
+    BFS tree of G over S (``levels``: arrays (x, parent, position of s),
+    x = parent s, one BFS level at a time).  The relators
+    r(y, s) = w_y s w_ys^-1, (y, s) off the tree, are a free basis of R
+    (Nielsen-Schreier): the n|S| - n + 1 Schreier atoms (a repeated s or
+    s = 1 labels no tree edge).  A normalized cocycle f lifts s to (0, s)
+    in Z/m x G, (a, g)(c, h) = (a + u(g) c + f(g, h), gh), so w_x goes to
+    (b(x), x), b(x) = b(parent) + f(parent, s) (``gauge``, zero on S), and
+    r(y, s) to (f + db)(y, s) = f(y, s) + b(y) - b(ys).  So f + db vanishes
+    on the tree edges, its atoms are the values of a G-map R^ab -> Z/m, and
+    it is a coboundary iff they are the values of a derivation F -> Z/m,
+    free on S: H^2 = coker(Der(F, Z/m) -> Hom_G(R^ab, Z/m)) (Gruenberg,
+    Cohomological Topics in Group Theory, LNM 143 (1970); Hopf's formula
+    for u = 1).  Directly: if f + db = db', then db' = 0 on the tree edges,
+    b'(x s) = b'(x) + u(x) b'(s), so b' = ``words(u)`` . b'(S) and the atoms
+    are ``coboundaries(u)`` b'(S).  Conversely, if the atoms are
+    ``coboundaries(u)`` v, then f + db and db' for b' = ``words(u)`` . v
+    agree at every (y, s), s in S, hence everywhere, by induction on word
+    length with f(x, ys) = f(x, y) + f(xy, s) - u(x) f(y, s).
 
-        Hom(F, Z/m) -> Hom(R/[F,R], Z/m) -> H^2(G, Z/m) -> 0
-
-    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 7.6): the
-    gauged cocycles are Hom(R/[F,R], Z/m), cut out by ``c1_batches``, and a
-    gauged cocycle is a coboundary exactly when phi is the restriction of a
-    homomorphism lambda : F -> Z/m, i.e. equals db for b(x) = lambda(w_x) =
-    word(x) . lambda(S).  Those are the |S| columns of ``coboundaries``.
-
-    ``column`` numbers the unknowns f(y, s_i), row by row, with -1 where the
-    gauge makes f zero (the tree edges, y = 1 among them); ``word`` counts the
-    generators along each tree word.  A gauged cocycle is fixed by its
-    atoms: along the tree, f(g, x) = f(g, parent) + f(g parent, s), the
-    term - f(parent, s) of the cocycle identity being zero.  ``expr`` writes
-    f(g, x) as an integer combination of atoms only for the first arguments
-    g that the generator rows read (``slot[g] < len(expr)``), never as a
-    full n x n x atoms tensor; ``expand`` rebuilds whole tables by the same
-    recurrence, and ``atomize`` reads the atoms of any cocycle's gauged
-    table.
+    ``gauge`` and ``atomize`` read the columns f(., s), s in S, (..., n, |S|).
+    ``column`` numbers the atoms row by row, -1 on the tree edges.  For
+    u = 1, f(g, x) = f(g, parent) + f(g parent, s) along the tree: so
+    ``expand`` rebuilds tables, and ``expr`` (built on first use) writes
+    f(g, x) in atoms for the g with ``slot[g] < n``.
     """
 
     group: FiniteGroup
@@ -365,9 +357,19 @@ class ReducedCocycleSpace:
     gens: list[int]
     levels: list[np.ndarray]    # (3, nodes of the level) each
     column: np.ndarray          # (n, |S|): atom f(y, s_i) -> its unknown, -1 if zero
-    word: np.ndarray            # (n, |S|): generator counts of the tree word of x
-    slot: np.ndarray            # first argument g -> its block of expr, len(expr) if none
-    expr: np.ndarray            # (blocks, n, n_atoms) int32
+    slot: np.ndarray            # first argument g -> its block of expr, n if none
+
+    @cached_property
+    def expr(self) -> np.ndarray:
+        """(blocks, n, n_atoms) int32: f(g, x) in atoms, along the tree in x."""
+        G, firsts = self.group, np.flatnonzero(self.slot < self.group.order)
+        expr = np.zeros((len(firsts), G.order, int((self.column >= 0).sum())), dtype=np.int32)
+        for x, parent, i in self.levels:
+            expr[:, x] = expr[:, parent]
+            col = self.column[G.mul[firsts[:, None], parent], i]
+            j, l = np.nonzero(col >= 0)
+            expr[j, x[l], col[j, l]] += 1
+        return expr
 
     def at(self, g, x) -> np.ndarray:
         """Atom expressions of f(g, x) for indices g and x, broadcast.
@@ -389,15 +391,15 @@ class ReducedCocycleSpace:
         f %= m
         return f[0] if np.ndim(atoms) == 1 else f
 
-    def gauge(self, tables: np.ndarray) -> np.ndarray:
-        """b along the tree, b(x) = b(parent) + f(parent, s), for a table or a stack.
+    def gauge(self, cols: np.ndarray) -> np.ndarray:
+        """b along the tree, b(x) = b(parent) + f(parent, s_i), from columns (..., n, |S|).
 
         For a normalized cocycle f, f + db vanishes on every tree edge.
         """
-        f, gens = np.asarray(tables, dtype=np.int64), np.asarray(self.gens, dtype=np.int64)
+        f = np.asarray(cols, dtype=np.int64)
         b = np.zeros(f.shape[:-1], dtype=np.int64)
         for x, parent, i in self.levels:
-            b[..., x] = b[..., parent] + f[..., parent, gens[i]]
+            b[..., x] = b[..., parent] + f[..., parent, i]
         return b % self.modulus
 
     def _atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -405,18 +407,24 @@ class ReducedCocycleSpace:
         y, i = np.nonzero(self.column >= 0)
         return y, i, self.group.mul[y, np.asarray(self.gens, dtype=np.int64)[i]]
 
-    def atomize(self, tables: np.ndarray) -> np.ndarray:
-        """Atom vector of the gauged (n, n) table, or atom columns of a (k, n, n) stack."""
-        f, b = np.asarray(tables, dtype=np.int64), self.gauge(tables)
+    def atomize(self, cols: np.ndarray) -> np.ndarray:
+        """Atoms (..., n_atoms) of the gauged cocycles with columns (..., n, |S|)."""
+        f, b = np.asarray(cols, dtype=np.int64), self.gauge(cols)
         y, i, ys = self._atoms()
-        s = np.asarray(self.gens, dtype=np.int64)[i]
-        return (f[..., y, s] + b[..., y] + b[..., s] - b[..., ys]).T % self.modulus
+        return (f[..., y, i] + b[..., y] - b[..., ys]) % self.modulus
 
-    def coboundaries(self) -> np.ndarray:
-        """db on the atoms for b(x) = word(x) . b(S): one column per generator."""
-        y, i, ys = self._atoms()
-        word = self.word
-        return (word[y] + np.eye(len(self.gens), dtype=np.int64)[i] - word[ys]) % self.modulus
+    def words(self, units: np.ndarray | None = None) -> np.ndarray:
+        """The gauge W (n, |S|) of f(y, s_i) = u(y) e_i: b = W b(S) if db = 0 on the tree edges."""
+        n, k = self.group.order, len(self.gens)
+        u = np.ones(n, dtype=np.int64) if units is None else units
+        return self.gauge(np.einsum("y,ij->jyi", u, np.eye(k, dtype=np.int64))).T
+
+    def coboundaries(self, units: np.ndarray | None = None) -> np.ndarray:
+        """(db)(y, s) = u(y) b(s) - b(ys) + b(y) on the atoms for b = ``words`` . b(S)."""
+        m, y, i, ys = self.modulus, *self._atoms()
+        u = np.ones(self.group.order, dtype=np.int64) if units is None else as_mod(units, m)
+        W = self.words(u)
+        return (u[y, None] * W[np.asarray(self.gens, dtype=np.int64)[i]] + W[y] - W[ys]) % m
 
     def c1_batches(self, width: int | None = None):
         """Row batches of the cocycle identity with first and third argument generators.
@@ -459,9 +467,9 @@ def _off_tree(n: int, k: int, levels) -> np.ndarray:
     return off
 
 
-def reduced_cocycle_space(G: FiniteGroup, m: int,
+def reduced_cocycle_space(G: FiniteGroup, m: int, gens=None,
                           autos: np.ndarray | None = None) -> ReducedCocycleSpace:
-    """Schreier atoms over ``G.minimal_generators()`` and their expressions at the generators.
+    """Schreier atoms over ``gens`` (default ``G.minimal_generators()``).
 
     ``autos`` is an image table of automorphisms of G, one row each (a
     Galois action); expressions are then built at the images of the
@@ -471,26 +479,15 @@ def reduced_cocycle_space(G: FiniteGroup, m: int,
     together with its Galois rows).
     """
     n = G.order
-    gens = G.minimal_generators()
-    k = len(gens)
+    gens = G.minimal_generators() if gens is None else list(gens)
     levels = G.tree_levels(gens)
-    atom = _off_tree(n, k, levels)
-    column = np.full((n, k), -1, dtype=np.int64)
+    atom = _off_tree(n, len(gens), levels)
+    column = np.full((n, len(gens)), -1, dtype=np.int64)
     column[atom] = np.arange(atom.sum())
-    word = np.zeros((n, k), dtype=np.int64)
     firsts = set(gens) if autos is None else {*gens, *autos[:, gens].ravel().tolist()}
-    firsts = np.array(sorted(firsts), dtype=np.int64)
-    expr = np.zeros((len(firsts), n, int(atom.sum())), dtype=np.int32)
-    for x, parent, i in levels:
-        word[x] = word[parent]
-        word[x, i] += 1
-        expr[:, x] = expr[:, parent]
-        col = column[G.mul[firsts[:, None], parent], i]
-        j, l = np.nonzero(col >= 0)
-        expr[j, x[l], col[j, l]] += 1
-    slot = np.full(n, len(firsts), dtype=np.int64)
-    slot[firsts] = np.arange(len(firsts))
-    return ReducedCocycleSpace(G, m, gens, levels, column, word, slot, expr)
+    slot = np.full(n, n, dtype=np.int64)
+    slot[sorted(firsts)] = np.arange(len(firsts))
+    return ReducedCocycleSpace(G, m, gens, levels, column, slot)
 
 
 def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
@@ -511,7 +508,7 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
         tables = (tables - tables[:, :1, :1]) % m
         if cocycle2_defect(G, M, tables[..., None]) is not None:
             return None
-        return sub.coordinates(space.atomize(tables))
+        return sub.coordinates(space.atomize(tables[..., space.gens]).T)
 
     return CohomologyGroup(G, M, 2, sub.invariant_factors, reps, coords)
 
@@ -532,10 +529,7 @@ class TateH0:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
 
 def tate_h0(G: FiniteGroup, M: AbelianModule) -> TateH0:
@@ -572,26 +566,18 @@ def dies_in_qz(f_table: np.ndarray, B: FiniteGroup, N: int) -> bool:
     return is_scalar_coboundary(B, e * f, N * e) is not None
 
 
-def coboundary_mask(B: FiniteGroup, tables: np.ndarray, m: int,
+def coboundary_mask(B: FiniteGroup, cols: np.ndarray, m: int,
                     units: np.ndarray | None = None, gens=None) -> np.ndarray:
-    """Which scalar 2-cocycles of a stack (..., n, n) are coboundaries mod m.
+    """Which normalized scalar 2-cocycles mod m, twisted by units u(g) if given, are coboundaries.
 
-    Coefficients are Z/m, twisted by the units u(g) if given.  The cocycle
-    law is checked at first arguments {1} u S, S = ``gens`` or
-    ``B.minimal_generators()``.  A cocycle minus a coboundary is a cocycle,
-    which vanishes iff it vanishes on the rows (g, s), s in S; so a table is
-    a coboundary iff those rows lie in the span of d1 on them.
+    ``cols`` (..., n, |S|) holds their values f(y, s), s in S = ``gens``
+    (default ``B.minimal_generators()``); the caller proves the cocycle law.
+    The gauged atoms are reduced against the reduced Howell form of the |S|
+    ``coboundaries(u)`` (``ReducedCocycleSpace``): no n_atoms^2 matrix.
     """
-    if m == 1:
-        return np.ones(np.shape(tables)[:-2], dtype=bool)
-    gens = B.minimal_generators() if gens is None else list(gens)
-    tables, M = as_mod(tables, m), scalar_module(m, B, units)
-    defect = cocycle2_defect(B, M, tables[..., None], gens)
-    if defect is not None:
-        raise AssertionError(f"table is not a 2-cocycle at {defect}")
-    rows = span_rows(_coboundary_rows(B, M, second=gens), m)
-    vals = tables[..., 1:, gens].reshape(tables.shape[:-2] + (rows.shape[1],)) @ rows.T
-    return ~(vals % m).any(axis=-1)
+    space = reduced_cocycle_space(B, m, gens)
+    E = echelon_compress(space.coboundaries(units).T, m)
+    return ~_howell_residue(E, space.atomize(as_mod(cols, m)), m).any(axis=-1)
 
 
 def is_scalar_coboundary(B: FiniteGroup, table: np.ndarray, m: int,
@@ -606,7 +592,7 @@ def is_scalar_coboundary(B: FiniteGroup, table: np.ndarray, m: int,
     if n == 1:
         return np.zeros(1, dtype=np.int64)
     coeffs = m if units is None or m == 1 else scalar_module(m, B, units)
-    x = solve(_coboundary_rows(B, coeffs), _vec_of_table2(table), m)
+    x = solve(_coboundary_rows(B, coeffs), table[1:, 1:].reshape(-1), m)
     if x is None:
         return None
     b = np.zeros(n, dtype=np.int64)
@@ -725,10 +711,7 @@ class ShaResult:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
 
 def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,

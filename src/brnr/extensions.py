@@ -65,6 +65,10 @@ class GaloisDatum:
     def __post_init__(self):
         if self.N is None:
             self.N = self.G.order
+        # exp(G) | N, else a Kummer class (zero in Br) can have an f = 0 representative
+        if self.N % self.G.exponent:
+            raise ValidationError(f"modulus must be a multiple of exp(G) = {self.G.exponent}",
+                                  witness=self.N)
         self.chi = as_mod(self.chi, self.N * self.N)
         if self.chi.shape != (self.delta.order,):
             raise ValidationError("chi table has wrong length")
@@ -366,9 +370,9 @@ class ClassModule:
         space, act = self._space, self.gal.action.table
         SD, S = self.gal.delta.minimal_generators(), space.gens
         # the c-part of the gauged pair: c + chi b - b o d, b(s) = 0
-        b = space.gauge(fs)
+        b = space.gauge(fs[..., S])
         cs = cs[:, SD][:, :, S] - b[:, act[SD][:, S]]
-        x = self._sub.coordinates(np.vstack([space.atomize(fs),
+        x = self._sub.coordinates(np.vstack([space.atomize(fs[..., S]).T,
                                              cs.reshape(k, len(SD) * len(S)).T]))
         return x[:, 0] if single and x is not None else x
 
@@ -470,7 +474,7 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     W = _kernel_from_batches(chain(space.c1_batches(dim), [c2, c3]), dim, N)
     # coboundary pairs of b(x) = word(x) . b(S): db on the atoms, then
     # chi(e) b(s) - b(e.s) on the c_e(s)
-    twist = chi_n[SD, None, None] * np.eye(len(S), dtype=np.int64) - space.word[act[SD][:, S]]
+    twist = chi_n[SD, None, None] * np.eye(len(S), dtype=np.int64) - space.words()[act[SD][:, S]]
     cols = np.vstack([space.coboundaries(), twist.reshape(len(SD) * len(S), len(S)) % N])
     sub = subquotient(W, cols, N)
 

@@ -339,11 +339,12 @@ def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup
     witness.h1_local_structure = h_pts.invariant_factors
     # the cup product is bilinear, so the generators decide it; the last
     # generator with a nonzero cup is the lexicographically first nonzero
-    # class with one
+    # class with one.  A cup of 1-cocycles is a 2-cocycle: its columns decide it
     ys = [h_pts.element_table(x) for x in np.eye(len(h_pts.invariant_factors), dtype=np.int64)]
     betas = np.array([cup_h1_h1(delta_v, nhat_tw, inflated, n_tw, y) for y in ys],
                      dtype=np.int64).reshape(len(ys), delta_v.order, delta_v.order)
-    nonzero = np.flatnonzero(~coboundary_mask(delta_v, betas, sd.N.exponent))
+    S = delta_v.minimal_generators()
+    nonzero = np.flatnonzero(~coboundary_mask(delta_v, betas[..., S], sd.N.exponent))
     if nonzero.size:
         j = int(nonzero[-1])
         witness.cup_status = "WitnessPairFound"

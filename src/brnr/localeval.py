@@ -12,14 +12,13 @@ beta being a coboundary; NonzeroCertified is reserved for the local-duality
 pathway of the semidirect fast path; anything else is Unknown, because a
 nonzero finite-level class does not certify a nonzero local invariant.
 
-beta is linear in (f, c), and Zero means beta lies in the chi_v-twisted
-coboundary span, which depends on the place alone: bm_report enumerates
-each place's points once and reads every class at every point with one
-``cohomology.coboundary_mask`` call per place on one array of betas: the
-twisted 2-cocycle check at first arguments {1} u generators, then one
-product with the span rows of the twisted d1 at those second arguments.
-The theta-cup verdict asks the same test.  evaluate (one class, one
-point, one solve on every row) is the reference.
+For (f, c) satisfying C1-C3, beta is a chi_v-twisted 2-cocycle
+(``_beta_tables``), fixed by its values at t in the generators S_v of
+Delta_v.  bm_report enumerates each place's points once and builds those
+values for every class and point, and ``cohomology.coboundary_mask``
+tests their Schreier atoms in the gauge of H^2 and the class module.  The
+theta-cup verdict and the cup search pass generator columns too.
+evaluate (one class, one point, one solve on every row) is the reference.
 
 nonabelian_h1 enumerates generator images in fixed blocks of candidates,
 one array per block: it propagates them along a BFS factorization of
@@ -208,19 +207,20 @@ class EvaluationResult:
 
 
 def _beta_tables(fs: np.ndarray, cs: np.ndarray, ld: LocalDatum, gal: GaloisDatum,
-                 h: np.ndarray) -> np.ndarray:
-    """beta_k(s, t) = c_k,s(h_t) + f_k(h_s, s.h_t) mod N for a stack of pairs.
+                 h: np.ndarray, ts) -> np.ndarray:
+    """beta_k(s, t) = c_k,s(h_t) + f_k(h_s, s.h_t) mod N at every s and each t in ``ts``.
 
     fs is (k, |G|, |G|), cs is (k, |Delta|, |G|) and h is (..., |D_v|), one
-    point or a stack of them; the result is (k, ..., |D_v|, |D_v|).
+    point or a stack; the result is (k, ..., |D_v|, len(ts)).  By C1-C3,
+    Delta_v acts on the group Z/N x_f G by d.(a, g) = (chi(d) a + c_d(g), d.g),
+    and h'(s) = (0, h_s) has h'(s) (s.h'(t)) = (beta(s, t), 1) h'(st).
+    Bracketing h'(r) (r.h'(s)) (rs.h'(t)) both ways gives the chi_v-twisted
+    2-cocycle law; beta is normalized as f, c vanish at 1 and h_1 = 1.
     """
     act = ld.action_v(gal)
     s = np.arange(ld.delta_v.order)[:, None]
-    hs, ht = h[..., :, None], h[..., None, :]
-    beta = (cs[:, ld.to_delta[s], ht] + fs[:, hs, act[s, ht]]) % gal.N
-    beta[..., 0, :] = 0
-    beta[..., :, 0] = 0
-    return beta
+    hs, ht = h[..., :, None], h[..., None, ts]
+    return (cs[:, ld.to_delta[s], ht] + fs[:, hs, act[s, ht]]) % gal.N
 
 
 def evaluate(ext: EquivariantExtension, ld: LocalDatum,
@@ -238,11 +238,12 @@ def evaluate(ext: EquivariantExtension, ld: LocalDatum,
     if defect is not None:
         raise InvalidCocycle("point table violates the twisted cocycle law",
                              witness=defect)
-    beta = _beta_tables(ext.f[None], ext.c[None], ld, gal, h.table)[0]
+    beta = _beta_tables(ext.f[None], ext.c[None], ld, gal, h.table,
+                        np.arange(ld.delta_v.order))[0]
     chi_v = as_mod(ld.chi_v(gal), gal.N)
     if gal.N > 1:
         defect2 = cocycle2_defect(ld.delta_v, scalar_module(gal.N, ld.delta_v, chi_v),
-                                  beta[..., None], ld.generators)
+                                  beta[..., None])
         if defect2 is not None:
             raise AssertionError(f"evaluation table is not a 2-cocycle at {defect2}")
     verdict = UNKNOWN if is_scalar_coboundary(ld.delta_v, beta, gal.N,
@@ -265,7 +266,10 @@ class PointVerdict:
 
 @dataclass
 class ClassEntry:
-    """A table-level Brauer class; bm_report evaluates all of them per place."""
+    """A table-level Brauer class; bm_report evaluates all of them per place.
+
+    Its pair must satisfy C1-C3, as ``br_nr`` and ``class_module`` output does.
+    """
 
     label: str
     ext: EquivariantExtension
@@ -276,14 +280,12 @@ def _place_verdicts(exts: list[EquivariantExtension], ld: LocalDatum,
     """Verdicts of every table-level class at every point of one place.
 
     A beta is Zero iff it is a chi_v-twisted coboundary on Delta_v, so one
-    span test serves every class and point (``coboundary_mask``, asked on
-    the rows (s, t) with t in ``ld.generators``).  The betas of all classes
-    at all points are one (classes, points, |D_v|, |D_v|) array, checked
-    and tested at once.
+    span test on the (classes, points, |D_v|, |S_v|) array of the betas at
+    second arguments in ``ld.generators`` serves every class and point.
     """
     points = np.array([h.table for h in nonabelian_h1(ld, gal, caps)])
     betas = _beta_tables(np.array([e.f for e in exts]), np.array([e.c for e in exts]),
-                         ld, gal, points)
+                         ld, gal, points, list(ld.generators))
     zero = coboundary_mask(ld.delta_v, betas, gal.N, ld.chi_v(gal), ld.generators)
     labels = ["base" if not h.any() else f"h{i}" for i, h in enumerate(points)]
     verdicts = [[ZERO if z else UNKNOWN for z in row] for row in zero.tolist()]
@@ -296,16 +298,14 @@ def theta_point_beta(sd: SemidirectDatum, a_table: np.ndarray, modulus: int,
     """Evaluation cocycle at a point h(s) = (y(s), c_v(s)), module-level.
 
     For the pair (f, 0) of a Q-cocycle a over G = N x| Q one has
-    beta(s, t) = f(h_s, h_t) = <a(c_v(s)^-1), y(t)>, scaled into Z/modulus.
+    beta(s, t) = f(h_s, h_t) = <a(c_v(s)^-1), y(t)>, scaled into Z/modulus,
+    one column per row of ``y_table``: h*f, a 2-cocycle, h being a homomorphism.
     Nothing about G is tabulated; this is what makes huge N workable.
     """
     e = sd.N.exponent
     e_over_d = np.array([e // d for d in sd.N.invariant_factors], dtype=np.int64)
     phi = sd.N_hat.reduce(a_table)[sd.Q.inv[c_v]] * e_over_d    # row s: a(c_v(s)^-1)
-    beta = (phi @ np.asarray(y_table, dtype=np.int64).T) % e * (modulus // e) % modulus
-    beta[0, :] = 0
-    beta[:, 0] = 0
-    return beta
+    return (phi @ np.asarray(y_table, dtype=np.int64).T) % e * (modulus // e) % modulus
 
 
 @dataclass
@@ -328,13 +328,11 @@ class FastpathClassEntry:
                      caps: Caps) -> list[PointVerdict]:
         out = [PointVerdict(ld.label, "base", ZERO, "neutral point")]
         w = self.witnesses.get(ld.label)
-        if w is None:
-            return out
-        if w.verdict != "ObstructionWitnessed":
+        if w is None or w.verdict != "ObstructionWitnessed":
             return out
         if w.cup_point is not None:
-            beta = theta_point_beta(self.sd, self.a_table, self.modulus,
-                                    w.cup_point.q_part, w.cup_point.y_table)
+            y = w.cup_point.y_table[w.delta_v.minimal_generators()]
+            beta = theta_point_beta(self.sd, self.a_table, self.modulus, w.cup_point.q_part, y)
             if not coboundary_mask(w.delta_v, beta, self.modulus):
                 out.append(PointVerdict(ld.label, "theta-cup", NONZERO_CERTIFIED,
                                         "finite-level duality pairing is nonzero"))

@@ -31,7 +31,7 @@ Column spans are "submodules generated by the columns".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 import numpy as np
@@ -507,6 +507,19 @@ def echelon_compress(A: np.ndarray, m: int) -> np.ndarray:
     return ech.matrix()
 
 
+def _howell_residue(E: np.ndarray, X: np.ndarray, m: int) -> np.ndarray:
+    """The rows of X (..., n) reduced against a reduced Howell form E: zero exactly on rowspan(E).
+
+    Each row loses floor(x_c / e) of each pivot row (column c, entry e | m).
+    For x in the span that is its own multiple up to (m / e) pivot rows,
+    which vanish up to c: by the Howell property, the later rows span them.
+    """
+    X = as_mod(X, m)
+    for row, c in zip(E, _leads(E)):
+        X = (X - (X[..., c] // row[c])[..., None] * row) % m
+    return X
+
+
 # ---------------------------------------------------------------------------
 # kernel / solve / cokernel
 # ---------------------------------------------------------------------------
@@ -628,10 +641,7 @@ class AbelianStructure:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
 
 def _factor_span(A: np.ndarray, m: int, rows: int | None,

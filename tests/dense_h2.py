@@ -14,10 +14,10 @@ import numpy as np
 
 from brnr.cohomology import (
     CohomologyGroup,
+    _coboundary_rows,
     _kernel_from_batches,
     _lattice_columns,
     _row_scales,
-    _vec_of_table2,
     cocycle2_defect,
 )
 from brnr.groups import AbelianModule, FiniteGroup
@@ -58,6 +58,15 @@ def _d2_matrix_rows(G: FiniteGroup, M: AbelianModule):
         yield rows * np.tile(scales, n - 1)[:, None] % m
 
 
+def coboundary_rows_at(G: FiniteGroup, M: AbelianModule | int, second) -> np.ndarray:
+    """The rows (g, h, i) of ``_coboundary_rows`` with h in ``second`` (no 1), g outer."""
+    n, r = G.order, M.rank if isinstance(M, AbelianModule) else 1
+    full = _coboundary_rows(G, M)
+    full = full.reshape(n - 1, n - 1, r, full.shape[1])        # (g, h, coordinate, columns)
+    rows = full[:, np.asarray(second, dtype=np.int64) - 1]
+    return rows.reshape(np.prod(rows.shape[:-1]), full.shape[-1])
+
+
 def coboundary1(G: FiniteGroup, M: AbelianModule, a: np.ndarray) -> np.ndarray:
     """d1 a as a full normalized 2-cochain table: g.a(h) - a(gh) + a(g)."""
     n = G.order
@@ -81,7 +90,7 @@ def dense_h2(G: FiniteGroup, M: AbelianModule) -> CohomologyGroup:
         for i in range(r):
             a = np.zeros((n, r), dtype=np.int64)
             a[g, i] = 1
-            cols[:, (g - 1) * r + i] = _vec_of_table2(coboundary1(G, M, a))
+            cols[:, (g - 1) * r + i] = coboundary1(G, M, a)[1:, 1:].reshape(-1)
     R = np.hstack([cols, _lattice_columns((n - 1) * (n - 1), M)])
     sub = subquotient(W, R, m)
     reps = [M.reduce(_table2_of_vec(sub.generator_lifts[:, i], n, r))

@@ -255,6 +255,13 @@ def explicit_galois(delta, chi, action):
     (explicit_galois(Z4, [1, 3, 1, 5], [[0, 1, 2, 3]] * 4), "galois.chi: chi is not multiplicative"),
     (explicit_galois(Z2, [3, 1], [[0, 1, 2, 3]] * 2), "galois.chi: chi(identity) must be 1"),
     (explicit_galois(Z2, [1, 1, 1], [[0, 1, 2, 3]] * 2), "galois.chi: chi table has wrong length"),
+    # the level N must be a multiple of exp(G), for every kind of datum
+    ({"task": "algebraic", "group": {"kind": "abelian", "invariant_factors": [4]},
+      "galois": {"kind": "real", "modulus": 2}},
+     "galois.modulus: modulus must be a multiple of exp(G) = 4 (witness: 2)"),
+    ({**explicit_galois(Z2, [1, 3], [[0, 1, 2, 3]] * 2), "task": "algebraic",
+      "galois": {**explicit_galois(Z2, [1, 3], [[0, 1, 2, 3]] * 2)["galois"], "modulus": 2}},
+     "galois.modulus: modulus must be a multiple of exp(G) = 4"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"
@@ -301,15 +308,16 @@ WELL_FORMED = {
 S3_SEMIDIRECT = WELL_FORMED["b0-semidirect"]["group"]
 WELL_FORMED.update({
     "brnr-semidirect": {"task": "brnr", "group": S3_SEMIDIRECT,
-                        "galois": {"kind": "real", "modulus": 2}},
+                        "galois": {"kind": "real", "modulus": 6}},
     "algebraic-semidirect": {"task": "algebraic", "group": S3_SEMIDIRECT,
-                             "galois": {"kind": "real", "modulus": 2}},
+                             "galois": {"kind": "real", "modulus": 6}},
     "sha2ab-semidirect": {"task": "sha2ab", "modulus": 2, "group": S3_SEMIDIRECT},
     "sha1bic-s3": {"task": "sha1bic", "group": S3_SEMIDIRECT},
-    # Hom(G, Z/1) = 0: no character group over Z/1 is built
-    "algebraic-modulus-1": {"task": "algebraic", "group": {"kind": "table", "table": Z2},
+    # Hom(G, Z/1) = 0: no character group over Z/1 is built (N = 1 needs
+    # exp(G) = 1, so G is trivial)
+    "algebraic-modulus-1": {"task": "algebraic", "group": {"kind": "table", "table": [[0]]},
                             "galois": {"kind": "real", "modulus": 1}},
-    "brnr-modulus-1": {"task": "brnr", "group": {"kind": "table", "table": Z2},
+    "brnr-modulus-1": {"task": "brnr", "group": {"kind": "table", "table": [[0]]},
                        "galois": {"kind": "real", "modulus": 1}},
 })
 MISSING = object()

@@ -338,12 +338,10 @@ def test_kummer_kernel_z2():
 
 
 def test_kummer_kernel_perfect_group_is_zero():
-    # A5 is too big here; use the trivial-abelianization criterion on S3's
-    # commutator... S3^ab = Z/2 so not perfect. Use the smallest perfect
-    # group A5? order 60 table is fine.
+    # A5, the smallest perfect group: Hom(A5, Z/N) = 0, so no Kummer class
     from brnr.groups import alternating_group
     A5 = alternating_group(5)
-    gal = GaloisDatum.trivial(A5, N=4)  # reduced N keeps it fast
+    gal = GaloisDatum.trivial(A5, N=60)  # the level must be a multiple of exp(A5) = 30
     cm = class_module(gal)
     K = kummer_kernel(cm)
     assert K.shape[1] == 0 or not K.any()

@@ -55,6 +55,7 @@ from brnr.groups import (
 )
 from brnr.zmod import as_mod, echelon_compress, kernel, subquotient
 
+from dense_h2 import coboundary_rows_at
 from test_engine import FILTER_DATA, conjugation_datum, psi_datum, wang_datum
 
 
@@ -208,7 +209,7 @@ def test_c1_generator_rows_match_full_rows(name, seed):
         ref = howell_of_kernel(np.vstack([rows, tree_edge_rows(G, space.gens)]), m)
         assert np.array_equal(echelon_compress(full, m), ref), m
         # and with the coboundaries db (every b, at every atom) they span it
-        cob = _coboundary_rows(G, m, second=space.gens).T
+        cob = coboundary_rows_at(G, m, space.gens).T
         assert np.array_equal(echelon_compress(np.vstack([full, cob]), m),
                               howell_of_kernel(rows, m)), m
         # every kernel vector is a whole cocycle
@@ -264,7 +265,7 @@ def test_c2_generator_rows_match_full_rows(name, seed):
     gauged = np.vstack([ref, tree_edge_rows(G, gens, dim)])
     assert np.array_equal(echelon_compress(full, N), howell_of_kernel(gauged, N))
     # and with the coboundary pairs (db, chi(d) b - b o d) of every b they span it
-    pairs = np.vstack([_coboundary_rows(G, N, second=gens),
+    pairs = np.vstack([coboundary_rows_at(G, N, gens),
                        _twist_rows(gal.action.table[1:], gal.chi_mod_n[1:], N)]).T
     assert np.array_equal(echelon_compress(np.vstack([full, pairs]), N),
                           howell_of_kernel(ref, N))
@@ -353,7 +354,7 @@ def full_h1(G, M):
     """H^1(G, M) on the (|G| - 1) rank unknowns a(g), g != 1, with the rows
     (g, s) of d1 fed one generator s at a time and d0 at every element."""
     n, m = G.order, M.exponent
-    W = _kernel_from_batches((_coboundary_rows(G, M, second=[s])
+    W = _kernel_from_batches((coboundary_rows_at(G, M, [s])
                               for s in G.minimal_generators()), (n - 1) * M.rank, m)
     R = np.hstack([_d0_columns(M, range(1, n)), _lattice_columns(n - 1, M)])
     return subquotient(W, R, m)
@@ -362,7 +363,7 @@ def full_h1(G, M):
 def full_characters(G, N, equivariance=None) -> np.ndarray:
     """Rows of the Howell form of Hom(G, Z/N), optionally the chi-equivariant
     part, on the unknowns phi(g), g != 1, from every row of the system."""
-    rows = [_coboundary_rows(G, N, second=G.minimal_generators())]
+    rows = [coboundary_rows_at(G, N, G.minimal_generators())]
     if equivariance is not None:
         chi, act = equivariance
         rows.append(_twist_rows(act, as_mod(chi, N), N))

@@ -5,9 +5,10 @@ law on the generator columns only and keeps the least orbit member by
 byte key; the reference walks the candidates one at a time and checks the
 law at every pair.  ``cocycle2_defect`` over the unit-twisted module
 checks the first arguments {1} u generators; the reference checks every
-row.  bm_report
-reads a tuple's status from one code per (place, point); the reference
-rebuilds the verdict list for every tuple.  Each comparison is exact:
+row, on the betas of every class at every point, and on every table
+behind the stacks that ``coboundary_mask`` reads.  bm_report reads a
+tuple's status from one code per (place, point); the reference rebuilds
+the verdict list for every tuple.  Each comparison is exact:
 identical table lists in identical order, identical witnesses, identical
 tuple rows.
 """
@@ -17,6 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
+from brnr import fastpath, localeval
 from brnr.caps import DEFAULT_CAPS
 from brnr.cohomology import cocycle2_defect, scalar_module
 from brnr.errors import CapExceeded
@@ -43,10 +45,12 @@ from brnr.localeval import (
     bm_report,
     cocycle_defect_nonabelian,
     nonabelian_h1,
+    theta_point_beta,
 )
 from brnr.zmod import as_mod
 
 from test_localeval import BM_DATA, d4_outer_datum, places_onto, swap_datum
+from test_span_rows import CUP_CASES
 
 
 def nonabelian_h1_by_candidates(ld, gal, caps=DEFAULT_CAPS):
@@ -200,7 +204,7 @@ def twisted_defects_all_rows(D, betas, units, m) -> list:
 def test_two_cocycle_defect_on_generator_rows_matches_all_rows(name):
     # betas of classes at points, each perturbed at one entry, every other
     # time in the row b(1, .); the verdict must be that of every row, and the
-    # witness the first bad (k, s, t, u) with s in {1} u generators
+    # witness the first bad (k, s, t, u) with s in {1} u minimal generators
     gal = {"outer D4": d4_outer_datum, **BM_DATA}[name]()
     cm = class_module(gal)
     exts = [cm.element(np.array(x)) for x in itertools.islice(
@@ -209,37 +213,105 @@ def test_two_cocycle_defect_on_generator_rows_matches_all_rows(name):
     N = gal.N
     rng = np.random.default_rng(len(name))
     on = gal.delta.order - 1
-    # generators without the element 1, so that the first bad row overall
-    # can lie outside {1} u generators
+    # places where the first bad row overall can lie outside {1} u generators
     data = places_onto(gal) + [LocalDatum("Z4 by 3", cyclic_group(4), [0, on, 0, on], (3,)),
                                LocalDatum("V4 by 2, 3", V4, [0, on, on, 0], (2, 3))]
     for ld in data:
         D = ld.delta_v
-        rows = {0, *ld.generators}
+        rows = {0, *D.minimal_generators()}
         units = as_mod(ld.chi_v(gal), N)
         twisted = scalar_module(N, D, units)
         points = np.array([h.table for h in nonabelian_h1(ld, gal)])
-        betas = _beta_tables(fs, cs, ld, gal, points).reshape(-1, D.order, D.order)
+        betas = _beta_tables(fs, cs, ld, gal, points, np.arange(D.order))
+        betas = betas.reshape(-1, D.order, D.order)
         assert twisted_defects_all_rows(D, betas, units, N) == []
-        assert cocycle2_defect(D, twisted, betas[..., None], ld.generators) is None
+        assert cocycle2_defect(D, twisted, betas[..., None]) is None
         for trial in range(12):
             s = 0 if trial % 2 == 0 else int(rng.integers(D.order))
             t = int(rng.integers(D.order))
             bad = betas.copy()
             bad[int(rng.integers(len(bad))), s, t] += int(rng.integers(1, N))
             ref = twisted_defects_all_rows(D, bad, units, N)
-            got = cocycle2_defect(D, twisted, bad[..., None], ld.generators)
+            got = cocycle2_defect(D, twisted, bad[..., None])
             assert (got is None) == (not ref)
             if ref:
                 assert got == next(w for w in ref if w[1] in rows)
             # the stacked (classes, points, |D_v|, |D_v|) form gives the same
             # witness with the flat index split
             stacked = cocycle2_defect(
-                D, twisted, bad.reshape(len(exts), len(points), D.order, D.order, 1),
-                ld.generators)
+                D, twisted, bad.reshape(len(exts), len(points), D.order, D.order, 1))
             assert (stacked is None) == (got is None)
             if got:
                 assert stacked == (*divmod(got[0], len(points)), *got[1:])
+
+
+def test_every_stack_behind_the_span_test_is_a_cocycle_at_every_row(monkeypatch):
+    # coboundary_mask reads the generator columns of its stacks only and
+    # relies on its callers' proofs that they are 2-cocycles: _beta_tables
+    # for bm_report, theta_point_beta for the theta-cup verdict and the cup
+    # product of local_witness.  Each production stack is rebuilt whole here,
+    # on the data of the place, cup-search and theta-cup tests, and the
+    # twisted law is checked at every row; the columns production read must
+    # be the whole tables' columns
+    whole = []                                  # (Delta_v, tables, units, m)
+    beta_tables, cup, theta = localeval._beta_tables, fastpath.cup_h1_h1, theta_point_beta
+    thetas = []
+
+    def beta_spy(fs, cs, ld, gal, h, ts):
+        tables = beta_tables(fs, cs, ld, gal, h, np.arange(ld.delta_v.order))
+        whole.append((ld.delta_v, tables, as_mod(ld.chi_v(gal), gal.N), gal.N))
+        out = beta_tables(fs, cs, ld, gal, h, ts)
+        assert np.array_equal(out, tables[..., ts])
+        return out
+
+    def cup_spy(G, M, x, Mdual, y):
+        table = cup(G, M, x, Mdual, y)
+        whole.append((G, table, np.ones(G.order, dtype=np.int64), M.exponent))
+        return table
+
+    def theta_spy(*args):
+        thetas.append(args)
+        return theta(*args)
+
+    monkeypatch.setattr(localeval, "_beta_tables", beta_spy)
+    monkeypatch.setattr(fastpath, "cup_h1_h1", cup_spy)
+    monkeypatch.setattr(localeval, "theta_point_beta", theta_spy)
+    for _, make in sorted(LOCAL_TYPES.items()):
+        gal = GaloisDatum.real_like(make())
+        cm = class_module(gal)
+        entries = [ClassEntry(f"c{i}", cm.element(np.array(x))) for i, x in enumerate(
+            itertools.product(*map(range, cm.invariant_factors)))]
+        for ld in local_places():
+            bm_report(entries, [ld], gal)
+    for _, make in sorted({"outer D4": d4_outer_datum, **BM_DATA}.items()):
+        gal = make()
+        cm = class_module(gal)
+        entries = [ClassEntry(f"c{i}", cm.element(np.array(x))) for i, x in enumerate(
+            itertools.islice(itertools.product(*map(range, cm.invariant_factors)), 32))]
+        on = gal.delta.order - 1
+        for ld in places_onto(gal) + [LocalDatum("V4 by 2, 3", V4, [0, on, on, 0], (2, 3))]:
+            bm_report(entries, [ld], gal)
+    tables_at = len(whole)
+    one = GaloisDatum.trivial(group_from_table([[0]]), N=1)
+    theta_entries = []
+    for _, sd, a, delta_v, c_v in CUP_CASES:
+        w = local_witness(sd, a, delta_v, np.asarray(c_v, dtype=np.int64), search_cup=True)
+        if w.cup_point is not None:
+            ld = LocalDatum("v", delta_v, np.zeros(delta_v.order, dtype=np.int64))
+            entry = FastpathClassEntry("fast", sd, a, sd.group_order, {"v": w})
+            bm_report([entry], [ld], one)
+            theta_entries.append(entry)
+    assert tables_at and len(whole) > tables_at and len(thetas) == len(theta_entries) > 0
+    for entry, (sd, a, modulus, c_v, y_rows) in zip(theta_entries, thetas):
+        w = entry.witnesses["v"]
+        table = theta(sd, a, modulus, c_v, w.cup_point.y_table)
+        S = w.delta_v.minimal_generators()
+        assert np.array_equal(y_rows, w.cup_point.y_table[S])
+        whole.append((w.delta_v, table, np.ones(w.delta_v.order, dtype=np.int64), modulus))
+    for D, tables, units, m in whole:
+        tables = tables.reshape(-1, D.order, D.order)
+        assert twisted_defects_all_rows(D, tables, units, m) == []
+        assert not tables[:, 0].any() and not tables[:, :, 0].any()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from brnr.caps import Caps
 from brnr.cohomology import bockstein
+from brnr.engine import br_nr
 from brnr.errors import InvalidCocycle, ValidationError
 from brnr.extensions import (
     EquivariantExtension,
@@ -36,6 +37,8 @@ from brnr.localeval import (
     nonabelian_h1,
     theta_point_beta,
 )
+
+from test_engine import cyclotomic_datum
 
 
 def trivial_datum_for(gal, delta_v, label="v"):
@@ -438,3 +441,31 @@ def test_local_datum_rejects_generators_out_of_range():
     for gens in ((7,), (-1,), (1, 4)):
         with pytest.raises(ValidationError, match="generators"):
             LocalDatum("v", cyclic_group(4), [0, 1, 0, 1], gens).validate(gal)
+
+
+def wang_place(gal, f: int) -> LocalDatum:
+    """The place 2 of constant data over Q at level Q(mu_(N^2)): Delta_v =
+    (Z/N^2)^x x Z/f, the unramified tower up to degree f beside the
+    ramified units, projected onto Delta = (Z/N^2)^x."""
+    D = gal.delta
+    d, k = np.divmod(np.arange(D.order * f), f)
+    mul = D.mul[d[:, None], d[None, :]] * f + (k[:, None] + k[None, :]) % f
+    return LocalDatum(f"2, f = {f}", group_from_table(mul), d)
+
+
+@pytest.mark.parametrize("factors, points", [([8], 16), ([2, 8], 128)], ids=["Z8", "Z2xZ8"])
+def test_wang_place_2_at_level_8(factors, points):
+    # Wang (Ann. of Math. 51 (1950)): the unramified Z/8-extension of Q_2 is
+    # not the completion of a global Z/8-extension.  The generator of
+    # Br^0_nr = Z/2 of constant G over Q(mu_64) evaluates to Zero at every
+    # point while the tower stops below degree 8, and at half the points of
+    # degree 8 (|Delta_v| = 256); the others are Unknown, as a nonzero
+    # finite-level class certifies no local invariant
+    gal = cyclotomic_datum(factors, 8)
+    (gen,) = br_nr(gal).representatives
+    for f, zero in ((2, 2 * points), (4, 4 * points), (8, 4 * points)):
+        rep = bm_report([ClassEntry("g", gen)], [wang_place(gal, f)], gal)
+        verdicts = [pv.verdict for pv in rep.per_class["g"]]
+        assert len(verdicts) == f * points
+        assert verdicts.count("Zero") == zero
+        assert set(verdicts) <= {"Zero", "Unknown"}

@@ -37,7 +37,7 @@ from brnr.groups import (
     symmetric_group,
 )
 from brnr.localeval import ClassEntry, FastpathClassEntry, bm_report, evaluate, nonabelian_h1
-from brnr.zmod import span_rows
+from brnr.zmod import _howell_residue, _leads, echelon_compress, span_rows
 
 from dense_h2 import _d2_matrix_rows, coboundary1
 from test_fastpath import _cup_search_cases
@@ -72,6 +72,27 @@ def test_span_rows_vanish_exactly_on_the_column_span(m):
                 assert (not (R @ np.array(v) % m).any()) == (v in span)
 
 
+@pytest.mark.parametrize("m", [4, 8, 9, 12, 36])
+def test_howell_residue_vanishes_exactly_on_the_row_span(m):
+    # rows scaled by non-units, so the reduced Howell forms have non-unit
+    # pivots; every vector of (Z/m)^n is reduced, and the residue must
+    # vanish exactly on the brute-force span and be one vector per coset
+    rng = np.random.default_rng(m)
+    nonunit = 0
+    for n in (1, 2, 3):
+        X = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
+        for rows in (1, 2, 4):
+            A = rng.integers(0, m, size=(rows, n)) * rng.choice([1, 2, 3, 6], size=(rows, 1)) % m
+            E = echelon_compress(A, m)
+            nonunit += int((E[np.arange(len(E)), _leads(E)] != 1).sum())
+            span = column_span(A.T, m)
+            res = _howell_residue(E, X[None], m)[0]
+            assert [not r.any() for r in res] == [x in span for x in map(tuple, X.tolist())]
+            shift = np.array(sorted(span))[rng.integers(len(span), size=len(X))]
+            assert np.array_equal(_howell_residue(E, X + shift, m), res)
+    assert nonunit
+
+
 def sign_character(D: FiniteGroup) -> np.ndarray:
     """A nontrivial homomorphism D -> {1, -1}, as an array over the elements."""
     S = D.minimal_generators()
@@ -88,16 +109,23 @@ NONABELIAN = {"S3": lambda: symmetric_group(3), "D4": lambda: dihedral_group(4),
               "Q8": quaternion_group}
 
 
+def padded_generators(D: FiniteGroup) -> tuple:
+    """A generating tuple that is not minimal: 1, a repeat and a product ahead of the rest."""
+    S = D.minimal_generators()
+    return (0, int(D.mul[S[0], S[-1]]), S[0], S[0], *S[1:], 0)
+
+
 @pytest.mark.parametrize("twisted", [False, True], ids=["trivial", "twisted"])
 @pytest.mark.parametrize("name", sorted(NONABELIAN))
 def test_coboundary_mask_matches_every_row_solve(name, twisted):
     # random normalized 2-cocycles from the dense d2 kernel, each alone and
     # plus a random coboundary, and that coboundary alone; the verdict must
-    # be the reference's
+    # be the reference's, read from the columns at the minimal generators
+    # and at a generating tuple with 1 and repeats in it
     D = NONABELIAN[name]()
     n = D.order
     verdicts = set()
-    for m in (4, 6):
+    for m in (4, 6, 8, 12):
         units = sign_character(D) % m if twisted else None
         M = scalar_module(m, D, units) if twisted else scalar_module(m)
         Z = _kernel_from_batches(_d2_matrix_rows(D, M), (n - 1) ** 2, m).gens
@@ -112,7 +140,10 @@ def test_coboundary_mask_matches_every_row_solve(name, twisted):
             tables += [f, (f + db) % m, db]
         tables = np.array(tables)
         expect = [is_scalar_coboundary(D, t, m, units=units) is not None for t in tables]
-        assert coboundary_mask(D, tables, m, units).tolist() == expect
+        S = D.minimal_generators()
+        assert coboundary_mask(D, tables[..., S], m, units).tolist() == expect
+        gens = padded_generators(D)
+        assert coboundary_mask(D, tables[..., gens], m, units, gens).tolist() == expect
         verdicts.update(expect)
     assert verdicts == {True, False}
 

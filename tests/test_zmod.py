@@ -1,7 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
 
-from brnr.cohomology import _coboundary_rows
 from brnr.extensions import GaloisDatum
 from brnr.fastpath import build_example_714
 from brnr.groups import abelian_group, cyclic_group
@@ -25,6 +26,7 @@ from brnr.zmod import (
     unit_scale,
 )
 
+from dense_h2 import coboundary_rows_at
 from test_generator_rows import full_c1_rows, full_c2_rows, full_c3_rows
 
 MODULI = [2, 3, 4, 8, 12, 64]
@@ -243,14 +245,20 @@ def test_snf_matches_full_scan_reference(m):
                 _assert_same_snf(A, m)
 
 
+@functools.cache
 def _group_ring_h1_batches():
     """The rows (g, s) of d1 for the p = 3 group-ring example on all 676
     values a(g), one batch mod 27 per generator s: the H^1 system before
-    h1 solved at the generators, kept as a large Howell form."""
+    h1 solved at the generators, kept as a large Howell form (read-only,
+    shared by the tests)."""
     ex = build_example_714(3)
     G, M = ex.sd.Q, ex.sd.N_hat
-    ncols = (G.order - 1) * M.rank
-    return [_coboundary_rows(G, M, second=[s]) for s in G.minimal_generators()], ncols, M.exponent
+    S, ncols = G.minimal_generators(), (G.order - 1) * M.rank
+    rows = coboundary_rows_at(G, M, S).reshape(G.order - 1, len(S), M.rank, ncols)
+    batches = tuple(rows[:, j].reshape(-1, ncols) for j in range(len(S)))
+    for batch in batches:
+        batch.setflags(write=False)
+    return batches, ncols, M.exponent
 
 
 def test_snf_matches_full_scan_reference_on_group_ring_howell_form():
