@@ -316,7 +316,7 @@ def run_job(job: Job) -> tuple[str, int]:
                 for spec, ld in zip(local, data):
                     c_v = _ints(spec, "c_v", "local", 1)
                     witnesses[ld.label] = local_witness(
-                        sd, gen, ld.delta_v, c_v, caps=caps,
+                        sd, fast.ambient, gen, ld.delta_v, c_v, caps=caps,
                         search_cup=_bool(spec, "search_cup", "local"))
                 entries.append(FastpathClassEntry(
                     "sha-generator", sd, gen, sd.group_order, witnesses))

@@ -29,14 +29,14 @@ reuses the atoms, the rows and the gauge (``ReducedCocycleSpace``).
 A table is a cocycle iff the identity holds at first arguments {1} u S
 (``cocycle1_defect``, ``cocycle2_defect``, on stacks of tables, twisted
 scalars included).  A 1-cocycle dies on a subgroup iff its values at the
-subgroup's generators lie in the span of d0 there (``death_rows``, by
-``zmod.span_rows``).  A scalar 2-cocycle, twisted by units u(g) or not,
-is a coboundary iff the atoms of its gauged form lie in the span of the
-|S| u-twisted coboundary columns (Gruenberg's
-H^2 = coker(Der(F, M) -> Hom_G(R^ab, M))): ``coboundary_mask`` reads
-only the values f(y, s), s in S, and does not check the cocycle law,
-which its callers prove.  ``is_scalar_coboundary`` solves every row for a
-witness; it is the reference.
+subgroup's generators lie in the span of d0 there (``death_rows``, one
+``zmod.preimage_rows`` call for all members).  A scalar 2-cocycle,
+twisted by units u(g) or not, is a coboundary iff the atoms of its
+gauged form lie in the span of the |S| u-twisted coboundary columns
+(Gruenberg's H^2 = coker(Der(F, M) -> Hom_G(R^ab, M))):
+``coboundary_mask`` reads only the values f(y, s), s in S, and does not
+check the cocycle law, which its callers prove.  ``is_scalar_coboundary``
+solves every row for a witness; it is the reference.
 
 Every answer is a subgroup of classes cut out by linear rows, modulo a
 relation subgroup; ``class_subgroup`` is the one solve that turns such
@@ -50,9 +50,9 @@ mod N for every commuting pair, one row each in ``commuting_pair_rows``
 (the Sha^2 filters of ``sha``) needs none either: it is the kernel of one
 cyclic-splitting row per g != 1 (``_power_sums``) and, for the bicyclic
 and abelian families, of the commuting-pair rows, so Sha^2_ab = Sha^2_bic.
-Degree 1 stacks ``death_rows``, one span test per inclusion-maximal member
-of the family: a class that dies on B dies on every subgroup of B, since
-restriction to it factors through B.
+Degree 1 reads ``death_rows``, one batched span test over the
+inclusion-maximal members of the family: a class that dies on B dies on
+every subgroup of B, since restriction to it factors through B.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ from .zmod import (
     as_mod,
     echelon_compress,
     kernel,
+    preimage_rows,
     solve,
-    span_rows,
     subquotient,
 )
 
@@ -752,8 +752,11 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray],
     A class is sum x_j [tables[j]], the tables 1-cocycles valued in M, and
     dying on B means restricting to d0 v.  The restriction minus a
     coboundary is a cocycle, which vanishes iff it vanishes at B's
-    generators; so the class dies on B iff its values there lie in the
-    span of d0 on them, which the ``span_rows`` of that map read.
+    generators; so the class dies on B iff its values V x there lie in
+    the span of the columns D of d0 on them.  One ``zmod.preimage_rows``
+    call decides this for every member at once, on the stacks of D and V
+    padded with zero rows to one height; the zero rows that unit pivots
+    leave are dropped.
 
     Rows are built for the inclusion-maximal members only.  Restriction is
     transitive, res_C = res^B_C o res_B, so a class that dies on B dies on
@@ -764,17 +767,22 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray],
     defect = cocycle1_defect(G, M, T)
     if defect is not None:
         raise AssertionError(f"table is not a cocycle at {defect}")
-    blocks = [np.zeros((0, len(tables)), dtype=np.int64)]
+    blocks = []
     for elems in _maximal_members(subgroups):
         if len(elems) == 1:
             continue
         B, idx = G.subgroup_table(elems)
-        gens = B.minimal_generators()
+        gens = idx[B.minimal_generators()]
         scales = np.tile(_row_scales(M), len(gens))[:, None]
-        D = _d0_columns(subgroup_module(M, B, idx), gens) * scales
-        V = T[:, idx[gens]].reshape(len(tables), -1).T * scales
-        blocks.append(span_rows(D, M.exponent) @ V % M.exponent)
-    return np.vstack(blocks)
+        blocks.append((_d0_columns(M, gens) * scales,
+                       T[:, gens].reshape(len(tables), -1).T * scales))
+    height = max((len(D) for D, _ in blocks), default=0)
+    D = np.zeros((len(blocks), height, M.rank), dtype=np.int64)
+    V = np.zeros((len(blocks), height, len(tables)), dtype=np.int64)
+    for k, (Dk, Vk) in enumerate(blocks):
+        D[k, :len(Dk)], V[k, :len(Vk)] = Dk, Vk
+    rows = preimage_rows(D, V, M.exponent).reshape(len(blocks) * height, len(tables))
+    return rows[rows.any(axis=1)]
 
 
 def commuting_pair_rows(G: FiniteGroup, tables,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
+    CohomologyGroup,
     ShaResult,
     coboundary_mask,
     cocycle1_defect,
@@ -283,8 +284,8 @@ class LocalWitness:
     h1_local_structure: tuple[int, ...] = ()
 
 
-def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup,
-                  c_v: np.ndarray, caps: Caps = DEFAULT_CAPS,
+def local_witness(sd: SemidirectDatum, ambient: CohomologyGroup, a_table: np.ndarray,
+                  delta_v: FiniteGroup, c_v: np.ndarray, caps: Caps = DEFAULT_CAPS,
                   search_cup: bool = True) -> LocalWitness:
     """Inflate [a] along a surjection Delta_v ->> Q and certify nonvanishing.
 
@@ -293,6 +294,9 @@ def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup
     then pairs nontrivially against it (the point itself is not built).
     Optionally searches H^1(Delta_v, twisted N) for a finite-level partner
     with nonzero cup product; absence of one disproves nothing.
+
+    ``ambient`` is H^1(Q, N^), which ``sha1_bic`` holds, so a report over
+    many local data solves it once.
     """
     c_v = np.asarray(c_v, dtype=np.int64)
     if c_v.shape != (delta_v.order,):
@@ -309,8 +313,7 @@ def local_witness(sd: SemidirectDatum, a_table: np.ndarray, delta_v: FiniteGroup
         raise NotSurjective("structure map must be onto Q")
 
     a_table = sd.N_hat.reduce(a_table)
-    amb = h1(sd.Q, sd.N_hat, caps)
-    coords = amb.coordinates(a_table)
+    coords = ambient.coordinates(a_table)
     if coords is None:
         raise NotACocycle("a is not a 1-cocycle")
     if not coords.any():

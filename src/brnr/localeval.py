@@ -111,6 +111,7 @@ def cocycle_defect_nonabelian(ld: LocalDatum, gal: GaloisDatum,
 # cells (candidates x |G| x |D_v|) of one nonabelian_h1 block: this bounds the
 # memory of the enumeration, the nonabelian_enum cap bounds its length
 _BLOCK_CELLS = 1 << 18
+_NO_KEY = np.iinfo(np.uint64).max       # above every byte key: masks non-least orbit members
 
 
 def _byte_key(tables: np.ndarray) -> np.ndarray:
@@ -176,7 +177,7 @@ def nonabelian_h1(ld: LocalDatum, gal: GaloisDatum,
         key = _byte_key(orbit)
         least = np.ones(orbit.shape[:2], dtype=bool)
         for col in np.moveaxis(key, 2, 0):
-            low = np.where(least, col, np.iinfo(np.uint64).max).min(axis=1)
+            low = np.where(least, col, _NO_KEY).min(axis=1)
             least &= col == low[:, None]
         found.append(_distinct_by_byte_key(orbit[np.arange(len(h)), least.argmax(axis=1)]))
     return [NonabelianCocycle(t) for t in _distinct_by_byte_key(np.concatenate(found))]

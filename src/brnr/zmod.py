@@ -2,8 +2,10 @@
 
 Everything downstream (cohomology, extension classes, the unramified
 filters) reduces to a few primitives over Z/m: Smith normal form with
-unimodular transforms, kernels, cokernel structure and ``span_rows`` (the
-rows that vanish exactly on a column span), with ``solve`` for witnesses.
+unimodular transforms, kernels, cokernel structure and ``preimage_rows``
+(rows that vanish exactly where V x lies in the column span of A, for a
+whole stack of pairs (A, V) from row operations alone; ``span_rows`` is
+V = I), with ``solve`` for witnesses.
 All of it is done directly mod m -- never over Z and then reduced --
 using the fact that every element of Z/m is a unit times a divisor of m.
 The Smith normal form pivots on the least gcd(a, m), found from one key
@@ -644,51 +646,101 @@ class AbelianStructure:
         return prod(self.invariant_factors)
 
 
-def _factor_span(A: np.ndarray, m: int, rows: int | None,
-                 want_Pinv: bool) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(factors, rows of P, columns of P^-1) of (Z/m)^rows / colspan(A).
+def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure:
+    """Structure of (Z/m)^rows / colspan(A).
 
     P A Q = D is the Smith normal form; the kept diagonal positions are the
-    invariant factors f = gcd(d, m) > 1, and P (and P^-1 if ``want_Pinv``,
-    else None) is cut to them.  An A wider than 2 rows + 16 is first
-    replaced by the transpose of the Howell form of A^T, which has the same
-    column span and at most ``rows`` columns.
+    invariant factors f = gcd(d, m) > 1, and P and P^-1 are cut to them:
+    the rows of P project, the columns of P^-1 lift.  An A wider than
+    2 rows + 16 is first replaced by the transpose of the Howell form of
+    A^T, which has the same column span and at most ``rows`` columns.
     """
     A = as_mod(A, m)
     n = rows if rows is not None else A.shape[0]
     if A.shape[0] != n:
         raise ValueError("row count mismatch")
     if m <= 1 or n == 0:
-        return (np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64),
-                np.zeros((n, 0), dtype=np.int64))
+        return AbelianStructure(m, n, (), np.zeros((n, 0), dtype=np.int64),
+                                np.zeros((0, n), dtype=np.int64))
     if A.shape[1] > 2 * n + 16:
         A = echelon_compress(A.T, m).T
-    snf = smith_normal_form_raw(A, m, want_P=True, want_Pinv=want_Pinv, want_Q=False)
+    snf = smith_normal_form_raw(A, m, want_P=True, want_Pinv=True, want_Q=False)
     d = np.zeros(n, dtype=np.int64)
     d[:len(snf.diag)] = snf.diag
     f = np.gcd(d, m)                            # gcd(0, m) = m: a free Z/m
     keep = np.flatnonzero(f > 1)
-    Pinv = snf.Pinv[:, keep] % m if want_Pinv else None
-    return f[keep], snf.P[keep] % m, Pinv
+    return AbelianStructure(m, n, tuple(int(x) for x in f[keep]), snf.Pinv[:, keep] % m,
+                            snf.P[keep] % m)
 
 
-def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure:
-    """Structure of (Z/m)^rows / colspan(A)."""
-    f, proj, lifts = _factor_span(A, m, rows, want_Pinv=True)
-    return AbelianStructure(m, proj.shape[1], tuple(int(x) for x in f), lifts, proj)
+def preimage_rows(A: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:
+    """Rows S (b, r, n) with S[k] x = 0 mod m exactly when V[k] x lies in colspan(A[k]).
+
+    A (b, r, c) and V (b, r, n) are stacks of b pairs of maps into
+    (Z/m)^r, and the rows of S[k] cut out the preimage under V[k] of the
+    column span of A[k].  A zero row of both A and V adds the row 0, so
+    members of unequal height may be padded to one.  Each prime-power
+    factor q = p^k of m eliminates [A | V] mod q by row operations alone,
+    all b members per numpy step (Howell 1986; Storjohann-Mulders 1998):
+
+    - Step t takes the entry a_t of least gcd(a, q) = p^v in the block of
+      rows t.. and columns t.. of A and swaps it to (t, t); a column swap
+      keeps the span.  Rows t.. are zero left of column t, and over Z/q
+      every entry is a unit times a power of p, so p^v divides every entry
+      of those rows.  Each row i > t is scaled by the unit a_t / p^v and
+      loses a_i / p^v times row t, which clears column t below row t.  The
+      rows stay multiples of p^v, so pivot valuations do not decrease.
+    - The row operations are an invertible P.  Column operations taken
+      left to right, column j > t losing (P A)_tj / p^v times column t,
+      clear pivot row t right of its pivot and touch no other row: column
+      t is zero below row t by the row clear and above it by the earlier
+      column operations.  So P A Q = D is diagonal, d_t = a_t up to the
+      rank and 0 past it, and colspan(P A) = colspan(P A Q) = sum d_t e_t.
+    - Hence V x lies in colspan(A) iff each (P V x)_t lies in d_t Z/q,
+      iff (q / gcd(d_t, q)) (P V x)_t = 0 mod q, with d_t = 0 past the
+      rank (scale 1).  A unit pivot gives a zero row.
+
+    The rows S_q of the prime powers are joined by the CRT idempotents
+    e_q (1 mod q, 0 mod m/q): y = 0 mod m iff y = 0 mod every q, and
+    colspan(A) mod m is the product of its reductions mod q, so
+    S = sum e_q S_q mod m.
+    """
+    A, V = as_mod(A, m), as_mod(V, m)
+    b, r, c = A.shape
+    S = np.zeros(V.shape, dtype=np.int64)
+    at = np.arange(b)
+    for q in _prime_powers(m):
+        W = np.concatenate([A % q, V % q], axis=2)
+        d = np.full((b, r), q, dtype=np.int64)          # gcd(d_t, q); q past the rank
+        for t in range(min(r, c) if b else 0):
+            g = np.gcd(W[:, t:, t:c], q).reshape(b, (r - t) * (c - t))
+            k = g.argmin(axis=1)
+            g = g[at, k]
+            d[:, t] = g
+            if (g == q).all():
+                break
+            i, j = t + k // (c - t), t + k % (c - t)
+            W[at, t], W[at, i] = W[at, i], W[at, t]
+            W[at, :, t], W[at, :, j] = W[at, :, j], W[at, :, t]
+            s = W[:, t, t] // g
+            s[s == 0] = 1                               # no pivot left: keep the rows
+            e = W[:, t + 1:, t] // g[:, None]
+            W[:, t + 1:, t:] = (s[:, None, None] * W[:, t + 1:, t:]
+                                - e[..., None] * W[:, t, None, t:]) % q
+        e_q = (m // q) * pow(m // q, -1, q) % m
+        S += e_q * ((q // d)[..., None] * W[..., c:] % q)
+    return S % m
 
 
 def span_rows(A: np.ndarray, m: int) -> np.ndarray:
     """Rows R with R x = 0 mod m exactly when x lies in colspan(A).
 
-    x is in the span iff each of its cokernel coordinates vanishes mod its
-    invariant factor f, so R is the cokernel projection with each row
-    scaled by m/f.  Only the rows of P are read: the Smith normal form is
-    asked for P alone, not for the P^-1 that ``cokernel`` keeps for its
-    generator lifts.
+    The preimage of colspan(A) under the identity (:func:`preimage_rows`),
+    without the zero rows that unit pivots leave.
     """
-    f, proj, _ = _factor_span(A, m, None, want_Pinv=False)
-    return proj * (m // f)[:, None] % m
+    A = np.asarray(A, dtype=np.int64)
+    R = preimage_rows(A[None], np.eye(len(A), dtype=np.int64)[None], m)[0]
+    return R[R.any(axis=1)]
 
 
 # ---------------------------------------------------------------------------

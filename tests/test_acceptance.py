@@ -499,8 +499,8 @@ def test_criterion_8_evaluation_soundness():
     # the p = 2 witness pipeline
     ex = build_example_714(2)
     gen = (4 * ex.a_table) % 8
-    w = local_witness(ex.sd, gen, ex.sd.Q, np.arange(8), caps=DEFAULT_CAPS,
-                      search_cup=False)
+    w = local_witness(ex.sd, h1(ex.sd.Q, ex.sd.N_hat), gen, ex.sd.Q, np.arange(8),
+                      caps=DEFAULT_CAPS, search_cup=False)
     ok_witness = w.verdict == "ObstructionWitnessed"
     entry = FastpathClassEntry("sha-gen", ex.sd, gen, ex.sd.group_order,
                                {"v2": w})

@@ -17,9 +17,11 @@ from brnr.groups import (
     subgroups_bicyclic,
     symmetric_group,
 )
+from brnr.caps import DEFAULT_CAPS
 from brnr.cohomology import (
     _coboundary_rows,
     _cocycle1_space,
+    _d0_columns,
     _row_scales,
     _twist_rows,
     bockstein,
@@ -29,6 +31,7 @@ from brnr.cohomology import (
     cocycle2_defect,
     commuting_pair_rows,
     cup_h1_h1,
+    death_rows,
     dies_in_qz,
     h1,
     h2,
@@ -43,7 +46,7 @@ from brnr.engine import b0
 from brnr.errors import NotACocycle, NotEquivariant, ValidationError
 from brnr.fastpath import build_example_714
 from brnr.selfchecks import class_span, classes_dying_by_full_rows
-from brnr.zmod import kernel
+from brnr.zmod import echelon_compress, kernel, smith_normal_form_raw
 from dense_h2 import coboundary1, dense_h2
 from test_engine import METACYCLIC, _metacyclic, random_permutation_group
 from test_generator_rows import relabel
@@ -710,7 +713,7 @@ def test_sha2_lists_no_subgroup(monkeypatch):
         monkeypatch.setattr(brnr.cohomology, name, forbidden)
     monkeypatch.setattr(FiniteGroup, "subgroup_table", forbidden)
     monkeypatch.setattr(brnr.cohomology, "death_rows", forbidden)
-    monkeypatch.setattr(brnr.cohomology, "span_rows", forbidden)
+    monkeypatch.setattr(brnr.cohomology, "preimage_rows", forbidden)
     for name in ("D4 mod 8 ab", "Z4:Z4 mod 2 ab", "SD16 mod 2 bic", "A4 mod 4 cyc"):
         make, degree, family = SHA_DATA[name]
         sha(*make(), degree, family)
@@ -719,16 +722,54 @@ def test_sha2_lists_no_subgroup(monkeypatch):
 @pytest.mark.parametrize("p, planes", [(2, 7), (3, 13)])
 def test_death_rows_solve_the_maximal_members_only(p, planes, monkeypatch):
     # the bicyclic family of Q = (Z/p)^3 is the trivial group, p^2 + p + 1
-    # lines and as many planes; one span_rows call per plane, on the d0
-    # columns at its two generators
+    # lines and as many planes; one preimage_rows call stacks the planes,
+    # each the d0 columns at its two generators
     Q, M = _example_714_data(p)
     assert len(subgroups_bicyclic(Q)) == 1 + 2 * planes
     shapes = []
-    span_rows = brnr.cohomology.span_rows
-    monkeypatch.setattr(brnr.cohomology, "span_rows",
-                        lambda A, m: shapes.append(A.shape) or span_rows(A, m))
+    preimage_rows = brnr.cohomology.preimage_rows
+    monkeypatch.setattr(brnr.cohomology, "preimage_rows",
+                        lambda A, V, m: shapes.append(A.shape) or preimage_rows(A, V, m))
     assert sha(Q, M, 1, "bic").invariant_factors == (p,)
-    assert shapes == [(2 * M.rank, M.rank)] * planes
+    assert shapes == [(planes, 2 * M.rank, M.rank)]
+
+
+def snf_death_rows(G, M, family, tables) -> np.ndarray:
+    """The death rows of every member of the family, one Smith normal form each.
+
+    For P D Q = diag(d) the rows of P scaled by m / gcd(d, m) vanish
+    exactly on colspan(D), so their product with V reads V x in it.
+    """
+    m, T = M.exponent, np.asarray(tables, dtype=np.int64)
+    blocks = [np.zeros((0, len(T)), dtype=np.int64)]
+    for elems in brnr.cohomology._FAMILIES[family](G, DEFAULT_CAPS):
+        if len(elems) == 1:
+            continue
+        B, idx = G.subgroup_table(elems)
+        gens = B.minimal_generators()
+        scales = np.tile(_row_scales(M), len(gens))[:, None]
+        D = _d0_columns(subgroup_module(M, B, idx), gens) * scales % m
+        V = T[:, idx[gens]].reshape(len(T), -1).T * scales % m
+        snf = smith_normal_form_raw(D, m, want_P=True, want_Q=False)
+        d = np.zeros(len(D), dtype=np.int64)
+        d[:len(snf.diag)] = snf.diag
+        blocks.append((m // np.gcd(d, m))[:, None] * snf.P % m @ V % m)
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("name", [n for n, (_, degree, _) in SHA_DATA.items() if degree == 1])
+def test_death_rows_have_the_row_span_of_the_per_member_smith_forms(name):
+    # the batched elimination over the maximal members and one SNF per
+    # member of the whole family cut out the same classes, so over Z/m
+    # (where a row span is the annihilator of its kernel) they have one
+    # reduced Howell form
+    make, _, family = SHA_DATA[name]
+    G, M = make()
+    tables = h1(G, M).representatives
+    rows = death_rows(G, brnr.cohomology._FAMILIES[family](G, DEFAULT_CAPS), tables, M)
+    assert rows.any(axis=1).all()
+    ref = snf_death_rows(G, M, family, tables)
+    assert np.array_equal(echelon_compress(rows, M.exponent), echelon_compress(ref, M.exponent))
 
 
 def test_coboundary_rows_module_coefficients():

@@ -240,7 +240,8 @@ def test_double_duality_on_examples():
 
 def test_local_witness_zero_class():
     ex = build_example_714(2)
-    w = local_witness(ex.sd, np.zeros_like(ex.a_table), ex.sd.Q, np.arange(8))
+    w = local_witness(ex.sd, h1(ex.sd.Q, ex.sd.N_hat), np.zeros_like(ex.a_table), ex.sd.Q,
+                      np.arange(8))
     assert w.verdict == "NoObstructionFromThisClass"
 
 
@@ -248,13 +249,15 @@ def test_local_witness_requires_surjection():
     ex = build_example_714(2)
     gen = (4 * ex.a_table) % 8
     with pytest.raises(NotSurjective):
-        local_witness(ex.sd, gen, cyclic_group(2), np.zeros(2, dtype=np.int64))
+        local_witness(ex.sd, h1(ex.sd.Q, ex.sd.N_hat), gen, cyclic_group(2),
+                      np.zeros(2, dtype=np.int64))
 
 
 def test_local_witness_714_p2():
     ex = build_example_714(2)
     gen = (4 * ex.a_table) % 8
-    w = local_witness(ex.sd, gen, ex.sd.Q, np.arange(8), search_cup=False)
+    w = local_witness(ex.sd, h1(ex.sd.Q, ex.sd.N_hat), gen, ex.sd.Q, np.arange(8),
+                      search_cup=False)
     assert w.verdict == "ObstructionWitnessed"
     assert w.inflated_coordinates == (4,)
 
@@ -265,7 +268,7 @@ def test_local_witness_bigger_quotient_inflates_nonzero():
     gen = (4 * ex.a_table) % 8
     D = abelian_group([2, 2, 2, 2])
     c_v = np.array([i >> 1 for i in range(16)], dtype=np.int64)
-    w = local_witness(ex.sd, gen, D, c_v, search_cup=False)
+    w = local_witness(ex.sd, h1(ex.sd.Q, ex.sd.N_hat), gen, D, c_v, search_cup=False)
     assert w.verdict == "ObstructionWitnessed"
 
 
@@ -273,7 +276,8 @@ def test_local_witness_structure_map_checks():
     """First non-homomorphic pair as the old double loop found it; range checked."""
     V = abelian_group([2, 2])
     sd = SemidirectDatum(V, AbelianModule((2, 2)))
-    a = h1(V, sd.N_hat).element_table(np.array([0, 0, 0, 1]))
+    amb = h1(V, sd.N_hat)
+    a = amb.element_table(np.array([0, 0, 0, 1]))
     rng = np.random.default_rng(3)
     D4 = dihedral_group(4)
     for D, maps in ((cyclic_group(4), itertools.product(range(4), repeat=3)),
@@ -289,11 +293,11 @@ def test_local_witness_structure_map_checks():
             if expect is None:
                 continue
             with pytest.raises(ValidationError) as err:
-                local_witness(sd, a, D, c_v, search_cup=False)
+                local_witness(sd, amb, a, D, c_v, search_cup=False)
             assert err.value.witness == expect
     for c_v in ([0, 1, 2, 4], [0, 1, 2, -1]):
         with pytest.raises(ValidationError, match="c_v"):
-            local_witness(sd, a, V, np.array(c_v), search_cup=False)
+            local_witness(sd, amb, a, V, np.array(c_v), search_cup=False)
 
 
 def cup_search_by_enumeration(sd, a_table, delta_v, c_v):
@@ -336,7 +340,7 @@ def _cup_search_cases():
 def test_local_witness_cup_search_matches_enumeration(case):
     _, sd, a, delta_v, c_v, status = case
     c_v = np.array(c_v, dtype=np.int64)
-    w = local_witness(sd, a, delta_v, c_v, search_cup=True)
+    w = local_witness(sd, h1(sd.Q, sd.N_hat), a, delta_v, c_v, search_cup=True)
     assert w.verdict == "ObstructionWitnessed"
     expect = cup_search_by_enumeration(sd, a, delta_v, c_v)
     assert w.cup_status == status == ("NoneAtThisLevel" if expect is None

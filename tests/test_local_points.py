@@ -20,7 +20,7 @@ import pytest
 
 from brnr import fastpath, localeval
 from brnr.caps import DEFAULT_CAPS
-from brnr.cohomology import cocycle2_defect, scalar_module
+from brnr.cohomology import cocycle2_defect, h1, scalar_module
 from brnr.errors import CapExceeded
 from brnr.extensions import GaloisDatum, class_module
 from brnr.fastpath import build_example_714, local_witness
@@ -295,7 +295,8 @@ def test_every_stack_behind_the_span_test_is_a_cocycle_at_every_row(monkeypatch)
     one = GaloisDatum.trivial(group_from_table([[0]]), N=1)
     theta_entries = []
     for _, sd, a, delta_v, c_v in CUP_CASES:
-        w = local_witness(sd, a, delta_v, np.asarray(c_v, dtype=np.int64), search_cup=True)
+        w = local_witness(sd, h1(sd.Q, sd.N_hat), a, delta_v, np.asarray(c_v, dtype=np.int64),
+                          search_cup=True)
         if w.cup_point is not None:
             ld = LocalDatum("v", delta_v, np.zeros(delta_v.order, dtype=np.int64))
             entry = FastpathClassEntry("fast", sd, a, sd.group_order, {"v": w})
@@ -343,7 +344,8 @@ def tuple_rows_by_combos(rep) -> list:
 def test_tuple_status_matches_per_combo_loop_with_mixed_entries():
     ex = build_example_714(2)
     gen = (4 * ex.a_table) % 8
-    w = local_witness(ex.sd, gen, ex.sd.Q, np.arange(8), search_cup=False)
+    w = local_witness(ex.sd, h1(ex.sd.Q, ex.sd.N_hat), gen, ex.sd.Q, np.arange(8),
+                      search_cup=False)
     gal = GaloisDatum.real_like(dihedral_group(4))
     cm = class_module(gal)
     # a trivial Delta_v has the base point alone

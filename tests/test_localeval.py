@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brnr.caps import Caps
-from brnr.cohomology import bockstein
+from brnr.cohomology import bockstein, h1
 from brnr.engine import br_nr
 from brnr.errors import InvalidCocycle, ValidationError
 from brnr.extensions import (
@@ -242,7 +242,8 @@ def test_fastpath_entry_produces_excluded_row():
     from brnr.fastpath import build_example_714, local_witness, sha1_bic
     ex = build_example_714(2)
     gen = (4 * ex.a_table) % 8
-    w = local_witness(ex.sd, gen, ex.sd.Q, np.arange(8), search_cup=False)
+    w = local_witness(ex.sd, h1(ex.sd.Q, ex.sd.N_hat), gen, ex.sd.Q, np.arange(8),
+                      search_cup=False)
     assert w.verdict == "ObstructionWitnessed"
     entry = FastpathClassEntry("sha-generator", ex.sd, gen,
                                ex.sd.group_order, {"v2": w})

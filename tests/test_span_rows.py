@@ -9,6 +9,7 @@ path, with ``zmod.solve``.
 
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from brnr.groups import (
     symmetric_group,
 )
 from brnr.localeval import ClassEntry, FastpathClassEntry, bm_report, evaluate, nonabelian_h1
-from brnr.zmod import _howell_residue, _leads, echelon_compress, span_rows
+from brnr.zmod import _howell_residue, _leads, echelon_compress, preimage_rows, span_rows
 
 from dense_h2 import _d2_matrix_rows, coboundary1
 from test_fastpath import _cup_search_cases
@@ -57,9 +58,9 @@ def column_span(A: np.ndarray, m: int) -> set:
 
 @pytest.mark.parametrize("m", [4, 6, 8, 9])
 def test_span_rows_vanish_exactly_on_the_column_span(m):
-    # the wide A (more than 2n + 16 columns) is compressed to its Howell
-    # form before the Smith normal form; its columns lie in a random rank-2
-    # submodule, scaled by non-units, so the span is often proper
+    # the columns of the wide A (2n + 17 of them) lie in a random rank-2
+    # submodule, and all columns are scaled by non-units, so the span is
+    # often proper
     rng = np.random.default_rng(m)
     for n in (1, 2, 3):
         for cols in (0, 1, 2, 4, 2 * n + 17):
@@ -70,6 +71,36 @@ def test_span_rows_vanish_exactly_on_the_column_span(m):
             R = span_rows(A, m)
             for v in itertools.product(range(m), repeat=n):
                 assert (not (R @ np.array(v) % m).any()) == (v in span)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9, 12, 27, 36])
+def test_preimage_rows_vanish_exactly_on_the_preimage(m):
+    # one stack of members of heights 1 to 3, padded with zero rows to the
+    # tallest; member k's A is random, of rank <= 2 with its columns
+    # scaled by non-units, or zero, and a stack may have no columns at
+    # all.  Every x in (Z/m)^t is checked against the enumerated span
+    rng = np.random.default_rng(m)
+    nonunits = [a for a in range(2, m) if math.gcd(a, m) > 1]
+    for t, c in ((2, 0), (2, 1), (2, 3), (3, 2), (2, 4)):
+        heights = rng.integers(1, 4, size=6)
+        r = int(heights.max())
+        A = np.zeros((len(heights), r, c), dtype=np.int64)
+        V = np.zeros((len(heights), r, t), dtype=np.int64)
+        for k, h in enumerate(heights):
+            if k % 3 == 1:
+                A[k, :h] = rng.integers(0, m, size=(h, 2)) @ rng.integers(0, m, size=(2, c))
+                A[k, :h] *= rng.choice(nonunits, size=c)
+            elif k % 3 == 0:
+                A[k, :h] = rng.integers(0, m, size=(h, c))
+            V[k, :h] = rng.integers(0, m, size=(h, t)) * rng.choice([1] + nonunits, size=t)
+        S = preimage_rows(A, V, m)
+        assert S.shape == (len(heights), r, t)
+        X = np.array(list(itertools.product(range(m), repeat=t)), dtype=np.int64)
+        for k, h in enumerate(heights):
+            span = column_span(A[k, :h] % m, m)
+            inside = [v in span for v in map(tuple, (X @ V[k, :h].T % m).tolist())]
+            assert (~(X @ S[k].T % m).any(axis=1)).tolist() == inside
+    assert preimage_rows(np.zeros((0, 2, 1)), np.zeros((0, 2, 3)), m).shape == (0, 2, 3)
 
 
 @pytest.mark.parametrize("m", [4, 8, 9, 12, 36])
@@ -189,7 +220,7 @@ CUP_CASES = [case[:5] for case in _cup_search_cases()] + list(_example_p2_cases(
 def test_cup_search_matches_the_per_generator_loop(case):
     _, sd, a, delta_v, c_v = case
     c_v = np.asarray(c_v, dtype=np.int64)
-    w = local_witness(sd, a, delta_v, c_v, search_cup=True)
+    w = local_witness(sd, h1(sd.Q, sd.N_hat), a, delta_v, c_v, search_cup=True)
     expect = cup_search_by_generators(sd, a, delta_v, c_v)
     assert w.cup_status == ("NoneAtThisLevel" if expect is None else "WitnessPairFound")
     if expect is None:
@@ -231,7 +262,7 @@ def test_real_like_bm_report_runs_without_the_reference(no_reference_solve):
     entries = [ClassEntry(f"c{i}", cm.element(np.array(x))) for i, x in enumerate(
         itertools.islice(itertools.product(*map(range, cm.invariant_factors)), 8))]
     _, sd, a, V, c_v = next(case for case in CUP_CASES if case[0].startswith("V4"))
-    w = local_witness(sd, a, V, np.array(c_v), search_cup=True)
+    w = local_witness(sd, h1(sd.Q, sd.N_hat), a, V, np.array(c_v), search_cup=True)
     assert w.cup_status == "WitnessPairFound"
     entries.append(FastpathClassEntry("fast", sd, a, sd.group_order, {"V4": w}))
     rep = bm_report(entries, places_onto(gal), gal)
