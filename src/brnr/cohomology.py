@@ -69,6 +69,7 @@ from .errors import CapExceeded, NotACocycle, NotEquivariant, OrderBound, Valida
 from .groups import (
     AbelianModule,
     FiniteGroup,
+    _power_table,
     subgroups_abelian,
     subgroups_bicyclic,
     subgroups_cyclic,
@@ -661,14 +662,6 @@ def bockstein(G: FiniteGroup, phi: np.ndarray, N: int,
     return f, c
 
 
-def _power_table(G: FiniteGroup) -> np.ndarray:
-    """P[k, g] = g^k for 0 <= k < exp(G)."""
-    P = np.zeros((G.exponent, G.order), dtype=np.int64)
-    for k in range(1, G.exponent):
-        P[k] = G.mul[P[k - 1], np.arange(G.order)]
-    return P
-
-
 def _power_sums(G: FiniteGroup, fs: np.ndarray, N: int) -> np.ndarray:
     """T[:, k, g] = T_k(g) = sum_{i=1}^{k-1} f(g^i, g) mod N for 0 <= k <= exp(G).
 
@@ -771,8 +764,7 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray],
     for elems in _maximal_members(subgroups):
         if len(elems) == 1:
             continue
-        B, idx = G.subgroup_table(elems)
-        gens = idx[B.minimal_generators()]
+        gens = G.subgroup_generators(elems)
         scales = np.tile(_row_scales(M), len(gens))[:, None]
         blocks.append((_d0_columns(M, gens) * scales,
                        T[:, gens].reshape(len(tables), -1).T * scales))

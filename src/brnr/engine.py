@@ -41,7 +41,6 @@ from .cohomology import (
     ShaResult,
     _cocycle1_space,
     _power_sums,
-    _power_table,
     bockstein,
     character_group_generators,
     class_subgroup,
@@ -60,7 +59,7 @@ from .extensions import (
     class_module,
     kummer_kernel,
 )
-from .groups import AbelianModule, FiniteGroup, subgroups_bicyclic
+from .groups import AbelianModule, FiniteGroup, _power_table, subgroups_bicyclic
 from .zmod import kernel
 
 

@@ -124,15 +124,25 @@ class FiniteGroup:
 
     @cached_property
     def _minimal_generators(self) -> tuple[int, ...]:
+        return tuple(self.subgroup_generators(range(self.order)))
+
+    def subgroup_generators(self, elements) -> list[int]:
+        """Greedy generators of the subgroup ``elements``: in increasing order,
+        each element that the ones taken before do not generate.
+
+        The ``subgroup_table`` of a subgroup lists its elements in the same
+        order, so this is the image of that table's ``minimal_generators()``.
+        """
+        elems = sorted(int(x) for x in elements)
         gens: list[int] = []
         have = self.closure(gens)
-        for x in range(1, self.order):
+        for x in elems:
             if x not in have:
                 gens.append(x)
                 have = self.closure(gens)
-                if len(have) == self.order:
+                if len(have) == len(elems):
                     break
-        return tuple(gens)
+        return gens
 
     def minimal_generators(self) -> list[int]:
         """Greedy generating set following canonical element order.
@@ -242,27 +252,37 @@ def subgroups_cyclic(G: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(seen, key=lambda h: (len(h), h))
 
 
+def _power_table(G: FiniteGroup) -> np.ndarray:
+    """P[k, g] = g^k for 0 <= k < exp(G)."""
+    P = np.zeros((G.exponent, G.order), dtype=np.int64)
+    for k in range(1, G.exponent):
+        P[k] = G.mul[P[k - 1], np.arange(G.order)]
+    return P
+
+
 def subgroups_bicyclic(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Subgroups generated by a commuting pair (cyclic ones included)."""
-    seen = set()
-    for t in range(G.order):
-        pow_t = _cycle(G, t)
-        for c in map(int, G.centralizer(t)):
-            if c < t:
-                continue
-            pow_c = _cycle(G, c)
-            members = {int(G.mul[a, b]) for a in pow_t for b in pow_c}
-            seen.add(tuple(sorted(members)))
-    return sorted(seen, key=lambda h: (len(h), h))
+    """Subgroups generated by a commuting pair (cyclic ones included).
 
-
-def _cycle(G: FiniteGroup, g: int) -> list[int]:
-    out = [0]
-    x = int(G.mul[0, g])
-    while x != 0:
-        out.append(x)
-        x = int(G.mul[x, g])
-    return out
+    <t, c> = <c><t> depends only on <t> and <c>, so t and c run over the
+    least generator of each cyclic subgroup: the g below every g^k with k
+    prime to its order.  The members of all pairs are found at once from
+    the power table, starting from <c> and doubling: x lies in S t^k iff
+    x t^-k lies in S.
+    """
+    n, P = G.order, _power_table(G)
+    cyclic = np.zeros((n, n), dtype=bool)
+    cyclic[np.arange(n), P] = True                      # row g: <g>
+    generates = np.gcd(np.arange(len(P))[:, None], G.element_orders) == 1
+    reps = np.flatnonzero((np.where(generates, P, n) >= np.arange(n)).all(axis=0))
+    mul = G.mul[np.ix_(reps, reps)]
+    t, c = (reps[i] for i in np.nonzero(np.triu(mul == mul.T)))
+    members = cyclic[c]
+    k = 1
+    while k < len(P):
+        members |= members[np.arange(len(t))[:, None], G.mul[:, G.inv[P[k, t]]].T]
+        k *= 2
+    return sorted({tuple(np.flatnonzero(row).tolist()) for row in members},
+                  key=lambda h: (len(h), h))
 
 
 def subgroups_abelian(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
@@ -428,16 +448,10 @@ class AbelianModule:
         """Hom(M, Z/exp M) with the contragredient action (a.f)(x) = f(a^-1 x)."""
         if self.action is None:
             return AbelianModule(self.invariant_factors, self.actor, None)
-        d = self.invariant_factors
-        r = self.rank
-        out = np.zeros_like(self.action)
-        for a in range(self.actor.order):
-            ainv = int(self.actor.inv[a])
-            M = self.action[ainv]
-            for j in range(r):
-                for i in range(r):
-                    out[a, j, i] = M[i, j] * d[j] // d[i]
-        return AbelianModule(d, self.actor, out)
+        # out[a, j, i] = M(a^-1)[i, j] d_j / d_i, exact: M(a^-1) respects the moduli
+        d = np.array(self.invariant_factors, dtype=np.int64)
+        out = np.swapaxes(self.action[self.actor.inv], 1, 2) * d[:, None] // d[None, :]
+        return AbelianModule(self.invariant_factors, self.actor, out)
 
     def pairing(self, phi: np.ndarray, x: np.ndarray) -> int:
         """Evaluate a dual vector phi on a module vector x, valued in Z/exp."""

@@ -111,26 +111,21 @@ def cocycle_defect_nonabelian(ld: LocalDatum, gal: GaloisDatum,
 # cells (candidates x |G| x |D_v|) of one nonabelian_h1 block: this bounds the
 # memory of the enumeration, the nonabelian_enum cap bounds its length
 _BLOCK_CELLS = 1 << 18
-_NO_KEY = np.iinfo(np.uint64).max       # above every byte key: masks non-least orbit members
 
 
 def _byte_key(tables: np.ndarray) -> np.ndarray:
-    """Each '<i8' entry read as a big-endian word: numeric order is byte order.
+    """Each row of '<i8' entries as one ``np.void`` value, over the last axis.
 
-    Rows then compare as their ``tobytes()`` do.  Above |G| = 255 this order
-    differs from the numeric order of the entries.
+    Void values sort as their bytes, so rows sort as their ``tobytes()`` do.
+    Above |G| = 255 this order differs from the numeric order of the entries.
     """
-    return np.ascontiguousarray(tables, dtype="<i8").view(">u8").astype(np.uint64)
+    tables = np.ascontiguousarray(tables, dtype="<i8")
+    return tables.view(np.dtype((np.void, 8 * tables.shape[-1])))[..., 0]
 
 
 def _distinct_by_byte_key(tables: np.ndarray) -> np.ndarray:
     """The distinct rows of a (rows, |D_v|) array, sorted by byte key."""
-    key = _byte_key(tables)
-    order = np.lexsort(key.T[::-1])
-    key = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = (key[1:] != key[:-1]).any(axis=1)
-    return tables[order[new]]
+    return tables[np.unique(_byte_key(tables), return_index=True)[1]]
 
 
 def nonabelian_h1(ld: LocalDatum, gal: GaloisDatum,
@@ -172,14 +167,10 @@ def nonabelian_h1(ld: LocalDatum, gal: GaloisDatum,
             ok &= (h[:, D.mul[:, s]] == G.mul[h, act[xs, h[:, [s]]]]).all(axis=1)
         h = h[ok]
         # orbit under twisted conjugation, row g = g^-1 h(s) (s.g); keep the
-        # least row by byte key, one column at a time
+        # least row by byte key
         orbit = G.mul[G.mul[G.inv[:, None], h[:, None, :]], act.T]
-        key = _byte_key(orbit)
-        least = np.ones(orbit.shape[:2], dtype=bool)
-        for col in np.moveaxis(key, 2, 0):
-            low = np.where(least, col, _NO_KEY).min(axis=1)
-            least &= col == low[:, None]
-        found.append(_distinct_by_byte_key(orbit[np.arange(len(h)), least.argmax(axis=1)]))
+        least = np.argsort(_byte_key(orbit), axis=1)[:, 0]
+        found.append(_distinct_by_byte_key(orbit[np.arange(len(h)), least]))
     return [NonabelianCocycle(t) for t in _distinct_by_byte_key(np.concatenate(found))]
 
 

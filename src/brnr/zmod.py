@@ -6,10 +6,12 @@ unimodular transforms, kernels, cokernel structure and ``preimage_rows``
 (rows that vanish exactly where V x lies in the column span of A, for a
 whole stack of pairs (A, V) from row operations alone; ``span_rows`` is
 V = I), with ``solve`` for witnesses.
-All of it is done directly mod m -- never over Z and then reduced --
-using the fact that every element of Z/m is a unit times a divisor of m.
-The Smith normal form pivots on the least gcd(a, m), found from one key
-per row that is updated only where a row changes.
+All of it is done directly mod m -- never over Z and then reduced.  The
+Smith normal form, ``RowEchelon`` and ``preimage_rows`` each eliminate
+mod every prime-power factor q = p^n of m and join the parts by CRT:
+over Z/q the pivot of least valuation divides all that is left to
+eliminate.  The Smith normal form finds it from one key per row and reads
+its transforms off one row elimination of [A | I].
 
 Kernels are read off the reduced Howell form, which ``RowEchelon``
 computes per prime power: one column sweep for each prime-power factor of
@@ -32,7 +34,8 @@ Column spans are "submodules generated by the columns".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, prod
 from typing import Optional
 
@@ -72,209 +75,137 @@ def unit_scale(a: int, m: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-class _Transform:
-    """Tracks P (row ops) or Q (col ops) and optionally the inverse."""
-
-    def __init__(self, n: int, m: int, want_inverse: bool):
-        self.m = m
-        self.mat = np.eye(n, dtype=np.int64)
-        self.inv = np.eye(n, dtype=np.int64) if want_inverse else None
-
-    # row-transform flavour: P <- E P, Pinv <- Pinv E^{-1}
-    def row_swap(self, i, k):
-        self.mat[[i, k]] = self.mat[[k, i]]
-        if self.inv is not None:
-            self.inv[:, [i, k]] = self.inv[:, [k, i]]
-
-    def row_scale(self, i, u):
-        self.mat[i] = self.mat[i] * u % self.m
-        if self.inv is not None:
-            uinv = pow(int(u), -1, self.m)
-            self.inv[:, i] = self.inv[:, i] * uinv % self.m
-
-    def row_addmul(self, i, k, q):
-        # row_i -= q * row_k
-        self.mat[i] = (self.mat[i] - q * self.mat[k]) % self.m
-        if self.inv is not None:
-            self.inv[:, k] = (self.inv[:, k] + q * self.inv[:, i]) % self.m
-
-    def rows_addmul_bulk(self, idx, k, qs):
-        self.mat[idx] = (self.mat[idx] - qs[:, None] * self.mat[k]) % self.m
-        if self.inv is not None:
-            self.inv[:, k] = (self.inv[:, k] + self.inv[:, idx] @ qs) % self.m
-
-
 @dataclass
 class SmithNormalForm:
+    """P A Q = D over Z/m; Q, Q^-1 and P^-1 are computed when first read.
+
+    ``_parts`` holds (q, e_q, rows, cols, R, L, w) for each prime-power
+    factor q of m, as :func:`smith_normal_form_raw` defines them.
+    """
+
     modulus: int
-    diag: np.ndarray          # canonical divisors of m (0 stands for the zero element)
-    P: Optional[np.ndarray]   # P @ A @ Q = D
-    Pinv: Optional[np.ndarray]
-    Q: Optional[np.ndarray]
-    Qinv: Optional[np.ndarray]
+    diag: np.ndarray        # canonical divisors of m (0 stands for the zero element)
+    P: np.ndarray
     shape: tuple[int, int]
+    _parts: list = field(repr=False)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """sum e_q Pi R^-1, R^-1 = (I - e_0 r_0) ... (I - e_(k-1) r_(k-1)), r_s = R_s - e_s."""
+        out = np.zeros((self.shape[1],) * 2, dtype=np.int64)
+        for q, e, _, cols, R, _, _ in self._parts:
+            X = np.eye(len(cols), dtype=np.int64)
+            for s, row in enumerate(R):
+                X[:s + 1, s + 1:] = (X[:s + 1, s + 1:] - X[:s + 1, s, None] * row[s + 1:]) % q
+            out[cols] += e * X
+        return out % self.modulus
+
+    @cached_property
+    def Qinv(self) -> np.ndarray:
+        """sum e_q R Pi^T, R continued by the identity past its k rows."""
+        out = np.zeros((self.shape[1],) * 2, dtype=np.int64)
+        for _, e, _, cols, R, _, _ in self._parts:
+            X = np.eye(len(cols), dtype=np.int64)
+            X[:len(R)] = R
+            out[:, cols] += e * X
+        return out % self.modulus
+
+    @cached_property
+    def Pinv(self) -> np.ndarray:
+        """sum e_q S^T L diag(w)^-1."""
+        out = np.zeros((self.shape[0],) * 2, dtype=np.int64)
+        for q, e, rows, _, _, L, w in self._parts:
+            winv = np.array([pow(int(x), -1, q) for x in w], dtype=np.int64)
+            out[rows] += e * (L * winv % q)
+        return out % self.modulus
 
 
-def smith_normal_form_raw(
-    A: np.ndarray,
-    m: int,
-    *,
-    want_P: bool = True,
-    want_Pinv: bool = False,
-    want_Q: bool = True,
-    want_Qinv: bool = False,
-) -> SmithNormalForm:
+def _eliminate(A: np.ndarray, q: int):
+    """Row-reduce [A | I] mod the prime power q: (d, rows, cols, R, L, P).
+
+    d holds the pivots p^v (q past the rank), and L the 1/u_t and the
+    multipliers f of each step (see :func:`smith_normal_form_raw`).
+    ``keys[i]`` is the least gcd(a, q) in row i of A (gcd(0, q) = q).  Rows
+    from t on are zero left of column t, so it is that of the block: built
+    once, carried by row swaps and recomputed for the rows a clear rewrites.
+    """
+    r, c = A.shape
+    W = np.hstack([A % q, np.eye(r, dtype=np.int64)])
+    keys = np.gcd(W[:, :c], q).min(axis=1, initial=q)
+    rows, cols = np.arange(r), np.arange(c)
+    d = np.full(r, q, dtype=np.int64)
+    L = np.eye(r, dtype=np.int64)
+    for t in range(min(r, c)):
+        i = t + int(keys[t:].argmin())
+        if keys[i] == q:
+            break
+        if i != t:
+            W[[t, i]], keys[[t, i]], rows[[t, i]] = W[[i, t]], keys[[i, t]], rows[[i, t]]
+            L[[t, i], :t] = L[[i, t], :t]
+        j = t + int(np.gcd(W[t, t:c], q).argmin())
+        if j != t:
+            W[:, [t, j]], cols[[t, j]] = W[:, [j, t]], cols[[j, t]]
+        u, d[t] = unit_scale(int(W[t, t]), q)
+        if u != 1:
+            W[t] = W[t] * u % q
+            L[t, t] = pow(u, -1, q)
+        f = W[t + 1:, t] // d[t]
+        below = t + 1 + f.nonzero()[0]
+        if below.size:
+            L[below, t] = f[below - t - 1]
+            W[below, t:] = (W[below, t:] - L[below, t, None] * W[t, t:]) % q
+            keys[below] = np.gcd(W[below, t:c], q).min(axis=1)
+    k = np.count_nonzero(d < q)
+    return d, rows, cols, W[:k, :c] // d[:k, None], L, W[:, c:]
+
+
+def smith_normal_form_raw(A: np.ndarray, m: int) -> SmithNormalForm:
     """Diagonalize A over Z/m: P A Q = D with d_i | d_(i+1) as divisors of m.
 
-    Step t pivots on the least (gcd(a, m), row, column) over the nonzero
-    a in A[t:, t:], then clears its column and row, swapping in any
-    remainder a composite m leaves.  Rows below t are zero left of t, so
-    ``keys[i]`` (least gcd(a, m) in row i, m if none) is that of the block:
-    built once, carried by row swaps, and recomputed for the rows a column
-    clear rewrites, which include any row the remainder swap sent down
-    (it keeps the old pivot d in column t, and the new pivot is below d).
-    Column t is then zero off row t, so the row clear writes row t alone.
+    Each prime-power factor q = p^n of m row-reduces [A | I] mod q
+    (``_eliminate``), and the parts are joined by CRT (Howell 1986;
+    Storjohann-Mulders 1998):
+
+    - Step t pivots on the least (gcd(a, q), row, column) over the nonzero
+      a in the block of rows t.. and columns t.. of A, swapped to (t, t)
+      and scaled by a unit u_t to d_t = p^v.  Over Z/q every entry is a
+      unit times a power of p, so p^v divides the whole block: each row i
+      below loses f_i = a_i / p^v times row t, which clears column t
+      exactly, and the rows stay multiples of p^v.  So valuations do not
+      decrease, and d_t | d_(t+1), with d_t = q (the zero element) past
+      the rank k.
+    - With S A = A[rows] and A Pi = A[:, cols] the swaps, the row
+      operations P give P A Pi = U, zero past row k, and pivot row t is
+      d_t R_t, R_t = U_t / d_t (exact, as p^v divides the row).  R,
+      continued by the identity, is unit upper triangular, so D = P A Q
+      for Q = Pi R^-1, and Q^-1 = R Pi^T.
+    - A swap only moves rows that are not yet pivots, so P = E S, E the
+      steps taken in the final row order.  The inverse of step t is the
+      identity with column t replaced by 1/u_t on the diagonal and f
+      below it, and these products collect column by column: E^-1 is the
+      lower-triangular L of those entries, and P^-1 = S^T L.  Later swaps
+      carry the multipliers set so far, as in LU with partial pivoting.
+    - For composite m the chain is d_t = prod_q d_(q,t) (0 when that is
+      m): row t of P_q is scaled by the unit w_t = d_t / d_(q,t) mod q, so
+      P_q A Q_q = D mod q, and the columns of P_q^-1 by 1/w_t.  A matrix
+      is 0 mod m iff it is 0 mod every q, so P = sum e_q P_q,
+      Q = sum e_q Q_q and their inverses (e_q = 1 mod q, 0 mod m/q) give
+      P A Q = D mod m.  Each factor of the chain divides the next, so
+      d_t | d_(t+1).
     """
-    A = as_mod(A, m).copy()
+    A = as_mod(A, m)
     r, c = A.shape
-    if m <= 1:
-        diag = np.zeros(min(r, c), dtype=np.int64)
-        eye_r = np.eye(r, dtype=np.int64)
-        eye_c = np.eye(c, dtype=np.int64)
-        return SmithNormalForm(m, diag, eye_r, eye_r.copy(), eye_c, eye_c.copy(), (r, c))
-    P = _Transform(r, m, want_Pinv) if (want_P or want_Pinv) else None
-    Q = _Transform(c, m, want_Qinv) if (want_Q or want_Qinv) else None
-
-    keys = np.full(r, m, dtype=np.int64)     # least gcd(a, m) per row, m if none
-    nz = np.nonzero(A)
-    np.minimum.at(keys, nz[0], np.gcd(A[nz], m))
-
-    def row_swap(i, k):
-        if i != k:
-            A[[i, k]] = A[[k, i]]
-            keys[[i, k]] = keys[[k, i]]
-            if P:
-                P.row_swap(i, k)
-
-    def col_swap(j, k):
-        if j != k:
-            A[:, [j, k]] = A[:, [k, j]]
-            if Q:
-                Q.row_swap(j, k)  # col ops tracked as row ops on Q^T; see below
-
-    # We track Q by its transpose action: represent Q as a row-transform on Q^T.
-    # Concretely Q.mat holds Q^T, so that at the end Q = Q.mat.T, Qinv = Q.inv.T.
-
-    def col_addmul(j, k, q):
-        # col_j -= q * col_k
-        A[:, j] = (A[:, j] - q * A[:, k]) % m
-        if Q:
-            Q.row_addmul(j, k, q)
-
-    t = 0
-    rank = min(r, c)
-    while t < rank:
-        i = t + int(np.argmin(keys[t:]))
-        if keys[i] == m:
-            break
-        row_swap(t, i)
-        col_swap(t, t + int(np.argmin(np.gcd(A[t, t:], m))))
-
-        while True:
-            u, d = unit_scale(int(A[t, t]), m)
-            if u != 1:
-                A[t] = A[t] * u % m
-                if P:
-                    P.row_scale(t, u)
-            # clear the pivot column below t; rows are zero left of t
-            colv = A[t + 1 :, t]
-            if colv.any():
-                qs = colv // d
-                idx = np.nonzero(qs)[0]
-                if idx.size:
-                    rows = t + 1 + idx
-                    A[rows, t:] = (A[rows, t:] - qs[idx, None] * A[t, t:]) % m
-                    keys[rows] = np.gcd(A[rows, t:], m).min(axis=1)
-                    if P:
-                        P.rows_addmul_bulk(rows, t, qs[idx])
-                rem = A[t + 1 :, t]
-                if rem.any():
-                    i = int(np.nonzero(rem)[0][0])
-                    row_swap(t, t + 1 + i)
-                    continue
-            # clear the pivot row right of t: column t is zero off row t
-            rowv = A[t, t + 1 :]
-            if rowv.any():
-                qs = rowv // d
-                idx = np.nonzero(qs)[0]
-                if idx.size:
-                    A[t, t + 1 + idx] = (A[t, t + 1 + idx] - d * qs[idx]) % m
-                    if Q:
-                        Q.rows_addmul_bulk(t + 1 + idx, t, qs[idx])
-                rem = A[t, t + 1 :]
-                if rem.any():
-                    j = int(np.nonzero(rem)[0][0])
-                    col_swap(t, t + 1 + j)
-                    continue
-            break
-        t += 1
-
-    # enforce the divisibility chain d_i | d_(i+1) (with 0 acting as m)
-    n_diag = min(r, c)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n_diag - 1):
-            a, b = int(A[i, i]), int(A[i + 1, i + 1])
-            ga, gb = gcd_with_modulus(a, m), gcd_with_modulus(b, m)
-            if gb % ga != 0:
-                changed = True
-                col_addmul(i, i + 1, m - 1)  # col_i += col_(i+1)
-                # re-eliminate the 2x2 block at (i, i)
-                while True:
-                    vals = [(gcd_with_modulus(int(A[x, y]), m), x, y)
-                            for x in (i, i + 1) for y in (i, i + 1) if A[x, y] % m]
-                    if not vals:
-                        break
-                    _, x, y = min(vals)
-                    row_swap(i, x)
-                    col_swap(i, y)
-                    u, d = unit_scale(int(A[i, i]), m)
-                    if u != 1:
-                        A[i] = A[i] * u % m
-                        if P:
-                            P.row_scale(i, u)
-                    q1 = int(A[i + 1, i]) // d
-                    if q1:
-                        A[i + 1] = (A[i + 1] - q1 * A[i]) % m
-                        if P:
-                            P.row_addmul(i + 1, i, q1)
-                    q2 = int(A[i, i + 1]) // d
-                    if q2:
-                        col_addmul(i + 1, i, q2)
-                    if A[i + 1, i] % m == 0 and A[i, i + 1] % m == 0:
-                        break
-
-    # scale each pivot to its canonical associate gcd(d, m)
-    for i in range(n_diag):
-        v = int(A[i, i]) % m
-        if v:
-            u, _ = unit_scale(v, m)
-            if u != 1:
-                A[i] = A[i] * u % m
-                if P:
-                    P.row_scale(i, u)
-
-    diag = np.array([int(A[i, i]) % m for i in range(n_diag)], dtype=np.int64)
-    return SmithNormalForm(
-        m,
-        diag,
-        P.mat if P else None,
-        P.inv if (P and P.inv is not None) else None,
-        Q.mat.T if Q else None,
-        Q.inv.T if (Q and Q.inv is not None) else None,
-        (r, c),
-    )
+    chain, elims = np.ones(r, dtype=np.int64), []
+    for q in _prime_powers(m):
+        elims.append((q, *_eliminate(A, q)))
+        chain *= elims[-1][1]
+    P, parts = np.zeros((r, r), dtype=np.int64), []
+    for q, d, rows, cols, R, L, Pq in elims:
+        e = (m // q) * pow(m // q, -1, q) % m
+        w = chain // d % q
+        P += e * (Pq * w[:, None] % q)
+        parts.append((q, e, rows, cols, R, L, w))
+    return SmithNormalForm(m, chain[:min(r, c)] % m, P % m, (r, c), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +514,7 @@ def kernel(A: np.ndarray | RowEchelon, m: int) -> Kernel:
     g = np.full(len(rest), m, dtype=np.int64)
     Q = Qinv = np.eye(len(rest), dtype=np.int64)
     if not unit.all():
-        snf = smith_normal_form_raw(E[~unit][:, rest], m, want_P=False, want_Qinv=True)
+        snf = smith_normal_form_raw(E[~unit][:, rest], m)
         Q, Qinv = snf.Q, snf.Qinv
         g[:len(snf.diag)] = np.gcd(snf.diag, m)
     keep = np.flatnonzero(g > 1)
@@ -606,7 +537,7 @@ def solve(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
     y = np.zeros((c,) + b.shape[1:], dtype=np.int64)
     if m <= 1:
         return y
-    snf = smith_normal_form_raw(A, m, want_P=True, want_Q=True)
+    snf = smith_normal_form_raw(A, m)
     cvec = snf.P @ b % m
     ndiag = len(snf.diag)
     for i in range(r):
@@ -664,7 +595,7 @@ def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure
                                 np.zeros((0, n), dtype=np.int64))
     if A.shape[1] > 2 * n + 16:
         A = echelon_compress(A.T, m).T
-    snf = smith_normal_form_raw(A, m, want_P=True, want_Pinv=True, want_Q=False)
+    snf = smith_normal_form_raw(A, m)
     d = np.zeros(n, dtype=np.int64)
     d[:len(snf.diag)] = snf.diag
     f = np.gcd(d, m)                            # gcd(0, m) = m: a free Z/m

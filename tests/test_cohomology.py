@@ -750,7 +750,7 @@ def snf_death_rows(G, M, family, tables) -> np.ndarray:
         scales = np.tile(_row_scales(M), len(gens))[:, None]
         D = _d0_columns(subgroup_module(M, B, idx), gens) * scales % m
         V = T[:, idx[gens]].reshape(len(T), -1).T * scales % m
-        snf = smith_normal_form_raw(D, m, want_P=True, want_Q=False)
+        snf = smith_normal_form_raw(D, m)
         d = np.zeros(len(D), dtype=np.int64)
         d[:len(snf.diag)] = snf.diag
         blocks.append((m // np.gcd(d, m))[:, None] * snf.P % m @ V % m)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from brnr.errors import NoIdentity, NonAssociative, NotASubgroup, ValidationError
+from brnr.fastpath import build_example_714
 from brnr.groups import (
     AbelianModule,
     GroupAction,
@@ -19,6 +20,8 @@ from brnr.groups import (
     subgroups_cyclic,
     symmetric_group,
 )
+
+from test_generator_rows import metacyclic, relabel
 
 
 def test_group_from_table_trivial_and_cyclic():
@@ -148,6 +151,36 @@ def test_subgroups_bicyclic():
         assert set(subgroups_bicyclic(G)) >= set(subgroups_cyclic(G))
 
 
+def _bicyclic_by_pairs(G):
+    """Reference: the closure of every commuting pair t <= c."""
+    seen = {G.closure([t, c]) for t in range(G.order) for c in map(int, G.centralizer(t))
+            if c >= t}
+    return sorted(seen, key=lambda h: (len(h), h))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_subgroups_bicyclic_match_the_pair_loop(seed):
+    # relabelling moves the least generator of each cyclic subgroup; Z/64
+    # has a power table of 64 rows, Z3 x Z3 x Z9 elements of orders 3 and 9
+    for G in (symmetric_group(4), dihedral_group(8), quaternion_group(), metacyclic(8, 4, 3),
+              abelian_group([2, 2, 4]), abelian_group([3, 3, 9]), cyclic_group(64)):
+        H, _ = relabel(G, seed)
+        assert subgroups_bicyclic(H) == _bicyclic_by_pairs(H)
+
+
+def test_subgroup_generators_match_the_subgroup_table():
+    # the greedy walk on G's table is the image of the greedy generators of
+    # the reindexed subgroup; every subgroup of S4 has two generators
+    S4 = symmetric_group(4)
+    subgroups = {S4.closure([a, b]) for a in range(S4.order) for b in range(a, S4.order)}
+    A = abelian_group([2, 4, 4])
+    for G, family in ((S4, subgroups), (A, subgroups_abelian(A))):
+        for elems in family:
+            B, idx = G.subgroup_table(elems)
+            assert G.subgroup_generators(frozenset(elems)) == idx[B.minimal_generators()].tolist()
+    assert S4.subgroup_generators(range(S4.order)) == S4.minimal_generators()
+
+
 def test_subgroups_abelian_of_s3():
     S3 = symmetric_group(3)
     assert set(subgroups_abelian(S3)) == set(subgroups_cyclic(S3))
@@ -230,6 +263,27 @@ def test_module_dual_and_double_dual():
     DD2 = D2.dual()
     d = np.array([2, 4])
     assert np.array_equal(DD2.action % d[None, :, None], M2.action % d[None, :, None])
+
+
+def _dual_by_entries(M):
+    """Reference dual action, entry by entry: out[a, j, i] = M(a^-1)[i, j] d_j / d_i."""
+    d, out = M.invariant_factors, np.zeros_like(M.action)
+    for a in range(M.actor.order):
+        Ma = M.action[M.actor.inv[a]]
+        for j in range(M.rank):
+            for i in range(M.rank):
+                out[a, j, i] = Ma[i, j] * d[j] // d[i]
+    return out
+
+
+def test_module_dual_matches_the_entry_loop():
+    Q = cyclic_group(2)
+    mods = [AbelianModule((2, 4), Q, np.array([np.eye(2, dtype=int), [[1, 0], [2, 3]]]))]
+    for p in (2, 3):
+        sd = build_example_714(p).sd
+        mods += [sd.N, sd.N_hat]
+    for M in mods:
+        assert np.array_equal(M.dual().action, _dual_by_entries(M))
 
 
 def test_module_pairing_nondegenerate():

@@ -1,4 +1,5 @@
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from brnr.groups import abelian_group, cyclic_group
 from brnr.zmod import (
     AbelianStructure,
     RowEchelon,
-    SmithNormalForm,
-    _Transform,
     _leads,
     _panel,
     _prime_powers,
@@ -69,8 +68,7 @@ def test_unit_scale_exhaustive_small_moduli():
 
 def snf_full(A, m):
     """(D, U, V) with A = U D V mod m, from the transforms of smith_normal_form_raw."""
-    snf = smith_normal_form_raw(A, m, want_P=True, want_Pinv=True,
-                                want_Q=True, want_Qinv=True)
+    snf = smith_normal_form_raw(A, m)
     D = np.zeros(snf.shape, dtype=np.int64)
     for i, d in enumerate(snf.diag):
         D[i, i] = d
@@ -94,25 +92,27 @@ def test_snf_reconstruction_example_mod_12():
     assert np.array_equal(U @ D @ V % 12, A)
 
 
-@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("m", MODULI + [36])
 def test_snf_reconstruction_random(m):
     rng = np.random.default_rng(12345 + m)
     shapes = [(1, 1), (2, 3), (3, 2), (4, 4), (5, 3), (6, 6), (8, 5)]
-    for r, c in shapes:
-        for _ in range(40):
-            A = rng.integers(0, m, size=(r, c))
-            snf = smith_normal_form_raw(A, m, want_P=True, want_Pinv=True,
-                                        want_Q=True, want_Qinv=True)
-            D = np.zeros((r, c), dtype=np.int64)
-            for i, d in enumerate(snf.diag):
-                D[i, i] = d
-            assert np.array_equal(snf.P @ as_mod(A, m) @ snf.Q % m, D)
-            assert np.array_equal(snf.Pinv @ D @ snf.Qinv % m, as_mod(A, m))
-            assert np.array_equal(snf.P @ snf.Pinv % m, np.eye(r, dtype=np.int64))
-            assert np.array_equal(snf.Q @ snf.Qinv % m, np.eye(c, dtype=np.int64))
-            divs = [gcd_with_modulus(int(d), m) for d in snf.diag]
-            for a, b in zip(divs, divs[1:]):
-                assert b % a == 0
+    samples = [rng.integers(0, m, size=shape) for shape in shapes for _ in range(40)]
+    # sparse, tall and of rank at most 3: most rows are zero or multiples
+    samples += [rng.integers(0, m, size=(40, 3)) * (rng.random((40, 3)) < 0.2)
+                @ rng.integers(0, m, size=(3, 6)) for _ in range(40)]
+    for A in samples:
+        r, c = A.shape
+        snf = smith_normal_form_raw(A, m)
+        D = np.zeros((r, c), dtype=np.int64)
+        for i, d in enumerate(snf.diag):
+            D[i, i] = d
+        assert np.array_equal(snf.P @ as_mod(A, m) @ snf.Q % m, D)
+        assert np.array_equal(snf.Pinv @ D @ snf.Qinv % m, as_mod(A, m))
+        assert np.array_equal(snf.P @ snf.Pinv % m, np.eye(r, dtype=np.int64))
+        assert np.array_equal(snf.Q @ snf.Qinv % m, np.eye(c, dtype=np.int64))
+        divs = [gcd_with_modulus(int(d), m) for d in snf.diag]
+        for a, b in zip(divs, divs[1:]):
+            assert b % a == 0
 
 
 def test_snf_reconstruction_large():
@@ -123,110 +123,88 @@ def test_snf_reconstruction_large():
         assert np.array_equal(U @ D @ V % m, as_mod(A, m))
 
 
-def _snf_full_scan(A, m):
-    """Reference SNF with every transform: each pivot is found by scanning the
-    whole trailing block for the least (gcd(a, m), row, column)."""
-    A = as_mod(A, m).copy()
+class _Transform:
+    """Tracks P (row ops) or Q (col ops, as row ops on Q^T) with its inverse."""
+
+    def __init__(self, n, q):
+        self.q = q
+        self.mat = np.eye(n, dtype=np.int64)
+        self.inv = np.eye(n, dtype=np.int64)
+
+    # P <- E P, Pinv <- Pinv E^-1
+    def row_swap(self, i, k):
+        self.mat[[i, k]] = self.mat[[k, i]]
+        self.inv[:, [i, k]] = self.inv[:, [k, i]]
+
+    def row_scale(self, i, u):
+        self.mat[i] = self.mat[i] * u % self.q
+        self.inv[:, i] = self.inv[:, i] * pow(int(u), -1, self.q) % self.q
+
+    def rows_addmul_bulk(self, idx, k, qs):
+        # rows idx -= qs * row k
+        self.mat[idx] = (self.mat[idx] - qs[:, None] * self.mat[k]) % self.q
+        self.inv[:, k] = (self.inv[:, k] + self.inv[:, idx] @ qs) % self.q
+
+
+def _snf_scan_prime_power(A, q):
+    """Reference SNF mod a prime power with every transform tracked: each pivot
+    is found by scanning the whole trailing block for the least
+    (gcd(a, q), row, column), and clears its column and then its row."""
+    A = as_mod(A, q).copy()
     r, c = A.shape
-    P, Q = _Transform(r, m, True), _Transform(c, m, True)
-
-    def row_swap(i, k):
-        if i != k:
-            A[[i, k]] = A[[k, i]]
-            P.row_swap(i, k)
-
-    def col_swap(j, k):
-        if j != k:
-            A[:, [j, k]] = A[:, [k, j]]
-            Q.row_swap(j, k)
-
-    def col_addmul(j, k, q):
-        A[:, j] = (A[:, j] - q * A[:, k]) % m
-        Q.row_addmul(j, k, q)
-
-    t = 0
-    while t < min(r, c):
+    P, Q = _Transform(r, q), _Transform(c, q)
+    diag = np.zeros(min(r, c), dtype=np.int64)
+    for t in range(min(r, c)):
         sub = A[t:, t:]
         nz_r, nz_c = np.nonzero(sub)
         if nz_r.size == 0:
             break
-        best = np.lexsort((nz_c, nz_r, np.gcd(sub[nz_r, nz_c], m)))[0]
-        row_swap(t, t + int(nz_r[best]))
-        col_swap(t, t + int(nz_c[best]))
-        while True:
-            u, d = unit_scale(int(A[t, t]), m)
-            if u != 1:
-                A[t] = A[t] * u % m
-                P.row_scale(t, u)
-            colv = A[t + 1:, t]
-            if colv.any():
-                qs = colv // d
-                idx = np.nonzero(qs)[0]
-                if idx.size:
-                    A[t + 1 + idx, :] = (A[t + 1 + idx, :] - qs[idx, None] * A[t, :]) % m
-                    P.rows_addmul_bulk(t + 1 + idx, t, qs[idx])
-                rem = A[t + 1:, t]
-                if rem.any():
-                    row_swap(t, t + 1 + int(np.nonzero(rem)[0][0]))
-                    continue
-            rowv = A[t, t + 1:]
-            if rowv.any():
-                qs = rowv // d
-                idx = np.nonzero(qs)[0]
-                if idx.size:
-                    A[:, t + 1 + idx] = (A[:, t + 1 + idx] - A[:, t, None] * qs[idx]) % m
-                    Q.rows_addmul_bulk(t + 1 + idx, t, qs[idx])
-                rem = A[t, t + 1:]
-                if rem.any():
-                    col_swap(t, t + 1 + int(np.nonzero(rem)[0][0]))
-                    continue
-            break
-        t += 1
+        best = np.lexsort((nz_c, nz_r, np.gcd(sub[nz_r, nz_c], q)))[0]
+        i, j = t + int(nz_r[best]), t + int(nz_c[best])
+        A[[t, i]] = A[[i, t]]
+        P.row_swap(t, i)
+        A[:, [t, j]] = A[:, [j, t]]
+        Q.row_swap(t, j)
+        u, diag[t] = unit_scale(int(A[t, t]), q)
+        A[t] = A[t] * u % q
+        P.row_scale(t, u)
+        qs = A[t + 1:, t] // diag[t]
+        A[t + 1:] = (A[t + 1:] - qs[:, None] * A[t]) % q
+        P.rows_addmul_bulk(t + 1 + np.arange(len(qs)), t, qs)
+        qs = A[t, t + 1:] // diag[t]
+        A[:, t + 1:] = (A[:, t + 1:] - A[:, t, None] * qs) % q
+        Q.rows_addmul_bulk(t + 1 + np.arange(len(qs)), t, qs)
+        # the pivot divides its block: no remainder is left
+        assert not A[t + 1:, t].any() and not A[t, t + 1:].any()
+    return diag, P, Q
 
-    n_diag = min(r, c)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n_diag - 1):
-            ga = gcd_with_modulus(int(A[i, i]), m)
-            if gcd_with_modulus(int(A[i + 1, i + 1]), m) % ga != 0:
-                changed = True
-                col_addmul(i, i + 1, m - 1)
-                while True:
-                    vals = [(gcd_with_modulus(int(A[x, y]), m), x, y)
-                            for x in (i, i + 1) for y in (i, i + 1) if A[x, y] % m]
-                    if not vals:
-                        break
-                    _, x, y = min(vals)
-                    row_swap(i, x)
-                    col_swap(i, y)
-                    u, d = unit_scale(int(A[i, i]), m)
-                    if u != 1:
-                        A[i] = A[i] * u % m
-                        P.row_scale(i, u)
-                    q1 = int(A[i + 1, i]) // d
-                    if q1:
-                        A[i + 1] = (A[i + 1] - q1 * A[i]) % m
-                        P.row_addmul(i + 1, i, q1)
-                    q2 = int(A[i, i + 1]) // d
-                    if q2:
-                        col_addmul(i + 1, i, q2)
-                    if A[i + 1, i] % m == 0 and A[i, i + 1] % m == 0:
-                        break
-    for i in range(n_diag):
-        v = int(A[i, i]) % m
-        if v:
-            u, _ = unit_scale(v, m)
-            if u != 1:
-                A[i] = A[i] * u % m
-                P.row_scale(i, u)
-    diag = np.array([int(A[i, i]) % m for i in range(n_diag)], dtype=np.int64)
-    return SmithNormalForm(m, diag, P.mat, P.inv, Q.mat.T, Q.inv.T, (r, c))
+
+def _snf_full_scan(A, m):
+    """Reference SNF: the prime-power scans, each row t of P_q scaled by the unit
+    that turns its pivot into the chain d_t = prod_q gcd(d_(q,t), q) (q past
+    the pivots, and on every row past the diagonal), joined by the CRT
+    idempotents."""
+    r, c = np.shape(A)
+    scans = []
+    chain = np.ones(r, dtype=np.int64)
+    for q in _prime_powers(m):
+        diag, P, Q = _snf_scan_prime_power(A, q)
+        g = np.full(r, q, dtype=np.int64)
+        g[:len(diag)] = np.gcd(diag, q)
+        chain *= g
+        scans.append((q, g, P, Q))
+    out = {name: 0 for name in ("P", "Pinv", "Q", "Qinv")}
+    for q, g, P, Q in scans:
+        for t, w in enumerate(chain // g % q):
+            P.row_scale(t, w)
+        e = (m // q) * pow(m // q, -1, q) % m
+        for name, mat in (("P", P.mat), ("Pinv", P.inv), ("Q", Q.mat.T), ("Qinv", Q.inv.T)):
+            out[name] = (out[name] + e * mat) % m
+    return types.SimpleNamespace(diag=chain[:min(r, c)] % m, **out)
 
 
 def _assert_same_snf(A, m):
-    got = smith_normal_form_raw(A, m, want_P=True, want_Pinv=True,
-                                want_Q=True, want_Qinv=True)
+    got = smith_normal_form_raw(A, m)
     ref = _snf_full_scan(A, m)
     for name in ("diag", "P", "Pinv", "Q", "Qinv"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), (name, A.shape, m)
@@ -236,7 +214,7 @@ def _assert_same_snf(A, m):
 def test_snf_matches_full_scan_reference(m):
     # the row-key pivot search picks the same pivots as a scan of the whole
     # trailing block, so every transform is bit-identical; composite moduli
-    # reach the swap branches for a remainder left in the pivot row or column
+    # also pin the scaling to the chain and the CRT join
     rng = np.random.default_rng(2000 + m)
     for r in range(13):
         for c in range(13):
@@ -620,7 +598,7 @@ def _snf_kernel(A, m):
         return np.zeros((cols, 0), dtype=np.int64)
     if A.shape[0] == 0 or not A.any():
         return np.eye(cols, dtype=np.int64)
-    snf = smith_normal_form_raw(A, m, want_P=False, want_Q=True)
+    snf = smith_normal_form_raw(A, m)
     gens = []
     for j in range(cols):
         g = gcd_with_modulus(int(snf.diag[j]) if j < len(snf.diag) else 0, m)
