@@ -87,10 +87,17 @@ def _field(spec, key: str, owner: str):
 
 def _ints(spec, key: str, owner: str, ndim: int) -> np.ndarray:
     """spec[key] as a rectangular integer array of rank ndim (or empty)."""
+    value = _field(spec, key, owner)
     try:
-        arr = np.asarray(_field(spec, key, owner))
+        arr = np.asarray(value)
     except ValueError as err:               # ragged nesting
         raise ValidationError(f"{owner}.{key} must be a rectangular array") from err
+    # numpy reads integers outside int64 as uint64, float64 or object
+    if arr.size and arr.ndim == ndim and (
+            arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max
+            or arr.dtype.kind not in "iu"
+            and all(type(x) is int for x in np.asarray(value, dtype=object).flat)):
+        raise ValidationError(f"{owner}.{key} holds integers out of the 64-bit range")
     if arr.size and (arr.ndim != ndim or arr.dtype.kind not in "iu"):
         raise ValidationError(f"{owner}.{key} must be a {ndim}-dimensional "
                               "array of integers")
@@ -382,8 +389,11 @@ def main(argv: list[str] | None = None) -> int:
         if not args.jobfile:
             print("run requires a job file", file=sys.stderr)
             return 2
-        with open(args.jobfile, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.jobfile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ParseError(f"cannot read job file {args.jobfile}: {err}") from err
         job = parse_job(text)
         overrides = {name: value for name, _, value in
                      (item.partition("=") for item in args.cap)}

@@ -69,7 +69,6 @@ from .errors import CapExceeded, NotACocycle, NotEquivariant, OrderBound, Valida
 from .groups import (
     AbelianModule,
     FiniteGroup,
-    _power_table,
     subgroups_abelian,
     subgroups_bicyclic,
     subgroups_cyclic,
@@ -360,11 +359,15 @@ class ReducedCocycleSpace:
     column: np.ndarray          # (n, |S|): atom f(y, s_i) -> its unknown, -1 if zero
     slot: np.ndarray            # first argument g -> its block of expr, n if none
 
+    @property
+    def n_atoms(self) -> int:
+        return int((self.column >= 0).sum())
+
     @cached_property
     def expr(self) -> np.ndarray:
         """(blocks, n, n_atoms) int32: f(g, x) in atoms, along the tree in x."""
         G, firsts = self.group, np.flatnonzero(self.slot < self.group.order)
-        expr = np.zeros((len(firsts), G.order, int((self.column >= 0).sum())), dtype=np.int32)
+        expr = np.zeros((len(firsts), G.order, self.n_atoms), dtype=np.int32)
         for x, parent, i in self.levels:
             expr[:, x] = expr[:, parent]
             col = self.column[G.mul[firsts[:, None], parent], i]
@@ -439,7 +442,7 @@ class ReducedCocycleSpace:
         since f(g, hs) is expanded by that very identity: it is not built.
         """
         G, m = self.group, self.modulus
-        n_atoms = self.expr.shape[2]
+        n_atoms = self.n_atoms
         width = n_atoms if width is None else width
         batch = []
         for i, s in enumerate(self.gens):
@@ -497,7 +500,7 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
     if n > caps.h2_group:
         raise OrderBound("h2_group", caps.h2_group, n)
     space = reduced_cocycle_space(G, m)
-    cocycles = _kernel_from_batches(space.c1_batches(), space.expr.shape[2], m)
+    cocycles = _kernel_from_batches(space.c1_batches(), space.n_atoms, m)
     sub = subquotient(cocycles, space.coboundaries(), m)
     M = scalar_module(m)
     reps = list(space.expand(sub.generator_lifts)[..., None])
@@ -674,7 +677,7 @@ def _power_sums(G: FiniteGroup, fs: np.ndarray, N: int) -> np.ndarray:
     defined on classes.  The Galois obstructions of the engine read T at
     other k too.
     """
-    P = _power_table(G)
+    P = G.powers
     T = np.zeros((len(fs), len(P) + 1, G.order), dtype=np.int64)
     T[:, 2:] = np.cumsum(fs[:, P[1:], np.arange(G.order)], axis=1) % N
     return T
@@ -762,8 +765,6 @@ def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray],
         raise AssertionError(f"table is not a cocycle at {defect}")
     blocks = []
     for elems in _maximal_members(subgroups):
-        if len(elems) == 1:
-            continue
         gens = G.subgroup_generators(elems)
         scales = np.tile(_row_scales(M), len(gens))[:, None]
         blocks.append((_d0_columns(M, gens) * scales,

@@ -59,7 +59,7 @@ from .extensions import (
     class_module,
     kummer_kernel,
 )
-from .groups import AbelianModule, FiniteGroup, _power_table, subgroups_bicyclic
+from .groups import AbelianModule, FiniteGroup, subgroups_bicyclic
 from .zmod import kernel
 
 
@@ -218,12 +218,10 @@ def _galois_rows(gal: GaloisDatum) -> np.ndarray:
     witness in br_nr's report, is the first nonzero admissible triple.
     """
     G = gal.G
-    n, orders, P = G.order, G.element_orders, _power_table(G)
-    units = np.gcd(np.arange(len(P))[:, None], orders) == 1
-    taus = np.nonzero(np.where(units, P, n).min(axis=0) == np.arange(n))[0][1:]
+    taus = G.cyclic_generators[1:]
     d = np.repeat(np.arange(1, gal.delta.order), len(taus))
     tau = np.tile(taus, gal.delta.order - 1)
-    target = P[gal.chi[d] % orders[tau], tau]
+    target = G.powers[gal.chi[d] % G.element_orders[tau], tau]
     conj = G.mul[G.mul[:, gal.action.table[d, tau]], G.inv[:, None]]   # conj[gamma, row]
     hit = conj == target
     ok = hit.any(axis=0)

@@ -130,15 +130,12 @@ class EquivariantExtension:
             raise ValidationError("f table has wrong shape")
         if self.c.shape != (self.gal.delta.order, n):
             raise ValidationError("c table has wrong shape")
-        # normalize: shift by the constant coboundary so f(1,-) = f(-,1) = 0
+        # normalize: a cocycle has f(1, -) = f(-, 1) = f(1, 1), so subtract the
+        # coboundary pair (db, chi b - b o d) = (b, (chi - 1) b) of the constant b = f(1, 1)
         const = int(self.f[0, 0])
         if const:
-            b = np.full(n, const, dtype=np.int64)
-            b[0] = 0
-            self.f = (self.f - (b[:, None] + b[None, :] - b[self.gal.G.mul])) % N
-            chi_n = self.gal.chi_mod_n
-            act = self.gal.action.table
-            self.c = (self.c - (chi_n[:, None] * b[None, :] - b[act])) % N
+            self.f = (self.f - const) % N
+            self.c = (self.c - (self.gal.chi_mod_n[:, None] - 1) * const) % N
         if self.f[0].any() or self.f[:, 0].any() or self.c[:, 0].any() or self.c[0].any():
             raise ValidationError("extension pair is not normalizable",
                                   witness=(int(self.f[0].argmax()),))
@@ -403,7 +400,7 @@ def _c_expressions(gal: GaloisDatum, space, left_levels, delta_levels) -> np.nda
     S = np.asarray(space.gens, dtype=np.int64)
     SD = np.asarray(delta.minimal_generators(), dtype=np.int64)
     E = SD[:, None]                                 # c_e for every e at once
-    n_atoms = space.expr.shape[2]
+    n_atoms = space.n_atoms
     C = np.zeros((delta.order, G.order, n_atoms + SD.size * S.size), dtype=np.int64)
     C[E, S, n_atoms + np.arange(SD.size * S.size).reshape(SD.size, S.size)] = 1
     for x, parent, i in left_levels:
@@ -453,7 +450,7 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     act, chi_n = gal.action.table, gal.chi_mod_n
     SD = np.array(gal.delta.minimal_generators(), dtype=np.int64)
     space = reduced_cocycle_space(G, N, autos=act[SD])
-    S, n_atoms = np.array(space.gens, dtype=np.int64), space.expr.shape[2]
+    S, n_atoms = np.array(space.gens, dtype=np.int64), space.n_atoms
     dim = n_atoms + len(SD) * len(S)
     if dim > caps.class_module_unknowns:
         raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -73,33 +73,41 @@ class FiniteGroup:
         return 0
 
     def power(self, g: int, k: int) -> int:
-        k = k % self.element_order(g)
-        out = 0
-        for _ in range(k):
-            out = int(self.mul[out, g])
-        return out
+        return int(self.powers[k % self.exponent, g])
 
     def conjugate(self, g: int, by: int) -> int:
         return int(self.mul[self.mul[by, g], self.inv[by]])
 
     @cached_property
+    def powers(self) -> np.ndarray:
+        """P[k, g] = g^k for 0 <= k < exp(G): row k + 1 is row k times g, up
+        to the first row that is all identity."""
+        g = np.arange(self.order)
+        rows, row = [np.zeros_like(g)], g
+        while row.any():
+            rows.append(row)
+            row = self.mul[row, g]
+        return np.array(rows)
+
+    @cached_property
     def element_orders(self) -> np.ndarray:
-        n = self.order
-        out = np.ones(n, dtype=np.int64)
-        for g in range(n):
-            x, k = int(self.mul[0, g]), 1
-            while x != 0:
-                x = int(self.mul[x, g])
-                k += 1
-            out[g] = k
-        return out
+        """ord g = exp(G) / #{0 <= k < exp(G) : g^k = 1}, as ord g | exp(G)."""
+        return self.exponent // (self.powers == 0).sum(axis=0)
 
     def element_order(self, g: int) -> int:
         return int(self.element_orders[g])
 
-    @cached_property
+    @property
     def exponent(self) -> int:
-        return lcm(*map(int, self.element_orders))
+        return len(self.powers)
+
+    @cached_property
+    def cyclic_generators(self) -> np.ndarray:
+        """The least generator of each cyclic subgroup, in increasing order:
+        the g below every g^k with k prime to ord g."""
+        P, n = self.powers, self.order
+        units = np.gcd(np.arange(len(P))[:, None], self.element_orders) == 1
+        return np.flatnonzero((np.where(units, P, n) >= np.arange(n)).all(axis=0))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -204,7 +212,11 @@ def group_from_table(table) -> FiniteGroup:
 
 def group_from_permutations(generators, degree: int | None = None,
                             caps: Caps = DEFAULT_CAPS, name: str = "") -> FiniteGroup:
-    """Group generated by permutations of {0..m-1}; ordering = BFS discovery."""
+    """Group generated by permutations of {0..m-1}; ordering = BFS discovery.
+
+    The closure stops with OrderBound naming ``table_group`` at the first
+    element past that cap.
+    """
     gens = [tuple(int(x) for x in g) for g in generators]
     if degree is None:
         if not gens:
@@ -224,14 +236,12 @@ def group_from_permutations(generators, degree: int | None = None,
         for g in gens:
             y = tuple(x[g[i]] for i in range(degree))  # x o g (apply g first)
             if y not in index:
-                if len(elems) >= caps.closure:
-                    raise OrderBound("closure", caps.closure, len(elems) + 1)
+                if len(elems) >= caps.table_group:
+                    raise OrderBound("table_group", caps.table_group, len(elems) + 1)
                 index[y] = len(elems)
                 elems.append(y)
                 queue.append(y)
     n = len(elems)
-    if n > caps.table_group:
-        raise OrderBound("table_group", caps.table_group, n)
     mul = np.empty((n, n), dtype=np.int64)
     for i, p in enumerate(elems):
         for j, q in enumerate(elems):
@@ -245,38 +255,24 @@ def group_from_permutations(generators, degree: int | None = None,
 
 
 def subgroups_cyclic(G: FiniteGroup) -> list[tuple[int, ...]]:
-    seen = {}
-    for g in range(G.order):
-        H = G.closure([g])
-        seen.setdefault(H, g)
-    return sorted(seen, key=lambda h: (len(h), h))
-
-
-def _power_table(G: FiniteGroup) -> np.ndarray:
-    """P[k, g] = g^k for 0 <= k < exp(G)."""
-    P = np.zeros((G.exponent, G.order), dtype=np.int64)
-    for k in range(1, G.exponent):
-        P[k] = G.mul[P[k - 1], np.arange(G.order)]
-    return P
+    """Every cyclic subgroup <g>, read off the power table at its least generator."""
+    return sorted((tuple(np.unique(G.powers[:, g]).tolist()) for g in G.cyclic_generators),
+                  key=lambda h: (len(h), h))
 
 
 def subgroups_bicyclic(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Subgroups generated by a commuting pair (cyclic ones included).
 
-    <t, c> = <c><t> depends only on <t> and <c>, so t and c run over the
-    least generator of each cyclic subgroup: the g below every g^k with k
-    prime to its order.  The members of all pairs are found at once from
-    the power table, starting from <c> and doubling: x lies in S t^k iff
-    x t^-k lies in S.
+    <t, c> = <c><t> depends only on <t> and <c>, so t and c run over
+    ``G.cyclic_generators``.  The members of all pairs are found at once
+    from the power table, starting from <c> and doubling: x lies in S t^k
+    iff x t^-k lies in S.
     """
-    n, P = G.order, _power_table(G)
-    cyclic = np.zeros((n, n), dtype=bool)
-    cyclic[np.arange(n), P] = True                      # row g: <g>
-    generates = np.gcd(np.arange(len(P))[:, None], G.element_orders) == 1
-    reps = np.flatnonzero((np.where(generates, P, n) >= np.arange(n)).all(axis=0))
+    P, reps = G.powers, G.cyclic_generators
     mul = G.mul[np.ix_(reps, reps)]
     t, c = (reps[i] for i in np.nonzero(np.triu(mul == mul.T)))
-    members = cyclic[c]
+    members = np.zeros((len(t), G.order), dtype=bool)
+    members[np.arange(len(t))[:, None], P[:, c].T] = True      # row: <c>
     k = 1
     while k < len(P):
         members |= members[np.arange(len(t))[:, None], G.mul[:, G.inv[P[k, t]]].T]

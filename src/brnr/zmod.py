@@ -582,9 +582,7 @@ def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure
 
     P A Q = D is the Smith normal form; the kept diagonal positions are the
     invariant factors f = gcd(d, m) > 1, and P and P^-1 are cut to them:
-    the rows of P project, the columns of P^-1 lift.  An A wider than
-    2 rows + 16 is first replaced by the transpose of the Howell form of
-    A^T, which has the same column span and at most ``rows`` columns.
+    the rows of P project, the columns of P^-1 lift.
     """
     A = as_mod(A, m)
     n = rows if rows is not None else A.shape[0]
@@ -593,8 +591,6 @@ def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure
     if m <= 1 or n == 0:
         return AbelianStructure(m, n, (), np.zeros((n, 0), dtype=np.int64),
                                 np.zeros((0, n), dtype=np.int64))
-    if A.shape[1] > 2 * n + 16:
-        A = echelon_compress(A.T, m).T
     snf = smith_normal_form_raw(A, m)
     d = np.zeros(n, dtype=np.int64)
     d[:len(snf.diag)] = snf.diag

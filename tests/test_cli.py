@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from brnr.caps import Caps
 from brnr.cli import Job, main, parse_job, run_job
-from brnr.cohomology import h1, scalar_module, sha
+from brnr.cohomology import ReducedCocycleSpace, h1, scalar_module, sha
 from brnr.errors import OrderBound, ParseError, ValidationError
 from brnr.fastpath import build_example_714
 from brnr.groups import abelian_group, cyclic_group
@@ -127,6 +128,57 @@ def test_cli_exit_codes(tmp_path):
     f2 = tmp_path / "cap.json"
     f2.write_text(json.dumps(capjob))
     assert main(["run", str(f2)]) == 4
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+def test_unreadable_job_file_is_a_parse_error(tmp_path, capsys, case):
+    path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+            "not utf-8": tmp_path / "latin1.json"}[case]
+    if case == "not utf-8":
+        path.write_bytes('{"task": "b0", "note": "caf\u00e9"}'.encode("latin-1"))
+    assert main(["run", str(path)]) == 2
+    assert f"parse error: cannot read job file {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factors", [[2**70], [2**63], [-1, 2**63], [2**64 - 1]])
+def test_integers_out_of_range_are_named(tmp_path, capsys, factors):
+    # numpy reads them as object, uint64 or float64 arrays: they are
+    # integers, and the message says so
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps({"task": "b0",
+                             "group": {"kind": "abelian", "invariant_factors": factors}}))
+    assert main(["run", str(f)]) == 3
+    assert ("group.invariant_factors holds integers out of the 64-bit range"
+            in capsys.readouterr().err)
+
+
+def test_permutation_closure_stops_at_the_table_cap(tmp_path, capsys):
+    # S10, of order 3628800 from a transposition and a 10-cycle: the
+    # closure stops at element table_group + 1
+    f = tmp_path / "s10.json"
+    f.write_text(json.dumps({"task": "b0", "group": {"kind": "permutations", "generators": [
+        [1, 0] + list(range(2, 10)), list(range(1, 10)) + [0]]}}))
+    start = time.perf_counter()
+    assert main(["run", str(f)]) == 4
+    assert time.perf_counter() - start < 1
+    assert "cap table_group=4096 exceeded (required 4097)" in capsys.readouterr().err
+
+
+def test_class_module_unknowns_are_counted_before_any_table(tmp_path, capsys, monkeypatch):
+    # real-like (Z/2)^9 has 4106 unknowns; the cap refuses it before the
+    # atom expressions of its 512 x 512 cocycles are built
+    def forbidden(self):
+        raise AssertionError("atom expressions built before the cap check")
+
+    monkeypatch.setattr(ReducedCocycleSpace, "expr", property(forbidden))
+    f = tmp_path / "real.json"
+    f.write_text(json.dumps({"task": "brnr", "galois": {"kind": "real"},
+                             "group": {"kind": "abelian", "invariant_factors": [2] * 9}}))
+    start = time.perf_counter()
+    assert main(["run", str(f)]) == 4
+    assert time.perf_counter() - start < 1
+    assert ("cap class_module_unknowns=2048 exceeded (required 4106)"
+            in capsys.readouterr().err)
 
 
 def test_cap_override_flag(tmp_path):

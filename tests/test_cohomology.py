@@ -734,6 +734,17 @@ def test_death_rows_solve_the_maximal_members_only(p, planes, monkeypatch):
     assert shapes == [(planes, 2 * M.rank, M.rank)]
 
 
+@pytest.mark.parametrize("name", sorted(n for n in H1_DATA if not n.startswith("Z2 swap")))
+def test_death_rows_of_the_trivial_subgroup_alone_are_empty(name):
+    # every class dies on the trivial subgroup: it has no generators, so its
+    # member adds only zero rows, which are dropped (Z2 on a swap module has
+    # H^1 = 0, where sha returns before it builds rows)
+    G, M = H1_DATA[name]()
+    tables = h1(G, M).representatives
+    assert tables
+    assert death_rows(G, [(0,)], tables, M).shape == (0, len(tables))
+
+
 def snf_death_rows(G, M, family, tables) -> np.ndarray:
     """The death rows of every member of the family, one Smith normal form each.
 

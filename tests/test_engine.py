@@ -18,6 +18,7 @@ from brnr.cohomology import (
     h1,
     h2,
     scalar_module,
+    sha,
 )
 from brnr.engine import (
     BrauerReport,
@@ -457,7 +458,7 @@ def random_permutation_group(seed: int, most: int = 24):
         degree = int(rng.integers(4, 7))
         try:
             G = group_from_permutations([rng.permutation(degree) for _ in range(2)], degree,
-                                        caps=Caps(closure=most))
+                                        caps=Caps(table_group=most))
         except OrderBound:
             continue
         if G.order > 1:
@@ -801,6 +802,31 @@ def test_grunwald_wang_constant_groups_over_q(factors, N, expect):
     gal = cyclotomic_datum(factors, N)
     assert br_nr(gal).invariant_factors == expect
     assert algebraic_unramified(gal).invariant_factors == expect
+
+
+SHA1_CYC_DATA = {
+    **{f"Z/{n}": (lambda n=n: cyclotomic_datum([n], n)) for n in (8, 16, 24, 48, 64)},
+    "Z2xZ8": lambda: cyclotomic_datum([2, 8], 8),
+    "Z8xZ8": lambda: cyclotomic_datum([8, 8], 8),
+    **{f"psi {a},{b}": (lambda a=a, b=b: psi_datum(a, b))
+       for a, b in itertools.product((1, 3, 5, 7), repeat=2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHA1_CYC_DATA))
+def test_algebraic_unramified_is_sha1_cyc(name):
+    # Harari's Sha^1_cyc(k, G^): the classes of H^1(Delta, G^(chi)) that die
+    # on every cyclic subgroup of Delta, by listing those subgroups.  Its
+    # generators pass every Galois row, c_d(tau) = b_d(d.tau) = 0 (f = 0), and
+    # it has the order of algebraic_unramified, so the two subgroups are equal
+    gal = SHA1_CYC_DATA[name]()
+    B, module = _character_module(gal)
+    ref = sha(gal.delta, module, 1, "cyc")
+    assert algebraic_unramified(gal).invariant_factors == ref.invariant_factors
+    d, tau, _ = _galois_rows(gal).T
+    for b in ref.representatives:
+        b = np.asarray(b) @ B.T % gal.N                                  # b[d, g] = b_d(g)
+        assert not b[d, gal.action.table[d, tau]].any()
 
 
 # ---------------------------------------------------------------------------

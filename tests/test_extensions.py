@@ -434,6 +434,21 @@ def test_class_module_coordinates_take_a_batch(name):
         assert cm.coordinates(exts[:2] + [bad] + exts[2:]) is None
 
 
+@pytest.mark.parametrize("name", sorted(CLASS_MODULE_DATA))
+def test_a_pair_shifted_by_a_constant_coboundary_is_normalized(name):
+    # the constant b = k has the coboundary pair (db, chi b - b o d) =
+    # (k, (chi - 1) k), so the shifted pair has f(1, 1) = k != 0; it comes
+    # back as the representative, with the same class coordinates
+    gal = CLASS_MODULE_DATA[name]()
+    cm = class_module(gal)
+    assert cm.representatives
+    for rep, k in zip(cm.representatives, itertools.cycle(range(1, gal.N))):
+        shifted = EquivariantExtension(gal, rep.f + k, rep.c + (gal.chi_mod_n[:, None] - 1) * k)
+        assert np.array_equal(shifted.f, rep.f) and np.array_equal(shifted.c, rep.c)
+        assert shifted.violated_law() is None
+        assert np.array_equal(cm.coordinates(shifted), cm.coordinates(rep))
+
+
 def _laws_by_all_rows(ext: EquivariantExtension) -> tuple[list, object]:
     """Reference: every C1 violation (g, h, k) over all g, in order, and the
     first violated law among C2, C3 with its witness (or None)."""

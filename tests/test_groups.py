@@ -1,3 +1,5 @@
+from math import gcd, lcm
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,64 @@ def test_element_orders_and_exponent():
     assert G.exponent == 4
     S3 = symmetric_group(3)
     assert sorted(S3.element_orders.tolist()) == [1, 2, 2, 2, 3, 3]
+
+
+def _orders_by_loop(G):
+    """Reference: multiply by g until the identity comes back."""
+    out = []
+    for g in range(G.order):
+        x, k = g, 1
+        while x != 0:
+            x, k = int(G.mul[x, g]), k + 1
+        out.append(k)
+    return out
+
+
+def _power_by_loop(G, g, k, order):
+    out = 0
+    for _ in range(k % order):
+        out = int(G.mul[out, g])
+    return out
+
+
+def _unit_group(m):
+    """(Z/m)^x as a table on the residues prime to m, in increasing order."""
+    units = np.array([r for r in range(1, m) if gcd(r, m) == 1])
+    return group_from_table(np.searchsorted(units, np.outer(units, units) % m))
+
+
+POWER_GROUPS = {
+    "trivial": lambda: group_from_table([[0]]),
+    "S4": lambda: symmetric_group(4),
+    "Q8": quaternion_group,
+    **{f"Z{n}:Z{q} u={u} seed {seed}": (lambda n=n, q=q, u=u, seed=seed:
+                                        relabel(metacyclic(n, q, u), seed)[0])
+       for n, q, u in ((8, 2, 5), (4, 4, 3), (9, 3, 4), (7, 3, 2)) for seed in range(2)},
+    # Wang's Delta = (Z/256)^x = Z/2 x Z/64, of order 128
+    "(Z/256)^x": lambda: _unit_group(256),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_GROUPS))
+def test_power_table_matches_the_loops(name):
+    G = POWER_GROUPS[name]()
+    orders = _orders_by_loop(G)
+    exponent = lcm(*orders)
+    P = np.zeros((exponent, G.order), dtype=np.int64)
+    for k in range(1, exponent):
+        P[k] = G.mul[P[k - 1], np.arange(G.order)]
+    assert np.array_equal(G.powers, P)
+    assert G.element_orders.tolist() == orders and G.exponent == exponent
+    for g in range(G.order):
+        for k in (0, 1, 2, 5, orders[g] - 1, orders[g], exponent + 3, -1, -7):
+            assert G.power(g, k) == _power_by_loop(G, g, k, orders[g])
+    # the least generator of each cyclic subgroup, and the subgroups from the closures
+    closures = [G.closure([g]) for g in range(G.order)]
+    least = {}
+    for g, H in enumerate(closures):
+        least.setdefault(H, g)
+    assert G.cyclic_generators.tolist() == sorted(least.values())
+    assert subgroups_cyclic(G) == sorted(least, key=lambda h: (len(h), h))
 
 
 def test_minimal_generators_are_computed_once_and_returned_as_fresh_lists():
