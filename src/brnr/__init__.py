@@ -71,8 +71,6 @@ from .groups import (
     quaternion_group,
     semidirect_product,
     subgroups_abelian,
-    subgroups_bicyclic,
-    subgroups_cyclic,
     symmetric_group,
 )
 from .localeval import (

@@ -15,7 +15,7 @@ from .errors import ValidationError
 @dataclass(frozen=True)
 class Caps:
     table_group: int = 4096          # largest group stored as a full table or enumerated
-    closure: int = 10**6             # abelian subgroups listed by subgroups_abelian
+    closure: int = 1 << 18           # abelian subgroups listed, or bic generator pairs
     h2_group: int = 256              # largest base group for any H^2 computation
     class_module_unknowns: int = 2048
     nonabelian_enum: int = 10**7     # candidate tables |G|^#generators

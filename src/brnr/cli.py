@@ -86,7 +86,7 @@ def _field(spec, key: str, owner: str):
 
 
 def _ints(spec, key: str, owner: str, ndim: int) -> np.ndarray:
-    """spec[key] as a rectangular integer array of rank ndim (or empty)."""
+    """spec[key] as a rectangular integer array of rank ndim (or empty of lower rank)."""
     value = _field(spec, key, owner)
     try:
         arr = np.asarray(value)
@@ -98,7 +98,7 @@ def _ints(spec, key: str, owner: str, ndim: int) -> np.ndarray:
             or arr.dtype.kind not in "iu"
             and all(type(x) is int for x in np.asarray(value, dtype=object).flat)):
         raise ValidationError(f"{owner}.{key} holds integers out of the 64-bit range")
-    if arr.size and (arr.ndim != ndim or arr.dtype.kind not in "iu"):
+    if arr.ndim > ndim or arr.size and (arr.ndim != ndim or arr.dtype.kind not in "iu"):
         raise ValidationError(f"{owner}.{key} must be a {ndim}-dimensional "
                               "array of integers")
     return arr.astype(np.int64)

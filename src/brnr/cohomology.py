@@ -30,7 +30,7 @@ A table is a cocycle iff the identity holds at first arguments {1} u S
 (``cocycle1_defect``, ``cocycle2_defect``, on stacks of tables, twisted
 scalars included).  A 1-cocycle dies on a subgroup iff its values at the
 subgroup's generators lie in the span of d0 there (``death_rows``, one
-``zmod.preimage_rows`` call for all members).  A scalar 2-cocycle,
+``zmod.preimage_rows`` call for all subgroups).  A scalar 2-cocycle,
 twisted by units u(g) or not, is a coboundary iff the atoms of its
 gauged form lie in the span of the |S| u-twisted coboundary columns
 (Gruenberg's H^2 = coker(Der(F, M) -> Hom_G(R^ab, M))):
@@ -45,14 +45,15 @@ how a class of order o sits in Z/N.  Death in Q/Z on every bicyclic
 subgroup (B_0 and the Bogomolov condition of the engine) needs no
 subgroups: a central extension of an abelian group by the divisible Q/Z
 splits iff it is abelian, so a class dies there iff f(x, y) = f(y, x)
-mod N for every commuting pair, one row each in ``commuting_pair_rows``
-(Bogomolov 1987).  Literal death mod N of a degree-2 class on a family
-(the Sha^2 filters of ``sha``) needs none either: it is the kernel of one
-cyclic-splitting row per g != 1 (``_power_sums``) and, for the bicyclic
-and abelian families, of the commuting-pair rows, so Sha^2_ab = Sha^2_bic.
-Degree 1 reads ``death_rows``, one batched span test over the
-inclusion-maximal members of the family: a class that dies on B dies on
-every subgroup of B, since restriction to it factors through B.
+mod N for every commuting pair, read at least cyclic generators in
+``commuting_pair_rows`` (Bogomolov 1987; Moravec 2012).  Literal death
+mod N of a degree-2 class on a family (the Sha^2 filters of ``sha``)
+needs none either: it is the kernel of one cyclic-splitting row per g != 1
+(``_power_sums``) and, for the bicyclic and abelian families, of the
+commuting-pair rows, so Sha^2_ab = Sha^2_bic.  Degree 1 reads
+``death_rows``, one batched span test at the generating tuples of
+``family_generators``: a class that dies on B dies on every subgroup of
+B, since restriction to it factors through B.
 """
 
 from __future__ import annotations
@@ -66,13 +67,7 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, NotACocycle, NotEquivariant, OrderBound, ValidationError
-from .groups import (
-    AbelianModule,
-    FiniteGroup,
-    subgroups_abelian,
-    subgroups_bicyclic,
-    subgroups_cyclic,
-)
+from .groups import AbelianModule, FiniteGroup, subgroups_abelian
 from .zmod import (
     Kernel,
     RowEchelon,
@@ -687,13 +682,6 @@ def _power_sums(G: FiniteGroup, fs: np.ndarray, N: int) -> np.ndarray:
 # Sha: classes dying on a family of subgroups
 # ---------------------------------------------------------------------------
 
-_FAMILIES = {
-    "ab": subgroups_abelian,
-    "bic": lambda G, caps: subgroups_bicyclic(G),
-    "cyc": lambda G, caps: subgroups_cyclic(G),
-}
-
-
 @dataclass
 class ShaResult:
     """Subgroup of H^d(G, M) of classes dying on every subgroup of a family."""
@@ -732,66 +720,98 @@ def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
     return sub.invariant_factors, list(sub.generator_lifts.T % mods)
 
 
-def _maximal_members(subgroups) -> list[frozenset]:
-    """The members of a family that lie in no other member, largest first."""
-    kept: list[frozenset] = []
-    for H in sorted(map(frozenset, subgroups), key=len, reverse=True):
-        if not any(H <= K for K in kept):
-            kept.append(H)
-    return kept
+def _generator_pairs(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The commuting pairs s < t of least cyclic generators != 1, as two arrays."""
+    reps = G.cyclic_generators[1:]
+    mul = G.mul[np.ix_(reps, reps)]
+    return tuple(reps[k] for k in np.nonzero(np.triu(mul == mul.T, 1)))
 
 
-def death_rows(G: FiniteGroup, subgroups, tables: list[np.ndarray],
+def _pair_members(G: FiniteGroup, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The members of each <s, t> = <s><t> as one bit-packed bytes key: from <s>,
+    doubling (x lies in S t^k iff x t^-k lies in S), 2^22 table entries a batch."""
+    P, n, step = G.powers, G.order, max(1, (1 << 22) // G.order)
+    keys = np.zeros((len(s), (n + 7) // 8), dtype=np.uint8)
+    for lo in range(0, len(s), step):
+        a, b = s[lo:lo + step], t[lo:lo + step]
+        members = np.zeros((len(a), n), dtype=bool)
+        np.put_along_axis(members, P[:, a].T, True, axis=1)
+        for k in 1 << np.arange((len(P) - 1).bit_length()):
+            members |= np.take_along_axis(members, G.mul[:, G.inv[P[k, b]]].T, axis=1)
+        keys[lo:lo + step] = np.packbits(members, axis=1)
+    return keys.view(f"S{keys.shape[1]}").ravel()
+
+
+def family_generators(G: FiniteGroup, family: str, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+    """Generating tuples, padded with the identity, of members of ``family``
+    that every member lies in.
+
+    ``cyc``: (s) for each least cyclic generator s that is no power g^k with
+    ord g^k < ord g.  ``bic``: <x, y> = <s, t> for s, t the least generators
+    of <x>, <y>; so (s, t) for each distinct <s, t> over the commuting pairs
+    s < t of least generators != 1, and (s) for each one that commutes with
+    no other.  More than ``caps.closure`` pairs raise OrderBound naming
+    ``closure`` before any member set is built.  ``ab``: the maximal members
+    of ``subgroups_abelian``, their own centralizers, at greedy generators.
+    """
+    if family == "ab":
+        gens = [G.subgroup_generators(H) for H in subgroups_abelian(G, caps)
+                if len(G.centralizer(list(H))) == len(H)]
+        return np.array([g + [0] * (max(map(len, gens)) - len(g)) for g in gens])
+    reps, P, orders = G.cyclic_generators[1:], G.powers, G.element_orders
+    if family == "cyc":
+        return reps[~np.isin(reps, P[orders[P] < orders]), None]
+    s, t = _generator_pairs(G)
+    if len(s) > caps.closure:
+        raise OrderBound("closure", caps.closure, len(s))
+    _, first = np.unique(_pair_members(G, s, t), return_index=True)
+    alone = reps[~np.isin(reps, np.concatenate([s, t]))]
+    return np.vstack([np.stack([s, t], 1)[np.sort(first)], np.stack([alone, 0 * alone], 1)])
+
+
+def death_rows(G: FiniteGroup, generators, tables: list[np.ndarray],
                M: AbelianModule) -> np.ndarray:
-    """Rows (one column per 1-cocycle) whose kernel holds the classes dying on every subgroup.
+    """Rows (one column per 1-cocycle) whose kernel holds the classes dying on every member.
 
-    A class is sum x_j [tables[j]], the tables 1-cocycles valued in M, and
-    dying on B means restricting to d0 v.  The restriction minus a
-    coboundary is a cocycle, which vanishes iff it vanishes at B's
-    generators; so the class dies on B iff its values V x there lie in
-    the span of the columns D of d0 on them.  One ``zmod.preimage_rows``
-    call decides this for every member at once, on the stacks of D and V
-    padded with zero rows to one height; the zero rows that unit pivots
-    leave are dropped.
-
-    Rows are built for the inclusion-maximal members only.  Restriction is
-    transitive, res_C = res^B_C o res_B, so a class that dies on B dies on
-    every C <= B: the rows of C vanish on the kernel of the rows of B, and
-    the stack keeps its kernel, the classes dying on every member.
+    ``generators`` has a row per member B, its generators padded with the
+    identity (``family_generators``).  A class is sum x_j [tables[j]], the
+    tables 1-cocycles valued in M, and dying on B means restricting to d0 v.
+    The restriction minus a coboundary is a cocycle, which vanishes iff it
+    vanishes at B's generators; so the class dies on B iff its values V x
+    there lie in the span of the columns D of d0 on them.  One
+    ``zmod.preimage_rows`` call decides this for every B, on the stacks of
+    D and V; the zero rows of the identity and of unit pivots are dropped.
     """
     T = np.asarray(tables, dtype=np.int64)
     defect = cocycle1_defect(G, M, T)
     if defect is not None:
         raise AssertionError(f"table is not a cocycle at {defect}")
-    blocks = []
-    for elems in _maximal_members(subgroups):
-        gens = G.subgroup_generators(elems)
-        scales = np.tile(_row_scales(M), len(gens))[:, None]
-        blocks.append((_d0_columns(M, gens) * scales,
-                       T[:, gens].reshape(len(tables), -1).T * scales))
-    height = max((len(D) for D, _ in blocks), default=0)
-    D = np.zeros((len(blocks), height, M.rank), dtype=np.int64)
-    V = np.zeros((len(blocks), height, len(tables)), dtype=np.int64)
-    for k, (Dk, Vk) in enumerate(blocks):
-        D[k, :len(Dk)], V[k, :len(Vk)] = Dk, Vk
-    rows = preimage_rows(D, V, M.exponent).reshape(len(blocks) * height, len(tables))
+    gens = np.asarray(generators, dtype=np.int64)
+    height = gens.shape[1] * M.rank
+    scales = np.tile(_row_scales(M), gens.shape[1])[:, None]
+    D = _d0_columns(M, gens.ravel()).reshape(len(gens), height, M.rank) * scales
+    V = np.moveaxis(T[:, gens].reshape(len(T), len(gens), height), 0, 2) * scales
+    rows = preimage_rows(D, V, M.exponent).reshape(-1, len(T))
     return rows[rows.any(axis=1)]
 
 
 def commuting_pair_rows(G: FiniteGroup, tables,
                         N: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The commuting pairs x < y of G (both != 1) and the matrix of condition (i).
+    """The commuting pairs x < y of least cyclic generators != 1, and the matrix of condition (i).
 
     On an abelian subgroup a central extension by Q/Z splits iff it is
     abelian, so the Q/Z-pushforward of a scalar 2-cocycle f mod N dies on
     every bicyclic subgroup iff f(x, y) = f(y, x) mod N for every commuting
     pair: one row per pair, one column per table, entry t[x, y] - t[y, x].
     Coboundaries and Bocksteins are symmetric on commuting pairs, so the
-    rows are defined on classes.
+    rows are defined on classes.  For x = s^i, y = t^j with s, t the least
+    generators of <x>, <y>, f(x, y) - f(y, x) is alternating and bilinear
+    on the abelian <s, t>, so row(x, y) = ij row(s, t): the rows at pairs of
+    ``G.cyclic_generators`` keep the span, and the first nonzero pair (x, y)
+    of a column, where row(s, t) != 0 with s <= x, t <= y and s != t (s > t
+    would make (t, s) an earlier one).
     """
-    commuting = np.triu(G.mul == G.mul.T, 1)
-    commuting[0] = False
-    x, y = np.nonzero(commuting)
+    x, y = _generator_pairs(G)
     T = np.asarray(tables, dtype=np.int64)
     return list(zip(x.tolist(), y.tolist())), (T[:, x, y] - T[:, y, x]).T % N
 
@@ -801,19 +821,19 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
     """Classes of H^degree(G, M) dying on every subgroup of the family.
 
     Dying is literal: the restriction is a coboundary with coefficients in
-    M.  Degree 1 stacks ``death_rows`` over the maximal members of the
-    family.  Degree 2 needs scalar coefficients Z/N with trivial action
-    (for death in Q/Z see ``engine.b0``) and lists no subgroup: its rows
-    are the cyclic-splitting rows of ``_power_sums``, one per g != 1, and
-    for ``bic`` and ``ab`` the ``commuting_pair_rows`` under them.  On an
-    abelian B where f is symmetric, the extension Z/N x_f B is abelian, and
-    an abelian extension of B = sum <b_i> splits iff it splits over each
-    <b_i>: lifts of order ord b_i extend additively.  Conversely a split
-    extension of an abelian B is abelian.  So f dies on every abelian
-    subgroup, or on every bicyclic one, iff both blocks vanish on it, and
-    Sha^2_ab = Sha^2_bic.
+    M.  Degree 1 reads ``death_rows`` at the generating tuples of
+    ``family_generators``.  Degree 2 needs scalar coefficients Z/N with
+    trivial action (for death in Q/Z see ``engine.b0``) and lists no
+    subgroup: its rows are the cyclic-splitting rows of ``_power_sums``,
+    one per g != 1, and for ``bic`` and ``ab`` the ``commuting_pair_rows``
+    under them.  On an abelian B where f is symmetric, the extension
+    Z/N x_f B is abelian, and an abelian extension of B = sum <b_i> splits
+    iff it splits over each <b_i>: lifts of order ord b_i extend
+    additively.  Conversely a split extension of an abelian B is abelian.
+    So f dies on every abelian subgroup, or on every bicyclic one, iff both
+    blocks vanish on it, and Sha^2_ab = Sha^2_bic.
     """
-    if family not in _FAMILIES:
+    if family not in ("ab", "bic", "cyc"):
         raise ValidationError(f"unknown subgroup family {family!r}")
     if degree not in (1, 2):
         raise ValidationError("degree must be 1 or 2")
@@ -825,7 +845,7 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
     if not orders:
         return ShaResult(ambient, (), [], [], family, degree)
     if degree == 1:
-        rows = death_rows(G, _FAMILIES[family](G, caps), ambient.representatives, M)
+        rows = death_rows(G, family_generators(G, family, caps), ambient.representatives, M)
     else:
         f = np.array([rep[:, :, 0] for rep in ambient.representatives])
         g, k = np.arange(1, G.order), G.element_orders[1:]

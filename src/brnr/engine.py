@@ -15,14 +15,14 @@ The lift of <tau> always exists, as Q/Z(1) is divisible, so (ii) is the
 vanishing of one closed-form value mod N per admissible triple
 (d, tau, gamma), linear in (f, c) (_galois_obstructions).  So both
 conditions are matrices with one column per pair: (i) has a row per
-commuting pair (cohomology.commuting_pair_rows), and beside (i), (ii) needs
-one row per (d, <tau>) (_galois_rows).  br_nr stacks them over the
-generators of the class module modulo Kummer classes: Br^0_nr is the
-kernel, and each generator's verdict is its column, with the first nonzero
-row as witness.  algebraic_unramified reads the classes with f = 0,
-H^1(Delta, G^(chi)), off one h1 call.  b0, br_nr, algebraic_unramified and
-the Kummer quotient each hand their rows to one
-cohomology.class_subgroup call, and no class is enumerated.
+commuting pair of least cyclic generators (cohomology.commuting_pair_rows),
+and beside (i), (ii) needs one row per (d, <tau>) (_galois_rows).  br_nr
+stacks them over the generators of the class module modulo Kummer
+classes: Br^0_nr is the kernel, and each generator's verdict is its
+column, with the first nonzero row as witness.  algebraic_unramified
+reads the classes with f = 0, H^1(Delta, G^(chi)), off one h1 call.  b0,
+br_nr, algebraic_unramified and the Kummer quotient each hand their rows
+to one cohomology.class_subgroup call, and no class is enumerated.
 bogomolov_condition, galois_condition (every admissible triple) and
 exhaustive search in explicit extension groups stay as the references
 that the tests and selftest compare against.
@@ -46,6 +46,7 @@ from .cohomology import (
     class_subgroup,
     commuting_pair_rows,
     dies_in_qz,
+    family_generators,
     h1,
     h2,
     scalar_module,
@@ -59,7 +60,7 @@ from .extensions import (
     class_module,
     kummer_kernel,
 )
-from .groups import AbelianModule, FiniteGroup, subgroups_bicyclic
+from .groups import AbelianModule, FiniteGroup
 from .zmod import kernel
 
 
@@ -71,10 +72,9 @@ from .zmod import kernel
 def bogomolov_condition(ext: EquivariantExtension,
                         bicyclics: list | None = None) -> tuple[bool, Optional[tuple]]:
     """True iff the Q/Z-pushforward of f splits on every bicyclic subgroup."""
-    G = ext.gal.G
-    N = ext.gal.N
+    G, N = ext.gal.G, ext.gal.N
     if bicyclics is None:
-        bicyclics = subgroups_bicyclic(G)
+        bicyclics = [G.closure(gens) for gens in family_generators(G, "bic")]
     for elems in bicyclics:
         if len(elems) == 1:
             continue

@@ -127,8 +127,10 @@ class FiniteGroup:
                     frontier.append(y)
         return tuple(sorted(members))
 
-    def centralizer(self, g: int) -> np.ndarray:
-        return np.nonzero(self.mul[:, g] == self.mul[g, :])[0]
+    def centralizer(self, elements) -> np.ndarray:
+        """The elements that commute with g, or with every element of a list."""
+        h = np.atleast_1d(elements)
+        return np.flatnonzero((self.mul[h] == self.mul[:, h].T).all(axis=0))
 
     @cached_property
     def _minimal_generators(self) -> tuple[int, ...]:
@@ -254,48 +256,16 @@ def group_from_permutations(generators, degree: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def subgroups_cyclic(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every cyclic subgroup <g>, read off the power table at its least generator."""
-    return sorted((tuple(np.unique(G.powers[:, g]).tolist()) for g in G.cyclic_generators),
-                  key=lambda h: (len(h), h))
-
-
-def subgroups_bicyclic(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Subgroups generated by a commuting pair (cyclic ones included).
-
-    <t, c> = <c><t> depends only on <t> and <c>, so t and c run over
-    ``G.cyclic_generators``.  The members of all pairs are found at once
-    from the power table, starting from <c> and doubling: x lies in S t^k
-    iff x t^-k lies in S.
-    """
-    P, reps = G.powers, G.cyclic_generators
-    mul = G.mul[np.ix_(reps, reps)]
-    t, c = (reps[i] for i in np.nonzero(np.triu(mul == mul.T)))
-    members = np.zeros((len(t), G.order), dtype=bool)
-    members[np.arange(len(t))[:, None], P[:, c].T] = True      # row: <c>
-    k = 1
-    while k < len(P):
-        members |= members[np.arange(len(t))[:, None], G.mul[:, G.inv[P[k, t]]].T]
-        k *= 2
-    return sorted({tuple(np.flatnonzero(row).tolist()) for row in members},
-                  key=lambda h: (len(h), h))
-
-
 def subgroups_abelian(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
     """All abelian subgroups, grown by extending with centralizing elements.
 
     More than ``caps.closure`` of them raise OrderBound naming ``closure``.
     """
-    found = set(subgroups_cyclic(G))
+    found = {G.closure([g]) for g in G.cyclic_generators}
     frontier = list(found)
     while frontier:
         H = frontier.pop()
-        members = set(H)
-        cent = None
-        for h in H:
-            ch = set(map(int, G.centralizer(h)))
-            cent = ch if cent is None else (cent & ch)
-        for g in sorted(cent - members):
+        for g in np.setdiff1d(G.centralizer(list(H)), H).tolist():
             H2 = G.closure(list(H) + [g])
             if H2 not in found:
                 if len(found) > caps.closure:
@@ -384,12 +354,12 @@ class AbelianModule:
 
     def __post_init__(self):
         self.invariant_factors = tuple(int(d) for d in self.invariant_factors)
+        if any(d < 2 for d in self.invariant_factors):
+            raise ValidationError("invariant factors must be >= 2")
         for d, e in zip(self.invariant_factors, self.invariant_factors[1:]):
             if e % d:
                 raise ValidationError("invariant factors must form a divisor chain",
                                       witness=(d, e))
-        if any(d < 2 for d in self.invariant_factors):
-            raise ValidationError("invariant factors must be >= 2")
         if self.action is not None:
             self.action = np.asarray(self.action, dtype=np.int64)
             r = self.rank

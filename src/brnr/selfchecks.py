@@ -12,9 +12,7 @@ import itertools
 
 import numpy as np
 
-from .caps import DEFAULT_CAPS
 from .cohomology import (
-    _FAMILIES,
     ShaResult,
     _d0_columns,
     _row_scales,
@@ -62,7 +60,7 @@ from .groups import (
     dihedral_group,
     quaternion_group,
     semidirect_product,
-    subgroups_bicyclic,
+    subgroups_abelian,
     symmetric_group,
 )
 from .localeval import LocalDatum, NonabelianCocycle, evaluate, nonabelian_h1
@@ -72,6 +70,20 @@ from .zmod import as_mod, kernel, smith_normal_form_raw, solve, span_rows, subqu
 def _assert(cond, msg):
     if not cond:
         raise AssertionError(msg)
+
+
+def bicyclic_by_pairs(G) -> list[tuple[int, ...]]:
+    """Every bicyclic subgroup, the closure of each commuting pair t <= c."""
+    seen = {G.closure([t, c]) for t in range(G.order) for c in G.centralizer(t) if c >= t}
+    return sorted(seen, key=lambda h: (len(h), h))
+
+
+def family_by_pairs(G, family: str) -> list[tuple[int, ...]]:
+    """Every member of a subgroup family, the cyclic ones among ``bicyclic_by_pairs``."""
+    if family == "ab":
+        return subgroups_abelian(G)
+    return [H for H in bicyclic_by_pairs(G)
+            if family == "bic" or G.element_orders[list(H)].max() == len(H)]
 
 
 def check_snf_reconstruction():
@@ -149,7 +161,7 @@ def check_qz_filter_vs_dies_in_qz():
         N = G.order
         H = h2(G, scalar_module(N))
         orders = H.invariant_factors
-        bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
+        bics = [G.subgroup_table(e) for e in bicyclic_by_pairs(G) if len(e) > 1]
         _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
         expect = {x for x in itertools.product(*(range(o) for o in orders))
                   if all(dies_in_qz(H.element_table(x)[:, :, 0][np.ix_(idx, idx)], B, N)
@@ -189,7 +201,7 @@ def unramified_by_enumeration(gal: GaloisDatum) -> tuple[int, ...]:
     if not orders:
         return ()
     mods = np.array(orders, dtype=np.int64)
-    bics = subgroups_bicyclic(gal.G)
+    bics = bicyclic_by_pairs(gal.G)
     passing = {x for x in itertools.product(*map(range, orders))
                if is_unramified(cm.element(x), bics)[0]}
     _assert((0,) * len(orders) in passing, "the zero class must be unramified")
@@ -260,8 +272,7 @@ def classes_dying_by_full_rows(res: ShaResult) -> set[tuple[int, ...]]:
     every subgroup of the family, each restriction solved on every row."""
     amb = res.ambient
     G, M, N = amb.group, amb.module, amb.module.exponent
-    subgroups = [G.subgroup_table(e) for e in _FAMILIES[res.family](G, DEFAULT_CAPS)
-                 if len(e) > 1]
+    subgroups = [G.subgroup_table(e) for e in family_by_pairs(G, res.family) if len(e) > 1]
 
     def dies(table, B, idx) -> bool:
         if res.degree == 2:

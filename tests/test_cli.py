@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import brnr.cohomology
 from brnr.caps import Caps
 from brnr.cli import Job, main, parse_job, run_job
 from brnr.cohomology import ReducedCocycleSpace, h1, scalar_module, sha
@@ -150,6 +151,41 @@ def test_integers_out_of_range_are_named(tmp_path, capsys, factors):
     assert main(["run", str(f)]) == 3
     assert ("group.invariant_factors holds integers out of the 64-bit range"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("factors", [[0, 4], [False, 4], [[]]], ids=str)
+@pytest.mark.parametrize("where", ["abelian", "semidirect q"])
+def test_malformed_invariant_factors_exit_3(tmp_path, capsys, where, factors):
+    # a factor below 2 is named before the divisor-chain test divides by
+    # it, and an empty array of the wrong rank is no factor list
+    group = {"kind": "abelian", "invariant_factors": factors}
+    if where != "abelian":
+        group = {"kind": "semidirect", "q": {"invariant_factors": factors},
+                 "n": {"invariant_factors": [2]}}
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps({"task": "sha1bic" if where != "abelian" else "b0",
+                             "group": group}))
+    assert main(["run", str(f)]) == 3
+    field = "group.invariant_factors" if where == "abelian" else "group.q.invariant_factors"
+    assert field in capsys.readouterr().err
+
+
+def test_closure_cap_bounds_the_bicyclic_pairs_before_any_member_set(tmp_path, capsys,
+                                                                     monkeypatch):
+    # Q = (Z/2)^10 has 1023 * 1022 / 2 commuting pairs of least generators != 1,
+    # above the default cap; they are counted before any member set is built
+    def forbidden(*args):
+        raise AssertionError("member sets built before the cap check")
+
+    monkeypatch.setattr(brnr.cohomology, "_pair_members", forbidden)
+    f = tmp_path / "sha1bic.json"
+    f.write_text(json.dumps({"task": "sha1bic", "group": {
+        "kind": "semidirect", "q": {"invariant_factors": [2] * 10},
+        "n": {"invariant_factors": [2]}}}))
+    start = time.perf_counter()
+    assert main(["run", str(f)]) == 4
+    assert time.perf_counter() - start < 1
+    assert "cap closure=262144 exceeded (required 522753)" in capsys.readouterr().err
 
 
 def test_permutation_closure_stops_at_the_table_cap(tmp_path, capsys):

@@ -14,10 +14,8 @@ from brnr.groups import (
     group_from_table,
     quaternion_group,
     semidirect_product,
-    subgroups_bicyclic,
     symmetric_group,
 )
-from brnr.caps import DEFAULT_CAPS
 from brnr.cohomology import (
     _coboundary_rows,
     _cocycle1_space,
@@ -33,6 +31,7 @@ from brnr.cohomology import (
     cup_h1_h1,
     death_rows,
     dies_in_qz,
+    family_generators,
     h1,
     h2,
     h2_trivial_scalar,
@@ -45,11 +44,17 @@ from brnr.cohomology import (
 from brnr.engine import b0
 from brnr.errors import NotACocycle, NotEquivariant, ValidationError
 from brnr.fastpath import build_example_714
-from brnr.selfchecks import class_span, classes_dying_by_full_rows
+from brnr.selfchecks import (
+    bicyclic_by_pairs,
+    class_span,
+    classes_dying_by_full_rows,
+    family_by_pairs,
+)
 from brnr.zmod import echelon_compress, kernel, smith_normal_form_raw
 from dense_h2 import coboundary1, dense_h2
 from test_engine import METACYCLIC, _metacyclic, random_permutation_group
 from test_generator_rows import relabel
+from test_groups import assert_family_generators_cover
 
 
 def brute_h2_order(G: FiniteGroup, m: int) -> int:
@@ -586,12 +591,58 @@ def test_qz_death_lattice_matches_dies_in_qz(name):
     N = G.order
     H = h2(G, scalar_module(N))
     orders = H.invariant_factors
-    bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
+    bics = [G.subgroup_table(e) for e in bicyclic_by_pairs(G) if len(e) > 1]
     _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
     expect = {x for x in itertools.product(*(range(o) for o in orders))
               if all(dies_in_qz(H.element_table(x)[:, :, 0][np.ix_(idx, idx)], B, N)
                      for B, idx in bics)}
     assert class_span(*class_subgroup(S, orders, N), orders) == expect
+
+
+def all_commuting_pair_rows(G, tables, N):
+    """Reference: the rows of condition (i) at every commuting pair x < y of elements != 1."""
+    commuting = np.triu(G.mul == G.mul.T, 1)
+    commuting[0] = False
+    x, y = np.nonzero(commuting)
+    T = np.asarray(tables, dtype=np.int64)
+    return list(zip(x.tolist(), y.tolist())), (T[:, x, y] - T[:, y, x]).T % N
+
+
+PAIR_GROUPS = {
+    "S4": lambda: symmetric_group(4),
+    "A5": lambda: alternating_group(5),
+    "D16": lambda: dihedral_group(8),
+    "Q8xZ4": lambda: semidirect_product(cyclic_group(4), quaternion_group()).group,
+    "Z4:Z4": lambda: _metacyclic(4, 4, 3),
+    "Z/64": lambda: cyclic_group(64),
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", sorted(PAIR_GROUPS))
+def test_commuting_pair_rows_at_least_generators_match_all_pairs(name, seed):
+    # on the H^2(G, Z/|G|) representatives and on random cocycles (random
+    # combinations of them plus coboundaries), the rows at pairs of least
+    # cyclic generators and the rows at all commuting pairs have one
+    # reduced Howell form and the same first nonzero pair in each column,
+    # the witness br_nr prints; the cyc and bic generating tuples of the
+    # same group cover the pair loop's subgroups
+    G, _ = relabel(PAIR_GROUPS[name](), seed)
+    N = G.order
+    rng = np.random.default_rng(seed)
+    reps = np.array([rep[:, :, 0] for rep in h2(G, scalar_module(N)).representatives])
+    b = rng.integers(0, N, size=(6, N))
+    b[:, 0] = 0
+    db = b[:, :, None] + b[:, None, :] - b[:, G.mul]
+    mixed = np.tensordot(rng.integers(0, N, size=(6, len(reps))), reps, axes=1) + db
+    tables = np.concatenate([reps, mixed % N])
+    pairs, S = commuting_pair_rows(G, tables, N)
+    every, A = all_commuting_pair_rows(G, tables, N)
+    assert set(pairs) <= set(every) and S.shape[1] == A.shape[1] == len(tables)
+    assert np.array_equal(echelon_compress(S, N), echelon_compress(A, N))
+    for s, a in zip(S.T, A.T):
+        assert [pairs[i] for i in np.flatnonzero(s)[:1]] == [every[i] for i in np.flatnonzero(a)[:1]]
+    assert_family_generators_cover(G)
 
 
 @pytest.mark.parametrize("N", [12, 24, 36])
@@ -707,9 +758,7 @@ def test_sha2_lists_no_subgroup(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("degree-2 sha enumerated a subgroup")
 
-    for family in ("ab", "bic", "cyc"):
-        monkeypatch.setitem(brnr.cohomology._FAMILIES, family, forbidden)
-    for name in ("subgroups_abelian", "subgroups_bicyclic", "subgroups_cyclic"):
+    for name in ("family_generators", "subgroups_abelian"):
         monkeypatch.setattr(brnr.cohomology, name, forbidden)
     monkeypatch.setattr(FiniteGroup, "subgroup_table", forbidden)
     monkeypatch.setattr(brnr.cohomology, "death_rows", forbidden)
@@ -725,7 +774,7 @@ def test_death_rows_solve_the_maximal_members_only(p, planes, monkeypatch):
     # lines and as many planes; one preimage_rows call stacks the planes,
     # each the d0 columns at its two generators
     Q, M = _example_714_data(p)
-    assert len(subgroups_bicyclic(Q)) == 1 + 2 * planes
+    assert len(bicyclic_by_pairs(Q)) == 1 + 2 * planes
     shapes = []
     preimage_rows = brnr.cohomology.preimage_rows
     monkeypatch.setattr(brnr.cohomology, "preimage_rows",
@@ -753,7 +802,7 @@ def snf_death_rows(G, M, family, tables) -> np.ndarray:
     """
     m, T = M.exponent, np.asarray(tables, dtype=np.int64)
     blocks = [np.zeros((0, len(T)), dtype=np.int64)]
-    for elems in brnr.cohomology._FAMILIES[family](G, DEFAULT_CAPS):
+    for elems in family_by_pairs(G, family):
         if len(elems) == 1:
             continue
         B, idx = G.subgroup_table(elems)
@@ -777,7 +826,7 @@ def test_death_rows_have_the_row_span_of_the_per_member_smith_forms(name):
     make, _, family = SHA_DATA[name]
     G, M = make()
     tables = h1(G, M).representatives
-    rows = death_rows(G, brnr.cohomology._FAMILIES[family](G, DEFAULT_CAPS), tables, M)
+    rows = death_rows(G, family_generators(G, family), tables, M)
     assert rows.any(axis=1).all()
     ref = snf_death_rows(G, M, family, tables)
     assert np.array_equal(echelon_compress(rows, M.exponent), echelon_compress(ref, M.exponent))

@@ -58,11 +58,14 @@ from brnr.groups import (
     group_from_table,
     quaternion_group,
     semidirect_product,
-    subgroups_bicyclic,
-    subgroups_cyclic,
     symmetric_group,
 )
-from brnr.selfchecks import class_span, unramified_by_enumeration
+from brnr.selfchecks import (
+    bicyclic_by_pairs,
+    class_span,
+    family_by_pairs,
+    unramified_by_enumeration,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -397,7 +400,7 @@ def classes_dying_in_qz(G, H) -> set:
     """Coordinates of the classes of H = H^2(G, Z/|G|) whose restriction to
     every bicyclic subgroup dies in Q/Z, one dies_in_qz call each."""
     N = G.order
-    bics = [G.subgroup_table(e) for e in subgroups_bicyclic(G) if len(e) > 1]
+    bics = [G.subgroup_table(e) for e in bicyclic_by_pairs(G) if len(e) > 1]
     dying = set()
     for x in itertools.product(*(range(o) for o in H.invariant_factors)):
         table = H.element_table(x)[:, :, 0]
@@ -842,7 +845,7 @@ def simplified_unramified_cyclotomic(ext) -> bool:
     ok, _ = bogomolov_condition(ext)
     if not ok:
         return False
-    for elems in subgroups_cyclic(gal.G):
+    for elems in family_by_pairs(gal.G, "cyc"):
         eC = 1
         for e in elems:
             o = gal.G.element_order(int(e))

@@ -25,9 +25,9 @@ from brnr.groups import (
     dihedral_group,
     group_from_table,
     quaternion_group,
-    subgroups_cyclic,
     symmetric_group,
 )
+from brnr.selfchecks import family_by_pairs
 from test_engine import cyclic_unit_datum, wang_datum
 from test_generator_rows import C2_DATA, relabel_datum
 
@@ -173,7 +173,7 @@ def assert_splitting_witness(ext, elems, b, modulus=None, equivariant=False):
 
 def test_splitting_witnesses_satisfy_their_equations():
     G = abelian_group([2, 4])
-    subgroups = [list(e) for e in subgroups_cyclic(G)] + [list(range(G.order))]
+    subgroups = [list(e) for e in family_by_pairs(G, "cyc")] + [list(range(G.order))]
     found = 0
     for gal in (GaloisDatum.trivial(G), GaloisDatum.real_like(G)):
         cm = class_module(gal)

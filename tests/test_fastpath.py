@@ -72,11 +72,11 @@ def test_example_714_p2_values():
 def test_example_714_restriction_orders():
     # restriction of [a] to bicyclic B has order |B| in H^1(B, N^)
     from brnr.cohomology import subgroup_module
-    from brnr.groups import subgroups_bicyclic
+    from brnr.selfchecks import bicyclic_by_pairs
     ex = build_example_714(2)
     Q = ex.sd.Q
     H = h1(Q, ex.sd.N_hat)
-    for elems in subgroups_bicyclic(Q):
+    for elems in bicyclic_by_pairs(Q):
         if len(elems) == 1:
             continue
         B, idx = Q.subgroup_table(elems)
@@ -102,8 +102,8 @@ def test_tate_h0_identification_714():
     Q = ex.sd.Q
     M = AbelianModule((8,), Q, np.tile(np.eye(1, dtype=np.int64), (8, 1, 1)))
     assert tate_h0(Q, M).invariant_factors == (8,)
-    from brnr.groups import subgroups_bicyclic
-    for elems in subgroups_bicyclic(Q):
+    from brnr.selfchecks import bicyclic_by_pairs
+    for elems in bicyclic_by_pairs(Q):
         if len(elems) == 1:
             continue
         B, idx = Q.subgroup_table(elems)

@@ -18,10 +18,10 @@ from brnr.groups import (
     quaternion_group,
     semidirect_product,
     subgroups_abelian,
-    subgroups_bicyclic,
-    subgroups_cyclic,
     symmetric_group,
 )
+from brnr.cohomology import _generator_pairs, _pair_members, family_generators
+from brnr.selfchecks import bicyclic_by_pairs, family_by_pairs
 
 from test_generator_rows import metacyclic, relabel
 
@@ -124,7 +124,8 @@ def test_power_table_matches_the_loops(name):
     for g, H in enumerate(closures):
         least.setdefault(H, g)
     assert G.cyclic_generators.tolist() == sorted(least.values())
-    assert subgroups_cyclic(G) == sorted(least, key=lambda h: (len(h), h))
+    read = (tuple(np.unique(G.powers[:, g]).tolist()) for g in G.cyclic_generators)
+    assert sorted(read, key=lambda h: (len(h), h)) == sorted(least, key=lambda h: (len(h), h))
 
 
 def test_minimal_generators_are_computed_once_and_returned_as_fresh_lists():
@@ -179,53 +180,63 @@ def test_tree_levels_match_the_loop_and_reject_non_generators(left):
 
 def test_subgroups_cyclic():
     Z4 = cyclic_group(4)
-    subs = subgroups_cyclic(Z4)
+    subs = family_by_pairs(Z4, "cyc")
     assert subs == [(0,), (0, 2), (0, 1, 2, 3)]
 
     S3 = symmetric_group(3)
-    assert len(subgroups_cyclic(S3)) == 5  # 1, three of order 2, one of order 3
+    assert len(family_by_pairs(S3, "cyc")) == 5  # 1, three of order 2, one of order 3
 
     T = group_from_table([[0]])
-    assert subgroups_cyclic(T) == [(0,)]
+    assert family_by_pairs(T, "cyc") == [(0,)]
 
 
 def test_subgroups_cyclic_matches_bruteforce_count():
     for G in (abelian_group([2, 2]), symmetric_group(3), dihedral_group(4)):
-        subs = set(subgroups_cyclic(G))
+        subs = set(family_by_pairs(G, "cyc"))
         brute = {G.closure([g]) for g in range(G.order)}
         assert subs == brute
 
 
 def test_subgroups_bicyclic():
     Z2 = cyclic_group(2)
-    assert subgroups_bicyclic(Z2) == [(0,), (0, 1)]
+    assert bicyclic_by_pairs(Z2) == [(0,), (0, 1)]
 
     V = abelian_group([2, 2])
-    assert len(subgroups_bicyclic(V)) == 5  # all subgroups of (Z/2)^2
+    assert len(bicyclic_by_pairs(V)) == 5  # all subgroups of (Z/2)^2
 
     S3 = symmetric_group(3)
-    assert set(subgroups_bicyclic(S3)) == set(subgroups_cyclic(S3))
+    assert set(bicyclic_by_pairs(S3)) == {S3.closure([g]) for g in range(6)}
 
     # bicyclic contains cyclic for a batch of groups
     for G in (dihedral_group(4), quaternion_group(), abelian_group([2, 4])):
-        assert set(subgroups_bicyclic(G)) >= set(subgroups_cyclic(G))
+        assert set(bicyclic_by_pairs(G)) >= set(family_by_pairs(G, "cyc"))
 
 
-def _bicyclic_by_pairs(G):
-    """Reference: the closure of every commuting pair t <= c."""
-    seen = {G.closure([t, c]) for t in range(G.order) for c in map(int, G.centralizer(t))
-            if c >= t}
-    return sorted(seen, key=lambda h: (len(h), h))
+def assert_family_generators_cover(G):
+    """The member set of each commuting pair of least generators is its
+    closure; the closure of each cyc or bic generating tuple is a member of
+    the family, no two are equal, and every member lies in one of them."""
+    s, t = _generator_pairs(G)
+    keys = np.array([np.packbits(np.isin(np.arange(G.order), G.closure([a, b])))
+                     for a, b in zip(s, t)]).reshape(len(s), -1)
+    assert np.array_equal(_pair_members(G, s, t), keys.view(f"S{keys.shape[1]}").ravel())
+    for family in ("cyc", "bic"):
+        members = family_by_pairs(G, family)
+        closures = [G.closure(gens) for gens in family_generators(G, family)]
+        assert set(closures) <= set(members) and len(set(closures)) == len(closures)
+        assert all(any(set(H) <= set(C) for C in closures) for H in members)
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_subgroups_bicyclic_match_the_pair_loop(seed):
-    # relabelling moves the least generator of each cyclic subgroup; Z/64
-    # has a power table of 64 rows, Z3 x Z3 x Z9 elements of orders 3 and 9
+    # the cyc and bic generating tuples, read off the power table at least
+    # generators, against the closure of every commuting pair; relabelling
+    # moves the least generator of each cyclic subgroup; Z/64 has a power
+    # table of 64 rows, Z3 x Z3 x Z9 elements of orders 3 and 9
     for G in (symmetric_group(4), dihedral_group(8), quaternion_group(), metacyclic(8, 4, 3),
               abelian_group([2, 2, 4]), abelian_group([3, 3, 9]), cyclic_group(64)):
         H, _ = relabel(G, seed)
-        assert subgroups_bicyclic(H) == _bicyclic_by_pairs(H)
+        assert_family_generators_cover(H)
 
 
 def test_subgroup_generators_match_the_subgroup_table():
@@ -243,7 +254,7 @@ def test_subgroup_generators_match_the_subgroup_table():
 
 def test_subgroups_abelian_of_s3():
     S3 = symmetric_group(3)
-    assert set(subgroups_abelian(S3)) == set(subgroups_cyclic(S3))
+    assert set(subgroups_abelian(S3)) == set(family_by_pairs(S3, "cyc"))
     V8 = abelian_group([2, 2, 2])
     # (Z/2)^3 has 16 subgroups, all abelian
     assert len(subgroups_abelian(V8)) == 16
