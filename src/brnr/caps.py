@@ -1,23 +1,22 @@
 """Size caps for the various enumerations and solvers.
 
 Every potentially explosive operation checks one of these before doing
-work.  Defaults are sized for desk-scale groups; all of them can be
-overridden per job through the CLI.
+work; the defaults suit desk-scale groups and can be overridden per job.
+H^1, H^2 and the class module count unknowns (``check_unknowns``), not order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 
 
 @dataclass(frozen=True)
 class Caps:
     table_group: int = 4096          # largest group stored as a full table or enumerated
     closure: int = 1 << 18           # abelian subgroups listed, or bic generator pairs
-    h2_group: int = 256              # largest base group for any H^2 computation
-    class_module_unknowns: int = 2048
+    class_module_unknowns: int = 2048  # unknowns of an H^1, H^2 or class-module solve
     nonabelian_enum: int = 10**7     # candidate tables |G|^#generators
     local_tuples: int = 10**4        # rows enumerated in a Brauer-Manin tuple table
 
@@ -35,6 +34,11 @@ class Caps:
                 raise ValidationError(f"cap {name} must not be negative", witness=value)
             values[name] = value
         return replace(self, **values)
+
+    def check_unknowns(self, count: int) -> None:
+        """Refuse a cohomology solve with more than ``class_module_unknowns`` unknowns."""
+        if count > self.class_module_unknowns:
+            raise CapExceeded("class_module_unknowns", self.class_module_unknowns, count)
 
 
 DEFAULT_CAPS = Caps()

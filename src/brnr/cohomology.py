@@ -66,7 +66,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, NotACocycle, NotEquivariant, OrderBound, ValidationError
+from .errors import NotACocycle, NotEquivariant, OrderBound, ValidationError
 from .groups import AbelianModule, FiniteGroup, subgroups_abelian
 from .zmod import (
     Kernel,
@@ -287,9 +287,7 @@ def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
     representatives are whole tables, a(g) = E[g] @ a(S), and a cocycle
     table has the coordinates of its values at S.
     """
-    dim = len(G.minimal_generators()) * M.rank
-    if dim > caps.class_module_unknowns:
-        raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim)
+    caps.check_unknowns(len(G.minimal_generators()) * M.rank)
     S, E, rows = _cocycle1_space(G, M)
     R = np.hstack([_d0_columns(M, S), _lattice_columns(len(S), M)])
     sub = subquotient(kernel(rows, M.exponent), R, M.exponent)
@@ -490,11 +488,10 @@ def reduced_cocycle_space(G: FiniteGroup, m: int, gens=None,
 
 
 def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
-    """H^2(G, Z/m) on the Schreier atoms, modulo the |S| gauge-fixed coboundaries."""
+    """H^2(G, Z/m) on the n|S| - n + 1 Schreier atoms, modulo the |S| gauged coboundaries."""
     n = G.order
-    if n > caps.h2_group:
-        raise OrderBound("h2_group", caps.h2_group, n)
     space = reduced_cocycle_space(G, m)
+    caps.check_unknowns(space.n_atoms)
     cocycles = _kernel_from_batches(space.c1_batches(), space.n_atoms, m)
     sub = subquotient(cocycles, space.coboundaries(), m)
     M = scalar_module(m)

@@ -40,7 +40,6 @@ from .cohomology import (
     scalar_module,
 )
 from .errors import (
-    CapExceeded,
     MismatchedBase,
     NotASubgroup,
     NotStable,
@@ -452,8 +451,7 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     space = reduced_cocycle_space(G, N, autos=act[SD])
     S, n_atoms = np.array(space.gens, dtype=np.int64), space.n_atoms
     dim = n_atoms + len(SD) * len(S)
-    if dim > caps.class_module_unknowns:
-        raise CapExceeded("class_module_unknowns", caps.class_module_unknowns, dim)
+    caps.check_unknowns(dim)
     left_levels, delta_levels = G.tree_levels(S, left=True), gal.delta.tree_levels(SD)
     C = _c_expressions(gal, space, left_levels, delta_levels)
     # C2: c_e(sh) - c_e(s) - c_e(h) - f(e.s, e.h) + chi(e) f(s, h), h != 1,

@@ -80,14 +80,15 @@ class FiniteGroup:
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """P[k, g] = g^k for 0 <= k < exp(G): row k + 1 is row k times g, up
-        to the first row that is all identity."""
-        g = np.arange(self.order)
-        rows, row = [np.zeros_like(g)], g
+        """P[k, g] = g^k for 0 <= k < exp(G), row k + 1 being row k times g: one
+        pass finds exp(G), a second fills P in place (one table at peak)."""
+        g, row, e = np.arange(self.order), np.arange(self.order), 1
         while row.any():
-            rows.append(row)
-            row = self.mul[row, g]
-        return np.array(rows)
+            row, e = self.mul[row, g], e + 1
+        P = np.zeros((e, self.order), dtype=g.dtype)
+        for k in range(1, e):
+            P[k] = self.mul[P[k - 1], g]
+        return P
 
     @cached_property
     def element_orders(self) -> np.ndarray:

@@ -389,9 +389,10 @@ def test_b0_of_order_64_hit_is_invariant_under_relabelling():
 
 
 @pytest.mark.parametrize("name, k", [("S3", 4), ("D4", 2), ("Q8", 3), ("A4", 2),
-                                     ("Q8xZ2", 2), ("hit", 2), ("hit", 3)])
+                                     ("Q8xZ2", 2), ("hit", 2), ("hit", 3), ("hit", 8)])
 def test_b0_is_unchanged_by_a_cyclic_direct_factor(name, k):
-    # metamorphic: B_0(G x Z/k) = B_0(G); the criterion-4b hit carries Z/2
+    # metamorphic: B_0(G x Z/k) = B_0(G); the criterion-4b hit carries Z/2.
+    # hit x Z/8 has order 512 and 1537 Schreier atoms, within the default cap
     G = {"S3": lambda: symmetric_group(3), "D4": lambda: dihedral_group(4),
          "Q8": quaternion_group, "A4": lambda: alternating_group(4),
          "Q8xZ2": lambda: _direct_with_z2(quaternion_group()),

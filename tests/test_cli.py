@@ -124,7 +124,7 @@ def test_cli_exit_codes(tmp_path):
     capjob = {
         "task": "b0",
         "group": {"kind": "table", "table": cyclic_group(8).mul.tolist()},
-        "caps": {"h2_group": 4},
+        "caps": {"class_module_unknowns": 0},
     }
     f2 = tmp_path / "cap.json"
     f2.write_text(json.dumps(capjob))
@@ -200,20 +200,24 @@ def test_permutation_closure_stops_at_the_table_cap(tmp_path, capsys):
     assert "cap table_group=4096 exceeded (required 4097)" in capsys.readouterr().err
 
 
-def test_class_module_unknowns_are_counted_before_any_table(tmp_path, capsys, monkeypatch):
-    # real-like (Z/2)^9 has 4106 unknowns; the cap refuses it before the
-    # atom expressions of its 512 x 512 cocycles are built
+@pytest.mark.parametrize("task, galois, required", [
+    ("brnr", {"galois": {"kind": "real"}}, 4106), ("b0", {}, 4097)], ids=["brnr", "b0"])
+def test_class_module_unknowns_are_counted_before_any_table(tmp_path, capsys, monkeypatch,
+                                                            task, galois, required):
+    # on (Z/2)^9 the class module of a real-like datum has 4106 unknowns and
+    # H^2 its 512 * 9 - 512 + 1 = 4097 Schreier atoms; the cap refuses both
+    # before the atom expressions of the 512 x 512 cocycles are built
     def forbidden(self):
         raise AssertionError("atom expressions built before the cap check")
 
     monkeypatch.setattr(ReducedCocycleSpace, "expr", property(forbidden))
-    f = tmp_path / "real.json"
-    f.write_text(json.dumps({"task": "brnr", "galois": {"kind": "real"},
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps({"task": task, **galois,
                              "group": {"kind": "abelian", "invariant_factors": [2] * 9}}))
     start = time.perf_counter()
     assert main(["run", str(f)]) == 4
     assert time.perf_counter() - start < 1
-    assert ("cap class_module_unknowns=2048 exceeded (required 4106)"
+    assert (f"cap class_module_unknowns=2048 exceeded (required {required})"
             in capsys.readouterr().err)
 
 
@@ -222,8 +226,9 @@ def test_cap_override_flag(tmp_path):
            "group": {"kind": "table", "table": cyclic_group(8).mul.tolist()}}
     f = tmp_path / "ok.json"
     f.write_text(json.dumps(job))
-    assert main(["run", str(f), "--cap", "h2_group=4"]) == 4
-    assert main(["run", str(f), "--cap", "h2_group=64"]) == 0
+    # Z/8 has one Schreier atom
+    assert main(["run", str(f), "--cap", "class_module_unknowns=0"]) == 4
+    assert main(["run", str(f), "--cap", "class_module_unknowns=1"]) == 0
 
 
 def test_closure_cap_binds_the_degree_1_abelian_family_only(tmp_path, capsys):
@@ -258,12 +263,13 @@ def test_bad_cap_overrides_are_validation_errors(tmp_path, capsys):
     job.write_text((REPO / "jobs" / "b0-z8.json").read_text())
     assert main(["run", str(job), "--cap", "nosuch=3"]) == 3
     assert "nosuch" in capsys.readouterr().err
-    # no class scan and no dense H^2 are left to bound
-    for gone in ("element_scan", "h2_dense_group"):
+    # no class scan, no dense H^2 and no H^2 order cap are left: H^2
+    # counts its unknowns against class_module_unknowns
+    for gone in ("element_scan", "h2_dense_group", "h2_group"):
         assert main(["run", str(job), "--cap", f"{gone}=5"]) == 3
         assert gone in capsys.readouterr().err
-    assert main(["run", str(job), "--cap", "h2_group"]) == 3
-    assert "h2_group" in capsys.readouterr().err
+    assert main(["run", str(job), "--cap", "class_module_unknowns"]) == 3
+    assert "class_module_unknowns needs an integer value" in capsys.readouterr().err
     bogus = tmp_path / "bogus.json"
     bogus.write_text(json.dumps({"task": "b0", "caps": {"bogus": 1},
                                  "group": {"kind": "table",

@@ -214,3 +214,16 @@ def test_class_module_cap_counts_the_solved_unknowns(datum, unknowns):
     with pytest.raises(CapExceeded) as err:
         class_module(gal, Caps(class_module_unknowns=unknowns - 1))
     assert (err.value.cap_name, err.value.measured) == ("class_module_unknowns", unknowns)
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8", "D4xZ2"])
+def test_h2_cap_counts_the_schreier_atoms(name):
+    # H^2 solves on its n|S| - n + 1 Schreier atoms alone, whatever the order
+    G = GROUPS[name]()
+    atoms = reduced_cocycle_space(G, 4).n_atoms
+    assert atoms == G.order * len(G.minimal_generators()) - G.order + 1
+    expect = h2_trivial_scalar(G, 4).invariant_factors
+    assert h2_trivial_scalar(G, 4, Caps(class_module_unknowns=atoms)).invariant_factors == expect
+    with pytest.raises(CapExceeded) as err:
+        h2_trivial_scalar(G, 4, Caps(class_module_unknowns=atoms - 1))
+    assert (err.value.cap_name, err.value.measured) == ("class_module_unknowns", atoms)
