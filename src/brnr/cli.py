@@ -68,7 +68,8 @@ def parse_job(text: str) -> Job:
     caps = raw.get("caps", {})
     if not isinstance(caps, dict):
         raise ValidationError("caps must be a JSON object", witness=caps)
-    return Job(task, raw, DEFAULT_CAPS.with_overrides(caps))
+    with _naming("caps"):
+        return Job(task, raw, DEFAULT_CAPS.with_overrides(caps))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +314,8 @@ def run_job(job: Job) -> tuple[str, int]:
         else:
             gal = _build_galois(raw.get("galois"), group)
         for ld in data:
-            ld.validate(gal)
+            with _naming("local"):
+                ld.validate(gal)
         entries = []
         if sd is not None:
             fast = sha1_bic(sd, caps)

@@ -725,16 +725,19 @@ def _generator_pairs(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_members(G: FiniteGroup, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The members of each <s, t> = <s><t> as one bit-packed bytes key: from <s>,
-    doubling (x lies in S t^k iff x t^-k lies in S), 2^22 table entries a batch."""
-    P, n, step = G.powers, G.order, max(1, (1 << 22) // G.order)
+    """The members of each <s, t> as one bit-packed bytes key: s and t commute, so
+    <s, t> = <s><t> is the products s^i t^j, i < ord s, j < ord t (i, j up to the
+    largest orders of all s and all t; a power past ord s repeats one), 2^22 cells
+    a batch."""
+    P, n = G.powers, G.order
+    a, b = (int(G.element_orders[x].max(initial=1)) for x in (s, t))
+    step = max(1, (1 << 22) // max(a * b, n))
     keys = np.zeros((len(s), (n + 7) // 8), dtype=np.uint8)
     for lo in range(0, len(s), step):
-        a, b = s[lo:lo + step], t[lo:lo + step]
-        members = np.zeros((len(a), n), dtype=bool)
-        np.put_along_axis(members, P[:, a].T, True, axis=1)
-        for k in 1 << np.arange((len(P) - 1).bit_length()):
-            members |= np.take_along_axis(members, G.mul[:, G.inv[P[k, b]]].T, axis=1)
+        x, y = P[:a, s[lo:lo + step]].T, P[:b, t[lo:lo + step]].T
+        members = np.zeros((len(x), n), dtype=bool)
+        np.put_along_axis(members, G.mul[x[:, :, None], y[:, None, :]].reshape(len(x), -1),
+                          True, axis=1)
         keys[lo:lo + step] = np.packbits(members, axis=1)
     return keys.view(f"S{keys.shape[1]}").ravel()
 

@@ -10,23 +10,25 @@ All of it is done directly mod m -- never over Z and then reduced.  The
 Smith normal form, ``RowEchelon`` and ``preimage_rows`` each eliminate
 mod every prime-power factor q = p^n of m and join the parts by CRT:
 over Z/q the pivot of least valuation divides all that is left to
-eliminate.  The Smith normal form finds it from one key per row and reads
-its transforms off one row elimination of [A | I].
+eliminate.  The Smith normal form finds it from one key per row, reads Q
+and Q^-1 off the pivot rows of one row elimination of A, and P and P^-1
+off its row operations.
 
 Kernels are read off the reduced Howell form, which ``RowEchelon``
-computes per prime power: one column sweep for each prime-power factor of
-m, joined by CRT.  A unit pivot solves its own column in terms of the
-columns that carry no unit pivot, so only the non-unit rows on those
-columns go through a Smith normal form, often a small one or none (see
-``kernel``).  The resulting ``Kernel`` keeps the rows of that
-factorization that give coordinates in it, so ``subquotient`` of a kernel
-and its ``coordinates`` need no second factorization; one SNF remains, on
-the small relation matrix of the quotient.  The sweep and the
-back-reduction run in panels of columns (pivots): inside a panel only its
-own columns are kept current, and the columns right of it get the panel's
-updates at its end from one exact matmul, float64 while the sums stay
-below 2^53 and int64 below 2^63, with a narrower panel where even that
-would overflow (see ``_panel``).
+computes per prime power and joins by CRT.  A unit pivot solves its own
+column in terms of the columns that carry no unit pivot, so only the
+non-unit rows on those columns go through a Smith normal form, often a
+small one or none (see ``kernel``).  The resulting ``Kernel`` keeps the
+rows of that factorization that give coordinates in it, so
+``subquotient`` of a kernel and its ``coordinates`` need no second
+factorization; one SNF remains, on the small relation matrix of the
+quotient.  The sweep takes unit pivots in rounds, many columns at once:
+each round applies its pivots with one Schur-complement product through
+the inverse of their unit triangular block, and keeps every other row
+zero on their columns, so only non-unit pivots are left to back-reduce.
+Every product is exact: float64 while its sums stay below 2^53 and int64
+below 2^63, with shorter sums where even that would overflow (see
+``_product``).
 
 Matrices are numpy int64 arrays with entries reduced into [0, m).
 Column spans are "submodules generated by the columns".
@@ -77,7 +79,7 @@ def unit_scale(a: int, m: int) -> tuple[int, int]:
 
 @dataclass
 class SmithNormalForm:
-    """P A Q = D over Z/m; Q, Q^-1 and P^-1 are computed when first read.
+    """P A Q = D over Z/m; P, P^-1, Q and Q^-1 are computed when first read.
 
     ``_parts`` holds (q, e_q, rows, cols, R, L, w) for each prime-power
     factor q of m, as :func:`smith_normal_form_raw` defines them.
@@ -85,9 +87,18 @@ class SmithNormalForm:
 
     modulus: int
     diag: np.ndarray        # canonical divisors of m (0 stands for the zero element)
-    P: np.ndarray
     shape: tuple[int, int]
     _parts: list = field(repr=False)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """sum e_q diag(w) L^-1 S, L^-1 = diag(u) (L diag(u))^-1 for the 1/u_t on L's diagonal."""
+        out = np.zeros((self.shape[0],) * 2, dtype=np.int64)
+        for q, e, rows, _, _, L, w in self._parts:
+            u = np.array([pow(int(x), -1, q) for x in np.diag(L)], dtype=np.int64)
+            Linv = _unit_triangular_inverse((L * u % q).T, q).T * u[:, None] % q
+            out[:, rows] += e * (Linv * w[:, None] % q)
+        return out % self.modulus
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -121,17 +132,17 @@ class SmithNormalForm:
 
 
 def _eliminate(A: np.ndarray, q: int):
-    """Row-reduce [A | I] mod the prime power q: (d, rows, cols, R, L, P).
+    """Row-reduce A mod the prime power q: (d, rows, cols, R, L).
 
     d holds the pivots p^v (q past the rank), and L the 1/u_t and the
     multipliers f of each step (see :func:`smith_normal_form_raw`).
-    ``keys[i]`` is the least gcd(a, q) in row i of A (gcd(0, q) = q).  Rows
-    from t on are zero left of column t, so it is that of the block: built
-    once, carried by row swaps and recomputed for the rows a clear rewrites.
+    ``keys[i]`` is the least gcd(a, q) in row i (gcd(0, q) = q).  Rows from
+    t on are zero left of column t, so it is that of the block: built once,
+    carried by row swaps and recomputed for the rows a clear rewrites.
     """
     r, c = A.shape
-    W = np.hstack([A % q, np.eye(r, dtype=np.int64)])
-    keys = np.gcd(W[:, :c], q).min(axis=1, initial=q)
+    W = A % q
+    keys = np.gcd(W, q).min(axis=1, initial=q)
     rows, cols = np.arange(r), np.arange(c)
     d = np.full(r, q, dtype=np.int64)
     L = np.eye(r, dtype=np.int64)
@@ -142,7 +153,7 @@ def _eliminate(A: np.ndarray, q: int):
         if i != t:
             W[[t, i]], keys[[t, i]], rows[[t, i]] = W[[i, t]], keys[[i, t]], rows[[i, t]]
             L[[t, i], :t] = L[[i, t], :t]
-        j = t + int(np.gcd(W[t, t:c], q).argmin())
+        j = t + int(np.gcd(W[t, t:], q).argmin())
         if j != t:
             W[:, [t, j]], cols[[t, j]] = W[:, [j, t]], cols[[j, t]]
         u, d[t] = unit_scale(int(W[t, t]), q)
@@ -154,15 +165,15 @@ def _eliminate(A: np.ndarray, q: int):
         if below.size:
             L[below, t] = f[below - t - 1]
             W[below, t:] = (W[below, t:] - L[below, t, None] * W[t, t:]) % q
-            keys[below] = np.gcd(W[below, t:c], q).min(axis=1)
+            keys[below] = np.gcd(W[below, t:], q).min(axis=1)
     k = np.count_nonzero(d < q)
-    return d, rows, cols, W[:k, :c] // d[:k, None], L, W[:, c:]
+    return d, rows, cols, W[:k] // d[:k, None], L
 
 
 def smith_normal_form_raw(A: np.ndarray, m: int) -> SmithNormalForm:
     """Diagonalize A over Z/m: P A Q = D with d_i | d_(i+1) as divisors of m.
 
-    Each prime-power factor q = p^n of m row-reduces [A | I] mod q
+    Each prime-power factor q = p^n of m row-reduces A mod q
     (``_eliminate``), and the parts are joined by CRT (Howell 1986;
     Storjohann-Mulders 1998):
 
@@ -183,8 +194,9 @@ def smith_normal_form_raw(A: np.ndarray, m: int) -> SmithNormalForm:
       steps taken in the final row order.  The inverse of step t is the
       identity with column t replaced by 1/u_t on the diagonal and f
       below it, and these products collect column by column: E^-1 is the
-      lower-triangular L of those entries, and P^-1 = S^T L.  Later swaps
-      carry the multipliers set so far, as in LU with partial pivoting.
+      lower-triangular L of those entries, P^-1 = S^T L and P = L^-1 S.
+      Later swaps carry the multipliers set so far, as in LU with partial
+      pivoting.
     - For composite m the chain is d_t = prod_q d_(q,t) (0 when that is
       m): row t of P_q is scaled by the unit w_t = d_t / d_(q,t) mod q, so
       P_q A Q_q = D mod q, and the columns of P_q^-1 by 1/w_t.  A matrix
@@ -199,13 +211,9 @@ def smith_normal_form_raw(A: np.ndarray, m: int) -> SmithNormalForm:
     for q in _prime_powers(m):
         elims.append((q, *_eliminate(A, q)))
         chain *= elims[-1][1]
-    P, parts = np.zeros((r, r), dtype=np.int64), []
-    for q, d, rows, cols, R, L, Pq in elims:
-        e = (m // q) * pow(m // q, -1, q) % m
-        w = chain // d % q
-        P += e * (Pq * w[:, None] % q)
-        parts.append((q, e, rows, cols, R, L, w))
-    return SmithNormalForm(m, chain[:min(r, c)] % m, P % m, (r, c), parts)
+    parts = [(q, (m // q) * pow(m // q, -1, q) % m, rows, cols, R, L, chain // d % q)
+             for q, d, rows, cols, R, L in elims]
+    return SmithNormalForm(m, chain[:min(r, c)] % m, (r, c), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +241,15 @@ def _leads(rows: np.ndarray) -> np.ndarray:
     return nz.argmax(axis=1)
 
 
-_PANEL = 64     # columns per panel, pivots per back-reduction run, rows and columns per matmul
+_PANEL = 64     # rows, columns and terms per matmul block; pivots per sweep round
 
 
 def _panel(q: int) -> tuple[int, type]:
-    """Panel width w and matmul dtype for sums of w products of entries in [0, q).
+    """Sum length w and matmul dtype for sums of w products of entries in [0, q).
 
     float64 GEMM is exact while w (q-1)^2 < 2^53.  Past that, int64 ``@`` is
-    exact while w (q-1)^2 < 2^63, and w shrinks until it is, down to 1: the
-    per-column update, exact for every q with q^2 < 2^63.
+    exact while w (q-1)^2 < 2^63, and w shrinks until it is, down to 1: a
+    product of two entries, exact for every q with q^2 < 2^63.
     """
     sq = (q - 1) ** 2
     if _PANEL * sq < 2 ** 53:
@@ -249,103 +257,161 @@ def _panel(q: int) -> tuple[int, type]:
     return max(1, min(_PANEL, (2 ** 63 - 1) // sq)), np.int64
 
 
-def _product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
-    """a @ b in ``dtype``, exact for b.shape[0] terms when :func:`_panel` chose it.
+def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q, as int64 in [0, q): exact for every q with q^2 < 2^63.
 
-    The product is taken in blocks of at most _PANEL rows and columns, so
-    each matmul (with b.shape[0] <= _PANEL) has at most 2^18 multiply-adds
-    and OpenBLAS runs it on the calling thread: on a 2-core machine under
-    outside load its threaded GEMM was slower than one thread.
+    The product is taken in blocks of at most _PANEL rows and columns and
+    w terms (see :func:`_panel`), so each matmul is exact and has at most
+    2^18 multiply-adds, and OpenBLAS runs it on the calling thread: on a
+    2-core machine under outside load its threaded GEMM was slower than
+    one thread.  The blocks add up in the matmul dtype, reduced mod q
+    before a sum could leave its exact range (float64 below 2^53, int64
+    below 2^63), and once at the end.
     """
-    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=dtype)
+    w, dtype = _panel(q)
+    exact = (2 ** 53 if dtype is np.float64 else 2 ** 63 - 1) // (q - 1) ** 2
+    a, b = a.astype(dtype), b.astype(dtype)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
     for i in range(0, a.shape[0], _PANEL):
         for j in range(0, b.shape[1], _PANEL):
-            np.matmul(a[i:i + _PANEL], b[:, j:j + _PANEL], out=out[i:i + _PANEL, j:j + _PANEL])
-    return out
+            block, terms = 0, 0
+            for k in range(0, a.shape[1], w):
+                if terms + w > exact:
+                    block, terms = block % q, 1
+                block = block + np.matmul(a[i:i + _PANEL, k:k + w], b[k:k + w, j:j + _PANEL])
+                terms += w
+            out[i:i + _PANEL, j:j + _PANEL] = block
+    return np.remainder(out, q, out=out)
 
 
-def _sub_product(rows, idx, start: int, coef, pivs, q: int, dtype) -> np.ndarray:
-    """rows[idx, start:] -= coef @ pivs[:, start:] mod q, _PANEL columns at a time.
+def _unit_triangular_inverse(T: np.ndarray, q: int) -> np.ndarray:
+    """T^-1 mod q for a unit upper-triangular T (entries in [0, q)).
 
-    A block where every pivot row is zero is left as it is (block-diagonal
-    batches have many), but it is still scanned for leads.  Returns the
-    column of each updated row's first nonzero entry from ``start`` on (the
-    width for none).
+    With T = I - N, N strictly upper triangular and so nilpotent,
+    T^-1 = (I + N)(I + N^2)(I + N^4)...: log-doubling, which stops at the
+    first zero power, after few squarings when the pivots of T hardly
+    depend on each other.  Past _PANEL rows, T = [[A, B], [0, C]] inverts
+    as [[A^-1, -A^-1 B C^-1], [0, C^-1]], so no squaring is wider.
     """
-    n = rows.shape[1]
-    lead = np.full(coef.shape[0], n, dtype=np.int64)
-    coef = coef.astype(dtype, copy=False)
-    for s in range(start, n, _PANEL):
-        e = min(n, s + _PANEL)
-        block = rows[idx, s:e]
-        if pivs[:, s:e].any():
-            np.subtract(block, _product(coef, pivs[:, s:e], dtype), out=block, casting="unsafe")
-            rows[idx, s:e] = np.mod(block, q, out=block)
-        nz = block != 0
-        first = (lead == n) & nz.any(axis=1)
-        lead[first] = s + nz[first].argmax(axis=1)
-    return lead
+    k = len(T)
+    if k > _PANEL:
+        h = k // 2
+        X = np.zeros_like(T)
+        X[:h, :h] = A = _unit_triangular_inverse(T[:h, :h], q)
+        X[h:, h:] = C = _unit_triangular_inverse(T[h:, h:], q)
+        X[:h, h:] = -_product(_product(A, T[:h, h:], q), C, q) % q
+        return X
+    N = -T % q
+    np.fill_diagonal(N, 0)
+    X = N + np.eye(k, dtype=np.int64)
+    while N.any() and (N := _product(N, N, q)).any():
+        X = (X + _product(X, N, q)) % q
+    return X
 
 
-def _sweep(rows: np.ndarray, q: int, pivots: dict[int, np.ndarray]) -> np.ndarray:
-    """Eliminate rows (entries in [0, q), q a prime power) into ``pivots``.
+def _solved(P: np.ndarray, cols, q: int) -> np.ndarray:
+    """T^-1 P for pivot rows P led by 1 at the increasing columns ``cols``.
 
-    Columns are taken left to right.  At column c the row of least valuation,
-    or the stored pivot if none is smaller, becomes the pivot p^v; it divides
-    every pending entry at c, which exact division clears.  A displaced pivot
-    is pending again.  Returns the annihilator rows (q/p^v) * pivot of the
-    pivots set here, which are still to be eliminated.
-
-    Columns are taken in panels of w (see :func:`_panel`).  Inside a panel
-    only the panel columns of the rows led there are kept current, and each
-    such row records the multiple of each pivot it subtracted; the columns
-    right of the panel are updated once, at its end, by one exact matmul of
-    those coefficients with the pivot rows.  A row promoted to pivot inside
-    the panel first gets its own delayed update (one vector-matrix product),
-    and the displaced pivot it trades places with starts with no
-    coefficients.  Every value is the one the per-column update gives.
+    T = P[:, cols] is unit upper triangular, so T^-1 P has P's row span
+    and the identity on ``cols``.
     """
-    n = rows.shape[1]
-    w, dtype = _panel(q)
-    lead = _leads(rows)
-    anns = []
-    c0 = int(lead.min(initial=n))
-    while c0 < n:
-        c1 = min(c0 + w, n)
-        tail = c1 < n                  # columns right of the panel, updated at its end
-        if tail:
-            act = np.flatnonzero(lead < c1)
-            coef = np.zeros((rows.shape[0], c1 - c0), dtype=np.int64)
-            used = np.zeros((c1 - c0, n), dtype=np.int64)     # the pivot row of each column
-        while (c := int(lead.min())) < c1:
-            at = np.flatnonzero(lead == c)
-            vals = np.gcd(rows[at, c], q)
-            k = int(np.argmin(vals))
-            piv = pivots.get(c)
-            if piv is None or vals[k] < piv[c]:
-                i = at[k]
-                new = rows[i]
-                if tail:
-                    new = np.concatenate([new[:c1], (new[c1:] - coef[i] @ used[:, c1:]) % q])
-                    coef[i] = 0
-                u, d = unit_scale(int(new[c]), q)
-                new = new * u % q
-                rows[i] = 0 if piv is None else piv
-                pivots[c] = piv = new
-                if d > 1:
-                    anns.append((q // d) * new % q)
-            f = rows[at, c] // piv[c]
-            if tail:
-                used[c - c0] = piv
-                coef[at, c - c0] = f
-            block = (rows[at, c:c1] - f[:, None] * piv[c:c1]) % q
-            rows[at, c:c1] = block
-            lead[at] = c + _leads(block)
-        if tail:
-            lead[act] = _sub_product(rows, act, c1, coef[act], used, q, dtype)
-        c0 = int(lead.min())
-    return np.array(anns, dtype=np.int64).reshape(-1, n)
+    T = P[:, cols]
+    if np.count_nonzero(T) == len(T):
+        return P
+    G = np.zeros_like(P)
+    span = np.flatnonzero(P.any(axis=0))
+    G[:, span] = _product(_unit_triangular_inverse(T, q), P[:, span], q)
+    return G
+
+
+def _clear(X: np.ndarray, G: np.ndarray, cols, q: int) -> None:
+    """X -= X[:, cols] G mod q in place, which zeroes X on ``cols`` (G from :func:`_solved`).
+
+    Only the rows of X that are nonzero on ``cols`` and the columns where
+    G is nonzero change.
+    """
+    XL = X[:, cols]
+    hit = np.flatnonzero(XL.any(axis=1))
+    if hit.size:
+        span = np.flatnonzero(G.any(axis=0))
+        at = np.ix_(hit, span)
+        Y = X[at]
+        Y -= _product(XL[hit], G[:, span], q)
+        X[at] = np.remainder(Y, q, out=Y)
+
+
+def _sweep(rows: np.ndarray, q: int, pivots: dict[int, np.ndarray]) -> None:
+    """Eliminate nonzero rows (entries in [0, q), q a prime power) into ``pivots``.
+
+    Every stored pivot and every pending row is kept zero on every unit
+    pivot column but its own.  So the stored unit pivots are already
+    solved against each other (T = I in :func:`_solved`), the rows first
+    lose their parts on them (:func:`_clear`), and then no pending row
+    leads at a unit pivot: the pivot of least valuation at each column is
+    found among the rows led there.
+
+    - While some pending row has a unit lead, a round makes the first such
+      row at each of the (at most _PANEL) least distinct lead columns a
+      pivot, scaled to lead 1 and solved against the others
+      (:func:`_solved`); a non-unit pivot it displaces from its column is
+      pending again.  Every pending row (the new pivots' own rows vanish)
+      and every stored pivot is then cleared on the round's columns by one
+      Schur-complement product.  A row uses only pivots led at or right of
+      its own lead, so leads only move right.  The cap keeps a round to the
+      rows led near its columns: uncapped, the first round of a large
+      sparse system (6,148 x 1,537, an H^2 system mod 8) took hundreds of
+      pivots and updated every pending row with all of them.
+    - Otherwise one Howell step runs at the least lead c: the row of least
+      valuation, or the stored pivot if none is smaller, becomes the pivot
+      p^v, which divides every pending entry at c, and exact division
+      clears them.  A displaced pivot is pending again, and the
+      annihilator row (q/p^v) * pivot is pushed into the pending rows.
+    """
+    units = [c for c in pivots if pivots[c][c] == 1]
+    if units:
+        _clear(rows, np.array([pivots[c] for c in units]), units, q)
+    while True:
+        nz = rows != 0
+        lead = nz.argmax(axis=1)
+        live = nz[np.arange(len(rows)), lead]
+        if not live.all():
+            rows, lead = rows[live], lead[live]
+        if not len(rows):
+            return
+        vals = np.gcd(rows[np.arange(len(rows)), lead], q)
+        unit = np.flatnonzero(vals == 1)
+        if unit.size:
+            cols, first = np.unique(lead[unit], return_index=True)
+            cols, new = cols[:_PANEL], unit[first[:_PANEL]]
+            inv = np.array([pow(int(x), -1, q) for x in rows[new, cols]], dtype=np.int64)
+            G = _solved(rows[new] * inv[:, None] % q, cols, q)
+            cols = cols.tolist()
+            back = [pivots.pop(c) for c in cols if c in pivots]
+            if back:
+                rows = np.vstack([rows, *back])
+            _clear(rows, G, cols, q)
+            if pivots:
+                X = np.array(list(pivots.values()))
+                _clear(X, G, cols, q)
+                pivots.update(zip(list(pivots), X))
+            pivots.update(zip(cols, G))
+            continue
+        c = int(lead.min())
+        at = np.flatnonzero(lead == c)
+        k = int(np.argmin(vals[at]))
+        piv = pivots.get(c)
+        if piv is None or vals[at[k]] < piv[c]:
+            i = at[k]
+            u, d = unit_scale(int(rows[i, c]), q)
+            new = rows[i] * u % q
+            ann = (q // d) * new % q
+            if piv is None:
+                rows[i] = ann           # vanishes at c, so the step leaves it as it is
+            else:
+                rows[i] = piv
+                rows = np.vstack([rows, ann])
+            pivots[c] = piv = new
+        rows[at] = (rows[at] - (rows[at, c] // piv[c])[:, None] * piv) % q
 
 
 class RowEchelon:
@@ -357,10 +423,11 @@ class RowEchelon:
     Storjohann 2000): over Z/q the least-valuation pivot divides its whole
     column, so pivots never merge, and pushing each pivot's annihilator
     multiple back into the pending rows gives the Howell property.  Pivot
-    rows are stored only for the columns that have one.  Both the sweep and
-    the back-reduction delay their updates right of a panel and apply them
-    with one exact matmul per panel (Storjohann-Mulders 1998); the form is
-    canonical, so it is the one the per-column updates give.
+    rows are stored only for the columns that have one.  The sweep takes
+    unit pivots in rounds, each applied with one Schur-complement product
+    (Storjohann-Mulders 1998), and keeps every row zero on the other
+    unit pivot columns; the form is canonical, so it is the one that
+    per-column elimination gives.
     """
 
     def __init__(self, ncols: int, m: int):
@@ -373,62 +440,35 @@ class RowEchelon:
         for q, pivots in self._pivots.items():
             rows = np.mod(batch, q)
             rows = rows[rows.any(axis=1)]
-            while rows.size:
-                rows = _sweep(rows, q, pivots)
+            if len(rows):
+                _sweep(rows, q, pivots)
 
     def matrix(self) -> np.ndarray:
         """Join the per-prime pivots of each column by CRT, then back-reduce.
 
-        Each pivot is scaled to its canonical associate gcd(v, m), and, pivot
-        by pivot, every row above it is reduced below it in its column.  Row
-        k is used only at step k, before any later pivot touches it.  So a
-        run of up to w unit pivots (see :func:`_panel`) acts as it stood at
-        the run's start: the multiples f that the steps subtract solve
-        f T = r, with T the run's rows on its pivot columns (unit upper
-        triangular) and r a row's entries there (for a row of the run, only
-        those right of its own pivot), and one matmul applies them.  A
-        non-unit pivot v subtracts floor(r / v), which is no linear map, so
-        it reduces the rows above it alone.
+        Each pivot is scaled to its canonical associate gcd(v, m).  A column
+        that is a unit pivot mod m is one mod every q, so the sweeps left
+        every other row zero on it.  A non-unit pivot v reduces every row
+        above it, pivot by pivot, subtracting floor(r / v) times its row
+        from an entry r in its column.  That row is zero on the unit pivot
+        columns too, so they stay cleared.
         """
         m = self.m
-        cols = sorted(set().union(*self._pivots.values()))
+        cols = np.array(sorted(set().union(*self._pivots.values())), dtype=np.int64)
         rows = np.zeros((len(cols), self.ncols), dtype=np.int64)
         for q, pivots in self._pivots.items():
-            e = (m // q) * pow(m // q, -1, q) % m       # 1 mod q, 0 mod m/q
-            for k, c in enumerate(cols):
-                if c in pivots:
-                    rows[k] += e * pivots[c]
+            if pivots:
+                e = (m // q) * pow(m // q, -1, q) % m       # 1 mod q, 0 mod m/q
+                rows[np.searchsorted(cols, list(pivots))] += e * np.array(list(pivots.values()))
         rows %= m
-        for k, c in enumerate(cols):
-            u, _ = unit_scale(int(rows[k, c]), m)
-            if u != 1:
-                rows[k] = rows[k] * u % m
-        w, dtype = _panel(m)
-        unit = rows[np.arange(len(cols)), cols] == 1
-        k = 0
-        while k < len(cols):
+        for k in np.flatnonzero(rows[np.arange(len(cols)), cols] != 1):
             c = cols[k]
-            if not unit[k]:
-                qs = rows[:k, c] // rows[k, c]
-                idx = np.flatnonzero(qs)
-                if idx.size:
-                    rows[idx, c:] = (rows[idx, c:] - qs[idx, None] * rows[k, c:]) % m
-                k += 1
-                continue
-            k1 = k + 1
-            while k1 < min(k + w, len(cols)) and unit[k1]:
-                k1 += 1
-            pc = cols[k:k1]
-            block = rows[k:k1].copy()
-            T = block[:, pc]
-            Tinv = np.eye(k1 - k, dtype=np.int64)
-            for t in range(k1 - k - 2, -1, -1):
-                Tinv[t, t + 1:] = -(T[t, t + 1:] @ Tinv[t + 1:, t + 1:]) % m
-            r = rows[:k1, pc]
-            r[k:] -= np.eye(k1 - k, dtype=np.int64)
-            f = _product(r, Tinv, dtype).astype(np.int64) % m
-            _sub_product(rows, slice(0, k1), c, f, block, m, dtype)
-            k = k1
+            u, _ = unit_scale(int(rows[k, c]), m)
+            rows[k] = rows[k] * u % m
+            qs = rows[:k, c] // rows[k, c]
+            idx = np.flatnonzero(qs)
+            if idx.size:
+                rows[idx, c:] = (rows[idx, c:] - qs[idx, None] * rows[k, c:]) % m
         return rows
 
 

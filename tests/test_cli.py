@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 import re
 import subprocess
 import sys
@@ -356,6 +358,12 @@ def explicit_galois(delta, chi, action):
     ({**explicit_galois(Z2, [1, 3], [[0, 1, 2, 3]] * 2), "task": "algebraic",
       "galois": {**explicit_galois(Z2, [1, 3], [[0, 1, 2, 3]] * 2)["galois"], "modulus": 2}},
      "galois.modulus: modulus must be a multiple of exp(G) = 4"),
+    # found by the job fuzz: an unknown cap name and a place's generators
+    # that do not generate named no job field
+    ({"task": "b0", "group": {"kind": "table", "table": Z2}, "caps": {"c_v": 1}},
+     "caps: unknown cap name (witness: 'c_v')"),
+    ({**BM_REAL, "local": [{**PLACE, "generators": []}]},
+     "local: generating sequence does not generate"),
 ])
 def test_malformed_job_fields_are_validation_errors(tmp_path, capsys, job, field):
     f = tmp_path / "job.json"
@@ -532,3 +540,67 @@ def test_table_group_cap_binds_every_group_kind(tmp_path, capsys, job, cap):
         return
     assert main(["run", str(f)]) == 4
     assert "table_group" in capsys.readouterr().err
+
+
+def _job_paths(node, prefix=()):
+    """The path of every field of a job: object keys, and the indices of short lists."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _job_paths(value, prefix + (key,))
+    elif isinstance(node, list) and len(node) <= 8:
+        for i, value in enumerate(node):
+            yield from _job_paths(value, prefix + (i,))
+
+
+FUZZ_JOBS = ([json.loads(p.read_text()) for p in sorted((REPO / "jobs").glob("*.json"))]
+             + [WELL_FORMED[name] for name in sorted(WELL_FORMED)])
+FUZZ_FIELDS = sorted({path[-1] for job in FUZZ_JOBS for path in _job_paths(job)
+                      if path and isinstance(path[-1], str)} | set(Caps.__dataclass_fields__))
+FUZZ_VALUES = [0, -1, 1, 2, 3, 4, 8, 64, 2**15, 2**70, 1.5, float("nan"), "x", "", "2", None,
+               True, False, [], [[]], [0, 4], [3, 9], [2] * 10, [64, 64], [1, [2]],
+               [[0, 1], [1]], [[0]], Z2, {}]
+FUZZ_CAPS = ["--cap", "table_group=64", "--cap", "closure=4096", "--cap",
+             "class_module_unknowns=256", "--cap", "nonabelian_enum=100000",
+             "--cap", "local_tuples=1000"]
+
+
+def _mutate(job, rng):
+    """One seeded edit of a field: replace its value, delete it, or add a sibling."""
+    path = rng.choice([p for p in _job_paths(job) if p])
+    parent = job
+    for key in path[:-1]:
+        parent = parent[key]
+    value = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    edit = rng.choice(["replace", "delete", "add"])
+    if edit == "replace":
+        parent[path[-1]] = value
+    elif edit == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[rng.choice(FUZZ_FIELDS)] = value
+    else:
+        parent.insert(path[-1], value)
+
+
+def test_seeded_job_fuzz_exits_0_2_3_or_4_and_names_the_field(tmp_path, capsys):
+    # one or two seeded edits of a worked or well-formed job, run under small
+    # caps: the CLI never exits 1, and a validation error names a job field
+    # (the witness it quotes does not count); each input this found is a case
+    # of test_malformed_job_fields_are_validation_errors
+    rng = random.Random(33)
+    f = tmp_path / "job.json"
+    for _ in range(3000):
+        job = copy.deepcopy(rng.choice(FUZZ_JOBS))
+        for _ in range(rng.randint(1, 2)):
+            _mutate(job, rng)
+        f.write_text(json.dumps(job))
+        try:
+            code = main(["run", str(f), *FUZZ_CAPS])
+        except Exception as err:       # noqa: BLE001 - name the input that escaped
+            pytest.fail(f"{json.dumps(job)} raised {err!r}")
+        message = capsys.readouterr().err.split("(witness")[0]
+        assert code in (0, 2, 3, 4), json.dumps(job)
+        if code == 3:
+            assert any(re.search(rf"\b{name}\b", message) for name in FUZZ_FIELDS), \
+                (json.dumps(job), message)

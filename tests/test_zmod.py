@@ -4,15 +4,19 @@ import types
 import numpy as np
 import pytest
 
+import brnr.zmod
+from brnr.cohomology import reduced_cocycle_space
 from brnr.extensions import GaloisDatum
 from brnr.fastpath import build_example_714
 from brnr.groups import abelian_group, cyclic_group
 from brnr.zmod import (
+    _PANEL,
     AbelianStructure,
     RowEchelon,
     _leads,
     _panel,
     _prime_powers,
+    _unit_triangular_inverse,
     as_mod,
     cokernel,
     echelon_compress,
@@ -26,7 +30,7 @@ from brnr.zmod import (
 )
 
 from dense_h2 import coboundary_rows_at
-from test_generator_rows import full_c1_rows, full_c2_rows, full_c3_rows
+from test_generator_rows import full_c1_rows, full_c2_rows, full_c3_rows, relabel
 
 MODULI = [2, 3, 4, 8, 12, 64]
 
@@ -330,7 +334,7 @@ def _random_batches(rng, m, ncols):
 
 @pytest.mark.parametrize("m", [2, 4, 8, 27, 64, 6, 12, 36, 60, 72, 3**19])
 def test_panel_howell_matches_per_column_reference(m):
-    # widths 1-200 cover one panel, several panels and a ragged last panel;
+    # widths 1-200 cover one matmul block, several and a ragged last one;
     # the same matrix() must come out, bit for bit
     rng = np.random.default_rng(3100 + m % 1000)
     for ncols in (1, 2, 7, 63, 64, 65, 130, 200):
@@ -397,6 +401,106 @@ def test_panel_width_keeps_products_exact():
     assert _panel(27)[1] is np.float64
     assert _panel(3**19) == (6, np.int64)
     assert _panel(2**31 - 1) == (2, np.int64)
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ8", "(Z/2)^5"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_row_echelon_matches_per_column_reference_on_h2_batches(name, seed):
+    # the sparse, mostly unit-pivot batches that h2_trivial_scalar feeds to
+    # RowEchelon at m = |G|, on relabelled groups
+    G, _ = relabel(abelian_group([2, 2, 8] if name == "Z2xZ2xZ8" else [2] * 5), seed)
+    space = reduced_cocycle_space(G, G.order)
+    E = _assert_same_howell(list(space.c1_batches()), space.n_atoms, G.order)
+    assert (E[np.arange(len(E)), _leads(E)] == 1).mean() > 0.5
+
+
+@pytest.mark.parametrize("m", [8, 24])
+def test_unit_row_in_a_later_batch_displaces_a_stored_non_unit_pivot(m):
+    # the first batch stores the non-unit pivots 2 at columns 0 and 2; the
+    # second brings a unit at column 0, which displaces the first, and one
+    # at column 3, which the pivot kept at column 2 must lose
+    low = np.array([[2, 1, 0, 4], [0, 0, 2, 5]])
+    unit = np.array([[1, 0, 0, 1], [0, 0, 0, 1]])
+    _assert_same_howell([low, unit], 4, m)
+    ech = RowEchelon(4, m)
+    ech.add(low)
+    assert ech._pivots[8][0][0] == 2
+    ech.add(unit)
+    assert ech._pivots[8][0][0] == 1 and ech._pivots[8][3][3] == 1
+    assert list(ech._pivots[8][2]) == [0, 0, 2, 0]
+
+
+def test_a_round_of_a_panel_of_pivots_stays_exact_at_q_3_19(monkeypatch):
+    # 100 rows with distinct unit leads: the first round takes the _PANEL
+    # least of them, and at q = 3^19 every sum in its products (over _PANEL
+    # pivots) is split into sums of at most 6 terms in int64 (see _panel)
+    q, k, n = 3**19, 100, 130
+    rng = np.random.default_rng(19)
+    leads = np.sort(rng.choice(n, size=k, replace=False))
+    rows = rng.integers(0, q, size=(k, n)) * (np.arange(n) > leads[:, None])
+    rows[np.arange(k), leads] = 3 * rng.integers(0, q // 3, size=k) + rng.integers(1, 3, size=k)
+    sizes = []
+    solved = brnr.zmod._solved
+    monkeypatch.setattr(brnr.zmod, "_solved",
+                        lambda P, cols, q: sizes.append(len(cols)) or solved(P, cols, q))
+    _assert_same_howell([rows[rng.permutation(k)], rng.integers(0, q, size=(20, n))], n, q)
+    assert sizes[0] == _PANEL and _panel(q)[0] < _PANEL
+
+
+@pytest.mark.parametrize("q", [2, 27, 3**19, 2**31 - 1])
+def test_unit_triangular_inverse_times_its_matrix_is_the_identity(q):
+    # sizes past _PANEL take the block split; the check multiplies in
+    # Python integers where an int64 sum could overflow
+    rng = np.random.default_rng(q % 1000)
+    for k in (1, 2, 5, 64, 65, 97):
+        for fill in (0.05, 1.0):
+            T = np.triu(rng.integers(0, q, size=(k, k)) * (rng.random((k, k)) < fill), 1)
+            T += np.eye(k, dtype=np.int64)
+            X = _unit_triangular_inverse(T, q)
+            assert X.dtype == np.int64 and ((X >= 0) & (X < q)).all()
+            exact = T.astype(object) if k * (q - 1) ** 2 >= 2**63 else T
+            assert np.array_equal(exact @ X % q, np.eye(k)), (q, k, fill)
+
+
+def _identity_block_P(A, m):
+    """Reference P: the row elimination of [A | I] per prime power, with the
+    pivot rule of zmod._eliminate, whose identity block collects the row
+    operations, scaled to the chain and joined by CRT."""
+    A = as_mod(A, m)
+    r, c = A.shape
+    chain, blocks = np.ones(r, dtype=np.int64), []
+    for q in _prime_powers(m):
+        W = np.hstack([A % q, np.eye(r, dtype=np.int64)])
+        keys = np.gcd(W[:, :c], q).min(axis=1, initial=q)
+        d = np.full(r, q, dtype=np.int64)
+        for t in range(min(r, c)):
+            i = t + int(keys[t:].argmin())
+            if keys[i] == q:
+                break
+            W[[t, i]], keys[[t, i]] = W[[i, t]], keys[[i, t]]
+            j = t + int(np.gcd(W[t, t:c], q).argmin())
+            W[:, [t, j]] = W[:, [j, t]]
+            u, d[t] = unit_scale(int(W[t, t]), q)
+            W[t] = W[t] * u % q
+            W[t + 1:] = (W[t + 1:] - (W[t + 1:, t] // d[t])[:, None] * W[t]) % q
+            keys[t + 1:] = np.gcd(W[t + 1:, t:c], q).min(axis=1, initial=q)
+        chain *= d
+        blocks.append((q, d, W[:, c:]))
+    P = np.zeros((r, r), dtype=np.int64)
+    for q, d, Pq in blocks:
+        e = (m // q) * pow(m // q, -1, q) % m
+        P += e * (Pq * (chain // d % q)[:, None] % q)
+    return P % m
+
+
+@pytest.mark.parametrize("m", [8, 27, 64, 12, 30, 36, 100])
+def test_snf_P_is_the_identity_block_of_the_row_elimination(m):
+    # P = L^-1 S from the recorded steps, bit for bit the [A | I] result
+    rng = np.random.default_rng(5100 + m)
+    for r, c in [(0, 3), (1, 1), (3, 7), (7, 3), (12, 12), (30, 20), (70, 80)]:
+        for fill in (0.2, 1.0):
+            A = rng.integers(0, m, size=(r, c)) * (rng.random((r, c)) < fill)
+            assert np.array_equal(smith_normal_form_raw(A, m).P, _identity_block_P(A, m))
 
 
 def test_solve_examples():
