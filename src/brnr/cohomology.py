@@ -132,9 +132,11 @@ def cocycle2_defect(G: FiniteGroup, M: AbelianModule, f: np.ndarray) -> Optional
         acted = f if M.action is None else np.einsum("...i,ji->...j", f, M.matrix(g))
         lhs = acted - f[..., G.mul[g], :, :] + f[..., g, G.mul, :] - f[..., g, :, None, :]
         bad[..., i, :, :] = M.reduce(lhs).any(axis=-1)
-    hit = np.argwhere(bad)[:1]
-    hit[:, -3] = rows[hit[:, -3]]
-    return tuple(map(int, hit[0])) if len(hit) else None
+    if not bad.any():
+        return None
+    hit = list(np.unravel_index(bad.argmax(), bad.shape))      # the first, in C order
+    hit[-3] = rows[hit[-3]]
+    return tuple(map(int, hit))
 
 
 # ---------------------------------------------------------------------------
@@ -602,22 +604,25 @@ def is_scalar_coboundary(B: FiniteGroup, table: np.ndarray, m: int,
 
 
 def cup_h1_h1(G: FiniteGroup, M: AbelianModule, x: np.ndarray, Mdual: AbelianModule,
-              y: np.ndarray) -> np.ndarray:
+              y: np.ndarray, cols=None) -> np.ndarray:
     """(x cup y)(s, t) = < s.y(t), x(s) > valued in Z/exp(M).
 
     x is a 1-cocycle valued in M, y one valued in the dual module, and the
-    evaluation pairing Hom(M, Z/e) x M -> Z/e is applied.
+    evaluation pairing Hom(M, Z/e) x M -> Z/e is applied.  ``cols`` lists
+    the second arguments t to compute (default every element): the table is
+    (|G|, len(cols)).
     """
     n = G.order
     e = M.exponent
+    t = np.arange(n) if cols is None else np.asarray(cols, dtype=np.int64)
     x = M.reduce(x)
     y = Mdual.reduce(y)
     mats = np.array([Mdual.matrix(s) for s in range(n)])
-    ys = Mdual.reduce(np.einsum("sij,tj->sti", mats, y))        # ys[s, t] = s.y(t)
+    ys = Mdual.reduce(np.einsum("sij,tj->sti", mats, y[t]))     # ys[s, j] = s.y(t_j)
     w = np.array([e // d for d in M.invariant_factors], dtype=np.int64)
     out = np.einsum("sti,si->st", ys, w * x)
     out[0, :] = 0
-    out[:, 0] = 0
+    out[:, t == 0] = 0
     return out % e
 
 

@@ -305,12 +305,13 @@ def sha2_ab(G: FiniteGroup, modulus: int, caps: Caps = DEFAULT_CAPS) -> ShaResul
     return sha(G, scalar_module(modulus), 2, "ab", caps=caps)
 
 
-def _kummer_quotient(cm: ClassModule) -> tuple[tuple[int, ...], list[EquivariantExtension]]:
-    """Orders and representatives of the generators of the class module mod Kummer classes."""
+def _kummer_quotient(cm: ClassModule) -> tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+    """Orders of the generators of the class module mod Kummer classes, and
+    their tables as stacks (fs, cs)."""
     orders = cm.invariant_factors
     factors, coords = class_subgroup(np.zeros((0, len(orders)), dtype=np.int64), orders,
                                      cm.gal.N, kummer_kernel(cm))
-    return factors, [cm.element(x) for x in coords]
+    return factors, cm.tables(np.reshape(coords, (len(coords), len(orders))))
 
 
 def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
@@ -318,18 +319,18 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
 
     Both conditions are linear on the Kummer quotient: Br^0_nr is the
     kernel of the commuting-pair rows stacked on the Galois rows
-    (``_galois_rows``), one column per quotient generator.
+    (``_galois_rows``), one column per quotient generator.  The generators
+    come from ``_kummer_quotient`` as stacks (fs, cs), the rows read those,
+    and pairs are built only for the representatives of the report.
     """
     cm = class_module(gal, caps)
     if not cm.invariant_factors:
         return BrauerReport((), [], cm, label="Br0_nr")
-    q_orders, gens = _kummer_quotient(cm)
+    q_orders, (fs, cs) = _kummer_quotient(cm)
     s = len(q_orders)
     if s == 0:
         return BrauerReport((), [], cm, label="Br0_nr")
     N = gal.N
-    fs = np.array([ge.f for ge in gens])
-    cs = np.array([ge.c for ge in gens])
     pairs, S = commuting_pair_rows(gal.G, fs, N)
     triples = np.zeros((0, 3), dtype=np.int64) if gal.base_algebraically_closed \
         else _galois_rows(gal)

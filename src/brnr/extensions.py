@@ -112,6 +112,50 @@ class GaloisDatum:
         return GaloisDatum(delta, G, chi, GroupAction.trivial(delta, G), N)
 
 
+def _first(defect: np.ndarray, N: int) -> Optional[tuple[int, ...]]:
+    """Index of the first entry of ``defect`` that is nonzero mod N, or None."""
+    bad = defect % N != 0
+    return tuple(map(int, np.unravel_index(bad.argmax(), bad.shape))) if bad.any() else None
+
+
+def violated_laws(gal: GaloisDatum, fs: np.ndarray,
+                  cs: np.ndarray) -> Optional[tuple[int, str, tuple]]:
+    """First pair of a stack to break C1, C2 or C3, as (k, law, witness), or None.
+
+    fs is (k, n, n) and cs is (k, |Delta|, n).  C1 is read at first
+    arguments g in {1} u S (``cocycle2_defect``), C2 at e in S_Delta =
+    ``delta.minimal_generators()`` and C3 at (d, e in S_Delta, g): for a
+    validated datum that gives all three laws, as in ``class_module``.
+    Witnesses: (g, h, k), (e, g, h) and (d, e, g).  Each law's first bad
+    row over the stack lies in the first pair that breaks it, so the least
+    (pair, law) among the three, C1 before C2 before C3, is what checking
+    the pairs one by one reports first.
+    """
+    G, N, delta = gal.G, gal.N, gal.delta
+    if N == 1 or not len(fs):                       # every law holds mod 1
+        return None
+    fs, cs = np.asarray(fs, dtype=np.int64), np.asarray(cs, dtype=np.int64)
+    act, chi_n = gal.action.table, gal.chi_mod_n
+    SD = delta.minimal_generators()
+    found = []
+    bad = cocycle2_defect(G, scalar_module(N), fs[..., None])
+    if bad is not None:
+        found.append((bad[0], "C1", bad[1:]))
+    # row (k, e, g, h): c_e(gh) - c_e(g) - c_e(h) - f(e.g, e.h) + chi(e) f(g, h)
+    ce, ae = cs[:, SD], act[SD]
+    bad = _first(ce[:, :, G.mul] - ce[..., None] - ce[:, :, None, :]
+                 - fs[:, ae[:, :, None], ae[:, None, :]] + chi_n[SD, None, None] * fs[:, None], N)
+    if bad is not None:
+        k, i, g, h = bad
+        found.append((k, "C2", (SD[i], g, h)))
+    # row (k, d, e, g): c_{de}(g) - chi(d) c_e(g) - c_d(e.g)
+    bad = _first(cs[:, delta.mul[:, SD]] - chi_n[:, None, None] * ce[:, None] - cs[:, :, ae], N)
+    if bad is not None:
+        k, d, i, g = bad
+        found.append((k, "C3", (d, SD[i], g)))
+    return min(found, default=None)
+
+
 @dataclass
 class EquivariantExtension:
     """Pair (f, c) mod N defining a central extension of Delta-groups."""
@@ -144,35 +188,9 @@ class EquivariantExtension:
         return self.gal.N
 
     def violated_law(self) -> Optional[tuple[str, tuple]]:
-        """First violated law among C1, C2, C3 with a witness tuple, or None.
-
-        C1 is read at first arguments g in {1} u S (``cocycle2_defect``), C2
-        at e in S_Delta = ``delta.minimal_generators()`` and C3 at (d, e in
-        S_Delta, g): for a validated datum that gives all three laws, as in
-        ``class_module``.  Witnesses: (g, h, k), (e, g, h) and (d, e, g).
-        """
-        G, N = self.gal.G, self.gal.N
-        f, c = self.f, self.c
-        bad = cocycle2_defect(G, scalar_module(N), f[:, :, None])
-        if bad is not None:
-            return ("C1", bad)
-        act, chi_n = self.gal.action.table, self.gal.chi_mod_n
-        SD = self.gal.delta.minimal_generators()
-        # row (e, g, h): c_e(gh) - c_e(g) - c_e(h) - f(e.g, e.h) + chi(e) f(g, h)
-        ce, ae = c[SD], act[SD]
-        defect = (ce[:, G.mul] - ce[:, :, None] - ce[:, None, :]
-                  - f[ae[:, :, None], ae[:, None, :]] + chi_n[SD, None, None] * f)
-        bad = np.argwhere(defect % N)
-        if bad.size:
-            i, g, h = map(int, bad[0])
-            return ("C2", (SD[i], g, h))
-        # row (d, e, g): c_{de}(g) - chi(d) c_e(g) - c_d(e.g)
-        defect = c[self.gal.delta.mul[:, SD]] - chi_n[:, None, None] * ce - c[:, ae]
-        bad = np.argwhere(defect % N)
-        if bad.size:
-            d, i, g = map(int, bad[0])
-            return ("C3", (d, SD[i], g))
-        return None
+        """First violated law among C1, C2, C3 with its witness, or None (``violated_laws``)."""
+        bad = violated_laws(self.gal, self.f[None], self.c[None])
+        return None if bad is None else bad[1:]
 
     def validated(self) -> "EquivariantExtension":
         v = self.violated_law()
@@ -338,11 +356,16 @@ def pullback(ext: EquivariantExtension, elements,
 
 @dataclass
 class ClassModule:
-    """Solutions of C1-C3 modulo coboundary pairs, with representatives."""
+    """Solutions of C1-C3 modulo coboundary pairs, with representatives.
+
+    The tables of the r representatives, one per invariant factor, are
+    built once, as stacks: ``fs`` (r, n, n) and ``cs`` (r, |Delta|, n).
+    """
 
     gal: GaloisDatum
     invariant_factors: tuple[int, ...]
-    representatives: list[EquivariantExtension]
+    fs: np.ndarray
+    cs: np.ndarray
     _sub: SubquotientModule
     _space: object                  # ReducedCocycleSpace for the f-part
 
@@ -350,36 +373,43 @@ class ClassModule:
     def order(self) -> int:
         return prod(self.invariant_factors)
 
-    def coordinates(self, ext) -> Optional[np.ndarray]:
+    def coordinates(self, ext, cs: np.ndarray | None = None) -> Optional[np.ndarray]:
         """Class coordinates of a pair; None if it breaks one of C1-C3.
 
-        A list of k pairs gives a (classes, k) matrix, one column per pair,
-        from one solve; None if any of them breaks a law.
+        A list of k pairs, or a stack of k normalized f-tables (k, n, n)
+        with their twists ``cs`` (k, |Delta|, n), gives a (classes, k)
+        matrix, one column per pair, from one law check (``violated_laws``)
+        and one solve; None if any of them breaks a law.
         """
+        n, nd = self.gal.G.order, self.gal.delta.order
         single = isinstance(ext, EquivariantExtension)
-        exts = [ext] if single else list(ext)
-        if any(e.violated_law() is not None for e in exts):
+        if cs is None:
+            exts = [ext] if single else list(ext)
+            fs = np.array([e.f for e in exts], dtype=np.int64).reshape(len(exts), n, n)
+            cs = np.array([e.c for e in exts], dtype=np.int64).reshape(len(exts), nd, n)
+        else:
+            fs, cs = np.asarray(ext, dtype=np.int64), np.asarray(cs, dtype=np.int64)
+        if violated_laws(self.gal, fs, cs) is not None:
             return None
-        k, n, nd = len(exts), self.gal.G.order, self.gal.delta.order
-        fs = np.array([e.f for e in exts], dtype=np.int64).reshape(k, n, n)
-        cs = np.array([e.c for e in exts], dtype=np.int64).reshape(k, nd, n)
         space, act = self._space, self.gal.action.table
         SD, S = self.gal.delta.minimal_generators(), space.gens
         # the c-part of the gauged pair: c + chi b - b o d, b(s) = 0
         b = space.gauge(fs[..., S])
         cs = cs[:, SD][:, :, S] - b[:, act[SD][:, S]]
         x = self._sub.coordinates(np.vstack([space.atomize(fs[..., S]).T,
-                                             cs.reshape(k, len(SD) * len(S)).T]))
+                                             cs.reshape(len(fs), len(SD) * len(S)).T]))
         return x[:, 0] if single and x is not None else x
+
+    def tables(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """Stacks (fs, cs) of the pairs with class coordinates the rows of ``coords``."""
+        x, N = as_mod(coords, self.gal.N), self.gal.N
+        fs, cs = (x @ t.reshape(len(t), -1) % N for t in (self.fs, self.cs))
+        return fs.reshape(-1, *self.fs.shape[1:]), cs.reshape(-1, *self.cs.shape[1:])
 
     def element(self, coords) -> EquivariantExtension:
         """The pair with these class coordinates, a combination of the representatives."""
-        x = as_mod(coords, self.gal.N)
-        n, nd = self.gal.G.order, self.gal.delta.order
-        fs = np.array([r.f for r in self.representatives], dtype=np.int64)
-        cs = np.array([r.c for r in self.representatives], dtype=np.int64)
-        return EquivariantExtension(self.gal, (x @ fs.reshape(len(x), n * n)).reshape(n, n),
-                                    (x @ cs.reshape(len(x), nd * n)).reshape(nd, n))
+        fs, cs = self.tables(np.reshape(coords, (1, -1)))
+        return EquivariantExtension(self.gal, fs[0], cs[0])
 
 
 def _c_expressions(gal: GaloisDatum, space, left_levels, delta_levels) -> np.ndarray:
@@ -443,6 +473,10 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     db = 0 on the tree edges, i.e. b(x) = word(x) . b(S) (Hopf's formula,
     as for H^2): the |S| columns of ``space.coboundaries`` on the atoms,
     with chi(e) b(s) - b(e.s) on the c_e(s).
+
+    The representatives are expanded into the stacks ``fs`` and ``cs`` of
+    the ClassModule, and the laws are checked at every row on the whole
+    stack, in one ``violated_laws`` call.
     """
     G, N = gal.G, gal.N
     n = G.order
@@ -474,10 +508,11 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     sub = subquotient(W, cols, N)
 
     lifts = sub.generator_lifts
-    cs = np.moveaxis(C @ lifts % N, 2, 0)
-    reps = [EquivariantExtension(gal, f, c).validated()
-            for f, c in zip(space.expand(lifts[:n_atoms]), cs)]
-    return ClassModule(gal, sub.invariant_factors, reps, sub, space)
+    fs, cs = space.expand(lifts[:n_atoms]), np.moveaxis(C @ lifts % N, 2, 0)
+    bad = violated_laws(gal, fs, cs)
+    if bad is not None:
+        raise ValidationError(f"extension law {bad[1]} fails", witness=bad[2])
+    return ClassModule(gal, sub.invariant_factors, fs, cs, sub, space)
 
 
 def kummer_kernel(cm: ClassModule) -> np.ndarray:
@@ -485,13 +520,16 @@ def kummer_kernel(cm: ClassModule) -> np.ndarray:
 
     Generated by the carry/twist pairs of the chi-equivariant characters
     G -> Z/N; these become trivial once the kernel is enlarged to Q/Z(1).
+    The pairs go to ``cm.coordinates`` as one stack, checked once.
     """
     gal = cm.gal
     G, N = gal.G, gal.N
     phis = character_group_generators(
         G, N, equivariance=(gal.chi, gal.action.table))
-    x = cm.coordinates([EquivariantExtension(
-        gal, *bockstein(G, phi, N, gal.delta, gal.chi, gal.action.table)) for phi in phis])
+    pairs = [bockstein(G, phi, N, gal.delta, gal.chi, gal.action.table) for phi in phis]
+    fs = np.array([f for f, _ in pairs], dtype=np.int64).reshape(-1, G.order, G.order)
+    cs = np.array([c for _, c in pairs], dtype=np.int64).reshape(-1, gal.delta.order, G.order)
+    x = cm.coordinates(fs, cs)
     if x is None:
         raise AssertionError("equivariant bockstein must satisfy C1-C3")
     return x

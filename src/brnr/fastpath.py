@@ -342,15 +342,16 @@ def local_witness(sd: SemidirectDatum, ambient: CohomologyGroup, a_table: np.nda
     witness.h1_local_structure = h_pts.invariant_factors
     # the cup product is bilinear, so the generators decide it; the last
     # generator with a nonzero cup is the lexicographically first nonzero
-    # class with one.  A cup of 1-cocycles is a 2-cocycle: its columns decide it
+    # class with one.  A cup of 1-cocycles is a 2-cocycle: its columns at
+    # S decide it, and the whole table is built for the reported pair only
     ys = [h_pts.element_table(x) for x in np.eye(len(h_pts.invariant_factors), dtype=np.int64)]
-    betas = np.array([cup_h1_h1(delta_v, nhat_tw, inflated, n_tw, y) for y in ys],
-                     dtype=np.int64).reshape(len(ys), delta_v.order, delta_v.order)
     S = delta_v.minimal_generators()
-    nonzero = np.flatnonzero(~coboundary_mask(delta_v, betas[..., S], sd.N.exponent))
+    cols = np.array([cup_h1_h1(delta_v, nhat_tw, inflated, n_tw, y, S) for y in ys],
+                    dtype=np.int64).reshape(len(ys), delta_v.order, len(S))
+    nonzero = np.flatnonzero(~coboundary_mask(delta_v, cols, sd.N.exponent))
     if nonzero.size:
         j = int(nonzero[-1])
         witness.cup_status = "WitnessPairFound"
         witness.cup_point = ThetaPoint(ys[j], c_v.copy())
-        witness.cup_beta = betas[j]
+        witness.cup_beta = cup_h1_h1(delta_v, nhat_tw, inflated, n_tw, ys[j])
     return witness

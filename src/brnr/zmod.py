@@ -544,6 +544,10 @@ def kernel(A: np.ndarray | RowEchelon, m: int) -> Kernel:
     """
     if isinstance(A, RowEchelon):
         n, E = A.ncols, A.matrix()
+    elif not np.shape(A)[0]:                        # no rows: the whole space, Q' = I
+        n = np.shape(A)[1]
+        eye = np.eye(n, dtype=np.int64)[:, :n * (m > 1)]
+        return Kernel(m, eye, (m,) * eye.shape[1], np.arange(n), eye.T)
     else:
         n, E = np.shape(A)[1], echelon_compress(A, m)
     lead = _leads(E)

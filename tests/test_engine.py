@@ -203,7 +203,8 @@ def test_br_nr_verdict_per_quotient_generator(name):
     """Each tested entry is the per-class verdict of one Kummer-quotient generator."""
     gal = FILTER_DATA[name]()
     report = br_nr(gal)
-    q_orders, gens = _kummer_quotient(report.ambient)
+    q_orders, (fs, cs) = _kummer_quotient(report.ambient)
+    gens = [EquivariantExtension(gal, f, c) for f, c in zip(fs, cs)]
     s = len(q_orders)
     assert [coords for coords, _, _ in report.tested] == [
         tuple(int(k == i) for k in range(s)) for i in range(s)]
@@ -245,9 +246,7 @@ def br_nr_by_all_triples(gal):
     """br_nr's answer from every admissible triple with d != 1 as a Galois row:
     (invariant factors, representatives as (f, c), tested)."""
     N = gal.N
-    q_orders, gens = _kummer_quotient(class_module(gal))
-    fs = np.array([ge.f for ge in gens])
-    cs = np.array([ge.c for ge in gens])
+    q_orders, (fs, cs) = _kummer_quotient(class_module(gal))
     pairs, S = commuting_pair_rows(gal.G, fs, N)
     triples = [t for t in _admissible_triples(gal) if t[0] != 0]
     A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
@@ -749,8 +748,8 @@ def test_algebraic_unramified_wang_counterexample_is_z2():
     n, N, chi = gal.G.order, gal.N, gal.chi_mod_n
     count = 0
     for x in itertools.product(range(2), repeat=3):
-        f = sum(k * r.f for k, r in zip(x, cm.representatives)) % N
-        c = sum(k * r.c for k, r in zip(x, cm.representatives)) % N
+        f = sum(k * t for k, t in zip(x, cm.fs)) % N
+        c = sum(k * t for k, t in zip(x, cm.cs)) % N
         if sum(f[k, 1] for k in range(n)) % N:
             continue
         b = np.zeros(n, dtype=np.int64)
@@ -805,6 +804,32 @@ def test_grunwald_wang_constant_groups_over_q(factors, N, expect):
     gal = cyclotomic_datum(factors, N)
     assert br_nr(gal).invariant_factors == expect
     assert algebraic_unramified(gal).invariant_factors == expect
+
+
+@pytest.mark.parametrize("factors, levels, expect", [
+    ([8], (8, 16, 24), (2,)), ([16], (16, 32), (2,)), ([2, 8], (8, 16), (2,)),
+    ([4], (4, 8), ()), ([4, 4], (4, 8), ())])
+def test_constant_group_answers_do_not_depend_on_the_level(factors, levels, expect):
+    # metamorphic: with exp(G) | N, Br^0_nr and Br^0_nr,alg of the constant
+    # group G over Q(mu_(N^2)) do not depend on N
+    for N in levels:
+        gal = cyclotomic_datum(factors, N)
+        assert br_nr(gal).invariant_factors == expect, N
+        assert algebraic_unramified(gal).invariant_factors == expect, N
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_constant_group_answers_do_not_depend_on_the_labelling(seed):
+    # metamorphic: a seeded renaming of the elements of Z2xZ8 (the identity
+    # stays 0) leaves both answers at N = 8 unchanged
+    G = abelian_group([2, 8])
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(G.order - 1)])
+    inv = np.argsort(perm)
+    H = group_from_table(perm[G.mul[np.ix_(inv, inv)]])
+    assert not np.array_equal(H.mul, G.mul)
+    for gal in (cyclotomic_datum(G, 8), cyclotomic_datum(H, 8)):
+        assert br_nr(gal).invariant_factors == (2,)
+        assert algebraic_unramified(gal).invariant_factors == (2,)
 
 
 SHA1_CYC_DATA = {

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+import brnr.extensions
 from brnr.cohomology import bockstein, character_group_generators, dies_in_qz
+from brnr.engine import br_nr
 from brnr.errors import MismatchedBase, NotASubgroup, NotStable, ValidationError
 from brnr.extensions import (
     ClassModule,
@@ -16,6 +18,7 @@ from brnr.extensions import (
     pullback,
     splits_equivariantly,
     splits_over,
+    violated_laws,
     zero_extension,
 )
 from brnr.groups import (
@@ -403,7 +406,7 @@ def test_class_module_coordinates_take_a_batch(name):
     coords = np.array([rng.integers(0, d, size=5) for d in cm.invariant_factors],
                       dtype=np.int64).reshape(k, 5)
     if k:
-        assert np.array_equal(cm.coordinates(cm.representatives), np.eye(k, dtype=np.int64))
+        assert np.array_equal(cm.coordinates(cm.fs, cm.cs), np.eye(k, dtype=np.int64))
         for x in coords.T:
             assert np.array_equal(cm.coordinates(cm.element(x)), x)
     exts = []
@@ -441,17 +444,19 @@ def test_a_pair_shifted_by_a_constant_coboundary_is_normalized(name):
     # back as the representative, with the same class coordinates
     gal = CLASS_MODULE_DATA[name]()
     cm = class_module(gal)
-    assert cm.representatives
-    for rep, k in zip(cm.representatives, itertools.cycle(range(1, gal.N))):
+    assert len(cm.fs)
+    for f, c, k in zip(cm.fs, cm.cs, itertools.cycle(range(1, gal.N))):
+        rep = EquivariantExtension(gal, f, c)
+        assert np.array_equal(rep.f, f) and np.array_equal(rep.c, c)
         shifted = EquivariantExtension(gal, rep.f + k, rep.c + (gal.chi_mod_n[:, None] - 1) * k)
         assert np.array_equal(shifted.f, rep.f) and np.array_equal(shifted.c, rep.c)
         assert shifted.violated_law() is None
         assert np.array_equal(cm.coordinates(shifted), cm.coordinates(rep))
 
 
-def _laws_by_all_rows(ext: EquivariantExtension) -> tuple[list, object]:
-    """Reference: every C1 violation (g, h, k) over all g, in order, and the
-    first violated law among C2, C3 with its witness (or None)."""
+def _violations_by_all_rows(ext: EquivariantExtension) -> tuple[list, list, list]:
+    """Reference: every violated row of C1 (g, h, k), C2 (d, g, h) and C3
+    (d, e, g) over all arguments, each list in lexicographic order."""
     gal, f, c = ext.gal, ext.f, ext.c
     G, N, mul = gal.G, gal.N, gal.G.mul
     c1 = []
@@ -460,34 +465,57 @@ def _laws_by_all_rows(ext: EquivariantExtension) -> tuple[list, object]:
         rhs = f[g][mul] + f                     # f(g,hk) + f(h,k)
         c1 += [(g, int(h), int(k)) for h, k in np.argwhere((lhs - rhs) % N)]
     act, chi_n = gal.action.table, gal.chi_mod_n
+    c2, c3 = [], []
     for d in range(gal.delta.order):
         lhs = c[d][mul] - c[d][:, None] - c[d][None, :]
         bad = np.argwhere((lhs - f[np.ix_(act[d], act[d])] + chi_n[d] * f) % N)
-        if bad.size:
-            return c1, ("C2", (d, int(bad[0][0]), int(bad[0][1])))
+        c2 += [(d, int(g), int(h)) for g, h in bad]
     for d in range(gal.delta.order):
         for e in range(gal.delta.order):
             bad = np.nonzero((c[gal.delta.mul[d, e]] - chi_n[d] * c[e] - c[d][act[e]]) % N)[0]
-            if bad.size:
-                return c1, ("C3", (d, e, int(bad[0])))
-    return c1, None
+            c3 += [(d, e, int(g)) for g in bad]
+    return c1, c2, c3
 
 
-@pytest.mark.parametrize("name", ["real D4", "real Q8", "trivial S3", "twist Z2xZ4"])
+def _laws_by_all_rows(ext: EquivariantExtension) -> tuple[list, object]:
+    """Reference: every C1 violation (g, h, k) over all g, in order, and the
+    first violated law among C2, C3 with its witness (or None)."""
+    c1, c2, c3 = _violations_by_all_rows(ext)
+    return c1, ("C2", c2[0]) if c2 else ("C3", c3[0]) if c3 else None
+
+
+def _law_at_generator_rows(ext: EquivariantExtension) -> object:
+    """The first violated law and witness among the rows of ``_laws_by_all_rows``
+    that the check reads: C1 at g in {1} u S, C2 at d in S_Delta and C3 at
+    (d, e in S_Delta, g).  It finds a violation exactly when some row is violated."""
+    rows = {0, *ext.gal.G.minimal_generators()}
+    SD = set(ext.gal.delta.minimal_generators())
+    c1, c2, c3 = _violations_by_all_rows(ext)
+    read = [("C1", [t for t in c1 if t[0] in rows]), ("C2", [t for t in c2 if t[0] in SD]),
+            ("C3", [t for t in c3 if t[1] in SD])]
+    law = next(((name, bad[0]) for name, bad in read if bad), None)
+    assert (law is None) == (not (c1 or c2 or c3))
+    return law
+
+
+LAW_DATA = {
+    "real D4": lambda: GaloisDatum.real_like(dihedral_group(4)),
+    "real Q8": lambda: GaloisDatum.real_like(quaternion_group()),
+    "trivial S3": lambda: GaloisDatum.trivial(symmetric_group(3)),
+    "twist Z2xZ4": lambda: GaloisDatum(cyclic_group(2), abelian_group([2, 4]), np.array([1, 31]),
+                                       GroupAction.trivial(cyclic_group(2),
+                                                           abelian_group([2, 4]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAW_DATA))
 def test_violated_law_on_generator_rows_matches_all_rows(name):
     # C1 is read at first arguments {1} u S only; the verdict must be that of
     # every row, and the C1 witness the first bad triple in those rows.
     # Pairs: class-module elements, each perturbed at one entry of f (every
     # other time in a row f(g, .) with g outside {1} u S) or, when Delta is
     # not trivial, of c.
-    delta = cyclic_group(2)
-    gal = {
-        "real D4": lambda: GaloisDatum.real_like(dihedral_group(4)),
-        "real Q8": lambda: GaloisDatum.real_like(quaternion_group()),
-        "trivial S3": lambda: GaloisDatum.trivial(symmetric_group(3)),
-        "twist Z2xZ4": lambda: GaloisDatum(delta, abelian_group([2, 4]), np.array([1, 31]),
-                                           GroupAction.trivial(delta, abelian_group([2, 4]))),
-    }[name]()
+    gal = LAW_DATA[name]()
     G, N = gal.G, gal.N
     n = G.order
     rows = {G.identity, *G.minimal_generators()}
@@ -563,3 +591,98 @@ def test_violated_law_catches_a_twist_off_the_generators_of_delta():
         got = bad.violated_law()
         assert got is not None and _laws_by_all_rows(bad)[1] is not None
         assert got[0] == "C3" and _crossed_defect(bad, *got[1])
+
+
+STACK_DATA = {**LAW_DATA, "Z4 on Z8 u=7 chi=15": lambda: cyclic_unit_datum(8, 7, 15),
+              "Wang Z8": lambda: wang_datum(8)}
+
+
+def _mixed_pairs(gal: GaloisDatum, rng, count: int) -> list:
+    """Class-module elements, most broken at one or two random entries: of f,
+    of c_e for e in S_Delta (when Delta is not trivial), of both, or of c_d
+    for d outside S_Delta (which only C3 reads)."""
+    G, N, n, nd = gal.G, gal.N, gal.G.order, gal.delta.order
+    SD = gal.delta.minimal_generators()
+    off = [d for d in range(1, nd) if d not in SD]
+    cm = class_module(gal)
+    modes = ["valid", "f", "c", "f and c", "c off S_Delta"][:2 + 2 * (nd > 1) + bool(off)]
+    pairs = []
+    for trial in range(count):
+        ext = cm.element(rng.integers(0, N, size=len(cm.invariant_factors)))
+        f, c = ext.f.copy(), ext.c.copy()
+        mode = modes[trial % len(modes)]
+        if mode in ("f", "f and c"):
+            f[rng.integers(1, n), rng.integers(1, n)] += rng.integers(1, N)
+        if mode in ("c", "f and c"):
+            c[rng.choice(SD), rng.integers(1, n)] += rng.integers(1, N)
+        if mode == "c off S_Delta":
+            c[rng.choice(off), rng.integers(1, n)] += rng.integers(1, N)
+        pairs.append(EquivariantExtension(gal, f, c))
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(STACK_DATA))
+def test_violated_laws_reports_the_first_broken_pair_of_a_stack(name):
+    # the stacked check must report what a pair-by-pair check over every row
+    # reports first: the lowest broken pair, and in it C1 before C2 before
+    # C3, with the first violated row the check reads as witness
+    gal = STACK_DATA[name]()
+    n, nd = gal.G.order, gal.delta.order
+    rng = np.random.default_rng(n + 3 * nd)
+    pairs = _mixed_pairs(gal, rng, 24)
+    expect = [_law_at_generator_rows(e) for e in pairs]
+    assert expect.count(None) >= 3
+    laws = {law for law, _ in filter(None, expect)}
+    assert laws == {"C1", "C2", "C3"} if nd > 2 else laws >= {"C1"}
+    seen = set()
+    for _ in range(30):
+        k = int(rng.integers(1, 8))
+        pick = rng.choice(len(pairs), size=k, replace=False)
+        fs = np.array([pairs[i].f for i in pick])
+        cs = np.array([pairs[i].c for i in pick])
+        first = next((j for j, i in enumerate(pick) if expect[i] is not None), None)
+        got = violated_laws(gal, fs, cs)
+        assert got == (None if first is None else (first, *expect[pick[first]]))
+        seen.add(None if got is None else (got[0] > 0, got[1]))
+    assert (True, "C1") in seen and (nd == 1 or (False, "C2") in seen)
+    # an empty stack and a stack of valid pairs break no law
+    assert violated_laws(gal, np.zeros((0, n, n), dtype=np.int64),
+                         np.zeros((0, nd, n), dtype=np.int64)) is None
+    valid = [e for e, law in zip(pairs, expect) if law is None]
+    assert violated_laws(gal, np.array([e.f for e in valid]),
+                         np.array([e.c for e in valid])) is None
+    cm = class_module(gal)
+    assert violated_laws(gal, cm.fs, cm.cs) is None
+
+
+def test_the_laws_are_checked_once_per_stack(monkeypatch):
+    # class_module checks its representatives, coordinates its whole stack
+    # and kummer_kernel its Bockstein pairs in one call each; br_nr builds
+    # a pair only for each representative of its report
+    calls, built = [], []
+    check, post_init = brnr.extensions.violated_laws, EquivariantExtension.__post_init__
+
+    def check_spy(gal, fs, cs):
+        calls.append(len(fs))
+        return check(gal, fs, cs)
+
+    def post_init_spy(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(brnr.extensions, "violated_laws", check_spy)
+    gal = wang_datum(8)
+    cm = class_module(gal)
+    assert calls == [3]
+    exts = _mixed_pairs(gal, np.random.default_rng(5), 10)
+    calls.clear()
+    assert cm.coordinates(exts[::5]) is not None
+    assert cm.coordinates(exts) is None
+    assert cm.coordinates(np.array([e.f for e in exts]), np.array([e.c for e in exts])) is None
+    kummer_kernel(cm)
+    phis = character_group_generators(gal.G, gal.N, equivariance=(gal.chi, gal.action.table))
+    assert calls == [2, 10, 10, len(phis)]
+    calls.clear()
+    monkeypatch.setattr(EquivariantExtension, "__post_init__", post_init_spy)
+    report = br_nr(gal)
+    assert calls == [3, len(phis)] and len(built) == len(report.representatives) == 1

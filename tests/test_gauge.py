@@ -177,7 +177,8 @@ def test_class_module_coordinates_ignore_coboundary_pairs(datum):
     cm = class_module(gal)
     N, SD = gal.N, gal.delta.minimal_generators()
     t = np.random.default_rng(4).integers(0, N, size=(4, len(cm.invariant_factors)))
-    exts = cm.representatives + [cm.element(x) for x in t]
+    exts = [EquivariantExtension(gal, f, c) for f, c in zip(cm.fs, cm.cs)] + [
+        cm.element(x) for x in t]
     b = random_cochains(gal.G, len(exts), N, 5)
     moved = [gauge_pair(e, bb) for e, bb in zip(exts, b)]
     # the pairs moved at the generators of G and of Delta, f off the tree
@@ -197,7 +198,7 @@ def test_class_module_representatives_are_gauged(datum):
     gal = DATA[datum]()
     cm = class_module(gal)
     G = gal.G
-    fs = np.array([r.f for r in cm.representatives])
+    fs = cm.fs
     assert not (cm._space.gauge(fs[..., cm._space.gens])).any()
     assert not (tree_edge_rows(G, G.minimal_generators())
                 @ fs[:, 1:, G.minimal_generators()].reshape(len(fs), -1).T).any()

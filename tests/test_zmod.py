@@ -891,3 +891,16 @@ def test_kernel_special_cases():
     A = np.array([[1, 2, 4], [0, 4, 0]])
     K = _assert_kernel_matches_reference(A, 8)[0]
     assert K.coordinates(np.array([1, 0, 0])) is None
+
+
+@pytest.mark.parametrize("m", [1, 4, 16])
+def test_kernel_of_no_rows_is_the_whole_space_without_an_elimination(m, monkeypatch):
+    # 0 x t: every column is a free generator of order m (none for m = 1),
+    # read off Q' = I, as a zero row gives it through the elimination
+    ref = kernel(np.zeros((1, 4), dtype=np.int64), m)
+    monkeypatch.setattr("brnr.zmod.echelon_compress", None)
+    K = kernel(np.zeros((0, 4), dtype=np.int64), m)
+    assert K.orders == ref.orders == (m,) * 4 * (m > 1)
+    assert np.array_equal(K.gens, ref.gens)
+    x = np.arange(4 * 3).reshape(4, 3) % m
+    assert np.array_equal(K.coordinates(x), ref.coordinates(x))
