@@ -3,7 +3,8 @@
 Public surface:
 
 - groups: multiplication-table groups, actions, finite abelian modules
-- zmod: Smith normal form, solving, kernels and cokernels over Z/m
+- zmod: Smith normal form, solving, and one Subquotient type for the kernels,
+  cokernels and quotients over Z/m
 - cohomology: H^1/H^2, Tate H^0, restriction, Sha filters, cups, Bocksteins
 - extensions: Galois-equivariant central extensions (f, c) and their classes
 - engine: the unramified conditions, B_0, the full Br^0_nr pipeline
@@ -83,7 +84,7 @@ from .localeval import (
     nonabelian_h1,
 )
 from .zmod import (
-    AbelianStructure,
+    Subquotient,
     cokernel,
     kernel,
     solve,

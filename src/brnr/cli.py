@@ -41,7 +41,9 @@ from .groups import (
 from .localeval import ClassEntry, FastpathClassEntry, LocalDatum, bm_report
 
 TASKS = ("b0", "brnr", "sha1bic", "algebraic", "bmreport", "sha2ab")
-# chi is kept mod N^2 and its values are multiplied in int64, so N^4 < 2^63
+# the largest modulus and module factor: chi is kept mod N^2 and its values
+# are multiplied in int64, so N^4 < 2^63; a factor d is multiplied by
+# residues mod d in the module checks and in zmod, exact while d^2 < 2^63
 MAX_MODULUS = 1 << 15
 
 
@@ -105,6 +107,15 @@ def _ints(spec, key: str, owner: str, ndim: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _factors(spec, owner: str) -> np.ndarray:
+    """spec["invariant_factors"], each at most MAX_MODULUS."""
+    factors = _ints(spec, "invariant_factors", owner, 1)
+    if (factors > MAX_MODULUS).any():
+        raise ValidationError(f"{owner}.invariant_factors must be at most {MAX_MODULUS}",
+                              witness=int(factors.max()))
+    return factors
+
+
 def _positive_int(spec: dict, key: str, owner: str, most: int | None = None) -> int | None:
     """Optional spec[key], which must be a positive integer (at most ``most``)."""
     value = spec.get(key)
@@ -153,15 +164,15 @@ def _build_group(spec, caps: Caps):
         with _naming("group.generators"):
             return group_from_permutations(gens, degree=degree, caps=caps), None, None
     if kind == "abelian":
-        factors = _ints(spec, "invariant_factors", "group", 1)
+        factors = _factors(spec, "group")
         with _naming("group.invariant_factors"):
             return abelian_group(factors, caps), None, None
     if kind == "semidirect":
-        factors = _ints(_field(spec, "q", "group"), "invariant_factors", "group.q", 1)
+        factors = _factors(_field(spec, "q", "group"), "group.q")
         with _naming("group.q.invariant_factors"):
             q = abelian_group(factors, caps)
         n_spec = _field(spec, "n", "group")
-        factors = _ints(n_spec, "invariant_factors", "group.n", 1)
+        factors = _factors(n_spec, "group.n")
         action = None if n_spec.get("action") is None \
             else _ints(n_spec, "action", "group.n", 3)
         with _naming("group.n"):

@@ -69,9 +69,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import NotACocycle, NotEquivariant, OrderBound, ValidationError
 from .groups import AbelianModule, FiniteGroup, subgroups_abelian
 from .zmod import (
-    Kernel,
     RowEchelon,
-    SubquotientModule,
+    Subquotient,
     _howell_residue,
     as_mod,
     echelon_compress,
@@ -230,7 +229,7 @@ def _cocycle1_space(G: FiniteGroup, M: AbelianModule) -> tuple[list[int], np.nda
     return S, E, rows.reshape(n * k * r, k * r) % m
 
 
-def _kernel_from_batches(batches, dim: int, m: int) -> Kernel:
+def _kernel_from_batches(batches, dim: int, m: int) -> Subquotient:
     ech = RowEchelon(dim, m)
     for batch in batches:
         ech.add(batch)
@@ -292,7 +291,7 @@ def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
     caps.check_unknowns(len(G.minimal_generators()) * M.rank)
     S, E, rows = _cocycle1_space(G, M)
     R = np.hstack([_d0_columns(M, S), _lattice_columns(len(S), M)])
-    sub = subquotient(kernel(rows, M.exponent), R, M.exponent)
+    sub = subquotient(kernel(rows, M.exponent), R)
     reps = list(M.reduce(np.moveaxis(E @ sub.generator_lifts, 2, 0)))
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:
@@ -495,7 +494,7 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
     space = reduced_cocycle_space(G, m)
     caps.check_unknowns(space.n_atoms)
     cocycles = _kernel_from_batches(space.c1_batches(), space.n_atoms, m)
-    sub = subquotient(cocycles, space.coboundaries(), m)
+    sub = subquotient(cocycles, space.coboundaries())
     M = scalar_module(m)
     reps = list(space.expand(sub.generator_lifts)[..., None])
 
@@ -516,32 +515,13 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TateH0:
-    invariant_factors: tuple[int, ...]
-    representatives: list[np.ndarray]       # module vectors
-    _sub: SubquotientModule
-
-    def coordinates(self, vec: np.ndarray) -> Optional[np.ndarray]:
-        return self._sub.coordinates(np.asarray(vec, dtype=np.int64))
-
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
-
-
-def tate_h0(G: FiniteGroup, M: AbelianModule) -> TateH0:
-    """Invariants modulo norms: M^G / N_G(M)."""
-    r, m = M.rank, M.exponent
+def tate_h0(G: FiniteGroup, M: AbelianModule) -> Subquotient:
+    """Invariants modulo norms: M^G / N_G(M), in the coordinates of M mod exp(M)."""
+    m = M.exponent
     scales = np.tile(_row_scales(M), G.order - 1)[:, None]
     W = kernel(_d0_columns(M, range(1, G.order)) * scales % m, m)
-    norm = np.zeros((r, r), dtype=np.int64)
-    for g in range(G.order):
-        norm += M.matrix(g)
-    R = np.hstack([norm % m, _lattice_columns(1, M)])
-    sub = subquotient(W, R, m)
-    reps = [M.reduce(sub.generator_lifts[:, i]) for i in range(len(sub.invariant_factors))]
-    return TateH0(sub.invariant_factors, reps, sub)
+    norm = sum(M.matrix(g) for g in range(G.order)) % m
+    return subquotient(W, np.hstack([norm, _lattice_columns(1, M)]))
 
 
 def subgroup_module(M: AbelianModule, H: FiniteGroup, elements: np.ndarray) -> AbelianModule:
@@ -708,7 +688,7 @@ def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
     The rows of S (one column per class) must vanish on every orders[j] e_j,
     so the kernel of S in (Z/N)^t holds the lattice L of the orders[j] e_j,
     and the classes that S kills are ker S / L.  The answer is one
-    subquotient of that Kernel by L and the columns of ``relations``,
+    subquotient of that kernel by L and the columns of ``relations``,
     coordinate vectors that satisfy S.  Returns the invariant factors of
     the quotient and one coordinate vector (mod orders) per generator.
     """
@@ -718,7 +698,7 @@ def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
         raise AssertionError("rows are not defined on classes")
     lattice = np.diag(mods)[:, mods < N]            # a class of order N needs none
     R = lattice if relations is None else np.hstack([lattice, relations])
-    sub = subquotient(kernel(S, N), R, N)
+    sub = subquotient(kernel(S, N), R)
     return sub.invariant_factors, list(sub.generator_lifts.T % mods)
 
 
@@ -880,4 +860,4 @@ def character_group_generators(G: FiniteGroup, N: int,
         chi, act = equivariance
         twist = E[act[:, S]] - as_mod(chi, N)[:, None, None] * E[S]
         rows = np.vstack([rows, twist.reshape(-1, len(S)) % N])
-    return list((E @ kernel(rows, N).gens % N).T)
+    return list((E @ kernel(rows, N).generator_lifts % N).T)

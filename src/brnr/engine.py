@@ -363,12 +363,13 @@ def _character_module(gal: GaloisDatum) -> tuple[np.ndarray, AbelianModule]:
     nd, N = gal.delta.order, gal.N
     S, E, rows = _cocycle1_space(gal.G, scalar_module(N))
     K = kernel(rows, N)
-    k = len(K.orders)
-    B = E[:, 0] @ K.gens % N
+    k = len(K.invariant_factors)
+    B = E[:, 0] @ K.generator_lifts % N
     # acted[d, i, j] = (d.b_j)(s_i) = chi(d) b_j(d^-1.s_i)
     acted = gal.chi_mod_n[:, None, None] * B[gal.action.table[gal.delta.inv][:, S]]
     mats = K.coordinates(acted.transpose(1, 0, 2).reshape(len(S), nd * k))
-    return B, AbelianModule(K.orders, gal.delta, mats.reshape(k, nd, k).transpose(1, 0, 2))
+    return B, AbelianModule(K.invariant_factors, gal.delta,
+                            mats.reshape(k, nd, k).transpose(1, 0, 2))
 
 
 def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:

@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import FiniteGroup, GroupAction
-from .zmod import SubquotientModule, as_mod, solve, subquotient
+from .zmod import Subquotient, as_mod, solve, subquotient
 
 
 @dataclass
@@ -366,7 +366,7 @@ class ClassModule:
     invariant_factors: tuple[int, ...]
     fs: np.ndarray
     cs: np.ndarray
-    _sub: SubquotientModule
+    _sub: Subquotient
     _space: object                  # ReducedCocycleSpace for the f-part
 
     @property
@@ -505,7 +505,7 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     # chi(e) b(s) - b(e.s) on the c_e(s)
     twist = chi_n[SD, None, None] * np.eye(len(S), dtype=np.int64) - space.words()[act[SD][:, S]]
     cols = np.vstack([space.coboundaries(), twist.reshape(len(SD) * len(S), len(S)) % N])
-    sub = subquotient(W, cols, N)
+    sub = subquotient(W, cols)
 
     lifts = sub.generator_lifts
     fs, cs = space.expand(lifts[:n_atoms]), np.moveaxis(C @ lifts % N, 2, 0)

@@ -218,7 +218,10 @@ def group_from_permutations(generators, degree: int | None = None,
     """Group generated by permutations of {0..m-1}; ordering = BFS discovery.
 
     The closure stops with OrderBound naming ``table_group`` at the first
-    element past that cap.
+    element past that cap.  It records each new element as y = x o g_k
+    (apply g_k first), so the table needs only the rows of the generators,
+    g_k o q for every q looked up by value: the row of y is then that of x
+    read at the row of g_k, as y o q = x o (g_k o q), one numpy gather.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     if degree is None:
@@ -231,24 +234,24 @@ def group_from_permutations(generators, degree: int | None = None,
     if not gens:
         degree = 0      # the trivial group, whatever the degree
     ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        x = queue.pop(0)
-        for g in gens:
-            y = tuple(x[g[i]] for i in range(degree))  # x o g (apply g first)
+    elems, index, steps = [ident], {ident: 0}, []
+    for i, x in enumerate(elems):                   # grows as it goes: a BFS queue
+        for k, g in enumerate(gens):
+            y = tuple(x[j] for j in g)
             if y not in index:
                 if len(elems) >= caps.table_group:
                     raise OrderBound("table_group", caps.table_group, len(elems) + 1)
                 index[y] = len(elems)
                 elems.append(y)
-                queue.append(y)
+                steps.append((i, k))
     n = len(elems)
+    E = np.array(elems, dtype=np.int64).reshape(n, degree)
+    rows = np.array([[index[q] for q in map(tuple, np.array(g)[E].tolist())] for g in gens],
+                    dtype=np.int64)
     mul = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mul[i, j] = index[tuple(p[q[k]] for k in range(degree))]
+    mul[0] = np.arange(n)
+    for y, (x, k) in enumerate(steps, 1):
+        mul[y] = mul[x, rows[k]]
     return FiniteGroup(mul, validate=False, name=name)
 
 
@@ -513,38 +516,13 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    # elements 1, -1, i, -i, j, -j, k, -k as permutations of themselves
-    # (left regular representation)
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    sign = {s: (-1 if s.startswith("-") else 1) for s in labels}
-    base = {s: s.lstrip("-") for s in labels}
-    table_base = {
-        ("1", x): x for x in "1ijk"
-    }
-    table_base.update({(x, "1"): x for x in "1ijk"})
-    rules = {("i", "i"): ("-", "1"), ("j", "j"): ("-", "1"), ("k", "k"): ("-", "1"),
-             ("i", "j"): ("+", "k"), ("j", "k"): ("+", "i"), ("k", "i"): ("+", "j"),
-             ("j", "i"): ("-", "k"), ("k", "j"): ("-", "i"), ("i", "k"): ("-", "j")}
-
-    def mul_labels(a: str, b: str) -> str:
-        s = sign[a] * sign[b]
-        x, y = base[a], base[b]
-        if x == "1":
-            res = y
-        elif y == "1":
-            res = x
-        else:
-            sg, res = rules[(x, y)]
-            if sg == "-":
-                s = -s
-        if res == "1" and s == -1:
-            return "-1"
-        return res if s == 1 else "-" + res
-
-    index = {lab: i for i, lab in enumerate(labels)}
-    mul = np.array([[index[mul_labels(a, b)] for b in labels] for a in labels],
-                   dtype=np.int64)
-    return FiniteGroup(mul, validate=True, name="Q8")
+    """Q8 on 1, -1, i, -i, j, -j, k, -k: index 2u + s for the unit u of
+    (1, i, j, k) and the sign s (1 for -).  The units multiply as u ^ v
+    (ij = k, jk = i, ki = j), with the sign of ``sign[u, v]`` on top."""
+    sign = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    u, s = np.divmod(np.arange(8), 2)
+    u, v, s = u[:, None], u, s[:, None] ^ s
+    return FiniteGroup(2 * (u ^ v) + (s ^ sign[u, v]), validate=True, name="Q8")
 
 
 @dataclass

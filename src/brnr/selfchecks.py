@@ -215,7 +215,7 @@ def unramified_by_enumeration(gal: GaloisDatum) -> tuple[int, ...]:
     lattice = np.diag(mods)
     U = np.hstack([np.array(sorted(passing), dtype=np.int64).T, lattice])
     W = kernel(span_rows(U, gal.N), gal.N)
-    return subquotient(W, np.hstack([lattice, kum]), gal.N).invariant_factors
+    return subquotient(W, np.hstack([lattice, kum])).invariant_factors
 
 
 def check_linear_galois_filter():

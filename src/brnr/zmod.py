@@ -2,10 +2,13 @@
 
 Everything downstream (cohomology, extension classes, the unramified
 filters) reduces to a few primitives over Z/m: Smith normal form with
-unimodular transforms, kernels, cokernel structure and ``preimage_rows``
-(rows that vanish exactly where V x lies in the column span of A, for a
-whole stack of pairs (A, V) from row operations alone; ``span_rows`` is
-V = I), with ``solve`` for witnesses.
+unimodular transforms, subquotients and ``preimage_rows`` (rows that
+vanish exactly where V x lies in the column span of A, for a whole stack
+of pairs (A, V) from row operations alone; ``span_rows`` is V = I), with
+``solve`` for witnesses.  Every group these give is one
+:class:`Subquotient` W/R with its invariant factors, generator lifts and
+coordinates: ``kernel`` is the case R = 0, ``cokernel`` the case
+W = (Z/m)^n, and ``subquotient`` divides any of them by a column span.
 All of it is done directly mod m -- never over Z and then reduced.  The
 Smith normal form, ``RowEchelon`` and ``preimage_rows`` each eliminate
 mod every prime-power factor q = p^n of m and join the parts by CRT:
@@ -18,14 +21,14 @@ Kernels are read off the reduced Howell form, which ``RowEchelon``
 computes per prime power and joins by CRT.  A unit pivot solves its own
 column in terms of the columns that carry no unit pivot, so only the
 non-unit rows on those columns go through a Smith normal form, often a
-small one or none (see ``kernel``).  The resulting ``Kernel`` keeps the
-rows of that factorization that give coordinates in it, so
-``subquotient`` of a kernel and its ``coordinates`` need no second
-factorization; one SNF remains, on the small relation matrix of the
-quotient.  The sweep takes unit pivots in rounds, many columns at once:
-each round applies its pivots with one Schur-complement product through
-the inverse of their unit triangular block, and keeps every other row
-zero on their columns, so only non-unit pivots are left to back-reduce.
+small one or none (see ``kernel``).  The kernel keeps the rows of that
+factorization that give coordinates in it, so ``subquotient`` of a
+kernel and its ``coordinates`` need no second factorization; one SNF
+remains, on the small relation matrix of the quotient.  The sweep takes
+unit pivots in rounds, many columns at once: each round applies its
+pivots with one Schur-complement product through the inverse of their
+unit triangular block, and keeps every other row zero on their columns,
+so only non-unit pivots are left to back-reduce.
 Every product is exact: float64 while its sums stay below 2^53 and int64
 below 2^63, with shorter sums where even that would overflow (see
 ``_product``).
@@ -39,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -494,41 +497,36 @@ def _howell_residue(E: np.ndarray, X: np.ndarray, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# kernel / solve / cokernel
+# subquotients, solve and span rows
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class Kernel:
-    """{x : A x = 0 mod m} as independent generators with their orders.
+class Subquotient:
+    """A finite abelian group W/R for submodules R <= W of (Z/m)^n.
 
-    The columns of ``gens`` generate the kernel and sum t_j gens[:, j] = 0
-    exactly when every orders[j] divides t_j, so the kernel is the product
-    of the Z/orders[j].  ``coordinates`` reads t off the factorization the
-    generators came from (see :func:`kernel`): the rows ``_inv`` of Q'^-1
-    on the non-unit-pivot columns ``_rest``.
+    W/R is the product of the Z/invariant_factors[j], and the columns of
+    ``generator_lifts`` are members of W that map to its unit vectors.
+    ``coordinates`` maps a member of W to its coordinates (each mod its
+    factor), a matrix column by column, and gives None if any column is
+    outside W.  A kernel is the case R = 0 (:func:`kernel`), a cokernel
+    the case W = (Z/m)^n (:func:`cokernel`).
     """
 
     modulus: int
-    gens: np.ndarray            # cols x k
-    orders: tuple[int, ...]
-    _rest: np.ndarray
-    _inv: np.ndarray            # k x len(_rest)
+    invariant_factors: tuple[int, ...]
+    generator_lifts: np.ndarray         # n x r
+    _coords: Callable[[np.ndarray], Optional[np.ndarray]] = field(repr=False)
 
     def coordinates(self, vec: np.ndarray) -> Optional[np.ndarray]:
-        """t with gens t = vec, one column per column of a matrix; None if any is outside.
+        return self._coords(as_mod(vec, self.modulus))
 
-        On the kernel, Q'^-1 x_rest is (m/g_j) t_j in coordinate j; off it
-        the division is meaningless, so ``gens t = vec`` is checked.
-        """
-        m = self.modulus
-        vec = as_mod(vec, m)
-        g = np.array(self.orders, dtype=np.int64).reshape((-1,) + (1,) * (vec.ndim - 1))
-        x = (self._inv @ vec[self._rest] % m) // (m // g)
-        return None if ((self.gens @ x - vec) % m).any() else x
+    @property
+    def order(self) -> int:
+        return prod(self.invariant_factors)
 
 
-def kernel(A: np.ndarray | RowEchelon, m: int) -> Kernel:
+def kernel(A: np.ndarray | RowEchelon, m: int) -> Subquotient:
     """{x : A x = 0 mod m} for A (rows x cols), or for the rows fed to a RowEchelon.
 
     A has the kernel of its reduced Howell form E.  In E each unit pivot is
@@ -540,16 +538,19 @@ def kernel(A: np.ndarray | RowEchelon, m: int) -> Kernel:
     E' is put in Smith normal form, P' E' Q' = D: ker E' is generated by
     the columns (m/g_j) Q'_j of order g_j = gcd(d_j, m) > 1, and each
     generator gets its x_P from the unit rows.  With no non-unit rows
-    Q' = I and every rest column is free.
+    Q' = I and every rest column is free; with no rows at all there is no
+    elimination.
+
+    The coordinates t of a member x (``generator_lifts`` t = x) are read
+    off the same factorization: Q'^-1 x_rest is (m/g_j) t_j in coordinate
+    j.  Off the kernel that division is meaningless, so the result is
+    checked.
     """
     if isinstance(A, RowEchelon):
         n, E = A.ncols, A.matrix()
-    elif not np.shape(A)[0]:                        # no rows: the whole space, Q' = I
-        n = np.shape(A)[1]
-        eye = np.eye(n, dtype=np.int64)[:, :n * (m > 1)]
-        return Kernel(m, eye, (m,) * eye.shape[1], np.arange(n), eye.T)
     else:
-        n, E = np.shape(A)[1], echelon_compress(A, m)
+        n = np.shape(A)[1]
+        E = echelon_compress(A, m) if np.shape(A)[0] else np.zeros((0, n), dtype=np.int64)
     lead = _leads(E)
     unit = E[np.arange(len(E)), lead] == 1
     free = np.ones(n, dtype=bool)
@@ -562,11 +563,16 @@ def kernel(A: np.ndarray | RowEchelon, m: int) -> Kernel:
         Q, Qinv = snf.Q, snf.Qinv
         g[:len(snf.diag)] = np.gcd(snf.diag, m)
     keep = np.flatnonzero(g > 1)
-    g = g[keep]
+    g, inv = g[keep], Qinv[keep]
     gens = np.zeros((n, len(keep)), dtype=np.int64)
     gens[rest] = Q[:, keep] * (m // g) % m
     gens[lead[unit]] = -E[unit][:, rest] @ gens[rest] % m
-    return Kernel(m, gens, tuple(int(d) for d in g), rest, Qinv[keep])
+
+    def coords(vec: np.ndarray) -> Optional[np.ndarray]:
+        x = (inv @ vec[rest] % m) // (m // g.reshape((-1,) + (1,) * (vec.ndim - 1)))
+        return None if ((gens @ x - vec) % m).any() else x
+
+    return Subquotient(m, tuple(int(d) for d in g), gens, coords)
 
 
 def solve(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
@@ -593,55 +599,6 @@ def solve(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
             mg = m // g
             y[i] = (cvec[i] // g) * pow(d // g, -1, mg) % mg
     return snf.Q @ y % m
-
-
-@dataclass
-class AbelianStructure:
-    """Invariant-factor description of a quotient (Z/m)^n / column-span.
-
-    ``project`` maps ambient vectors to coordinates in prod Z/d_i; the
-    ``generator_lifts`` columns project to the unit vectors.
-    """
-
-    modulus: int
-    ambient_dim: int
-    invariant_factors: tuple[int, ...]
-    generator_lifts: np.ndarray       # ambient_dim x r
-    _proj_rows: np.ndarray            # r x ambient_dim (rows of P for kept factors)
-
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates of a vector, or of each column of a matrix."""
-        vec = as_mod(vec, self.modulus)
-        coords = self._proj_rows @ vec % self.modulus
-        mods = np.array(self.invariant_factors, dtype=np.int64)
-        return coords % mods.reshape((-1,) + (1,) * (vec.ndim - 1))
-
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
-
-
-def cokernel(A: np.ndarray, m: int, rows: int | None = None) -> AbelianStructure:
-    """Structure of (Z/m)^rows / colspan(A).
-
-    P A Q = D is the Smith normal form; the kept diagonal positions are the
-    invariant factors f = gcd(d, m) > 1, and P and P^-1 are cut to them:
-    the rows of P project, the columns of P^-1 lift.
-    """
-    A = as_mod(A, m)
-    n = rows if rows is not None else A.shape[0]
-    if A.shape[0] != n:
-        raise ValueError("row count mismatch")
-    if m <= 1 or n == 0:
-        return AbelianStructure(m, n, (), np.zeros((n, 0), dtype=np.int64),
-                                np.zeros((0, n), dtype=np.int64))
-    snf = smith_normal_form_raw(A, m)
-    d = np.zeros(n, dtype=np.int64)
-    d[:len(snf.diag)] = snf.diag
-    f = np.gcd(d, m)                            # gcd(0, m) = m: a free Z/m
-    keep = np.flatnonzero(f > 1)
-    return AbelianStructure(m, n, tuple(int(x) for x in f[keep]), snf.Pinv[:, keep] % m,
-                            snf.P[keep] % m)
 
 
 def preimage_rows(A: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:
@@ -714,45 +671,39 @@ def span_rows(A: np.ndarray, m: int) -> np.ndarray:
     return R[R.any(axis=1)]
 
 
-# ---------------------------------------------------------------------------
-# submodules and subquotients
-# ---------------------------------------------------------------------------
+def subquotient(W: Subquotient, R: np.ndarray) -> Subquotient:
+    """W / colspan(R) for a Subquotient W; R must lie inside W.
 
-
-@dataclass
-class SubquotientModule:
-    """W / R for a :class:`Kernel` W and a submodule R <= W of (Z/m)^n.
-
-    ``coordinates`` finds x with W.gens x = vec (one matmul with the rows the
-    kernel's factorization kept) and projects it mod R; it returns None for
-    vectors outside W.  A matrix gives one coordinate column per column, and
-    None if any column is outside W.
+    In W's coordinates the quotient is Z^k modulo the coordinates T of R
+    and the relations f_j e_j of W's factors, so one Smith normal form
+    P [T | relations] Q = D gives it: the kept diagonal positions are the
+    invariant factors gcd(d, m) > 1, the rows P[keep] map W's coordinates
+    to the quotient's, and W's lifts times the columns P^-1[:, keep] lift
+    its generators.  A column span A is ``kernel(span_rows(A, m), m)``.
     """
-
-    invariant_factors: tuple[int, ...]
-    generator_lifts: np.ndarray      # n x r, representatives in W
-    _W: Kernel
-    _inner: AbelianStructure
-
-    def coordinates(self, vec: np.ndarray) -> Optional[np.ndarray]:
-        x = self._W.coordinates(vec)
-        return None if x is None else self._inner.project(x)
-
-
-def subquotient(W: Kernel, R: np.ndarray, m: int) -> SubquotientModule:
-    """Structure of W/colspan(R); R must lie inside W.
-
-    W / R is Z^k modulo the coordinates T of R in W's generators and the
-    relations among those generators, so one SNF of [T | relations] gives
-    it.  The :class:`Kernel` brings both from its own factorization: T from
-    its ``coordinates`` and the relations orders[j] e_j.  A column span A is
-    the Kernel ``kernel(span_rows(A, m), m)``.
-    """
-    T = W.coordinates(as_mod(R, m))
+    T = W.coordinates(R)
     if T is None:
         raise ValueError("R is not contained in the span of W")
-    orders = np.array(W.orders, dtype=np.int64)
-    rels = np.diag(orders)[:, orders < m]       # order m: no relation
-    inner = cokernel(np.hstack([T, rels]), m, rows=len(orders))
-    return SubquotientModule(inner.invariant_factors, W.gens @ inner.generator_lifts % m,
-                             W, inner)
+    if not W.invariant_factors:
+        return W
+    m = W.modulus
+    f = np.array(W.invariant_factors, dtype=np.int64)
+    snf = smith_normal_form_raw(np.hstack([T, np.diag(f)[:, f < m]]), m)   # order m: no relation
+    d = np.zeros(len(f), dtype=np.int64)
+    d[:len(snf.diag)] = snf.diag
+    g = np.gcd(d, m)                            # gcd(0, m) = m: a free Z/m
+    keep = np.flatnonzero(g > 1)
+    g, P = g[keep], snf.P[keep]
+
+    def coords(vec: np.ndarray) -> Optional[np.ndarray]:
+        x = W._coords(vec)
+        return None if x is None else P @ x % m % g.reshape((-1,) + (1,) * (x.ndim - 1))
+
+    return Subquotient(m, tuple(int(x) for x in g), W.generator_lifts @ snf.Pinv[:, keep] % m,
+                       coords)
+
+
+def cokernel(A: np.ndarray, m: int) -> Subquotient:
+    """(Z/m)^r / colspan(A) for A (r x c): a subquotient of the whole space."""
+    A = np.asarray(A, dtype=np.int64)
+    return subquotient(kernel(np.zeros((0, A.shape[0]), dtype=np.int64), m), A)

@@ -92,7 +92,7 @@ def dense_h2(G: FiniteGroup, M: AbelianModule) -> CohomologyGroup:
             a[g, i] = 1
             cols[:, (g - 1) * r + i] = coboundary1(G, M, a)[1:, 1:].reshape(-1)
     R = np.hstack([cols, _lattice_columns((n - 1) * (n - 1), M)])
-    sub = subquotient(W, R, m)
+    sub = subquotient(W, R)
     reps = [M.reduce(_table2_of_vec(sub.generator_lifts[:, i], n, r))
             for i in range(len(sub.invariant_factors))]
 

@@ -172,6 +172,44 @@ def test_malformed_invariant_factors_exit_3(tmp_path, capsys, where, factors):
     assert field in capsys.readouterr().err
 
 
+def _order3_action(d):
+    """Z/3 acting on (Z/d)^2 by the order-3 matrix [[0, -1], [1, -1]]."""
+    return [[[1, 0], [0, 1]], [[0, d - 1], [1, d - 1]], [[d - 1, 1], [d - 1, 0]]]
+
+
+@pytest.mark.parametrize("task, group, field", [
+    # unbounded, 2^61 - 1 ran the trial division of the prime-power split
+    # past 20 s, and 3^21 overflowed int64 in the module's moduli check
+    ("sha1bic", {"kind": "semidirect", "q": {"invariant_factors": [2]},
+                 "n": {"invariant_factors": [2**61 - 1]}}, "group.n.invariant_factors"),
+    ("sha1bic", {"kind": "semidirect", "q": {"invariant_factors": [3]},
+                 "n": {"invariant_factors": [3**21] * 2, "action": _order3_action(3**21)}},
+     "group.n.invariant_factors"),
+    ("sha1bic", {"kind": "semidirect", "q": {"invariant_factors": [2**15 + 1]},
+                 "n": {"invariant_factors": [2]}}, "group.q.invariant_factors"),
+    ("b0", {"kind": "abelian", "invariant_factors": [2, 2**61 - 1]},
+     "group.invariant_factors"),
+], ids=["n 2^61-1", "n 3^21", "q 2^15+1", "abelian 2^61-1"])
+def test_module_factors_above_the_modulus_bound_exit_3_at_once(tmp_path, capsys, task,
+                                                               group, field):
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps({"task": task, "group": group}))
+    start = time.perf_counter()
+    assert main(["run", str(f)]) == 3
+    assert time.perf_counter() - start < 1
+    assert f"{field} must be at most 32768" in capsys.readouterr().err
+
+
+def test_module_factors_at_the_modulus_bound_run(tmp_path, capsys):
+    # the bound itself is a factor: a valid order-3 action mod 2^15 runs
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps({"task": "sha1bic", "group": {
+        "kind": "semidirect", "q": {"invariant_factors": [3]},
+        "n": {"invariant_factors": [2**15] * 2, "action": _order3_action(2**15)}}}))
+    assert main(["run", str(f)]) == 0
+    assert "Sha1_bic(Q, N^) = " in capsys.readouterr().out
+
+
 def test_closure_cap_bounds_the_bicyclic_pairs_before_any_member_set(tmp_path, capsys,
                                                                      monkeypatch):
     # Q = (Z/2)^10 has 1023 * 1022 / 2 commuting pairs of least generators != 1,
@@ -557,7 +595,8 @@ FUZZ_JOBS = ([json.loads(p.read_text()) for p in sorted((REPO / "jobs").glob("*.
              + [WELL_FORMED[name] for name in sorted(WELL_FORMED)])
 FUZZ_FIELDS = sorted({path[-1] for job in FUZZ_JOBS for path in _job_paths(job)
                       if path and isinstance(path[-1], str)} | set(Caps.__dataclass_fields__))
-FUZZ_VALUES = [0, -1, 1, 2, 3, 4, 8, 64, 2**15, 2**70, 1.5, float("nan"), "x", "", "2", None,
+FUZZ_VALUES = [0, -1, 1, 2, 3, 4, 8, 64, 2**15, 3**21, 2**61 - 1, 2**70, 1.5, float("nan"),
+               "x", "", "2", None,
                True, False, [], [[]], [0, 4], [3, 9], [2] * 10, [64, 64], [1, [2]],
                [[0, 1], [1]], [[0]], Z2, {}]
 FUZZ_CAPS = ["--cap", "table_group=64", "--cap", "closure=4096", "--cap",

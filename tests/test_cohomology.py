@@ -179,7 +179,7 @@ def test_h1_matches_bruteforce(name):
     H = h1(G, M)
     assert H.order == brute_h1_order(G, M)
     _, E, rows = _cocycle1_space(G, M)
-    K = kernel(rows, M.exponent).gens
+    K = kernel(rows, M.exponent).generator_lifts
     for j in range(K.shape[1]):
         assert cocycle1_defect(G, M, E @ K[:, j]) is None
     for i, rep in enumerate(H.representatives):

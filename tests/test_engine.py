@@ -780,7 +780,7 @@ def test_br_nr_wang_counterexample_mod_16():
     rep = br_nr(gal)
     assert rep.invariant_factors == (2,)
     assert rep.ambient.invariant_factors == (2, 2, 2)
-    assert rep.ambient._sub._W.gens.shape[0] == 1 + 2
+    assert rep.ambient._sub.generator_lifts.shape[0] == 1 + 2
     (gen,) = rep.representatives
     assert gen.violated_law() is None and is_unramified(gen)[0]
     alg = algebraic_unramified(gal).representatives[0]

@@ -163,7 +163,7 @@ def full_c3_rows(gal) -> np.ndarray:
 
 
 def howell_of_kernel(rows, m) -> np.ndarray:
-    return echelon_compress(kernel(rows, m).gens.T, m)
+    return echelon_compress(kernel(rows, m).generator_lifts.T, m)
 
 
 def relabel(G, seed):
@@ -202,7 +202,7 @@ def test_c1_generator_rows_match_full_rows(name, seed):
         space = reduced_cocycle_space(G, m)
         n_atoms = space.expr.shape[2]
         assert n_atoms == G.order * (len(space.gens) - 1) + 1
-        K = _kernel_from_batches(space.c1_batches(), n_atoms, m).gens
+        K = _kernel_from_batches(space.c1_batches(), n_atoms, m).generator_lifts
         rows = full_c1_rows(G, space.gens, m)
         # the gauged cocycles are the full kernel with the tree atoms = 0
         full = embedded_atoms(space, K)
@@ -253,20 +253,26 @@ def test_c2_generator_rows_match_full_rows(name, seed):
                      np.hstack([np.zeros((len(c3), n_atoms), dtype=np.int64), c3])])
     cm = class_module(gal)
     # production solves for the Schreier atoms and c_e(s), e in S_Delta, s in
-    # S; the tables of the atoms and the expression table C map its kernel
-    # onto the pairs (atoms, c_d(g))
-    W, space = cm._sub._W.gens, cm._space
+    # S; the tables of the atoms and the expression table C map its class
+    # lifts onto the pairs (atoms, c_d(g))
+    W, space = cm._sub.generator_lifts, cm._space
     assert len(W) == n * (len(gens) - 1) + 1 + len(gal.delta.minimal_generators()) * len(gens)
     C = _c_expressions(gal, space, G.tree_levels(space.gens, left=True),
                        gal.delta.tree_levels(gal.delta.minimal_generators()))
     full = np.hstack([embedded_atoms(space, W[:space.expr.shape[2]]),
                       (C[1:, 1:] @ W).reshape(-1, W.shape[1]).T]) % N
-    # the gauged pairs are the full kernel with the tree atoms of f = 0
-    gauged = np.vstack([ref, tree_edge_rows(G, gens, dim)])
-    assert np.array_equal(echelon_compress(full, N), howell_of_kernel(gauged, N))
-    # and with the coboundary pairs (db, chi(d) b - b o d) of every b they span it
+    # the coboundary pairs (db, chi(d) b - b o d), one row per b = e_x, and
+    # among them the gauged ones, whose db vanishes on the tree edges
     pairs = np.vstack([coboundary_rows_at(G, N, gens),
                        _twist_rows(gal.action.table[1:], gal.chi_mod_n[1:], N)]).T
+    edges = tree_edge_rows(G, gens) @ pairs[:, :n_atoms].T % N
+    gauged_pairs = kernel(edges, N).generator_lifts.T @ pairs % N
+    # the lifts and the gauged coboundary pairs span the gauged kernel: the
+    # full kernel with the tree atoms of f = 0
+    gauged = np.vstack([ref, tree_edge_rows(G, gens, dim)])
+    assert np.array_equal(echelon_compress(np.vstack([full, gauged_pairs]), N),
+                          howell_of_kernel(gauged, N))
+    # and with every coboundary pair they span the whole kernel
     assert np.array_equal(echelon_compress(np.vstack([full, pairs]), N),
                           howell_of_kernel(ref, N))
 
@@ -290,7 +296,7 @@ def test_crossed_hom_generator_rows_match_full_rows(name):
                       full_c3_rows(gal)])
     shifts = [(chi[1:, None] * b[1:] - b[act[1:, 1:]]).reshape(-1) % N
               for b in character_group_generators(G, N)]
-    ref = subquotient(kernel(full, N), np.array(shifts, dtype=np.int64).T, N)
+    ref = subquotient(kernel(full, N), np.array(shifts, dtype=np.int64).T)
     B, module = _character_module(gal)
     H = h1(gal.delta, module)
     assert H.invariant_factors == ref.invariant_factors
@@ -357,7 +363,7 @@ def full_h1(G, M):
     W = _kernel_from_batches((coboundary_rows_at(G, M, [s])
                               for s in G.minimal_generators()), (n - 1) * M.rank, m)
     R = np.hstack([_d0_columns(M, range(1, n)), _lattice_columns(n - 1, M)])
-    return subquotient(W, R, m)
+    return subquotient(W, R)
 
 
 def full_characters(G, N, equivariance=None) -> np.ndarray:

@@ -61,6 +61,55 @@ def test_group_from_permutations():
     assert G.order == 1
 
 
+def _permutation_table_by_loop(gens, degree):
+    """Reference: the BFS closure, then p o q composed and looked up pair by pair."""
+    ident = tuple(range(degree))
+    elems, index, queue = [ident], {ident: 0}, [ident]
+    while queue:
+        x = queue.pop(0)
+        for g in gens:
+            y = tuple(x[g[i]] for i in range(degree))
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+                queue.append(y)
+    return np.array([[index[tuple(p[q[k]] for k in range(degree))] for q in elems]
+                     for p in elems], dtype=np.int64)
+
+
+def _e2k(k):
+    """(Z/2)^k as the swaps (2i, 2i + 1) of 2k points."""
+    gens = [list(range(2 * k)) for _ in range(k)]
+    for i, g in enumerate(gens):
+        g[2 * i], g[2 * i + 1] = 2 * i + 1, 2 * i
+    return gens
+
+
+@pytest.mark.parametrize("name, gens, degree", [
+    ("S5", [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]], 5),
+    ("D7", [[1, 2, 3, 4, 5, 6, 0], [(7 - i) % 7 for i in range(7)]], 7),
+    ("D8", [[1, 2, 3, 4, 5, 6, 7, 0], [(8 - i) % 8 for i in range(8)]], 8),
+    ("(Z/2)^5", _e2k(5), 10),
+    ("S4 with the identity and a repeat", [list(range(4)), [1, 0, 2, 3], [1, 2, 3, 0],
+                                           [1, 0, 2, 3]], 4),
+])
+def test_permutation_table_matches_the_pairwise_loop(name, gens, degree):
+    # the rows are read off the generator rows; the table is the one the
+    # element-by-element composition gives, in the same BFS order
+    G = group_from_permutations(gens, degree=degree)
+    assert np.array_equal(G.mul, _permutation_table_by_loop(gens, degree))
+    assert np.array_equal(group_from_table(G.mul).mul, G.mul)
+
+
+def test_quaternion_table_is_pinned():
+    # 1, -1, i, -i, j, -j, k, -k: ij = k, jk = i, ki = j, i^2 = j^2 = k^2 = -1
+    assert quaternion_group().mul.tolist() == [
+        [0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6],
+        [2, 3, 1, 0, 6, 7, 5, 4], [3, 2, 0, 1, 7, 6, 4, 5],
+        [4, 5, 7, 6, 1, 0, 2, 3], [5, 4, 6, 7, 0, 1, 3, 2],
+        [6, 7, 4, 5, 3, 2, 1, 0], [7, 6, 5, 4, 2, 3, 0, 1]]
+
+
 def test_element_orders_and_exponent():
     G = abelian_group([2, 4])
     assert sorted(G.element_orders.tolist()) == [1, 2, 2, 2, 4, 4, 4, 4]

@@ -159,7 +159,7 @@ def test_coboundary_mask_matches_every_row_solve(name, twisted):
     for m in (4, 6, 8, 12):
         units = sign_character(D) % m if twisted else None
         M = scalar_module(m, D, units) if twisted else scalar_module(m)
-        Z = _kernel_from_batches(_d2_matrix_rows(D, M), (n - 1) ** 2, m).gens
+        Z = _kernel_from_batches(_d2_matrix_rows(D, M), (n - 1) ** 2, m).generator_lifts
         rng = np.random.default_rng(n * m + twisted)
         tables = []
         for x in rng.integers(0, m, size=(Z.shape[1], 6)).T:

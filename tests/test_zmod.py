@@ -11,7 +11,6 @@ from brnr.fastpath import build_example_714
 from brnr.groups import abelian_group, cyclic_group
 from brnr.zmod import (
     _PANEL,
-    AbelianStructure,
     RowEchelon,
     _leads,
     _panel,
@@ -506,14 +505,14 @@ def test_snf_P_is_the_identity_block_of_the_row_elimination(m):
 def test_solve_examples():
     x = solve(np.eye(3, dtype=np.int64), np.array([1, 2, 3]), 5)
     assert np.array_equal(x, [1, 2, 3])
-    assert kernel(np.eye(3, dtype=np.int64), 5).gens.shape[1] == 0
+    assert kernel(np.eye(3, dtype=np.int64), 5).generator_lifts.shape[1] == 0
 
     assert solve(np.array([[2]]), np.array([1]), 4) is None
 
     x = solve(np.array([[2]]), np.array([2]), 4)
     assert x is not None
     assert 2 * x[0] % 4 == 2
-    k = kernel(np.array([[2]]), 4).gens
+    k = kernel(np.array([[2]]), 4).generator_lifts
     assert {int(g[0]) for g in k.T} <= {0, 2}
     assert any(int(g[0]) == 2 for g in k.T)
 
@@ -542,7 +541,7 @@ def test_solve_matches_brute_force(m):
         else:
             assert not ((A @ x0 - b) % m).any()
             # the kernel spans exactly the solution differences
-            kr = kernel(A, m).gens
+            kr = kernel(A, m).generator_lifts
             kspan = brute_span(kr, m) if kr.size else {tuple([0] * c)}
             diffs = {tuple((s - x0) % m) for s in brute}
             assert kspan == diffs
@@ -552,11 +551,27 @@ def test_cokernel_examples():
     st = cokernel(np.eye(4, dtype=np.int64), 6)
     assert st.invariant_factors == ()
 
-    st = cokernel(np.zeros((2, 0), dtype=np.int64), 6, rows=2)
+    st = cokernel(np.zeros((2, 0), dtype=np.int64), 6)
     assert st.invariant_factors == (6, 6)
 
     st = cokernel(np.array([[2]]), 8)
     assert st.invariant_factors == (2,)
+
+
+def _assert_lifts_and_relations(st, R, rng):
+    """Each generator lift maps to its unit vector and each column of R to
+    zero; a matrix of members maps column by column, to the coefficients
+    of the lifts in it."""
+    k, m = len(st.invariant_factors), st.modulus
+    for i, lift in enumerate(st.generator_lifts.T):
+        assert np.array_equal(st.coordinates(lift), np.eye(k, dtype=np.int64)[i])
+    for col in R.T:
+        assert not st.coordinates(col).any()
+    x = rng.integers(0, m, size=(k, 3))
+    X = (st.generator_lifts @ x + R @ rng.integers(0, m, size=(R.shape[1], 3))) % m
+    coords = st.coordinates(X)
+    assert np.array_equal(coords, np.array([st.coordinates(v) for v in X.T]).T.reshape(k, 3))
+    assert np.array_equal(coords, x % np.array(st.invariant_factors, dtype=np.int64)[:, None])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12])
@@ -570,23 +585,11 @@ def test_cokernel_matches_brute_force(m):
         span = brute_span(A, m) if c else {tuple([0] * r)}
         quotient_order = m**r // len(span)
         assert st.order == quotient_order
-        # generator lifts project to unit vectors, relations project to zero
-        for i in range(len(st.invariant_factors)):
-            coords = st.project(st.generator_lifts[:, i])
-            expect = np.zeros(len(st.invariant_factors), dtype=np.int64)
-            expect[i] = 1 % st.invariant_factors[i]
-            assert np.array_equal(coords, expect)
-        for j in range(c):
-            assert not st.project(A[:, j]).any()
-        # a matrix projects column by column
-        X = rng.integers(0, m, size=(r, 3))
-        assert np.array_equal(st.project(X), np.array([st.project(x) for x in X.T]).T
-                              .reshape(len(st.invariant_factors), 3))
+        _assert_lifts_and_relations(st, A, rng)
         # multiset of coordinate orders equals multiset of coset orders
-        add = lambda a, b: tuple((np.array(a) + np.array(b)) % m)
         cosets: dict[tuple, tuple] = {}
         for x in np.ndindex(*([m] * r)):
-            key = tuple(st.project(np.array(x)))
+            key = tuple(st.coordinates(np.array(x)))
             cosets.setdefault(key, x)
         assert len(cosets) == st.order
 
@@ -598,7 +601,7 @@ def test_kernel_is_exact_random():
             r = int(rng.integers(1, 5))
             c = int(rng.integers(1, 5))
             A = rng.integers(0, m, size=(r, c))
-            K = kernel(A, m).gens
+            K = kernel(A, m).generator_lifts
             assert not (A @ K % m).any()
             if c <= 3 and m <= 8:
                 brute = {tuple(x) for x in np.ndindex(*([m] * c))
@@ -623,7 +626,7 @@ def test_subquotient_structure():
     m = 8
     W = np.array([[1, 0], [0, 2]])  # Z/8 + 2Z/8
     R = np.array([[4], [0]])        # 4Z/8 inside the first factor
-    sq = subquotient(kernel(span_rows(W, m), m), R, m)
+    sq = subquotient(kernel(span_rows(W, m), m), R)
     assert sq.invariant_factors == (4, 4)
     assert sq.coordinates(np.array([1, 0])) is not None
     assert sq.coordinates(np.array([0, 1])) is None  # not in W
@@ -637,7 +640,7 @@ def test_subquotient_coordinates_take_a_batch():
     rng = np.random.default_rng(7)
     m = 12
     W = rng.integers(0, m, size=(6, 3))
-    sq = subquotient(kernel(span_rows(W, m), m), 2 * W[:, :1] % m, m)
+    sq = subquotient(kernel(span_rows(W, m), m), 2 * W[:, :1] % m)
     assert sq.invariant_factors
     V = W @ rng.integers(0, m, size=(3, 5)) % m
     batch = sq.coordinates(V)
@@ -716,13 +719,13 @@ def _solve_subquotient(W, R, m):
     W, R = as_mod(W, m), as_mod(R, m)
     T = solve(W, R, m) if R.shape[1] else np.zeros((W.shape[1], 0), dtype=np.int64)
     assert T is not None
-    return cokernel(np.hstack([T, _snf_kernel(W, m)]), m, rows=W.shape[1])
+    return cokernel(np.hstack([T, _snf_kernel(W, m)]), m)
 
 
 def _solve_coordinates(W, inner, vec, m):
     """Reference subquotient coordinates: one solve in W, projected mod R."""
     x = solve(W, vec, m)
-    return None if x is None else inner.project(x)
+    return None if x is None else inner.coordinates(x)
 
 
 def _span_order(howell, m):
@@ -745,18 +748,16 @@ def _assert_kernel_matches_reference(A, m):
     K = kernel(A, m)
     ref = _snf_kernel(A, m)
     n = np.shape(A)[1]
-    assert K.gens.shape == (n, len(K.orders))
-    assert not (as_mod(A, m) @ K.gens % m).any()
-    howell = echelon_compress(K.gens.T, m)
+    assert K.generator_lifts.shape == (n, len(K.invariant_factors))
+    assert not (as_mod(A, m) @ K.generator_lifts % m).any()
+    howell = echelon_compress(K.generator_lifts.T, m)
     assert np.array_equal(howell, echelon_compress(ref.T, m))
-    assert int(np.prod(K.orders, dtype=object)) == _span_order(howell, m)
-    for col, g in zip(K.gens.T, K.orders):
+    assert int(np.prod(K.invariant_factors, dtype=object)) == _span_order(howell, m)
+    for col, g in zip(K.generator_lifts.T, K.invariant_factors):
         assert 1 < g and m % g == 0 and not (g * col % m).any()
         assert gcd_with_modulus(int(np.gcd.reduce(col)), m) == m // g
-    rng = np.random.default_rng(n * 1000 + m)
-    X = rng.integers(0, m, size=(len(K.orders), 4))
-    orders = np.array(K.orders, dtype=np.int64)[:, None]
-    assert np.array_equal(K.coordinates(K.gens @ X % m), X % orders)
+    _assert_lifts_and_relations(K, np.zeros((n, 0), dtype=np.int64),
+                                np.random.default_rng(n * 1000 + m))
     return K, ref
 
 
@@ -784,23 +785,17 @@ def test_subquotient_of_a_kernel_matches_solve_reference(m):
         for _ in range(3):
             A = np.vstack(_random_batches(rng, m, ncols))
             K, ref = _assert_kernel_matches_reference(A, m)
-            R = K.gens @ (rng.choice(divisors, size=(len(K.orders), 3))
-                          * rng.integers(0, m, size=(len(K.orders), 3))) % m
-            sub = subquotient(K, R, m)
+            k = len(K.invariant_factors)
+            R = K.generator_lifts @ (rng.choice(divisors, size=(k, 3))
+                                     * rng.integers(0, m, size=(k, 3))) % m
+            sub = subquotient(K, R)
             inner = _solve_subquotient(ref, R, m)
             assert sub.invariant_factors == inner.invariant_factors
-            span = kernel(span_rows(K.gens, m), m)
-            assert sub.invariant_factors == subquotient(span, R, m).invariant_factors
+            span = kernel(span_rows(K.generator_lifts, m), m)
+            assert sub.invariant_factors == subquotient(span, R).invariant_factors
             if not sub.invariant_factors:
                 continue
-            # lifts project to unit vectors, R to zero, combinations back to x
-            eye = np.eye(len(sub.invariant_factors), dtype=np.int64)
-            assert np.array_equal(sub.coordinates(sub.generator_lifts), eye)
-            assert not sub.coordinates(R).any()
-            fs = np.array(sub.invariant_factors, dtype=np.int64)[:, None]
-            x = rng.integers(0, m, size=(len(fs), 5))
-            v = (sub.generator_lifts @ x + R @ rng.integers(0, m, size=(R.shape[1], 5))) % m
-            assert np.array_equal(sub.coordinates(v), x % fs)
+            _assert_lifts_and_relations(sub, R, rng)
             # in the reference's coordinates the lifts are a basis with the
             # same orders: they generate, and lift j has order f_j
             ref_x = _solve_coordinates(ref, inner, sub.generator_lifts, m)
@@ -820,8 +815,8 @@ def test_kernel_coordinates_reject_exactly_the_vectors_outside(m):
         for _ in range(6):
             A = np.vstack(_random_batches(rng, m, n))
             K = kernel(A, m)
-            span = brute_span(_snf_kernel(A, m), m) if len(K.orders) else {(0,) * n}
-            sub = subquotient(K, np.zeros((n, 0), dtype=np.int64), m)
+            span = brute_span(_snf_kernel(A, m), m) if len(K.invariant_factors) else {(0,) * n}
+            sub = subquotient(K, np.zeros((n, 0), dtype=np.int64))
             for v in np.ndindex(*([m] * n)):
                 v = np.array(v, dtype=np.int64)
                 inside = tuple(v) in span
@@ -829,11 +824,11 @@ def test_kernel_coordinates_reject_exactly_the_vectors_outside(m):
                 assert (x is not None) == inside
                 assert (sub.coordinates(v) is not None) == inside
                 if inside:
-                    assert np.array_equal(K.gens @ x % m, v)
+                    assert np.array_equal(K.generator_lifts @ x % m, v)
             # one column outside makes a batch None
             out = [v for v in np.ndindex(*([m] * n)) if v not in span]
-            if out and K.orders:
-                V = np.column_stack([K.gens[:, 0], np.array(out[0])])
+            if out and K.invariant_factors:
+                V = np.column_stack([K.generator_lifts[:, 0], np.array(out[0])])
                 assert K.coordinates(V) is None
 
 
@@ -849,11 +844,11 @@ def test_kernel_of_the_all_unit_group_ring_system_needs_no_snf(monkeypatch):
     ref = _snf_kernel(E, m)
     monkeypatch.setattr("brnr.zmod.smith_normal_form_raw", None)
     K = kernel(ech, m)
-    assert K.orders == (27,) * 26
-    assert np.array_equal(echelon_compress(K.gens.T, m), echelon_compress(ref.T, m))
-    assert not (E @ K.gens % m).any()
+    assert K.invariant_factors == (27,) * 26
+    assert np.array_equal(echelon_compress(K.generator_lifts.T, m), echelon_compress(ref.T, m))
+    assert not (E @ K.generator_lifts % m).any()
     x = np.random.default_rng(1).integers(0, m, size=(26, 3))
-    assert np.array_equal(K.coordinates(K.gens @ x % m), x)
+    assert np.array_equal(K.coordinates(K.generator_lifts @ x % m), x)
 
 
 @pytest.mark.parametrize("G, kinds", [
@@ -876,17 +871,17 @@ def test_kernel_on_real_like_class_module_systems(G, kinds):
 def test_kernel_special_cases():
     # a zero matrix: everything, one free generator per column
     K = _assert_kernel_matches_reference(np.zeros((3, 4), dtype=np.int64), 6)[0]
-    assert K.orders == (6,) * 4
+    assert K.invariant_factors == (6,) * 4
     K = _assert_kernel_matches_reference(np.zeros((0, 2), dtype=np.int64), 4)[0]
-    assert K.orders == (4, 4)
+    assert K.invariant_factors == (4, 4)
     # m = 1: the zero module
     K = kernel(np.array([[1, 2], [3, 4]]), 1)
-    assert K.gens.shape == (2, 0) and K.orders == ()
+    assert K.generator_lifts.shape == (2, 0) and K.invariant_factors == ()
     assert K.coordinates(np.array([5, 7])).shape == (0,)
-    assert subquotient(K, np.zeros((2, 0), dtype=np.int64), 1).invariant_factors == ()
+    assert subquotient(K, np.zeros((2, 0), dtype=np.int64)).invariant_factors == ()
     # a single column, unit, non-unit and zero
     for col, orders in (([[3], [2]], ()), ([[2], [4]], (2,)), ([[0]], (8,))):
-        assert _assert_kernel_matches_reference(np.array(col), 8)[0].orders == orders
+        assert _assert_kernel_matches_reference(np.array(col), 8)[0].invariant_factors == orders
     # a unit row that ends in non-unit columns
     A = np.array([[1, 2, 4], [0, 4, 0]])
     K = _assert_kernel_matches_reference(A, 8)[0]
@@ -900,7 +895,7 @@ def test_kernel_of_no_rows_is_the_whole_space_without_an_elimination(m, monkeypa
     ref = kernel(np.zeros((1, 4), dtype=np.int64), m)
     monkeypatch.setattr("brnr.zmod.echelon_compress", None)
     K = kernel(np.zeros((0, 4), dtype=np.int64), m)
-    assert K.orders == ref.orders == (m,) * 4 * (m > 1)
-    assert np.array_equal(K.gens, ref.gens)
+    assert K.invariant_factors == ref.invariant_factors == (m,) * 4 * (m > 1)
+    assert np.array_equal(K.generator_lifts, ref.generator_lifts)
     x = np.arange(4 * 3).reshape(4, 3) % m
     assert np.array_equal(K.coordinates(x), ref.coordinates(x))
