@@ -39,12 +39,9 @@ from .groups import (
     semidirect_product,
 )
 from .localeval import ClassEntry, FastpathClassEntry, LocalDatum, bm_report
+from .zmod import MAX_MODULUS
 
 TASKS = ("b0", "brnr", "sha1bic", "algebraic", "bmreport", "sha2ab")
-# the largest modulus and module factor: chi is kept mod N^2 and its values
-# are multiplied in int64, so N^4 < 2^63; a factor d is multiplied by
-# residues mod d in the module checks and in zmod, exact while d^2 < 2^63
-MAX_MODULUS = 1 << 15
 
 
 @dataclass

@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import FiniteGroup, GroupAction
-from .zmod import Subquotient, as_mod, solve, subquotient
+from .zmod import MAX_MODULUS, Subquotient, as_mod, solve, subquotient
 
 
 @dataclass
@@ -64,6 +64,8 @@ class GaloisDatum:
     def __post_init__(self):
         if self.N is None:
             self.N = self.G.order
+        if not 1 <= self.N <= MAX_MODULUS:
+            raise ValidationError(f"modulus must be between 1 and {MAX_MODULUS}", witness=self.N)
         # exp(G) | N, else a Kummer class (zero in Br) can have an f = 0 representative
         if self.N % self.G.exponent:
             raise ValidationError(f"modulus must be a multiple of exp(G) = {self.G.exponent}",

@@ -24,6 +24,7 @@ from .errors import (
     OrderBound,
     ValidationError,
 )
+from .zmod import MAX_MODULUS
 
 
 class FiniteGroup:
@@ -358,8 +359,10 @@ class AbelianModule:
 
     def __post_init__(self):
         self.invariant_factors = tuple(int(d) for d in self.invariant_factors)
-        if any(d < 2 for d in self.invariant_factors):
-            raise ValidationError("invariant factors must be >= 2")
+        for d in self.invariant_factors:
+            if not 2 <= d <= MAX_MODULUS:
+                raise ValidationError(f"invariant factors must be between 2 and {MAX_MODULUS}",
+                                      witness=d)
         for d, e in zip(self.invariant_factors, self.invariant_factors[1:]):
             if e % d:
                 raise ValidationError("invariant factors must form a divisor chain",

@@ -29,9 +29,8 @@ unit pivots in rounds, many columns at once: each round applies its
 pivots with one Schur-complement product through the inverse of their
 unit triangular block, and keeps every other row zero on their columns,
 so only non-unit pivots are left to back-reduce.
-Every product is exact: float64 while its sums stay below 2^53 and int64
-below 2^63, with shorter sums where even that would overflow (see
-``_product``).
+Every modulus lies in [1, MAX_MODULUS], so each product is an exact
+float64 matmul (see ``_product``).
 
 Matrices are numpy int64 arrays with entries reduced into [0, m).
 Column spans are "submodules generated by the columns".
@@ -45,6 +44,13 @@ from math import gcd, prod
 from typing import Callable, Optional
 
 import numpy as np
+
+from .errors import ValidationError
+
+# The moduli the package accepts.  Two entries in [0, m) multiply exactly in
+# int64, a float64 sum of fewer than 2^23 such products stays below 2^53, and
+# chi mod N^2 multiplies in int64, as N^4 < 2^63.
+MAX_MODULUS = 1 << 15
 
 
 def as_mod(a, m: int) -> np.ndarray:
@@ -225,7 +231,9 @@ def smith_normal_form_raw(A: np.ndarray, m: int) -> SmithNormalForm:
 
 
 def _prime_powers(m: int) -> list[int]:
-    """The prime-power factors of m, smallest prime first."""
+    """The prime-power factors of m, smallest prime first; m must lie in [1, MAX_MODULUS]."""
+    if not 1 <= m <= MAX_MODULUS:
+        raise ValidationError(f"modulus must be between 1 and {MAX_MODULUS}", witness=m)
     out, p = [], 2
     while p * p <= m:
         q = 1
@@ -247,42 +255,24 @@ def _leads(rows: np.ndarray) -> np.ndarray:
 _PANEL = 64     # rows, columns and terms per matmul block; pivots per sweep round
 
 
-def _panel(q: int) -> tuple[int, type]:
-    """Sum length w and matmul dtype for sums of w products of entries in [0, q).
-
-    float64 GEMM is exact while w (q-1)^2 < 2^53.  Past that, int64 ``@`` is
-    exact while w (q-1)^2 < 2^63, and w shrinks until it is, down to 1: a
-    product of two entries, exact for every q with q^2 < 2^63.
-    """
-    sq = (q - 1) ** 2
-    if _PANEL * sq < 2 ** 53:
-        return _PANEL, np.float64
-    return max(1, min(_PANEL, (2 ** 63 - 1) // sq)), np.int64
-
-
 def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q, as int64 in [0, q): exact for every q with q^2 < 2^63.
+    """a @ b mod q, as int64 in [0, q), for q <= MAX_MODULUS.
 
-    The product is taken in blocks of at most _PANEL rows and columns and
-    w terms (see :func:`_panel`), so each matmul is exact and has at most
-    2^18 multiply-adds, and OpenBLAS runs it on the calling thread: on a
-    2-core machine under outside load its threaded GEMM was slower than
-    one thread.  The blocks add up in the matmul dtype, reduced mod q
-    before a sum could leave its exact range (float64 below 2^53, int64
-    below 2^63), and once at the end.
+    The product is taken in float64 blocks of at most _PANEL rows, columns
+    and terms, so each matmul has at most 2^18 multiply-adds, and OpenBLAS
+    runs it on the calling thread: on a 2-core machine under outside load
+    its threaded GEMM was slower than one thread.  The blocks add up in
+    float64 and are reduced mod q once at the end: each product of entries
+    is below 2^30, so a sum of fewer than 2^23 of them is exact.
     """
-    w, dtype = _panel(q)
-    exact = (2 ** 53 if dtype is np.float64 else 2 ** 63 - 1) // (q - 1) ** 2
-    a, b = a.astype(dtype), b.astype(dtype)
+    assert a.shape[1] < 2 ** 23
+    a, b = a.astype(np.float64), b.astype(np.float64)
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
     for i in range(0, a.shape[0], _PANEL):
         for j in range(0, b.shape[1], _PANEL):
-            block, terms = 0, 0
-            for k in range(0, a.shape[1], w):
-                if terms + w > exact:
-                    block, terms = block % q, 1
-                block = block + np.matmul(a[i:i + _PANEL, k:k + w], b[k:k + w, j:j + _PANEL])
-                terms += w
+            block = 0
+            for k in range(0, a.shape[1], _PANEL):
+                block = block + a[i:i + _PANEL, k:k + _PANEL] @ b[k:k + _PANEL, j:j + _PANEL]
             out[i:i + _PANEL, j:j + _PANEL] = block
     return np.remainder(out, q, out=out)
 
@@ -546,11 +536,8 @@ def kernel(A: np.ndarray | RowEchelon, m: int) -> Subquotient:
     j.  Off the kernel that division is meaningless, so the result is
     checked.
     """
-    if isinstance(A, RowEchelon):
-        n, E = A.ncols, A.matrix()
-    else:
-        n = np.shape(A)[1]
-        E = echelon_compress(A, m) if np.shape(A)[0] else np.zeros((0, n), dtype=np.int64)
+    E = A.matrix() if isinstance(A, RowEchelon) else echelon_compress(A, m)
+    n = E.shape[1]
     lead = _leads(E)
     unit = E[np.arange(len(E)), lead] == 1
     free = np.ones(n, dtype=bool)
@@ -585,8 +572,6 @@ def solve(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
     b = as_mod(b, m)
     r, c = A.shape
     y = np.zeros((c,) + b.shape[1:], dtype=np.int64)
-    if m <= 1:
-        return y
     snf = smith_normal_form_raw(A, m)
     cvec = snf.P @ b % m
     ndiag = len(snf.diag)

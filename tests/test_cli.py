@@ -595,8 +595,8 @@ FUZZ_JOBS = ([json.loads(p.read_text()) for p in sorted((REPO / "jobs").glob("*.
              + [WELL_FORMED[name] for name in sorted(WELL_FORMED)])
 FUZZ_FIELDS = sorted({path[-1] for job in FUZZ_JOBS for path in _job_paths(job)
                       if path and isinstance(path[-1], str)} | set(Caps.__dataclass_fields__))
-FUZZ_VALUES = [0, -1, 1, 2, 3, 4, 8, 64, 2**15, 3**21, 2**61 - 1, 2**70, 1.5, float("nan"),
-               "x", "", "2", None,
+FUZZ_VALUES = [0, -1, 1, 2, 3, 4, 8, 64, 2**15, 2**15 + 1, 3**21, 2**61 - 1, 2**70, 1.5,
+               float("nan"), "x", "", "2", None,
                True, False, [], [[]], [0, 4], [3, 9], [2] * 10, [64, 64], [1, [2]],
                [[0, 1], [1]], [[0]], Z2, {}]
 FUZZ_CAPS = ["--cap", "table_group=64", "--cap", "closure=4096", "--cap",

@@ -1,4 +1,6 @@
 import functools
+import re
+import time
 import types
 
 import numpy as np
@@ -8,19 +10,23 @@ import brnr.zmod
 from brnr.cohomology import reduced_cocycle_space
 from brnr.extensions import GaloisDatum
 from brnr.fastpath import build_example_714
-from brnr.groups import abelian_group, cyclic_group
+from brnr.errors import ValidationError
+from brnr.groups import AbelianModule, abelian_group, cyclic_group
 from brnr.zmod import (
     _PANEL,
+    MAX_MODULUS,
     RowEchelon,
+    _howell_residue,
     _leads,
-    _panel,
     _prime_powers,
+    _product,
     _unit_triangular_inverse,
     as_mod,
     cokernel,
     echelon_compress,
     gcd_with_modulus,
     kernel,
+    preimage_rows,
     smith_normal_form_raw,
     solve,
     span_rows,
@@ -32,6 +38,7 @@ from dense_h2 import coboundary_rows_at
 from test_generator_rows import full_c1_rows, full_c2_rows, full_c3_rows, relabel
 
 MODULI = [2, 3, 4, 8, 12, 64]
+LARGEST_MODULI = [3**9, 32749, MAX_MODULUS]      # 32749: the largest prime in range
 
 
 def brute_span(cols: np.ndarray, m: int) -> set[tuple[int, ...]]:
@@ -331,7 +338,7 @@ def _random_batches(rng, m, ncols):
     return out
 
 
-@pytest.mark.parametrize("m", [2, 4, 8, 27, 64, 6, 12, 36, 60, 72, 3**19])
+@pytest.mark.parametrize("m", [2, 4, 8, 27, 64, 6, 12, 36, 60, 72] + LARGEST_MODULI)
 def test_panel_howell_matches_per_column_reference(m):
     # widths 1-200 cover one matmul block, several and a ragged last one;
     # the same matrix() must come out, bit for bit
@@ -391,17 +398,6 @@ def test_panel_howell_matches_per_column_reference_on_group_ring_system():
     assert _assert_same_howell(batches, ncols, m).shape == (650, 676)
 
 
-def test_panel_width_keeps_products_exact():
-    # float64 while w (q-1)^2 < 2^53, then int64 with w shrunk below 2^63
-    for q in (2, 27, 3**10, 3**19, 2**31 - 1):
-        w, dtype = _panel(q)
-        bound = 2**53 if dtype is np.float64 else 2**63
-        assert w * (q - 1) ** 2 < bound, q
-    assert _panel(27)[1] is np.float64
-    assert _panel(3**19) == (6, np.int64)
-    assert _panel(2**31 - 1) == (2, np.int64)
-
-
 @pytest.mark.parametrize("name", ["Z2xZ2xZ8", "(Z/2)^5"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_row_echelon_matches_per_column_reference_on_h2_batches(name, seed):
@@ -429,27 +425,28 @@ def test_unit_row_in_a_later_batch_displaces_a_stored_non_unit_pivot(m):
     assert list(ech._pivots[8][2]) == [0, 0, 2, 0]
 
 
-def test_a_round_of_a_panel_of_pivots_stays_exact_at_q_3_19(monkeypatch):
+@pytest.mark.parametrize("q", LARGEST_MODULI)
+def test_a_round_of_a_panel_of_pivots_stays_exact_at_the_largest_moduli(q, monkeypatch):
     # 100 rows with distinct unit leads: the first round takes the _PANEL
-    # least of them, and at q = 3^19 every sum in its products (over _PANEL
-    # pivots) is split into sums of at most 6 terms in int64 (see _panel)
-    q, k, n = 3**19, 100, 130
+    # least of them, and each sum in its products adds _PANEL products of
+    # entries up to q - 1
+    k, n = 100, 130
+    p = next(d for d in range(2, q + 1) if q % d == 0)
     rng = np.random.default_rng(19)
     leads = np.sort(rng.choice(n, size=k, replace=False))
     rows = rng.integers(0, q, size=(k, n)) * (np.arange(n) > leads[:, None])
-    rows[np.arange(k), leads] = 3 * rng.integers(0, q // 3, size=k) + rng.integers(1, 3, size=k)
+    rows[np.arange(k), leads] = p * rng.integers(0, q // p, size=k) + rng.integers(1, p, size=k)
     sizes = []
     solved = brnr.zmod._solved
     monkeypatch.setattr(brnr.zmod, "_solved",
                         lambda P, cols, q: sizes.append(len(cols)) or solved(P, cols, q))
     _assert_same_howell([rows[rng.permutation(k)], rng.integers(0, q, size=(20, n))], n, q)
-    assert sizes[0] == _PANEL and _panel(q)[0] < _PANEL
+    assert sizes[0] == _PANEL
 
 
-@pytest.mark.parametrize("q", [2, 27, 3**19, 2**31 - 1])
+@pytest.mark.parametrize("q", [2, 27] + LARGEST_MODULI)
 def test_unit_triangular_inverse_times_its_matrix_is_the_identity(q):
-    # sizes past _PANEL take the block split; the check multiplies in
-    # Python integers where an int64 sum could overflow
+    # sizes past _PANEL take the block split
     rng = np.random.default_rng(q % 1000)
     for k in (1, 2, 5, 64, 65, 97):
         for fill in (0.05, 1.0):
@@ -457,8 +454,91 @@ def test_unit_triangular_inverse_times_its_matrix_is_the_identity(q):
             T += np.eye(k, dtype=np.int64)
             X = _unit_triangular_inverse(T, q)
             assert X.dtype == np.int64 and ((X >= 0) & (X < q)).all()
-            exact = T.astype(object) if k * (q - 1) ** 2 >= 2**63 else T
-            assert np.array_equal(exact @ X % q, np.eye(k)), (q, k, fill)
+            assert np.array_equal(T @ X % q, np.eye(k)), (q, k, fill)
+
+
+def test_product_is_exact_at_the_largest_modulus():
+    # every entry q - 1 makes every product and sum as large as it gets;
+    # 200 terms span several blocks of _PANEL, with a ragged last one
+    q = MAX_MODULUS
+    a = np.full((70, 200), q - 1, dtype=np.int64)
+    b = np.full((200, 65), q - 1, dtype=np.int64)
+    assert np.array_equal(_product(a, b, q), a.astype(object) @ b.astype(object) % q)
+
+
+_A = np.array([[2, 4, 6], [1, 3, 5]])
+
+
+def _snf_answers(m):
+    snf = smith_normal_form_raw(_A, m)
+    D = np.zeros(_A.shape, dtype=np.int64)
+    D[np.arange(len(snf.diag)), np.arange(len(snf.diag))] = snf.diag
+    return np.array_equal(snf.P @ _A @ snf.Q % m, D)
+
+
+def _row_echelon_answers(m):
+    ech = RowEchelon(3, m)
+    ech.add(_A)
+    return not _howell_residue(ech.matrix(), _A, m).any()
+
+
+def _kernel_answers(m):
+    # A's rows span {(a, 3a + 2b, 5a + 4b)}, of order m^2 / 2
+    K = kernel(_A, m)
+    return K.order == 2 * m and not (_A @ K.generator_lifts % m).any()
+
+
+def _preimage_rows_answers(m):
+    # V = I: the rows vanish on colspan(A) and not on a vector outside it
+    S = preimage_rows(_A[None], np.eye(2, dtype=np.int64)[None], m)[0]
+    return not (S @ _A % m).any() and (S @ [1, 0] % m).any()
+
+
+def _solve_answers(m):
+    x = solve(_A, np.array([2, 1]), m)
+    return np.array_equal(_A @ x % m, [2, 1])
+
+
+def _cokernel_answers(m):
+    # (Z/m)^2 modulo the span of (2, 1) and (0, 1): Z/2
+    return cokernel(_A, m).invariant_factors == (2,)
+
+
+def _galois_datum_answers(m):
+    return GaloisDatum.trivial(cyclic_group(2), m).N == m
+
+
+def _abelian_module_answers(m):
+    M = AbelianModule((m,), cyclic_group(2), np.array([[[1]], [[m - 1]]]))
+    return M.action[1, 0, 0] == m - 1
+
+
+ENTRIES = {"smith_normal_form_raw": _snf_answers, "RowEchelon": _row_echelon_answers,
+           "kernel": _kernel_answers, "preimage_rows": _preimage_rows_answers,
+           "solve": _solve_answers, "cokernel": _cokernel_answers,
+           "GaloisDatum": _galois_datum_answers, "AbelianModule": _abelian_module_answers}
+
+
+@pytest.mark.parametrize("m", [MAX_MODULUS, MAX_MODULUS + 1, 3**20, 2**61 - 1, 0, -4])
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_every_entry_answers_in_the_modulus_range_and_raises_outside_it(entry, m):
+    # the check comes before any work, so even 2^61 - 1 is refused at once
+    start = time.perf_counter()
+    if m == MAX_MODULUS:
+        assert ENTRIES[entry](m)
+    else:
+        bound = rf"between [12] and {MAX_MODULUS} \(witness: {re.escape(str(m))}\)"
+        with pytest.raises(ValidationError, match=bound):
+            ENTRIES[entry](m)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_module_past_the_range_raises_the_bound_not_a_false_action_error():
+    # Z/3 acts on (Z/3^21)^2 by [[0, -1], [1, -1]], of order 3
+    g = np.array([[0, -1], [1, -1]])
+    action = np.array([np.eye(2, dtype=np.int64), g, g @ g])
+    with pytest.raises(ValidationError, match=f"between 2 and {MAX_MODULUS}"):
+        AbelianModule((3**21,) * 2, cyclic_group(3), action).validate()
 
 
 def _identity_block_P(A, m):
@@ -893,7 +973,8 @@ def test_kernel_of_no_rows_is_the_whole_space_without_an_elimination(m, monkeypa
     # 0 x t: every column is a free generator of order m (none for m = 1),
     # read off Q' = I, as a zero row gives it through the elimination
     ref = kernel(np.zeros((1, 4), dtype=np.int64), m)
-    monkeypatch.setattr("brnr.zmod.echelon_compress", None)
+    monkeypatch.setattr("brnr.zmod._sweep", None)
+    monkeypatch.setattr("brnr.zmod.smith_normal_form_raw", None)
     K = kernel(np.zeros((0, 4), dtype=np.int64), m)
     assert K.invariant_factors == ref.invariant_factors == (m,) * 4 * (m > 1)
     assert np.array_equal(K.generator_lifts, ref.generator_lifts)
