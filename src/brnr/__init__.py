@@ -3,13 +3,15 @@
 Public surface:
 
 - groups: multiplication-table groups, actions, finite abelian modules
-- zmod: Smith normal form, solving, and one Subquotient type for the kernels,
-  cokernels and quotients over Z/m
-- cohomology: H^1/H^2, Tate H^0, restriction, Sha filters, cups, Bocksteins
+- zmod: Smith and Howell forms, span rows, and one Subquotient type for
+  the kernels, cokernels and quotients over Z/m
+- cohomology: H^1/H^2, Sha filters, cups, Bocksteins
 - extensions: Galois-equivariant central extensions (f, c) and their classes
 - engine: the unramified conditions, B_0, the full Br^0_nr pipeline
 - fastpath: semidirect products of abelian groups without tabulating N
 - localeval: nonabelian H^1 at local data and Brauer-Manin reports
+- reference: the direct routes, one class, subgroup or point at a time,
+  that the tests and selftest compare the pipeline against
 - cli: job runner and selftest
 """
 
@@ -19,22 +21,17 @@ from .cohomology import (
     ShaResult,
     bockstein,
     cup_h1_h1,
-    dies_in_qz,
     h1,
     h2,
     scalar_module,
     sha,
-    tate_h0,
 )
 from .engine import (
     BrauerReport,
     algebraic_unramified,
     b0,
-    bogomolov_condition,
     br_nr,
-    galois_condition,
     galois_condition_single,
-    is_unramified,
     sha2_ab,
 )
 from .extensions import (
@@ -43,18 +40,13 @@ from .extensions import (
     GaloisDatum,
     baer_sum,
     class_module,
-    extension_group,
     kummer_kernel,
-    pullback,
-    splits_equivariantly,
-    splits_over,
     zero_extension,
 )
 from .fastpath import (
     AugmentationExample,
     SemidirectDatum,
     build_example_714,
-    extension_from_q_cocycle,
     local_witness,
     sha1_bic,
 )
@@ -64,14 +56,12 @@ from .groups import (
     GroupAction,
     abelian_group,
     alternating_group,
-    conjugacy_classes,
     cyclic_group,
     dihedral_group,
     group_from_permutations,
     group_from_table,
     quaternion_group,
     semidirect_product,
-    subgroups_abelian,
     symmetric_group,
 )
 from .localeval import (
@@ -80,14 +70,26 @@ from .localeval import (
     LocalDatum,
     NonabelianCocycle,
     bm_report,
-    evaluate,
     nonabelian_h1,
+)
+from .reference import (
+    bogomolov_condition,
+    dies_in_qz,
+    evaluate,
+    extension_from_q_cocycle,
+    extension_group,
+    galois_condition,
+    is_unramified,
+    solve,
+    splits_equivariantly,
+    splits_over,
+    subgroups_abelian,
+    tate_h0,
 )
 from .zmod import (
     Subquotient,
     cokernel,
     kernel,
-    solve,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from .errors import CapExceeded, ValidationError
 @dataclass(frozen=True)
 class Caps:
     table_group: int = 4096          # largest group stored as a full table or enumerated
-    closure: int = 1 << 18           # abelian subgroups listed, or bic generator pairs
+    closure: int = 1 << 18           # commuting generator pairs of the bic family
     class_module_unknowns: int = 2048  # unknowns of an H^1, H^2 or class-module solve
     nonabelian_enum: int = 10**7     # candidate tables |G|^#generators
     local_tuples: int = 10**4        # rows enumerated in a Brauer-Manin tuple table

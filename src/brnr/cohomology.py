@@ -35,8 +35,7 @@ twisted by units u(g) or not, is a coboundary iff the atoms of its
 gauged form lie in the span of the |S| u-twisted coboundary columns
 (Gruenberg's H^2 = coker(Der(F, M) -> Hom_G(R^ab, M))):
 ``coboundary_mask`` reads only the values f(y, s), s in S, and does not
-check the cocycle law, which its callers prove.  ``is_scalar_coboundary``
-solves every row for a witness; it is the reference.
+check the cocycle law, which its callers prove.
 
 Every answer is a subgroup of classes cut out by linear rows, modulo a
 relation subgroup; ``class_subgroup`` is the one solve that turns such
@@ -50,10 +49,10 @@ mod N for every commuting pair, read at least cyclic generators in
 mod N of a degree-2 class on a family (the Sha^2 filters of ``sha``)
 needs none either: it is the kernel of one cyclic-splitting row per g != 1
 (``_power_sums``) and, for the bicyclic and abelian families, of the
-commuting-pair rows, so Sha^2_ab = Sha^2_bic.  Degree 1 reads
-``death_rows``, one batched span test at the generating tuples of
-``family_generators``: a class that dies on B dies on every subgroup of
-B, since restriction to it factors through B.
+commuting-pair rows, so Sha^2_ab = Sha^2_bic.  Degree 1 (the cyclic and
+bicyclic families) reads ``death_rows``, one batched span test at the
+generating tuples of ``family_generators``: a class that dies on B dies
+on every subgroup of B, since restriction to it factors through B.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import NotACocycle, NotEquivariant, OrderBound, ValidationError
-from .groups import AbelianModule, FiniteGroup, subgroups_abelian
+from .groups import AbelianModule, FiniteGroup
 from .zmod import (
     RowEchelon,
     Subquotient,
@@ -76,7 +75,6 @@ from .zmod import (
     echelon_compress,
     kernel,
     preimage_rows,
-    solve,
     subquotient,
 )
 
@@ -161,47 +159,6 @@ def _d0_columns(M: AbelianModule, elements) -> np.ndarray:
         return np.zeros((len(elements) * r, r), dtype=np.int64)
     cols = M.action[elements] - np.eye(r, dtype=np.int64)
     return cols.reshape(len(elements) * r, r) % M.exponent
-
-
-def _coboundary_rows(B: FiniteGroup, M: AbelianModule | int) -> np.ndarray:
-    """Scaled matrix of d1 on 1-cochains: a -> g.a(h) - a(gh) + a(g) mod exp(M).
-
-    Rows are the pairs (g, h) with g != 1 outer and h != 1 inner, then the
-    coordinates i of M, each scaled into Z/exp(M) by exp(M)/d_i; columns
-    are a(1), ..., a(|B|-1), coordinate inner.  An integer m stands for Z/m
-    with trivial action; a unit twist u(g) is the rank-1 module
-    ``scalar_module(m, B, u)``.
-    """
-    n = B.order
-    if isinstance(M, AbelianModule):
-        r, m, acts, scales = M.rank, M.exponent, M.action, _row_scales(M)
-    else:
-        r, m, acts, scales = 1, M, None, np.ones(1, dtype=np.int64)
-    eye = np.eye(r, dtype=np.int64)
-    acts = np.broadcast_to(eye, (n, r, r)) if acts is None else acts
-    g = np.arange(1, n)[:, None]
-    h = np.arange(1, n)[None, :]
-    out = np.zeros((n - 1, n - 1, r, n, r), dtype=np.int64)   # block 0 is a(1) = 0
-    out[g - 1, h - 1, :, h, :] += acts[1:, None]
-    out[g - 1, h - 1, :, g, :] += eye
-    out[g - 1, h - 1, :, B.mul[g, h], :] -= eye
-    out *= scales[:, None, None]
-    return out[:, :, :, 1:].reshape((n - 1) * (n - 1) * r, (n - 1) * r) % m
-
-
-def _twist_rows(act: np.ndarray, chi: np.ndarray, m: int) -> np.ndarray:
-    """Matrix of b -> chi(d) b(g) - b(d.g) mod m on scalar 1-cochains.
-
-    Row block d uses the images ``act[d]`` and the unit ``chi[d]``; rows are
-    the elements g != 1 and columns are b(1), ..., b(n-1).
-    """
-    nd, n = act.shape
-    d = np.arange(nd)[:, None]
-    g = np.arange(1, n)[None, :]
-    out = np.zeros((nd, n - 1, n), dtype=np.int64)        # column 0 is b(1) = 0
-    out[d, g - 1, g] += np.asarray(chi, dtype=np.int64)[:, None] % m
-    out[d, g - 1, act[:, 1:]] -= 1
-    return out[:, :, 1:].reshape(nd * (n - 1), n - 1) % m
 
 
 def _cocycle1_space(G: FiniteGroup, M: AbelianModule) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -511,37 +468,8 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
 
 
 # ---------------------------------------------------------------------------
-# Tate H^0, restriction, Q/Z death
+# coboundaries
 # ---------------------------------------------------------------------------
-
-
-def tate_h0(G: FiniteGroup, M: AbelianModule) -> Subquotient:
-    """Invariants modulo norms: M^G / N_G(M), in the coordinates of M mod exp(M)."""
-    m = M.exponent
-    scales = np.tile(_row_scales(M), G.order - 1)[:, None]
-    W = kernel(_d0_columns(M, range(1, G.order)) * scales % m, m)
-    norm = sum(M.matrix(g) for g in range(G.order)) % m
-    return subquotient(W, np.hstack([norm, _lattice_columns(1, M)]))
-
-
-def subgroup_module(M: AbelianModule, H: FiniteGroup, elements: np.ndarray) -> AbelianModule:
-    """The coefficient module viewed over a subgroup of its actor."""
-    if M.action is None:
-        return AbelianModule(M.invariant_factors, H, None) if H is not None else M
-    return AbelianModule(M.invariant_factors, H, M.action[np.asarray(elements)])
-
-
-def dies_in_qz(f_table: np.ndarray, B: FiniteGroup, N: int) -> bool:
-    """Whether a mod-N class on B dies after pushing into Q/Z.
-
-    Equivalent test: e*f becomes a coboundary mod N*e, where e = exp(B).
-    """
-    e = B.exponent
-    n = B.order
-    f = as_mod(f_table, N).reshape(n, n)
-    if n == 1 or not f.any():
-        return True
-    return is_scalar_coboundary(B, e * f, N * e) is not None
 
 
 def coboundary_mask(B: FiniteGroup, cols: np.ndarray, m: int,
@@ -556,26 +484,6 @@ def coboundary_mask(B: FiniteGroup, cols: np.ndarray, m: int,
     space = reduced_cocycle_space(B, m, gens)
     E = echelon_compress(space.coboundaries(units).T, m)
     return ~_howell_residue(E, space.atomize(as_mod(cols, m)), m).any(axis=-1)
-
-
-def is_scalar_coboundary(B: FiniteGroup, table: np.ndarray, m: int,
-                         units: np.ndarray | None = None) -> Optional[np.ndarray]:
-    """Witness b with d1 b = table for scalar coefficients (optional unit twist).
-
-    With a twist, (d1 b)(g, h) = u(g) b(h) - b(gh) + b(g).  Every row is
-    solved: the reference for ``coboundary_mask``.
-    """
-    n = B.order
-    table = as_mod(table, m).reshape(n, n)
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    coeffs = m if units is None or m == 1 else scalar_module(m, B, units)
-    x = solve(_coboundary_rows(B, coeffs), table[1:, 1:].reshape(-1), m)
-    if x is None:
-        return None
-    b = np.zeros(n, dtype=np.int64)
-    b[1:] = x
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -736,13 +644,8 @@ def family_generators(G: FiniteGroup, family: str, caps: Caps = DEFAULT_CAPS) ->
     of <x>, <y>; so (s, t) for each distinct <s, t> over the commuting pairs
     s < t of least generators != 1, and (s) for each one that commutes with
     no other.  More than ``caps.closure`` pairs raise OrderBound naming
-    ``closure`` before any member set is built.  ``ab``: the maximal members
-    of ``subgroups_abelian``, their own centralizers, at greedy generators.
+    ``closure`` before any member set is built.
     """
-    if family == "ab":
-        gens = [G.subgroup_generators(H) for H in subgroups_abelian(G, caps)
-                if len(G.centralizer(list(H))) == len(H)]
-        return np.array([g + [0] * (max(map(len, gens)) - len(g)) for g in gens])
     reps, P, orders = G.cyclic_generators[1:], G.powers, G.element_orders
     if family == "cyc":
         return reps[~np.isin(reps, P[orders[P] < orders]), None]
@@ -807,19 +710,19 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
 
     Dying is literal: the restriction is a coboundary with coefficients in
     M.  Degree 1 reads ``death_rows`` at the generating tuples of
-    ``family_generators``.  Degree 2 needs scalar coefficients Z/N with
-    trivial action (for death in Q/Z see ``engine.b0``) and lists no
-    subgroup: its rows are the cyclic-splitting rows of ``_power_sums``,
-    one per g != 1, and for ``bic`` and ``ab`` the ``commuting_pair_rows``
-    under them.  On an abelian B where f is symmetric, the extension
+    ``family_generators``, for ``cyc`` and ``bic``.  Degree 2 needs scalar
+    coefficients Z/N with trivial action (for death in Q/Z see
+    ``engine.b0``) and lists no subgroup: its rows are the cyclic-splitting
+    rows of ``_power_sums``, one per g != 1, and for ``bic`` and ``ab`` the
+    ``commuting_pair_rows`` under them.  On an abelian B where f is symmetric, the extension
     Z/N x_f B is abelian, and an abelian extension of B = sum <b_i> splits
     iff it splits over each <b_i>: lifts of order ord b_i extend
     additively.  Conversely a split extension of an abelian B is abelian.
     So f dies on every abelian subgroup, or on every bicyclic one, iff both
     blocks vanish on it, and Sha^2_ab = Sha^2_bic.
     """
-    if family not in ("ab", "bic", "cyc"):
-        raise ValidationError(f"unknown subgroup family {family!r}")
+    if family not in ("ab", "bic", "cyc") or (family, degree) == ("ab", 1):
+        raise ValidationError(f"unknown subgroup family {family!r} at degree {degree}")
     if degree not in (1, 2):
         raise ValidationError("degree must be 1 or 2")
     if degree == 2 and (M.rank != 1 or M.action is not None):

@@ -23,9 +23,6 @@ column, with the first nonzero row as witness.  algebraic_unramified
 reads the classes with f = 0, H^1(Delta, G^(chi)), off one h1 call.  b0,
 br_nr, algebraic_unramified and the Kummer quotient each hand their rows
 to one cohomology.class_subgroup call, and no class is enumerated.
-bogomolov_condition, galois_condition (every admissible triple) and
-exhaustive search in explicit extension groups stay as the references
-that the tests and selftest compare against.
 """
 
 from __future__ import annotations
@@ -45,8 +42,6 @@ from .cohomology import (
     character_group_generators,
     class_subgroup,
     commuting_pair_rows,
-    dies_in_qz,
-    family_generators,
     h1,
     h2,
     scalar_module,
@@ -62,26 +57,6 @@ from .extensions import (
 )
 from .groups import AbelianModule, FiniteGroup
 from .zmod import kernel
-
-
-# ---------------------------------------------------------------------------
-# condition (i): Bogomolov
-# ---------------------------------------------------------------------------
-
-
-def bogomolov_condition(ext: EquivariantExtension,
-                        bicyclics: list | None = None) -> tuple[bool, Optional[tuple]]:
-    """True iff the Q/Z-pushforward of f splits on every bicyclic subgroup."""
-    G, N = ext.gal.G, ext.gal.N
-    if bicyclics is None:
-        bicyclics = [G.closure(gens) for gens in family_generators(G, "bic")]
-    for elems in bicyclics:
-        if len(elems) == 1:
-            continue
-        B, idx = G.subgroup_table(elems)
-        if not dies_in_qz(ext.f[np.ix_(idx, idx)], B, N):
-            return False, tuple(int(e) for e in elems)
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +98,7 @@ def _require_admissible(gal: GaloisDatum, d: int, tau: int, gamma: int) -> None:
             "gamma (d.tau) gamma^-1 != tau^chi(d)", witness=(d, tau, gamma))
 
 
+# perfbench/oracles.py reads this and galois_condition_bruteforce from engine
 def galois_condition_single(ext: EquivariantExtension, d: int, tau: int,
                             gamma: int) -> bool:
     """Closed-form test of the lift-and-conjugate condition for one triple."""
@@ -132,7 +108,7 @@ def galois_condition_single(ext: EquivariantExtension, d: int, tau: int,
 
 
 def galois_condition_bruteforce(ext: EquivariantExtension, d: int, tau: int,
-                                gamma: int, caps: Caps = DEFAULT_CAPS) -> bool:
+                                gamma: int) -> bool:
     """Exhaustive search in the explicit Z/(n N)-level extension group.
 
     The Q/Z(1)-kernel is modelled at modulus n*N (n = ord tau), where every
@@ -179,17 +155,6 @@ def galois_condition_bruteforce(ext: EquivariantExtension, d: int, tau: int,
     return False
 
 
-def _admissible_triples(gal: GaloisDatum):
-    """Yield (d, tau, gamma) with gamma (d.tau) gamma^-1 = tau^chi(d)."""
-    G = gal.G
-    for d in range(gal.delta.order):
-        for tau in range(G.order):
-            target = G.power(tau, int(gal.chi[d]) % G.element_order(tau))
-            conj = G.mul[G.mul[:, gal.action.table[d, tau]], G.inv]   # gamma (d.tau) gamma^-1
-            for gamma in np.nonzero(conj == target)[0]:
-                yield d, tau, int(gamma)
-
-
 def _galois_rows(gal: GaloisDatum) -> np.ndarray:
     """The rows (d, tau, gamma) that decide condition (ii) beside condition (i).
 
@@ -226,30 +191,6 @@ def _galois_rows(gal: GaloisDatum) -> np.ndarray:
     hit = conj == target
     ok = hit.any(axis=0)
     return np.stack([d[ok], tau[ok], hit.argmax(axis=0)[ok]], axis=1)
-
-
-def galois_condition(ext: EquivariantExtension) -> tuple[bool, Optional[tuple]]:
-    """Condition (ii) over all of Delta and all admissible (tau, gamma)."""
-    gal = ext.gal
-    if gal.base_algebraically_closed:
-        return True, None
-    triples = list(_admissible_triples(gal))
-    bad = np.nonzero(_galois_obstructions(gal, triples, ext.f[None], ext.c[None]))[0]
-    if bad.size:
-        return False, triples[bad[0]]
-    return True, None
-
-
-def is_unramified(ext: EquivariantExtension,
-                  bicyclics: list | None = None) -> tuple[bool, Optional[tuple]]:
-    """Both conditions; the witness names the first failure."""
-    ok, wit = bogomolov_condition(ext, bicyclics)
-    if not ok:
-        return False, ("bogomolov", wit)
-    ok, wit = galois_condition(ext)
-    if not ok:
-        return False, ("galois", wit)
-    return True, None
 
 
 # ---------------------------------------------------------------------------

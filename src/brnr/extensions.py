@@ -28,26 +28,17 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
-    _coboundary_rows,
     _kernel_from_batches,
     _off_tree,
-    _twist_rows,
     bockstein,
     character_group_generators,
     cocycle2_defect,
-    is_scalar_coboundary,
     reduced_cocycle_space,
     scalar_module,
 )
-from .errors import (
-    MismatchedBase,
-    NotASubgroup,
-    NotStable,
-    OrderBound,
-    ValidationError,
-)
+from .errors import MismatchedBase, ValidationError
 from .groups import FiniteGroup, GroupAction
-from .zmod import MAX_MODULUS, Subquotient, as_mod, solve, subquotient
+from .zmod import MAX_MODULUS, Subquotient, as_mod, subquotient
 
 
 @dataclass
@@ -218,137 +209,6 @@ def baer_sum(e1: EquivariantExtension, e2: EquivariantExtension) -> EquivariantE
         raise MismatchedBase("extensions live over different data")
     return EquivariantExtension(e1.gal, (e1.f + e2.f) % e1.modulus,
                                 (e1.c + e2.c) % e1.modulus)
-
-
-# ---------------------------------------------------------------------------
-# the explicit extension group
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExtensionGroup:
-    """The group of pairs (lambda, g), lambda mod N, with its Delta-action."""
-
-    group: FiniteGroup
-    action: GroupAction             # Delta on the extension group
-    N: int
-    base_order: int
-
-    def pair_index(self, lam: int, g: int) -> int:
-        return (lam % self.N) * self.base_order + g
-
-
-def extension_group(ext: EquivariantExtension, gal: GaloisDatum | None = None,
-                    caps: Caps = DEFAULT_CAPS) -> ExtensionGroup:
-    """Build the order N*|G| group with law (a,g)(b,h) = (a+b+f(g,h), gh)."""
-    gal = ext.gal if gal is None else gal
-    G, N = gal.G, gal.N
-    n = G.order
-    total = N * n
-    if total > caps.table_group:
-        raise OrderBound("table_group", caps.table_group, total)
-    lam = np.repeat(np.arange(N), n)
-    gpart = np.tile(np.arange(n), N)
-    mul = np.empty((total, total), dtype=np.int64)
-    for i in range(total):
-        a, g = int(lam[i]), int(gpart[i])
-        coeff = (a + lam + ext.f[g, gpart]) % N
-        mul[i] = coeff * n + G.mul[g, gpart]
-    group = FiniteGroup(mul)
-    coeff = (gal.chi_mod_n[:, None] * lam + ext.c[:, gpart]) % N
-    action = GroupAction(gal.delta, group, coeff * n + gal.action.table[:, gpart])
-    action.validate()
-    return ExtensionGroup(group, action, N, n)
-
-
-# ---------------------------------------------------------------------------
-# splitting tests
-# ---------------------------------------------------------------------------
-
-
-def _check_subgroup(G: FiniteGroup, elements) -> np.ndarray:
-    elems = np.array(sorted(set(int(x) for x in elements)), dtype=np.int64)
-    if elems.size == 0 or elems[0] != 0:
-        raise NotASubgroup("subgroup must contain the identity")
-    sub = G.mul[np.ix_(elems, elems)]
-    if not np.isin(sub, elems).all():
-        a, b = map(int, np.argwhere(~np.isin(sub, elems))[0])
-        raise NotASubgroup("set not closed", witness=(int(elems[a]), int(elems[b])))
-    return elems
-
-
-def splits_over(ext: EquivariantExtension, elements,
-                modulus: int | None = None) -> Optional[np.ndarray]:
-    """Witness b with f(g,h) = b(gh) - b(g) - b(h) on H, or None.
-
-    b is indexed by the positions of H's sorted elements.  This is splitting
-    of the mu_N-level extension pulled back to H; the Q/Z-level question is
-    dies_in_qz of the restriction instead.
-    """
-    G = ext.gal.G
-    N = ext.modulus if modulus is None else modulus
-    scale = 1 if modulus is None else modulus // ext.modulus
-    elems = _check_subgroup(G, elements)
-    H, _ = G.subgroup_table(elems)
-    return is_scalar_coboundary(H, -scale * ext.f[np.ix_(elems, elems)], N)
-
-
-def splits_equivariantly(ext: EquivariantExtension, elements, delta_elements=None,
-                         modulus: int | None = None) -> Optional[np.ndarray]:
-    """Witness of a Delta'-equivariant splitting over a stable subgroup H.
-
-    Solves jointly: f = -(d b) on H x H and chi(d) b(g) + c_d(g) = b(d.g)
-    for d in Delta', g in H.  ``modulus`` lifts the test to a multiple of N
-    (tables are scaled by modulus/N, chi is reduced mod modulus).
-    """
-    gal = ext.gal
-    G = gal.G
-    N = ext.modulus if modulus is None else modulus
-    scale = 1 if modulus is None else modulus // ext.modulus
-    elems = _check_subgroup(G, elements)
-    dels = np.arange(gal.delta.order) if delta_elements is None \
-        else np.array(sorted(set(int(d) for d in delta_elements)), dtype=np.int64)
-    imgs = gal.action.table[np.ix_(dels, elems)]
-    bad = np.argwhere(~np.isin(imgs, elems))
-    if bad.size:
-        raise NotStable("subgroup is not stable under the Galois action",
-                        witness=(int(dels[bad[0, 0]]), int(elems[bad[0, 1]])))
-    k = elems.size
-    if k == 1:
-        return np.zeros(1, dtype=np.int64)
-    H, _ = G.subgroup_table(elems)
-    rows = np.vstack([-_coboundary_rows(H, N),
-                      _twist_rows(np.searchsorted(elems, imgs), gal.chi[dels], N)])
-    rhs = np.concatenate([scale * ext.f[np.ix_(elems[1:], elems[1:])].reshape(-1),
-                          -scale * ext.c[np.ix_(dels, elems[1:])].reshape(-1)])
-    x = solve(rows % N, rhs % N, N)
-    if x is None:
-        return None
-    b = np.zeros(k, dtype=np.int64)
-    b[1:] = x
-    return b
-
-
-def pullback(ext: EquivariantExtension, elements,
-             sub_gal: GaloisDatum | None = None) -> tuple[EquivariantExtension, np.ndarray]:
-    """Restrict (f, c) along a subgroup inclusion; returns (ext, elements).
-
-    The subgroup must be stable under the Galois action.  The returned
-    extension lives over the reindexed subgroup with the induced datum.
-    """
-    gal = ext.gal
-    elems = _check_subgroup(gal.G, elements)
-    imgs = gal.action.table[:, elems]
-    stable = np.isin(imgs, elems).all(axis=1)
-    if not stable.all():
-        raise NotStable("subgroup not Galois-stable", witness=int(np.argmin(stable)))
-    H, idx = gal.G.subgroup_table(elems)
-    new_gal = sub_gal or GaloisDatum(gal.delta, H, gal.chi,
-                                     GroupAction(gal.delta, H, np.searchsorted(idx, imgs)),
-                                     gal.N, gal.base_algebraically_closed)
-    f = ext.f[np.ix_(idx, idx)]
-    c = ext.c[:, idx]
-    return EquivariantExtension(new_gal, f, c), idx
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,7 @@ from .errors import (
     NotSurjective,
     ValidationError,
 )
-from .extensions import EquivariantExtension, GaloisDatum
-from .groups import AbelianModule, FiniteGroup, abelian_group, semidirect_product
-from .zmod import as_mod
+from .groups import AbelianModule, FiniteGroup, abelian_group
 
 
 @dataclass
@@ -76,127 +74,6 @@ def sha1_bic(sd: SemidirectDatum, caps: Caps = DEFAULT_CAPS) -> ShaResult:
     Its representatives are 1-cocycles on Q valued in N^.
     """
     return sha(sd.Q, sd.N_hat, 1, "bic", caps=caps)
-
-
-def extension_from_q_cocycle(sd: SemidirectDatum, a_table: np.ndarray,
-                             gal: GaloisDatum | None = None,
-                             caps: Caps = DEFAULT_CAPS) -> EquivariantExtension:
-    """The explicit extension pair of a 1-cocycle a on Q valued in N^.
-
-    Requires a tabulated G = N x| Q; use the module-level class for large N.
-    The pair is (f, 0) with f((n1,q1),(n2,q2)) = a(q1^-1)(n2), embedded into
-    Z/|G| by the scale |G|/exp(N).
-    """
-    a_table = sd.N_hat.reduce(a_table)
-    defect = cocycle1_defect(sd.Q, sd.N_hat, a_table)
-    if defect is not None:
-        raise NotACocycle("a is not a 1-cocycle on Q", witness=defect)
-    sdg = semidirect_product(sd.N, sd.Q, caps=caps)
-    G = sdg.group
-    if gal is None:
-        gal = GaloisDatum.trivial(G, G.order, base_algebraically_closed=True)
-    _require_coefficient_only_action(sd, gal)
-    N_big = gal.N
-    e = sd.N.exponent
-    scale = N_big // e
-    nQ = sd.Q.order
-    n_vecs = np.array(list(np.ndindex(*sd.N.invariant_factors)), dtype=np.int64)
-    e_over_d = np.array([e // d for d in sd.N.invariant_factors], dtype=np.int64)
-    f = np.zeros((G.order, G.order), dtype=np.int64)
-    qinv = sd.Q.inv
-    # f[(n1,q1),(n2,q2)] = < a(q1^-1), n2 > : independent of n1, q2
-    for q1 in range(nQ):
-        phi = a_table[int(qinv[q1])]
-        vals = (n_vecs @ (phi * e_over_d)) % e          # one per n2
-        block = np.repeat(vals, nQ) * scale % N_big     # over (n2, q2)
-        rows = np.arange(G.order)[sdg.project_q == q1]
-        f[rows, :] = block[None, :]
-    c = np.zeros((gal.delta.order, G.order), dtype=np.int64)
-    return EquivariantExtension(gal, f, c).validated()
-
-
-def _require_coefficient_only_action(sd: SemidirectDatum, gal: GaloisDatum) -> None:
-    e = sd.N.exponent
-    bad = as_mod(gal.chi, e) != 1 % e
-    if bad.any():
-        raise ValidationError(
-            "chi must be 1 mod exp(N): the coefficient roots of unity must "
-            "already be in the base field", witness=int(bad.argmax()))
-    bad = (gal.action.table != np.arange(gal.G.order)).any(axis=1)
-    if bad.any():
-        raise ValidationError("the Galois action must fix G pointwise",
-                              witness=int(bad.argmax()))
-
-
-def direct_product_extension_group(sd: SemidirectDatum, a_table: np.ndarray,
-                                   caps: Caps = DEFAULT_CAPS):
-    """The group (Z/e x N) x|_a Q built directly from its displayed action.
-
-    Returns (group, section, kernel_embedding) where section maps G-indices
-    of N x| Q to the canonical lifts ((0, n), q).  Used to cross-validate
-    the coordinate formula of ``extension_from_q_cocycle``.
-    """
-    e = sd.N.exponent
-    big_factors = (e,) + tuple(sd.N.invariant_factors)
-    r = sd.N.rank
-    # action of Q on Z/e + N: q . (lam, n) = (lam + a(q^-1)(n), q.n)
-    nQ = sd.Q.order
-    mats = np.zeros((nQ, r + 1, r + 1), dtype=np.int64)
-    e_over_d = np.array([e // d for d in sd.N.invariant_factors], dtype=np.int64)
-    for q in range(nQ):
-        mats[q, 0, 0] = 1
-        phi = sd.N_hat.reduce(a_table[int(sd.Q.inv[q])])
-        mats[q, 0, 1:] = (phi * e_over_d) % e
-        mats[q, 1:, 1:] = sd.N.matrix(q)
-    big = AbelianModule(big_factors, sd.Q, mats)
-    big.validate()
-    sdg = semidirect_product(big, sd.Q, caps=caps)
-    return sdg, big
-
-
-def semidirect_cocycle_from_section(sd: SemidirectDatum, sdg_big, big_module,
-                                    caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """Extract the extension cocycle of (Z/e x N) x|_a Q at its section.
-
-    The section sends (n, q) to ((0, n), q); the product of two section
-    values differs from the section of the product by a central (lam, 0, q=1)
-    whose lam-part is the cocycle value.
-    """
-    e = big_module.invariant_factors[0]
-    nQ = sd.Q.order
-    small = semidirect_product(sd.N, sd.Q, caps=caps)
-    n_small = small.group.order
-    r = sd.N.rank
-    # index maps
-    def big_index(lam, nvec, q):
-        vec = np.concatenate([[lam], nvec])
-        idx = 0
-        for x, dmod in zip(vec, big_module.invariant_factors):
-            idx = idx * dmod + int(x) % dmod
-        return idx * nQ + q
-
-    n_vecs = np.array(list(np.ndindex(*sd.N.invariant_factors)), dtype=np.int64)
-    f = np.zeros((n_small, n_small), dtype=np.int64)
-    for i in range(n_small):
-        n1, q1 = int(small.project_n[i]), int(small.project_q[i])
-        s1 = big_index(0, n_vecs[n1], q1)
-        for j in range(n_small):
-            n2, q2 = int(small.project_n[j]), int(small.project_q[j])
-            s2 = big_index(0, n_vecs[n2], q2)
-            prod_big = int(sdg_big.group.mul[s1, s2])
-            prod_small = int(small.group.mul[i, j])
-            n3, q3 = int(small.project_n[prod_small]), int(small.project_q[prod_small])
-            target = big_index(0, n_vecs[n3], q3)
-            # difference is central: prod_big = (lam, n3, q3)
-            lam = 0
-            for lam_try in range(e):
-                if big_index(lam_try, n_vecs[n3], q3) == prod_big:
-                    lam = lam_try
-                    break
-            else:
-                raise AssertionError("section defect is not central")
-            f[i, j] = lam
-    return f
 
 
 # ---------------------------------------------------------------------------

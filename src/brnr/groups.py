@@ -257,41 +257,6 @@ def group_from_permutations(generators, degree: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# subgroup enumeration
-# ---------------------------------------------------------------------------
-
-
-def subgroups_abelian(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
-    """All abelian subgroups, grown by extending with centralizing elements.
-
-    More than ``caps.closure`` of them raise OrderBound naming ``closure``.
-    """
-    found = {G.closure([g]) for g in G.cyclic_generators}
-    frontier = list(found)
-    while frontier:
-        H = frontier.pop()
-        for g in np.setdiff1d(G.centralizer(list(H)), H).tolist():
-            H2 = G.closure(list(H) + [g])
-            if H2 not in found:
-                if len(found) > caps.closure:
-                    raise OrderBound("closure", caps.closure, len(found))
-                found.add(H2)
-                frontier.append(H2)
-    return sorted(found, key=lambda h: (len(h), h))
-
-
-def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
-    left = set(range(G.order))
-    classes = []
-    while left:
-        g = min(left)
-        orbit = {int(G.mul[G.mul[x, g], G.inv[x]]) for x in range(G.order)}
-        classes.append(tuple(sorted(orbit)))
-        left -= orbit
-    return sorted(classes, key=lambda c: (c[0],))
-
-
-# ---------------------------------------------------------------------------
 # group actions
 # ---------------------------------------------------------------------------
 

@@ -18,7 +18,6 @@ Delta_v.  bm_report enumerates each place's points once and builds those
 values for every class and point, and ``cohomology.coboundary_mask``
 tests their Schreier atoms in the gauge of H^2 and the class module.  The
 theta-cup verdict and the cup search pass generator columns too.
-evaluate (one class, one point, one solve on every row) is the reference.
 
 nonabelian_h1 enumerates generator images in fixed blocks of candidates,
 one array per block: it propagates them along a BFS factorization of
@@ -38,12 +37,11 @@ from typing import Optional
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .cohomology import cocycle2_defect, coboundary_mask, is_scalar_coboundary, scalar_module
-from .errors import CapExceeded, InvalidCocycle, ValidationError
+from .cohomology import coboundary_mask
+from .errors import CapExceeded, ValidationError
 from .extensions import EquivariantExtension, GaloisDatum
 from .fastpath import SemidirectDatum
 from .groups import FiniteGroup
-from .zmod import as_mod
 
 
 @dataclass
@@ -97,15 +95,6 @@ class NonabelianCocycle:
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=np.int64)
-
-
-def cocycle_defect_nonabelian(ld: LocalDatum, gal: GaloisDatum,
-                              table: np.ndarray) -> Optional[tuple[int, int]]:
-    """First (s, t) with h(st) != h(s) * (s . h(t)), or None."""
-    act = ld.action_v(gal)
-    s = np.arange(ld.delta_v.order)[:, None]
-    bad = np.argwhere(table[ld.delta_v.mul] != gal.G.mul[table[s], act[s, table]])
-    return tuple(map(int, bad[0])) if bad.size else None
 
 
 # cells (candidates x |G| x |D_v|) of one nonabelian_h1 block: this bounds the
@@ -191,13 +180,6 @@ _CODE = {ZERO: 0, NONZERO_CERTIFIED: 2}       # any other verdict: 1
 _STATUS = ("Admissible", "Undetermined", "Excluded")
 
 
-@dataclass
-class EvaluationResult:
-    beta: np.ndarray | None
-    verdict: str
-    detail: str = ""
-
-
 def _beta_tables(fs: np.ndarray, cs: np.ndarray, ld: LocalDatum, gal: GaloisDatum,
                  h: np.ndarray, ts) -> np.ndarray:
     """beta_k(s, t) = c_k,s(h_t) + f_k(h_s, s.h_t) mod N at every s and each t in ``ts``.
@@ -213,34 +195,6 @@ def _beta_tables(fs: np.ndarray, cs: np.ndarray, ld: LocalDatum, gal: GaloisDatu
     s = np.arange(ld.delta_v.order)[:, None]
     hs, ht = h[..., :, None], h[..., None, ts]
     return (cs[:, ld.to_delta[s], ht] + fs[:, hs, act[s, ht]]) % gal.N
-
-
-def evaluate(ext: EquivariantExtension, ld: LocalDatum,
-             h: NonabelianCocycle) -> EvaluationResult:
-    """Evaluate a table-level class at a local point.
-
-    Zero is certified by a coboundary witness; a nonzero finite-level class
-    is reported Unknown (inflation to the local Brauer group need not be
-    injective).  The certified-nonzero pathway lives on the fast-path
-    entries, which carry a local-duality witness.
-    """
-    gal = ext.gal
-    ld.validate(gal)
-    defect = cocycle_defect_nonabelian(ld, gal, h.table)
-    if defect is not None:
-        raise InvalidCocycle("point table violates the twisted cocycle law",
-                             witness=defect)
-    beta = _beta_tables(ext.f[None], ext.c[None], ld, gal, h.table,
-                        np.arange(ld.delta_v.order))[0]
-    chi_v = as_mod(ld.chi_v(gal), gal.N)
-    if gal.N > 1:
-        defect2 = cocycle2_defect(ld.delta_v, scalar_module(gal.N, ld.delta_v, chi_v),
-                                  beta[..., None])
-        if defect2 is not None:
-            raise AssertionError(f"evaluation table is not a 2-cocycle at {defect2}")
-    verdict = UNKNOWN if is_scalar_coboundary(ld.delta_v, beta, gal.N,
-                                              units=chi_v) is None else ZERO
-    return EvaluationResult(beta, verdict, _DETAILS[verdict])
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +270,7 @@ class FastpathClassEntry:
     modulus: int
     witnesses: dict = field(default_factory=dict)
 
-    def verdicts_for(self, ld: LocalDatum, gal: GaloisDatum,
-                     caps: Caps) -> list[PointVerdict]:
+    def verdicts_for(self, ld: LocalDatum) -> list[PointVerdict]:
         out = [PointVerdict(ld.label, "base", ZERO, "neutral point")]
         w = self.witnesses.get(ld.label)
         if w is None or w.verdict != "ObstructionWitnessed":
@@ -367,7 +320,7 @@ def bm_report(entries: list[ClassEntry], data: list[LocalDatum], gal: GaloisDatu
         at_place = iter(_place_verdicts(tables, ld, gal, caps) if tables else ())
         for entry, out in zip(entries, rows):
             pvs = (next(at_place) if isinstance(entry, ClassEntry)
-                   else entry.verdicts_for(ld, gal, caps))
+                   else entry.verdicts_for(ld))
             out.extend(pvs)
             for pv in pvs:
                 per_place_points.setdefault(ld.label, {}).setdefault(

@@ -4,11 +4,11 @@ Everything downstream (cohomology, extension classes, the unramified
 filters) reduces to a few primitives over Z/m: Smith normal form with
 unimodular transforms, subquotients and ``preimage_rows`` (rows that
 vanish exactly where V x lies in the column span of A, for a whole stack
-of pairs (A, V) from row operations alone; ``span_rows`` is V = I), with
-``solve`` for witnesses.  Every group these give is one
-:class:`Subquotient` W/R with its invariant factors, generator lifts and
-coordinates: ``kernel`` is the case R = 0, ``cokernel`` the case
-W = (Z/m)^n, and ``subquotient`` divides any of them by a column span.
+of pairs (A, V) from row operations alone; ``span_rows`` is V = I).
+Every group these give is one :class:`Subquotient` W/R with its
+invariant factors, generator lifts and coordinates: ``kernel`` is the
+case R = 0, ``cokernel`` the case W = (Z/m)^n, and ``subquotient``
+divides any of them by a column span.
 All of it is done directly mod m -- never over Z and then reduced.  The
 Smith normal form, ``RowEchelon`` and ``preimage_rows`` each eliminate
 mod every prime-power factor q = p^n of m and join the parts by CRT:
@@ -56,11 +56,6 @@ MAX_MODULUS = 1 << 15
 def as_mod(a, m: int) -> np.ndarray:
     arr = np.asarray(a, dtype=np.int64)
     return np.mod(arr, m) if m > 1 else np.zeros_like(arr)
-
-
-def gcd_with_modulus(x: int, m: int) -> int:
-    """gcd(x, m), with 0 mapped to m (the annihilator of the zero element)."""
-    return gcd(int(x) % m, m) or m
 
 
 def unit_scale(a: int, m: int) -> tuple[int, int]:
@@ -487,7 +482,7 @@ def _howell_residue(E: np.ndarray, X: np.ndarray, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subquotients, solve and span rows
+# subquotients and span rows
 # ---------------------------------------------------------------------------
 
 
@@ -560,30 +555,6 @@ def kernel(A: np.ndarray | RowEchelon, m: int) -> Subquotient:
         return None if ((gens @ x - vec) % m).any() else x
 
     return Subquotient(m, tuple(int(d) for d in g), gens, coords)
-
-
-def solve(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """One solution x of A x = b mod m, or None.
-
-    ``b`` is a vector or a matrix; a matrix is solved column by column and
-    gives None if any column is inconsistent.
-    """
-    A = as_mod(A, m)
-    b = as_mod(b, m)
-    r, c = A.shape
-    y = np.zeros((c,) + b.shape[1:], dtype=np.int64)
-    snf = smith_normal_form_raw(A, m)
-    cvec = snf.P @ b % m
-    ndiag = len(snf.diag)
-    for i in range(r):
-        d = int(snf.diag[i]) if i < ndiag else 0
-        g = gcd_with_modulus(d, m)
-        if (cvec[i] % g).any():
-            return None
-        if i < c and g != m:
-            mg = m // g
-            y[i] = (cvec[i] // g) * pow(d // g, -1, mg) % mg
-    return snf.Q @ y % m
 
 
 def preimage_rows(A: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:

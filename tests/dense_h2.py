@@ -14,13 +14,13 @@ import numpy as np
 
 from brnr.cohomology import (
     CohomologyGroup,
-    _coboundary_rows,
     _kernel_from_batches,
     _lattice_columns,
     _row_scales,
     cocycle2_defect,
 )
 from brnr.groups import AbelianModule, FiniteGroup
+from brnr.reference import _coboundary_rows
 from brnr.zmod import subquotient
 
 

@@ -13,26 +13,16 @@ import numpy as np
 import pytest
 
 from brnr.caps import DEFAULT_CAPS
-from brnr.cohomology import bockstein, dies_in_qz, h1, h2, scalar_module
+from brnr.cohomology import bockstein, h1, h2, scalar_module
 from brnr.engine import (
-    _admissible_triples,
     algebraic_unramified,
     b0,
-    bogomolov_condition,
     br_nr,
     galois_condition_bruteforce,
     galois_condition_single,
-    is_unramified,
 )
 from brnr.errors import ValidationError
-from brnr.extensions import (
-    EquivariantExtension,
-    GaloisDatum,
-    class_module,
-    extension_group,
-    splits_equivariantly,
-    splits_over,
-)
+from brnr.extensions import EquivariantExtension, GaloisDatum, class_module
 from brnr.fastpath import (
     SemidirectDatum,
     build_example_714,
@@ -58,8 +48,17 @@ from brnr.localeval import (
     LocalDatum,
     NonabelianCocycle,
     bm_report,
-    evaluate,
     nonabelian_h1,
+)
+from brnr.reference import (
+    _admissible_triples,
+    bogomolov_condition,
+    dies_in_qz,
+    evaluate,
+    extension_group,
+    is_unramified,
+    splits_equivariantly,
+    splits_over,
 )
 
 

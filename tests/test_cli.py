@@ -14,7 +14,7 @@ import brnr.cohomology
 from brnr.caps import Caps
 from brnr.cli import Job, main, parse_job, run_job
 from brnr.cohomology import ReducedCocycleSpace, h1, scalar_module, sha
-from brnr.errors import OrderBound, ParseError, ValidationError
+from brnr.errors import ParseError, ValidationError
 from brnr.fastpath import build_example_714
 from brnr.groups import abelian_group, cyclic_group
 
@@ -271,10 +271,10 @@ def test_cap_override_flag(tmp_path):
     assert main(["run", str(f), "--cap", "class_module_unknowns=1"]) == 0
 
 
-def test_closure_cap_binds_the_degree_1_abelian_family_only(tmp_path, capsys):
+def test_closure_cap_leaves_sha2ab_unchanged(tmp_path, capsys):
     # sha2ab reads commuting-pair and cyclic-splitting rows and lists no
     # subgroup, so a closure cap below the 67 subgroups of (Z/2)^4 leaves its
-    # report unchanged; degree 1 still lists the abelian family
+    # report unchanged; at degree 1 the abelian family is refused
     job = {"task": "sha2ab", "modulus": 2,
            "group": {"kind": "abelian", "invariant_factors": [2, 2, 2, 2]}}
     f = tmp_path / "sha2ab.json"
@@ -286,9 +286,8 @@ def test_closure_cap_binds_the_degree_1_abelian_family_only(tmp_path, capsys):
                         if not line.startswith("# timing")])
     assert reports[0] == reports[1] and "Sha2_ab(G, Z/2) = 0" in reports[0]
     G = abelian_group([2, 2, 2, 2])
-    with pytest.raises(OrderBound) as err:
+    with pytest.raises(ValidationError, match="unknown subgroup family 'ab' at degree 1"):
         sha(G, scalar_module(2, G), 1, "ab", caps=Caps(closure=3))
-    assert err.value.cap_name == "closure"
 
 
 def test_selftest_via_subprocess():

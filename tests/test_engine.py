@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import brnr.engine
+import brnr.reference
 from brnr.caps import Caps
 from brnr.cli import main, parse_job, run_job
 from brnr.cohomology import (
@@ -14,7 +14,6 @@ from brnr.cohomology import (
     character_group_generators,
     class_subgroup,
     commuting_pair_rows,
-    dies_in_qz,
     h1,
     h2,
     scalar_module,
@@ -22,19 +21,15 @@ from brnr.cohomology import (
 )
 from brnr.engine import (
     BrauerReport,
-    _admissible_triples,
     _character_module,
     _galois_obstructions,
     _galois_rows,
     _kummer_quotient,
     algebraic_unramified,
     b0,
-    bogomolov_condition,
     br_nr,
-    galois_condition,
     galois_condition_bruteforce,
     galois_condition_single,
-    is_unramified,
     sha2_ab,
 )
 from brnr.errors import OrderBound, PreconditionViolated
@@ -43,7 +38,6 @@ from brnr.extensions import (
     GaloisDatum,
     class_module,
     kummer_kernel,
-    splits_equivariantly,
     zero_extension,
 )
 from brnr.groups import (
@@ -59,6 +53,14 @@ from brnr.groups import (
     quaternion_group,
     semidirect_product,
     symmetric_group,
+)
+from brnr.reference import (
+    _admissible_triples,
+    bogomolov_condition,
+    dies_in_qz,
+    galois_condition,
+    is_unramified,
+    splits_equivariantly,
 )
 from brnr.selfchecks import (
     bicyclic_by_pairs,
@@ -301,7 +303,7 @@ def test_no_production_path_enumerates_admissible_triples(monkeypatch, capsys):
     def forbidden(gal):
         raise AssertionError("the reference enumeration was called")
 
-    monkeypatch.setattr(brnr.engine, "_admissible_triples", forbidden)
+    monkeypatch.setattr(brnr.reference, "_admissible_triples", forbidden)
     for name in ("real Q8", "inner D4 chi=31", "psi 1,1", "wang 8"):
         gal = ROW_DATA[name]()
         br_nr(gal)

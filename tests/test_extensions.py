@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import brnr.extensions
-from brnr.cohomology import bockstein, character_group_generators, dies_in_qz
+from brnr.cohomology import bockstein, character_group_generators
 from brnr.engine import br_nr
 from brnr.errors import MismatchedBase, NotASubgroup, NotStable, ValidationError
 from brnr.extensions import (
@@ -13,11 +13,7 @@ from brnr.extensions import (
     GaloisDatum,
     baer_sum,
     class_module,
-    extension_group,
     kummer_kernel,
-    pullback,
-    splits_equivariantly,
-    splits_over,
     violated_laws,
     zero_extension,
 )
@@ -29,6 +25,12 @@ from brnr.groups import (
     group_from_table,
     quaternion_group,
     symmetric_group,
+)
+from brnr.reference import (
+    dies_in_qz,
+    extension_group,
+    splits_equivariantly,
+    splits_over,
 )
 from brnr.selfchecks import family_by_pairs
 from test_engine import cyclic_unit_datum, wang_datum
@@ -250,21 +252,6 @@ def test_conjugation_formula_matches_extension_group():
                              + f[int(G.mul[gamma, y]), ginv]) % 6
                     rhs = eg.pair_index(int(coeff), G.conjugate(y, gamma))
                     assert lhs == rhs
-
-
-def test_pullback():
-    gal = GaloisDatum.trivial(cyclic_group(4), N=4)
-    f, _ = bockstein(cyclic_group(4), np.arange(4), 4)
-    ext = EquivariantExtension(gal, f, np.zeros((1, 4), dtype=np.int64))
-    # identity embedding: same tables
-    same, idx = pullback(ext, [0, 1, 2, 3])
-    assert np.array_equal(same.f, ext.f)
-    # trivial subgroup: zero tables
-    z, _ = pullback(ext, [0])
-    assert not z.f.any()
-    # the order-2 subgroup: restriction still satisfies the laws
-    sub, idx = pullback(ext, [0, 2])
-    assert sub.violated_law() is None
 
 
 def test_baer_sum_and_class_module_functoriality():

@@ -27,11 +27,9 @@ import numpy as np
 import pytest
 
 from brnr.cohomology import (
-    _coboundary_rows,
     _d0_columns,
     _kernel_from_batches,
     _lattice_columns,
-    _twist_rows,
     character_group_generators,
     class_subgroup,
     cocycle2_defect,
@@ -53,6 +51,7 @@ from brnr.groups import (
     semidirect_product,
     symmetric_group,
 )
+from brnr.reference import _coboundary_rows, _twist_rows
 from brnr.zmod import as_mod, echelon_compress, kernel, subquotient
 
 from dense_h2 import coboundary_rows_at

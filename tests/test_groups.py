@@ -10,17 +10,16 @@ from brnr.groups import (
     GroupAction,
     abelian_group,
     alternating_group,
-    conjugacy_classes,
     cyclic_group,
     dihedral_group,
     group_from_permutations,
     group_from_table,
     quaternion_group,
     semidirect_product,
-    subgroups_abelian,
     symmetric_group,
 )
 from brnr.cohomology import _generator_pairs, _pair_members, family_generators
+from brnr.reference import subgroups_abelian
 from brnr.selfchecks import bicyclic_by_pairs, family_by_pairs
 
 from test_generator_rows import metacyclic, relabel
@@ -307,16 +306,6 @@ def test_subgroups_abelian_of_s3():
     V8 = abelian_group([2, 2, 2])
     # (Z/2)^3 has 16 subgroups, all abelian
     assert len(subgroups_abelian(V8)) == 16
-
-
-def test_conjugacy_classes():
-    S3 = symmetric_group(3)
-    sizes = sorted(len(c) for c in conjugacy_classes(S3))
-    assert sizes == [1, 2, 3]
-    T = group_from_table([[0]])
-    assert conjugacy_classes(T) == [(0,)]
-    Z4 = cyclic_group(4)
-    assert len(conjugacy_classes(Z4)) == 4
 
 
 def test_semidirect_trivial_action_is_direct_product():

@@ -43,10 +43,10 @@ from brnr.localeval import (
     _BLOCK_CELLS,
     _beta_tables,
     bm_report,
-    cocycle_defect_nonabelian,
     nonabelian_h1,
     theta_point_beta,
 )
+from brnr.reference import cocycle_defect_nonabelian
 from brnr.zmod import as_mod
 
 from test_localeval import BM_DATA, d4_outer_datum, places_onto, swap_datum

@@ -32,11 +32,10 @@ from brnr.localeval import (
     NonabelianCocycle,
     PointVerdict,
     bm_report,
-    cocycle_defect_nonabelian,
-    evaluate,
     nonabelian_h1,
     theta_point_beta,
 )
+from brnr.reference import cocycle_defect_nonabelian, evaluate
 
 from test_engine import cyclotomic_datum
 
@@ -143,7 +142,7 @@ def test_evaluate_additivity_up_to_coboundary():
 
 def test_evaluate_gauge_invariance():
     """Twisted-conjugate points give betas differing by a coboundary."""
-    from brnr.cohomology import is_scalar_coboundary
+    from brnr.reference import is_scalar_coboundary
     G = symmetric_group(3)
     gal = GaloisDatum.trivial(G)
     cm = class_module(gal)
@@ -202,7 +201,8 @@ def test_bm_report_zero_class_admissible():
 
 def test_theta_point_beta_matches_table_level():
     """Module-level evaluation equals table-level on a tabulated case."""
-    from brnr.fastpath import SemidirectDatum, extension_from_q_cocycle
+    from brnr.fastpath import SemidirectDatum
+    from brnr.reference import extension_from_q_cocycle
     from brnr.groups import AbelianModule
     Q = abelian_group([2, 2])
     M = AbelianModule((4,), Q, np.array([[[1]], [[3]], [[3]], [[1]]]))

