@@ -208,6 +208,7 @@ class CohomologyGroup:
     invariant_factors: tuple[int, ...]
     representatives: list[np.ndarray]
     _coords: Callable[[np.ndarray], Optional[np.ndarray]]
+    characters: Optional[int] = None    # |Hom(G, Z/m)|, from h2_trivial_scalar
 
     def coordinates(self, table: np.ndarray) -> Optional[np.ndarray]:
         """Class coordinates of a cocycle table; None if it is no cocycle.
@@ -446,7 +447,12 @@ def reduced_cocycle_space(G: FiniteGroup, m: int, gens=None,
 
 
 def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
-    """H^2(G, Z/m) on the n|S| - n + 1 Schreier atoms, modulo the |S| gauged coboundaries."""
+    """H^2(G, Z/m) on the n|S| - n + 1 Schreier atoms, modulo the |S| gauged coboundaries.
+
+    The coboundary map (Z/m)^|S| -> atoms has kernel Hom(G, Z/m) (db = 0
+    on every atom makes b a homomorphism) and image B^2, so the result
+    also carries |Hom(G, Z/m)| = m^|S| |B^2|^-1 = m^|S| |H^2| / |Z^2|.
+    """
     n = G.order
     space = reduced_cocycle_space(G, m)
     caps.check_unknowns(space.n_atoms)
@@ -464,7 +470,8 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
             return None
         return sub.coordinates(space.atomize(tables[..., space.gens]).T)
 
-    return CohomologyGroup(G, M, 2, sub.invariant_factors, reps, coords)
+    characters = m ** len(space.gens) * sub.order // cocycles.order
+    return CohomologyGroup(G, M, 2, sub.invariant_factors, reps, coords, characters)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ classes: Br^0_nr is the kernel, and each generator's verdict is its
 column, with the first nonzero row as witness.  algebraic_unramified
 reads the classes with f = 0, H^1(Delta, G^(chi)), off one h1 call.  b0,
 br_nr, algebraic_unramified and the Kummer quotient each hand their rows
-to one cohomology.class_subgroup call, and no class is enumerated.
+to one cohomology.class_subgroup call (b0 a second one, with the Kummer
+relations, only when B_0 != 0), and no class is enumerated.
 """
 
 from __future__ import annotations
@@ -222,12 +223,25 @@ def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     Classes of H^2(G, Z/N), N = |G|, whose Q/Z-pushforward dies on every
     bicyclic subgroup, modulo the Kummer classes (Bocksteins of characters
     G -> Z/N), which are exactly the classes the pushforward kills.
+
+    B_0 = 0 is decided by counting.  N kills H^1(G, Q/Z), so the Bockstein
+    of 0 -> Z/N -> Q/Z -> Q/Z -> 0 is injective on it: the Kummer classes
+    have order |Hom(G, Z/N)|, which the H^2 solve already gives
+    (``h2_trivial_scalar``), and they lie in the kernel of the
+    commuting-pair rows, as Bocksteins are symmetric on commuting pairs.
+    So |B_0| is the order of that kernel over |Hom(G, Z/N)|, and the
+    characters and their Bocksteins are built only when it exceeds 1.
     """
     N = G.order
     ambient = h2(G, scalar_module(N), caps) if N > 1 else None
     if ambient is None or not ambient.invariant_factors:
         return BrauerReport((), [], None, label="B_0")
     _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in ambient.representatives], N)
+    passing = math.prod(class_subgroup(S, ambient.invariant_factors, N)[0])
+    if passing % ambient.characters:
+        raise AssertionError("the Kummer classes must pass the commuting-pair rows")
+    if passing == ambient.characters:
+        return BrauerReport((), [], None, label="B_0")
     carries = [bockstein(G, phi, N)[0] for phi in character_group_generators(G, N)]
     kummer = ambient.coordinates(np.array(carries, dtype=np.int64).reshape(-1, N, N, 1))
     if kummer is None:

@@ -43,7 +43,6 @@ from brnr.groups import (
     symmetric_group,
 )
 from brnr.localeval import (
-    ClassEntry,
     FastpathClassEntry,
     LocalDatum,
     NonabelianCocycle,

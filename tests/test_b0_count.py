@@ -1,0 +1,156 @@
+"""B_0 = 0 by counting: the H^2 solve's |Hom(G, Z/N)| and the Kummer quotient.
+
+``h2_trivial_scalar`` reads |Hom(G, Z/N)| off the kernel of its coboundary
+map, and ``engine.b0`` compares it with the order of the kernel of the
+commuting-pair rows, building characters and Bocksteins only when the two
+differ.  Here the count is checked against the character system and
+against |G^ab| from the commutator subgroup, and b0 against the Kummer
+quotient built in full, on the ``bogomolov-scan`` group types under two
+relabellings, nonabelian and cyclic groups, and the order-64 group with
+B_0 = Z/2 from criterion 4b, alone and times Z/2 and Z/3.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import brnr.engine
+from brnr.cohomology import (
+    _cocycle1_space,
+    bockstein,
+    character_group_generators,
+    class_subgroup,
+    commuting_pair_rows,
+    h2,
+    scalar_module,
+)
+from brnr.engine import b0
+from brnr.groups import (
+    abelian_group,
+    alternating_group,
+    cyclic_group,
+    dihedral_group,
+    quaternion_group,
+    semidirect_product,
+    symmetric_group,
+)
+from brnr.reference import bogomolov_condition
+from brnr.zmod import kernel
+
+from test_acceptance import ORDER64_HIT_TAILS, _order64_candidate
+from test_generator_rows import metacyclic, relabel
+
+
+def _times_cyclic(k, G):
+    return semidirect_product(cyclic_group(k), G).group
+
+
+def _hit():
+    return _order64_candidate(ORDER64_HIT_TAILS)
+
+
+# the group types of the bogomolov-scan workload, each once
+SCAN_TYPES = {
+    "M16": lambda: metacyclic(8, 2, 5),
+    "SD16": lambda: metacyclic(8, 2, 3),
+    "Z2xZ8": lambda: abelian_group([2, 8]),
+    "D8": lambda: metacyclic(8, 2, 7),
+    "Z4xZ4": lambda: abelian_group([4, 4]),
+    "Z4:Z4": lambda: metacyclic(4, 4, 3),
+    "Z2xZ2xZ4": lambda: abelian_group([2, 2, 4]),
+    "D4xZ2": lambda: _times_cyclic(2, dihedral_group(4)),
+    "Z2^4": lambda: abelian_group([2, 2, 2, 2]),
+    "Q8xZ2": lambda: _times_cyclic(2, quaternion_group()),
+    "D16": lambda: dihedral_group(16),
+    "Z2xZ2xZ8": lambda: abelian_group([2, 2, 8]),
+    "Z2^5": lambda: abelian_group([2, 2, 2, 2, 2]),
+}
+
+SCAN = {f"{name}@{seed}": (lambda make=make, seed=seed: relabel(make(), seed)[0])
+        for name, make in SCAN_TYPES.items() for seed in (1, 2)}
+
+OTHERS = {
+    "S3": lambda: symmetric_group(3),
+    "A4": lambda: alternating_group(4),
+    "Q8": quaternion_group,
+    "S4": lambda: symmetric_group(4),
+    "A5": lambda: alternating_group(5),
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
+    "Z7": lambda: cyclic_group(7),
+    "Z12": lambda: cyclic_group(12),
+    "hit": _hit,
+    "hitxZ2": lambda: _times_cyclic(2, _hit()),
+    "hitxZ3": lambda: _times_cyclic(3, _hit()),
+}
+
+DATA = {**SCAN, **OTHERS}
+
+# sha256 prefixes of the int64 bytes of the B_0 generator, recorded from
+# the Kummer quotient built in full, before b0 counted
+HIT_REPRESENTATIVES = {"hit": "4bc3e48598ddc46f", "hitxZ2": "96f5f492e522ff3f"}
+
+
+def abelianization_order(G) -> int:
+    x, y = np.divmod(np.arange(G.order ** 2), G.order)
+    commutators = G.mul[G.mul[G.inv[x], G.inv[y]], G.mul[x, y]]
+    return G.order // len(G.closure(np.unique(commutators)))
+
+
+def kummer_quotient(G):
+    """B_0 as the kernel of the commuting-pair rows modulo the Bocksteins of
+    every character: (invariant factors, generator tables)."""
+    N = G.order
+    H = h2(G, scalar_module(N))
+    if not H.invariant_factors:
+        return (), []
+    _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
+    carries = [bockstein(G, phi, N)[0] for phi in character_group_generators(G, N)]
+    kummer = H.coordinates(np.array(carries, dtype=np.int64).reshape(-1, N, N, 1))
+    assert kummer is not None
+    factors, coords = class_subgroup(S, H.invariant_factors, N, kummer)
+    return factors, [H.element_table(x)[:, :, 0] for x in coords]
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_h2_counts_the_characters(name):
+    # |Hom(G, Z/N)| = N^|S| |H^2| / |Z^2| against the kernel of the
+    # character system and against |G^ab|, which N = |G| makes equal to it
+    G = DATA[name]()
+    N = G.order
+    count = h2(G, scalar_module(N)).characters
+    assert count == kernel(_cocycle1_space(G, scalar_module(N))[2], N).order
+    assert count == abelianization_order(G)
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_b0_equals_the_kummer_quotient(name):
+    G = DATA[name]()
+    rep = b0(G)
+    factors, tables = kummer_quotient(G)
+    assert rep.invariant_factors == factors
+    assert len(rep.representatives) == len(tables)
+    for ext, table in zip(rep.representatives, tables):
+        np.testing.assert_array_equal(ext.f, table)
+    assert rep.invariant_factors == ((2,) if name.startswith("hit") else ())
+
+
+def test_b0_of_the_scan_types_builds_no_character(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("B_0 = 0 needs no character")
+
+    monkeypatch.setattr(brnr.engine, "character_group_generators", refuse)
+    monkeypatch.setattr(brnr.engine, "bockstein", refuse)
+    for name in sorted(SCAN):
+        rep = b0(SCAN[name]())
+        assert (rep.invariant_factors, rep.representatives) == ((), []), name
+
+
+@pytest.mark.parametrize("name", sorted(HIT_REPRESENTATIVES))
+def test_b0_of_the_hit_keeps_its_representative(name):
+    rep = b0(OTHERS[name]())
+    assert rep.invariant_factors == (2,)
+    f = np.ascontiguousarray(rep.representatives[0].f, dtype=np.int64)
+    assert hashlib.sha256(f.tobytes()).hexdigest()[:16] == HIT_REPRESENTATIVES[name]
+    assert bogomolov_condition(rep.representatives[0])[0]

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import random
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import brnr.cohomology
 from brnr.caps import Caps
-from brnr.cli import Job, main, parse_job, run_job
+from brnr.cli import main, parse_job, run_job
 from brnr.cohomology import ReducedCocycleSpace, h1, scalar_module, sha
 from brnr.errors import ParseError, ValidationError
 from brnr.fastpath import build_example_714
@@ -22,8 +23,11 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
+    # the checkout's src first, as pytest's pythonpath setting does not reach a subprocess
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "brnr.cli", *args],
-                          capture_output=True, text=True, cwd=REPO)
+                          capture_output=True, text=True, cwd=REPO,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc
 
 

@@ -20,7 +20,6 @@ from brnr.cohomology import (
     sha,
 )
 from brnr.engine import (
-    BrauerReport,
     _character_module,
     _galois_obstructions,
     _galois_rows,

@@ -6,9 +6,8 @@ import pytest
 import brnr.extensions
 from brnr.cohomology import bockstein, character_group_generators
 from brnr.engine import br_nr
-from brnr.errors import MismatchedBase, NotASubgroup, NotStable, ValidationError
+from brnr.errors import MismatchedBase
 from brnr.extensions import (
-    ClassModule,
     EquivariantExtension,
     GaloisDatum,
     baer_sum,

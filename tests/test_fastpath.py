@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from brnr.caps import Caps
-from brnr.cohomology import cocycle1_defect, cup_h1_h1, h1
+from brnr.cohomology import cup_h1_h1, h1
 from brnr.engine import b0
-from brnr.errors import CapExceeded, NotACocycle, NotSurjective, ValidationError
+from brnr.errors import NotACocycle, NotSurjective, ValidationError
 from brnr.extensions import GaloisDatum
 from brnr.fastpath import (
     SemidirectDatum,

@@ -9,7 +9,6 @@ from brnr.groups import (
     AbelianModule,
     GroupAction,
     abelian_group,
-    alternating_group,
     cyclic_group,
     dihedral_group,
     group_from_permutations,

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from brnr.caps import Caps
 from brnr.cohomology import bockstein, h1
 from brnr.engine import br_nr
 from brnr.errors import InvalidCocycle, ValidationError
@@ -239,7 +238,7 @@ def test_theta_point_beta_matches_table_level():
 
 
 def test_fastpath_entry_produces_excluded_row():
-    from brnr.fastpath import build_example_714, local_witness, sha1_bic
+    from brnr.fastpath import build_example_714, local_witness
     ex = build_example_714(2)
     gen = (4 * ex.a_table) % 8
     w = local_witness(ex.sd, h1(ex.sd.Q, ex.sd.N_hat), gen, ex.sd.Q, np.arange(8),
