@@ -5,7 +5,8 @@ Public surface:
 - groups: multiplication-table groups, actions, finite abelian modules
 - zmod: Smith and Howell forms, span rows, and one Subquotient type for
   the kernels, cokernels and quotients over Z/m
-- cohomology: H^1/H^2, Sha filters, cups, Bocksteins
+- cohomology: H^1/H^2 on generator coordinates, Sha filters, cups, the
+  Kummer classes on the Schreier atoms
 - extensions: Galois-equivariant central extensions (f, c) and their classes
 - engine: the unramified conditions, B_0, the full Br^0_nr pipeline
 - fastpath: semidirect products of abelian groups without tabulating N
@@ -19,7 +20,6 @@ from .caps import Caps, DEFAULT_CAPS
 from .cohomology import (
     CohomologyGroup,
     ShaResult,
-    bockstein,
     cup_h1_h1,
     h1,
     h2,
@@ -38,10 +38,8 @@ from .extensions import (
     ClassModule,
     EquivariantExtension,
     GaloisDatum,
-    baer_sum,
     class_module,
     kummer_kernel,
-    zero_extension,
 )
 from .fastpath import (
     AugmentationExample,
@@ -73,6 +71,7 @@ from .localeval import (
     nonabelian_h1,
 )
 from .reference import (
+    bockstein,
     bogomolov_condition,
     dies_in_qz,
     evaluate,

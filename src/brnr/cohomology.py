@@ -1,11 +1,10 @@
 """Cohomology of finite groups with finite abelian coefficients.
 
-Cochains are tables indexed by group elements, normalized to vanish
-whenever an argument is the identity.  H^1 (any module) and H^2 (scalar
-coefficients with trivial action) are computed as kernel-mod-image of the
-bar-resolution coboundary maps, all over Z/m where m is the exponent of
-the coefficient module (mixed invariant factors are handled by scaling
-each equation row into Z/m).
+H^1 (any module) and H^2 (scalar coefficients with trivial action) are
+solved in generator coordinates over Z/m, m the exponent of the
+coefficient module (mixed invariant factors are handled by scaling each
+equation row into Z/m).  A class is a vector on the unknowns; its
+normalized cochain table, indexed by group elements, is built on read.
 
 Cocycle and coboundary questions are asked on generator rows: a
 normalized cocycle is fixed by its values with the last argument in a
@@ -24,7 +23,9 @@ in S and the atoms, |S|(n|S| - n + 1) rows: they say that the relators
 keep their values under conjugation by S, hence by F, and by Hopf's
 formula that is the whole cocycle identity.  The coboundaries left are the
 |S| of the homomorphisms F -> Z/m.  The class module of extensions.py
-reuses the atoms, the rows and the gauge (``ReducedCocycleSpace``).
+reuses the atoms, the rows and the gauge (``ReducedCocycleSpace``).  The
+commuting-pair rows (``path_sums``) and the Kummer classes
+(``kummer_columns``) are read off the atoms, with no table.
 
 A table is a cocycle iff the identity holds at first arguments {1} u S
 (``cocycle1_defect``, ``cocycle2_defect``, on stacks of tables, twisted
@@ -65,7 +66,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import NotACocycle, NotEquivariant, OrderBound, ValidationError
+from .errors import OrderBound, ValidationError
 from .groups import AbelianModule, FiniteGroup
 from .zmod import (
     RowEchelon,
@@ -200,15 +201,27 @@ def _kernel_from_batches(batches, dim: int, m: int) -> Subquotient:
 
 @dataclass
 class CohomologyGroup:
-    """Computed H^d(G, M): structure, representative cocycles, coordinates."""
+    """Computed H^d(G, M) on the unknowns of its solve (for H^2 the atoms of
+    ``space``): ``_tables`` maps columns of unknowns, as the generator lifts
+    of ``sub``, to a stack of cocycle tables, built only when read."""
 
     group: FiniteGroup
     module: AbelianModule
     degree: int
-    invariant_factors: tuple[int, ...]
-    representatives: list[np.ndarray]
+    sub: Subquotient
+    _tables: Callable[[np.ndarray], np.ndarray]
     _coords: Callable[[np.ndarray], Optional[np.ndarray]]
     characters: Optional[int] = None    # |Hom(G, Z/m)|, from h2_trivial_scalar
+    space: Optional["ReducedCocycleSpace"] = None
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        return self.sub.invariant_factors
+
+    @cached_property
+    def representatives(self) -> list[np.ndarray]:
+        """The cocycle table of each generator."""
+        return list(self._tables(self.sub.generator_lifts))
 
     def coordinates(self, table: np.ndarray) -> Optional[np.ndarray]:
         """Class coordinates of a cocycle table; None if it is no cocycle.
@@ -229,12 +242,8 @@ class CohomologyGroup:
 
     def element_table(self, coords) -> np.ndarray:
         """Representative cocycle for the given coordinate tuple."""
-        coords = np.asarray(coords, dtype=np.int64)
-        out = np.zeros_like(self.representatives[0]) if self.representatives \
-            else np.zeros(0, dtype=np.int64)
-        for c, rep in zip(coords, self.representatives):
-            out = out + int(c) * rep
-        return self.module.reduce(out)
+        lift = self.sub.generator_lifts @ np.asarray(coords, dtype=np.int64) % self.module.exponent
+        return self._tables(lift[:, None])[0]
 
 
 def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
@@ -242,22 +251,22 @@ def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
 
     Z^1 is the kernel of the rows of ``_cocycle1_space``, |S| rank(M)
     unknowns a(s) for s in S = ``G.minimal_generators()``.  B^1 and the
-    coefficient lattice are read there too: d0 v at S is s.v - v.  The
-    representatives are whole tables, a(g) = E[g] @ a(S), and a cocycle
-    table has the coordinates of its values at S.
+    coefficient lattice are read there too: d0 v at S is s.v - v.  A table
+    is a(g) = E[g] @ a(S), and a cocycle table has the coordinates of its
+    values at S.
     """
     caps.check_unknowns(len(G.minimal_generators()) * M.rank)
     S, E, rows = _cocycle1_space(G, M)
     R = np.hstack([_d0_columns(M, S), _lattice_columns(len(S), M)])
     sub = subquotient(kernel(rows, M.exponent), R)
-    reps = list(M.reduce(np.moveaxis(E @ sub.generator_lifts, 2, 0)))
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:
         if cocycle1_defect(G, M, tables) is not None:
             return None
         return sub.coordinates(M.reduce(tables)[:, S].reshape(len(tables), -1).T)
 
-    return CohomologyGroup(G, M, 1, sub.invariant_factors, reps, coords)
+    return CohomologyGroup(G, M, 1, sub, lambda lifts: M.reduce(np.moveaxis(E @ lifts, 2, 0)),
+                           coords)
 
 
 def h2(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
@@ -300,8 +309,9 @@ class ReducedCocycleSpace:
     ``gauge`` and ``atomize`` read the columns f(., s), s in S, (..., n, |S|).
     ``column`` numbers the atoms row by row, -1 on the tree edges.  For
     u = 1, f(g, x) = f(g, parent) + f(g parent, s) along the tree: so
-    ``expand`` rebuilds tables, and ``expr`` (built on first use) writes
-    f(g, x) in atoms for the g with ``slot[g] < n``.
+    ``expand`` rebuilds tables, ``path_sums`` reads single values, and
+    ``expr`` (built on first use) writes f(g, x) in atoms for the g with
+    ``slot[g] < n``.
     """
 
     group: FiniteGroup
@@ -326,6 +336,30 @@ class ReducedCocycleSpace:
             j, l = np.nonzero(col >= 0)
             expr[j, x[l], col[j, l]] += 1
         return expr
+
+    @cached_property
+    def tree(self) -> np.ndarray:
+        """(2, n): parent[x] and letter[x], x = parent s_letter on the tree, 0 at 1."""
+        tree = np.zeros((2, self.group.order), dtype=np.int64)
+        for x, parent, i in self.levels:
+            tree[:, x] = parent, i
+        return tree
+
+    def path_sums(self, atoms: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """f(x, y) (len(x), k) of the gauged cocycles with atom columns ``atoms`` (n_atoms, k).
+
+        f is 0 on the tree edges, so f(x, a) = f(x, parent a) + f(x parent a, s)
+        for a = parent s: a sum of atoms over the tree ancestors a != 1 of y.
+        """
+        parent, letter = self.tree
+        a = np.vstack([as_mod(atoms, self.modulus),                    # column -1 reads 0
+                       np.zeros((1, np.shape(atoms)[1]), dtype=np.int64)])
+        out = np.zeros((len(x), a.shape[1]), dtype=np.int64)
+        while y.any():
+            col = self.column[self.group.mul[x, parent[y]], letter[y]]
+            out += a[np.where(y > 0, col, -1)]
+            y = parent[y]
+        return out % self.modulus
 
     def at(self, g, x) -> np.ndarray:
         """Atom expressions of f(g, x) for indices g and x, broadcast.
@@ -446,6 +480,36 @@ def reduced_cocycle_space(G: FiniteGroup, m: int, gens=None,
     return ReducedCocycleSpace(G, m, gens, levels, column, slot)
 
 
+def kummer_columns(space: ReducedCocycleSpace, phis,
+                   twist: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The gauged Bocksteins of the characters ``phis`` on the unknowns, one column each.
+
+    Let phi : G -> Z/N, N = ``space.modulus``, have lift p in [0, N), and
+    D(x) be the sum of p over the letters of the tree word of x.  The gauge
+    b(x) = b(parent) + f(parent, s) of the carry cocycle
+    f(g, h) = (p(g) + p(h) - p(gh)) / N telescopes to (D(x) - p(x)) / N, so
+    the gauged atom f(y, s) + b(y) - b(ys) is (D(y) + p(s) - D(ys)) / N.
+    ``twist`` = (chi(e) mod N^2, act[e]) at e in S_Delta is for
+    chi-equivariant characters: the twist c_e(g) = (chi(e) p(g) - p(e.g)) / N
+    of the pair gauges to the unknown c_e(s) - b(e.s) (b(s) = 0) of the
+    class module, (chi(e) p(s) - D(e.s)) / N, after the atoms, e outer.
+    Each division is exact, as D(x) = phi(x) mod N and phi is equivariant;
+    values are mod N, and no table is built: O(|G| |S|) integers each.
+    """
+    G, N, S = space.group, space.modulus, np.asarray(space.gens, dtype=np.int64)
+    p = np.array(phis, dtype=np.int64).reshape(-1, G.order) % N
+    D = np.zeros_like(p)
+    for x, parent, i in space.levels:
+        D[:, x] = D[:, parent] + p[:, S[i]]
+    y, i, ys = space._atoms()
+    cols = [(D[:, y] + p[:, S[i]] - D[:, ys]) // N % N]
+    if twist is not None:
+        chi, act = twist
+        c = chi[:, None] * p[:, None, S] - D[:, act[:, S]]
+        cols.append(c.reshape(len(p), chi.size * S.size) // N % N)
+    return np.hstack(cols).T
+
+
 def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
     """H^2(G, Z/m) on the n|S| - n + 1 Schreier atoms, modulo the |S| gauged coboundaries.
 
@@ -459,7 +523,6 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
     cocycles = _kernel_from_batches(space.c1_batches(), space.n_atoms, m)
     sub = subquotient(cocycles, space.coboundaries())
     M = scalar_module(m)
-    reps = list(space.expand(sub.generator_lifts)[..., None])
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:
         # a cocycle has f(1, g) = f(g, 1) = f(1, 1); minus the coboundary of
@@ -471,7 +534,8 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
         return sub.coordinates(space.atomize(tables[..., space.gens]).T)
 
     characters = m ** len(space.gens) * sub.order // cocycles.order
-    return CohomologyGroup(G, M, 2, sub.invariant_factors, reps, coords, characters)
+    return CohomologyGroup(G, M, 2, sub, lambda lifts: space.expand(lifts)[..., None],
+                           coords, characters, space)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +558,7 @@ def coboundary_mask(B: FiniteGroup, cols: np.ndarray, m: int,
 
 
 # ---------------------------------------------------------------------------
-# cup products and Bocksteins
+# cup products
 # ---------------------------------------------------------------------------
 
 
@@ -519,42 +583,6 @@ def cup_h1_h1(G: FiniteGroup, M: AbelianModule, x: np.ndarray, Mdual: AbelianMod
     out[0, :] = 0
     out[:, t == 0] = 0
     return out % e
-
-
-def bockstein(G: FiniteGroup, phi: np.ndarray, N: int,
-              delta: FiniteGroup | None = None,
-              chi: np.ndarray | None = None,
-              action_table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Carry 2-cocycle of a character lift, plus the Galois twist table.
-
-    phi must be a homomorphism G -> Z/N; with a nontrivial chi (given mod
-    N^2) it must satisfy phi(d.g) = chi(d) phi(g) mod N.  Returns
-    (f, c): f(g,h) = (phi(g)+phi(h)-phi(gh))/N mod N lifted through N^2,
-    c_d(g) = (chi(d) phi(g) - phi(d.g))/N mod N.
-    """
-    n = G.order
-    phi = as_mod(phi, N)
-    bad = np.argwhere((phi[:, None] + phi[None, :] - phi[G.mul]) % N)
-    if bad.size:
-        raise NotACocycle("phi is not a homomorphism", witness=tuple(map(int, bad[0])))
-    lift = phi.astype(np.int64)  # canonical integer lift in [0, N)
-    f = (lift[:, None] + lift[None, :] - lift[G.mul])
-    if (f % N).any():
-        raise AssertionError("carry defect")
-    f = (f // N) % N
-    if delta is None:
-        return f, np.zeros((1, n), dtype=np.int64)
-    nd = delta.order
-    chi = as_mod(chi, N * N)
-    acted = lift[action_table]  # (delta, g) -> phi(d.g)
-    c = (chi[:, None] * lift[None, :] - acted)
-    if (c % N).any():
-        d, g = map(int, np.argwhere(c % N)[0])
-        raise NotEquivariant("character is not chi-equivariant", witness=(d, g))
-    c = (c % (N * N)) // N % N
-    c[0] = 0
-    c[:, 0] = 0
-    return f, c
 
 
 def _power_sums(G: FiniteGroup, fs: np.ndarray, N: int) -> np.ndarray:
@@ -596,7 +624,8 @@ class ShaResult:
 
 
 def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
-                   relations: np.ndarray | None = None
+                   relations: np.ndarray | Callable[[], np.ndarray] | None = None,
+                   relation_order: int | None = None
                    ) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """{x in prod Z/orders[j] : S x = 0 mod N} / <relations>, with generators.
 
@@ -606,14 +635,25 @@ def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
     subquotient of that kernel by L and the columns of ``relations``,
     coordinate vectors that satisfy S.  Returns the invariant factors of
     the quotient and one coordinate vector (mod orders) per generator.
+    ``relations`` may be a function that builds them, with
+    ``relation_order`` the order they span: it is called only when
+    |ker S / L| = |ker S| / |L| is larger, else the quotient is 0.
     """
     mods = np.array(orders, dtype=np.int64)
     S = np.asarray(S, dtype=np.int64)
     if (S * mods % N).any():
         raise AssertionError("rows are not defined on classes")
+    K = kernel(S, N)
+    if callable(relations):
+        passing = K.order // prod(N // int(o) for o in orders)
+        if passing % relation_order:
+            raise AssertionError("the relations must satisfy the rows")
+        if passing == relation_order:
+            return (), []
+        relations = relations()
     lattice = np.diag(mods)[:, mods < N]            # a class of order N needs none
     R = lattice if relations is None else np.hstack([lattice, relations])
-    sub = subquotient(kernel(S, N), R)
+    sub = subquotient(K, R)
     return sub.invariant_factors, list(sub.generator_lifts.T % mods)
 
 
@@ -690,25 +730,26 @@ def death_rows(G: FiniteGroup, generators, tables: list[np.ndarray],
     return rows[rows.any(axis=1)]
 
 
-def commuting_pair_rows(G: FiniteGroup, tables,
-                        N: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+def commuting_pair_rows(space: ReducedCocycleSpace,
+                        atoms: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
     """The commuting pairs x < y of least cyclic generators != 1, and the matrix of condition (i).
 
     On an abelian subgroup a central extension by Q/Z splits iff it is
     abelian, so the Q/Z-pushforward of a scalar 2-cocycle f mod N dies on
     every bicyclic subgroup iff f(x, y) = f(y, x) mod N for every commuting
-    pair: one row per pair, one column per table, entry t[x, y] - t[y, x].
-    Coboundaries and Bocksteins are symmetric on commuting pairs, so the
-    rows are defined on classes.  For x = s^i, y = t^j with s, t the least
+    pair: one row per pair, one column per gauged cocycle of ``space``,
+    entry f(x, y) - f(y, x) in path sums of its ``atoms``.  Coboundaries and
+    Bocksteins are symmetric on commuting pairs, so the rows are defined on
+    classes.  For x = s^i, y = t^j with s, t the least
     generators of <x>, <y>, f(x, y) - f(y, x) is alternating and bilinear
     on the abelian <s, t>, so row(x, y) = ij row(s, t): the rows at pairs of
     ``G.cyclic_generators`` keep the span, and the first nonzero pair (x, y)
     of a column, where row(s, t) != 0 with s <= x, t <= y and s != t (s > t
     would make (t, s) an earlier one).
     """
-    x, y = _generator_pairs(G)
-    T = np.asarray(tables, dtype=np.int64)
-    return list(zip(x.tolist(), y.tolist())), (T[:, x, y] - T[:, y, x]).T % N
+    x, y = _generator_pairs(space.group)
+    rows = space.path_sums(atoms, x, y) - space.path_sums(atoms, y, x)
+    return list(zip(x.tolist(), y.tolist())), rows % space.modulus
 
 
 def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
@@ -746,7 +787,8 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
         g, k = np.arange(1, G.order), G.element_orders[1:]
         rows = (N // np.gcd(k, N))[:, None] * _power_sums(G, f, N)[:, k, g].T % N
         if family != "cyc":
-            rows = np.vstack([rows, commuting_pair_rows(G, f, N)[1]])
+            rows = np.vstack([rows, commuting_pair_rows(ambient.space,
+                                                        ambient.sub.generator_lifts)[1]])
     factors, coords = class_subgroup(rows, orders, N)
     reps = [ambient.element_table(x) for x in coords]
     return ShaResult(ambient, factors, reps, coords, family, degree)

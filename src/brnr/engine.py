@@ -22,8 +22,8 @@ classes: Br^0_nr is the kernel, and each generator's verdict is its
 column, with the first nonzero row as witness.  algebraic_unramified
 reads the classes with f = 0, H^1(Delta, G^(chi)), off one h1 call.  b0,
 br_nr, algebraic_unramified and the Kummer quotient each hand their rows
-to one cohomology.class_subgroup call (b0 a second one, with the Kummer
-relations, only when B_0 != 0), and no class is enumerated.
+to one cohomology.class_subgroup call, and no class is enumerated.  The
+rows of (i) and the Kummer classes are read off the Schreier atoms.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ from .cohomology import (
     ShaResult,
     _cocycle1_space,
     _power_sums,
-    bockstein,
     character_group_generators,
     class_subgroup,
     commuting_pair_rows,
     h1,
     h2,
+    kummer_columns,
     scalar_module,
     sha,
 )
@@ -222,31 +222,30 @@ def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
 
     Classes of H^2(G, Z/N), N = |G|, whose Q/Z-pushforward dies on every
     bicyclic subgroup, modulo the Kummer classes (Bocksteins of characters
-    G -> Z/N), which are exactly the classes the pushforward kills.
+    G -> Z/N), which are exactly the classes the pushforward kills, all on
+    the Schreier atoms (``commuting_pair_rows``, ``kummer_columns``).
 
     B_0 = 0 is decided by counting.  N kills H^1(G, Q/Z), so the Bockstein
     of 0 -> Z/N -> Q/Z -> Q/Z -> 0 is injective on it: the Kummer classes
-    have order |Hom(G, Z/N)|, which the H^2 solve already gives
-    (``h2_trivial_scalar``), and they lie in the kernel of the
+    have order |Hom(G, Z/N)| (``h2_trivial_scalar`` counts it) and pass the
     commuting-pair rows, as Bocksteins are symmetric on commuting pairs.
-    So |B_0| is the order of that kernel over |Hom(G, Z/N)|, and the
-    characters and their Bocksteins are built only when it exceeds 1.
+    So ``class_subgroup`` builds the characters only if |B_0| > 1.
     """
     N = G.order
     ambient = h2(G, scalar_module(N), caps) if N > 1 else None
     if ambient is None or not ambient.invariant_factors:
         return BrauerReport((), [], None, label="B_0")
-    _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in ambient.representatives], N)
-    passing = math.prod(class_subgroup(S, ambient.invariant_factors, N)[0])
-    if passing % ambient.characters:
-        raise AssertionError("the Kummer classes must pass the commuting-pair rows")
-    if passing == ambient.characters:
-        return BrauerReport((), [], None, label="B_0")
-    carries = [bockstein(G, phi, N)[0] for phi in character_group_generators(G, N)]
-    kummer = ambient.coordinates(np.array(carries, dtype=np.int64).reshape(-1, N, N, 1))
-    if kummer is None:
-        raise AssertionError("bockstein output must be a cocycle")
-    factors, coords = class_subgroup(S, ambient.invariant_factors, N, kummer)
+    space, sub = ambient.space, ambient.sub
+    _, S = commuting_pair_rows(space, sub.generator_lifts)
+
+    def kummer() -> np.ndarray:
+        x = sub.coordinates(kummer_columns(space, character_group_generators(G, N)))
+        if x is None:
+            raise AssertionError("a Bockstein must be a cocycle")
+        return x
+
+    factors, coords = class_subgroup(S, ambient.invariant_factors, N, kummer,
+                                     ambient.characters)
     gal = GaloisDatum.trivial(G, N, base_algebraically_closed=True)
     reps = [EquivariantExtension(gal, ambient.element_table(x)[:, :, 0],
                                  np.zeros((1, N), dtype=np.int64)) for x in coords]
@@ -260,13 +259,13 @@ def sha2_ab(G: FiniteGroup, modulus: int, caps: Caps = DEFAULT_CAPS) -> ShaResul
     return sha(G, scalar_module(modulus), 2, "ab", caps=caps)
 
 
-def _kummer_quotient(cm: ClassModule) -> tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+def _kummer_quotient(cm: ClassModule) -> tuple[tuple[int, ...], np.ndarray]:
     """Orders of the generators of the class module mod Kummer classes, and
-    their tables as stacks (fs, cs)."""
+    their class coordinates, one row each."""
     orders = cm.invariant_factors
     factors, coords = class_subgroup(np.zeros((0, len(orders)), dtype=np.int64), orders,
                                      cm.gal.N, kummer_kernel(cm))
-    return factors, cm.tables(np.reshape(coords, (len(coords), len(orders))))
+    return factors, np.reshape(coords, (len(coords), len(orders)))
 
 
 def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
@@ -274,19 +273,21 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
 
     Both conditions are linear on the Kummer quotient: Br^0_nr is the
     kernel of the commuting-pair rows stacked on the Galois rows
-    (``_galois_rows``), one column per quotient generator.  The generators
-    come from ``_kummer_quotient`` as stacks (fs, cs), the rows read those,
+    (``_galois_rows``), one column per quotient generator.  The
+    commuting-pair rows read its atoms, the Galois rows its tables (fs, cs),
     and pairs are built only for the representatives of the report.
     """
     cm = class_module(gal, caps)
     if not cm.invariant_factors:
         return BrauerReport((), [], cm, label="Br0_nr")
-    q_orders, (fs, cs) = _kummer_quotient(cm)
+    q_orders, coords = _kummer_quotient(cm)
     s = len(q_orders)
     if s == 0:
         return BrauerReport((), [], cm, label="Br0_nr")
     N = gal.N
-    pairs, S = commuting_pair_rows(gal.G, fs, N)
+    fs, cs = cm.tables(coords)
+    atoms = cm._sub.generator_lifts[:cm._space.n_atoms] @ coords.T
+    pairs, S = commuting_pair_rows(cm._space, atoms)
     triples = np.zeros((0, 3), dtype=np.int64) if gal.base_algebraically_closed \
         else _galois_rows(gal)
     A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])

@@ -35,32 +35,16 @@ class NotASubgroup(ValidationError):
     """An element set is not closed under multiplication/inverses."""
 
 
-class NotStable(ValidationError):
-    """A subgroup is not stable under the required group action."""
-
-
 class NotACocycle(ValidationError):
     """A table fails the relevant cocycle identity; witness is the failing tuple."""
-
-
-class NotEquivariant(ValidationError):
-    """A character fails the required twisted equivariance law."""
 
 
 class NotSurjective(ValidationError):
     """A structure map required to be onto is not."""
 
 
-class MismatchedBase(ValidationError):
-    """Two extensions do not share the same base group / Galois datum."""
-
-
 class PreconditionViolated(ValidationError):
     """An operation's stated precondition fails; witness explains which."""
-
-
-class InvalidCocycle(ValidationError):
-    """A nonabelian 1-cocycle table fails the twisted cocycle law."""
 
 
 class CapError(BrnrError):

@@ -30,13 +30,13 @@ from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
     _kernel_from_batches,
     _off_tree,
-    bockstein,
     character_group_generators,
     cocycle2_defect,
+    kummer_columns,
     reduced_cocycle_space,
     scalar_module,
 )
-from .errors import MismatchedBase, ValidationError
+from .errors import ValidationError
 from .groups import FiniteGroup, GroupAction
 from .zmod import MAX_MODULUS, Subquotient, as_mod, subquotient
 
@@ -190,25 +190,6 @@ class EquivariantExtension:
         if v is not None:
             raise ValidationError(f"extension law {v[0]} fails", witness=v[1])
         return self
-
-
-def zero_extension(gal: GaloisDatum) -> EquivariantExtension:
-    n = gal.G.order
-    return EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
-                                np.zeros((gal.delta.order, n), dtype=np.int64))
-
-
-def baer_sum(e1: EquivariantExtension, e2: EquivariantExtension) -> EquivariantExtension:
-    if e1.gal is not e2.gal and (
-        e1.gal.N != e2.gal.N
-        or e1.gal.G.order != e2.gal.G.order
-        or not np.array_equal(e1.gal.G.mul, e2.gal.G.mul)
-        or not np.array_equal(e1.gal.chi, e2.gal.chi)
-        or not np.array_equal(e1.gal.action.table, e2.gal.action.table)
-    ):
-        raise MismatchedBase("extensions live over different data")
-    return EquivariantExtension(e1.gal, (e1.f + e2.f) % e1.modulus,
-                                (e1.c + e2.c) % e1.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +361,15 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
 def kummer_kernel(cm: ClassModule) -> np.ndarray:
     """Coordinates (columns) spanning the classes killed by Q/Z pushforward.
 
-    Generated by the carry/twist pairs of the chi-equivariant characters
-    G -> Z/N; these become trivial once the kernel is enlarged to Q/Z(1).
-    The pairs go to ``cm.coordinates`` as one stack, checked once.
+    Generated by the Bockstein pairs of the chi-equivariant characters
+    G -> Z/N, which become trivial once the kernel is enlarged to Q/Z(1),
+    read on the unknowns of the class module (``kummer_columns``).
     """
     gal = cm.gal
-    G, N = gal.G, gal.N
-    phis = character_group_generators(
-        G, N, equivariance=(gal.chi, gal.action.table))
-    pairs = [bockstein(G, phi, N, gal.delta, gal.chi, gal.action.table) for phi in phis]
-    fs = np.array([f for f, _ in pairs], dtype=np.int64).reshape(-1, G.order, G.order)
-    cs = np.array([c for _, c in pairs], dtype=np.int64).reshape(-1, gal.delta.order, G.order)
-    x = cm.coordinates(fs, cs)
+    SD = gal.delta.minimal_generators()
+    phis = character_group_generators(gal.G, gal.N, equivariance=(gal.chi, gal.action.table))
+    x = cm._sub.coordinates(kummer_columns(cm._space, phis,
+                                           (gal.chi[SD], gal.action.table[SD])))
     if x is None:
-        raise AssertionError("equivariant bockstein must satisfy C1-C3")
+        raise AssertionError("equivariant Bockstein pairs must satisfy C1-C3")
     return x

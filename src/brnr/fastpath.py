@@ -221,7 +221,7 @@ def local_witness(sd: SemidirectDatum, ambient: CohomologyGroup, a_table: np.nda
     # generator with a nonzero cup is the lexicographically first nonzero
     # class with one.  A cup of 1-cocycles is a 2-cocycle: its columns at
     # S decide it, and the whole table is built for the reported pair only
-    ys = [h_pts.element_table(x) for x in np.eye(len(h_pts.invariant_factors), dtype=np.int64)]
+    ys = h_pts.representatives
     S = delta_v.minimal_generators()
     cols = np.array([cup_h1_h1(delta_v, nhat_tw, inflated, n_tw, y, S) for y in ys],
                     dtype=np.int64).reshape(len(ys), delta_v.order, len(S))

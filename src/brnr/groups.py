@@ -129,11 +129,6 @@ class FiniteGroup:
                     frontier.append(y)
         return tuple(sorted(members))
 
-    def centralizer(self, elements) -> np.ndarray:
-        """The elements that commute with g, or with every element of a list."""
-        h = np.atleast_1d(elements)
-        return np.flatnonzero((self.mul[h] == self.mul[:, h].T).all(axis=0))
-
     @cached_property
     def _minimal_generators(self) -> tuple[int, ...]:
         return tuple(self.subgroup_generators(range(self.order)))

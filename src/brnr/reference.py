@@ -19,8 +19,14 @@ module imports this one.
   the reference for ``engine._galois_rows``.  ``is_unramified`` takes both
   conditions for one class, and ``selfchecks`` runs it on every class of
   the class module against ``br_nr``.
-- ``subgroups_abelian`` lists every abelian subgroup, for the Sha^2_ab =
-  Sha^2_bic tests through ``selfchecks.family_by_pairs``;
+- ``bockstein`` tabulates the carry cocycle of a character and its
+  Galois twist, the reference for ``cohomology.kummer_columns``, and
+  ``commuting_pair_rows_of_tables`` reads the commuting-pair rows off
+  whole tables, the reference for their path sums.  ``zero_extension``
+  and ``baer_sum`` build pairs for the tests.
+- ``subgroups_abelian`` lists every abelian subgroup (with
+  ``centralizer``), for the Sha^2_ab = Sha^2_bic tests through
+  ``selfchecks.family_by_pairs``;
   ``subgroup_module`` views a module over a subgroup, for restriction one
   subgroup at a time; ``tate_h0`` is invariants modulo norms, which the
   group-ring example's H^1 is checked against.
@@ -45,6 +51,7 @@ import numpy as np
 from .caps import DEFAULT_CAPS, Caps
 from .cohomology import (
     _d0_columns,
+    _generator_pairs,
     _lattice_columns,
     _row_scales,
     cocycle1_defect,
@@ -53,19 +60,33 @@ from .cohomology import (
     scalar_module,
 )
 from .engine import _galois_obstructions
-from .errors import (
-    InvalidCocycle,
-    NotACocycle,
-    NotASubgroup,
-    NotStable,
-    OrderBound,
-    ValidationError,
-)
+from .errors import NotACocycle, NotASubgroup, OrderBound, ValidationError
 from .extensions import EquivariantExtension, GaloisDatum
 from .fastpath import SemidirectDatum
 from .groups import AbelianModule, FiniteGroup, GroupAction, semidirect_product
 from .localeval import _DETAILS, UNKNOWN, ZERO, LocalDatum, NonabelianCocycle, _beta_tables
 from .zmod import Subquotient, _howell_residue, as_mod, echelon_compress, kernel, subquotient
+
+
+# ---------------------------------------------------------------------------
+# errors that only the references raise
+# ---------------------------------------------------------------------------
+
+
+class NotStable(ValidationError):
+    """A subgroup is not stable under the required group action."""
+
+
+class NotEquivariant(ValidationError):
+    """A character fails the required twisted equivariance law."""
+
+
+class MismatchedBase(ValidationError):
+    """Two extensions do not share the same base group / Galois datum."""
+
+
+class InvalidCocycle(ValidationError):
+    """A nonabelian 1-cocycle table fails the twisted cocycle law."""
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +211,19 @@ def subgroup_module(M: AbelianModule, H: FiniteGroup, elements: np.ndarray) -> A
     return AbelianModule(M.invariant_factors, H, M.action[np.asarray(elements)])
 
 
+def centralizer(G: FiniteGroup, elements) -> np.ndarray:
+    """The elements that commute with g, or with every element of a list."""
+    h = np.atleast_1d(elements)
+    return np.flatnonzero((G.mul[h] == G.mul[:, h].T).all(axis=0))
+
+
 def subgroups_abelian(G: FiniteGroup) -> list[tuple[int, ...]]:
     """All abelian subgroups, grown by extending with centralizing elements."""
     found = {G.closure([g]) for g in G.cyclic_generators}
     frontier = list(found)
     while frontier:
         H = frontier.pop()
-        for g in np.setdiff1d(G.centralizer(list(H)), H).tolist():
+        for g in np.setdiff1d(centralizer(G, list(H)), H).tolist():
             H2 = G.closure(list(H) + [g])
             if H2 not in found:
                 found.add(H2)
@@ -306,6 +333,77 @@ def splits_equivariantly(ext: EquivariantExtension, elements, delta_elements=Non
     b = np.zeros(k, dtype=np.int64)
     b[1:] = x
     return b
+
+
+# ---------------------------------------------------------------------------
+# degree-2 classes as tables: Bocksteins, commuting-pair rows, Baer sums
+# ---------------------------------------------------------------------------
+
+
+def bockstein(G: FiniteGroup, phi: np.ndarray, N: int,
+              delta: FiniteGroup | None = None,
+              chi: np.ndarray | None = None,
+              action_table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Carry 2-cocycle of a character lift, plus the Galois twist table.
+
+    phi must be a homomorphism G -> Z/N; with a nontrivial chi (given mod
+    N^2) it must satisfy phi(d.g) = chi(d) phi(g) mod N.  Returns
+    (f, c): f(g,h) = (phi(g)+phi(h)-phi(gh))/N mod N lifted through N^2,
+    c_d(g) = (chi(d) phi(g) - phi(d.g))/N mod N.
+    """
+    n = G.order
+    phi = as_mod(phi, N)
+    bad = np.argwhere((phi[:, None] + phi[None, :] - phi[G.mul]) % N)
+    if bad.size:
+        raise NotACocycle("phi is not a homomorphism", witness=tuple(map(int, bad[0])))
+    lift = phi.astype(np.int64)  # canonical integer lift in [0, N)
+    f = (lift[:, None] + lift[None, :] - lift[G.mul])
+    if (f % N).any():
+        raise AssertionError("carry defect")
+    f = (f // N) % N
+    if delta is None:
+        return f, np.zeros((1, n), dtype=np.int64)
+    nd = delta.order
+    chi = as_mod(chi, N * N)
+    acted = lift[action_table]  # (delta, g) -> phi(d.g)
+    c = (chi[:, None] * lift[None, :] - acted)
+    if (c % N).any():
+        d, g = map(int, np.argwhere(c % N)[0])
+        raise NotEquivariant("character is not chi-equivariant", witness=(d, g))
+    c = (c % (N * N)) // N % N
+    c[0] = 0
+    c[:, 0] = 0
+    return f, c
+
+
+def commuting_pair_rows_of_tables(G: FiniteGroup, tables,
+                                  N: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """``cohomology.commuting_pair_rows`` read off whole tables: the pairs,
+    and one row per pair with entry t[x, y] - t[y, x] for each table t."""
+    x, y = _generator_pairs(G)
+    T = np.asarray(tables, dtype=np.int64)
+    return list(zip(x.tolist(), y.tolist())), (T[:, x, y] - T[:, y, x]).T % N
+
+
+def zero_extension(gal: GaloisDatum) -> EquivariantExtension:
+    """The pair (0, 0)."""
+    n = gal.G.order
+    return EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
+                                np.zeros((gal.delta.order, n), dtype=np.int64))
+
+
+def baer_sum(e1: EquivariantExtension, e2: EquivariantExtension) -> EquivariantExtension:
+    """The pair (f1 + f2, c1 + c2) of two extensions over the same datum."""
+    if e1.gal is not e2.gal and (
+        e1.gal.N != e2.gal.N
+        or e1.gal.G.order != e2.gal.G.order
+        or not np.array_equal(e1.gal.G.mul, e2.gal.G.mul)
+        or not np.array_equal(e1.gal.chi, e2.gal.chi)
+        or not np.array_equal(e1.gal.action.table, e2.gal.action.table)
+    ):
+        raise MismatchedBase("extensions live over different data")
+    return EquivariantExtension(e1.gal, (e1.f + e2.f) % e1.modulus,
+                                (e1.c + e2.c) % e1.modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .cohomology import (
     ShaResult,
     _d0_columns,
     _row_scales,
-    bockstein,
     class_subgroup,
     commuting_pair_rows,
     h1,
@@ -41,6 +40,8 @@ from .groups import (
 from .localeval import LocalDatum, NonabelianCocycle, nonabelian_h1
 from .reference import (
     _admissible_triples,
+    bockstein,
+    centralizer,
     dies_in_qz,
     direct_product_extension_group,
     evaluate,
@@ -66,7 +67,7 @@ def _assert(cond, msg):
 
 def bicyclic_by_pairs(G) -> list[tuple[int, ...]]:
     """Every bicyclic subgroup, the closure of each commuting pair t <= c."""
-    seen = {G.closure([t, c]) for t in range(G.order) for c in G.centralizer(t) if c >= t}
+    seen = {G.closure([t, c]) for t in range(G.order) for c in centralizer(G, t) if c >= t}
     return sorted(seen, key=lambda h: (len(h), h))
 
 
@@ -154,7 +155,7 @@ def check_qz_filter_vs_dies_in_qz():
         H = h2(G, scalar_module(N))
         orders = H.invariant_factors
         bics = [G.subgroup_table(e) for e in bicyclic_by_pairs(G) if len(e) > 1]
-        _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
+        _, S = commuting_pair_rows(H.space, H.sub.generator_lifts)
         expect = {x for x in itertools.product(*(range(o) for o in orders))
                   if all(dies_in_qz(H.element_table(x)[:, :, 0][np.ix_(idx, idx)], B, N)
                          for B, idx in bics)}

@@ -24,12 +24,6 @@ from brnr.reference import _coboundary_rows
 from brnr.zmod import subquotient
 
 
-def _table2_of_vec(vec: np.ndarray, n: int, r: int) -> np.ndarray:
-    out = np.zeros((n, n, r), dtype=np.int64)
-    out[1:, 1:] = vec.reshape(n - 1, n - 1, r)
-    return out
-
-
 def _d2_matrix_rows(G: FiniteGroup, M: AbelianModule):
     """Yield batches of scaled rows of d2 : C^2 -> C^3 (one batch per g)."""
     n, r, m = G.order, M.rank, M.exponent
@@ -93,12 +87,15 @@ def dense_h2(G: FiniteGroup, M: AbelianModule) -> CohomologyGroup:
             cols[:, (g - 1) * r + i] = coboundary1(G, M, a)[1:, 1:].reshape(-1)
     R = np.hstack([cols, _lattice_columns((n - 1) * (n - 1), M)])
     sub = subquotient(W, R)
-    reps = [M.reduce(_table2_of_vec(sub.generator_lifts[:, i], n, r))
-            for i in range(len(sub.invariant_factors))]
+
+    def tables(lifts: np.ndarray) -> np.ndarray:
+        out = np.zeros((lifts.shape[1], n, n, r), dtype=np.int64)
+        out[:, 1:, 1:] = lifts.T.reshape(-1, n - 1, n - 1, r)
+        return M.reduce(out)
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:
         if any(cocycle2_defect(G, M, t) is not None for t in tables):
             return None
         return sub.coordinates(M.reduce(tables)[:, 1:, 1:].reshape(len(tables), -1).T)
 
-    return CohomologyGroup(G, M, 2, sub.invariant_factors, reps, coords)
+    return CohomologyGroup(G, M, 2, sub, tables, coords)

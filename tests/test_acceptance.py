@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from brnr.caps import DEFAULT_CAPS
-from brnr.cohomology import bockstein, h1, h2, scalar_module
+from brnr.cohomology import h1, h2, scalar_module
 from brnr.engine import (
     algebraic_unramified,
     b0,
@@ -51,6 +51,7 @@ from brnr.localeval import (
 )
 from brnr.reference import (
     _admissible_triples,
+    bockstein,
     bogomolov_condition,
     dies_in_qz,
     evaluate,

@@ -2,12 +2,13 @@
 
 ``h2_trivial_scalar`` reads |Hom(G, Z/N)| off the kernel of its coboundary
 map, and ``engine.b0`` compares it with the order of the kernel of the
-commuting-pair rows, building characters and Bocksteins only when the two
-differ.  Here the count is checked against the character system and
-against |G^ab| from the commutator subgroup, and b0 against the Kummer
-quotient built in full, on the ``bogomolov-scan`` group types under two
-relabellings, nonabelian and cyclic groups, and the order-64 group with
-B_0 = Z/2 from criterion 4b, alone and times Z/2 and Z/3.
+commuting-pair rows, building characters and their Kummer columns only
+when the two differ.  Here the count is checked against the character
+system and against |G^ab| from the commutator subgroup, and b0 against the
+Kummer quotient built in full from tables, on the ``bogomolov-scan`` group
+types under two relabellings, nonabelian and cyclic groups, and the
+order-64 group with B_0 = Z/2 from criterion 4b, alone and times Z/2 and
+Z/3.
 """
 
 import hashlib
@@ -15,13 +16,13 @@ import hashlib
 import numpy as np
 import pytest
 
+import brnr.cohomology
 import brnr.engine
 from brnr.cohomology import (
+    ReducedCocycleSpace,
     _cocycle1_space,
-    bockstein,
     character_group_generators,
     class_subgroup,
-    commuting_pair_rows,
     h2,
     scalar_module,
 )
@@ -35,7 +36,7 @@ from brnr.groups import (
     semidirect_product,
     symmetric_group,
 )
-from brnr.reference import bogomolov_condition
+from brnr.reference import bockstein, bogomolov_condition, commuting_pair_rows_of_tables
 from brnr.zmod import kernel
 
 from test_acceptance import ORDER64_HIT_TAILS, _order64_candidate
@@ -105,7 +106,7 @@ def kummer_quotient(G):
     H = h2(G, scalar_module(N))
     if not H.invariant_factors:
         return (), []
-    _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
+    _, S = commuting_pair_rows_of_tables(G, [rep[:, :, 0] for rep in H.representatives], N)
     carries = [bockstein(G, phi, N)[0] for phi in character_group_generators(G, N)]
     kummer = H.coordinates(np.array(carries, dtype=np.int64).reshape(-1, N, N, 1))
     assert kummer is not None
@@ -137,11 +138,13 @@ def test_b0_equals_the_kummer_quotient(name):
 
 
 def test_b0_of_the_scan_types_builds_no_character(monkeypatch):
+    # nor any |G|^2 table: the counting path reads the atoms only
     def refuse(*args, **kwargs):
-        raise AssertionError("B_0 = 0 needs no character")
+        raise AssertionError("B_0 = 0 needs no character and no table")
 
     monkeypatch.setattr(brnr.engine, "character_group_generators", refuse)
-    monkeypatch.setattr(brnr.engine, "bockstein", refuse)
+    monkeypatch.setattr(brnr.engine, "kummer_columns", refuse)
+    monkeypatch.setattr(ReducedCocycleSpace, "expand", refuse)
     for name in sorted(SCAN):
         rep = b0(SCAN[name]())
         assert (rep.invariant_factors, rep.representatives) == ((), []), name
@@ -154,3 +157,18 @@ def test_b0_of_the_hit_keeps_its_representative(name):
     f = np.ascontiguousarray(rep.representatives[0].f, dtype=np.int64)
     assert hashlib.sha256(f.tobytes()).hexdigest()[:16] == HIT_REPRESENTATIVES[name]
     assert bogomolov_condition(rep.representatives[0])[0]
+
+
+def test_b0_of_the_hit_solves_each_kernel_once(monkeypatch):
+    # H^2, the commuting-pair rows and the characters: the count and the
+    # Kummer quotient read one kernel of the commuting-pair rows
+    calls = []
+    kernel = brnr.cohomology.kernel
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(brnr.cohomology, "kernel", spy)
+    assert b0(_hit()).invariant_factors == (2,)
+    assert len(calls) == 3

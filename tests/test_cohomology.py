@@ -20,7 +20,6 @@ from brnr.cohomology import (
     _cocycle1_space,
     _d0_columns,
     _row_scales,
-    bockstein,
     character_group_generators,
     class_subgroup,
     cocycle1_defect,
@@ -36,11 +35,14 @@ from brnr.cohomology import (
     sha,
 )
 from brnr.engine import b0
-from brnr.errors import NotACocycle, NotEquivariant, ValidationError
+from brnr.errors import NotACocycle, ValidationError
 from brnr.fastpath import build_example_714
 from brnr.reference import (
+    NotEquivariant,
     _coboundary_rows,
     _twist_rows,
+    bockstein,
+    commuting_pair_rows_of_tables,
     dies_in_qz,
     is_scalar_coboundary,
     subgroup_module,
@@ -594,7 +596,7 @@ def test_qz_death_lattice_matches_dies_in_qz(name):
     H = h2(G, scalar_module(N))
     orders = H.invariant_factors
     bics = [G.subgroup_table(e) for e in bicyclic_by_pairs(G) if len(e) > 1]
-    _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
+    _, S = commuting_pair_rows(H.space, H.sub.generator_lifts)
     expect = {x for x in itertools.product(*(range(o) for o in orders))
               if all(dies_in_qz(H.element_table(x)[:, :, 0][np.ix_(idx, idx)], B, N)
                      for B, idx in bics)}
@@ -638,7 +640,7 @@ def test_commuting_pair_rows_at_least_generators_match_all_pairs(name, seed):
     db = b[:, :, None] + b[:, None, :] - b[:, G.mul]
     mixed = np.tensordot(rng.integers(0, N, size=(6, len(reps))), reps, axes=1) + db
     tables = np.concatenate([reps, mixed % N])
-    pairs, S = commuting_pair_rows(G, tables, N)
+    pairs, S = commuting_pair_rows_of_tables(G, tables, N)
     every, A = all_commuting_pair_rows(G, tables, N)
     assert set(pairs) <= set(every) and S.shape[1] == A.shape[1] == len(tables)
     assert np.array_equal(echelon_compress(S, N), echelon_compress(A, N))

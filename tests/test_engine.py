@@ -10,7 +10,6 @@ import brnr.reference
 from brnr.caps import Caps
 from brnr.cli import main, parse_job, run_job
 from brnr.cohomology import (
-    bockstein,
     character_group_generators,
     class_subgroup,
     commuting_pair_rows,
@@ -37,7 +36,6 @@ from brnr.extensions import (
     GaloisDatum,
     class_module,
     kummer_kernel,
-    zero_extension,
 )
 from brnr.groups import (
     AbelianModule,
@@ -55,11 +53,14 @@ from brnr.groups import (
 )
 from brnr.reference import (
     _admissible_triples,
+    bockstein,
     bogomolov_condition,
+    commuting_pair_rows_of_tables,
     dies_in_qz,
     galois_condition,
     is_unramified,
     splits_equivariantly,
+    zero_extension,
 )
 from brnr.selfchecks import (
     bicyclic_by_pairs,
@@ -204,7 +205,8 @@ def test_br_nr_verdict_per_quotient_generator(name):
     """Each tested entry is the per-class verdict of one Kummer-quotient generator."""
     gal = FILTER_DATA[name]()
     report = br_nr(gal)
-    q_orders, (fs, cs) = _kummer_quotient(report.ambient)
+    q_orders, q_coords = _kummer_quotient(report.ambient)
+    fs, cs = report.ambient.tables(q_coords)
     gens = [EquivariantExtension(gal, f, c) for f, c in zip(fs, cs)]
     s = len(q_orders)
     assert [coords for coords, _, _ in report.tested] == [
@@ -247,8 +249,10 @@ def br_nr_by_all_triples(gal):
     """br_nr's answer from every admissible triple with d != 1 as a Galois row:
     (invariant factors, representatives as (f, c), tested)."""
     N = gal.N
-    q_orders, (fs, cs) = _kummer_quotient(class_module(gal))
-    pairs, S = commuting_pair_rows(gal.G, fs, N)
+    cm = class_module(gal)
+    q_orders, coords = _kummer_quotient(cm)
+    fs, cs = cm.tables(coords)
+    pairs, S = commuting_pair_rows_of_tables(gal.G, fs, N)
     triples = [t for t in _admissible_triples(gal) if t[0] != 0]
     A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
     witnesses = [("bogomolov", p) for p in pairs] + [("galois", t) for t in triples]
@@ -476,7 +480,7 @@ def test_b0_matches_per_class_dies_in_qz_on_random_permutation_groups(seed):
     N = G.order
     H = h2(G, scalar_module(N))
     orders = H.invariant_factors
-    _, S = commuting_pair_rows(G, [rep[:, :, 0] for rep in H.representatives], N)
+    _, S = commuting_pair_rows(H.space, H.sub.generator_lifts)
     assert class_span(*class_subgroup(S, orders, N), orders) == classes_dying_in_qz(G, H)
     assert b0(G).order == b0_order_by_classes(G)
 

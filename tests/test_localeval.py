@@ -3,15 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from brnr.cohomology import bockstein, h1
+from brnr.cohomology import h1
 from brnr.engine import br_nr
-from brnr.errors import InvalidCocycle, ValidationError
+from brnr.errors import ValidationError
 from brnr.extensions import (
     EquivariantExtension,
     GaloisDatum,
-    baer_sum,
     class_module,
-    zero_extension,
 )
 from brnr.fastpath import SemidirectDatum
 from brnr.groups import (
@@ -34,7 +32,14 @@ from brnr.localeval import (
     nonabelian_h1,
     theta_point_beta,
 )
-from brnr.reference import cocycle_defect_nonabelian, evaluate
+from brnr.reference import (
+    InvalidCocycle,
+    baer_sum,
+    bockstein,
+    cocycle_defect_nonabelian,
+    evaluate,
+    zero_extension,
+)
 
 from test_engine import cyclotomic_datum
 
