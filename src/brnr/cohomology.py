@@ -46,7 +46,9 @@ subgroup (B_0 and the Bogomolov condition of the engine) needs no
 subgroups: a central extension of an abelian group by the divisible Q/Z
 splits iff it is abelian, so a class dies there iff f(x, y) = f(y, x)
 mod N for every commuting pair, read at least cyclic generators in
-``commuting_pair_rows`` (Bogomolov 1987; Moravec 2012).  Literal death
+``commuting_pair_rows`` (Bogomolov 1987; Moravec 2012).  Counting the
+cocycles mod m that pass those rows gives |B_0(G)[m]| with no quotient
+(``b0_torsion_order``).  Literal death
 mod N of a degree-2 class on a family (the Sha^2 filters of ``sha``)
 needs none either: it is the kernel of one cyclic-splitting row per g != 1
 (``_power_sums``) and, for the bicyclic and abelian families, of the
@@ -202,8 +204,8 @@ def _kernel_from_batches(batches, dim: int, m: int) -> Subquotient:
 @dataclass
 class CohomologyGroup:
     """Computed H^d(G, M) on the unknowns of its solve (for H^2 the atoms of
-    ``space``): ``_tables`` maps columns of unknowns, as the generator lifts
-    of ``sub``, to a stack of cocycle tables, built only when read."""
+    ``space``): ``_tables`` maps class coordinates, one column per class, to
+    a stack of cocycle tables, built only when read."""
 
     group: FiniteGroup
     module: AbelianModule
@@ -211,7 +213,6 @@ class CohomologyGroup:
     sub: Subquotient
     _tables: Callable[[np.ndarray], np.ndarray]
     _coords: Callable[[np.ndarray], Optional[np.ndarray]]
-    characters: Optional[int] = None    # |Hom(G, Z/m)|, from h2_trivial_scalar
     space: Optional["ReducedCocycleSpace"] = None
 
     @property
@@ -221,7 +222,7 @@ class CohomologyGroup:
     @cached_property
     def representatives(self) -> list[np.ndarray]:
         """The cocycle table of each generator."""
-        return list(self._tables(self.sub.generator_lifts))
+        return list(self._tables(np.eye(len(self.invariant_factors), dtype=np.int64)))
 
     def coordinates(self, table: np.ndarray) -> Optional[np.ndarray]:
         """Class coordinates of a cocycle table; None if it is no cocycle.
@@ -242,8 +243,7 @@ class CohomologyGroup:
 
     def element_table(self, coords) -> np.ndarray:
         """Representative cocycle for the given coordinate tuple."""
-        lift = self.sub.generator_lifts @ np.asarray(coords, dtype=np.int64) % self.module.exponent
-        return self._tables(lift[:, None])[0]
+        return self._tables(np.asarray(coords, dtype=np.int64)[:, None])[0]
 
 
 def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
@@ -253,20 +253,25 @@ def h1(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> Cohomolog
     unknowns a(s) for s in S = ``G.minimal_generators()``.  B^1 and the
     coefficient lattice are read there too: d0 v at S is s.v - v.  A table
     is a(g) = E[g] @ a(S), and a cocycle table has the coordinates of its
-    values at S.
+    values at S.  Only the generator tables E @ lifts are kept: a class is
+    the combination of them that its coordinates give.
     """
     caps.check_unknowns(len(G.minimal_generators()) * M.rank)
     S, E, rows = _cocycle1_space(G, M)
     R = np.hstack([_d0_columns(M, S), _lattice_columns(len(S), M)])
     sub = subquotient(kernel(rows, M.exponent), R)
+    k, n, r = len(sub.invariant_factors), G.order, M.rank
+    gens = M.reduce(np.moveaxis(E @ sub.generator_lifts, 2, 0)).reshape(k, n * r)
+
+    def tables(x: np.ndarray) -> np.ndarray:
+        return M.reduce((x.T @ gens).reshape(x.shape[1], n, r))
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:
         if cocycle1_defect(G, M, tables) is not None:
             return None
         return sub.coordinates(M.reduce(tables)[:, S].reshape(len(tables), -1).T)
 
-    return CohomologyGroup(G, M, 1, sub, lambda lifts: M.reduce(np.moveaxis(E @ lifts, 2, 0)),
-                           coords)
+    return CohomologyGroup(G, M, 1, sub, tables, coords)
 
 
 def h2(G: FiniteGroup, M: AbelianModule, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
@@ -513,9 +518,8 @@ def kummer_columns(space: ReducedCocycleSpace, phis,
 def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> CohomologyGroup:
     """H^2(G, Z/m) on the n|S| - n + 1 Schreier atoms, modulo the |S| gauged coboundaries.
 
-    The coboundary map (Z/m)^|S| -> atoms has kernel Hom(G, Z/m) (db = 0
-    on every atom makes b a homomorphism) and image B^2, so the result
-    also carries |Hom(G, Z/m)| = m^|S| |B^2|^-1 = m^|S| |H^2| / |Z^2|.
+    The coboundary map (Z/m)^|S| -> atoms has image B^2 and kernel
+    Hom(G, Z/m): db = 0 on every atom makes b a homomorphism.
     """
     n = G.order
     space = reduced_cocycle_space(G, m)
@@ -533,9 +537,9 @@ def h2_trivial_scalar(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> Coho
             return None
         return sub.coordinates(space.atomize(tables[..., space.gens]).T)
 
-    characters = m ** len(space.gens) * sub.order // cocycles.order
-    return CohomologyGroup(G, M, 2, sub, lambda lifts: space.expand(lifts)[..., None],
-                           coords, characters, space)
+    return CohomologyGroup(G, M, 2, sub,
+                           lambda x: space.expand(sub.generator_lifts @ x % m)[..., None],
+                           coords, space)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +628,7 @@ class ShaResult:
 
 
 def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
-                   relations: np.ndarray | Callable[[], np.ndarray] | None = None,
-                   relation_order: int | None = None
+                   relations: np.ndarray | None = None
                    ) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """{x in prod Z/orders[j] : S x = 0 mod N} / <relations>, with generators.
 
@@ -635,22 +638,12 @@ def class_subgroup(S: np.ndarray, orders: tuple[int, ...], N: int,
     subquotient of that kernel by L and the columns of ``relations``,
     coordinate vectors that satisfy S.  Returns the invariant factors of
     the quotient and one coordinate vector (mod orders) per generator.
-    ``relations`` may be a function that builds them, with
-    ``relation_order`` the order they span: it is called only when
-    |ker S / L| = |ker S| / |L| is larger, else the quotient is 0.
     """
     mods = np.array(orders, dtype=np.int64)
     S = np.asarray(S, dtype=np.int64)
     if (S * mods % N).any():
         raise AssertionError("rows are not defined on classes")
     K = kernel(S, N)
-    if callable(relations):
-        passing = K.order // prod(N // int(o) for o in orders)
-        if passing % relation_order:
-            raise AssertionError("the relations must satisfy the rows")
-        if passing == relation_order:
-            return (), []
-        relations = relations()
     lattice = np.diag(mods)[:, mods < N]            # a class of order N needs none
     R = lattice if relations is None else np.hstack([lattice, relations])
     sub = subquotient(K, R)
@@ -750,6 +743,41 @@ def commuting_pair_rows(space: ReducedCocycleSpace,
     x, y = _generator_pairs(space.group)
     rows = space.path_sums(atoms, x, y) - space.path_sums(atoms, y, x)
     return list(zip(x.tolist(), y.tolist())), rows % space.modulus
+
+
+def b0_torsion_order(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> int:
+    """|B_0(G)[m]|, the m-torsion of Bogomolov's B_0(G), as |Z_sym(m)| / m^|S|.
+
+    Z_sym(m) is the group of gauged 2-cocycles mod m (the kernel of
+    ``c1_batches`` on the atoms of ``reduced_cocycle_space``) with
+    f(x, y) = f(y, x) on the commuting pairs of least cyclic generators
+    (``commuting_pair_rows``).  For every m, |Z_sym(m)| = |B_0(G)[m]| m^|S|:
+
+    - 0 -> Z/m -> Q/Z -m-> Q/Z -> 0 gives the exact sequence
+      H^1(G, Q/Z) -m-> H^1(G, Q/Z) -delta-> H^2(G, Z/m) -> H^2(G, Q/Z) -m->,
+      so H^2(G, Z/m) maps onto H^2(G, Q/Z)[m], with kernel the image of
+      delta, isomorphic to Hom(G, Q/Z) / m, of order |Hom(G, Z/m)|.
+    - The pushforward of a class dies on a bicyclic subgroup iff its
+      cocycle is symmetric mod m there (``commuting_pair_rows``), and the
+      image of delta passes, as Bocksteins are symmetric on commuting
+      pairs.  So the symmetric classes are the preimage of B_0(G)[m], of
+      order |B_0(G)[m]| |Hom(G, Z/m)|.
+    - The gauged coboundaries B^2 are the image of (Z/m)^|S| with kernel
+      Hom(G, Z/m) (``h2_trivial_scalar``), so |B^2| = m^|S| / |Hom(G, Z/m)|,
+      and |Z_sym(m)| = |B^2| |B_0(G)[m]| |Hom(G, Z/m)|: the Hom terms cancel.
+
+    Z is one kernel mod m, with generator lifts of orders d_j; its
+    symmetric members are the x in prod Z/d_j with S x = 0 for the
+    commuting-pair rows S on the lifts, that is the kernel of S mod m over
+    the lattice of the d_j e_j.  Over a squarefree m every pivot mod each
+    prime is a unit, so no Howell step runs.
+    """
+    space = reduced_cocycle_space(G, m)
+    caps.check_unknowns(space.n_atoms)
+    Z = _kernel_from_batches(space.c1_batches(), space.n_atoms, m)
+    _, S = commuting_pair_rows(space, Z.generator_lifts)
+    t = len(Z.invariant_factors) + len(space.gens)
+    return kernel(S, m).order * Z.order // m ** t
 
 
 def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,

@@ -24,6 +24,15 @@ reads the classes with f = 0, H^1(Delta, G^(chi)), off one h1 call.  b0,
 br_nr, algebraic_unramified and the Kummer quotient each hand their rows
 to one cohomology.class_subgroup call, and no class is enumerated.  The
 rows of (i) and the Kummer classes are read off the Schreier atoms.
+
+b0 first counts.  For every modulus m, the gauged 2-cocycles mod m that
+are symmetric on the commuting pairs number |B_0(G)[m]| m^|S|: the
+Bocksteins of H^1(G, Q/Z), of order |Hom(G, Z/m)|, are the classes mod m
+that die in Q/Z, and they cancel against the gauged coboundaries, of order
+m^|S| / |Hom(G, Z/m)| (proof at ``cohomology.b0_torsion_order``).  As |G|
+kills B_0, B_0 = 0 iff B_0[rad |G|] = 0, one count mod the product of the
+primes of |G|; only a nonzero B_0 solves H^2 mod |G| and its Kummer
+quotient.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .cohomology import (
     ShaResult,
     _cocycle1_space,
     _power_sums,
+    b0_torsion_order,
     character_group_generators,
     class_subgroup,
     commuting_pair_rows,
@@ -57,7 +67,7 @@ from .extensions import (
     kummer_kernel,
 )
 from .groups import AbelianModule, FiniteGroup
-from .zmod import kernel
+from .zmod import _prime_powers, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -225,31 +235,36 @@ def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     G -> Z/N), which are exactly the classes the pushforward kills, all on
     the Schreier atoms (``commuting_pair_rows``, ``kummer_columns``).
 
-    B_0 = 0 is decided by counting.  N kills H^1(G, Q/Z), so the Bockstein
-    of 0 -> Z/N -> Q/Z -> Q/Z -> 0 is injective on it: the Kummer classes
-    have order |Hom(G, Z/N)| (``h2_trivial_scalar`` counts it) and pass the
-    commuting-pair rows, as Bocksteins are symmetric on commuting pairs.
-    So ``class_subgroup`` builds the characters only if |B_0| > 1.
+    B_0 = 0 is decided first, over the primes of N.  N kills B_0, so
+    B_0 = 0 iff B_0[r] = 0 for r = rad N, the product of the primes
+    dividing N.  For every m, |Z_sym(m)| = |B_0[m]| m^|S|, Z_sym(m) the
+    gauged cocycles mod m symmetric on the commuting pairs
+    (``b0_torsion_order``): H^2(G, Z/m) maps onto H^2(G, Q/Z)[m] with
+    kernel the Bocksteins of H^1(G, Q/Z), of order |Hom(G, Z/m)|; those
+    are symmetric on commuting pairs, so the symmetric classes have order
+    |B_0[m]| |Hom(G, Z/m)|; and the gauged coboundaries have order
+    m^|S| / |Hom(G, Z/m)|.  So one kernel mod r and one kernel order
+    decide B_0 = 0, and only a nonzero B_0 solves H^2 mod N.
     """
     N = G.order
-    ambient = h2(G, scalar_module(N), caps) if N > 1 else None
-    if ambient is None or not ambient.invariant_factors:
+    if N == 1 or b0_torsion_order(G, _radical(N), caps) == 1:
         return BrauerReport((), [], None, label="B_0")
+    ambient = h2(G, scalar_module(N), caps)
     space, sub = ambient.space, ambient.sub
     _, S = commuting_pair_rows(space, sub.generator_lifts)
-
-    def kummer() -> np.ndarray:
-        x = sub.coordinates(kummer_columns(space, character_group_generators(G, N)))
-        if x is None:
-            raise AssertionError("a Bockstein must be a cocycle")
-        return x
-
-    factors, coords = class_subgroup(S, ambient.invariant_factors, N, kummer,
-                                     ambient.characters)
+    kummer = sub.coordinates(kummer_columns(space, character_group_generators(G, N)))
+    if kummer is None:
+        raise AssertionError("a Bockstein must be a cocycle")
+    factors, coords = class_subgroup(S, ambient.invariant_factors, N, kummer)
     gal = GaloisDatum.trivial(G, N, base_algebraically_closed=True)
     reps = [EquivariantExtension(gal, ambient.element_table(x)[:, :, 0],
                                  np.zeros((1, N), dtype=np.int64)) for x in coords]
     return BrauerReport(factors, reps, None, label="B_0")
+
+
+def _radical(n: int) -> int:
+    """The product of the distinct primes dividing n >= 1."""
+    return math.prod(next(p for p in range(2, q + 1) if q % p == 0) for q in _prime_powers(n))
 
 
 def sha2_ab(G: FiniteGroup, modulus: int, caps: Caps = DEFAULT_CAPS) -> ShaResult:

@@ -88,9 +88,9 @@ def dense_h2(G: FiniteGroup, M: AbelianModule) -> CohomologyGroup:
     R = np.hstack([cols, _lattice_columns((n - 1) * (n - 1), M)])
     sub = subquotient(W, R)
 
-    def tables(lifts: np.ndarray) -> np.ndarray:
-        out = np.zeros((lifts.shape[1], n, n, r), dtype=np.int64)
-        out[:, 1:, 1:] = lifts.T.reshape(-1, n - 1, n - 1, r)
+    def tables(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((x.shape[1], n, n, r), dtype=np.int64)
+        out[:, 1:, 1:] = (sub.generator_lifts @ x).T.reshape(-1, n - 1, n - 1, r)
         return M.reduce(out)
 
     def coords(tables: np.ndarray) -> Optional[np.ndarray]:

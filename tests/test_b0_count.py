@@ -1,14 +1,15 @@
-"""B_0 = 0 by counting: the H^2 solve's |Hom(G, Z/N)| and the Kummer quotient.
+"""B_0 = 0 by counting: |B_0(G)[m]| read off the symmetric cocycles mod m.
 
-``h2_trivial_scalar`` reads |Hom(G, Z/N)| off the kernel of its coboundary
-map, and ``engine.b0`` compares it with the order of the kernel of the
-commuting-pair rows, building characters and their Kummer columns only
-when the two differ.  Here the count is checked against the character
-system and against |G^ab| from the commutator subgroup, and b0 against the
-Kummer quotient built in full from tables, on the ``bogomolov-scan`` group
-types under two relabellings, nonabelian and cyclic groups, and the
-order-64 group with B_0 = Z/2 from criterion 4b, alone and times Z/2 and
-Z/3.
+``cohomology.b0_torsion_order`` counts the gauged 2-cocycles mod m that
+are symmetric on the commuting pairs, |B_0(G)[m]| m^|S|, and
+``engine.b0`` calls it at m = rad |G|, solving H^2 mod |G| and building
+characters and their Kummer columns only when the count is not 1.  Here
+the count is checked against the invariant factors of b0 at several m, the
+steps of its proof against the character system, |G^ab| and the Kummer
+quotient built in full from tables, and b0 against that quotient, on the
+``bogomolov-scan`` group types under two relabellings, nonabelian and
+cyclic groups, and the order-64 group with B_0 = Z/2 from criterion 4b,
+alone and times Z/2 and Z/3.
 """
 
 import hashlib
@@ -21,12 +22,15 @@ import brnr.engine
 from brnr.cohomology import (
     ReducedCocycleSpace,
     _cocycle1_space,
+    _kernel_from_batches,
+    b0_torsion_order,
     character_group_generators,
     class_subgroup,
     h2,
+    reduced_cocycle_space,
     scalar_module,
 )
-from brnr.engine import b0
+from brnr.engine import _radical, b0
 from brnr.groups import (
     abelian_group,
     alternating_group,
@@ -116,13 +120,44 @@ def kummer_quotient(G):
 
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_h2_counts_the_characters(name):
-    # |Hom(G, Z/N)| = N^|S| |H^2| / |Z^2| against the kernel of the
-    # character system and against |G^ab|, which N = |G| makes equal to it
+    # the steps of |Z_sym(N)| = |B_0| N^|S| at N = |G|, each against a
+    # count of its own: the kernel of the coboundary map (Z/N)^|S| -> atoms
+    # against the character system and |G^ab| (equal, as N = |G|), the
+    # cocycles against H^2 and the gauged coboundaries, and the symmetric
+    # classes against the Kummer quotient built in full from tables
     G = DATA[name]()
     N = G.order
-    count = h2(G, scalar_module(N)).characters
-    assert count == kernel(_cocycle1_space(G, scalar_module(N))[2], N).order
-    assert count == abelianization_order(G)
+    space = reduced_cocycle_space(G, N)
+    homs = kernel(space.coboundaries(), N).order
+    assert homs == kernel(_cocycle1_space(G, scalar_module(N))[2], N).order
+    assert homs == abelianization_order(G)
+    H = h2(G, scalar_module(N))
+    cocycles = _kernel_from_batches(space.c1_batches(), space.n_atoms, N).order
+    assert cocycles * homs == H.order * N ** len(space.gens)
+    symmetric = 1
+    if H.invariant_factors:
+        _, S = commuting_pair_rows_of_tables(
+            G, [rep[:, :, 0] for rep in H.representatives], N)
+        symmetric = np.prod(class_subgroup(S, H.invariant_factors, N)[0], dtype=object)
+    assert symmetric == np.prod(kummer_quotient(G)[0], dtype=object) * homs
+    assert cocycles * symmetric // H.order == b0_torsion_order(G, N) * N ** len(space.gens)
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_b0_torsion_order_is_read_off_b0(name):
+    # |B_0[m]| = prod gcd(d_i, m) over the invariant factors d_i of B_0; the
+    # radical is composite for S3, A4, S4, A5, Z12 and hitxZ3
+    G = DATA[name]()
+    N = G.order
+    factors = b0(G).invariant_factors
+    primes = _primes(N)
+    assert _radical(N) == np.prod(primes)
+    for m in sorted({_radical(N), N, *primes}):
+        assert b0_torsion_order(G, m) == np.prod([np.gcd(d, m) for d in factors], dtype=object), m
 
 
 @pytest.mark.parametrize("name", sorted(DATA))
@@ -138,12 +173,13 @@ def test_b0_equals_the_kummer_quotient(name):
 
 
 def test_b0_of_the_scan_types_builds_no_character(monkeypatch):
-    # nor any |G|^2 table: the counting path reads the atoms only
+    # nor H^2 mod |G|, its Kummer quotient or any |G|^2 table: the count
+    # mod rad |G| reads the atoms only
     def refuse(*args, **kwargs):
-        raise AssertionError("B_0 = 0 needs no character and no table")
+        raise AssertionError("B_0 = 0 needs no character, no H^2 and no table")
 
-    monkeypatch.setattr(brnr.engine, "character_group_generators", refuse)
-    monkeypatch.setattr(brnr.engine, "kummer_columns", refuse)
+    for name in ("character_group_generators", "kummer_columns", "h2", "class_subgroup"):
+        monkeypatch.setattr(brnr.engine, name, refuse)
     monkeypatch.setattr(ReducedCocycleSpace, "expand", refuse)
     for name in sorted(SCAN):
         rep = b0(SCAN[name]())
@@ -160,15 +196,19 @@ def test_b0_of_the_hit_keeps_its_representative(name):
 
 
 def test_b0_of_the_hit_solves_each_kernel_once(monkeypatch):
-    # H^2, the commuting-pair rows and the characters: the count and the
-    # Kummer quotient read one kernel of the commuting-pair rows
     calls = []
     kernel = brnr.cohomology.kernel
 
     def spy(*args, **kwargs):
-        calls.append(1)
+        calls.append(args[1])
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(brnr.cohomology, "kernel", spy)
     assert b0(_hit()).invariant_factors == (2,)
-    assert len(calls) == 3
+    assert calls == [
+        2,      # the count mod rad 64: the cocycles,
+        2,      # and the commuting-pair rows on their lifts, which leave |B_0[2]| = 2
+        64,     # H^2 mod 64
+        64,     # the commuting-pair rows on the H^2 lifts, for the Kummer quotient
+        64,     # the characters, whose Kummer columns are its relations
+    ]
