@@ -192,9 +192,8 @@ def _build_galois(spec, G: FiniteGroup) -> GaloisDatum:
         raise ValidationError('galois.kind must be "trivial", "real" or absent',
                               witness=kind)
     modulus = _positive_int(spec, "modulus", "galois", most=MAX_MODULUS)
-    closed = _bool(spec, "base_algebraically_closed", "galois")
     with _naming("galois.modulus"):            # exp(G) | N, a precondition of every kind
-        trivial = GaloisDatum.trivial(G, modulus, base_algebraically_closed=closed)
+        trivial = GaloisDatum.trivial(G, modulus)
     if kind == "trivial":
         return trivial
     if kind == "real":
@@ -205,7 +204,7 @@ def _build_galois(spec, G: FiniteGroup) -> GaloisDatum:
         action = GroupAction(delta, G, table)
     chi = _ints(spec, "chi", "galois", 1)
     with _naming("galois.chi"):
-        gal = GaloisDatum(delta, G, chi, action, modulus, closed)
+        gal = GaloisDatum(delta, G, chi, action, modulus)
         gal.validate_chi()
     with _naming("galois.action"):
         action.validate()

@@ -20,19 +20,15 @@ and beside (i), (ii) needs one row per (d, <tau>) (_galois_rows).  br_nr
 stacks them over the generators of the class module modulo Kummer
 classes: Br^0_nr is the kernel, and each generator's verdict is its
 column, with the first nonzero row as witness.  algebraic_unramified
-reads the classes with f = 0, H^1(Delta, G^(chi)), off one h1 call.  b0,
+reads the classes with f = 0, H^1(Delta, G^(chi)), off one h1 call.
 br_nr, algebraic_unramified and the Kummer quotient each hand their rows
 to one cohomology.class_subgroup call, and no class is enumerated.  The
 rows of (i) and the Kummer classes are read off the Schreier atoms.
 
-b0 first counts.  For every modulus m, the gauged 2-cocycles mod m that
-are symmetric on the commuting pairs number |B_0(G)[m]| m^|S|: the
-Bocksteins of H^1(G, Q/Z), of order |Hom(G, Z/m)|, are the classes mod m
-that die in Q/Z, and they cancel against the gauged coboundaries, of order
-m^|S| / |Hom(G, Z/m)| (proof at ``cohomology.b0_torsion_order``).  As |G|
-kills B_0, B_0 = 0 iff B_0[rad |G|] = 0, one count mod the product of the
-primes of |G|; only a nonzero B_0 solves H^2 mod |G| and its Kummer
-quotient.
+Over an algebraically closed base Delta is trivial, (ii) adds no row to
+(i) and Br^0_nr is Bogomolov's B_0(G): b0 is br_nr on the trivial datum, after
+one count mod rad |G| (``cohomology.b0_torsion_order``) that decides
+B_0 = 0 with no class module.
 """
 
 from __future__ import annotations
@@ -49,12 +45,9 @@ from .cohomology import (
     _cocycle1_space,
     _power_sums,
     b0_torsion_order,
-    character_group_generators,
     class_subgroup,
     commuting_pair_rows,
     h1,
-    h2,
-    kummer_columns,
     scalar_module,
     sha,
 )
@@ -227,41 +220,6 @@ class BrauerReport:
         return math.prod(self.invariant_factors)
 
 
-def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
-    """The subgroup of H^2(G, Q/Z) dying on every bicyclic subgroup.
-
-    Classes of H^2(G, Z/N), N = |G|, whose Q/Z-pushforward dies on every
-    bicyclic subgroup, modulo the Kummer classes (Bocksteins of characters
-    G -> Z/N), which are exactly the classes the pushforward kills, all on
-    the Schreier atoms (``commuting_pair_rows``, ``kummer_columns``).
-
-    B_0 = 0 is decided first, over the primes of N.  N kills B_0, so
-    B_0 = 0 iff B_0[r] = 0 for r = rad N, the product of the primes
-    dividing N.  For every m, |Z_sym(m)| = |B_0[m]| m^|S|, Z_sym(m) the
-    gauged cocycles mod m symmetric on the commuting pairs
-    (``b0_torsion_order``): H^2(G, Z/m) maps onto H^2(G, Q/Z)[m] with
-    kernel the Bocksteins of H^1(G, Q/Z), of order |Hom(G, Z/m)|; those
-    are symmetric on commuting pairs, so the symmetric classes have order
-    |B_0[m]| |Hom(G, Z/m)|; and the gauged coboundaries have order
-    m^|S| / |Hom(G, Z/m)|.  So one kernel mod r and one kernel order
-    decide B_0 = 0, and only a nonzero B_0 solves H^2 mod N.
-    """
-    N = G.order
-    if N == 1 or b0_torsion_order(G, _radical(N), caps) == 1:
-        return BrauerReport((), [], None, label="B_0")
-    ambient = h2(G, scalar_module(N), caps)
-    space, sub = ambient.space, ambient.sub
-    _, S = commuting_pair_rows(space, sub.generator_lifts)
-    kummer = sub.coordinates(kummer_columns(space, character_group_generators(G, N)))
-    if kummer is None:
-        raise AssertionError("a Bockstein must be a cocycle")
-    factors, coords = class_subgroup(S, ambient.invariant_factors, N, kummer)
-    gal = GaloisDatum.trivial(G, N, base_algebraically_closed=True)
-    reps = [EquivariantExtension(gal, ambient.element_table(x)[:, :, 0],
-                                 np.zeros((1, N), dtype=np.int64)) for x in coords]
-    return BrauerReport(factors, reps, None, label="B_0")
-
-
 def _radical(n: int) -> int:
     """The product of the distinct primes dividing n >= 1."""
     return math.prod(next(p for p in range(2, q + 1) if q % p == 0) for q in _prime_powers(n))
@@ -303,8 +261,7 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     fs, cs = cm.tables(coords)
     atoms = cm._sub.generator_lifts[:cm._space.n_atoms] @ coords.T
     pairs, S = commuting_pair_rows(cm._space, atoms)
-    triples = np.zeros((0, 3), dtype=np.int64) if gal.base_algebraically_closed \
-        else _galois_rows(gal)
+    triples = _galois_rows(gal)
     A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
     witnesses = [("bogomolov", p) for p in pairs] + \
         [("galois", tuple(t)) for t in triples.tolist()]
@@ -320,6 +277,21 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     reps = [EquivariantExtension(gal, np.tensordot(x, fs, axes=1) % N,
                                  np.tensordot(x, cs, axes=1) % N) for x in coords]
     return BrauerReport(factors, reps, cm, tested, label="Br0_nr")
+
+
+def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
+    """B_0(G): the classes of H^2(G, Q/Z) that die on every bicyclic subgroup.
+
+    Count mod rad |G|, then ``br_nr`` on the trivial datum.  |G| kills
+    B_0, so B_0 = 0 iff B_0[rad |G|] = 0, which ``b0_torsion_order``
+    decides without the class module; a nonzero B_0 is Br^0_nr of
+    ``GaloisDatum.trivial(G)``, whose Galois rows are empty.
+    """
+    N = G.order
+    if N == 1 or b0_torsion_order(G, _radical(N), caps) == 1:
+        return BrauerReport((), [], None, label="B_0")
+    report = br_nr(GaloisDatum.trivial(G), caps)
+    return BrauerReport(report.invariant_factors, report.representatives, None, label="B_0")
 
 
 def _character_module(gal: GaloisDatum) -> tuple[np.ndarray, AbelianModule]:

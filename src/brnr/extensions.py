@@ -50,7 +50,6 @@ class GaloisDatum:
     chi: np.ndarray                 # units mod N^2, one per Delta element
     action: GroupAction             # Delta on G by automorphisms
     N: int | None = None            # defaults to |G|
-    base_algebraically_closed: bool = False
 
     def __post_init__(self):
         if self.N is None:
@@ -90,11 +89,9 @@ class GaloisDatum:
         return self.chi % self.N
 
     @staticmethod
-    def trivial(G: FiniteGroup, N: int | None = None,
-                base_algebraically_closed: bool = False) -> "GaloisDatum":
+    def trivial(G: FiniteGroup, N: int | None = None) -> "GaloisDatum":
         one = FiniteGroup(np.zeros((1, 1), dtype=np.int64), validate=False)
-        return GaloisDatum(one, G, np.array([1]), GroupAction.trivial(one, G),
-                           N, base_algebraically_closed)
+        return GaloisDatum(one, G, np.array([1]), GroupAction.trivial(one, G), N)
 
     @staticmethod
     def real_like(G: FiniteGroup, N: int | None = None) -> "GaloisDatum":

@@ -438,10 +438,12 @@ def _admissible_triples(gal: GaloisDatum):
 
 
 def galois_condition(ext: EquivariantExtension) -> tuple[bool, Optional[tuple]]:
-    """Condition (ii) over all of Delta and all admissible (tau, gamma)."""
+    """Condition (ii) over all of Delta and all admissible (tau, gamma).
+
+    At d = 1 the admissible pairs commute, so on a trivial Delta this is
+    condition (i), ``bogomolov_condition``, class by class.
+    """
     gal = ext.gal
-    if gal.base_algebraically_closed:
-        return True, None
     triples = list(_admissible_triples(gal))
     bad = np.nonzero(_galois_obstructions(gal, triples, ext.f[None], ext.c[None]))[0]
     if bad.size:
@@ -482,7 +484,7 @@ def extension_from_q_cocycle(sd: SemidirectDatum, a_table: np.ndarray,
     sdg = semidirect_product(sd.N, sd.Q, caps=caps)
     G = sdg.group
     if gal is None:
-        gal = GaloisDatum.trivial(G, G.order, base_algebraically_closed=True)
+        gal = GaloisDatum.trivial(G)
     _require_coefficient_only_action(sd, gal)
     N_big = gal.N
     e = sd.N.exponent

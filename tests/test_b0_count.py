@@ -2,17 +2,19 @@
 
 ``cohomology.b0_torsion_order`` counts the gauged 2-cocycles mod m that
 are symmetric on the commuting pairs, |B_0(G)[m]| m^|S|, and
-``engine.b0`` calls it at m = rad |G|, solving H^2 mod |G| and building
-characters and their Kummer columns only when the count is not 1.  Here
-the count is checked against the invariant factors of b0 at several m, the
-steps of its proof against the character system, |G^ab| and the Kummer
-quotient built in full from tables, and b0 against that quotient, on the
-``bogomolov-scan`` group types under two relabellings, nonabelian and
-cyclic groups, and the order-64 group with B_0 = Z/2 from criterion 4b,
-alone and times Z/2 and Z/3.
+``engine.b0`` calls it at m = rad |G|, running ``br_nr`` on the trivial
+Galois datum only when the count is not 1.  Here the count is checked
+against the invariant factors of b0 at several m, the steps of its proof
+against the character system, |G^ab| and the Kummer quotient built in
+full from tables, and b0 against that quotient, on the ``bogomolov-scan``
+group types under two relabellings, nonabelian and cyclic groups, and the
+order-64 group with B_0 = Z/2 from criterion 4b, alone and times Z/2 and
+Z/3.  On the trivial datum condition (ii) is condition (i), class by
+class, which is why br_nr there is B_0.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from brnr.cohomology import (
     scalar_module,
 )
 from brnr.engine import _radical, b0
+from brnr.extensions import GaloisDatum, class_module
 from brnr.groups import (
     abelian_group,
     alternating_group,
@@ -40,7 +43,13 @@ from brnr.groups import (
     semidirect_product,
     symmetric_group,
 )
-from brnr.reference import bockstein, bogomolov_condition, commuting_pair_rows_of_tables
+from brnr.reference import (
+    bockstein,
+    bogomolov_condition,
+    commuting_pair_rows_of_tables,
+    galois_condition,
+)
+from brnr.selfchecks import bicyclic_by_pairs
 from brnr.zmod import kernel
 
 from test_acceptance import ORDER64_HIT_TAILS, _order64_candidate
@@ -173,13 +182,14 @@ def test_b0_equals_the_kummer_quotient(name):
 
 
 def test_b0_of_the_scan_types_builds_no_character(monkeypatch):
-    # nor H^2 mod |G|, its Kummer quotient or any |G|^2 table: the count
-    # mod rad |G| reads the atoms only
+    # nor a Galois datum, its class module, Kummer quotient or any |G|^2
+    # table: the count mod rad |G| reads the atoms only
     def refuse(*args, **kwargs):
-        raise AssertionError("B_0 = 0 needs no character, no H^2 and no table")
+        raise AssertionError("B_0 = 0 needs no datum, no class module and no table")
 
-    for name in ("character_group_generators", "kummer_columns", "h2", "class_subgroup"):
+    for name in ("br_nr", "class_module"):
         monkeypatch.setattr(brnr.engine, name, refuse)
+    monkeypatch.setattr(GaloisDatum, "trivial", staticmethod(refuse))
     monkeypatch.setattr(ReducedCocycleSpace, "expand", refuse)
     for name in sorted(SCAN):
         rep = b0(SCAN[name]())
@@ -208,7 +218,35 @@ def test_b0_of_the_hit_solves_each_kernel_once(monkeypatch):
     assert calls == [
         2,      # the count mod rad 64: the cocycles,
         2,      # and the commuting-pair rows on their lifts, which leave |B_0[2]| = 2
-        64,     # H^2 mod 64
-        64,     # the commuting-pair rows on the H^2 lifts, for the Kummer quotient
-        64,     # the characters, whose Kummer columns are its relations
+        64,     # br_nr on the trivial datum: the class-module cocycles,
+        64,     # the equivariant characters, whose Bocksteins are the Kummer classes,
+        64,     # the Kummer quotient of the class module,
+        64,     # and the commuting-pair filter on its generators
     ]
+
+
+CLOSED_BASE = {
+    "D4": lambda: dihedral_group(4),
+    "Q8": quaternion_group,
+    "Z2xZ4": lambda: abelian_group([2, 4]),
+    "Z2^3": lambda: abelian_group([2, 2, 2]),
+    "A4": lambda: alternating_group(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_BASE))
+def test_galois_condition_on_the_trivial_datum_is_the_bogomolov_condition(name):
+    # with Delta = 1 the admissible triples are (1, tau, gamma) for commuting
+    # tau and gamma, so condition (ii) is condition (i) on every class; the
+    # classes passing both are the symmetric ones, |B_0| |Hom(G, Z/|G|)| =
+    # |G^ab| of them (B_0 = 0 here), and the rest fail both
+    G = CLOSED_BASE[name]()
+    cm = class_module(GaloisDatum.trivial(G))
+    bics = bicyclic_by_pairs(G)
+    passing = 0
+    for x in itertools.product(*map(range, cm.invariant_factors)):
+        ext = cm.element(np.array(x))
+        ok = bogomolov_condition(ext, bics)[0]
+        assert galois_condition(ext)[0] == ok, x
+        passing += ok
+    assert passing == abelianization_order(G)

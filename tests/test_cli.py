@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -426,7 +427,7 @@ WELL_FORMED = {
     "brnr-real": {"task": "brnr", "group": {"kind": "table", "table": Z2},
                   "galois": {"kind": "real", "modulus": 2}},
     "brnr-trivial": {"task": "brnr", "group": {"kind": "table", "table": Z2},
-                     "galois": {"kind": "trivial", "base_algebraically_closed": False}},
+                     "galois": {"kind": "trivial"}},
     "brnr-explicit": {"task": "brnr", "group": {"kind": "table", "table": Z2},
                       "galois": {"delta_table": Z2, "chi": [1, 3],
                                  "action": [[0, 1], [0, 1]], "modulus": 2}},
@@ -485,7 +486,6 @@ JOB_FIELDS = [
     ("brnr-real", ("galois",), 5, None, False),
     ("brnr-real", ("galois", "kind"), 5, "imaginary", False),
     ("brnr-real", ("galois", "modulus"), "2", 10**30, False),
-    ("brnr-trivial", ("galois", "base_algebraically_closed"), "no", None, False),
     ("brnr-explicit", ("galois", "delta_table"), "x", [[0, 2], [2, 0]], True),
     ("brnr-explicit", ("galois", "chi"), "x", [1, 2], True),
     ("brnr-explicit", ("galois", "action"), "x", [[1, 0], [0, 1]], True),
@@ -646,3 +646,38 @@ def test_seeded_job_fuzz_exits_0_2_3_or_4_and_names_the_field(tmp_path, capsys):
         if code == 3:
             assert any(re.search(rf"\b{name}\b", message) for name in FUZZ_FIELDS), \
                 (json.dumps(job), message)
+
+
+# the helpers of cli.py that read a job field, each called as (spec, key, owner, ...);
+# _factors(spec, owner) reads its key through _ints
+KEY_READERS = {"_field", "_ints", "_positive_int", "_bool", "_group_table"}
+
+
+def _cli_keys() -> set[str]:
+    """The string keys cli.py reads from a job: the key of each reader call
+    and the first argument of every ``.get``."""
+    keys = set()
+    for node in ast.walk(ast.parse((REPO / "src" / "brnr" / "cli.py").read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in KEY_READERS:
+            args = node.args[1:2]
+        elif isinstance(func, ast.Attribute) and func.attr == "get":
+            args = node.args[:1]
+        else:
+            continue
+        keys.update(a.value for a in args
+                    if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    return keys
+
+
+def test_readme_job_grammar_names_the_keys_cli_reads():
+    readme = (REPO / "README.md").read_text()
+    sketch = readme.split("### Job grammar (sketch)")[1].split("```")[1]
+    documented = set(re.findall(r'"(\w+)":', sketch))
+    read = _cli_keys()
+    assert {"task", "invariant_factors", "modulus", "search_cup"} <= read
+    assert documented - read == set()
+    assert read - documented == set()
+

@@ -183,11 +183,9 @@ FILTER_DATA = {
     "real S3": lambda: real_datum(symmetric_group(3)),
     "real D4": lambda: real_datum(dihedral_group(4)),
     "real Q8": lambda: real_datum(quaternion_group()),
+    # only condition (i) acts here: br_nr has no Galois rows at d = 1, so on
+    # every datum condition (i) comes from the commuting-pair rows alone
     "trivial D4": lambda: GaloisDatum.trivial(dihedral_group(4)),
-    # only condition (i) acts here; br_nr drops the Galois rows at d = 1,
-    # so on every datum condition (i) comes from the commuting-pair rows alone
-    "closed D4": lambda: GaloisDatum.trivial(dihedral_group(4),
-                                             base_algebraically_closed=True),
     "swap Z2xZ2": swap_datum,
     "twist Z2xZ4 k=2": lambda: twist_datum(abelian_group([2, 4]), 31),
 }

@@ -220,8 +220,7 @@ def relabel_datum(gal, seed) -> GaloisDatum:
     G, perm = relabel(gal.G, seed)
     act = np.zeros_like(gal.action.table)
     act[:, perm] = perm[gal.action.table]
-    out = GaloisDatum(gal.delta, G, gal.chi, GroupAction(gal.delta, G, act), gal.N,
-                      gal.base_algebraically_closed)
+    out = GaloisDatum(gal.delta, G, gal.chi, GroupAction(gal.delta, G, act), gal.N)
     out.validate()
     return out
 
@@ -277,7 +276,7 @@ def test_c2_generator_rows_match_full_rows(name, seed):
 
 
 CROSSED_DATA = {
-    **{k: v for k, v in C2_DATA.items() if k not in ("trivial D4", "closed D4")},
+    **{k: v for k, v in C2_DATA.items() if k != "trivial D4"},
     "psi Z8 3,3": lambda: psi_datum(3, 3),
     "psi Z8 7,5": lambda: psi_datum(7, 5),
 }
@@ -316,8 +315,7 @@ def relabel_delta(gal, seed) -> GaloisDatum:
     chi[perm] = gal.chi
     act = np.zeros_like(gal.action.table)
     act[perm] = gal.action.table
-    out = GaloisDatum(delta, gal.G, chi, GroupAction(delta, gal.G, act), gal.N,
-                      gal.base_algebraically_closed)
+    out = GaloisDatum(delta, gal.G, chi, GroupAction(delta, gal.G, act), gal.N)
     out.validate()
     return out
 
