@@ -589,22 +589,29 @@ def cup_h1_h1(G: FiniteGroup, M: AbelianModule, x: np.ndarray, Mdual: AbelianMod
     return out % e
 
 
-def _power_sums(G: FiniteGroup, fs: np.ndarray, N: int) -> np.ndarray:
-    """T[:, k, g] = T_k(g) = sum_{i=1}^{k-1} f(g^i, g) mod N for 0 <= k <= exp(G).
+def _table_reader(tables: np.ndarray) -> Callable:
+    """(i, j) -> tables[:, i, j].T, the value reader of a stack, as ``path_sums`` of atoms."""
+    return lambda i, j: tables[:, i, j].T
 
-    fs is a stack (tables, |G|, |G|) of normalized scalar 2-cocycles mod N.
+
+def _power_sums(G: FiniteGroup, f: Callable, k: np.ndarray, g: np.ndarray, N: int) -> np.ndarray:
+    """T_k(g) = sum_{i=1}^{k-1} f(g^i, g) mod N, one row per (k, g), 0 <= k <= exp(G).
+
+    f reads normalized scalar 2-cocycles mod N, f(x, y) (len(x), cocycles),
+    once per distinct g for i < max k (``_table_reader``, ``path_sums``).
     The lift (a, g) in the extension Z/N x_f G has k-th power
     (k a + T_k(g), g^k).  With k = ord g, f dies on <g> iff some lift has
     order k, iff gcd(k, N) divides T_k(g): the cyclic-splitting row of
     ``sha`` is (N / gcd(k, N)) T_k(g) mod N.  On a coboundary db,
     T_k(g) = k b(g) - b(g^k), which is k b(g) at k = ord g, so that row is
-    defined on classes.  The Galois obstructions of the engine read T at
-    other k too.
+    defined on classes.
     """
-    P = G.powers
-    T = np.zeros((len(fs), len(P) + 1, G.order), dtype=np.int64)
-    T[:, 2:] = np.cumsum(fs[:, P[1:], np.arange(G.order)], axis=1) % N
-    return T
+    u, at = np.unique(g, return_inverse=True)
+    K = int(np.max(k, initial=1))
+    vals = f(G.powers[1:K, u].ravel(), np.tile(u, K - 1))
+    T = np.zeros((K + 1, len(u), vals.shape[1]), dtype=np.int64)
+    T[2:] = np.cumsum(vals.reshape(T[2:].shape), axis=0) % N
+    return T[k, at]
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +820,7 @@ def sha(G: FiniteGroup, M: AbelianModule, degree: int, family: str,
     else:
         f = np.array([rep[:, :, 0] for rep in ambient.representatives])
         g, k = np.arange(1, G.order), G.element_orders[1:]
-        rows = (N // np.gcd(k, N))[:, None] * _power_sums(G, f, N)[:, k, g].T % N
+        rows = (N // np.gcd(k, N))[:, None] * _power_sums(G, _table_reader(f), k, g, N) % N
         if family != "cyc":
             rows = np.vstack([rows, commuting_pair_rows(ambient.space,
                                                         ambient.sub.generator_lifts)[1]])

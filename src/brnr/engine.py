@@ -23,7 +23,8 @@ column, with the first nonzero row as witness.  algebraic_unramified
 reads the classes with f = 0, H^1(Delta, G^(chi)), off one h1 call.
 br_nr, algebraic_unramified and the Kummer quotient each hand their rows
 to one cohomology.class_subgroup call, and no class is enumerated.  The
-rows of (i) and the Kummer classes are read off the Schreier atoms.
+rows of (i) and (ii) and the Kummer classes are read on the unknowns of
+the class module, and br_nr tabulates only the classes it prints.
 
 Over an algebraically closed base Delta is trivial, (ii) adds no row to
 (i) and Br^0_nr is Bogomolov's B_0(G): b0 is br_nr on the trivial datum, after
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -44,6 +46,7 @@ from .cohomology import (
     ShaResult,
     _cocycle1_space,
     _power_sums,
+    _table_reader,
     b0_torsion_order,
     class_subgroup,
     commuting_pair_rows,
@@ -68,8 +71,7 @@ from .zmod import _prime_powers, kernel
 # ---------------------------------------------------------------------------
 
 
-def _galois_obstructions(gal: GaloisDatum, triples, fs: np.ndarray,
-                         cs: np.ndarray) -> np.ndarray:
+def _galois_obstructions(gal: GaloisDatum, triples, f, c) -> np.ndarray:
     """Obstruction values mod N: one row per triple, one column per pair (f, c).
 
     For an admissible (d, tau, gamma), n = ord(tau) and chi(d) = q n + j,
@@ -80,18 +82,19 @@ def _galois_obstructions(gal: GaloisDatum, triples, fs: np.ndarray,
 
     and the lift-and-conjugate condition holds iff it is 0.  The value is
     linear in (f, c), so deciding the condition is a matrix product.
-    fs is (pairs, |G|, |G|), cs is (pairs, |Delta|, |G|).
+    f and c read the pairs, f(x, y) and c_d(g) (len(x), pairs), off tables
+    (``cohomology._table_reader``) or off the unknowns (``br_nr``).
     """
     G, N = gal.G, gal.N
     d, tau, gamma = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
     n = G.element_orders[tau]
     q, j = np.divmod(gal.chi[d], n)
-    T = _power_sums(G, fs, N)  # T[:, k, tau] = T_k
-    d_tau = gal.action.table[d, tau]
-    ginv = G.inv[gamma]
-    vals = (cs[:, d, tau] + fs[:, gamma, d_tau] + fs[:, G.mul[gamma, d_tau], ginv]
-            - fs[:, gamma, ginv] - T[:, j, tau] - q * T[:, n, tau])
-    return (vals % N).T
+    Tj, Tn = np.split(_power_sums(G, f, np.concatenate([j, n]), np.tile(tau, 2), N), 2)
+    d_tau, ginv = gal.action.table[d, tau], G.inv[gamma]
+    xy, at = np.unique(np.concatenate([gamma, G.mul[gamma, d_tau], gamma]) * G.order
+                       + np.concatenate([d_tau, ginv, ginv]), return_inverse=True)
+    f1, f2, f3 = np.split(f(*np.divmod(xy, G.order))[at], 3)
+    return (c(d, tau) + f1 + f2 - f3 - Tj - q[:, None] * Tn) % N
 
 
 def _require_admissible(gal: GaloisDatum, d: int, tau: int, gamma: int) -> None:
@@ -107,8 +110,8 @@ def galois_condition_single(ext: EquivariantExtension, d: int, tau: int,
                             gamma: int) -> bool:
     """Closed-form test of the lift-and-conjugate condition for one triple."""
     _require_admissible(ext.gal, d, tau, gamma)
-    return not _galois_obstructions(ext.gal, [(d, tau, gamma)],
-                                    ext.f[None], ext.c[None]).any()
+    return not _galois_obstructions(ext.gal, [(d, tau, gamma)], _table_reader(ext.f[None]),
+                                    _table_reader(ext.c[None])).any()
 
 
 def galois_condition_bruteforce(ext: EquivariantExtension, d: int, tau: int,
@@ -208,7 +211,6 @@ class BrauerReport:
 
     invariant_factors: tuple[int, ...]
     representatives: list[EquivariantExtension]
-    ambient: ClassModule | None
     # br_nr: one entry per Kummer-quotient generator e_i, as (coordinates of
     # e_i, verdict of its column, witness of its first nonzero row):
     # ("bogomolov", (x, y)) for a commuting pair or ("galois", (d, tau, gamma))
@@ -246,37 +248,31 @@ def br_nr(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
 
     Both conditions are linear on the Kummer quotient: Br^0_nr is the
     kernel of the commuting-pair rows stacked on the Galois rows
-    (``_galois_rows``), one column per quotient generator.  The
-    commuting-pair rows read its atoms, the Galois rows its tables (fs, cs),
-    and pairs are built only for the representatives of the report.
+    (``_galois_rows``), one column per quotient generator.  Both read the
+    generators on their unknowns, f(x, y) as path sums of the atoms and
+    c_d(g) through ``ClassModule._C``: only the representatives get tables.
     """
     cm = class_module(gal, caps)
-    if not cm.invariant_factors:
-        return BrauerReport((), [], cm, label="Br0_nr")
-    q_orders, coords = _kummer_quotient(cm)
-    s = len(q_orders)
-    if s == 0:
-        return BrauerReport((), [], cm, label="Br0_nr")
-    N = gal.N
-    fs, cs = cm.tables(coords)
-    atoms = cm._sub.generator_lifts[:cm._space.n_atoms] @ coords.T
-    pairs, S = commuting_pair_rows(cm._space, atoms)
+    q_orders, coords = _kummer_quotient(cm) if cm.invariant_factors else ((), None)
+    if not q_orders:
+        return BrauerReport((), [], label="Br0_nr")
+    N, space, s = gal.N, cm._space, len(q_orders)
+    X = cm._sub.generator_lifts @ coords.T % N      # the unknowns of each generator
+    atoms = X[:space.n_atoms]
+    pairs, S = commuting_pair_rows(space, atoms)
     triples = _galois_rows(gal)
-    A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
-    witnesses = [("bogomolov", p) for p in pairs] + \
-        [("galois", tuple(t)) for t in triples.tolist()]
-
-    tested = []
-    for i, col in enumerate(A.T):
-        bad = np.nonzero(col)[0]
-        tested.append((tuple(int(k == i) for k in range(s)), not bad.size,
-                       witnesses[bad[0]] if bad.size else None))
+    A = np.vstack([S, _galois_obstructions(gal, triples, partial(space.path_sums, atoms),
+                                           lambda d, g: cm._C[d, g] @ X % N)])
+    witnesses = [("bogomolov", p) for p in pairs] + [("galois", tuple(t)) for t in triples.tolist()]
+    tested = [(tuple(int(k == i) for k in range(s)), not bad.size,
+               witnesses[bad[0]] if bad.size else None)
+              for i, bad in enumerate(map(np.flatnonzero, A.T))]
     # q_i times generator i is a Kummer class up to coboundaries, where both
     # conditions hold; so the kernel is well defined on the quotient
-    factors, coords = class_subgroup(A, q_orders, N)
-    reps = [EquivariantExtension(gal, np.tensordot(x, fs, axes=1) % N,
-                                 np.tensordot(x, cs, axes=1) % N) for x in coords]
-    return BrauerReport(factors, reps, cm, tested, label="Br0_nr")
+    factors, xs = class_subgroup(A, q_orders, N)
+    fs, cs = cm.tables(np.reshape(xs, (len(xs), s)) @ coords) if xs else ((), ())
+    reps = [EquivariantExtension(gal, f, c) for f, c in zip(fs, cs)]
+    return BrauerReport(factors, reps, tested, label="Br0_nr")
 
 
 def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
@@ -289,9 +285,9 @@ def b0(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> BrauerReport:
     """
     N = G.order
     if N == 1 or b0_torsion_order(G, _radical(N), caps) == 1:
-        return BrauerReport((), [], None, label="B_0")
+        return BrauerReport((), [], label="B_0")
     report = br_nr(GaloisDatum.trivial(G), caps)
-    return BrauerReport(report.invariant_factors, report.representatives, None, label="B_0")
+    return BrauerReport(report.invariant_factors, report.representatives, label="B_0")
 
 
 def _character_module(gal: GaloisDatum) -> tuple[np.ndarray, AbelianModule]:
@@ -328,11 +324,11 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
     G, N = gal.G, gal.N
     n, nd = G.order, gal.delta.order
     if (nd - 1) * (n - 1) == 0 or N == 1:
-        return BrauerReport((), [], None, label="Br0_nr_alg")
+        return BrauerReport((), [], label="Br0_nr_alg")
     B, module = _character_module(gal)
     H = h1(gal.delta, module, caps)
     if not H.invariant_factors:
-        return BrauerReport((), [], None, label="Br0_nr_alg")
+        return BrauerReport((), [], label="Br0_nr_alg")
     b = np.array(H.representatives, dtype=np.int64) @ B.T       # b[j, d, g] = b_d(g)
     cs = b[:, np.arange(nd)[:, None], gal.action.table] % N     # c_d(g) = b_d(d.g)
     # with f = 0 the obstruction is c_d(tau), whatever gamma
@@ -341,4 +337,4 @@ def algebraic_unramified(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> BrauerR
     factors, coords = class_subgroup(A, H.invariant_factors, N)
     reps = [EquivariantExtension(gal, np.zeros((n, n), dtype=np.int64),
                                  np.tensordot(x, cs, axes=1) % N) for x in coords]
-    return BrauerReport(factors, reps, None, label="Br0_nr_alg")
+    return BrauerReport(factors, reps, label="Br0_nr_alg")

@@ -20,6 +20,7 @@ of G and of Delta; the other values follow along spanning trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import prod
 from typing import Optional
@@ -173,10 +174,6 @@ class EquivariantExtension:
             raise ValidationError("extension pair is not normalizable",
                                   witness=(int(self.f[0].argmax()),))
 
-    @property
-    def modulus(self) -> int:
-        return self.gal.N
-
     def violated_law(self) -> Optional[tuple[str, tuple]]:
         """First violated law among C1, C2, C3 with its witness, or None (``violated_laws``)."""
         bad = violated_laws(self.gal, self.f[None], self.c[None])
@@ -196,22 +193,31 @@ class EquivariantExtension:
 
 @dataclass
 class ClassModule:
-    """Solutions of C1-C3 modulo coboundary pairs, with representatives.
+    """Solutions of C1-C3 modulo coboundary pairs, on the unknowns of ``class_module``.
 
-    The tables of the r representatives, one per invariant factor, are
-    built once, as stacks: ``fs`` (r, n, n) and ``cs`` (r, |Delta|, n).
+    Their atoms give f (``_space``), and c_d(g) is ``_C[d, g]`` of them.  The
+    generator tables are built and checked (``violated_laws``) on first read.
     """
 
     gal: GaloisDatum
-    invariant_factors: tuple[int, ...]
-    fs: np.ndarray
-    cs: np.ndarray
     _sub: Subquotient
     _space: object                  # ReducedCocycleSpace for the f-part
+    _C: np.ndarray
 
     @property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
+    def invariant_factors(self) -> tuple[int, ...]:
+        return self._sub.invariant_factors
+
+    @cached_property
+    def _stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The generator tables fs (r, n, n) and cs (r, |Delta|, n)."""
+        lifts, N = self._sub.generator_lifts, self.gal.N
+        fs = self._space.expand(lifts[:self._space.n_atoms])
+        cs = np.moveaxis(self._C @ lifts % N, 2, 0)
+        bad = violated_laws(self.gal, fs, cs)
+        if bad is not None:
+            raise ValidationError(f"extension law {bad[1]} fails", witness=bad[2])
+        return fs, cs
 
     def coordinates(self, ext, cs: np.ndarray | None = None) -> Optional[np.ndarray]:
         """Class coordinates of a pair; None if it breaks one of C1-C3.
@@ -243,8 +249,8 @@ class ClassModule:
     def tables(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """Stacks (fs, cs) of the pairs with class coordinates the rows of ``coords``."""
         x, N = as_mod(coords, self.gal.N), self.gal.N
-        fs, cs = (x @ t.reshape(len(t), -1) % N for t in (self.fs, self.cs))
-        return fs.reshape(-1, *self.fs.shape[1:]), cs.reshape(-1, *self.cs.shape[1:])
+        return tuple((x @ t.reshape(len(t), prod(t.shape[1:])) % N).reshape(-1, *t.shape[1:])
+                     for t in self._stack)
 
     def element(self, coords) -> EquivariantExtension:
         """The pair with these class coordinates, a combination of the representatives."""
@@ -312,11 +318,7 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     A gauged pair is a coboundary pair exactly when its b keeps f gauged,
     db = 0 on the tree edges, i.e. b(x) = word(x) . b(S) (Hopf's formula,
     as for H^2): the |S| columns of ``space.coboundaries`` on the atoms,
-    with chi(e) b(s) - b(e.s) on the c_e(s).
-
-    The representatives are expanded into the stacks ``fs`` and ``cs`` of
-    the ClassModule, and the laws are checked at every row on the whole
-    stack, in one ``violated_laws`` call.
+    with chi(e) b(s) - b(e.s) on the c_e(s).  No table is built here.
     """
     G, N = gal.G, gal.N
     n = G.order
@@ -345,14 +347,7 @@ def class_module(gal: GaloisDatum, caps: Caps = DEFAULT_CAPS) -> ClassModule:
     # chi(e) b(s) - b(e.s) on the c_e(s)
     twist = chi_n[SD, None, None] * np.eye(len(S), dtype=np.int64) - space.words()[act[SD][:, S]]
     cols = np.vstack([space.coboundaries(), twist.reshape(len(SD) * len(S), len(S)) % N])
-    sub = subquotient(W, cols)
-
-    lifts = sub.generator_lifts
-    fs, cs = space.expand(lifts[:n_atoms]), np.moveaxis(C @ lifts % N, 2, 0)
-    bad = violated_laws(gal, fs, cs)
-    if bad is not None:
-        raise ValidationError(f"extension law {bad[1]} fails", witness=bad[2])
-    return ClassModule(gal, sub.invariant_factors, fs, cs, sub, space)
+    return ClassModule(gal, subquotient(W, cols), space, C)
 
 
 def kummer_kernel(cm: ClassModule) -> np.ndarray:

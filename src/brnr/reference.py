@@ -54,6 +54,7 @@ from .cohomology import (
     _generator_pairs,
     _lattice_columns,
     _row_scales,
+    _table_reader,
     cocycle1_defect,
     cocycle2_defect,
     family_generators,
@@ -292,8 +293,8 @@ def splits_over(ext: EquivariantExtension, elements,
     dies_in_qz of the restriction instead.
     """
     G = ext.gal.G
-    N = ext.modulus if modulus is None else modulus
-    scale = 1 if modulus is None else modulus // ext.modulus
+    N = ext.gal.N if modulus is None else modulus
+    scale = 1 if modulus is None else modulus // ext.gal.N
     elems = _check_subgroup(G, elements)
     H, _ = G.subgroup_table(elems)
     return is_scalar_coboundary(H, -scale * ext.f[np.ix_(elems, elems)], N)
@@ -309,8 +310,8 @@ def splits_equivariantly(ext: EquivariantExtension, elements, delta_elements=Non
     """
     gal = ext.gal
     G = gal.G
-    N = ext.modulus if modulus is None else modulus
-    scale = 1 if modulus is None else modulus // ext.modulus
+    N = ext.gal.N if modulus is None else modulus
+    scale = 1 if modulus is None else modulus // ext.gal.N
     elems = _check_subgroup(G, elements)
     dels = np.arange(gal.delta.order) if delta_elements is None \
         else np.array(sorted(set(int(d) for d in delta_elements)), dtype=np.int64)
@@ -402,8 +403,8 @@ def baer_sum(e1: EquivariantExtension, e2: EquivariantExtension) -> EquivariantE
         or not np.array_equal(e1.gal.action.table, e2.gal.action.table)
     ):
         raise MismatchedBase("extensions live over different data")
-    return EquivariantExtension(e1.gal, (e1.f + e2.f) % e1.modulus,
-                                (e1.c + e2.c) % e1.modulus)
+    return EquivariantExtension(e1.gal, (e1.f + e2.f) % e1.gal.N,
+                                (e1.c + e2.c) % e1.gal.N)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +446,8 @@ def galois_condition(ext: EquivariantExtension) -> tuple[bool, Optional[tuple]]:
     """
     gal = ext.gal
     triples = list(_admissible_triples(gal))
-    bad = np.nonzero(_galois_obstructions(gal, triples, ext.f[None], ext.c[None]))[0]
+    bad = np.nonzero(_galois_obstructions(gal, triples, _table_reader(ext.f[None]),
+                                          _table_reader(ext.c[None])))[0]
     if bad.size:
         return False, triples[bad[0]]
     return True, None

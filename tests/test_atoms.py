@@ -5,25 +5,32 @@ the unknowns of the solve (atoms, then c_e(s) under a Galois twist), and
 ``cohomology.commuting_pair_rows`` reads f(x, y) - f(y, x) as path sums of
 the atoms.  Both are compared with the tables they replace: the gauged
 unknowns and class coordinates of ``reference.bockstein`` pairs, and the
-rows of ``reference.commuting_pair_rows_of_tables``.  Untwisted on the
-groups of ``test_b0_count``; twisted on real-like, swap, trivial-action
-twist, cyclotomic, psi, outer and conjugation data, where every term of
-the formula is nonzero somewhere.
+rows of ``reference.commuting_pair_rows_of_tables``; the Galois rows and
+power sums read through path sums and ``ClassModule._C`` are compared with
+the same rows read off tables.  Untwisted on the groups of
+``test_b0_count``; twisted on real-like, swap, trivial-action twist,
+cyclotomic, psi, outer and conjugation data, where every term of the
+formula is nonzero somewhere.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from brnr.cohomology import (
+    _power_sums,
+    _table_reader,
     character_group_generators,
     commuting_pair_rows,
     h2,
     kummer_columns,
     scalar_module,
 )
+from brnr.engine import _galois_obstructions, _galois_rows
 from brnr.extensions import class_module
 from brnr.groups import abelian_group, dihedral_group, quaternion_group, symmetric_group
-from brnr.reference import bockstein, commuting_pair_rows_of_tables
+from brnr.reference import _admissible_triples, bockstein, commuting_pair_rows_of_tables
 
 from test_b0_count import DATA
 from test_engine import (
@@ -117,6 +124,41 @@ def test_path_sum_rows_of_the_class_module_are_the_table_rows(name):
     cm = class_module(GALOIS[name]())
     atoms = cm._sub.generator_lifts[:cm._space.n_atoms]
     pairs, rows = commuting_pair_rows(cm._space, atoms)
-    ref_pairs, ref = commuting_pair_rows_of_tables(cm.gal.G, cm.fs, cm.gal.N)
+    fs, _ = cm.tables(np.eye(len(cm.invariant_factors), dtype=np.int64))
+    ref_pairs, ref = commuting_pair_rows_of_tables(cm.gal.G, fs, cm.gal.N)
     assert pairs == ref_pairs
     np.testing.assert_array_equal(rows, ref)
+
+
+def power_sums_by_cumsum(G, fs, N):
+    """The reference: T[:, k, g] = sum_{i=1}^{k-1} f(g^i, g) mod N for every
+    0 <= k <= exp(G) and every g, one cumulative sum over ``G.powers`` of
+    whole tables fs (pairs, n, n)."""
+    P = G.powers
+    T = np.zeros((len(fs), len(P) + 1, G.order), dtype=np.int64)
+    T[:, 2:] = np.cumsum(fs[:, P[1:], np.arange(G.order)], axis=1) % N
+    return T
+
+
+@pytest.mark.parametrize("name", sorted(GALOIS))
+def test_path_sum_galois_rows_are_the_table_rows(name):
+    gal = GALOIS[name]()
+    G, N = gal.G, gal.N
+    cm = class_module(gal)
+    eye = np.eye(len(cm.invariant_factors), dtype=np.int64)
+    fs, cs = cm.tables(eye)
+    # the readers of br_nr: path sums of the atoms, c_d(g) through _C
+    X = cm._sub.generator_lifts % N
+    atoms = partial(cm._space.path_sums, X[:cm._space.n_atoms])
+    readers = {"atoms": (atoms, lambda d, g: cm._C[d, g] @ X % N),
+               "tables": (_table_reader(fs), _table_reader(cs))}
+    for triples in (_galois_rows(gal), list(_admissible_triples(gal))):
+        A, B = (_galois_obstructions(gal, triples, *readers[k]) for k in ("atoms", "tables"))
+        assert A.shape == B.shape == (len(triples), len(fs))
+        assert A.dtype == B.dtype and A.tobytes() == B.tobytes()
+    # every T_k(g), 0 <= k <= exp(G), through both readers
+    k, g = (a.ravel() for a in np.meshgrid(np.arange(G.exponent + 1), np.arange(G.order)))
+    ref = power_sums_by_cumsum(G, fs, N)[:, k, g].T
+    for f, _ in readers.values():
+        T = _power_sums(G, f, k, g, N)
+        assert T.dtype == ref.dtype and T.tobytes() == ref.tobytes()

@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import brnr.extensions
 import brnr.reference
 from brnr.caps import Caps
 from brnr.cli import main, parse_job, run_job
 from brnr.cohomology import (
+    ReducedCocycleSpace,
+    _table_reader,
     character_group_generators,
     class_subgroup,
     commuting_pair_rows,
@@ -158,6 +161,10 @@ def test_galois_closed_form_matches_bruteforce(seed):
     data.append(swap_datum())
     # real-like Q8: the transfer sums T_j enter with a sign that matters
     data.append(real_datum(quaternion_group()))
+    # nonabelian G with a nontrivial action: gamma and d.tau enter the middle
+    # terms, and chi(d) > ord tau puts q T_n in
+    data.append(conjugation_datum(dihedral_group(4), 31))
+    data.append(twist_datum(symmetric_group(3), 17))
     for gal in data:
         cm = class_module(gal)
         if not cm.invariant_factors:
@@ -203,8 +210,9 @@ def test_br_nr_verdict_per_quotient_generator(name):
     """Each tested entry is the per-class verdict of one Kummer-quotient generator."""
     gal = FILTER_DATA[name]()
     report = br_nr(gal)
-    q_orders, q_coords = _kummer_quotient(report.ambient)
-    fs, cs = report.ambient.tables(q_coords)
+    cm = class_module(gal)
+    q_orders, q_coords = _kummer_quotient(cm)
+    fs, cs = cm.tables(q_coords)
     gens = [EquivariantExtension(gal, f, c) for f, c in zip(fs, cs)]
     s = len(q_orders)
     assert [coords for coords, _, _ in report.tested] == [
@@ -218,6 +226,22 @@ def test_br_nr_verdict_per_quotient_generator(name):
             assert gal.G.mul[x, y] == gal.G.mul[y, x] and ext.f[x, y] != ext.f[y, x]
         if not ok and wit[0] == "galois":
             assert not galois_condition_single(ext, *wit[1])
+
+
+def test_br_nr_without_representatives_builds_no_table(monkeypatch):
+    # Br^0_nr = 0 on a nonempty Kummer quotient: both conditions read the
+    # generators on the unknowns, so no |G|^2 table is built and no law is
+    # checked
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report with no representative needs no table")
+
+    monkeypatch.setattr(ReducedCocycleSpace, "expand", refuse)
+    monkeypatch.setattr(brnr.extensions, "violated_laws", refuse)
+    for gal in (real_datum(dihedral_group(4)), real_datum(abelian_group([2] * 4)),
+                swap_datum()):
+        rep = br_nr(gal)
+        assert (rep.invariant_factors, rep.representatives) == ((), [])
+        assert rep.tested and not any(ok for _, ok, _ in rep.tested)
 
 
 @pytest.mark.parametrize("name", ["real D4", "real Z2xZ4", "swap Z2xZ2",
@@ -238,7 +262,7 @@ def test_galois_obstruction_vanishes_on_coboundary_and_kummer_pairs(name):
         fs.append(f[None])
         cs.append(c[None])
     A = _galois_obstructions(gal, list(_admissible_triples(gal)),
-                             np.concatenate(fs), np.concatenate(cs))
+                             _table_reader(np.concatenate(fs)), _table_reader(np.concatenate(cs)))
     assert A.shape[1] == 6 + len(phis)
     assert not A.any()
 
@@ -252,7 +276,7 @@ def br_nr_by_all_triples(gal):
     fs, cs = cm.tables(coords)
     pairs, S = commuting_pair_rows_of_tables(gal.G, fs, N)
     triples = [t for t in _admissible_triples(gal) if t[0] != 0]
-    A = np.vstack([S, _galois_obstructions(gal, triples, fs, cs)])
+    A = np.vstack([S, _galois_obstructions(gal, triples, _table_reader(fs), _table_reader(cs))])
     witnesses = [("bogomolov", p) for p in pairs] + [("galois", t) for t in triples]
     tested = []
     for i, col in enumerate(A.T):
@@ -332,7 +356,8 @@ def test_galois_value_at_a_unit_power_is_that_multiple(name):
     fs = np.array([e.f for e in exts])
     cs = np.array([e.c for e in exts])
     triples = list(_admissible_triples(gal))
-    base = _galois_obstructions(gal, triples, fs, cs)
+    f, c = _table_reader(fs), _table_reader(cs)
+    base = _galois_obstructions(gal, triples, f, c)
     orders = np.array([G.element_order(tau) for _, tau, _ in triples])
     assert not (orders[:, None] * base % N).any()
     checked = 0
@@ -340,7 +365,7 @@ def test_galois_value_at_a_unit_power_is_that_multiple(name):
         at = [i for i, (_, tau, _) in enumerate(triples)
               if math.gcd(k, G.element_order(tau)) == 1 and G.element_order(tau) > 2]
         powered = [(d, G.power(tau, k), gamma) for d, tau, gamma in (triples[i] for i in at)]
-        assert np.array_equal(_galois_obstructions(gal, powered, fs, cs),
+        assert np.array_equal(_galois_obstructions(gal, powered, f, c),
                               k * base[at] % N)
         for i in rng.choice(len(at), size=min(len(at), 8), replace=False):
             for ext in exts:
@@ -751,8 +776,7 @@ def test_algebraic_unramified_wang_counterexample_is_z2():
     n, N, chi = gal.G.order, gal.N, gal.chi_mod_n
     count = 0
     for x in itertools.product(range(2), repeat=3):
-        f = sum(k * t for k, t in zip(x, cm.fs)) % N
-        c = sum(k * t for k, t in zip(x, cm.cs)) % N
+        f, c = (t[0] for t in cm.tables([x]))
         if sum(f[k, 1] for k in range(n)) % N:
             continue
         b = np.zeros(n, dtype=np.int64)
@@ -782,13 +806,14 @@ def test_br_nr_wang_counterexample_mod_16():
     gal = wang_datum(16)
     rep = br_nr(gal)
     assert rep.invariant_factors == (2,)
-    assert rep.ambient.invariant_factors == (2, 2, 2)
-    assert rep.ambient._sub.generator_lifts.shape[0] == 1 + 2
+    cm = class_module(gal)
+    assert cm.invariant_factors == (2, 2, 2)
+    assert cm._sub.generator_lifts.shape[0] == 1 + 2
     (gen,) = rep.representatives
     assert gen.violated_law() is None and is_unramified(gen)[0]
     alg = algebraic_unramified(gal).representatives[0]
-    x = rep.ambient.coordinates([gen, alg])
-    K = kummer_kernel(rep.ambient)
+    x = cm.coordinates([gen, alg])
+    K = kummer_kernel(cm)
     kummer = {tuple(K @ t % 2) for t in itertools.product(range(2), repeat=K.shape[1])}
     # the algebraic generator is the generator of Br^0_nr modulo Kummer classes
     assert tuple(x[:, 0] % 2) not in kummer

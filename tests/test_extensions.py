@@ -162,8 +162,8 @@ def test_splits_equivariantly_remark_case():
 
 def assert_splitting_witness(ext, elems, b, modulus=None, equivariant=False):
     """f = b(gh) - b(g) - b(h) on H, and chi(d) b(g) + c_d(g) = b(d.g)."""
-    N = ext.modulus if modulus is None else modulus
-    scale = N // ext.modulus
+    N = ext.gal.N if modulus is None else modulus
+    scale = N // ext.gal.N
     gal = ext.gal
     val = dict(zip(sorted(elems), (int(x) for x in b)))
     assert len(val) == len(b)
@@ -393,7 +393,8 @@ def test_class_module_coordinates_take_a_batch(name):
     coords = np.array([rng.integers(0, d, size=5) for d in cm.invariant_factors],
                       dtype=np.int64).reshape(k, 5)
     if k:
-        assert np.array_equal(cm.coordinates(cm.fs, cm.cs), np.eye(k, dtype=np.int64))
+        assert np.array_equal(cm.coordinates(*cm.tables(np.eye(k, dtype=np.int64))),
+                              np.eye(k, dtype=np.int64))
         for x in coords.T:
             assert np.array_equal(cm.coordinates(cm.element(x)), x)
     exts = []
@@ -431,8 +432,9 @@ def test_a_pair_shifted_by_a_constant_coboundary_is_normalized(name):
     # back as the representative, with the same class coordinates
     gal = CLASS_MODULE_DATA[name]()
     cm = class_module(gal)
-    assert len(cm.fs)
-    for f, c, k in zip(cm.fs, cm.cs, itertools.cycle(range(1, gal.N))):
+    fs, cs = cm.tables(np.eye(len(cm.invariant_factors), dtype=np.int64))
+    assert len(fs)
+    for f, c, k in zip(fs, cs, itertools.cycle(range(1, gal.N))):
         rep = EquivariantExtension(gal, f, c)
         assert np.array_equal(rep.f, f) and np.array_equal(rep.c, c)
         shifted = EquivariantExtension(gal, rep.f + k, rep.c + (gal.chi_mod_n[:, None] - 1) * k)
@@ -639,13 +641,15 @@ def test_violated_laws_reports_the_first_broken_pair_of_a_stack(name):
     assert violated_laws(gal, np.array([e.f for e in valid]),
                          np.array([e.c for e in valid])) is None
     cm = class_module(gal)
-    assert violated_laws(gal, cm.fs, cm.cs) is None
+    assert violated_laws(gal, *cm.tables(np.eye(len(cm.invariant_factors),
+                                                 dtype=np.int64))) is None
 
 
 def test_the_laws_are_checked_once_per_stack(monkeypatch):
-    # class_module checks its representatives and coordinates its whole
-    # stack in one call each, kummer_kernel builds no pair to check, and
-    # br_nr builds a pair only for each representative of its report
+    # class_module builds no table; the generator stack is checked in one
+    # call when first read, and coordinates checks its whole stack in one
+    # call; kummer_kernel builds no pair to check, and br_nr builds tables
+    # and pairs only for the representatives of its report
     calls, built = [], []
     check, post_init = brnr.extensions.violated_laws, EquivariantExtension.__post_init__
 
@@ -660,6 +664,9 @@ def test_the_laws_are_checked_once_per_stack(monkeypatch):
     monkeypatch.setattr(brnr.extensions, "violated_laws", check_spy)
     gal = wang_datum(8)
     cm = class_module(gal)
+    assert calls == []
+    cm.tables(np.eye(3, dtype=np.int64))
+    cm.element([1, 0, 1])
     assert calls == [3]
     exts = _mixed_pairs(gal, np.random.default_rng(5), 10)
     calls.clear()
