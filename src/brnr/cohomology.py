@@ -81,6 +81,10 @@ from .zmod import (
     subquotient,
 )
 
+# Rows per batch of ``ReducedCocycleSpace.c1_batches``.  Larger batches
+# raised the peak memory of the cocycle solve on (Z/2)^8 and (Z/3)^5.
+_C1_ROWS = 4096
+
 
 def scalar_module(m: int, actor: FiniteGroup | None = None,
                   units: np.ndarray | None = None) -> AbelianModule:
@@ -431,27 +435,35 @@ class ReducedCocycleSpace:
         invariance under S, hence under F, is phi([F, R]) = 0.  At a tree
         edge (h, s) the relator is 1 in F and the row vanishes identically,
         since f(g, hs) is expanded by that very identity: it is not built.
+
+        The rows come in the order (s, g, h), those of one s for every g in
+        one gather from ``expr``.  A batch holds the rows of whole
+        generators s, at most _C1_ROWS of them unless one s has more, so
+        the system of a small group is one batch.
         """
-        G, m = self.group, self.modulus
-        n_atoms = self.n_atoms
+        G, m, S = self.group, self.modulus, np.asarray(self.gens, dtype=np.int64)
+        n_atoms, k = self.n_atoms, len(S)
         width = n_atoms if width is None else width
-        batch = []
-        for i, s in enumerate(self.gens):
-            h = np.flatnonzero(self.column[:, i] >= 0)
-            hs = G.mul[h, s]
-            for g in self.gens:
-                rows = np.zeros((len(h), width), dtype=np.int64)
-                rows[:, :n_atoms] = self.at(g, hs) - self.at(g, h)
-                rows[np.arange(len(h)), self.column[h, i]] += 1
-                gh = self.column[G.mul[g, h], i]
-                ok = np.flatnonzero(gh >= 0)
-                rows[ok, gh[ok]] -= 1
-                batch.append(rows % m)
-                if len(batch) == 16:
-                    yield np.vstack(batch)
-                    batch = []
-        if batch:
-            yield np.vstack(batch)
+        atoms = [np.flatnonzero(self.column[:, i] >= 0) for i in range(k)]
+        first = 0
+        while first < k:
+            last, size = first + 1, k * len(atoms[first])
+            while last < k and size + k * len(atoms[last]) <= _C1_ROWS:
+                size += k * len(atoms[last])
+                last += 1
+            batch, at = np.zeros((size, width), dtype=np.int64), 0
+            for i in range(first, last):
+                h = atoms[i]
+                rows = batch[at:at + k * len(h)].reshape(k, len(h), width)
+                e = self.expr[self.slot[S][:, None], np.concatenate([G.mul[h, S[i]], h])]
+                np.subtract(e[:, :len(h)], e[:, len(h):], out=rows[..., :n_atoms])
+                rows[:, np.arange(len(h)), self.column[h, i]] += 1
+                gh = self.column[G.mul[S[:, None], h], i]
+                j, l = np.nonzero(gh >= 0)
+                rows[j, l, gh[j, l]] -= 1
+                at += k * len(h)
+            yield np.remainder(batch, m, out=batch)
+            first = last
 
 
 def _off_tree(n: int, k: int, levels) -> np.ndarray:
@@ -748,8 +760,8 @@ def commuting_pair_rows(space: ReducedCocycleSpace,
     would make (t, s) an earlier one).
     """
     x, y = _generator_pairs(space.group)
-    rows = space.path_sums(atoms, x, y) - space.path_sums(atoms, y, x)
-    return list(zip(x.tolist(), y.tolist())), rows % space.modulus
+    both = space.path_sums(atoms, np.concatenate([x, y]), np.concatenate([y, x]))
+    return list(zip(x.tolist(), y.tolist())), (both[:len(x)] - both[len(x):]) % space.modulus
 
 
 def b0_torsion_order(G: FiniteGroup, m: int, caps: Caps = DEFAULT_CAPS) -> int:

@@ -219,33 +219,6 @@ class ClassModule:
             raise ValidationError(f"extension law {bad[1]} fails", witness=bad[2])
         return fs, cs
 
-    def coordinates(self, ext, cs: np.ndarray | None = None) -> Optional[np.ndarray]:
-        """Class coordinates of a pair; None if it breaks one of C1-C3.
-
-        A list of k pairs, or a stack of k normalized f-tables (k, n, n)
-        with their twists ``cs`` (k, |Delta|, n), gives a (classes, k)
-        matrix, one column per pair, from one law check (``violated_laws``)
-        and one solve; None if any of them breaks a law.
-        """
-        n, nd = self.gal.G.order, self.gal.delta.order
-        single = isinstance(ext, EquivariantExtension)
-        if cs is None:
-            exts = [ext] if single else list(ext)
-            fs = np.array([e.f for e in exts], dtype=np.int64).reshape(len(exts), n, n)
-            cs = np.array([e.c for e in exts], dtype=np.int64).reshape(len(exts), nd, n)
-        else:
-            fs, cs = np.asarray(ext, dtype=np.int64), np.asarray(cs, dtype=np.int64)
-        if violated_laws(self.gal, fs, cs) is not None:
-            return None
-        space, act = self._space, self.gal.action.table
-        SD, S = self.gal.delta.minimal_generators(), space.gens
-        # the c-part of the gauged pair: c + chi b - b o d, b(s) = 0
-        b = space.gauge(fs[..., S])
-        cs = cs[:, SD][:, :, S] - b[:, act[SD][:, S]]
-        x = self._sub.coordinates(np.vstack([space.atomize(fs[..., S]).T,
-                                             cs.reshape(len(fs), len(SD) * len(S)).T]))
-        return x[:, 0] if single and x is not None else x
-
     def tables(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """Stacks (fs, cs) of the pairs with class coordinates the rows of ``coords``."""
         x, N = as_mod(coords, self.gal.N), self.gal.N

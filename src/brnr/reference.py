@@ -23,7 +23,8 @@ module imports this one.
   Galois twist, the reference for ``cohomology.kummer_columns``, and
   ``commuting_pair_rows_of_tables`` reads the commuting-pair rows off
   whole tables, the reference for their path sums.  ``zero_extension``
-  and ``baer_sum`` build pairs for the tests.
+  and ``baer_sum`` build pairs for the tests, and ``class_coordinates``
+  reads their classes in a class module.
 - ``subgroups_abelian`` lists every abelian subgroup (with
   ``centralizer``), for the Sha^2_ab = Sha^2_bic tests through
   ``selfchecks.family_by_pairs``;
@@ -62,7 +63,7 @@ from .cohomology import (
 )
 from .engine import _galois_obstructions
 from .errors import NotACocycle, NotASubgroup, OrderBound, ValidationError
-from .extensions import EquivariantExtension, GaloisDatum
+from .extensions import ClassModule, EquivariantExtension, GaloisDatum, violated_laws
 from .fastpath import SemidirectDatum
 from .groups import AbelianModule, FiniteGroup, GroupAction, semidirect_product
 from .localeval import _DETAILS, UNKNOWN, ZERO, LocalDatum, NonabelianCocycle, _beta_tables
@@ -384,6 +385,37 @@ def commuting_pair_rows_of_tables(G: FiniteGroup, tables,
     x, y = _generator_pairs(G)
     T = np.asarray(tables, dtype=np.int64)
     return list(zip(x.tolist(), y.tolist())), (T[:, x, y] - T[:, y, x]).T % N
+
+
+def class_coordinates(cm: ClassModule, ext, cs: np.ndarray | None = None) -> Optional[np.ndarray]:
+    """Class coordinates in the class module ``cm`` of a pair; None if it breaks one of C1-C3.
+
+    A list of k pairs, or a stack of k normalized f-tables (k, n, n) with
+    their twists ``cs`` (k, |Delta|, n), gives a (classes, k) matrix, one
+    column per pair, from one law check (``violated_laws``) and one solve;
+    None if any of them breaks a law.  The pairs are gauged as
+    ``class_module`` gauges its unknowns: the atoms of f, and
+    c + chi b - b o d at (e, s), e in S_Delta and s in S, for the gauge b
+    of f, which vanishes on S.
+    """
+    gal = cm.gal
+    n, nd = gal.G.order, gal.delta.order
+    single = isinstance(ext, EquivariantExtension)
+    if cs is None:
+        exts = [ext] if single else list(ext)
+        fs = np.array([e.f for e in exts], dtype=np.int64).reshape(len(exts), n, n)
+        cs = np.array([e.c for e in exts], dtype=np.int64).reshape(len(exts), nd, n)
+    else:
+        fs, cs = np.asarray(ext, dtype=np.int64), np.asarray(cs, dtype=np.int64)
+    if violated_laws(gal, fs, cs) is not None:
+        return None
+    space, act = cm._space, gal.action.table
+    SD, S = gal.delta.minimal_generators(), space.gens
+    b = space.gauge(fs[..., S])
+    cs = cs[:, SD][:, :, S] - b[:, act[SD][:, S]]
+    x = cm._sub.coordinates(np.vstack([space.atomize(fs[..., S]).T,
+                                       cs.reshape(len(fs), len(SD) * len(S)).T]))
+    return x[:, 0] if single and x is not None else x
 
 
 def zero_extension(gal: GaloisDatum) -> EquivariantExtension:

@@ -30,7 +30,7 @@ pivots with one Schur-complement product through the inverse of their
 unit triangular block, and keeps every other row zero on their columns,
 so only non-unit pivots are left to back-reduce.
 Every modulus lies in [1, MAX_MODULUS], so each product is an exact
-float64 matmul (see ``_product``).
+float64 matmul (see ``_matmul``).
 
 Matrices are numpy int64 arrays with entries reduced into [0, m).
 Column spans are "submodules generated by the columns".
@@ -250,26 +250,40 @@ def _leads(rows: np.ndarray) -> np.ndarray:
 _PANEL = 64     # rows, columns and terms per matmul block; pivots per sweep round
 
 
-def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q, as int64 in [0, q), for q <= MAX_MODULUS.
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place for int64 x, q > 0: a mask x & (q - 1) when q is a power of 2."""
+    if q & (q - 1):
+        return np.remainder(x, q, out=x)
+    return np.bitwise_and(x, q - 1, out=x)
 
-    The product is taken in float64 blocks of at most _PANEL rows, columns
-    and terms, so each matmul has at most 2^18 multiply-adds, and OpenBLAS
-    runs it on the calling thread: on a 2-core machine under outside load
-    its threaded GEMM was slower than one thread.  The blocks add up in
-    float64 and are reduced mod q once at the end: each product of entries
-    is below 2^30, so a sum of fewer than 2^23 of them is exact.
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for entries in [0, MAX_MODULUS), exact in float64.
+
+    Each product of entries is below 2^30, so a sum of fewer than 2^23 of
+    them is exact.  Each matmul has at most 2^18 multiply-adds, which
+    OpenBLAS runs on the calling thread: on a 2-core machine under outside
+    load its threaded GEMM was slower than one thread.  A product that size
+    or smaller is one matmul; a larger one is taken in blocks of at most
+    _PANEL rows, columns and terms, which add up in float64.
     """
     assert a.shape[1] < 2 ** 23
     a, b = a.astype(np.float64), b.astype(np.float64)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    if a.shape[0] * a.shape[1] * b.shape[1] <= _PANEL ** 3:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
     for i in range(0, a.shape[0], _PANEL):
         for j in range(0, b.shape[1], _PANEL):
             block = 0
             for k in range(0, a.shape[1], _PANEL):
                 block = block + a[i:i + _PANEL, k:k + _PANEL] @ b[k:k + _PANEL, j:j + _PANEL]
             out[i:i + _PANEL, j:j + _PANEL] = block
-    return np.remainder(out, q, out=out)
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q, as int64 in [0, q), for q <= MAX_MODULUS: one reduction of the exact product."""
+    return _mod(_matmul(a, b).astype(np.int64), q)
 
 
 def _unit_triangular_inverse(T: np.ndarray, q: int) -> np.ndarray:
@@ -315,21 +329,34 @@ def _solved(P: np.ndarray, cols, q: int) -> np.ndarray:
 def _clear(X: np.ndarray, G: np.ndarray, cols, q: int) -> None:
     """X -= X[:, cols] G mod q in place, which zeroes X on ``cols`` (G from :func:`_solved`).
 
-    Only the rows of X that are nonzero on ``cols`` and the columns where
-    G is nonzero change.
+    Only the rows of X that are nonzero on ``cols`` change, and of them
+    only the columns where G is nonzero.  When those columns cover at least
+    half the width, the whole rows are updated, with no column gather;
+    otherwise only that block, so a wide, sparse system does not multiply
+    its zero columns.  The exact float64 product is subtracted and the
+    difference reduced once: no entry leaves [-2^53, 2^53].  The rows go
+    _PANEL * 4 at a time, which bounds the memory of the update.
     """
-    XL = X[:, cols]
-    hit = np.flatnonzero(XL.any(axis=1))
+    hit = np.flatnonzero(X[:, cols].any(axis=1))
     if hit.size:
         span = np.flatnonzero(G.any(axis=0))
-        at = np.ix_(hit, span)
-        Y = X[at]
-        Y -= _product(XL[hit], G[:, span], q)
-        X[at] = np.remainder(Y, q, out=Y)
+        whole = 2 * len(span) >= X.shape[1]
+        if not whole:
+            G = G[:, span]
+        for i in range(0, len(hit), _PANEL * 4):
+            rows = hit[i:i + _PANEL * 4]
+            at = rows if whole else np.ix_(rows, span)
+            P = _matmul(X[np.ix_(rows, cols)], G)
+            Y = X[at]
+            np.subtract(Y, P, out=Y, casting="unsafe")
+            X[at] = _mod(Y, q)
 
 
-def _sweep(rows: np.ndarray, q: int, pivots: dict[int, np.ndarray]) -> None:
-    """Eliminate nonzero rows (entries in [0, q), q a prime power) into ``pivots``.
+def _sweep(batch: np.ndarray, q: int, pivots: dict[int, np.ndarray]) -> None:
+    """Eliminate the rows of ``batch`` mod q (a prime power) into ``pivots``.
+
+    The rows are reduced mod q in a copy, which the sweep alone holds, and
+    their zero rows dropped as it goes.
 
     Every stored pivot and every pending row is kept zero on every unit
     pivot column but its own.  So the stored unit pivots are already
@@ -355,6 +382,7 @@ def _sweep(rows: np.ndarray, q: int, pivots: dict[int, np.ndarray]) -> None:
       clears them.  A displaced pivot is pending again, and the
       annihilator row (q/p^v) * pivot is pushed into the pending rows.
     """
+    rows = _mod(batch.copy(), q)
     units = [c for c in pivots if pivots[c][c] == 1]
     if units:
         _clear(rows, np.array([pivots[c] for c in units]), units, q)
@@ -425,11 +453,9 @@ class RowEchelon:
 
     def add(self, batch: np.ndarray) -> None:
         batch = np.asarray(batch, dtype=np.int64)
-        for q, pivots in self._pivots.items():
-            rows = np.mod(batch, q)
-            rows = rows[rows.any(axis=1)]
-            if len(rows):
-                _sweep(rows, q, pivots)
+        if batch.any():
+            for q, pivots in self._pivots.items():
+                _sweep(batch, q, pivots)
 
     def matrix(self) -> np.ndarray:
         """Join the per-prime pivots of each column by CRT, then back-reduce.

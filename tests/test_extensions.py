@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import brnr.extensions
+import brnr.reference
 from brnr.cohomology import character_group_generators
 from brnr.engine import br_nr
 from brnr.extensions import (
@@ -26,6 +27,7 @@ from brnr.reference import (
     MismatchedBase,
     baer_sum,
     bockstein,
+    class_coordinates,
     dies_in_qz,
     extension_group,
     splits_equivariantly,
@@ -262,8 +264,8 @@ def test_baer_sum_and_class_module_functoriality():
     for e1 in exts:
         for e2 in exts:
             s = baer_sum(e1, e2)
-            c1, c2 = cm.coordinates(e1), cm.coordinates(e2)
-            cs = cm.coordinates(s)
+            c1, c2 = class_coordinates(cm, e1), class_coordinates(cm, e2)
+            cs = class_coordinates(cm, s)
             mods = np.array(cm.invariant_factors)
             assert np.array_equal(cs, (c1 + c2) % mods)
 
@@ -294,7 +296,7 @@ def test_class_module_real_datum_contains_remark_pair():
     cm = class_module(gal)
     f, _ = bockstein(cyclic_group(2), np.array([0, 1]), 2)
     const_z4 = EquivariantExtension(gal, f, np.zeros((2, 2), dtype=np.int64))
-    coords = cm.coordinates(const_z4)
+    coords = class_coordinates(cm, const_z4)
     assert coords is not None and coords.any()
 
 
@@ -315,7 +317,7 @@ def test_class_module_brute_force_tiny():
     assert len(valid) == 4
     # coboundary pairs: b(1) in {0,1}: db = 2b = 0, twist chi*b - b = 0 mod 2
     # so all 4 pairs are distinct classes
-    coord_set = {tuple(cm.coordinates(e)) for e in valid}
+    coord_set = {tuple(class_coordinates(cm, e)) for e in valid}
     assert len(coord_set) == 4
 
 
@@ -358,8 +360,8 @@ def test_sum_of_bocksteins_is_bockstein_of_sum():
     e1 = bockstein_pair(gal, phis[0])
     e2 = bockstein_pair(gal, phis[1])
     esum = bockstein_pair(gal, (phis[0] + phis[1]) % 2)
-    lhs = cm.coordinates(baer_sum(e1, e2))
-    rhs = cm.coordinates(esum)
+    lhs = class_coordinates(cm, baer_sum(e1, e2))
+    rhs = class_coordinates(cm, esum)
     assert np.array_equal(lhs, rhs)
 
 
@@ -368,8 +370,8 @@ def test_scale_extension():
     f, _ = bockstein(cyclic_group(4), np.arange(4), 4)
     ext = EquivariantExtension(gal, f, np.zeros((1, 4), dtype=np.int64))
     cm = class_module(gal)
-    c1 = cm.coordinates(ext)
-    c2 = cm.coordinates(EquivariantExtension(gal, 3 * ext.f, 3 * ext.c))
+    c1 = class_coordinates(cm, ext)
+    c2 = class_coordinates(cm, EquivariantExtension(gal, 3 * ext.f, 3 * ext.c))
     assert np.array_equal((3 * c1) % np.array(cm.invariant_factors), c2)
 
 
@@ -393,10 +395,10 @@ def test_class_module_coordinates_take_a_batch(name):
     coords = np.array([rng.integers(0, d, size=5) for d in cm.invariant_factors],
                       dtype=np.int64).reshape(k, 5)
     if k:
-        assert np.array_equal(cm.coordinates(*cm.tables(np.eye(k, dtype=np.int64))),
+        assert np.array_equal(class_coordinates(cm, *cm.tables(np.eye(k, dtype=np.int64))),
                               np.eye(k, dtype=np.int64))
         for x in coords.T:
-            assert np.array_equal(cm.coordinates(cm.element(x)), x)
+            assert np.array_equal(class_coordinates(cm, cm.element(x)), x)
     exts = []
     for x in coords.T:
         b = rng.integers(0, gal.N, size=gal.G.order)
@@ -404,10 +406,10 @@ def test_class_module_coordinates_take_a_batch(name):
         f = (b[:, None] + b[None, :] - b[gal.G.mul]) % gal.N
         c = (gal.chi_mod_n[:, None] * b[None, :] - b[gal.action.table]) % gal.N
         exts.append(baer_sum(cm.element(x), EquivariantExtension(gal, f, c)))
-    batch = cm.coordinates(exts)
+    batch = class_coordinates(cm, exts)
     assert np.array_equal(batch % orders, coords % orders)
     for j, ext in enumerate(exts):
-        assert np.array_equal(cm.coordinates(ext), batch[:, j])
+        assert np.array_equal(class_coordinates(cm, ext), batch[:, j])
     # bad by construction (|G| >= 3): adding 1 to f(1, 2) changes the C1 sum
     # at (x, 1, 2), x != 1, by -1, and adding 1 to c_1(1) changes the C2 sum
     # at (1, 1, 2) by -1 (indices are elements, 0 the identity)
@@ -421,8 +423,8 @@ def test_class_module_coordinates_take_a_batch(name):
         bads.append(("C2", EquivariantExtension(gal, exts[0].f, c)))
     for law, bad in bads:
         assert bad.violated_law()[0] == law
-        assert cm.coordinates(bad) is None
-        assert cm.coordinates(exts[:2] + [bad] + exts[2:]) is None
+        assert class_coordinates(cm, bad) is None
+        assert class_coordinates(cm, exts[:2] + [bad] + exts[2:]) is None
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_MODULE_DATA))
@@ -440,7 +442,7 @@ def test_a_pair_shifted_by_a_constant_coboundary_is_normalized(name):
         shifted = EquivariantExtension(gal, rep.f + k, rep.c + (gal.chi_mod_n[:, None] - 1) * k)
         assert np.array_equal(shifted.f, rep.f) and np.array_equal(shifted.c, rep.c)
         assert shifted.violated_law() is None
-        assert np.array_equal(cm.coordinates(shifted), cm.coordinates(rep))
+        assert np.array_equal(class_coordinates(cm, shifted), class_coordinates(cm, rep))
 
 
 def _violations_by_all_rows(ext: EquivariantExtension) -> tuple[list, list, list]:
@@ -647,8 +649,8 @@ def test_violated_laws_reports_the_first_broken_pair_of_a_stack(name):
 
 def test_the_laws_are_checked_once_per_stack(monkeypatch):
     # class_module builds no table; the generator stack is checked in one
-    # call when first read, and coordinates checks its whole stack in one
-    # call; kummer_kernel builds no pair to check, and br_nr builds tables
+    # call when first read, and class_coordinates checks its whole stack in
+    # one call; kummer_kernel builds no pair to check, and br_nr builds tables
     # and pairs only for the representatives of its report
     calls, built = [], []
     check, post_init = brnr.extensions.violated_laws, EquivariantExtension.__post_init__
@@ -662,6 +664,7 @@ def test_the_laws_are_checked_once_per_stack(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(brnr.extensions, "violated_laws", check_spy)
+    monkeypatch.setattr(brnr.reference, "violated_laws", check_spy)
     gal = wang_datum(8)
     cm = class_module(gal)
     assert calls == []
@@ -670,9 +673,9 @@ def test_the_laws_are_checked_once_per_stack(monkeypatch):
     assert calls == [3]
     exts = _mixed_pairs(gal, np.random.default_rng(5), 10)
     calls.clear()
-    assert cm.coordinates(exts[::5]) is not None
-    assert cm.coordinates(exts) is None
-    assert cm.coordinates(np.array([e.f for e in exts]), np.array([e.c for e in exts])) is None
+    assert class_coordinates(cm, exts[::5]) is not None
+    assert class_coordinates(cm, exts) is None
+    assert class_coordinates(cm, np.array([e.f for e in exts]), np.array([e.c for e in exts])) is None
     kummer_kernel(cm)
     assert calls == [2, 10, 10]
     calls.clear()

@@ -26,6 +26,7 @@ from brnr.errors import CapExceeded
 from brnr.extensions import EquivariantExtension, class_module
 from brnr.groups import (abelian_group, alternating_group, dihedral_group, quaternion_group,
                          symmetric_group)
+from brnr.reference import class_coordinates
 
 from dense_h2 import dense_h2
 from test_engine import conjugation_datum, psi_datum, real_datum, wang_datum
@@ -185,13 +186,13 @@ def test_class_module_coordinates_ignore_coboundary_pairs(datum):
     # the pairs moved at the generators of G and of Delta, f off the tree
     assert any((e.c[SD] != m.c[SD]).any() for e, m in zip(exts, moved))
     assert all(m.violated_law() is None for m in moved)
-    x, y = cm.coordinates(exts), cm.coordinates(moved)
+    x, y = class_coordinates(cm, exts), class_coordinates(cm, moved)
     assert x is not None and np.array_equal(x, y)
     assert np.array_equal(x[:, :len(cm.invariant_factors)],
                           np.eye(len(cm.invariant_factors), dtype=np.int64))
     # a coboundary pair alone has coordinates 0
     zero = EquivariantExtension(gal, np.zeros_like(exts[0].f), np.zeros_like(exts[0].c))
-    assert not cm.coordinates([gauge_pair(zero, bb) for bb in b]).any()
+    assert not class_coordinates(cm, [gauge_pair(zero, bb) for bb in b]).any()
 
 
 @pytest.mark.parametrize("datum", sorted(DATA))

@@ -991,3 +991,49 @@ def test_kernel_of_no_rows_is_the_whole_space_without_an_elimination(m, monkeypa
     assert np.array_equal(K.generator_lifts, ref.generator_lifts)
     x = np.arange(4 * 3).reshape(4, 3) % m
     assert np.array_equal(K.coordinates(x), ref.coordinates(x))
+
+
+def test_product_in_one_matmul_is_exact_at_the_largest_modulus():
+    # (4, 16000) @ (16000, 4) is 256,000 <= 2^18 multiply-adds: one matmul,
+    # each sum 16000 products (q - 1)^2 = 1 mod q, about 2^44 before reduction
+    q = MAX_MODULUS
+    a = np.full((4, 16000), q - 1, dtype=np.int64)
+    b = np.full((16000, 4), q - 1, dtype=np.int64)
+    assert a.shape[0] * a.shape[1] * b.shape[1] <= _PANEL ** 3
+    got = _product(a, b, q)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, a.astype(object) @ b.astype(object) % q)
+    assert (got == 16000).all()
+
+
+@pytest.mark.parametrize("q", [2, 4, MAX_MODULUS])
+def test_clear_reduces_negative_updates_like_the_per_column_reference(q, monkeypatch):
+    # dense rows take whole-row updates, in several slices of rows, and
+    # block-diagonal ones the block update; entries near q - 1 in the pivots make X - X[:, cols] G go
+    # negative, which the mask (q a power of 2) must reduce as % does
+    negative, paths = [], set()
+    mod, clear = brnr.zmod._mod, brnr.zmod._clear
+
+    def mod_spy(x, q):
+        negative.append(bool((x < 0).any()))
+        return mod(x, q)
+
+    def clear_spy(X, G, cols, q):
+        paths.add(2 * np.count_nonzero(G.any(axis=0)) >= X.shape[1])
+        clear(X, G, cols, q)
+
+    monkeypatch.setattr(brnr.zmod, "_mod", mod_spy)
+    monkeypatch.setattr(brnr.zmod, "_clear", clear_spy)
+    rng = np.random.default_rng(q + 5)
+    ncols = 150
+    dense = rng.integers(0, q, size=(40, ncols))
+    dense[:, :40] = np.triu(q - 1 - rng.integers(0, 2, size=(40, 40)), 1) + np.eye(40, dtype=np.int64)
+    sparse = []
+    for s in range(0, ncols, 15):
+        block = np.zeros((12, ncols), dtype=np.int64)
+        block[:, s:s + 15] = rng.integers(q // 2, q, size=(12, 15))
+        sparse.append(block)
+    _assert_same_howell([dense, rng.integers(0, q, size=(300, ncols))], ncols, q)   # > _PANEL * 4 rows
+    _assert_same_howell(sparse + [rng.integers(0, q, size=(5, ncols))], ncols, q)
+    assert any(negative)
+    assert paths == {True, False}
